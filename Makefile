@@ -2,7 +2,10 @@
 #
 #   make build      compile every package and command
 #   make vet        static analysis over the whole module
-#   make test       full test suite (tier-1 verify alongside build)
+#   make test       full test suite (tier-1 verify alongside build), then
+#                   the benchmark module's own vet + tests
+#   make bench-module  vet and test benchmark/ (its own module, which imports
+#                   repro/internal/...) against the current internals
 #   make test-race  short-mode race check of the concurrency-heavy packages
 #   make chaos      fault-injection tests under the race detector
 #   make fuzz       native fuzz targets, $(FUZZTIME) each
@@ -17,8 +20,8 @@
 #   make run-layoutd  start the layout-scheduling daemon on $(LAYOUTD_ADDR)
 
 GO ?= go
-RACE_PKGS := ./internal/parallel/... ./internal/sparse/... ./internal/spgemm/... ./internal/core/... ./internal/svm/... ./internal/serve/... ./internal/learn/... ./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/online/...
-CHAOS_PKGS := ./internal/parallel ./internal/core ./internal/serve
+RACE_PKGS := ./internal/parallel/... ./internal/sparse/... ./internal/spgemm/... ./internal/core/... ./internal/svm/... ./internal/serve/... ./internal/learn/... ./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/online/... ./internal/breaker/...
+CHAOS_PKGS := ./internal/parallel ./internal/core ./internal/serve ./internal/breaker
 FUZZTIME ?= 20s
 BENCH_FILE := BENCH_$(shell date +%Y%m%d).json
 # bench-trajectory output file; CI overrides this to collect repeated runs
@@ -26,7 +29,7 @@ BENCH_FILE := BENCH_$(shell date +%Y%m%d).json
 BENCH_OUT ?= BENCH_6.json
 LAYOUTD_ADDR ?= :8723
 
-.PHONY: build vet test test-race chaos fuzz flake bench bench-json bench-trajectory metrics-lint loadgen-smoke run-layoutd clean
+.PHONY: build vet test bench-module test-race chaos fuzz flake bench bench-json bench-trajectory metrics-lint loadgen-smoke run-layoutd clean
 
 build:
 	$(GO) build ./...
@@ -34,8 +37,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-test:
+test: bench-module
 	$(GO) test ./...
+
+# benchmark/ is a module of its own, so `go test ./...` never descends into
+# it; without this target an internal API change that breaks it would only
+# surface when the gated benchmark run fails to build.
+bench-module:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 test-race:
 	$(GO) test -race -short $(RACE_PKGS)

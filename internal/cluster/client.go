@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/telemetry"
 )
 
@@ -17,6 +18,19 @@ import (
 // breaker is open: the peer has failed consecutively and the cooldown has
 // not lapsed, so the call fails fast instead of paying a dial timeout.
 var ErrPeerDown = errors.New("cluster: peer breaker open")
+
+// Peer-breaker defaults: forwarding failures are cheap to detect (a refused
+// connection returns in microseconds), so the threshold is low and the
+// cooldown short — a dead peer costs at most a few failed dials before
+// every request falls back to the local decision path.
+const (
+	// DefaultBreakerThreshold is how many consecutive peer failures trip
+	// that peer's breaker open.
+	DefaultBreakerThreshold = 3
+	// DefaultBreakerCooldown is how long an open peer breaker rejects
+	// forwards before admitting a half-open probe.
+	DefaultBreakerCooldown = 5 * time.Second
+)
 
 // DefaultForwardTimeout bounds one forwarded request. Forwards carry
 // schedule requests whose measurement phase is bounded by the peer's own
@@ -53,7 +67,7 @@ type Client struct {
 	cooldown  time.Duration
 
 	mu       sync.Mutex
-	breakers map[string]*breaker
+	breakers map[string]*breaker.Breaker
 }
 
 // ClientOptions tune a Client; the zero value takes every default.
@@ -76,6 +90,12 @@ func NewClient(opts ClientOptions) *Client {
 	if opts.MaxIdlePerPeer <= 0 {
 		opts.MaxIdlePerPeer = 32
 	}
+	if opts.BreakerThreshold <= 0 {
+		opts.BreakerThreshold = DefaultBreakerThreshold
+	}
+	if opts.BreakerCooldown <= 0 {
+		opts.BreakerCooldown = DefaultBreakerCooldown
+	}
 	tr := &http.Transport{
 		MaxIdleConns:        opts.MaxIdlePerPeer * 8,
 		MaxIdleConnsPerHost: opts.MaxIdlePerPeer,
@@ -85,17 +105,17 @@ func NewClient(opts ClientOptions) *Client {
 		hc:        &http.Client{Transport: tr, Timeout: opts.Timeout},
 		threshold: opts.BreakerThreshold,
 		cooldown:  opts.BreakerCooldown,
-		breakers:  make(map[string]*breaker),
+		breakers:  make(map[string]*breaker.Breaker),
 	}
 }
 
 // breakerFor returns (creating on first use) the breaker guarding addr.
-func (c *Client) breakerFor(addr string) *breaker {
+func (c *Client) breakerFor(addr string) *breaker.Breaker {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	b := c.breakers[addr]
 	if b == nil {
-		b = newBreaker(c.threshold, c.cooldown)
+		b = breaker.New(c.threshold, c.cooldown)
 		c.breakers[addr] = b
 	}
 	return b
@@ -104,19 +124,19 @@ func (c *Client) breakerFor(addr string) *breaker {
 // PeerState reports the breaker position guarding addr ("closed" when the
 // peer has never been contacted).
 func (c *Client) PeerState(addr string) string {
-	return c.breakerFor(addr).currentState().String()
+	return c.breakerFor(addr).State().String()
 }
 
 // PeerOpens reports how many times addr's breaker has tripped.
 func (c *Client) PeerOpens(addr string) int64 {
-	return c.breakerFor(addr).openCount()
+	return c.breakerFor(addr).Opens()
 }
 
 // PeerDown reports whether addr's breaker is currently open — a cheap
 // pre-check for best-effort fan-outs (trace assembly) that want to skip
 // known-dead peers without probing them.
 func (c *Client) PeerDown(addr string) bool {
-	return c.breakerFor(addr).currentState() == breakerOpen
+	return c.breakerFor(addr).State() == breaker.Open
 }
 
 // Post sends body as JSON to addr+path with the forwarded marker set to
@@ -126,12 +146,12 @@ func (c *Client) PeerDown(addr string) bool {
 // When the breaker is open the call returns ErrPeerDown without dialing.
 func (c *Client) Post(ctx context.Context, addr, path, from string, body []byte) (int, []byte, error) {
 	b := c.breakerFor(addr)
-	if !b.allow() {
+	if !b.Allow() {
 		return 0, nil, ErrPeerDown
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+path, bytes.NewReader(body))
 	if err != nil {
-		b.failure()
+		b.Failure()
 		return 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
@@ -144,20 +164,20 @@ func (c *Client) Post(ctx context.Context, addr, path, from string, body []byte)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		b.failure()
+		b.Failure()
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResponse))
 	if err != nil {
-		b.failure()
+		b.Failure()
 		return resp.StatusCode, nil, err
 	}
 	if resp.StatusCode >= 500 {
-		b.failure()
+		b.Failure()
 		return resp.StatusCode, data, fmt.Errorf("cluster: peer %s returned %d", addr, resp.StatusCode)
 	}
-	b.success()
+	b.Success()
 	return resp.StatusCode, data, nil
 }
 

@@ -221,18 +221,10 @@ func (p *Peers) MetricFamilies(prefix string) []telemetry.Family {
 		if m.ID == p.self.ID {
 			continue
 		}
-		var sv float64
-		switch p.client.breakerFor(m.Addr).currentState() {
-		case breakerOpen:
-			sv = 1
-		case breakerHalfOpen:
-			sv = 2
-		}
+		b := p.client.breakerFor(m.Addr)
 		label := []telemetry.Label{telemetry.L("peer", m.ID)}
-		state.Samples = append(state.Samples, telemetry.Sample{Labels: label, Value: sv})
-		opens.Samples = append(opens.Samples, telemetry.Sample{
-			Labels: label, Value: float64(p.client.breakerFor(m.Addr).openCount()),
-		})
+		state.Samples = append(state.Samples, telemetry.Sample{Labels: label, Value: float64(b.State())})
+		opens.Samples = append(opens.Samples, telemetry.Sample{Labels: label, Value: float64(b.Opens())})
 	}
 	fwd := telemetry.Family{
 		Name: prefix + "_cluster_forwards_total", Kind: telemetry.KindCounter,

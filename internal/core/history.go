@@ -10,134 +10,115 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/sparse"
+	"repro/internal/spgemm"
 )
 
-// History is the scheduler's incremental auto-tuning memory: every measured
-// decision is recorded as (feature vector → chosen candidate), and future
-// datasets whose Table IV parameters land close enough to a recorded one
-// reuse its candidate without re-measuring. This amortizes the empirical
-// policy's measurement cost across a workload of similar datasets — the
-// OSKI-style tuning-database idea applied to the paper's nine-parameter
-// space, widened to the joint (format × chunk × variant) space.
-//
-// Distance is Euclidean over log-scaled shape features (sizes and counts
-// span orders of magnitude; density and the vdim/adim ratio enter
-// directly), so "similar" means same shape class rather than same size.
-type History struct {
+// embedded is an embedded feature point: a fixed-width float array. The
+// store is generic over the width so each workload keeps its own pinned
+// embedding (dataset.Embed, dataset.EmbedPair) without a second copy of the
+// scan or the file codec.
+type embedded interface {
+	~[dataset.EmbedDims]float64 | ~[dataset.PairEmbedDims]float64
+}
+
+// Recorded is one remembered decision in embedded form, exposed so the
+// learned predictors can harvest every measurement the scheduler ever made
+// as training data (the measure→train→predict flywheel).
+type Recorded[P embedded, C any] struct {
+	Point     P
+	Candidate C
+}
+
+// radiusStore is the scheduler's incremental auto-tuning memory for one
+// workload: every measured decision is recorded as (embedded point → chosen
+// candidate), and future inputs whose points land close enough to a
+// recorded one reuse its candidate without re-measuring. Distance is
+// Euclidean in the embedded space. The zero value is an empty store.
+type radiusStore[P embedded, C fmt.Stringer] struct {
 	mu      sync.Mutex
-	entries []historyEntry
+	entries []Recorded[P, C]
 }
 
-type historyEntry struct {
-	point     [featureDims]float64
-	candidate sparse.Candidate
-}
-
-// featureDims is the embedded feature-space dimensionality. The embedding
-// itself lives in dataset.Embed so the history and the learned format
-// predictor (internal/learn) vectorize identically — one pinned helper
-// keeps saved histories and trained models mutually compatible.
-const featureDims = dataset.EmbedDims
-
-// historyHeader is the versioned file header Save writes. Files without a
-// header are the v1 wire form (one bare format name per line) and load as
-// base candidates — old persisted histories migrate transparently.
-const historyHeader = "#layoutsched-history v2"
-
-func dist2(a, b [featureDims]float64) float64 {
+func dist2[P embedded](a, b P) float64 {
 	var s float64
-	for i := range a {
+	for i := 0; i < len(a); i++ {
 		d := a[i] - b[i]
 		s += d * d
 	}
 	return s
 }
 
-// Record stores a decided (features, format) pair as the format's base
-// candidate. Kept for format-level callers; the scheduler records joint
-// candidates via RecordCandidate.
-func (h *History) Record(f dataset.Features, format sparse.Format) {
-	h.RecordCandidate(f, sparse.BaseCandidate(format))
-}
-
-// RecordCandidate stores a decided (features, candidate) pair.
-func (h *History) RecordCandidate(f dataset.Features, c sparse.Candidate) {
+func (h *radiusStore[P, C]) record(p P, c C) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.entries = append(h.entries, historyEntry{point: dataset.Embed(f), candidate: c})
+	h.entries = append(h.entries, Recorded[P, C]{Point: p, Candidate: c})
 }
 
 // Len reports the number of recorded decisions.
-func (h *History) Len() int {
+func (h *radiusStore[P, C]) Len() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.entries)
 }
 
-// Lookup returns the candidate of the nearest recorded decision within the
+// lookup returns the candidate of the nearest recorded decision within the
 // given radius (in embedded-space distance), or ok=false when nothing is
 // close enough.
-func (h *History) Lookup(f dataset.Features, radius float64) (sparse.Candidate, bool) {
+func (h *radiusStore[P, C]) lookup(p P, radius float64) (c C, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	p := dataset.Embed(f)
 	best := -1
 	bestD := radius * radius
 	for i := range h.entries {
-		if d := dist2(p, h.entries[i].point); d <= bestD {
+		if d := dist2(p, h.entries[i].Point); d <= bestD {
 			best, bestD = i, d
 		}
 	}
 	if best < 0 {
-		return sparse.Candidate{}, false
+		return c, false
 	}
-	return h.entries[best].candidate, true
-}
-
-// HistoryExample is one recorded decision in embedded form, exposed so the
-// learned predictor can harvest every measurement the scheduler ever made
-// as training data (the measure→train→predict flywheel).
-type HistoryExample struct {
-	Point     [featureDims]float64
-	Candidate sparse.Candidate
+	return h.entries[best].Candidate, true
 }
 
 // Snapshot copies the recorded decisions. The copy is safe to read while
 // other goroutines keep recording.
-func (h *History) Snapshot() []HistoryExample {
+func (h *radiusStore[P, C]) Snapshot() []Recorded[P, C] {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]HistoryExample, len(h.entries))
-	for i, e := range h.entries {
-		out[i] = HistoryExample{Point: e.point, Candidate: e.candidate}
-	}
-	return out
+	return append([]Recorded[P, C](nil), h.entries...)
 }
 
-// Save writes the v2 wire form: a version header, then one line per entry:
-// "<f0> <f1> ... <f6> <FORMAT>/<chunk>/<variant>".
-func (h *History) Save(w io.Writer) error {
+// historyCodec describes one workload's history file: a versioned header
+// line, then one line per entry, "<p0> <p1> ... <pN-1> <candidate>".
+type historyCodec[C any] struct {
+	header string
+	// headerless admits files with no header line at all — the SMSV v1 wire
+	// form, whose bare format names parse as base candidates, so
+	// pre-joint histories migrate in place and are upgraded on the next
+	// Save. A wrong header is an error either way.
+	headerless bool
+	noun       string // names the file kind in error text
+	parse      func(string) (C, error)
+}
+
+func (h *radiusStore[P, C]) save(w io.Writer, codec historyCodec[C]) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, historyHeader)
+	fmt.Fprintln(bw, codec.header)
 	for _, e := range h.entries {
-		for _, x := range e.point {
-			fmt.Fprintf(bw, "%.17g ", x)
+		for i := 0; i < len(e.Point); i++ {
+			fmt.Fprintf(bw, "%.17g ", e.Point[i])
 		}
-		fmt.Fprintln(bw, e.candidate)
+		fmt.Fprintln(bw, e.Candidate)
 	}
 	return bw.Flush()
 }
 
-// LoadHistory reads a history written by Save, either wire version. v1
-// files (no header, bare format names) migrate in place: each entry loads
-// as the format's base candidate, so a pre-joint history keeps steering
-// decisions and is upgraded to v2 on the next Save.
-func LoadHistory(r io.Reader) (*History, error) {
-	h := &History{}
+func (h *radiusStore[P, C]) load(r io.Reader, codec historyCodec[C]) error {
 	sc := bufio.NewScanner(r)
 	lineNo := 0
+	sawHeader := codec.headerless
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -145,31 +126,85 @@ func LoadHistory(r io.Reader) (*History, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			if lineNo == 1 && line == historyHeader {
+			if lineNo == 1 && line == codec.header {
+				sawHeader = true
 				continue
 			}
-			return nil, fmt.Errorf("core: history line %d: unsupported header %q (want %q)", lineNo, line, historyHeader)
+			return fmt.Errorf("core: %s line %d: unsupported header %q (want %q)", codec.noun, lineNo, line, codec.header)
 		}
+		if !sawHeader {
+			return fmt.Errorf("core: %s: missing %q header", codec.noun, codec.header)
+		}
+		var e Recorded[P, C]
+		dims := len(e.Point)
 		fields := strings.Fields(line)
-		if len(fields) != featureDims+1 {
-			return nil, fmt.Errorf("core: history line %d: %d fields, want %d", lineNo, len(fields), featureDims+1)
+		if len(fields) != dims+1 {
+			return fmt.Errorf("core: %s line %d: %d fields, want %d", codec.noun, lineNo, len(fields), dims+1)
 		}
-		var e historyEntry
-		for i := 0; i < featureDims; i++ {
+		for i := 0; i < dims; i++ {
 			x, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("core: history line %d field %d: %v", lineNo, i, err)
+				return fmt.Errorf("core: %s line %d field %d: %v", codec.noun, lineNo, i, err)
 			}
-			e.point[i] = x
+			e.Point[i] = x
 		}
-		c, err := sparse.ParseCandidate(fields[featureDims])
+		c, err := codec.parse(fields[dims])
 		if err != nil {
-			return nil, fmt.Errorf("core: history line %d: %v", lineNo, err)
+			return fmt.Errorf("core: %s line %d: %v", codec.noun, lineNo, err)
 		}
-		e.candidate = c
+		e.Candidate = c
 		h.entries = append(h.entries, e)
 	}
-	if err := sc.Err(); err != nil {
+	return sc.Err()
+}
+
+// History is the SMSV tuning memory — the OSKI-style tuning-database idea
+// applied to the paper's nine-parameter space, widened to the joint
+// (format × chunk × variant) space. Points are dataset.Embed, the same
+// pinned log-scaled embedding the learned format predictor (internal/learn)
+// uses, so saved histories and trained models stay mutually compatible and
+// "similar" means same shape class rather than same size.
+type History struct {
+	radiusStore[[dataset.EmbedDims]float64, sparse.Candidate]
+}
+
+// HistoryExample is one recorded SMSV decision in embedded form.
+type HistoryExample = Recorded[[dataset.EmbedDims]float64, sparse.Candidate]
+
+var historyFile = historyCodec[sparse.Candidate]{
+	header: "#layoutsched-history v2", headerless: true,
+	noun: "history", parse: sparse.ParseCandidate,
+}
+
+// Record stores a decided (features, format) pair as the format's base
+// candidate. Kept for format-level callers; the scheduler records joint
+// candidates via RecordCandidate.
+func (h *History) Record(f dataset.Features, format sparse.Format) {
+	h.record(dataset.Embed(f), sparse.BaseCandidate(format))
+}
+
+// RecordCandidate stores a decided (features, candidate) pair.
+func (h *History) RecordCandidate(f dataset.Features, c sparse.Candidate) {
+	h.record(dataset.Embed(f), c)
+}
+
+// Lookup returns the candidate of the nearest recorded decision within
+// radius of f's embedding, or ok=false when nothing is close enough.
+func (h *History) Lookup(f dataset.Features, radius float64) (sparse.Candidate, bool) {
+	return h.lookup(dataset.Embed(f), radius)
+}
+
+// Save writes the v2 wire form: a version header, then one line per entry:
+// "<f0> <f1> ... <f6> <FORMAT>/<chunk>/<variant>".
+func (h *History) Save(w io.Writer) error { return h.save(w, historyFile) }
+
+// LoadHistory reads a history written by Save, either wire version. v1
+// files (no header, bare format names) migrate in place: each entry loads
+// as the format's base candidate, so a pre-joint history keeps steering
+// decisions and is upgraded to v2 on the next Save.
+func LoadHistory(r io.Reader) (*History, error) {
+	h := &History{}
+	if err := h.load(r, historyFile); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -179,3 +214,50 @@ func LoadHistory(r io.Reader) (*History, error) {
 // this share a candidate. Calibrated so the Table V clones under different
 // seeds reuse each other while structurally different datasets do not.
 const DefaultHistoryRadius = 0.75
+
+// PairHistory is the SpGEMM tuning memory: measured dataflow decisions
+// recorded as (pairwise embedded point → spgemm candidate), reused for
+// operand pairs whose shape classes land close enough. It lives in its own
+// embedded space (dataset.EmbedPair) because the single-matrix embedding is
+// pinned and cannot carry the interaction terms the dataflow choice hinges
+// on.
+type PairHistory struct {
+	radiusStore[[dataset.PairEmbedDims]float64, spgemm.Candidate]
+}
+
+// PairHistoryExample is one recorded SpGEMM decision in embedded form, the
+// pair forest's harvesting unit.
+type PairHistoryExample = Recorded[[dataset.PairEmbedDims]float64, spgemm.Candidate]
+
+// The "v1" tracks dataset.PairEmbedVersion: a new embedding needs a new
+// header so stale points are rejected rather than silently misread. There
+// is no headerless legacy form.
+var pairHistoryFile = historyCodec[spgemm.Candidate]{
+	header: "#layoutsched-spgemm-history v1",
+	noun:   "pair history", parse: spgemm.ParseCandidate,
+}
+
+// RecordCandidate stores a decided (pair features, candidate) entry.
+func (h *PairHistory) RecordCandidate(fa, fb dataset.Features, c spgemm.Candidate) {
+	h.record(dataset.EmbedPair(fa, fb), c)
+}
+
+// Lookup returns the candidate of the nearest recorded decision within
+// radius of the pair's embedding, or ok=false when nothing is close enough.
+func (h *PairHistory) Lookup(fa, fb dataset.Features, radius float64) (spgemm.Candidate, bool) {
+	return h.lookup(dataset.EmbedPair(fa, fb), radius)
+}
+
+// Save writes the v1 wire form: the version header, then one line per
+// entry: "<p0> ... <p11> <dataflow>/<AFORMAT>/<BFORMAT>".
+func (h *PairHistory) Save(w io.Writer) error { return h.save(w, pairHistoryFile) }
+
+// LoadPairHistory reads a pair history written by Save; a missing or
+// foreign header is an error.
+func LoadPairHistory(r io.Reader) (*PairHistory, error) {
+	h := &PairHistory{}
+	if err := h.load(r, pairHistoryFile); err != nil {
+		return nil, err
+	}
+	return h, nil
+}

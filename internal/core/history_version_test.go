@@ -46,8 +46,8 @@ func TestHistoryV1FixtureLoadsAndMigrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	first, _, _ := strings.Cut(buf.String(), "\n")
-	if first != historyHeader {
-		t.Fatalf("saved header %q, want %q", first, historyHeader)
+	if first != historyFile.header {
+		t.Fatalf("saved header %q, want %q", first, historyFile.header)
 	}
 	if !strings.Contains(buf.String(), "CSR/static/base") {
 		t.Fatal("v2 save does not use candidate wire form")

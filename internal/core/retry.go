@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"repro/internal/sparse"
@@ -45,32 +46,34 @@ func IsTransient(err error) bool {
 	return false
 }
 
-// measureWithRetry runs one candidate's measurement with bounded retries:
-// transient failures back off exponentially with seeded full jitter (so
-// retry storms against a struggling machine stay spread out and tests stay
-// reproducible), everything else — context expiry, kernel panics — returns
-// immediately.
-func (s *Scheduler) measureWithRetry(ctx context.Context, m sparse.Matrix, c sparse.Candidate, sc *chooseScratch, traced bool) (time.Duration, error) {
-	backoff := s.cfg.RetryBackoff
+// retryMeasure runs one candidate's measurement attempt with bounded
+// retries: transient failures back off exponentially with seeded full
+// jitter (so retry storms against a struggling machine stay spread out and
+// tests stay reproducible), everything else — context expiry, kernel
+// panics — returns immediately. retries and backoff are the scheduler's
+// MeasureRetries/RetryBackoff (backoff <= 0 takes the default). attempt
+// is only called, never retained, so callers' closures stay on the stack.
+func retryMeasure(ctx context.Context, retries int, backoff time.Duration, rng *rand.Rand, traced bool,
+	attempt func(ctx context.Context) (time.Duration, error)) (time.Duration, error) {
 	if backoff <= 0 {
 		backoff = defaultRetryBackoff
 	}
-	for attempt := 0; ; attempt++ {
+	for n := 0; ; n++ {
 		actx := ctx
 		var asp *telemetry.Span
 		if traced {
-			actx, asp = telemetry.StartSpan(ctx, "measure.attempt", telemetry.Int("attempt", attempt))
+			actx, asp = telemetry.StartSpan(ctx, "measure.attempt", telemetry.Int("attempt", n))
 		}
-		t, err := s.measure(actx, m, c, sc, traced)
+		t, err := attempt(actx)
 		if err == nil {
 			asp.End()
 			return t, nil
 		}
 		asp.EndErr(err)
-		if !IsTransient(err) || attempt >= s.cfg.MeasureRetries {
+		if !IsTransient(err) || n >= retries {
 			return 0, err
 		}
-		delay := backoff<<attempt + time.Duration(sc.rng.Int63n(int64(backoff)))
+		delay := backoff<<n + time.Duration(rng.Int63n(int64(backoff)))
 		var rsp *telemetry.Span
 		if traced {
 			_, rsp = telemetry.StartSpan(ctx, "measure.retry-backoff", telemetry.Dur("delay", delay))

@@ -303,25 +303,31 @@ func (s *Scheduler) ChooseContext(ctx context.Context, b *sparse.Builder) (*Deci
 	}
 	if traced {
 		sp.Annotate(telemetry.String("chosen", d.ChosenCandidate.String()),
-			telemetry.String("source", decisionSource(d)))
+			telemetry.String("source", d.Source()))
 		sp.End()
 	}
 	return d, nil
 }
 
-// decisionSource labels where a decision came from, mirroring the serve
-// layer's Source field.
-func decisionSource(d *Decision) string {
+// sourceOf labels where a decision came from; the serve layer's Source
+// field carries the same strings.
+func sourceOf(predicted, reused, measured bool) string {
 	switch {
-	case d.Predicted:
+	case predicted:
 		return "predictor"
-	case d.Reused:
+	case reused:
 		return "history"
-	case len(d.Measured) > 0:
+	case measured:
 		return "measured"
 	default:
 		return "model"
 	}
+}
+
+// Source labels where the decision came from: "predictor", "history",
+// "measured", or "model" (cost model only).
+func (d *Decision) Source() string {
+	return sourceOf(d.Predicted, d.Reused, len(d.Measured) > 0)
 }
 
 func (s *Scheduler) chooseContext(ctx context.Context, b *sparse.Builder, traced bool) (*Decision, error) {
@@ -479,7 +485,8 @@ func (s *Scheduler) chooseContext(ctx context.Context, b *sparse.Builder, traced
 			lastErr = err
 			continue
 		}
-		t, err := s.measureWithRetry(cctx, m, c, sc, traced)
+		t, err := retryMeasure(cctx, s.cfg.MeasureRetries, s.cfg.RetryBackoff, sc.rng, traced,
+			func(actx context.Context) (time.Duration, error) { return s.measure(actx, m, c, sc, traced) })
 		if err != nil {
 			candSp.EndErr(err)
 			// Context expiry bounds the whole decision; anything else —

@@ -176,19 +176,10 @@ func (d *SpGEMMDecision) Release() {
 	pairDecisionPool.Put(d)
 }
 
-// pairDecisionSource labels where the decision came from, mirroring
-// decisionSource on the SMSV side.
-func pairDecisionSource(d *SpGEMMDecision) string {
-	switch {
-	case d.Predicted:
-		return "predictor"
-	case d.Reused:
-		return "history"
-	case len(d.Measured) > 0:
-		return "measured"
-	default:
-		return "model"
-	}
+// Source labels where the decision came from, with Decision.Source's
+// vocabulary.
+func (d *SpGEMMDecision) Source() string {
+	return sourceOf(d.Predicted, d.Reused, len(d.Measured) > 0)
 }
 
 // spgemmScratch is the per-choose workspace: the multiply arena, the result
@@ -243,7 +234,7 @@ func (s *SpGEMMScheduler) ChooseContext(ctx context.Context, a, b *sparse.Builde
 	}
 	if traced {
 		sp.Annotate(telemetry.String("chosen", d.Chosen.String()),
-			telemetry.String("source", pairDecisionSource(d)))
+			telemetry.String("source", d.Source()))
 		sp.End()
 	}
 	return d, nil
@@ -374,7 +365,8 @@ func (s *SpGEMMScheduler) chooseContext(ctx context.Context, a, b *sparse.Builde
 			lastErr = err
 			continue
 		}
-		t, err := s.measurePairWithRetry(cctx, c, am, bm, sc, traced)
+		t, err := retryMeasure(cctx, s.cfg.MeasureRetries, s.cfg.RetryBackoff, sc.rng, traced,
+			func(actx context.Context) (time.Duration, error) { return s.measurePair(actx, c, am, bm, sc, traced) })
 		if err != nil {
 			candSp.EndErr(err)
 			// Context expiry bounds the whole decision; anything else only
@@ -417,46 +409,6 @@ func (s *SpGEMMScheduler) topPairCandidates(sc *spgemmScratch, ests []PairEstima
 		sc.cands = append(sc.cands, e.Candidate)
 	}
 	return sc.cands
-}
-
-// measurePairWithRetry mirrors measureWithRetry: transient failures back
-// off exponentially with seeded full jitter; context expiry and kernel
-// panics return immediately.
-func (s *SpGEMMScheduler) measurePairWithRetry(ctx context.Context, c spgemm.Candidate, am, bm sparse.Matrix, sc *spgemmScratch, traced bool) (time.Duration, error) {
-	backoff := s.cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
-	for attempt := 0; ; attempt++ {
-		actx := ctx
-		var asp *telemetry.Span
-		if traced {
-			actx, asp = telemetry.StartSpan(ctx, "measure.attempt", telemetry.Int("attempt", attempt))
-		}
-		t, err := s.measurePair(actx, c, am, bm, sc, traced)
-		if err == nil {
-			asp.End()
-			return t, nil
-		}
-		asp.EndErr(err)
-		if !IsTransient(err) || attempt >= s.cfg.MeasureRetries {
-			return 0, err
-		}
-		delay := backoff<<attempt + time.Duration(sc.rng.Int63n(int64(backoff)))
-		var rsp *telemetry.Span
-		if traced {
-			_, rsp = telemetry.StartSpan(ctx, "measure.retry-backoff", telemetry.Dur("delay", delay))
-		}
-		timer := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			rsp.EndErr(ctx.Err())
-			return 0, ctx.Err()
-		case <-timer.C:
-			rsp.End()
-		}
-	}
 }
 
 // measurePair times Repeats full products under the candidate's dataflow

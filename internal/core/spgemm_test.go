@@ -217,7 +217,7 @@ func TestPairHistorySaveLoad(t *testing.T) {
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), pairHistoryHeader+"\n") {
+	if !strings.HasPrefix(buf.String(), pairHistoryFile.header+"\n") {
 		t.Fatalf("saved history missing header:\n%s", buf.String())
 	}
 	got, err := LoadPairHistory(strings.NewReader(buf.String()))
@@ -237,9 +237,9 @@ func TestPairHistorySaveLoad(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"#layoutsched-history v2\n",          // SMSV header on a pair file
-		"1 2 3 gustavson/CSR/CSR\n",          // headerless
-		pairHistoryHeader + "\n1 2 3 nope\n", // wrong field count
+		"#layoutsched-history v2\n",               // SMSV header on a pair file
+		"1 2 3 gustavson/CSR/CSR\n",               // headerless
+		pairHistoryFile.header + "\n1 2 3 nope\n", // wrong field count
 	} {
 		if _, err := LoadPairHistory(strings.NewReader(bad)); err == nil {
 			t.Fatalf("malformed history accepted: %q", bad)

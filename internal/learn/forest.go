@@ -5,14 +5,15 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/sparse"
+	"repro/internal/spgemm"
 )
 
-// Forest is a small random forest over the embedded Table IV parameters:
+// forest is a small random forest over embedded feature points:
 // bootstrap-sampled CART trees with a random feature subset per split,
-// answering by majority vote. A Forest is immutable after Train/Load, so
-// concurrent predictions need no locking.
-type Forest struct {
-	trees   []*tree
+// answering by majority vote. Immutable after train/load, so concurrent
+// predictions need no locking. Forest and PairForest instantiate it.
+type forest[L label] struct {
+	trees   []*tree[L]
 	trained int // examples seen at training time, for diagnostics
 }
 
@@ -45,63 +46,103 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	return c
 }
 
-// Train fits a forest on the labeled examples. It returns
-// ErrNoTrainingData for an empty set; a single example trains a (trivial)
-// constant model.
-func Train(examples []Example, cfg TrainConfig) (*Forest, error) {
-	if len(examples) == 0 {
-		return nil, ErrNoTrainingData
+// train fits the forest on parallel point rows and labels.
+func (f *forest[L]) train(sp *space[L], rows [][]float64, labels []L, cfg TrainConfig) error {
+	if len(rows) == 0 {
+		return ErrNoTrainingData
 	}
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	f := &Forest{trained: len(examples)}
-	idx := make([]int, len(examples))
+	g := grower[L]{
+		sp: sp, rows: rows, labels: labels,
+		maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf, mtry: cfg.Mtry,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
+	}
+	f.trained = len(rows)
+	idx := make([]int, len(rows))
 	for t := 0; t < cfg.Trees; t++ {
 		for i := range idx {
-			idx[i] = rng.Intn(len(examples)) // bootstrap sample
+			idx[i] = g.rng.Intn(len(rows)) // bootstrap sample
 		}
-		f.trees = append(f.trees, grow(examples, idx, growCfg{
-			maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf, mtry: cfg.Mtry, rng: rng,
-		}))
+		f.trees = append(f.trees, g.grow(idx))
 	}
-	return f, nil
+	return nil
 }
 
-// Trees reports the forest size.
-func (f *Forest) Trees() int {
+func (f *forest[L]) size() int {
 	if f == nil {
 		return 0
 	}
 	return len(f.trees)
 }
 
-// TrainedOn reports how many examples the forest was fitted to.
-func (f *Forest) TrainedOn() int {
+func (f *forest[L]) trainedOn() int {
 	if f == nil {
 		return 0
 	}
 	return f.trained
 }
 
-// PredictPoint votes the trees on an embedded point. Confidence is the
-// winning candidate's share of the vote; ok is false for a nil or empty
-// forest. Vote ties break toward the lower candidate index for determinism.
-func (f *Forest) PredictPoint(p [dataset.EmbedDims]float64) (sparse.Candidate, float64, bool) {
+// vote runs the trees on an embedded point. Confidence is the winning
+// candidate's share of the vote; ok is false for a nil or empty forest.
+// Vote ties break toward the lower candidate index for determinism.
+func (f *forest[L]) vote(sp *space[L], p []float64) (best L, confidence float64, ok bool) {
 	if f == nil || len(f.trees) == 0 {
-		return sparse.Candidate{}, 0, false
+		return best, 0, false
 	}
-	var votes [numLabels]int
+	var buf [maxLabels]int
+	votes := buf[:sp.labels]
 	for _, t := range f.trees {
-		label, _ := t.predict(p)
-		votes[label.Index()]++
+		votes[t.predict(p).index]++
 	}
-	best := 0
-	for c := 1; c < numLabels; c++ {
-		if votes[c] > votes[best] {
-			best = c
-		}
+	i := argmax(votes)
+	return sp.at(i), float64(votes[i]) / float64(len(f.trees)), true
+}
+
+// Forest predicts the SMSV joint candidate from the embedded Table IV
+// parameters; it implements core.FormatPredictor and
+// core.CandidatePredictor. A nil *Forest is an empty model.
+type Forest struct{ forest[sparse.Candidate] }
+
+// generic returns the forest behind f, nil for a nil f — the generic
+// methods treat a nil forest as empty, so this is the one nil check.
+func (f *Forest) generic() *forest[sparse.Candidate] {
+	if f == nil {
+		return nil
 	}
-	return sparse.CandidateAt(best), float64(votes[best]) / float64(len(f.trees)), true
+	return &f.forest
+}
+
+// Trees reports the forest size.
+func (f *Forest) Trees() int { return f.generic().size() }
+
+// TrainedOn reports how many examples the forest was fitted to.
+func (f *Forest) TrainedOn() int { return f.generic().trainedOn() }
+
+var smsvSpace = space[sparse.Candidate]{
+	dims: dataset.EmbedDims, labels: sparse.NumCandidates,
+	at: sparse.CandidateAt, parse: sparse.ParseCandidate,
+	file: modelFile{version: ModelVersion, noun: "model", tree: "tree", retrain: "layoutsched train"},
+}
+
+// Train fits a forest on the labeled examples. It returns
+// ErrNoTrainingData for an empty set; a single example trains a (trivial)
+// constant model.
+func Train(examples []Example, cfg TrainConfig) (*Forest, error) {
+	rows := make([][]float64, len(examples))
+	labels := make([]sparse.Candidate, len(examples))
+	for i := range examples {
+		rows[i], labels[i] = examples[i].Point[:], examples[i].Label
+	}
+	f := &Forest{}
+	if err := f.train(&smsvSpace, rows, labels, cfg); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// PredictPoint votes the trees on an embedded point.
+func (f *Forest) PredictPoint(p [dataset.EmbedDims]float64) (sparse.Candidate, float64, bool) {
+	return f.generic().vote(&smsvSpace, p[:])
 }
 
 // PredictCandidate embeds the Table IV parameters and votes over the joint
@@ -118,4 +159,75 @@ func (f *Forest) PredictCandidate(feats dataset.Features) (sparse.Candidate, flo
 func (f *Forest) PredictFormat(feats dataset.Features) (sparse.Format, float64, bool) {
 	c, conf, ok := f.PredictPoint(dataset.Embed(feats))
 	return c.Format, conf, ok
+}
+
+// PairExample is one labeled pairwise training point.
+type PairExample struct {
+	Point [dataset.PairEmbedDims]float64
+	Label spgemm.Candidate
+}
+
+// FromPairFeatures embeds an (A, B) feature pair into a training example.
+func FromPairFeatures(fa, fb dataset.Features, label spgemm.Candidate) PairExample {
+	return PairExample{Point: dataset.EmbedPair(fa, fb), Label: label}
+}
+
+// PairForest predicts the SpGEMM dataflow candidate from the pairwise
+// embedding; it implements core.PairPredictor. A nil *PairForest is an
+// empty model.
+type PairForest struct{ forest[spgemm.Candidate] }
+
+func (f *PairForest) generic() *forest[spgemm.Candidate] {
+	if f == nil {
+		return nil
+	}
+	return &f.forest
+}
+
+// Trees reports the forest size.
+func (f *PairForest) Trees() int { return f.generic().size() }
+
+// TrainedOn reports how many examples the forest was fitted to.
+func (f *PairForest) TrainedOn() int { return f.generic().trainedOn() }
+
+// PairModelVersion versions the pair-forest serialization independently of
+// the SMSV ModelVersion: the two models live in different embedded spaces
+// and must never be loaded into each other. The kind discriminator makes a
+// cross-load a clean error even at matching version numbers — a pair model
+// handed to Load, or an SMSV model handed to LoadPair, is rejected by
+// content, not by filename.
+const PairModelVersion = 1
+
+var pairSpace = space[spgemm.Candidate]{
+	dims: dataset.PairEmbedDims, labels: spgemm.NumCandidates,
+	at: spgemm.CandidateAt, parse: spgemm.ParseCandidate,
+	file: modelFile{version: PairModelVersion, kind: "spgemm-pair",
+		noun: "pair model", tree: "pair tree", retrain: "layoutsched train-spgemm"},
+}
+
+// TrainPair fits a pair forest; TrainConfig semantics match Train, with
+// the same defaults (Mtry 3 ≈ √PairEmbedDims is a reasonable subset here
+// too).
+func TrainPair(examples []PairExample, cfg TrainConfig) (*PairForest, error) {
+	rows := make([][]float64, len(examples))
+	labels := make([]spgemm.Candidate, len(examples))
+	for i := range examples {
+		rows[i], labels[i] = examples[i].Point[:], examples[i].Label
+	}
+	f := &PairForest{}
+	if err := f.train(&pairSpace, rows, labels, cfg); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// PredictPairPoint votes the trees on a pairwise embedded point.
+func (f *PairForest) PredictPairPoint(p [dataset.PairEmbedDims]float64) (spgemm.Candidate, float64, bool) {
+	return f.generic().vote(&pairSpace, p[:])
+}
+
+// PredictPair embeds the feature pair and votes; this is the
+// core.PairPredictor contract.
+func (f *PairForest) PredictPair(fa, fb dataset.Features) (spgemm.Candidate, float64, bool) {
+	return f.PredictPairPoint(dataset.EmbedPair(fa, fb))
 }

@@ -3,6 +3,7 @@ package learn
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"time"
 
@@ -32,14 +33,10 @@ func Measure(ctx context.Context, b *sparse.Builder, ex *exec.Exec, seed int64) 
 		return Labeled{}, err
 	}
 	// Decisions are pooled; copy what outlives the release.
-	times := make(map[sparse.Candidate]time.Duration, len(dec.Measured))
-	for c, t := range dec.Measured {
-		times[c] = t
-	}
 	l := Labeled{
 		Example:  FromFeatures(dec.Features, dec.ChosenCandidate),
 		Features: dec.Features,
-		Times:    times,
+		Times:    maps.Clone(dec.Measured),
 	}
 	dec.Release()
 	return l, nil
@@ -161,13 +158,25 @@ type EvalResult struct {
 // prediction is scored — evaluation has the oracle, so there is nothing to
 // fall back to).
 func Evaluate(f *Forest, items []Labeled, tolerance, minConfidence float64) EvalResult {
+	return evaluate(f.generic(), &smsvSpace, len(items),
+		func(i int) ([]float64, sparse.Candidate, map[sparse.Candidate]time.Duration) {
+			return items[i].Point[:], items[i].Label, items[i].Times
+		}, tolerance, minConfidence)
+}
+
+// evaluate is the scorer behind Evaluate and EvaluatePair: item(i) yields
+// the i-th labeled point with its per-candidate timing evidence.
+func evaluate[L label](f *forest[L], sp *space[L], n int,
+	item func(i int) (point []float64, label L, times map[L]time.Duration),
+	tolerance, minConfidence float64) EvalResult {
 	if tolerance <= 0 {
 		tolerance = 1.25
 	}
 	res := EvalResult{Tolerance: tolerance}
 	var slowdowns int
-	for _, it := range items {
-		pred, conf, ok := f.PredictPoint(it.Point)
+	for i := 0; i < n; i++ {
+		point, label, times := item(i)
+		pred, conf, ok := f.vote(sp, point)
 		if !ok {
 			continue
 		}
@@ -176,11 +185,11 @@ func Evaluate(f *Forest, items []Labeled, tolerance, minConfidence float64) Eval
 		if conf < minConfidence {
 			res.LowConfidence++
 		}
-		if pred == it.Label {
+		if pred == label {
 			res.Exact++
 		}
-		best, okBest := it.Times[it.Label]
-		got, okGot := it.Times[pred]
+		best, okBest := times[label]
+		got, okGot := times[pred]
 		if !okBest || best <= 0 || !okGot {
 			// The model predicted a candidate the dataset could not even
 			// build (e.g. DIA over its cap): an unambiguous miss.

@@ -7,26 +7,38 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/dataset"
 	"repro/internal/fault"
-	"repro/internal/sparse"
 )
 
-// ModelVersion is the serialization format version. Bump it whenever the
-// embedding (dataset.Embed), the node layout, or the vote semantics change,
-// so stale models are rejected at load time instead of silently predicting
-// in the wrong feature space. Version 2 widened leaf labels from bare
-// format names to joint candidate strings ("CSR/guided/fused"); version 1
-// models predict in a different label space and must be retrained.
+// ModelVersion is the SMSV serialization format version. Bump it whenever
+// the embedding (dataset.Embed), the node layout, or the vote semantics
+// change, so stale models are rejected at load time instead of silently
+// predicting in the wrong feature space. Version 2 widened leaf labels from
+// bare format names to joint candidate strings ("CSR/guided/fused");
+// version 1 models predict in a different label space and must be
+// retrained.
 const ModelVersion = 2
 
 // ErrModelVersion is wrapped into Load's error when the file was written
 // by a different, incompatible model version.
 var ErrModelVersion = errors.New("learn: model version mismatch")
 
-// modelJSON is the on-disk form of a Forest.
+// modelFile is what distinguishes one workload's model file from
+// another's: the version it writes and accepts, the kind discriminator
+// (empty = the file carries none, the SMSV form), and the nouns its error
+// text uses.
+type modelFile struct {
+	version int
+	kind    string
+	noun    string // "model" / "pair model"
+	tree    string // "tree" / "pair tree"
+	retrain string // the command that produces a fresh model
+}
+
+// modelJSON is the on-disk form of a forest.
 type modelJSON struct {
 	Version int        `json:"version"`
+	Kind    string     `json:"kind,omitempty"`
 	Dims    int        `json:"dims"`
 	Trained int        `json:"trained_examples"`
 	Trees   []treeJSON `json:"trees"`
@@ -47,9 +59,9 @@ type nodeJSON struct {
 	Purity float64 `json:"purity,omitempty"`
 }
 
-// Save writes the forest as versioned JSON.
-func (f *Forest) Save(w io.Writer) error {
-	m := modelJSON{Version: ModelVersion, Dims: dataset.EmbedDims, Trained: f.trained}
+// save writes the forest as versioned JSON.
+func (f *forest[L]) save(sp *space[L], w io.Writer) error {
+	m := modelJSON{Version: sp.file.version, Kind: sp.file.kind, Dims: sp.dims, Trained: f.trained}
 	for _, t := range f.trees {
 		tj := treeJSON{Nodes: make([]nodeJSON, len(t.nodes))}
 		for i, n := range t.nodes {
@@ -61,88 +73,144 @@ func (f *Forest) Save(w io.Writer) error {
 		}
 		m.Trees = append(m.Trees, tj)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(m)
+	return json.NewEncoder(w).Encode(m)
 }
 
-// Load reads a forest saved by Save, validating the version, the embedding
-// dimensionality, and every node's structure. A corrupt, truncated, or
-// version-mismatched file is a clean error, so daemons fail at startup
-// rather than mid-request.
-func Load(r io.Reader) (*Forest, error) {
+// load reads a forest written by save, validating the kind, the version,
+// the embedding dimensionality, and every node's structure. A corrupt,
+// truncated, or mismatched file is a clean error, so daemons fail at
+// startup rather than mid-request.
+func (f *forest[L]) load(sp *space[L], r io.Reader) error {
+	mf := sp.file
 	var m modelJSON
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("learn: corrupt model file: %w", err)
+		return fmt.Errorf("learn: corrupt %s file: %w", mf.noun, err)
 	}
-	if m.Version != ModelVersion {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d (retrain with `layoutsched train`)",
-			ErrModelVersion, m.Version, ModelVersion)
+	if mf.kind != "" && m.Kind != mf.kind {
+		return fmt.Errorf("learn: model kind %q, want %q (this is not a SpGEMM %s)", m.Kind, mf.kind, mf.noun)
 	}
-	if m.Dims != dataset.EmbedDims {
-		return nil, fmt.Errorf("learn: model embeds %d dimensions, this build embeds %d", m.Dims, dataset.EmbedDims)
+	if m.Version != mf.version {
+		return fmt.Errorf("%w: %s file has version %d, this build reads %d (retrain with `%s`)",
+			ErrModelVersion, mf.noun, m.Version, mf.version, mf.retrain)
+	}
+	if m.Dims != sp.dims {
+		return fmt.Errorf("learn: %s embeds %d dimensions, this build embeds %d", mf.noun, m.Dims, sp.dims)
 	}
 	if len(m.Trees) == 0 {
-		return nil, fmt.Errorf("learn: model holds no trees")
+		return fmt.Errorf("learn: %s holds no trees", mf.noun)
 	}
-	f := &Forest{trained: m.Trained}
+	f.trained = m.Trained
 	for ti, tj := range m.Trees {
 		if len(tj.Nodes) == 0 {
-			return nil, fmt.Errorf("learn: tree %d is empty", ti)
+			return fmt.Errorf("learn: %s %d is empty", mf.tree, ti)
 		}
-		t := &tree{nodes: make([]node, len(tj.Nodes))}
+		t := &tree[L]{nodes: make([]node[L], len(tj.Nodes))}
 		for i, nj := range tj.Nodes {
 			if nj.Feat < 0 {
-				label, err := sparse.ParseCandidate(nj.Label)
+				label, err := sp.parse(nj.Label)
 				if err != nil {
-					return nil, fmt.Errorf("learn: tree %d node %d: %v", ti, i, err)
+					return fmt.Errorf("learn: %s %d node %d: %v", mf.tree, ti, i, err)
 				}
 				if nj.Purity < 0 || nj.Purity > 1 {
-					return nil, fmt.Errorf("learn: tree %d node %d: purity %g outside [0,1]", ti, i, nj.Purity)
+					return fmt.Errorf("learn: %s %d node %d: purity %g outside [0,1]", mf.tree, ti, i, nj.Purity)
 				}
-				t.nodes[i] = node{feat: -1, label: label, purity: nj.Purity}
+				t.nodes[i] = node[L]{feat: -1, label: label, index: label.Index(), purity: nj.Purity}
 				continue
 			}
-			if nj.Feat >= dataset.EmbedDims {
-				return nil, fmt.Errorf("learn: tree %d node %d: feature %d out of range", ti, i, nj.Feat)
+			if nj.Feat >= sp.dims {
+				return fmt.Errorf("learn: %s %d node %d: feature %d out of range", mf.tree, ti, i, nj.Feat)
 			}
 			// Children must point forward (the builder appends parents
 			// first); this also rules out cycles in hand-edited files.
 			if nj.Left <= i || nj.Right <= i || nj.Left >= len(tj.Nodes) || nj.Right >= len(tj.Nodes) {
-				return nil, fmt.Errorf("learn: tree %d node %d: child indices %d/%d invalid", ti, i, nj.Left, nj.Right)
+				return fmt.Errorf("learn: %s %d node %d: child indices %d/%d invalid", mf.tree, ti, i, nj.Left, nj.Right)
 			}
-			t.nodes[i] = node{feat: nj.Feat, thresh: nj.Thresh, left: nj.Left, right: nj.Right}
+			t.nodes[i] = node[L]{feat: nj.Feat, thresh: nj.Thresh, left: nj.Left, right: nj.Right}
 		}
 		f.trees = append(f.trees, t)
+	}
+	return nil
+}
+
+// loadFile opens path and loads it into f, naming the path in any error.
+// Every model kind shares the "model.load" fault site so chaos specs cover
+// them all.
+func (f *forest[L]) loadFile(sp *space[L], path string) error {
+	if err := fault.Inject("model.load"); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	r, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	if err := f.load(sp, r); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+// saveFile writes the forest to path.
+func (f *forest[L]) saveFile(sp *space[L], path string) error {
+	w, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := f.save(sp, w); err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
+}
+
+// Save writes the forest as versioned JSON.
+func (f *Forest) Save(w io.Writer) error { return f.save(&smsvSpace, w) }
+
+// SaveFile writes the forest to path.
+func (f *Forest) SaveFile(path string) error { return f.saveFile(&smsvSpace, path) }
+
+// Load reads a forest saved by Save; see the generic load for what is
+// validated.
+func Load(r io.Reader) (*Forest, error) {
+	f := &Forest{}
+	if err := f.load(&smsvSpace, r); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
 // LoadFile opens and loads a model file, naming the path in any error.
 func LoadFile(path string) (*Forest, error) {
-	if err := fault.Inject("model.load"); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	r, err := os.Open(path)
-	if err != nil {
+	f := &Forest{}
+	if err := f.loadFile(&smsvSpace, path); err != nil {
 		return nil, err
-	}
-	defer r.Close()
-	f, err := Load(r)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return f, nil
 }
 
-// SaveFile writes the forest to path.
-func (f *Forest) SaveFile(path string) error {
-	w, err := os.Create(path)
-	if err != nil {
-		return err
+// Save writes the pair forest as versioned JSON, in the flattened node
+// wire form of the SMSV model (labels are spgemm candidate strings).
+func (f *PairForest) Save(w io.Writer) error { return f.save(&pairSpace, w) }
+
+// SaveFile writes the pair forest to path.
+func (f *PairForest) SaveFile(path string) error { return f.saveFile(&pairSpace, path) }
+
+// LoadPair reads a pair forest saved by Save with the structural validation
+// Load applies, plus the kind check.
+func LoadPair(r io.Reader) (*PairForest, error) {
+	f := &PairForest{}
+	if err := f.load(&pairSpace, r); err != nil {
+		return nil, err
 	}
-	if err := f.Save(w); err != nil {
-		w.Close()
-		return err
+	return f, nil
+}
+
+// LoadPairFile opens and loads a pair model file, naming the path in any
+// error.
+func LoadPairFile(path string) (*PairForest, error) {
+	f := &PairForest{}
+	if err := f.loadFile(&pairSpace, path); err != nil {
+		return nil, err
 	}
-	return w.Close()
+	return f, nil
 }

@@ -3,6 +3,7 @@ package learn
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"time"
 
@@ -31,15 +32,11 @@ func MeasurePair(ctx context.Context, a, b *sparse.Builder, ex *exec.Exec, seed 
 	if err != nil {
 		return PairLabeled{}, err
 	}
-	times := make(map[spgemm.Candidate]time.Duration, len(dec.Measured))
-	for c, t := range dec.Measured {
-		times[c] = t
-	}
 	l := PairLabeled{
 		PairExample: FromPairFeatures(dec.AFeatures, dec.BFeatures, dec.Chosen),
 		AFeatures:   dec.AFeatures,
 		BFeatures:   dec.BFeatures,
-		Times:       times,
+		Times:       maps.Clone(dec.Measured),
 	}
 	dec.Release()
 	return l, nil
@@ -151,41 +148,8 @@ func SyntheticPairCorpus(n int, seed int64) [][2]*sparse.Builder {
 // with the same semantics as Evaluate (tolerance ≤ 0 means 1.25;
 // minConfidence only affects the LowConfidence count).
 func EvaluatePair(f *PairForest, items []PairLabeled, tolerance, minConfidence float64) EvalResult {
-	if tolerance <= 0 {
-		tolerance = 1.25
-	}
-	res := EvalResult{Tolerance: tolerance}
-	var slowdowns int
-	for _, it := range items {
-		pred, conf, ok := f.PredictPairPoint(it.Point)
-		if !ok {
-			continue
-		}
-		res.N++
-		res.MeanConfidence += conf
-		if conf < minConfidence {
-			res.LowConfidence++
-		}
-		if pred == it.Label {
-			res.Exact++
-		}
-		best, okBest := it.Times[it.Label]
-		got, okGot := it.Times[pred]
-		if !okBest || best <= 0 || !okGot {
-			continue
-		}
-		s := float64(got) / float64(best)
-		res.MeanSlowdown += s
-		slowdowns++
-		if s <= tolerance {
-			res.Within++
-		}
-	}
-	if res.N > 0 {
-		res.MeanConfidence /= float64(res.N)
-	}
-	if slowdowns > 0 {
-		res.MeanSlowdown /= float64(slowdowns)
-	}
-	return res
+	return evaluate(f.generic(), &pairSpace, len(items),
+		func(i int) ([]float64, spgemm.Candidate, map[spgemm.Candidate]time.Duration) {
+			return items[i].Point[:], items[i].Label, items[i].Times
+		}, tolerance, minConfidence)
 }

@@ -4,34 +4,56 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/dataset"
 	"repro/internal/sparse"
+	"repro/internal/spgemm"
 )
 
-// numLabels bounds the class space: every joint candidate maps into a
-// fixed-size count array via Candidate.Index(), which keeps the Gini inner
-// loop allocation-free. The index space is sparse (ineligible combinations
-// never occur as labels) but small enough that the dead slots are free.
-const numLabels = sparse.NumCandidates
+// label is a candidate type usable as a class: comparable, with a frozen
+// dense Index (persisted nowhere, but it orders vote ties) and the String
+// form model files persist.
+type label interface {
+	comparable
+	Index() int
+	String() string
+}
+
+// space describes one workload's point and label space to the generic
+// tree, forest and model codec: everything that differs between the SMSV
+// format predictor and the SpGEMM pair predictor.
+type space[L label] struct {
+	dims   int         // embedded point width
+	labels int         // size of the dense Index space
+	at     func(int) L // inverse of L.Index
+	parse  func(string) (L, error)
+	file   modelFile
+}
+
+// maxLabels sizes the class-count arrays for every workload at once, so
+// the Gini inner loop and the forest vote stay allocation-free; each
+// workload only walks its own first space.labels slots. The index spaces
+// are sparse (ineligible combinations never occur as labels) but small
+// enough that the dead slots are free.
+const maxLabels = max(sparse.NumCandidates, spgemm.NumCandidates)
 
 // node is one decision-tree node in flattened array form. The builder
 // appends a parent before its children, so child indices are always larger
-// than the parent's — Load relies on that to reject cyclic files.
-type node struct {
+// than the parent's — load relies on that to reject cyclic files.
+type node[L label] struct {
 	feat        int // embedded-feature index; -1 marks a leaf
 	thresh      float64
-	left, right int              // child indices, internal nodes only
-	label       sparse.Candidate // leaf answer
-	purity      float64          // training fraction of label at this leaf
+	left, right int     // child indices, internal nodes only
+	label       L       // leaf answer
+	index       int     // label.Index(), kept so a vote makes no call through L
+	purity      float64 // training fraction of label at this leaf
 }
 
 // tree is a single CART classifier over embedded feature points.
-type tree struct {
-	nodes []node
+type tree[L label] struct {
+	nodes []node[L]
 }
 
-// predict walks to a leaf and returns its label with the leaf purity.
-func (t *tree) predict(p [dataset.EmbedDims]float64) (sparse.Candidate, float64) {
+// predict walks to the leaf that answers for p.
+func (t *tree[L]) predict(p []float64) *node[L] {
 	i := 0
 	for t.nodes[i].feat >= 0 {
 		if p[t.nodes[i].feat] <= t.nodes[i].thresh {
@@ -40,11 +62,15 @@ func (t *tree) predict(p [dataset.EmbedDims]float64) (sparse.Candidate, float64)
 			i = t.nodes[i].right
 		}
 	}
-	return t.nodes[i].label, t.nodes[i].purity
+	return &t.nodes[i]
 }
 
-// growCfg bundles the recursive builder's parameters.
-type growCfg struct {
+// grower bundles the recursive builder's inputs: the training set as
+// parallel point rows and labels, and the growth parameters.
+type grower[L label] struct {
+	sp       *space[L]
+	rows     [][]float64
+	labels   []L
 	maxDepth int
 	minLeaf  int
 	mtry     int // features sampled per split; 0 = all
@@ -53,70 +79,79 @@ type growCfg struct {
 
 // grow fits one tree on the examples selected by idx (with repeats, for
 // bootstrap samples).
-func grow(examples []Example, idx []int, cfg growCfg) *tree {
-	t := &tree{}
-	t.build(examples, idx, 0, cfg)
+func (g *grower[L]) grow(idx []int) *tree[L] {
+	t := &tree[L]{}
+	g.build(t, idx, 0)
 	return t
 }
 
 // build appends the subtree over idx and returns its root index.
-func (t *tree) build(examples []Example, idx []int, depth int, cfg growCfg) int {
-	label, purity, pure := majority(examples, idx)
+func (g *grower[L]) build(t *tree[L], idx []int, depth int) int {
+	label, purity, pure := g.majority(idx)
 	me := len(t.nodes)
-	t.nodes = append(t.nodes, node{feat: -1, label: label, purity: purity})
-	if pure || depth >= cfg.maxDepth || len(idx) < 2*cfg.minLeaf {
+	t.nodes = append(t.nodes, node[L]{feat: -1, label: label, index: label.Index(), purity: purity})
+	if pure || depth >= g.maxDepth || len(idx) < 2*g.minLeaf {
 		return me
 	}
-	feat, thresh, ok := bestSplit(examples, idx, cfg)
+	feat, thresh, ok := g.bestSplit(idx)
 	if !ok {
 		return me
 	}
 	var left, right []int
 	for _, i := range idx {
-		if examples[i].Point[feat] <= thresh {
+		if g.rows[i][feat] <= thresh {
 			left = append(left, i)
 		} else {
 			right = append(right, i)
 		}
 	}
-	if len(left) < cfg.minLeaf || len(right) < cfg.minLeaf {
+	if len(left) < g.minLeaf || len(right) < g.minLeaf {
 		return me
 	}
-	l := t.build(examples, left, depth+1, cfg)
-	r := t.build(examples, right, depth+1, cfg)
-	t.nodes[me] = node{feat: feat, thresh: thresh, left: l, right: r}
+	l := g.build(t, left, depth+1)
+	r := g.build(t, right, depth+1)
+	t.nodes[me] = node[L]{feat: feat, thresh: thresh, left: l, right: r}
 	return me
 }
 
-// majority returns the most frequent label in idx, its fraction, and
-// whether the set is single-class. Ties break toward the lower candidate
-// index for determinism.
-func majority(examples []Example, idx []int) (sparse.Candidate, float64, bool) {
-	var counts [numLabels]int
-	for _, i := range idx {
-		counts[examples[i].Label.Index()]++
-	}
+// argmax returns the index of the largest count; ties break toward the
+// lower candidate index for determinism.
+func argmax(counts []int) int {
 	best := 0
-	for c := 1; c < numLabels; c++ {
+	for c := 1; c < len(counts); c++ {
 		if counts[c] > counts[best] {
 			best = c
 		}
 	}
+	return best
+}
+
+// majority returns the most frequent label in idx, its fraction, and
+// whether the set is single-class.
+func (g *grower[L]) majority(idx []int) (L, float64, bool) {
+	var buf [maxLabels]int
+	counts := buf[:g.sp.labels]
+	for _, i := range idx {
+		counts[g.labels[i].Index()]++
+	}
+	best := argmax(counts)
 	frac := float64(counts[best]) / float64(len(idx))
-	return sparse.CandidateAt(best), frac, counts[best] == len(idx)
+	return g.sp.at(best), frac, counts[best] == len(idx)
 }
 
 // bestSplit searches an mtry-sized random feature subset for the
 // (feature, threshold) pair with the largest Gini impurity decrease,
 // considering midpoints between distinct consecutive sorted values.
-func bestSplit(examples []Example, idx []int, cfg growCfg) (int, float64, bool) {
-	feats := cfg.rng.Perm(dataset.EmbedDims)
-	if cfg.mtry > 0 && cfg.mtry < len(feats) {
-		feats = feats[:cfg.mtry]
+func (g *grower[L]) bestSplit(idx []int) (int, float64, bool) {
+	feats := g.rng.Perm(g.sp.dims)
+	if g.mtry > 0 && g.mtry < len(feats) {
+		feats = feats[:g.mtry]
 	}
-	var total [numLabels]int
+	var totalBuf, leftBuf, rightBuf [maxLabels]int
+	labels := g.sp.labels
+	total, left, right := totalBuf[:labels], leftBuf[:labels], rightBuf[:labels]
 	for _, i := range idx {
-		total[examples[i].Label.Index()]++
+		total[g.labels[i].Index()]++
 	}
 	n := len(idx)
 	parent := gini(total, n)
@@ -130,16 +165,15 @@ func bestSplit(examples []Example, idx []int, cfg growCfg) (int, float64, bool) 
 	bestFeat, bestThresh, found := -1, 0.0, false
 	for _, f := range feats {
 		for k, i := range idx {
-			pairs[k] = pair{examples[i].Point[f], examples[i].Label.Index()}
+			pairs[k] = pair{g.rows[i][f], g.labels[i].Index()}
 		}
 		sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
-		var left [numLabels]int
+		clear(left)
 		for k := 0; k < n-1; k++ {
 			left[pairs[k].label]++
 			if pairs[k].v == pairs[k+1].v {
 				continue
 			}
-			var right [numLabels]int
 			for c := range right {
 				right[c] = total[c] - left[c]
 			}
@@ -155,7 +189,7 @@ func bestSplit(examples []Example, idx []int, cfg growCfg) (int, float64, bool) 
 }
 
 // gini computes the Gini impurity of a class-count vector over n samples.
-func gini(counts [numLabels]int, n int) float64 {
+func gini(counts []int, n int) float64 {
 	if n == 0 {
 		return 0
 	}

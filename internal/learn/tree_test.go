@@ -29,6 +29,16 @@ func axisExamples(n, dim int, rng *rand.Rand) []Example {
 	return out
 }
 
+// smsvGrower is the tree builder over SMSV examples, as Train sets it up.
+func smsvGrower(examples []Example, maxDepth, minLeaf int, rng *rand.Rand) *grower[sparse.Candidate] {
+	g := &grower[sparse.Candidate]{sp: &smsvSpace, maxDepth: maxDepth, minLeaf: minLeaf, rng: rng}
+	for i := range examples {
+		g.rows = append(g.rows, examples[i].Point[:])
+		g.labels = append(g.labels, examples[i].Label)
+	}
+	return g
+}
+
 func TestTreeLearnsAxisSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	examples := axisExamples(200, 2, rng)
@@ -36,9 +46,10 @@ func TestTreeLearnsAxisSplit(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	tr := grow(examples, idx, growCfg{maxDepth: 4, minLeaf: 1, rng: rng})
+	tr := smsvGrower(examples, 4, 1, rng).grow(idx)
 	for _, e := range axisExamples(100, 2, rng) {
-		got, purity := tr.predict(e.Point)
+		leaf := tr.predict(e.Point[:])
+		got, purity := leaf.label, leaf.purity
 		if got != e.Label {
 			t.Fatalf("tree predicted %v for a point with label %v", got, e.Label)
 		}
@@ -55,11 +66,11 @@ func TestTreeDepthCap(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	tr := grow(examples, idx, growCfg{maxDepth: 0, minLeaf: 1, rng: rng})
+	tr := smsvGrower(examples, 0, 1, rng).grow(idx)
 	if len(tr.nodes) != 1 || tr.nodes[0].feat != -1 {
 		t.Fatalf("maxDepth 0 must give a single leaf, got %d nodes", len(tr.nodes))
 	}
-	if _, purity := tr.predict(examples[0].Point); purity <= 0 || purity > 1 {
+	if purity := tr.predict(examples[0].Point[:]).purity; purity <= 0 || purity > 1 {
 		t.Fatalf("leaf purity %g outside (0,1]", purity)
 	}
 }
@@ -69,7 +80,7 @@ func TestMajorityTieBreaksLow(t *testing.T) {
 		{Label: sparse.BaseCandidate(sparse.DIA)}, {Label: sparse.BaseCandidate(sparse.DIA)},
 		{Label: sparse.BaseCandidate(sparse.CSR)}, {Label: sparse.BaseCandidate(sparse.CSR)},
 	}
-	label, frac, pure := majority(examples, []int{0, 1, 2, 3})
+	label, frac, pure := smsvGrower(examples, 0, 0, nil).majority([]int{0, 1, 2, 3})
 	if label != sparse.BaseCandidate(sparse.CSR) {
 		t.Fatalf("tie must break toward the lower candidate index, got %v", label)
 	}
@@ -90,10 +101,10 @@ func TestBestSplitConstantFeatures(t *testing.T) {
 		idx[i] = i
 	}
 	rng := rand.New(rand.NewSource(1))
-	if _, _, ok := bestSplit(examples, idx, growCfg{rng: rng}); ok {
+	if _, _, ok := smsvGrower(examples, 0, 0, rng).bestSplit(idx); ok {
 		t.Fatal("bestSplit found a split in constant data")
 	}
-	tr := grow(examples, idx, growCfg{maxDepth: 8, minLeaf: 1, rng: rng})
+	tr := smsvGrower(examples, 8, 1, rng).grow(idx)
 	if len(tr.nodes) != 1 {
 		t.Fatalf("constant data must give a single leaf, got %d nodes", len(tr.nodes))
 	}
@@ -106,7 +117,7 @@ func TestGrowRespectsMinLeaf(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	tr := grow(examples, idx, growCfg{maxDepth: 10, minLeaf: 40, rng: rng})
+	tr := smsvGrower(examples, 10, 40, rng).grow(idx)
 	if len(tr.nodes) != 1 {
 		t.Fatalf("minLeaf == len(examples) must stop at the root, got %d nodes", len(tr.nodes))
 	}

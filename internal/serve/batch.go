@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/sparse"
@@ -64,22 +63,13 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if s.cluster != nil && r.Header.Get(cluster.ForwardedHeader) != "" {
-		// A ring peer already routed this batch here; every item decides
-		// locally so routing can never loop.
-		r = r.WithContext(withForwarded(r.Context()))
-		s.forwardedServed.Add(1)
-	}
+	r = s.acceptForwarded(r)
 	// One trace for the whole batch: every item's scheduling spans nest
 	// under it, so a slow batch can be read as one tree.
 	ctx, tr, root := s.joinOrStartTrace(r, "schedule.batch",
 		telemetry.Int("items", len(req.Items)))
 	setTraceID(w, tr.ID)
-	defer func() {
-		root.End()
-		tr.Finish()
-		s.traces.Put(tr)
-	}()
+	defer s.endTrace(tr, root, nil)
 	writeJSON(w, http.StatusOK, s.ScheduleBatch(ctx, &req))
 }
 
@@ -128,13 +118,9 @@ func (s *Server) scheduleItemInner(ctx context.Context, sc *batchScratch, req *B
 	if name == "" {
 		name = req.Policy
 	}
-	policy := s.cfg.Policy
-	if name != "" {
-		p, err := parsePolicy(name)
-		if err != nil {
-			return BatchItemResult{Error: err.Error()}
-		}
-		policy = p
+	policy, err := s.policyFor(name)
+	if err != nil {
+		return BatchItemResult{Error: err.Error()}
 	}
 	if policy == core.PolicyPredict && !s.predictor.Loaded() {
 		return BatchItemResult{Error: "predict policy needs a trained model (start layoutd with -predictor)"}
@@ -181,15 +167,13 @@ func (s *Server) scheduleItemData(ctx context.Context, sc *batchScratch, item *S
 		return BatchItemResult{Error: fmt.Sprintf("unbuildable matrix: %v", err)}
 	}
 	feats := sc.ex.Extract(csr)
-	if cells := int64(feats.M) * int64(feats.N); cells > maxInlineCells {
-		return BatchItemResult{Error: fmt.Sprintf(
-			"matrix %d×%d declares %d dense cells, over the %d inline-scheduling cap; send a profile-only item for shapes this large",
-			feats.M, feats.N, cells, int64(maxInlineCells))}
+	if err := inlineCapError(feats); err != nil {
+		return BatchItemResult{Error: err.Error() + "; send a profile-only item for shapes this large"}
 	}
 
 	if policy == core.RuleBased {
 		// Pure model decision: nothing to measure, nothing worth caching.
-		dec, err := s.sched(policy).ChooseContext(ctx, sc.b)
+		dec, err := s.scheds[policy].ChooseContext(ctx, sc.b)
 		if err != nil {
 			return BatchItemResult{Error: err.Error()}
 		}
@@ -200,30 +184,16 @@ func (s *Server) scheduleItemData(ctx context.Context, sc *batchScratch, item *S
 	}
 
 	sc.key = AppendKey(sc.key[:0], feats, policy.String(), s.cfg.TopK)
-	if m, owned := s.routeOwner(ctx, sc.key); owned {
+	if m, owned := routeOwner(ctx, s, s.smsv.cache, sc.key); owned {
 		if res, answered := s.forwardItem(ctx, item, policy, m); answered {
 			return res
 		}
 		s.forwardFallbacks.Add(1)
 	}
-	val, outcome, err := s.decideInline(ctx, s.sched(policy), sc.b, feats, policy, sc.key)
+	val, outcome, err := decide(ctx, s, &s.smsv, policy, sc.key, smsvIn{b: sc.b, feats: feats})
 	if err != nil {
 		return BatchItemResult{Error: err.Error()}
 	}
-	d := DecisionJSON{
-		Policy:     policy.String(),
-		Chosen:     val.Format.String(),
-		Chunk:      val.Candidate.Chunk.String(),
-		Variant:    val.Candidate.Variant.String(),
-		Features:   NewFeaturesJSON(feats),
-		Source:     val.Source,
-		Confidence: val.Confidence,
-		Measured:   encodeMeasured(val.Measured),
-		Degraded:   val.Degraded,
-		TraceID:    contextTraceID(ctx),
-	}
-	if outcome != "miss" {
-		d.Source = "cache"
-	}
+	d := decidedJSON(ctx, policy, feats, val, outcome)
 	return BatchItemResult{Decision: &d}
 }

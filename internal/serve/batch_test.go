@@ -159,7 +159,7 @@ func TestBatchHotPathAllocs(t *testing.T) {
 	feats := dataset.Features{M: 60, N: 40, NNZ: 360, Ndig: 2, Dnnz: 6,
 		Mdim: 6, Adim: 6, Vdim: 0.2, Density: 0.15}
 	key := AppendKey(nil, feats, "hybrid", 2)
-	s.cache.Do(string(key), func() (*CachedDecision, error) {
+	s.smsv.cache.Do(string(key), func() (*CachedDecision, error) {
 		return &CachedDecision{
 			Candidate: sparse.Candidate{Format: sparse.CSR, Variant: sparse.VariantFused},
 			Format:    sparse.CSR, Source: "measured",
@@ -167,11 +167,10 @@ func TestBatchHotPathAllocs(t *testing.T) {
 	})
 
 	ctx := context.Background()
-	sched := s.sched(core.Hybrid)
 	buf := make([]byte, 0, 128)
 	allocs := testing.AllocsPerRun(200, func() {
 		buf = AppendKey(buf[:0], feats, "hybrid", 2)
-		val, _, err := s.decideInline(ctx, sched, nil, feats, core.Hybrid, buf)
+		val, _, err := decide(ctx, s, &s.smsv, core.Hybrid, buf, smsvIn{feats: feats})
 		if err != nil || val == nil || val.Format != sparse.CSR {
 			t.Fatalf("hot path broke: %v %v", val, err)
 		}
@@ -182,12 +181,36 @@ func TestBatchHotPathAllocs(t *testing.T) {
 	// The raw key build + cache probe must be allocation-free.
 	allocs = testing.AllocsPerRun(200, func() {
 		buf = AppendKey(buf[:0], feats, "hybrid", 2)
-		if _, ok := s.cache.Get(buf); !ok {
+		if _, ok := s.smsv.cache.Get(buf); !ok {
 			t.Fatal("cache lost the warmed entry")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendKey+Get allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestPairDecideHotPathAllocs holds the shared decide pipeline to the
+// allocation budget the dedicated SpGEMM copy had: a warm pair decide
+// (key build + cache hit, untraced) cost 0 allocs/op in decidePair at the
+// parent commit, and the pair operand bundle is the larger of the two, so
+// a by-value In that started escaping would show up here first.
+func TestPairDecideHotPathAllocs(t *testing.T) {
+	s := newTestServer(t, Config{Policy: core.Hybrid, TopK: 2})
+	fa := dataset.Features{M: 60, N: 40, NNZ: 360, Ndig: 2, Dnnz: 6, Mdim: 6, Adim: 6, Vdim: 0.2, Density: 0.15}
+	fb := dataset.Features{M: 40, N: 30, NNZ: 200, Ndig: 2, Dnnz: 6, Mdim: 6, Adim: 5, Vdim: 0.2, Density: 0.16}
+	s.pair.cache.Put(PairKey(fa, fb, "hybrid", 2), &CachedPairDecision{Source: "measured"})
+	ctx := context.Background()
+	buf := make([]byte, 0, 160)
+	allocs := testing.AllocsPerRun(200, func() {
+		buf = AppendPairKey(buf[:0], fa, fb, "hybrid", 2)
+		val, outcome, err := decide(ctx, s, &s.pair, core.Hybrid, buf, pairIn{fa: fa, fb: fb})
+		if err != nil || val == nil || outcome != "hit" {
+			t.Fatalf("hot path broke: %v %q %v", val, outcome, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm pair decide allocates %.1f/op, parent's decidePair allocated 0", allocs)
 	}
 }
 
@@ -204,7 +227,7 @@ func BenchmarkServeBatch(b *testing.B) {
 	}
 	for i := 0; i < n; i++ {
 		key := Key(featsOf(i), "hybrid", 2)
-		s.cache.Do(key, func() (*CachedDecision, error) {
+		s.smsv.cache.Do(key, func() (*CachedDecision, error) {
 			return &CachedDecision{
 				Candidate: sparse.Candidate{Format: sparse.CSR, Variant: sparse.VariantFused},
 				Format:    sparse.CSR, Source: "measured",
@@ -212,14 +235,13 @@ func BenchmarkServeBatch(b *testing.B) {
 		})
 	}
 	ctx := context.Background()
-	sched := s.sched(core.Hybrid)
 	buf := make([]byte, 0, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := featsOf(i % n)
 		buf = AppendKey(buf[:0], f, "hybrid", 2)
-		if _, _, err := s.decideInline(ctx, sched, nil, f, core.Hybrid, buf); err != nil {
+		if _, _, err := decide(ctx, s, &s.smsv, core.Hybrid, buf, smsvIn{feats: f}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,103 +26,9 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
-	clk := newFakeClock()
-	b := NewBreaker(3, 10*time.Second)
-	b.now = clk.Now
-
-	for i := 0; i < 3; i++ {
-		if !b.Allow() {
-			t.Fatalf("closed breaker rejected attempt %d", i)
-		}
-		b.Failure()
-	}
-	if got := b.State(); got != BreakerOpen {
-		t.Fatalf("state after %d failures = %v, want open", 3, got)
-	}
-	if b.Allow() {
-		t.Fatal("open breaker allowed a measurement before cooldown")
-	}
-	if b.Opens() != 1 {
-		t.Fatalf("opens = %d, want 1", b.Opens())
-	}
-}
-
-func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
-	b := NewBreaker(3, time.Second)
-	b.Failure()
-	b.Failure()
-	b.Success()
-	b.Failure()
-	b.Failure()
-	if got := b.State(); got != BreakerClosed {
-		t.Fatalf("state = %v, want closed (streak was reset)", got)
-	}
-}
-
-func TestBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
-	clk := newFakeClock()
-	b := NewBreaker(1, 10*time.Second)
-	b.now = clk.Now
-
-	b.Allow()
-	b.Failure() // threshold 1: trips immediately
-	clk.Advance(11 * time.Second)
-	if got := b.State(); got != BreakerHalfOpen {
-		t.Fatalf("state after cooldown = %v, want half-open", got)
-	}
-	if !b.Allow() {
-		t.Fatal("half-open breaker rejected the probe")
-	}
-	if b.Allow() {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	// Probe failure re-opens for another full cooldown.
-	b.Failure()
-	if got := b.State(); got != BreakerOpen {
-		t.Fatalf("state after probe failure = %v, want open", got)
-	}
-	clk.Advance(11 * time.Second)
-	if !b.Allow() {
-		t.Fatal("breaker rejected the second probe")
-	}
-	b.Success()
-	if got := b.State(); got != BreakerClosed {
-		t.Fatalf("state after probe success = %v, want closed", got)
-	}
-	if !b.Allow() && !b.Allow() {
-		t.Fatal("closed breaker stopped allowing")
-	}
-	if b.Opens() != 2 {
-		t.Fatalf("opens = %d, want 2", b.Opens())
-	}
-}
-
-func TestBreakerCancelReleasesProbeSlot(t *testing.T) {
-	clk := newFakeClock()
-	b := NewBreaker(1, time.Second)
-	b.now = clk.Now
-
-	b.Allow()
-	b.Failure()
-	clk.Advance(2 * time.Second)
-	if !b.Allow() {
-		t.Fatal("probe rejected")
-	}
-	// The probe never measured (admission overload, say): Cancel must free
-	// the slot without closing or re-opening the breaker.
-	b.Cancel()
-	if !b.Allow() {
-		t.Fatal("cancelled probe slot was not released")
-	}
-	if got := b.State(); got != BreakerHalfOpen {
-		t.Fatalf("state after cancel = %v, want half-open", got)
-	}
-}
-
 func TestBreakerDefaults(t *testing.T) {
-	b := NewBreaker(0, 0)
-	if b.threshold != DefaultBreakerThreshold || b.cooldown != DefaultBreakerCooldown {
-		t.Fatalf("defaults not applied: threshold=%d cooldown=%v", b.threshold, b.cooldown)
+	cfg := Config{}.withDefaults()
+	if cfg.BreakerThreshold != DefaultBreakerThreshold || cfg.BreakerCooldown != DefaultBreakerCooldown {
+		t.Fatalf("defaults not applied: threshold=%d cooldown=%v", cfg.BreakerThreshold, cfg.BreakerCooldown)
 	}
 }

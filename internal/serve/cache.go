@@ -41,7 +41,9 @@ type CachedDecision struct {
 // IsDegraded implements Degradable.
 func (d *CachedDecision) IsDegraded() bool { return d.Degraded }
 
-// CachedPairDecision is the SpGEMM twin of CachedDecision: one pairwise
+func (d *CachedDecision) provenance() (string, float64) { return d.Source, d.Confidence }
+
+// CachedPairDecision is CachedDecision for SpGEMM: one pairwise
 // shape class's winning dataflow candidate with its measurement evidence.
 type CachedPairDecision struct {
 	Candidate spgemm.Candidate
@@ -59,6 +61,8 @@ type CachedPairDecision struct {
 
 // IsDegraded implements Degradable.
 func (d *CachedPairDecision) IsDegraded() bool { return d.Degraded }
+
+func (d *CachedPairDecision) provenance() (string, float64) { return d.Source, d.Confidence }
 
 // Degradable is what the cache needs to know about a value: degraded
 // entries get a short TTL instead of living until LRU pressure.
@@ -107,13 +111,17 @@ func quantFeatures(dst []byte, f dataset.Features) []byte {
 // cache; near misses beyond the quantization grid still get the History
 // radius lookup inside the scheduler.
 func AppendKey(dst []byte, f dataset.Features, policy string, topK int) []byte {
-	dst = append(dst, keyVersion...)
+	return quantFeatures(appendKeyPrefix(dst, keyVersion, policy, topK), f)
+}
+
+// appendKeyPrefix appends "<version>|<policy>/<topK>|".
+func appendKeyPrefix(dst []byte, version, policy string, topK int) []byte {
+	dst = append(dst, version...)
 	dst = append(dst, '|')
 	dst = append(dst, policy...)
 	dst = append(dst, '/')
 	dst = strconv.AppendInt(dst, int64(topK), 10)
-	dst = append(dst, '|')
-	return quantFeatures(dst, f)
+	return append(dst, '|')
 }
 
 // Key derives the decision-cache key as a string; single-request paths use
@@ -127,13 +135,7 @@ func Key(f dataset.Features, policy string, topK int) string {
 // classes in order. Ring routing hashes these same bytes, so a pair's owner
 // is stable across the cluster just like a single matrix's.
 func AppendPairKey(dst []byte, fa, fb dataset.Features, policy string, topK int) []byte {
-	dst = append(dst, pairKeyVersion...)
-	dst = append(dst, '|')
-	dst = append(dst, policy...)
-	dst = append(dst, '/')
-	dst = strconv.AppendInt(dst, int64(topK), 10)
-	dst = append(dst, '|')
-	dst = quantFeatures(dst, fa)
+	dst = quantFeatures(appendKeyPrefix(dst, pairKeyVersion, policy, topK), fa)
 	dst = append(dst, '|')
 	return quantFeatures(dst, fb)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/core"
 	"repro/internal/fault"
 )
@@ -63,13 +64,13 @@ func TestChaosServeDegradesUnderMeasureFaults(t *testing.T) {
 		}
 	}
 
-	if got := s.breaker.State(); got != BreakerOpen {
+	if got := s.breaker.State(); got != breaker.Open {
 		t.Fatalf("breaker state = %v, want open", got)
 	}
 	if s.breaker.Opens() != 1 {
 		t.Fatalf("breaker opened %d times, want 1", s.breaker.Opens())
 	}
-	if got := s.degraded.Load(); got != int64(len(rows)) {
+	if got := s.smsv.degraded.Load(); got != int64(len(rows)) {
 		t.Fatalf("degraded counter = %d, want %d", got, len(rows))
 	}
 
@@ -100,8 +101,8 @@ func TestChaosDegradedNotCachedAsAuthoritative(t *testing.T) {
 		BreakerCooldown:  5 * time.Second,
 		DegradedTTL:      2 * time.Second,
 	})
-	s.cache.now = clk.Now
-	s.breaker.now = clk.Now
+	s.smsv.cache.now = clk.Now
+	s.breaker.Now = clk.Now
 	h := s.Handler()
 	data := makeLIBSVM(200, 80, 10, 7)
 
@@ -117,7 +118,7 @@ func TestChaosDegradedNotCachedAsAuthoritative(t *testing.T) {
 	if !d.Degraded || d.Source != "cache" {
 		t.Fatalf("cached degraded decision = %+v, want degraded cache hit", d)
 	}
-	if got := s.degraded.Load(); got != 1 {
+	if got := s.smsv.degraded.Load(); got != 1 {
 		t.Fatalf("degraded counter = %d after cache hit, want 1", got)
 	}
 
@@ -133,10 +134,10 @@ func TestChaosDegradedNotCachedAsAuthoritative(t *testing.T) {
 	if d.Source != "measured" || len(d.Measured) == 0 {
 		t.Fatalf("post-recovery decision %+v, want fresh measurement", d)
 	}
-	if got := s.cache.Stats().Expired; got != 1 {
+	if got := s.smsv.cache.Stats().Expired; got != 1 {
 		t.Fatalf("cache expired counter = %d, want 1", got)
 	}
-	if got := s.breaker.State(); got != BreakerClosed {
+	if got := s.breaker.State(); got != breaker.Closed {
 		t.Fatalf("breaker = %v after successful probe, want closed", got)
 	}
 
@@ -198,8 +199,8 @@ func TestChaosHandlerPanicRecovered(t *testing.T) {
 func TestChaosOverloadDoesNotConsumeProbe(t *testing.T) {
 	clk := newFakeClock()
 	s := newTestServer(t, Config{Policy: core.Hybrid, BreakerThreshold: 1, BreakerCooldown: time.Second, MaxInflight: 1})
-	s.breaker.now = clk.Now
-	s.cache.now = clk.Now
+	s.breaker.Now = clk.Now
+	s.smsv.cache.now = clk.Now
 	h := s.Handler()
 
 	func() {
@@ -207,7 +208,7 @@ func TestChaosOverloadDoesNotConsumeProbe(t *testing.T) {
 		post(t, h, "/v1/schedule", ScheduleRequest{Data: makeLIBSVM(100, 40, 8, 1)})
 		fault.Disable()
 	}()
-	if got := s.breaker.State(); got != BreakerOpen {
+	if got := s.breaker.State(); got != breaker.Open {
 		t.Fatalf("breaker = %v, want open", got)
 	}
 	clk.Advance(2 * time.Second)
@@ -228,7 +229,7 @@ func TestChaosOverloadDoesNotConsumeProbe(t *testing.T) {
 	if d.Degraded || d.Source != "measured" {
 		t.Fatalf("probe after overload = %+v, want fresh measurement", d)
 	}
-	if got := s.breaker.State(); got != BreakerClosed {
+	if got := s.breaker.State(); got != breaker.Closed {
 		t.Fatalf("breaker = %v, want closed", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -38,6 +37,16 @@ func withForwarded(ctx context.Context) context.Context {
 func isForwarded(ctx context.Context) bool {
 	v, _ := ctx.Value(ctxForwarded{}).(bool)
 	return v
+}
+
+// acceptForwarded marks a request a ring peer already routed here: it is
+// decided locally no matter what the ring says, so routing can never loop.
+func (s *Server) acceptForwarded(r *http.Request) *http.Request {
+	if s.cluster == nil || r.Header.Get(cluster.ForwardedHeader) == "" {
+		return r
+	}
+	s.forwardedServed.Add(1)
+	return r.WithContext(withForwarded(r.Context()))
 }
 
 // decisionWire is the replicated form of a decision-cache entry. The cache
@@ -90,36 +99,15 @@ type ModelPushResponse struct {
 	TraceID    string `json:"trace_id,omitempty"`
 }
 
-// predictorSwap is an atomically swappable format predictor: the schedulers
-// and handlers hold one stable pointer for the server's lifetime while
-// /v1/cluster/model replaces the model underneath with a single atomic
-// store. It implements both predictor interfaces; an empty swap (no model
-// loaded yet) answers ok=false, which every caller already treats as
-// "measure instead".
+// predictorSwap is the swappable format predictor (see swapBox). It
+// implements both SMSV predictor interfaces.
 type predictorSwap struct {
-	v     atomic.Pointer[predictorBox]
-	swaps atomic.Int64
+	swapBox[core.FormatPredictor]
 }
-
-type predictorBox struct{ inner core.FormatPredictor }
-
-func newPredictorSwap(p core.FormatPredictor) *predictorSwap {
-	s := &predictorSwap{}
-	s.v.Store(&predictorBox{inner: p})
-	return s
-}
-
-func (s *predictorSwap) swap(p core.FormatPredictor) {
-	s.v.Store(&predictorBox{inner: p})
-	s.swaps.Add(1)
-}
-
-// Loaded reports whether a model is present.
-func (s *predictorSwap) Loaded() bool { return s.v.Load().inner != nil }
 
 // PredictFormat implements core.FormatPredictor.
 func (s *predictorSwap) PredictFormat(f dataset.Features) (sparse.Format, float64, bool) {
-	p := s.v.Load().inner
+	p := s.load()
 	if p == nil {
 		return 0, 0, false
 	}
@@ -130,7 +118,7 @@ func (s *predictorSwap) PredictFormat(f dataset.Features) (sparse.Format, float6
 // format-only model to the format's base candidate — exactly what the
 // scheduler's own format-only branch does.
 func (s *predictorSwap) PredictCandidate(f dataset.Features) (sparse.Candidate, float64, bool) {
-	p := s.v.Load().inner
+	p := s.load()
 	if p == nil {
 		return sparse.Candidate{}, 0, false
 	}
@@ -141,34 +129,14 @@ func (s *predictorSwap) PredictCandidate(f dataset.Features) (sparse.Candidate, 
 	return sparse.BaseCandidate(fm), conf, ok
 }
 
-// pairPredictorSwap is predictorSwap's SpGEMM twin: an atomically
-// swappable pair predictor behind the stable pointer the pair schedulers
-// and the degrade ladder hold.
+// pairPredictorSwap is the swappable pair predictor (see swapBox).
 type pairPredictorSwap struct {
-	v     atomic.Pointer[pairPredictorBox]
-	swaps atomic.Int64
+	swapBox[core.PairPredictor]
 }
 
-type pairPredictorBox struct{ inner core.PairPredictor }
-
-func newPairPredictorSwap(p core.PairPredictor) *pairPredictorSwap {
-	s := &pairPredictorSwap{}
-	s.v.Store(&pairPredictorBox{inner: p})
-	return s
-}
-
-func (s *pairPredictorSwap) swap(p core.PairPredictor) {
-	s.v.Store(&pairPredictorBox{inner: p})
-	s.swaps.Add(1)
-}
-
-// Loaded reports whether a pair model is present.
-func (s *pairPredictorSwap) Loaded() bool { return s.v.Load().inner != nil }
-
-// PredictPair implements core.PairPredictor; with no model loaded it
-// abstains, which every caller treats as "measure instead".
+// PredictPair implements core.PairPredictor.
 func (s *pairPredictorSwap) PredictPair(fa, fb dataset.Features) (spgemm.Candidate, float64, bool) {
-	p := s.v.Load().inner
+	p := s.load()
 	if p == nil {
 		return spgemm.Candidate{}, 0, false
 	}
@@ -199,29 +167,29 @@ func (s *Server) BroadcastModel(ctx context.Context, kind string, model []byte) 
 	return s.cluster.BroadcastModel(ctx, body)
 }
 
-// forwardSchedule relays one schedule request to its ring owner and writes
-// the peer's response through. It reports false — caller decides locally —
-// on any transport failure, open peer breaker, or peer 5xx.
-func (s *Server) forwardSchedule(ctx context.Context, w http.ResponseWriter, req *ScheduleRequest, policy core.Policy, m cluster.Member) bool {
-	fwd := *req
-	if fwd.Policy == "" {
-		// The request may have inherited the server default policy; pin it so
-		// the peer resolves identically.
-		fwd.Policy = policy.String()
-	}
-	body, err := json.Marshal(&fwd)
+// forward relays a request — its policy already pinned, so the peer
+// resolves it exactly as this node did — to the key's ring owner under a
+// cluster.forward span. ok=false means the caller decides locally: any
+// transport failure, open peer breaker, or peer 5xx.
+func (s *Server) forward(ctx context.Context, m cluster.Member, path string, req any) (status int, data []byte, ok bool) {
+	body, err := json.Marshal(req)
 	if err != nil {
-		return false
+		return 0, nil, false
 	}
 	fctx, sp := telemetry.StartSpan(ctx, "cluster.forward",
 		telemetry.String("peer", m.ID))
-	status, data, err := s.cluster.Forward(fctx, m, "/v1/schedule", body)
+	status, data, err = s.cluster.Forward(fctx, m, path, body)
 	if err != nil {
 		sp.EndErr(err)
-		return false
+		return 0, nil, false
 	}
 	sp.Annotate(telemetry.Int("status", status))
 	sp.End()
+	return status, data, true
+}
+
+// relay writes a forwarded peer response through to the client.
+func relay(w http.ResponseWriter, status int, data []byte) {
 	if status == http.StatusTooManyRequests {
 		// The owner's admission control said back off; the Retry-After
 		// contract must survive the relay.
@@ -230,32 +198,20 @@ func (s *Server) forwardSchedule(ctx context.Context, w http.ResponseWriter, req
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(data)
-	return true
 }
 
-// forwardItem is forwardSchedule for one batch item: the owner answers a
-// single-item /v1/schedule call, and the result lands back in the item's
-// slot. ok=false means the caller should decide the item locally.
+// forwardItem forwards one batch item: the owner answers a single-item
+// /v1/schedule call, and the result lands back in the item's slot.
+// ok=false means the caller should decide the item locally.
 func (s *Server) forwardItem(ctx context.Context, item *ScheduleRequest, policy core.Policy, m cluster.Member) (BatchItemResult, bool) {
+	// The item may have inherited its policy from the batch envelope or
+	// the server default; pin it on a copy.
 	fwd := *item
-	if fwd.Policy == "" {
-		// The item may have inherited its policy from the batch envelope or
-		// the server default; pin it so the peer resolves identically.
-		fwd.Policy = policy.String()
-	}
-	body, err := json.Marshal(&fwd)
-	if err != nil {
+	fwd.Policy = policy.String()
+	status, data, ok := s.forward(ctx, m, "/v1/schedule", &fwd)
+	if !ok {
 		return BatchItemResult{}, false
 	}
-	fctx, sp := telemetry.StartSpan(ctx, "cluster.forward",
-		telemetry.String("peer", m.ID))
-	status, data, err := s.cluster.Forward(fctx, m, "/v1/schedule", body)
-	if err != nil {
-		sp.EndErr(err)
-		return BatchItemResult{}, false
-	}
-	sp.Annotate(telemetry.Int("status", status))
-	sp.End()
 	if status == http.StatusOK {
 		var resp ScheduleResponse
 		if err := json.Unmarshal(data, &resp); err != nil {
@@ -274,11 +230,11 @@ func (s *Server) forwardItem(ctx context.Context, item *ScheduleRequest, policy 
 // should be forwarded to, or ok=false when the request must be decided
 // here: clustering off, request already forwarded once, or the local node
 // owns the key.
-func (s *Server) routeOwner(ctx context.Context, key []byte) (cluster.Member, bool) {
+func routeOwner[V Degradable](ctx context.Context, s *Server, cache *Cache[V], key []byte) (cluster.Member, bool) {
 	if s.cluster == nil || isForwarded(ctx) {
 		return cluster.Member{}, false
 	}
-	if s.cache.Peek(key) {
+	if cache.Peek(key) {
 		// Replication (or an earlier fallback) already landed this shape
 		// class locally; answering from the local cache beats a network hop.
 		return cluster.Member{}, false
@@ -286,38 +242,50 @@ func (s *Server) routeOwner(ctx context.Context, key []byte) (cluster.Member, bo
 	return s.cluster.Route(key)
 }
 
-// replicateDecision queues a freshly computed decision (and, when it was
-// measured, the history record behind it) for async gossip to the ring
-// successor. Degraded decisions are not replicated: they are short-TTL
-// placeholders, not evidence.
-func (s *Server) replicateDecision(key []byte, feats dataset.Features, val *CachedDecision) {
-	if s.cluster == nil || val.Degraded {
+// noteLoopAverted handles divergent membership views: the sender's ring
+// said this node owns the key, ours disagrees. The forwarded marker
+// already stops the loop — record that it did, so operators can see view
+// skew in the trace instead of inferring it from hops.
+func (s *Server) noteLoopAverted(ctx context.Context, key []byte, trace []string) []string {
+	if s.cluster == nil || !isForwarded(ctx) {
+		return trace
+	}
+	m, owned := s.cluster.Route(key)
+	if !owned {
+		return trace
+	}
+	_, lsp := telemetry.StartSpan(ctx, "forward.loop_averted",
+		telemetry.String("claimed_owner", m.ID))
+	lsp.End()
+	return append(trace, fmt.Sprintf(
+		"cluster: forwarded here but local ring says %s owns this key; deciding locally (loop averted)", m.ID))
+}
+
+// gossip queues a freshly computed decision (and, when it was measured,
+// the history record behind it) for async gossip to the ring successor,
+// each in its workload's wire form. Degraded decisions are not replicated:
+// they are short-TTL placeholders, not evidence.
+func gossip[D, H any](s *Server, val decided, key []byte, decisionKind string, decision D, historyKind string, history H) {
+	if s.cluster == nil || val.IsDegraded() {
 		return
 	}
-	payload, err := json.Marshal(decisionWire{
-		Candidate:  val.Candidate.String(),
-		Source:     val.Source,
-		Confidence: val.Confidence,
-	})
+	payload, err := json.Marshal(decision)
 	if err != nil {
 		return
 	}
-	s.cluster.Replicate(cluster.ReplEntry{Kind: cluster.KindDecision, Key: string(key), Payload: payload})
-	if val.Source == "measured" {
-		hp, err := json.Marshal(historyWire{
-			Features:  NewFeaturesJSON(feats),
-			Candidate: val.Candidate.String(),
-		})
-		if err == nil {
-			s.cluster.Replicate(cluster.ReplEntry{Kind: cluster.KindHistory, Payload: hp})
+	s.cluster.Replicate(cluster.ReplEntry{Kind: decisionKind, Key: string(key), Payload: payload})
+	if source, _ := val.provenance(); source == "measured" {
+		if hp, err := json.Marshal(history); err == nil {
+			s.cluster.Replicate(cluster.ReplEntry{Kind: historyKind, Payload: hp})
 		}
 	}
 }
 
 // handleClusterReplicate applies a gossip batch from a ring peer: decision
-// entries land in the decision cache under their shape-class key, history
-// entries in the tuning history. Entries that fail to parse are skipped
-// individually — gossip is best-effort in both directions.
+// entries land in their workload's decision cache under their shape-class
+// key, history entries in its tuning history. Entries of unknown kind or
+// that fail to parse are skipped individually — gossip is best-effort in
+// both directions.
 func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		writeError(w, http.StatusServiceUnavailable, "clustering disabled (start layoutd with -peers)")
@@ -331,74 +299,92 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	// propagates it here; the apply becomes a fragment of that trace.
 	// Without headers no trace is recorded — steady-state gossip must not
 	// churn the bounded trace store.
-	var finishTrace func(error)
+	var tr *telemetry.Trace
+	var root *telemetry.Span
 	if tid, parent, ok := s.traceHeaders(r); ok {
-		_, tr, root := telemetry.NewRemoteTrace(r.Context(), tid, parent, s.node, "replicate.apply",
+		_, tr, root = telemetry.NewRemoteTrace(r.Context(), tid, parent, s.node, "replicate.apply",
 			telemetry.String("from", payload.From),
 			telemetry.Int("entries", len(payload.Entries)))
-		finishTrace = func(err error) {
-			root.EndErr(err)
-			tr.Finish()
-			s.traces.Put(tr)
-		}
 	}
 	applied, skipped := 0, 0
 	for _, e := range payload.Entries {
-		switch e.Kind {
-		case cluster.KindDecision:
-			var dw decisionWire
-			if err := json.Unmarshal(e.Payload, &dw); err != nil || e.Key == "" {
-				skipped++
-				continue
-			}
-			c, err := sparse.ParseCandidate(dw.Candidate)
-			if err != nil {
-				skipped++
-				continue
-			}
-			s.cache.Put(e.Key, &CachedDecision{
-				Candidate: c, Format: c.Format,
-				Source: dw.Source, Confidence: dw.Confidence,
-			})
+		if apply := s.replApply[e.Kind]; apply != nil && apply(e) {
 			applied++
-		case cluster.KindHistory:
-			var hw historyWire
-			if err := json.Unmarshal(e.Payload, &hw); err != nil {
-				skipped++
-				continue
-			}
-			c, err := sparse.ParseCandidate(hw.Candidate)
-			if err != nil {
-				skipped++
-				continue
-			}
-			feats := hw.Features.Features()
-			if feats.M <= 0 || feats.N <= 0 {
-				skipped++
-				continue
-			}
-			s.cfg.History.RecordCandidate(feats, c)
-			applied++
-		default:
-			if s.applyPairReplEntry(e) {
-				applied++
-			} else {
-				skipped++
-			}
+		} else {
+			skipped++
 		}
 	}
 	s.replApplied.Add(int64(applied))
 	s.replSkipped.Add(int64(skipped))
-	if finishTrace != nil {
-		finishTrace(nil)
+	if tr != nil {
+		s.endTrace(tr, root, nil)
 	}
 	s.logger.Debug("replication batch applied",
 		"from", payload.From, "applied", applied, "skipped", skipped)
 	writeJSON(w, http.StatusOK, cluster.ReplicateResponse{Applied: applied, Skipped: skipped})
 }
 
-// handleClusterModel hot-swaps the format predictor from a pushed model and
-// optionally fans it out across the ring. The swap is atomic: in-flight
+// applyDecision applies one decision gossip entry into the decision cache;
+// false means skip it.
+func (s *Server) applyDecision(e cluster.ReplEntry) bool {
+	var dw decisionWire
+	if err := json.Unmarshal(e.Payload, &dw); err != nil || e.Key == "" {
+		return false
+	}
+	c, err := sparse.ParseCandidate(dw.Candidate)
+	if err != nil {
+		return false
+	}
+	s.smsv.cache.Put(e.Key, &CachedDecision{
+		Candidate: c, Format: c.Format,
+		Source: dw.Source, Confidence: dw.Confidence,
+	})
+	return true
+}
+
+// applyHistory applies one history gossip entry into the tuning history;
+// false means skip it.
+func (s *Server) applyHistory(e cluster.ReplEntry) bool {
+	var hw historyWire
+	if err := json.Unmarshal(e.Payload, &hw); err != nil {
+		return false
+	}
+	c, err := sparse.ParseCandidate(hw.Candidate)
+	if err != nil {
+		return false
+	}
+	feats := hw.Features.Features()
+	if feats.M <= 0 || feats.N <= 0 {
+		return false
+	}
+	s.cfg.History.RecordCandidate(feats, c)
+	return true
+}
+
+// modelSlot is where a pushed model of one kind lands: noun names it in
+// replies and logs; install parses the model and swaps it in, and is nil
+// when no loader is configured for the kind.
+type modelSlot struct {
+	noun    string
+	install func(model []byte) error
+}
+
+func newModelSlot[P comparable](noun string, load func([]byte) (P, error), box *swapBox[P]) modelSlot {
+	if load == nil {
+		return modelSlot{noun: noun}
+	}
+	return modelSlot{noun: noun, install: func(model []byte) error {
+		p, err := load(model)
+		if err != nil {
+			return err
+		}
+		box.swap(p)
+		return nil
+	}}
+}
+
+// handleClusterModel hot-swaps the pushed model's workload predictor and
+// optionally fans the model out across the ring. The swap is atomic: in-flight
 // decisions finish on the model they started with, the next decision sees
 // the new one, and a model that fails validation leaves the old model
 // serving.
@@ -418,44 +404,23 @@ func (s *Server) handleClusterModel(w http.ResponseWriter, r *http.Request) {
 	ctx, tr, root := s.joinOrStartTrace(r, "model.apply",
 		telemetry.String("kind", req.Kind))
 	var applyErr error
-	defer func() {
-		root.EndErr(applyErr)
-		tr.Finish()
-		s.traces.Put(tr)
-	}()
-	switch req.Kind {
-	case "", ModelKindSMSV:
-		if s.cfg.ModelLoader == nil {
-			writeError(w, http.StatusServiceUnavailable, "model distribution disabled (no model loader configured)")
-			return
-		}
-		p, err := s.cfg.ModelLoader(req.Model)
-		if err != nil {
-			applyErr = err
-			s.modelSwapErrors.Add(1)
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("rejected model: %v", err))
-			return
-		}
-		s.predictor.swap(p)
-		s.logger.Info("predictor hot-swapped", "from", r.Header.Get(cluster.ForwardedHeader))
-	case ModelKindPair:
-		if s.cfg.PairModelLoader == nil {
-			writeError(w, http.StatusServiceUnavailable, "pair model distribution disabled (no pair model loader configured)")
-			return
-		}
-		p, err := s.cfg.PairModelLoader(req.Model)
-		if err != nil {
-			applyErr = err
-			s.modelSwapErrors.Add(1)
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("rejected pair model: %v", err))
-			return
-		}
-		s.pairPredictor.swap(p)
-		s.logger.Info("pair predictor hot-swapped", "from", r.Header.Get(cluster.ForwardedHeader))
-	default:
+	defer func() { s.endTrace(tr, root, applyErr) }()
+	slot, known := s.models[req.Kind]
+	switch {
+	case !known:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown model kind %q", req.Kind))
 		return
+	case slot.install == nil:
+		writeError(w, http.StatusServiceUnavailable, fmt.Sprintf(
+			"%s distribution disabled (no %s loader configured)", slot.noun, slot.noun))
+		return
 	}
+	if applyErr = slot.install(req.Model); applyErr != nil {
+		s.modelSwapErrors.Add(1)
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("rejected %s: %v", slot.noun, applyErr))
+		return
+	}
+	s.logger.Info(slot.noun+" hot-swapped", "from", r.Header.Get(cluster.ForwardedHeader))
 	propagated := 0
 	if req.Propagate && s.cluster != nil {
 		body, err := json.Marshal(ModelPushRequest{Model: req.Model, Kind: req.Kind})

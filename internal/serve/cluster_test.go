@@ -318,7 +318,7 @@ func TestClusterReplicateHandlerAppliesAndSkips(t *testing.T) {
 	if resp.Applied != 2 || resp.Skipped != 2 {
 		t.Fatalf("applied %d skipped %d, want 2/2", resp.Applied, resp.Skipped)
 	}
-	if !nd.srv.cache.Peek([]byte("v2|hybrid/0|1,2,3")) {
+	if !nd.srv.smsv.cache.Peek([]byte("v2|hybrid/0|1,2,3")) {
 		t.Fatal("applied decision entry not in the cache")
 	}
 	if nd.srv.History().Len() != 1 {

@@ -45,6 +45,26 @@ func remoteOwnedPayload(t *testing.T, nd *clusterNode) (string, cluster.Member) 
 	return "", cluster.Member{}
 }
 
+// remoteOwnedPair is remoteOwnedPayload for /v1/schedule/spgemm: an operand
+// pair whose pair key a remote member owns per nd's ring view.
+func remoteOwnedPair(t *testing.T, nd *clusterNode) (SpGEMMRequest, cluster.Member) {
+	t.Helper()
+	for seed := int64(0); seed < 100; seed++ {
+		pair := conformablePair(30+int(seed%7)*6, 20+int(seed%5)*4, 16+int(seed%3)*8, 7000+seed)
+		_, fa, aerr := parsePairOperand("a", pair.A)
+		_, fb, berr := parsePairOperand("b", pair.B)
+		if aerr != nil || berr != nil {
+			t.Fatalf("generated pair does not parse: %v %v", aerr, berr)
+		}
+		key := PairKey(fa, fb, core.Hybrid.String(), 0)
+		if owner, remote := nd.peers.Route([]byte(key)); remote {
+			return pair, owner
+		}
+	}
+	t.Fatal("no seed in range produced a remotely-owned pair shape class")
+	return SpGEMMRequest{}, cluster.Member{}
+}
+
 // getTrace fetches /v1/trace/{id} from url, retrying briefly: a node's own
 // fragment is stored by a deferred Put that can run a hair after the HTTP
 // response reaches the client.
@@ -225,68 +245,86 @@ func TestClusterForwardLoopAvertedJoinsSenderTrace(t *testing.T) {
 	nodes := startCluster(t, 3, nil)
 	nd := nodes[0]
 	data, owner := remoteOwnedPayload(t, nd)
-
-	// Emulate a peer with a divergent ring view forwarding us a key we do
-	// not own, propagating its trace context on the hop.
-	tid := telemetry.NewTraceID()
-	parent := telemetry.SpanWireID(tid, "n9", 0)
-	raw, err := json.Marshal(ScheduleRequest{Data: data})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, nd.url+"/v1/schedule", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(cluster.ForwardedHeader, "n9")
-	req.Header.Set(cluster.TraceHeader, tid)
-	req.Header.Set(cluster.ParentHeader, parent)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("forwarded request status %d: %s", resp.StatusCode, body)
-	}
-	var sched ScheduleResponse
-	if err := json.Unmarshal(body, &sched); err != nil {
-		t.Fatal(err)
-	}
-	if sched.Decision.TraceID != tid {
-		t.Fatalf("decision trace_id %q, want the propagated sender trace %q (one trace across the hop)",
-			sched.Decision.TraceID, tid)
-	}
-	if got := nd.peers.Forwards(); got != 0 {
-		t.Fatalf("node re-forwarded a forwarded request %d times", got)
-	}
-
-	// The local fragment links back to the sender's span and records the
-	// averted loop with the claimed owner.
-	tr := getTrace(t, nd.url, tid+"?scope=local", nil)
-	if tr.RemoteParent != parent {
-		t.Fatalf("fragment remote_parent %q, want %q", tr.RemoteParent, parent)
-	}
-	var averted *telemetry.SpanJSON
-	for i, sp := range tr.Spans {
-		if sp.Name == "forward.loop_averted" {
-			averted = &tr.Spans[i]
+	pair, pairOwner := remoteOwnedPair(t, nd)
+	for _, tc := range []struct {
+		path  string
+		body  any
+		owner cluster.Member
+	}{
+		{"/v1/schedule", ScheduleRequest{Data: data}, owner},
+		{"/v1/schedule/spgemm", pair, pairOwner},
+	} {
+		// Emulate a peer with a divergent ring view forwarding us a key we do
+		// not own, propagating its trace context on the hop.
+		tid := telemetry.NewTraceID()
+		parent := telemetry.SpanWireID(tid, "n9", 0)
+		raw, err := json.Marshal(tc.body)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if averted == nil {
-		t.Fatalf("no forward.loop_averted span in the fragment: %+v", tr.Spans)
-	}
-	wantAttr := "claimed_owner=" + owner.ID
-	found := false
-	for _, a := range averted.AttrList {
-		if a == wantAttr {
-			found = true
+		req, err := http.NewRequest(http.MethodPost, nd.url+tc.path, bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Fatalf("loop_averted attrs %v, want %q", averted.AttrList, wantAttr)
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(cluster.ForwardedHeader, "n9")
+		req.Header.Set(cluster.TraceHeader, tid)
+		req.Header.Set(cluster.ParentHeader, parent)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: forwarded request status %d: %s", tc.path, resp.StatusCode, body)
+		}
+		// Both endpoints answer {"decision": {"trace_id", "trace", ...}}.
+		var sched struct {
+			Decision struct {
+				TraceID string   `json:"trace_id"`
+				Trace   []string `json:"trace"`
+			} `json:"decision"`
+		}
+		if err := json.Unmarshal(body, &sched); err != nil {
+			t.Fatal(err)
+		}
+		if sched.Decision.TraceID != tid {
+			t.Fatalf("%s: decision trace_id %q, want the propagated sender trace %q (one trace across the hop)",
+				tc.path, sched.Decision.TraceID, tid)
+		}
+		if got := nd.peers.Forwards(); got != 0 {
+			t.Fatalf("%s: node re-forwarded a forwarded request %d times", tc.path, got)
+		}
+		if lines := strings.Join(sched.Decision.Trace, "\n"); !strings.Contains(lines, "loop averted") {
+			t.Fatalf("%s: response trace does not mention the averted loop:\n%s", tc.path, lines)
+		}
+
+		// The local fragment links back to the sender's span and records the
+		// averted loop with the claimed owner.
+		tr := getTrace(t, nd.url, tid+"?scope=local", nil)
+		if tr.RemoteParent != parent {
+			t.Fatalf("%s: fragment remote_parent %q, want %q", tc.path, tr.RemoteParent, parent)
+		}
+		var averted *telemetry.SpanJSON
+		for i, sp := range tr.Spans {
+			if sp.Name == "forward.loop_averted" {
+				averted = &tr.Spans[i]
+			}
+		}
+		if averted == nil {
+			t.Fatalf("%s: no forward.loop_averted span in the fragment: %+v", tc.path, tr.Spans)
+		}
+		wantAttr := "claimed_owner=" + tc.owner.ID
+		found := false
+		for _, a := range averted.AttrList {
+			if a == wantAttr {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("%s: loop_averted attrs %v, want %q", tc.path, averted.AttrList, wantAttr)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -28,6 +29,14 @@ import (
 // is occupied: the request would have queued unbounded work onto the shared
 // exec pool.
 var ErrOverloaded = errors.New("serve: all measurement slots busy, retry later")
+
+// DefaultBreakerThreshold is how many consecutive measurement failures trip
+// the measurement breaker open.
+const DefaultBreakerThreshold = 3
+
+// DefaultBreakerCooldown is how long an open measurement breaker rejects
+// measurements before letting a half-open probe through.
+const DefaultBreakerCooldown = 10 * time.Second
 
 // maxInlineCells bounds the dense footprint (M×N cells) a measured inline
 // request may declare: candidate formats materialize the matrix, and DEN of
@@ -178,6 +187,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxBody <= 0 {
 		c.MaxBody = 8 << 20
 	}
+	if c.BreakerThreshold <= 0 {
+		c.BreakerThreshold = DefaultBreakerThreshold
+	}
+	if c.BreakerCooldown <= 0 {
+		c.BreakerCooldown = DefaultBreakerCooldown
+	}
 	if c.Logger == nil {
 		c.Logger = telemetry.NopLogger()
 	}
@@ -200,30 +215,36 @@ type Server struct {
 	// scheds holds one shared scheduler per policy, built once: schedulers
 	// are concurrency-safe and pool their own scratch, so constructing one
 	// per request would defeat that pooling.
-	scheds [4]*core.Scheduler
-	// spScheds is the SpGEMM twin of scheds: one shared pair scheduler per
-	// policy, serving /v1/schedule/spgemm.
-	spScheds [4]*core.SpGEMMScheduler
-	cache    *Cache[*CachedDecision]
-	spCache  *Cache[*CachedPairDecision] // pairwise shape-class decisions
-	metrics  *serverMetrics
-	traces   *telemetry.TraceStore // completed decision traces, /v1/trace/{id}
-	logger   *slog.Logger
-	breaker  *Breaker      // guards the measurement path
-	sem      chan struct{} // measurement admission slots
-	wg       sync.WaitGroup
-	closed   atomic.Bool
+	scheds   [4]*core.Scheduler
+	spScheds [4]*core.SpGEMMScheduler // likewise, for /v1/schedule/spgemm
+	// smsv and pair are the two workloads' entries in the shared decide
+	// pipeline (decide.go): cache, scheduler call, degrade ladder, publish.
+	smsv    workload[smsvIn, *CachedDecision]
+	pair    workload[pairIn, *CachedPairDecision]
+	metrics *serverMetrics
+	traces  *telemetry.TraceStore // completed decision traces, /v1/trace/{id}
+	logger  *slog.Logger
+	// breaker guards the measurement path: while measurement keeps failing
+	// (injected faults, kernel panics, a saturated machine) it opens and
+	// the server answers from history, the predictor, or the cost model
+	// instead — degraded but 200, never a 5xx storm.
+	breaker *breaker.Breaker
+	sem     chan struct{} // measurement admission slots
+	wg      sync.WaitGroup
+	closed  atomic.Bool
 
-	// predictor wraps cfg.Predictor so /v1/cluster/model can hot-swap the
-	// model under live traffic; schedulers and handlers only ever see this
-	// stable pointer.
-	predictor *predictorSwap
-	// pairPredictor is predictor's SpGEMM twin: the pair schedulers and
-	// degrade ladder read through it so online promotion and
-	// /v1/cluster/model pushes can replace the pair model atomically.
+	// predictor and pairPredictor wrap cfg.Predictor / cfg.PairPredictor so
+	// /v1/cluster/model pushes and online promotions can hot-swap a model
+	// under live traffic; schedulers, degrade ladders and handlers only
+	// ever see these stable pointers.
+	predictor     *predictorSwap
 	pairPredictor *pairPredictorSwap
 	cluster       *cluster.Peers // nil when running single-node
 	node          string         // cluster node id; "" single-node
+	// replApply and models route a gossip entry or a pushed model to its
+	// workload by wire kind; built once in NewServer.
+	replApply map[string]func(cluster.ReplEntry) bool
+	models    map[string]modelSlot
 
 	// The SLO layer: multi-window burn rates over the request-level SLIs
 	// route() records, surfaced at /v1/healthz and layoutd_slo_*.
@@ -232,12 +253,7 @@ type Server struct {
 	sloLatency  *slo.SLO // data-plane responses under SLOLatencyObjective
 	sloRollback *slo.SLO // flywheel verdicts that were not rollbacks
 
-	measurements atomic.Int64 // scheduler runs that actually measured
-	degraded     atomic.Int64 // decisions served without measurement under failure
-	panics       atomic.Int64 // handler panics recovered into 500s
-
-	spMeasurements atomic.Int64 // spgemm scheduler runs that actually measured
-	spDegraded     atomic.Int64 // spgemm decisions served degraded
+	panics atomic.Int64 // handler panics recovered into 500s
 
 	predictorHits      atomic.Int64 // decisions answered by the predictor
 	predictorFallbacks atomic.Int64 // predict-policy runs that measured instead
@@ -253,26 +269,36 @@ type Server struct {
 // NewServer creates a Server from cfg.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	cache := NewCache[*CachedDecision](cfg.CacheShards, cfg.CacheCapacity)
-	if cfg.DegradedTTL > 0 {
-		cache.degradedTTL = cfg.DegradedTTL
-	}
-	spCache := NewCache[*CachedPairDecision](cfg.CacheShards, cfg.CacheCapacity)
-	if cfg.DegradedTTL > 0 {
-		spCache.degradedTTL = cfg.DegradedTTL
-	}
 	s := &Server{
 		cfg:           cfg,
-		cache:         cache,
-		spCache:       spCache,
 		metrics:       newServerMetrics(),
 		traces:        telemetry.NewTraceStore(cfg.TraceCapacity),
 		logger:        cfg.Logger,
-		breaker:       NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breaker:       breaker.New(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		sem:           make(chan struct{}, cfg.MaxInflight),
-		predictor:     newPredictorSwap(cfg.Predictor),
-		pairPredictor: newPairPredictorSwap(cfg.PairPredictor),
+		predictor:     &predictorSwap{},
+		pairPredictor: &pairPredictorSwap{},
 		cluster:       cfg.Cluster,
+	}
+	s.predictor.set(cfg.Predictor)
+	s.pairPredictor.set(cfg.PairPredictor)
+	s.smsv.cache = newDecisionCache[*CachedDecision](cfg)
+	s.smsv.choose, s.smsv.degrade, s.smsv.publish = s.chooseSMSV, s.degradeSMSV, s.publishSMSV
+	s.smsv.classNoun = "shape class"
+	s.pair.cache = newDecisionCache[*CachedPairDecision](cfg)
+	s.pair.choose, s.pair.degrade, s.pair.publish = s.choosePair, s.degradePair, s.publishPair
+	s.pair.classNoun = "pair shape class"
+	s.replApply = map[string]func(cluster.ReplEntry) bool{
+		cluster.KindDecision:    s.applyDecision,
+		cluster.KindHistory:     s.applyHistory,
+		cluster.KindSpGEMM:      s.applyPairDecision,
+		cluster.KindPairHistory: s.applyPairHistory,
+	}
+	smsvModel := newModelSlot("model", cfg.ModelLoader, &s.predictor.swapBox)
+	s.models = map[string]modelSlot{
+		"":            smsvModel,
+		ModelKindSMSV: smsvModel,
+		ModelKindPair: newModelSlot("pair model", cfg.PairModelLoader, &s.pairPredictor.swapBox),
 	}
 	if s.cluster != nil {
 		s.node = s.cluster.Self().ID
@@ -322,8 +348,15 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// sched returns the shared scheduler for a policy.
-func (s *Server) sched(policy core.Policy) *core.Scheduler { return s.scheds[policy] }
+// newDecisionCache builds one workload's decision cache from the shared
+// cache settings.
+func newDecisionCache[V Degradable](cfg Config) *Cache[V] {
+	c := NewCache[V](cfg.CacheShards, cfg.CacheCapacity)
+	if cfg.DegradedTTL > 0 {
+		c.degradedTTL = cfg.DegradedTTL
+	}
+	return c
+}
 
 // registerMetrics hangs every /metrics series on the telemetry registry.
 // Server-owned counters stay plain atomics (the handlers' source of truth);
@@ -336,9 +369,9 @@ func (s *Server) registerMetrics() {
 		return func() float64 { return float64(fn()) }
 	}
 	reg.CounterFunc("layoutd_measurements_total",
-		"Schedule requests that ran an actual measurement.", iv(s.measurements.Load))
+		"Schedule requests that ran an actual measurement.", iv(s.smsv.measurements.Load))
 	reg.CounterFunc("layoutd_degraded_total",
-		"Decisions served without measurement while the measurement path was failing.", iv(s.degraded.Load))
+		"Decisions served without measurement while the measurement path was failing.", iv(s.smsv.degraded.Load))
 	reg.CounterFunc("layoutd_handler_panics_total",
 		"Handler panics recovered into 500 responses.", iv(s.panics.Load))
 	reg.GaugeFunc("layoutd_breaker_state",
@@ -366,20 +399,20 @@ func (s *Server) registerMetrics() {
 	reg.CounterFunc("layoutd_predictor_confidence_milli_sum",
 		"Sum of predictor hit confidences ×1000 (divide by hits for the mean).", iv(s.predictorConfMilli.Load))
 	reg.CounterFunc("layoutd_cache_hits_total",
-		"Decision-cache exact hits.", func() float64 { return float64(s.cache.Stats().Hits) })
+		"Decision-cache exact hits.", func() float64 { return float64(s.smsv.cache.Stats().Hits) })
 	reg.CounterFunc("layoutd_cache_misses_total",
-		"Decision-cache misses.", func() float64 { return float64(s.cache.Stats().Misses) })
+		"Decision-cache misses.", func() float64 { return float64(s.smsv.cache.Stats().Misses) })
 	reg.CounterFunc("layoutd_cache_dedups_total",
 		"Requests that joined an in-flight computation (singleflight).",
-		func() float64 { return float64(s.cache.Stats().Dedups) })
+		func() float64 { return float64(s.smsv.cache.Stats().Dedups) })
 	reg.CounterFunc("layoutd_cache_evictions_total",
-		"Decision-cache LRU evictions.", func() float64 { return float64(s.cache.Stats().Evictions) })
+		"Decision-cache LRU evictions.", func() float64 { return float64(s.smsv.cache.Stats().Evictions) })
 	reg.CounterFunc("layoutd_cache_expired_total",
-		"Degraded cache entries expired by TTL.", func() float64 { return float64(s.cache.Stats().Expired) })
+		"Degraded cache entries expired by TTL.", func() float64 { return float64(s.smsv.cache.Stats().Expired) })
 	reg.GaugeFunc("layoutd_cache_entries",
-		"Decision-cache resident entries.", func() float64 { return float64(s.cache.Stats().Len) })
+		"Decision-cache resident entries.", func() float64 { return float64(s.smsv.cache.Stats().Len) })
 	reg.GaugeFunc("layoutd_cache_inflight",
-		"Decision computations currently in flight.", func() float64 { return float64(s.cache.Stats().Inflight) })
+		"Decision computations currently in flight.", func() float64 { return float64(s.smsv.cache.Stats().Inflight) })
 	reg.GaugeFunc("layoutd_measurement_slots",
 		"Measurement admission slots.", func() float64 { return float64(cap(s.sem)) })
 	reg.GaugeFunc("layoutd_measurement_slots_busy",
@@ -432,7 +465,7 @@ func (s *Server) History() *core.History { return s.cfg.History }
 // Measurements reports how many schedule requests ran an actual
 // measurement (as opposed to being served from the cache, the singleflight
 // dedup, or the rule-based model).
-func (s *Server) Measurements() int64 { return s.measurements.Load() }
+func (s *Server) Measurements() int64 { return s.smsv.measurements.Load() }
 
 // PredictorHits reports how many decisions were answered by the trained
 // predictor without measurement.
@@ -443,7 +476,7 @@ func (s *Server) PredictorHits() int64 { return s.predictorHits.Load() }
 func (s *Server) PredictorFallbacks() int64 { return s.predictorFallbacks.Load() }
 
 // CacheStats exposes the decision-cache counters.
-func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
+func (s *Server) CacheStats() CacheStats { return s.smsv.cache.Stats() }
 
 // Drain stops admitting requests (new ones get 503) and blocks until every
 // in-flight handler returns. Call after http.Server.Shutdown for a
@@ -696,25 +729,16 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	policy := s.cfg.Policy
-	if req.Policy != "" {
-		p, err := parsePolicy(req.Policy)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		policy = p
+	policy, err := s.policyFor(req.Policy)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	if policy == core.PolicyPredict && !s.predictor.Loaded() {
 		writeError(w, http.StatusBadRequest, "predict policy needs a trained model (start layoutd with -predictor)")
 		return
 	}
-	if s.cluster != nil && r.Header.Get(cluster.ForwardedHeader) != "" {
-		// A ring peer already routed this request here; decide locally no
-		// matter what the ring says, so routing can never loop.
-		r = r.WithContext(withForwarded(r.Context()))
-		s.forwardedServed.Add(1)
-	}
+	r = s.acceptForwarded(r)
 	// Every schedule request gets a decision trace; the completed span tree
 	// is retrievable at /v1/trace/{id} with the trace_id from the response.
 	// A request forwarded by a peer carries that peer's trace headers, so
@@ -723,11 +747,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	ctx, tr, root := s.joinOrStartTrace(r, "schedule",
 		telemetry.String("policy", policy.String()))
 	setTraceID(w, tr.ID)
-	defer func() {
-		root.End()
-		tr.Finish()
-		s.traces.Put(tr)
-	}()
+	defer s.endTrace(tr, root, nil)
 	r = r.WithContext(ctx)
 	switch {
 	case req.Profile != nil && req.Data != "":
@@ -775,6 +795,14 @@ func (s *Server) joinOrStartTrace(r *http.Request, name string, attrs ...telemet
 	return ctx, tr, root
 }
 
+// endTrace closes a handler's trace, recording err on its root span, and
+// files it in the bounded store /v1/trace/{id} serves from.
+func (s *Server) endTrace(tr *telemetry.Trace, root *telemetry.Span, err error) {
+	root.EndErr(err)
+	tr.Finish()
+	s.traces.Put(tr)
+}
+
 // observeDecision records one freshly computed decision's wall time,
 // attaching the request's trace id as a histogram exemplar so a slow
 // decision bucket links straight to its span tree.
@@ -809,13 +837,39 @@ func (s *Server) profileDecision(ctx context.Context, f dataset.Features, p Feat
 		TraceID:  contextTraceID(ctx),
 		Trace:    []string{"profile-only request: rule-based cost model, no measurement"},
 	}
-	for _, e := range ests {
-		d.Estimates = append(d.Estimates, EstimateJSON{
-			Format: e.Format.String(), Bytes: e.Bytes, Weight: e.Weight,
-			Imbalance: e.Imbalance, Cost: e.Cost,
-		})
-	}
+	d.Estimates = encodeEstimates(ests)
 	return d
+}
+
+// parseInline turns inline LIBSVM rows into a matrix builder and its Table
+// IV features. n is the feature count the rows declare (feats.N is never
+// below 1).
+func parseInline(data string) (b *sparse.Builder, feats dataset.Features, n int, err error) {
+	samples, n, err := dataset.ParseLIBSVM(strings.NewReader(data))
+	if err != nil {
+		return nil, feats, 0, err
+	}
+	if len(samples) == 0 {
+		return nil, feats, 0, core.ErrEmptyMatrix
+	}
+	b, _ = dataset.SamplesToMatrix(samples, n)
+	csr, err := b.Build(sparse.CSR)
+	if err != nil {
+		return nil, feats, 0, fmt.Errorf("unbuildable matrix: %v", err)
+	}
+	return b, dataset.Extract(csr), n, nil
+}
+
+// inlineCapError rejects shapes over maxInlineCells: a tiny body can
+// declare a near-int32 feature index, making the dense measurement
+// candidate a multi-gigabyte allocation. Such shapes get the profile-only
+// path, which never materializes formats.
+func inlineCapError(f dataset.Features) error {
+	if cells := int64(f.M) * int64(f.N); cells > maxInlineCells {
+		return fmt.Errorf("matrix %d×%d declares %d dense cells, over the %d inline-scheduling cap",
+			f.M, f.N, cells, int64(maxInlineCells))
+	}
+	return nil
 }
 
 // scheduleData answers an inline-data request: parse the LIBSVM rows,
@@ -823,44 +877,24 @@ func (s *Server) profileDecision(ctx context.Context, f dataset.Features, p Feat
 // under admission control.
 func (s *Server) scheduleData(w http.ResponseWriter, r *http.Request, req ScheduleRequest, policy core.Policy) {
 	_, psp := telemetry.StartSpan(r.Context(), "request.parse")
-	samples, n, err := dataset.ParseLIBSVM(strings.NewReader(req.Data))
+	b, feats, n, err := parseInline(req.Data)
 	if err != nil {
 		psp.EndErr(err)
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(samples) == 0 {
-		psp.EndErr(core.ErrEmptyMatrix)
-		writeError(w, http.StatusBadRequest, core.ErrEmptyMatrix.Error())
-		return
-	}
-	b, _ := dataset.SamplesToMatrix(samples, n)
-	csr, err := b.Build(sparse.CSR)
-	if err != nil {
-		psp.EndErr(err)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unbuildable matrix: %v", err))
-		return
-	}
-	feats := dataset.Extract(csr)
-	psp.Annotate(telemetry.Int("rows", len(samples)), telemetry.Int("features", n))
+	psp.Annotate(telemetry.Int("rows", feats.M), telemetry.Int("features", n))
 	psp.End()
-	// A tiny body can declare a near-int32 feature index, making the dense
-	// measurement candidate a multi-gigabyte allocation. Shapes past the
-	// cap get the profile-only path, which never materializes formats.
-	if cells := int64(feats.M) * int64(feats.N); cells > maxInlineCells {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf(
-			"matrix %d×%d declares %d dense cells, over the %d inline-scheduling cap; send a profile-only request for shapes this large",
-			feats.M, feats.N, cells, int64(maxInlineCells)))
+	if err := inlineCapError(feats); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error()+"; send a profile-only request for shapes this large")
 		return
 	}
-	trace := []string{fmt.Sprintf("parsed %d LIBSVM rows, %d features", len(samples), n)}
-
-	sched := s.sched(policy)
+	trace := []string{fmt.Sprintf("parsed %d LIBSVM rows, %d features", feats.M, n)}
 
 	if policy == core.RuleBased {
 		// Pure model decision: nothing to measure, nothing worth caching.
 		t0 := time.Now()
-		dec, err := sched.ChooseContext(r.Context(), b)
+		dec, err := s.scheds[policy].ChooseContext(r.Context(), b)
 		if err != nil {
 			writeScheduleError(w, err)
 			return
@@ -875,21 +909,11 @@ func (s *Server) scheduleData(w http.ResponseWriter, r *http.Request, req Schedu
 	}
 
 	key := AppendKey(nil, feats, policy.String(), s.cfg.TopK)
-	if isForwarded(r.Context()) && s.cluster != nil {
-		if m, owned := s.cluster.Route(key); owned {
-			// Divergent membership views: the sender's ring said this node
-			// owns the key, ours disagrees. The forwarded marker already
-			// stops the loop — record that it did, so operators can see
-			// view skew in the trace instead of inferring it from hops.
-			_, lsp := telemetry.StartSpan(r.Context(), "forward.loop_averted",
-				telemetry.String("claimed_owner", m.ID))
-			lsp.End()
-			trace = append(trace, fmt.Sprintf(
-				"cluster: forwarded here but local ring says %s owns this key; deciding locally (loop averted)", m.ID))
-		}
-	}
-	if m, owned := s.routeOwner(r.Context(), key); owned {
-		if s.forwardSchedule(r.Context(), w, &req, policy, m) {
+	trace = s.noteLoopAverted(r.Context(), key, trace)
+	if m, owned := routeOwner(r.Context(), s, s.smsv.cache, key); owned {
+		req.Policy = policy.String() // req is this call's own copy
+		if status, data, ok := s.forward(r.Context(), m, "/v1/schedule", &req); ok {
+			relay(w, status, data)
 			return
 		}
 		// Owner unreachable: locality is lost but availability is not — the
@@ -897,28 +921,22 @@ func (s *Server) scheduleData(w http.ResponseWriter, r *http.Request, req Schedu
 		s.forwardFallbacks.Add(1)
 		trace = append(trace, fmt.Sprintf("cluster: owner %s unreachable, deciding locally", m.ID))
 	}
-	val, outcome, err := s.decideInline(r.Context(), sched, b, feats, policy, key)
+	val, outcome, err := decide(r.Context(), s, &s.smsv, policy, key, smsvIn{b: b, feats: feats})
 	if err != nil {
 		writeScheduleError(w, err)
 		return
 	}
-	switch outcome {
-	case "hit":
-		trace = append(trace, fmt.Sprintf("cache: hit for shape class %s (decision first %s)", key, val.Source))
-	case "dedup":
-		trace = append(trace, fmt.Sprintf("cache: joined in-flight measurement for shape class %s", key))
-	default:
-		trace = append(trace, fmt.Sprintf("cache: miss for shape class %s", key))
-		switch {
-		case val.Degraded:
-			trace = append(trace, fmt.Sprintf(
-				"degraded: measurement unavailable (breaker %s), answered from %s",
-				s.breaker.State(), val.Source))
-		default:
-			trace = appendSourceTrace(trace, val, policy, cap(s.sem))
-		}
-	}
+	trace = s.appendDecideTrace(trace, s.smsv.classNoun, key, outcome, val, val.Format.String(), policy)
 
+	d := decidedJSON(r.Context(), policy, feats, val, outcome)
+	d.Trace = trace
+	d.Estimates = encodeEstimates(core.EstimateCosts(feats))
+	writeJSON(w, http.StatusOK, ScheduleResponse{Decision: d})
+}
+
+// decidedJSON renders a decide result for the single and batch endpoints;
+// anything but a fresh computation reports source "cache".
+func decidedJSON(ctx context.Context, policy core.Policy, feats dataset.Features, val *CachedDecision, outcome string) DecisionJSON {
 	d := DecisionJSON{
 		Policy:     policy.String(),
 		Chosen:     val.Format.String(),
@@ -929,175 +947,44 @@ func (s *Server) scheduleData(w http.ResponseWriter, r *http.Request, req Schedu
 		Confidence: val.Confidence,
 		Measured:   encodeMeasured(val.Measured),
 		Degraded:   val.Degraded,
-		TraceID:    contextTraceID(r.Context()),
-		Trace:      trace,
+		TraceID:    contextTraceID(ctx),
 	}
 	if outcome != "miss" {
 		d.Source = "cache"
 	}
-	for _, e := range core.EstimateCosts(feats) {
-		d.Estimates = append(d.Estimates, EstimateJSON{
-			Format: e.Format.String(), Bytes: e.Bytes, Weight: e.Weight,
-			Imbalance: e.Imbalance, Cost: e.Cost,
-		})
-	}
-	writeJSON(w, http.StatusOK, ScheduleResponse{Decision: d})
+	return d
 }
 
-// decideInline serves one parsed inline-data request from the decision
-// cache, measuring under admission control on a miss. The byte-slice key is
-// borrowed from the caller (a pooled buffer on the batch path) and is only
-// read, never retained: the steady-state hit path — hash, map probe, LRU
-// touch — allocates nothing, which is what lets a warm batched request
-// decide N matrices with no per-item garbage. The outcome is "hit",
-// "dedup", or "miss", as for Cache.Do.
-func (s *Server) decideInline(ctx context.Context, sched *core.Scheduler, b *sparse.Builder, feats dataset.Features, policy core.Policy, key []byte) (*CachedDecision, string, error) {
-	if val, ok := s.cache.Get(key); ok {
-		// Traced requests still get the cache span on a hit; untraced
-		// callers (the batched steady state) skip it and stay alloc-free.
-		if telemetry.ContextTrace(ctx) != nil {
-			_, csp := telemetry.StartSpan(ctx, "cache.do",
-				telemetry.String("key", string(key)))
-			csp.Annotate(telemetry.String("outcome", "hit"),
-				telemetry.String("source", val.Source))
-			csp.End()
-		}
-		return val, "hit", nil
-	}
-	// The cache span parents the scheduler's spans: the singleflight leader
-	// computes under this request's context, so its trace carries the full
-	// candidate/measurement tree while deduped waiters show only the join.
-	cctx := ctx
-	var csp *telemetry.Span
-	if telemetry.ContextTrace(ctx) != nil {
-		cctx, csp = telemetry.StartSpan(ctx, "cache.do",
-			telemetry.String("key", string(key)))
-	}
-	mctx, cancel := context.WithTimeout(cctx, s.cfg.Timeout)
-	defer cancel()
-	val, outcome, err := s.cache.Do(string(key), func() (*CachedDecision, error) {
-		// Only the singleflight leader reaches here, so the breaker sees
-		// one Allow per computation, not one per deduplicated waiter.
-		if !s.breaker.Allow() {
-			return s.degrade(feats), nil
-		}
-		// Admission bounds how many leaders may queue measurement kernels
-		// onto the exec pool. Overload is not a measurement outcome, so it
-		// must release the breaker (a half-open probe slot in particular)
-		// rather than count for or against it.
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			s.breaker.Cancel()
-			return nil, ErrOverloaded
-		}
-		defer func() { <-s.sem }()
-		t0 := time.Now()
-		dec, err := sched.ChooseContext(mctx, b)
-		if err == nil {
-			s.observeDecision(mctx, time.Since(t0))
-		}
-		if err != nil {
-			if isMeasurementFailure(err) {
-				s.breaker.Failure()
-				return s.degrade(feats), nil
-			}
-			s.breaker.Cancel()
-			return nil, err
-		}
-		if len(dec.Measured) > 0 {
-			s.breaker.Success()
-		} else {
-			// History/predictor answered without measuring: no evidence
-			// either way, so release the breaker without moving it.
-			s.breaker.Cancel()
-		}
-		source := "measured"
-		switch {
-		case dec.Predicted:
-			source = "predictor"
-			s.predictorHits.Add(1)
-			s.predictorConfMilli.Add(int64(dec.Confidence * 1000))
-		case dec.Reused:
-			source = "history"
-		default:
-			s.measurements.Add(1)
-			if policy == core.PolicyPredict {
-				s.predictorFallbacks.Add(1)
-			}
-		}
-		val := &CachedDecision{
-			Candidate: dec.ChosenCandidate, Format: dec.Chosen,
-			Source: source, Confidence: dec.Confidence,
-		}
-		// Decisions are pooled; the cache entry outlives the decision, so it
-		// owns a copy of the measurement evidence.
-		if len(dec.Measured) > 0 {
-			val.Measured = make(map[sparse.Candidate]time.Duration, len(dec.Measured))
-			for c, t := range dec.Measured {
-				val.Measured[c] = t
-			}
-		}
-		dec.Release()
-		return val, nil
-	})
+// smsvIn is the SMSV workload's operand bundle: the parsed matrix and its
+// Table IV features.
+type smsvIn struct {
+	b     *sparse.Builder
+	feats dataset.Features
+}
+
+// chooseSMSV is the SMSV workload's scheduler call.
+func (s *Server) chooseSMSV(ctx context.Context, policy core.Policy, in smsvIn) (*CachedDecision, error) {
+	dec, err := s.scheds[policy].ChooseContext(ctx, in.b)
 	if err != nil {
-		csp.EndErr(err)
-		return nil, outcome, err
+		return nil, err
 	}
-	if csp != nil {
-		csp.Annotate(telemetry.String("outcome", outcome), telemetry.String("source", val.Source))
-		csp.End()
+	val := &CachedDecision{
+		Candidate: dec.ChosenCandidate, Format: dec.Chosen,
+		Measured: copyMeasured(dec.Measured),
+		Source:   dec.Source(), Confidence: dec.Confidence,
 	}
-	if outcome == "miss" {
-		// Only the computing leader replicates, so one fresh decision gossips
-		// once no matter how many requests deduplicated onto it.
-		s.replicateDecision(key, feats, val)
-		// Same leader-only rule for the online flywheel: one measured
-		// decision is one training record, however many waiters joined.
-		s.harvestDecision(feats, val)
-	}
-	return val, outcome, nil
+	dec.Release()
+	return val, nil
 }
 
-// harvestDecision feeds one non-degraded measured SMSV decision to the
-// online flywheel as a measurement-labeled training record. Degraded,
-// history-, and predictor-sourced decisions carry no fresh measurement
-// evidence and are never harvested.
-func (s *Server) harvestDecision(feats dataset.Features, val *CachedDecision) {
-	if s.cfg.Harvest == nil || val.Degraded || val.Source != "measured" || len(val.Measured) == 0 {
-		return
-	}
-	times := make(map[string]int64, len(val.Measured))
-	for c, d := range val.Measured {
-		if d > 0 {
-			times[c.String()] = int64(d)
-		}
-	}
+// publishSMSV gossips a fresh SMSV decision (and, when measured, the
+// history record behind it) and harvests it for the online flywheel.
+func (s *Server) publishSMSV(key []byte, in smsvIn, val *CachedDecision) {
 	label := val.Candidate.String()
-	if _, ok := times[label]; !ok {
-		return // winner's own measurement rounded to zero: not usable evidence
-	}
-	s.cfg.Harvest(online.Record{Kind: online.KindSMSV, F: feats, Label: label, Times: times})
-}
-
-// appendSourceTrace explains how a freshly computed (non-degraded) decision
-// was obtained.
-func appendSourceTrace(trace []string, val *CachedDecision, policy core.Policy, slots int) []string {
-	switch val.Source {
-	case "history":
-		trace = append(trace, "history: near-miss reuse, measurement skipped")
-	case "predictor":
-		trace = append(trace, fmt.Sprintf("predictor: answered %s with confidence %.2f, measurement skipped",
-			val.Format, val.Confidence))
-	default:
-		if policy == core.PolicyPredict {
-			trace = append(trace, fmt.Sprintf("predictor: confidence %.2f below threshold, falling back to measurement",
-				val.Confidence))
-		}
-		trace = append(trace, fmt.Sprintf("admission: acquired 1 of %d measurement slots", slots))
-	}
-	return trace
+	gossip(s, val, key,
+		cluster.KindDecision, decisionWire{Candidate: label, Source: val.Source, Confidence: val.Confidence},
+		cluster.KindHistory, historyWire{Features: NewFeaturesJSON(in.feats), Candidate: label})
+	harvest(s, val, online.Record{Kind: online.KindSMSV, F: in.feats, Label: label}, val.Measured)
 }
 
 // isMeasurementFailure reports whether err is a failure of the measurement
@@ -1113,33 +1000,32 @@ func isMeasurementFailure(err error) bool {
 	return core.IsTransient(err) || errors.As(err, &kp)
 }
 
-// degrade produces a best-effort decision with the measurement path down:
-// tuning history first (closest to evidence), then the trained predictor at
-// any confidence, then the rule-based cost model, which always answers. The
-// result is marked Degraded so it is cached only briefly and re-measured
-// once the path recovers.
-func (s *Server) degrade(feats dataset.Features) (val *CachedDecision) {
-	s.degraded.Add(1)
+// degradeSMSV produces a best-effort decision with the measurement path
+// down: tuning history first (closest to evidence), then the trained
+// predictor at any confidence, then the rule-based cost model, which always
+// answers. The result is marked Degraded so it is cached only briefly and
+// re-measured once the path recovers.
+func (s *Server) degradeSMSV(in smsvIn) (val *CachedDecision) {
 	defer func() {
 		s.logger.Warn("serving degraded decision",
 			"breaker", s.breaker.State().String(), "source", val.Source, "format", val.Format.String())
 	}()
-	if c, ok := s.cfg.History.Lookup(feats, core.DefaultHistoryRadius); ok {
+	if c, ok := s.cfg.History.Lookup(in.feats, core.DefaultHistoryRadius); ok {
 		return &CachedDecision{Candidate: c, Format: c.Format, Source: "history", Degraded: true}
 	}
 	// The swap degrades joint-space predictors to a full candidate and
 	// format-only ones to the predicted format's base candidate.
-	if c, conf, ok := s.predictor.PredictCandidate(feats); ok {
+	if c, conf, ok := s.predictor.PredictCandidate(in.feats); ok {
 		return &CachedDecision{Candidate: c, Format: c.Format, Source: "predictor", Confidence: conf, Degraded: true}
 	}
-	f := core.EstimateCosts(feats)[0].Format
+	f := core.EstimateCosts(in.feats)[0].Format
 	return &CachedDecision{Candidate: sparse.BaseCandidate(f), Format: f, Source: "model", Degraded: true}
 }
 
 // writeScheduleError maps scheduler failures onto HTTP statuses.
 func writeScheduleError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, core.ErrEmptyMatrix):
+	case errors.Is(err, core.ErrEmptyMatrix), errors.Is(err, core.ErrEmptyPair):
 		writeError(w, http.StatusBadRequest, err.Error())
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "1")
@@ -1237,22 +1123,11 @@ func (s *Server) handlePredictFormat(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case req.Data != "":
-		samples, n, err := dataset.ParseLIBSVM(strings.NewReader(req.Data))
-		if err != nil {
+		var err error
+		if _, feats, _, err = parseInline(req.Data); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if len(samples) == 0 {
-			writeError(w, http.StatusBadRequest, core.ErrEmptyMatrix.Error())
-			return
-		}
-		b, _ := dataset.SamplesToMatrix(samples, n)
-		csr, err := b.Build(sparse.CSR)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("unbuildable matrix: %v", err))
-			return
-		}
-		feats = dataset.Extract(csr)
 	default:
 		writeError(w, http.StatusBadRequest, "give a profile or inline LIBSVM data")
 		return

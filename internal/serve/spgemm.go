@@ -3,11 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -21,10 +19,10 @@ import (
 
 // This file is the SpGEMM side of the serving layer: POST
 // /v1/schedule/spgemm decides a dataflow × format-pair candidate for an
-// A×B sparse product, with the same machinery the SMSV endpoint has — the
-// pairwise shape-class cache (singleflight, LRU, degraded TTL), admission
-// control and the shared measurement breaker, decision tracing, ring
-// routing by pair key, and gossip replication of fresh decisions.
+// A×B sparse product. The handler shell, the JSON types and the workload's
+// entries in the decide pipeline (decide.go) live here; the pipeline itself
+// — cache, singleflight, breaker, admission, routing, gossip — is shared
+// with the SMSV endpoint.
 
 // SpGEMMRequest is the /v1/schedule/spgemm body: both operands as inline
 // LIBSVM rows (A is m×k, B is k×n; A's column count must equal B's row
@@ -97,19 +95,10 @@ func NewSpGEMMDecisionJSON(d *core.SpGEMMDecision) SpGEMMDecisionJSON {
 		BFormat:      d.Chosen.BFormat.String(),
 		AFeatures:    NewFeaturesJSON(d.AFeatures),
 		BFeatures:    NewFeaturesJSON(d.BFeatures),
-		Source:       "model",
+		Source:       d.Source(),
 		Confidence:   d.Confidence,
 		EstimatedNNZ: d.EstimatedNNZ,
 		OutputNNZ:    d.OutputNNZ,
-	}
-	if len(d.Measured) > 0 {
-		out.Source = "measured"
-	}
-	if d.Reused {
-		out.Source = "history"
-	}
-	if d.Predicted {
-		out.Source = "predictor"
 	}
 	out.Estimates = encodePairEstimates(d.Estimates)
 	out.Measured = encodePairMeasured(d.Measured)
@@ -151,19 +140,16 @@ func encodePairMeasured(m map[spgemm.Candidate]time.Duration) []PairMeasurementJ
 	return out
 }
 
-// spSched returns the shared SpGEMM scheduler for a policy.
-func (s *Server) spSched(policy core.Policy) *core.SpGEMMScheduler { return s.spScheds[policy] }
-
 // PairHistory returns the pairwise tuning history the server records into,
 // so daemons can persist it across restarts.
 func (s *Server) PairHistory() *core.PairHistory { return s.cfg.PairHistory }
 
 // SpGEMMMeasurements reports how many spgemm requests ran an actual
 // measurement.
-func (s *Server) SpGEMMMeasurements() int64 { return s.spMeasurements.Load() }
+func (s *Server) SpGEMMMeasurements() int64 { return s.pair.measurements.Load() }
 
 // SpGEMMCacheStats exposes the pair decision-cache counters.
-func (s *Server) SpGEMMCacheStats() CacheStats { return s.spCache.Stats() }
+func (s *Server) SpGEMMCacheStats() CacheStats { return s.pair.cache.Stats() }
 
 // registerSpGEMMMetrics hangs the pair-endpoint series on the registry;
 // called from registerMetrics.
@@ -171,16 +157,16 @@ func (s *Server) registerSpGEMMMetrics() {
 	reg := s.metrics.reg
 	reg.CounterFunc("layoutd_spgemm_measurements_total",
 		"SpGEMM schedule requests that ran an actual measurement.",
-		func() float64 { return float64(s.spMeasurements.Load()) })
+		func() float64 { return float64(s.pair.measurements.Load()) })
 	reg.CounterFunc("layoutd_spgemm_degraded_total",
 		"SpGEMM decisions served without measurement while the measurement path was failing.",
-		func() float64 { return float64(s.spDegraded.Load()) })
+		func() float64 { return float64(s.pair.degraded.Load()) })
 	reg.CounterFunc("layoutd_spgemm_cache_hits_total",
-		"Pair decision-cache exact hits.", func() float64 { return float64(s.spCache.Stats().Hits) })
+		"Pair decision-cache exact hits.", func() float64 { return float64(s.pair.cache.Stats().Hits) })
 	reg.CounterFunc("layoutd_spgemm_cache_misses_total",
-		"Pair decision-cache misses.", func() float64 { return float64(s.spCache.Stats().Misses) })
+		"Pair decision-cache misses.", func() float64 { return float64(s.pair.cache.Stats().Misses) })
 	reg.GaugeFunc("layoutd_spgemm_cache_entries",
-		"Pair decision-cache resident entries.", func() float64 { return float64(s.spCache.Stats().Len) })
+		"Pair decision-cache resident entries.", func() float64 { return float64(s.pair.cache.Stats().Len) })
 	reg.GaugeFunc("layoutd_spgemm_history_entries",
 		"Pairwise tuning-history entries.", func() float64 { return float64(s.cfg.PairHistory.Len()) })
 	reg.GaugeFunc("layoutd_spgemm_predictor_loaded",
@@ -197,28 +183,17 @@ func (s *Server) registerSpGEMMMetrics() {
 }
 
 // parsePairOperand parses one operand's LIBSVM rows into a builder and its
-// extracted features. A non-empty errmsg means the request is bad (400);
-// which names the operand in the message.
-func parsePairOperand(which, data string) (*sparse.Builder, dataset.Features, string) {
-	samples, n, err := dataset.ParseLIBSVM(strings.NewReader(data))
+// extracted features. An error means the request is bad (400); which names
+// the operand in the message.
+func parsePairOperand(which, data string) (*sparse.Builder, dataset.Features, error) {
+	b, feats, _, err := parseInline(data)
+	if err == nil {
+		err = inlineCapError(feats)
+	}
 	if err != nil {
-		return nil, dataset.Features{}, fmt.Sprintf("operand %s: %v", which, err)
+		return nil, dataset.Features{}, fmt.Errorf("operand %s: %v", which, err)
 	}
-	if len(samples) == 0 {
-		return nil, dataset.Features{}, fmt.Sprintf("operand %s: %v", which, core.ErrEmptyMatrix)
-	}
-	b, _ := dataset.SamplesToMatrix(samples, n)
-	csr, err := b.Build(sparse.CSR)
-	if err != nil {
-		return nil, dataset.Features{}, fmt.Sprintf("operand %s: unbuildable matrix: %v", which, err)
-	}
-	feats := dataset.Extract(csr)
-	if cells := int64(feats.M) * int64(feats.N); cells > maxInlineCells {
-		return nil, dataset.Features{}, fmt.Sprintf(
-			"operand %s: matrix %d×%d declares %d dense cells, over the %d inline-scheduling cap",
-			which, feats.M, feats.N, cells, int64(maxInlineCells))
-	}
-	return b, feats, ""
+	return b, feats, nil
 }
 
 // handleScheduleSpGEMM answers POST /v1/schedule/spgemm: parse both
@@ -230,14 +205,10 @@ func (s *Server) handleScheduleSpGEMM(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	policy := s.cfg.Policy
-	if req.Policy != "" {
-		p, err := parsePolicy(req.Policy)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		policy = p
+	policy, err := s.policyFor(req.Policy)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	if policy == core.PolicyPredict && !s.pairPredictor.Loaded() {
 		writeError(w, http.StatusBadRequest,
@@ -248,41 +219,32 @@ func (s *Server) handleScheduleSpGEMM(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "give both operands: a and b as inline LIBSVM rows")
 		return
 	}
-	if s.cluster != nil && r.Header.Get(cluster.ForwardedHeader) != "" {
-		// A ring peer already routed this request here; decide locally no
-		// matter what the ring says, so routing can never loop.
-		r = r.WithContext(withForwarded(r.Context()))
-		s.forwardedServed.Add(1)
-	}
+	r = s.acceptForwarded(r)
 	ctx, tr, root := s.joinOrStartTrace(r, "schedule-spgemm",
 		telemetry.String("policy", policy.String()))
 	setTraceID(w, tr.ID)
-	defer func() {
-		root.End()
-		tr.Finish()
-		s.traces.Put(tr)
-	}()
+	defer s.endTrace(tr, root, nil)
 
 	_, psp := telemetry.StartSpan(ctx, "request.parse")
-	a, fa, msg := parsePairOperand("a", req.A)
-	if msg == "" {
-		var b *sparse.Builder
-		var fb dataset.Features
-		b, fb, msg = parsePairOperand("b", req.B)
-		if msg == "" {
-			psp.Annotate(telemetry.Int("a_rows", fa.M), telemetry.Int("b_rows", fb.M))
-			psp.End()
-			if fa.N != fb.M {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf(
-					"dimension mismatch: A is %d×%d but B is %d×%d", fa.M, fa.N, fb.M, fb.N))
-				return
-			}
-			s.scheduleSpGEMM(w, r.WithContext(ctx), &req, policy, a, b, fa, fb)
-			return
-		}
+	a, fa, err := parsePairOperand("a", req.A)
+	var b *sparse.Builder
+	var fb dataset.Features
+	if err == nil {
+		b, fb, err = parsePairOperand("b", req.B)
 	}
-	psp.EndErr(fmt.Errorf("%s", msg))
-	writeError(w, http.StatusBadRequest, msg)
+	if err != nil {
+		psp.EndErr(err)
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	psp.Annotate(telemetry.Int("a_rows", fa.M), telemetry.Int("b_rows", fb.M))
+	psp.End()
+	if fa.N != fb.M {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf(
+			"dimension mismatch: A is %d×%d but B is %d×%d", fa.M, fa.N, fb.M, fb.N))
+		return
+	}
+	s.scheduleSpGEMM(w, r.WithContext(ctx), &req, policy, a, b, fa, fb)
 }
 
 // scheduleSpGEMM decides one parsed pair: rule-based requests go straight
@@ -290,17 +252,16 @@ func (s *Server) handleScheduleSpGEMM(w http.ResponseWriter, r *http.Request) {
 // admission-controlled measurement.
 func (s *Server) scheduleSpGEMM(w http.ResponseWriter, r *http.Request, req *SpGEMMRequest, policy core.Policy, a, b *sparse.Builder, fa, fb dataset.Features) {
 	trace := []string{fmt.Sprintf("parsed pair %d×%d × %d×%d", fa.M, fa.N, fb.M, fb.N)}
-	sched := s.spSched(policy)
 
 	if policy == core.RuleBased {
 		// Pure model decision: nothing to measure, nothing worth caching.
 		t0 := time.Now()
-		dec, err := sched.ChooseContext(r.Context(), a, b)
+		dec, err := s.spScheds[policy].ChooseContext(r.Context(), a, b)
 		if err != nil {
-			writeSpGEMMError(w, err)
+			writeScheduleError(w, err)
 			return
 		}
-		s.metrics.decision.Observe(time.Since(t0).Seconds())
+		s.observeDecision(r.Context(), time.Since(t0))
 		dj := NewSpGEMMDecisionJSON(dec)
 		dec.Release()
 		dj.TraceID = contextTraceID(r.Context())
@@ -310,43 +271,23 @@ func (s *Server) scheduleSpGEMM(w http.ResponseWriter, r *http.Request, req *SpG
 	}
 
 	key := AppendPairKey(nil, fa, fb, policy.String(), s.cfg.TopK)
-	if m, owned := s.routePairOwner(r.Context(), key); owned {
-		if s.forwardSpGEMM(r.Context(), w, req, policy, m) {
+	trace = s.noteLoopAverted(r.Context(), key, trace)
+	if m, owned := routeOwner(r.Context(), s, s.pair.cache, key); owned {
+		fwd := *req
+		fwd.Policy = policy.String()
+		if status, data, ok := s.forward(r.Context(), m, "/v1/schedule/spgemm", &fwd); ok {
+			relay(w, status, data)
 			return
 		}
 		s.forwardFallbacks.Add(1)
 		trace = append(trace, fmt.Sprintf("cluster: owner %s unreachable, deciding locally", m.ID))
 	}
-	val, outcome, err := s.decidePair(r.Context(), sched, a, b, fa, fb, policy, key)
+	val, outcome, err := decide(r.Context(), s, &s.pair, policy, key, pairIn{a: a, b: b, fa: fa, fb: fb})
 	if err != nil {
-		writeSpGEMMError(w, err)
+		writeScheduleError(w, err)
 		return
 	}
-	switch outcome {
-	case "hit":
-		trace = append(trace, fmt.Sprintf("cache: hit for pair shape class %s (decision first %s)", key, val.Source))
-	case "dedup":
-		trace = append(trace, fmt.Sprintf("cache: joined in-flight measurement for pair shape class %s", key))
-	default:
-		trace = append(trace, fmt.Sprintf("cache: miss for pair shape class %s", key))
-		switch {
-		case val.Degraded:
-			trace = append(trace, fmt.Sprintf(
-				"degraded: measurement unavailable (breaker %s), answered from %s",
-				s.breaker.State(), val.Source))
-		case val.Source == "history":
-			trace = append(trace, "history: near-miss reuse, measurement skipped")
-		case val.Source == "predictor":
-			trace = append(trace, fmt.Sprintf("predictor: answered %s with confidence %.2f, measurement skipped",
-				val.Candidate, val.Confidence))
-		default:
-			if policy == core.PolicyPredict {
-				trace = append(trace, fmt.Sprintf("predictor: confidence %.2f below threshold, falling back to measurement",
-					val.Confidence))
-			}
-			trace = append(trace, fmt.Sprintf("admission: acquired 1 of %d measurement slots", cap(s.sem)))
-		}
-	}
+	trace = s.appendDecideTrace(trace, s.pair.classNoun, key, outcome, val, val.Candidate.String(), policy)
 
 	d := SpGEMMDecisionJSON{
 		Policy:       policy.String(),
@@ -372,189 +313,57 @@ func (s *Server) scheduleSpGEMM(w http.ResponseWriter, r *http.Request, req *SpG
 	writeJSON(w, http.StatusOK, SpGEMMResponse{Decision: d})
 }
 
-// decidePair serves one parsed pair from the pair cache, measuring under
-// admission control on a miss — the SpGEMM twin of decideInline, sharing
-// the measurement breaker and admission slots with the SMSV path (both
-// queue kernels onto the same exec pool).
-func (s *Server) decidePair(ctx context.Context, sched *core.SpGEMMScheduler, a, b *sparse.Builder, fa, fb dataset.Features, policy core.Policy, key []byte) (*CachedPairDecision, string, error) {
-	if val, ok := s.spCache.Get(key); ok {
-		if telemetry.ContextTrace(ctx) != nil {
-			_, csp := telemetry.StartSpan(ctx, "cache.do",
-				telemetry.String("key", string(key)))
-			csp.Annotate(telemetry.String("outcome", "hit"),
-				telemetry.String("source", val.Source))
-			csp.End()
-		}
-		return val, "hit", nil
-	}
-	cctx := ctx
-	var csp *telemetry.Span
-	if telemetry.ContextTrace(ctx) != nil {
-		cctx, csp = telemetry.StartSpan(ctx, "cache.do",
-			telemetry.String("key", string(key)))
-	}
-	mctx, cancel := context.WithTimeout(cctx, s.cfg.Timeout)
-	defer cancel()
-	val, outcome, err := s.spCache.Do(string(key), func() (*CachedPairDecision, error) {
-		if !s.breaker.Allow() {
-			return s.degradePair(fa, fb), nil
-		}
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			s.breaker.Cancel()
-			return nil, ErrOverloaded
-		}
-		defer func() { <-s.sem }()
-		t0 := time.Now()
-		dec, err := sched.ChooseContext(mctx, a, b)
-		if err == nil {
-			s.metrics.decision.Observe(time.Since(t0).Seconds())
-		}
-		if err != nil {
-			if isMeasurementFailure(err) {
-				s.breaker.Failure()
-				return s.degradePair(fa, fb), nil
-			}
-			s.breaker.Cancel()
-			return nil, err
-		}
-		if len(dec.Measured) > 0 {
-			s.breaker.Success()
-		} else {
-			s.breaker.Cancel()
-		}
-		source := "measured"
-		switch {
-		case dec.Predicted:
-			source = "predictor"
-			s.predictorHits.Add(1)
-			s.predictorConfMilli.Add(int64(dec.Confidence * 1000))
-		case dec.Reused:
-			source = "history"
-		default:
-			s.spMeasurements.Add(1)
-			if policy == core.PolicyPredict {
-				s.predictorFallbacks.Add(1)
-			}
-		}
-		val := &CachedPairDecision{
-			Candidate: dec.Chosen, Source: source, Confidence: dec.Confidence,
-			EstimatedNNZ: dec.EstimatedNNZ, OutputNNZ: dec.OutputNNZ,
-		}
-		if len(dec.Measured) > 0 {
-			val.Measured = make(map[spgemm.Candidate]time.Duration, len(dec.Measured))
-			for c, t := range dec.Measured {
-				val.Measured[c] = t
-			}
-		}
-		dec.Release()
-		return val, nil
-	})
-	if err != nil {
-		csp.EndErr(err)
-		return nil, outcome, err
-	}
-	if csp != nil {
-		csp.Annotate(telemetry.String("outcome", outcome), telemetry.String("source", val.Source))
-		csp.End()
-	}
-	if outcome == "miss" {
-		s.replicatePairDecision(key, fa, fb, val)
-		s.harvestPairDecision(fa, fb, val)
-	}
-	return val, outcome, nil
+// pairIn is the SpGEMM workload's operand bundle: both parsed operands and
+// their features.
+type pairIn struct {
+	a, b   *sparse.Builder
+	fa, fb dataset.Features
 }
 
-// harvestPairDecision is harvestDecision's SpGEMM twin: one non-degraded
-// measured pair decision becomes one online training record.
-func (s *Server) harvestPairDecision(fa, fb dataset.Features, val *CachedPairDecision) {
-	if s.cfg.Harvest == nil || val.Degraded || val.Source != "measured" || len(val.Measured) == 0 {
-		return
+// choosePair is the SpGEMM workload's scheduler call.
+func (s *Server) choosePair(ctx context.Context, policy core.Policy, in pairIn) (*CachedPairDecision, error) {
+	dec, err := s.spScheds[policy].ChooseContext(ctx, in.a, in.b)
+	if err != nil {
+		return nil, err
 	}
-	times := make(map[string]int64, len(val.Measured))
-	for c, d := range val.Measured {
-		if d > 0 {
-			times[c.String()] = int64(d)
-		}
+	val := &CachedPairDecision{
+		Candidate: dec.Chosen, Measured: copyMeasured(dec.Measured),
+		Source: dec.Source(), Confidence: dec.Confidence,
+		EstimatedNNZ: dec.EstimatedNNZ, OutputNNZ: dec.OutputNNZ,
 	}
+	dec.Release()
+	return val, nil
+}
+
+// publishPair gossips a fresh pair decision (and, when measured, the
+// history record behind it) and harvests it for the online flywheel.
+func (s *Server) publishPair(key []byte, in pairIn, val *CachedPairDecision) {
 	label := val.Candidate.String()
-	if _, ok := times[label]; !ok {
-		return
-	}
-	s.cfg.Harvest(online.Record{Kind: online.KindPair, F: fa, FB: fb, Label: label, Times: times})
+	gossip(s, val, key,
+		cluster.KindSpGEMM, pairWire{Candidate: label, Source: val.Source,
+			Confidence: val.Confidence, EstimatedNNZ: val.EstimatedNNZ},
+		cluster.KindPairHistory, pairHistoryWire{AFeatures: NewFeaturesJSON(in.fa),
+			BFeatures: NewFeaturesJSON(in.fb), Candidate: label})
+	harvest(s, val, online.Record{Kind: online.KindPair, F: in.fa, FB: in.fb, Label: label}, val.Measured)
 }
 
 // degradePair produces a best-effort pair decision with the measurement
 // path down: pairwise tuning history first, then the pair predictor at any
 // confidence, then the cost model, which always answers.
-func (s *Server) degradePair(fa, fb dataset.Features) (val *CachedPairDecision) {
-	s.spDegraded.Add(1)
+func (s *Server) degradePair(in pairIn) (val *CachedPairDecision) {
 	defer func() {
 		s.logger.Warn("serving degraded spgemm decision",
 			"breaker", s.breaker.State().String(), "source", val.Source, "candidate", val.Candidate.String())
 	}()
-	if c, ok := s.cfg.PairHistory.Lookup(fa, fb, core.DefaultPairHistoryRadius); ok {
-		return &CachedPairDecision{Candidate: c, Source: "history",
-			EstimatedNNZ: dataset.EstimateOutputNNZ(fa, fb), Degraded: true}
+	val = &CachedPairDecision{EstimatedNNZ: dataset.EstimateOutputNNZ(in.fa, in.fb), Degraded: true}
+	if c, ok := s.cfg.PairHistory.Lookup(in.fa, in.fb, core.DefaultPairHistoryRadius); ok {
+		val.Candidate, val.Source = c, "history"
+	} else if c, conf, ok := s.pairPredictor.PredictPair(in.fa, in.fb); ok && spgemm.Supported(c) {
+		val.Candidate, val.Source, val.Confidence = c, "predictor", conf
+	} else {
+		val.Candidate, val.Source = core.EstimatePairCandidates(in.fa, in.fb)[0].Candidate, "model"
 	}
-	if c, conf, ok := s.pairPredictor.PredictPair(fa, fb); ok && spgemm.Supported(c) {
-		return &CachedPairDecision{Candidate: c, Source: "predictor", Confidence: conf,
-			EstimatedNNZ: dataset.EstimateOutputNNZ(fa, fb), Degraded: true}
-	}
-	return &CachedPairDecision{Candidate: core.EstimatePairCandidates(fa, fb)[0].Candidate,
-		Source: "model", EstimatedNNZ: dataset.EstimateOutputNNZ(fa, fb), Degraded: true}
-}
-
-// writeSpGEMMError maps SpGEMM scheduler failures onto HTTP statuses.
-func writeSpGEMMError(w http.ResponseWriter, err error) {
-	if errors.Is(err, core.ErrEmptyPair) {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeScheduleError(w, err)
-}
-
-// routePairOwner is routeOwner against the pair cache: clustering off,
-// already-forwarded, locally-cached, and locally-owned pairs all decide
-// here.
-func (s *Server) routePairOwner(ctx context.Context, key []byte) (cluster.Member, bool) {
-	if s.cluster == nil || isForwarded(ctx) {
-		return cluster.Member{}, false
-	}
-	if s.spCache.Peek(key) {
-		return cluster.Member{}, false
-	}
-	return s.cluster.Route(key)
-}
-
-// forwardSpGEMM relays one pair request to its ring owner and writes the
-// peer's response through; false means the caller should decide locally.
-func (s *Server) forwardSpGEMM(ctx context.Context, w http.ResponseWriter, req *SpGEMMRequest, policy core.Policy, m cluster.Member) bool {
-	fwd := *req
-	if fwd.Policy == "" {
-		fwd.Policy = policy.String()
-	}
-	body, err := json.Marshal(&fwd)
-	if err != nil {
-		return false
-	}
-	fctx, sp := telemetry.StartSpan(ctx, "cluster.forward",
-		telemetry.String("peer", m.ID))
-	status, data, err := s.cluster.Forward(fctx, m, "/v1/schedule/spgemm", body)
-	if err != nil {
-		sp.EndErr(err)
-		return false
-	}
-	sp.Annotate(telemetry.Int("status", status))
-	sp.End()
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(data)
-	return true
+	return val
 }
 
 // pairWire is the replicated form of a pair-cache entry, riding under the
@@ -574,68 +383,39 @@ type pairHistoryWire struct {
 	Candidate string       `json:"candidate"`
 }
 
-// replicatePairDecision queues a freshly computed pair decision (and, when
-// measured, the history record behind it) for async gossip to the ring
-// successor. Degraded decisions are not replicated.
-func (s *Server) replicatePairDecision(key []byte, fa, fb dataset.Features, val *CachedPairDecision) {
-	if s.cluster == nil || val.Degraded {
-		return
+// applyPairDecision applies one spgemm-decision gossip entry into the pair
+// cache; false means skip it.
+func (s *Server) applyPairDecision(e cluster.ReplEntry) bool {
+	var pw pairWire
+	if err := json.Unmarshal(e.Payload, &pw); err != nil || e.Key == "" {
+		return false
 	}
-	payload, err := json.Marshal(pairWire{
-		Candidate:    val.Candidate.String(),
-		Source:       val.Source,
-		Confidence:   val.Confidence,
-		EstimatedNNZ: val.EstimatedNNZ,
+	c, err := spgemm.ParseCandidate(pw.Candidate)
+	if err != nil || !spgemm.Supported(c) {
+		return false
+	}
+	s.pair.cache.Put(e.Key, &CachedPairDecision{
+		Candidate: c, Source: pw.Source, Confidence: pw.Confidence,
+		EstimatedNNZ: pw.EstimatedNNZ,
 	})
-	if err != nil {
-		return
-	}
-	s.cluster.Replicate(cluster.ReplEntry{Kind: cluster.KindSpGEMM, Key: string(key), Payload: payload})
-	if val.Source == "measured" {
-		hp, err := json.Marshal(pairHistoryWire{
-			AFeatures: NewFeaturesJSON(fa),
-			BFeatures: NewFeaturesJSON(fb),
-			Candidate: val.Candidate.String(),
-		})
-		if err == nil {
-			s.cluster.Replicate(cluster.ReplEntry{Kind: cluster.KindPairHistory, Payload: hp})
-		}
-	}
+	return true
 }
 
-// applyPairReplEntry applies one spgemm gossip entry; it reports whether
-// the entry was applied (false = skip it).
-func (s *Server) applyPairReplEntry(e cluster.ReplEntry) bool {
-	switch e.Kind {
-	case cluster.KindSpGEMM:
-		var pw pairWire
-		if err := json.Unmarshal(e.Payload, &pw); err != nil || e.Key == "" {
-			return false
-		}
-		c, err := spgemm.ParseCandidate(pw.Candidate)
-		if err != nil || !spgemm.Supported(c) {
-			return false
-		}
-		s.spCache.Put(e.Key, &CachedPairDecision{
-			Candidate: c, Source: pw.Source, Confidence: pw.Confidence,
-			EstimatedNNZ: pw.EstimatedNNZ,
-		})
-		return true
-	case cluster.KindPairHistory:
-		var hw pairHistoryWire
-		if err := json.Unmarshal(e.Payload, &hw); err != nil {
-			return false
-		}
-		c, err := spgemm.ParseCandidate(hw.Candidate)
-		if err != nil || !spgemm.Supported(c) {
-			return false
-		}
-		fa, fb := hw.AFeatures.Features(), hw.BFeatures.Features()
-		if fa.M <= 0 || fa.N <= 0 || fb.M <= 0 || fb.N <= 0 {
-			return false
-		}
-		s.cfg.PairHistory.RecordCandidate(fa, fb, c)
-		return true
+// applyPairHistory applies one spgemm-history gossip entry into the pair
+// tuning history; false means skip it.
+func (s *Server) applyPairHistory(e cluster.ReplEntry) bool {
+	var hw pairHistoryWire
+	if err := json.Unmarshal(e.Payload, &hw); err != nil {
+		return false
 	}
-	return false
+	c, err := spgemm.ParseCandidate(hw.Candidate)
+	if err != nil || !spgemm.Supported(c) {
+		return false
+	}
+	fa, fb := hw.AFeatures.Features(), hw.BFeatures.Features()
+	if fa.M <= 0 || fa.N <= 0 || fb.M <= 0 || fb.N <= 0 {
+		return false
+	}
+	s.cfg.PairHistory.RecordCandidate(fa, fb, c)
+	return true
 }

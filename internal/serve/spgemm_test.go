@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/spgemm"
+	"repro/internal/telemetry"
 )
 
 func decodeSpGEMM(t *testing.T, w *httptest.ResponseRecorder) SpGEMMResponse {
@@ -282,10 +283,33 @@ func TestClusterReplicateAppliesSpGEMMKinds(t *testing.T) {
 	if resp.Applied != 2 || resp.Skipped != 3 {
 		t.Fatalf("applied %d skipped %d, want 2/3", resp.Applied, resp.Skipped)
 	}
-	if !nd.srv.spCache.Peek([]byte("p1|hybrid/2|1,2,3|4,5,6")) {
+	if !nd.srv.pair.cache.Peek([]byte("p1|hybrid/2|1,2,3|4,5,6")) {
 		t.Fatal("replicated spgemm decision not in the pair cache")
 	}
 	if nd.srv.PairHistory().Len() != 1 {
 		t.Fatalf("pair history len %d, want 1", nd.srv.PairHistory().Len())
+	}
+}
+
+// TestScheduleSpGEMMDecisionExemplar: a freshly computed SpGEMM decision —
+// rule-based or measured — lands in the decision-duration histogram with
+// the request's trace id as the bucket exemplar, exactly as /v1/schedule
+// decisions do, so a slow bucket links to the pair decision's span tree.
+func TestScheduleSpGEMMDecisionExemplar(t *testing.T) {
+	for _, policy := range []string{"rule-based", "hybrid"} {
+		s := newTestServer(t, Config{Repeats: 1})
+		h := s.Handler()
+		req := conformablePair(40, 32, 24, 3)
+		req.Policy = policy
+		d := decodeSpGEMM(t, post(t, h, "/v1/schedule/spgemm", req)).Decision
+		if d.TraceID == "" {
+			t.Fatalf("%s: decision carries no trace_id", policy)
+		}
+		mr := httptest.NewRecorder()
+		h.ServeHTTP(mr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		exs := telemetry.ParseExemplars(mr.Body.String(), "layoutd_schedule_decision_duration_seconds")
+		if len(exs) != 1 || exs[0].TraceID != d.TraceID {
+			t.Fatalf("%s: decision-duration exemplars %+v, want exactly the decision's trace %s", policy, exs, d.TraceID)
+		}
 	}
 }

@@ -115,26 +115,22 @@ func NewDecisionJSON(d *core.Decision) DecisionJSON {
 		Chunk:    d.ChosenCandidate.Chunk.String(),
 		Variant:  d.ChosenCandidate.Variant.String(),
 		Features: NewFeaturesJSON(d.Features),
-		Source:   "model",
-	}
-	if len(d.Measured) > 0 {
-		out.Source = "measured"
-	}
-	if d.Reused {
-		out.Source = "history"
-	}
-	if d.Predicted {
-		out.Source = "predictor"
+		Source:   d.Source(),
 	}
 	out.Confidence = d.Confidence
-	out.Estimates = make([]EstimateJSON, 0, len(d.Estimates))
-	for _, e := range d.Estimates {
-		out.Estimates = append(out.Estimates, EstimateJSON{
+	out.Estimates = encodeEstimates(d.Estimates)
+	out.Measured = encodeMeasured(d.Measured)
+	return out
+}
+
+func encodeEstimates(ests []core.Estimate) []EstimateJSON {
+	out := make([]EstimateJSON, 0, len(ests))
+	for _, e := range ests {
+		out = append(out, EstimateJSON{
 			Format: e.Format.String(), Bytes: e.Bytes, Weight: e.Weight,
 			Imbalance: e.Imbalance, Cost: e.Cost,
 		})
 	}
-	out.Measured = encodeMeasured(d.Measured)
 	return out
 }
 
@@ -249,6 +245,15 @@ type PredictResponse struct {
 // ErrorResponse is the JSON body of every non-2xx reply.
 type ErrorResponse struct {
 	Error string `json:"error"`
+}
+
+// policyFor resolves a request's optional policy override against the
+// server default.
+func (s *Server) policyFor(name string) (core.Policy, error) {
+	if name == "" {
+		return s.cfg.Policy, nil
+	}
+	return parsePolicy(name)
 }
 
 // parsePolicy maps the wire policy name to a core.Policy.

@@ -52,9 +52,11 @@ func (m *COOMatrix) RowTo(dst Vector, i int) Vector {
 }
 
 // MulVecSparse computes dst = A·x parallelized over the nnz space. Each
-// worker owns a contiguous triplet range; contributions to the boundary
-// rows shared with a neighbouring worker are accumulated separately and
-// merged serially, so no atomics are needed and results are deterministic.
+// worker takes a contiguous triplet range snapped forward to the next row
+// start, so every row is summed by exactly one worker in triplet order: no
+// atomics, no merge pass, and the result is bit-identical to the serial
+// kernel for every worker count. A row longer than its share of the nnz
+// space stays with the worker it starts in.
 func (m *COOMatrix) MulVecSparse(dst []float64, x Vector, scratch []float64, ex *exec.Exec) {
 	t := ex.Begin()
 	x.ScatterInto(scratch)
@@ -67,60 +69,33 @@ func (m *COOMatrix) MulVecSparse(dst []float64, x Vector, scratch []float64, ex 
 		ex.End(exec.KindCOO, 0, t)
 		return
 	}
-	p := ex.Parts(n)
-	if p == 1 {
-		for k := 0; k < n; k++ {
-			dst[m.row[k]] += m.val[k] * scratch[m.col[k]]
-		}
-		x.GatherFrom(scratch)
-		ex.End(exec.KindCOO, m.StoredElements(), t)
-		return
-	}
-	// fixups[w] holds partition w's contribution to its first and last
-	// rows, which may be shared with neighbours.
-	type edge struct {
-		firstRow, lastRow int32
-		firstSum, lastSum float64
-	}
-	fixups := make([]edge, p)
-	ex.ForParts(p, func(w int) {
-		lo, hi := parallel.SplitRange(n, p, w)
-		if lo >= hi {
-			fixups[w] = edge{firstRow: -1, lastRow: -1}
-			return
-		}
-		first, last := m.row[lo], m.row[hi-1]
-		e := edge{firstRow: first, lastRow: last}
-		// The triplets are row-sorted, so the range splits into a prefix
-		// owned by first, a branch-free middle of rows exclusive to this
-		// worker, and a suffix owned by last.
-		k := lo
-		for ; k < hi && m.row[k] == first; k++ {
-			e.firstSum += m.val[k] * scratch[m.col[k]]
-		}
-		tail := hi
-		if first != last {
-			for ; tail > k && m.row[tail-1] == last; tail-- {
-				e.lastSum += m.val[tail-1] * scratch[m.col[tail-1]]
-			}
-		} else {
-			e.lastRow = -1 // entire range is one row; it is all in firstSum
-		}
-		for ; k < tail; k++ {
-			dst[m.row[k]] += m.val[k] * scratch[m.col[k]]
-		}
-		fixups[w] = e
-	})
-	for _, e := range fixups {
-		if e.firstRow >= 0 {
-			dst[e.firstRow] += e.firstSum
-		}
-		if e.lastRow >= 0 {
-			dst[e.lastRow] += e.lastSum
-		}
+	if p := ex.Parts(n); p == 1 {
+		m.mulRows(dst, scratch, 0, n)
+	} else {
+		ex.ForParts(p, func(w int) {
+			lo, hi := parallel.SplitRange(n, p, w)
+			m.mulRows(dst, scratch, lo, hi)
+		})
 	}
 	x.GatherFrom(scratch)
 	ex.End(exec.KindCOO, m.StoredElements(), t)
+}
+
+// mulRows accumulates the rows that start in triplet range [lo, hi): both
+// ends move forward to the next row start, so a row straddling hi is
+// finished here and one straddling lo is left to the previous range.
+func (m *COOMatrix) mulRows(dst, scratch []float64, lo, hi int) {
+	for k, end := m.rowStart(lo), m.rowStart(hi); k < end; k++ {
+		dst[m.row[k]] += m.val[k] * scratch[m.col[k]]
+	}
+}
+
+// rowStart returns the first triplet index >= k that begins a row.
+func (m *COOMatrix) rowStart(k int) int {
+	for k > 0 && k < len(m.row) && m.row[k] == m.row[k-1] {
+		k++
+	}
+	return k
 }
 
 // StoredElements returns 3·nnz per Table II (row, column and value arrays).

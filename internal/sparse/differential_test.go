@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -153,6 +154,43 @@ func TestDifferentialSMSVAllFormats(t *testing.T) {
 					for j, s := range scratch {
 						if s != 0 {
 							t.Fatalf("%s/%v/x%d/%s: scratch[%d]=%v not restored to zero", c.name, f, xi, mode, j, s)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDifferentialSMSVWorkerCountInvariant is the DESIGN §6 contract: a
+// format's SMSV result does not depend on how many workers ran it or how
+// the rows were chunked. Bits are compared, not tolerances — the SMO
+// trajectory amplifies a last-place difference into a different iteration
+// count, which is how a worker-count-dependent COO kernel once made tier-1
+// fail on multi-core hosts.
+func TestDifferentialSMSVWorkerCountInvariant(t *testing.T) {
+	var execs []*exec.Exec
+	for _, workers := range []int{1, 2, 3, 4, 7} {
+		execs = append(execs, texec(t, workers, exec.Static), texec(t, workers, exec.Guided))
+	}
+	rng := rand.New(rand.NewSource(23))
+	for _, c := range diffCases() {
+		for xi, x := range xVariants(c.cols, rng) {
+			for _, f := range BasicFormats {
+				m, err := c.b.Build(f)
+				if err != nil {
+					continue // DIA over its diagonal cap; the sweep above checks that
+				}
+				scratch := make([]float64, c.cols)
+				serial := make([]float64, c.rows)
+				m.MulVecSparse(serial, x, scratch, nil)
+				for _, ex := range execs {
+					got := make([]float64, c.rows)
+					m.MulVecSparse(got, x, scratch, ex)
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(serial[i]) {
+							t.Fatalf("%s/%v/x%d: %d workers give dst[%d] = %v, serial kernel gives %v",
+								c.name, f, xi, ex.Workers(), i, got[i], serial[i])
 						}
 					}
 				}

@@ -510,22 +510,27 @@ func TestCOOParallelDeterministic(t *testing.T) {
 		x = x.Append(int32(j), 1.0/float64(j+1))
 	}
 	scratch := make([]float64, 50)
-	first := make([]float64, 200)
-	m.MulVecSparse(first, x, scratch, texec(t, 8, exec.Static))
-	for trial := 0; trial < 5; trial++ {
-		got := make([]float64, 200)
-		m.MulVecSparse(got, x, scratch, texec(t, 8, exec.Static))
-		for i := range got {
-			if got[i] != first[i] {
-				t.Fatalf("trial %d: dst[%d] = %v != %v (nondeterministic)", trial, i, got[i], first[i])
+	serial := make([]float64, 200)
+	m.MulVecSparse(serial, x, scratch, nil)
+	// Every row is summed by one worker in triplet order, so any worker
+	// count reproduces the serial kernel's bits, run after run.
+	for _, workers := range []int{1, 2, 3, 4, 7, 8} {
+		ex := texec(t, workers, exec.Static)
+		for trial := 0; trial < 3; trial++ {
+			got := make([]float64, 200)
+			m.MulVecSparse(got, x, scratch, ex)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(serial[i]) {
+					t.Fatalf("%d workers, trial %d: dst[%d] = %v, serial kernel gives %v", workers, trial, i, got[i], serial[i])
+				}
 			}
 		}
 	}
 }
 
 func TestCOOSingleRowManyWorkers(t *testing.T) {
-	// All nonzeros in one row: every worker's range is the same row, the
-	// boundary-fixup path must still sum correctly.
+	// All nonzeros in one row: every worker's range lies inside the same
+	// row, which the worker it starts in must sum alone and whole.
 	b := NewBuilder(1, 64)
 	for j := 0; j < 64; j++ {
 		b.Add(0, j, 1.0)
