@@ -11,25 +11,24 @@
 #   make fuzz       native fuzz targets, $(FUZZTIME) each
 #   make flake      repeat the clock/cluster-sensitive suites 5x under -race
 #   make bench      run every benchmark once, human-readable
-#   make bench-json full benchmark sweep as JSON lines in BENCH_<date>.json
 #   make bench-trajectory  hot-path trajectory benchmarks (pool-vs-spawn,
 #                   SMO fusion, predict-vs-measure, batched serving) as
 #                   schema-stable BENCH_6.json with the pre-joint baseline
 #   make metrics-lint  validate /metrics exposition well-formedness
 #   make loadgen-smoke  boot a 3-node ring and drive it with cmd/loadgen
 #   make run-layoutd  start the layout-scheduling daemon on $(LAYOUTD_ADDR)
+#   make clean      remove what building and running the gated benchmark leave
 
 GO ?= go
 RACE_PKGS := ./internal/parallel/... ./internal/sparse/... ./internal/spgemm/... ./internal/core/... ./internal/svm/... ./internal/serve/... ./internal/learn/... ./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/online/... ./internal/breaker/...
 CHAOS_PKGS := ./internal/parallel ./internal/core ./internal/serve ./internal/breaker
 FUZZTIME ?= 20s
-BENCH_FILE := BENCH_$(shell date +%Y%m%d).json
 # bench-trajectory output file; CI overrides this to collect repeated runs
-# for the noise-aware compare gate without clobbering the committed baseline.
+# for the compare gate without clobbering the committed baseline.
 BENCH_OUT ?= BENCH_6.json
 LAYOUTD_ADDR ?= :8723
 
-.PHONY: build vet test bench-module test-race chaos fuzz flake bench bench-json bench-trajectory metrics-lint loadgen-smoke run-layoutd clean
+.PHONY: build vet test bench-module test-race chaos fuzz flake bench bench-trajectory metrics-lint loadgen-smoke run-layoutd clean
 
 build:
 	$(GO) build ./...
@@ -71,10 +70,6 @@ flake:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -json ./... > $(BENCH_FILE)
-	@echo wrote $(BENCH_FILE)
-
 # Trajectory: the PR-gated hot-path numbers (scheduling decision cost,
 # pooled execution, batched serving) in one schema-stable document. The
 # committed baseline carries the pre-joint-candidate numbers for diffing.
@@ -82,13 +77,14 @@ bench-json:
 # Refreshing the committed BENCH_6.json baseline (do this when the numbers
 # go stale — new Go toolchain, hardware change, or an intentional perf
 # shift — never to paper over a regression):
-#   1. make bench-trajectory            # rewrites BENCH_6.json in place
-#   2. go run ./cmd/benchjson compare -tolerance 2.0 \
-#        <(git show HEAD:BENCH_6.json) BENCH_6.json
+#   1. make bench-trajectory BENCH_OUT=/tmp/run1.json   # and run2, run3:
+#      repeated runs, so compare can tell drift from run-to-run noise
+#   2. go run ./cmd/benchjson compare -tolerance 2.0 BENCH_6.json \
+#        /tmp/run1.json /tmp/run2.json /tmp/run3.json
 #      and check that every ratio is either expected or improved;
-#   3. commit the new BENCH_6.json, citing the compare output in the
-#      message. CI diffs each PR's fresh run against the committed file
-#      with the same 2.0x soft tolerance.
+#   3. cp /tmp/run1.json BENCH_6.json and commit it, citing the compare
+#      output in the message. CI holds each PR's three fresh runs to the
+#      committed file with the same 2.0x base tolerance.
 bench-trajectory:
 	@{ $(GO) test -run '^$$' -bench 'BenchmarkSMOPoolVsSpawn|BenchmarkAblationFusion' -benchtime 5x -benchmem . ; \
 	   $(GO) test -run '^$$' -bench 'BenchmarkPredictVsMeasure' -benchtime 100x -benchmem . ; \
@@ -110,5 +106,6 @@ loadgen-smoke:
 run-layoutd:
 	$(GO) run ./cmd/layoutd -addr $(LAYOUTD_ADDR)
 
+# BENCH_6.json is the committed trajectory baseline, not a build product.
 clean:
-	rm -f BENCH_*.json
+	rm -rf .bench_build benchmark/out

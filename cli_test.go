@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -18,7 +19,8 @@ import (
 // TestCLIPipeline exercises the tool family end to end as real processes:
 // datagen writes a LIBSVM file, svmtrain trains on it and saves a model,
 // svmpredict applies the model back and reports accuracy, layoutsched
-// analyzes the same file with a persistent tuning history.
+// analyzes the same file with a persistent tuning history, trains and
+// scores predictors, and runs the same round trip for an SpGEMM pair.
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go run")
@@ -100,6 +102,59 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if pdec.Source != "predictor" || pdec.Confidence <= 0 {
 		t.Fatalf("predict-policy decision not attributed to the predictor: %+v", pdec)
+	}
+	// The SpGEMM family: decide a dataflow for A×B (tables, then -json),
+	// train a pair predictor, score it, and schedule with it.
+	opA, opB := filepath.Join(dir, "a.libsvm"), filepath.Join(dir, "b.libsvm")
+	writeOperand := func(path string, rows, cols int) {
+		t.Helper()
+		var sb strings.Builder
+		for i := 0; i < rows; i++ {
+			// Column cols in every row pins the operand's width.
+			fmt.Fprintf(&sb, "+1 %d:1.5 %d:0.5 %d:1\n", 1+i%3, 4+i%(cols-4), cols)
+		}
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeOperand(opA, 24, 16)
+	writeOperand(opB, 16, 12)
+	out = run("./cmd/layoutsched", "spgemm", opA, opB)
+	if !strings.Contains(out, "Dataflow cost model") || !strings.Contains(out, "Decision (hybrid policy): run the") {
+		t.Fatalf("layoutsched spgemm output missing sections:\n%s", out)
+	}
+	var sdec struct {
+		Policy    string  `json:"policy"`
+		Dataflow  string  `json:"dataflow"`
+		Source    string  `json:"source"`
+		Conf      float64 `json:"confidence"`
+		Estimates []struct {
+			Candidate string `json:"candidate"`
+		} `json:"estimates"`
+	}
+	out = run("./cmd/layoutsched", "spgemm", "-json", opA, opB)
+	if err := json.Unmarshal([]byte(out), &sdec); err != nil {
+		t.Fatalf("layoutsched spgemm -json output not JSON: %v\n%s", err, out)
+	}
+	if sdec.Policy != "hybrid" || sdec.Dataflow == "" || len(sdec.Estimates) == 0 {
+		t.Fatalf("layoutsched spgemm -json incomplete: %+v", sdec)
+	}
+	pmodel := filepath.Join(dir, "spgemm.model.json")
+	out = run("./cmd/layoutsched", "train-spgemm", "-synthetic", "10", "-out", pmodel, "-seed", "1")
+	if !strings.Contains(out, "measure-labeled 10 operand pairs") || !strings.Contains(out, "pair examples, saved to") {
+		t.Fatalf("train-spgemm output missing summary:\n%s", out)
+	}
+	out = run("./cmd/layoutsched", "eval-spgemm", "-model", pmodel, "-synthetic", "5", "-seed", "2")
+	if !strings.Contains(out, "eval:") || !strings.Contains(out, "within") {
+		t.Fatalf("eval-spgemm output missing report:\n%s", out)
+	}
+	out = run("./cmd/layoutsched", "spgemm", "-policy", "predict",
+		"-predictor", pmodel, "-min-confidence", "0.01", "-json", opA, opB)
+	if err := json.Unmarshal([]byte(out), &sdec); err != nil {
+		t.Fatalf("spgemm predict-policy -json output not JSON: %v\n%s", err, out)
+	}
+	if sdec.Source != "predictor" || sdec.Conf <= 0 {
+		t.Fatalf("spgemm predict-policy decision not attributed to the predictor: %+v", sdec)
 	}
 	out = run("./cmd/benchtables", "-exp", "table2,scaling")
 	if !strings.Contains(out, "Table II") || !strings.Contains(out, "scaling study") {

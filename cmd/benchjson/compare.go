@@ -9,52 +9,6 @@ import (
 	"sort"
 )
 
-// compareRow is one matched benchmark in a diff: the old and new timings
-// and the ratio new/old.
-type compareRow struct {
-	Name   string
-	OldNs  float64
-	NewNs  float64
-	Ratio  float64
-	Regres bool
-}
-
-// compareDocs matches benchmarks by name (procs-insensitive: the name field
-// already excludes the -N suffix) and flags every row whose ns/op grew by
-// more than the tolerance factor. Benchmarks present on only one side are
-// reported in the returned slices but never counted as regressions — a
-// renamed or new benchmark is not a slowdown.
-func compareDocs(old, cur []Benchmark, tolerance float64) (rows []compareRow, onlyOld, onlyNew []string) {
-	prev := make(map[string]Benchmark, len(old))
-	for _, b := range old {
-		prev[b.Name] = b
-	}
-	seen := make(map[string]bool, len(cur))
-	for _, b := range cur {
-		seen[b.Name] = true
-		o, ok := prev[b.Name]
-		if !ok {
-			onlyNew = append(onlyNew, b.Name)
-			continue
-		}
-		r := compareRow{Name: b.Name, OldNs: o.NsPerOp, NewNs: b.NsPerOp}
-		if o.NsPerOp > 0 {
-			r.Ratio = b.NsPerOp / o.NsPerOp
-			r.Regres = r.Ratio > tolerance
-		}
-		rows = append(rows, r)
-	}
-	for _, b := range old {
-		if !seen[b.Name] {
-			onlyOld = append(onlyOld, b.Name)
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Ratio > rows[j].Ratio })
-	sort.Strings(onlyOld)
-	sort.Strings(onlyNew)
-	return rows, onlyOld, onlyNew
-}
-
 func loadDoc(path string) (Document, error) {
 	var doc Document
 	raw, err := os.ReadFile(path)
@@ -73,7 +27,7 @@ func loadDoc(path string) (Document, error) {
 	return doc, nil
 }
 
-// noiseRow is one matched benchmark in a noise-aware diff: the old timing,
+// noiseRow is one matched benchmark in the diff: the old timing,
 // the best (min) new timing across repeated runs, the run-to-run dispersion,
 // and the tolerance the ratio was actually held to.
 type noiseRow struct {
@@ -141,20 +95,18 @@ func compareNoise(old []Benchmark, runs [][]Benchmark, tolerance float64) []nois
 	return rows
 }
 
-// compareCmd diffs benchjson documents and fails (exit 1) when any
-// benchmark regressed beyond the noise tolerance. Machine differences make
-// absolute ns/op incomparable across hosts, so the tolerance is a ratio.
-// The two-document form is a soft sanity diff; with -noise and N repeated
-// new runs the gate self-calibrates to the host's measured jitter and CI
-// runs it as a hard step.
+// compareCmd diffs a baseline document against N >= 2 repeated runs of the
+// same suite and reports how many benchmarks regressed beyond their
+// noise-widened bound (main exits 1 on any). Machine differences make
+// absolute ns/op incomparable across hosts, so the tolerance is a ratio,
+// and the repeated runs let the gate calibrate itself to the host's
+// measured jitter — which is what lets CI run it as a hard step.
 func compareCmd(args []string, w io.Writer) (regressions int, err error) {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	fs.SetOutput(w)
-	tolerance := fs.Float64("tolerance", 1.30, "ns/op growth ratio above which a benchmark counts as regressed")
-	noise := fs.Bool("noise", false, "noise-band mode: OLD.json plus >= 2 repeated NEW runs; min ns/op per benchmark, tolerance widened by measured dispersion")
+	tolerance := fs.Float64("tolerance", 1.30, "ns/op growth ratio above which a benchmark counts as regressed, before widening by its measured run-to-run dispersion")
 	fs.Usage = func() {
-		fmt.Fprintln(w, "usage: benchjson compare [-tolerance 1.30] OLD.json NEW.json")
-		fmt.Fprintln(w, "       benchjson compare -noise [-tolerance 1.30] OLD.json NEW1.json NEW2.json [NEW3.json ...]")
+		fmt.Fprintln(w, "usage: benchjson compare [-tolerance 1.30] BASE.json RUN1.json RUN2.json [RUN3.json ...]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -163,49 +115,9 @@ func compareCmd(args []string, w io.Writer) (regressions int, err error) {
 	if *tolerance <= 0 {
 		return 0, fmt.Errorf("-tolerance must be positive, got %g", *tolerance)
 	}
-	if *noise {
-		return noiseCmd(fs, *tolerance, w)
-	}
-	if fs.NArg() != 2 {
-		fs.Usage()
-		return 0, fmt.Errorf("give exactly two benchjson documents, got %d args", fs.NArg())
-	}
-	oldDoc, err := loadDoc(fs.Arg(0))
-	if err != nil {
-		return 0, err
-	}
-	newDoc, err := loadDoc(fs.Arg(1))
-	if err != nil {
-		return 0, err
-	}
-	rows, onlyOld, onlyNew := compareDocs(oldDoc.Benchmarks, newDoc.Benchmarks, *tolerance)
-	if len(rows) == 0 {
-		return 0, fmt.Errorf("no common benchmarks between %s and %s", fs.Arg(0), fs.Arg(1))
-	}
-	for _, r := range rows {
-		mark := " "
-		if r.Regres {
-			mark = "!"
-			regressions++
-		}
-		fmt.Fprintf(w, "%s %-60s %12.1f -> %12.1f ns/op  %.3fx\n", mark, r.Name, r.OldNs, r.NewNs, r.Ratio)
-	}
-	for _, name := range onlyOld {
-		fmt.Fprintf(w, "- %s (only in %s)\n", name, fs.Arg(0))
-	}
-	for _, name := range onlyNew {
-		fmt.Fprintf(w, "+ %s (only in %s)\n", name, fs.Arg(1))
-	}
-	fmt.Fprintf(w, "%d/%d benchmarks regressed beyond %.2fx\n", regressions, len(rows), *tolerance)
-	return regressions, nil
-}
-
-// noiseCmd is the -noise arm of compareCmd: OLD.json plus at least two
-// repeated NEW runs of the same benchmark suite.
-func noiseCmd(fs *flag.FlagSet, tolerance float64, w io.Writer) (regressions int, err error) {
 	if fs.NArg() < 3 {
 		fs.Usage()
-		return 0, fmt.Errorf("-noise needs OLD.json plus at least 2 repeated new runs, got %d args", fs.NArg())
+		return 0, fmt.Errorf("give BASE.json plus at least 2 repeated runs, got %d args", fs.NArg())
 	}
 	oldDoc, err := loadDoc(fs.Arg(0))
 	if err != nil {
@@ -219,9 +131,9 @@ func noiseCmd(fs *flag.FlagSet, tolerance float64, w io.Writer) (regressions int
 		}
 		runs = append(runs, doc.Benchmarks)
 	}
-	rows := compareNoise(oldDoc.Benchmarks, runs, tolerance)
+	rows := compareNoise(oldDoc.Benchmarks, runs, *tolerance)
 	if len(rows) == 0 {
-		return 0, fmt.Errorf("no benchmarks common to %s and all %d new runs", fs.Arg(0), len(runs))
+		return 0, fmt.Errorf("no benchmarks common to %s and all %d runs", fs.Arg(0), len(runs))
 	}
 	for _, r := range rows {
 		mark := " "
@@ -233,6 +145,6 @@ func noiseCmd(fs *flag.FlagSet, tolerance float64, w io.Writer) (regressions int
 			mark, r.Name, r.OldNs, r.NewMinNs, r.Ratio, r.Allowed, r.Dispersion*100)
 	}
 	fmt.Fprintf(w, "%d/%d benchmarks regressed beyond their noise-widened bound (base tolerance %.2fx, %d runs)\n",
-		regressions, len(rows), tolerance, len(runs))
+		regressions, len(rows), *tolerance, len(runs))
 	return regressions, nil
 }

@@ -12,10 +12,12 @@
 // With -baseline, the previous document's benchmarks are embedded under
 // "baseline" so one file carries the before/after pair.
 //
-// The compare subcommand diffs two documents and exits non-zero when any
-// benchmark's ns/op grew beyond the -tolerance ratio (new/old):
+// The compare subcommand diffs a baseline document against two or more
+// repeated runs of the same suite and exits non-zero when any benchmark's
+// best (min) ns/op grew beyond the -tolerance ratio widened by that
+// benchmark's measured run-to-run dispersion:
 //
-//	benchjson compare -tolerance 1.30 BENCH_prev.json BENCH.json
+//	benchjson compare -tolerance 2.0 BENCH_6.json run1.json run2.json run3.json
 package main
 
 import (

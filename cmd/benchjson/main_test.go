@@ -65,89 +65,6 @@ func writeBenchDoc(t *testing.T, dir, name string, benches []Benchmark) string {
 	return path
 }
 
-func TestCompareDocs(t *testing.T) {
-	old := []Benchmark{
-		{Name: "BenchmarkStable", NsPerOp: 100},
-		{Name: "BenchmarkFaster", NsPerOp: 200},
-		{Name: "BenchmarkSlower", NsPerOp: 100},
-		{Name: "BenchmarkRemoved", NsPerOp: 50},
-	}
-	cur := []Benchmark{
-		{Name: "BenchmarkStable", NsPerOp: 105},
-		{Name: "BenchmarkFaster", NsPerOp: 90},
-		{Name: "BenchmarkSlower", NsPerOp: 160},
-		{Name: "BenchmarkAdded", NsPerOp: 10},
-	}
-	rows, onlyOld, onlyNew := compareDocs(old, cur, 1.30)
-	if len(rows) != 3 {
-		t.Fatalf("%d matched rows, want 3: %+v", len(rows), rows)
-	}
-	// Sorted by ratio descending: the regression leads.
-	if rows[0].Name != "BenchmarkSlower" || !rows[0].Regres {
-		t.Fatalf("worst row %+v, want the 1.6x regression flagged", rows[0])
-	}
-	for _, r := range rows[1:] {
-		if r.Regres {
-			t.Fatalf("%s flagged within tolerance: %+v", r.Name, r)
-		}
-	}
-	if len(onlyOld) != 1 || onlyOld[0] != "BenchmarkRemoved" {
-		t.Fatalf("onlyOld %v", onlyOld)
-	}
-	if len(onlyNew) != 1 || onlyNew[0] != "BenchmarkAdded" {
-		t.Fatalf("onlyNew %v", onlyNew)
-	}
-}
-
-func TestCompareCmd(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeBenchDoc(t, dir, "old.json", []Benchmark{
-		{Name: "BenchmarkA", NsPerOp: 100},
-		{Name: "BenchmarkB", NsPerOp: 100},
-	})
-	newPath := writeBenchDoc(t, dir, "new.json", []Benchmark{
-		{Name: "BenchmarkA", NsPerOp: 101},
-		{Name: "BenchmarkB", NsPerOp: 300},
-	})
-
-	var out strings.Builder
-	regressions, err := compareCmd([]string{"-tolerance", "1.30", oldPath, newPath}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressions != 1 {
-		t.Fatalf("regressions = %d, want 1\n%s", regressions, out.String())
-	}
-	if !strings.Contains(out.String(), "! BenchmarkB") {
-		t.Fatalf("report does not flag BenchmarkB:\n%s", out.String())
-	}
-
-	// A looser tolerance absorbs the same delta.
-	out.Reset()
-	regressions, err = compareCmd([]string{"-tolerance", "4", oldPath, newPath}, &out)
-	if err != nil || regressions != 0 {
-		t.Fatalf("loose tolerance: regressions %d err %v", regressions, err)
-	}
-
-	// Error paths: bad arg count, bad tolerance, disjoint documents.
-	if _, err := compareCmd([]string{oldPath}, &out); err == nil {
-		t.Fatal("one operand accepted")
-	}
-	if _, err := compareCmd([]string{"-tolerance", "-1", oldPath, newPath}, &out); err == nil {
-		t.Fatal("negative tolerance accepted")
-	}
-	disjoint := writeBenchDoc(t, dir, "disjoint.json", []Benchmark{{Name: "BenchmarkZ", NsPerOp: 5}})
-	if _, err := compareCmd([]string{oldPath, disjoint}, &out); err == nil {
-		t.Fatal("disjoint documents accepted")
-	}
-	if err := os.WriteFile(filepath.Join(dir, "corrupt.json"), []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := compareCmd([]string{oldPath, filepath.Join(dir, "corrupt.json")}, &out); err == nil {
-		t.Fatal("corrupt document accepted")
-	}
-}
-
 func TestCompareNoise(t *testing.T) {
 	old := []Benchmark{
 		{Name: "BenchmarkSteady", NsPerOp: 100},
@@ -192,28 +109,51 @@ func TestCompareNoise(t *testing.T) {
 	}
 }
 
-func TestCompareCmdNoise(t *testing.T) {
+func TestCompareCmd(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeBenchDoc(t, dir, "old.json", []Benchmark{
 		{Name: "BenchmarkA", NsPerOp: 100},
+		{Name: "BenchmarkB", NsPerOp: 100},
 	})
-	run1 := writeBenchDoc(t, dir, "run1.json", []Benchmark{{Name: "BenchmarkA", NsPerOp: 250}})
-	run2 := writeBenchDoc(t, dir, "run2.json", []Benchmark{{Name: "BenchmarkA", NsPerOp: 240}})
+	run1 := writeBenchDoc(t, dir, "run1.json", []Benchmark{{Name: "BenchmarkA", NsPerOp: 250}, {Name: "BenchmarkB", NsPerOp: 101}})
+	run2 := writeBenchDoc(t, dir, "run2.json", []Benchmark{{Name: "BenchmarkA", NsPerOp: 240}, {Name: "BenchmarkB", NsPerOp: 99}})
 
 	var out strings.Builder
-	regressions, err := compareCmd([]string{"-noise", "-tolerance", "1.30", oldPath, run1, run2}, &out)
+	regressions, err := compareCmd([]string{"-tolerance", "1.30", oldPath, run1, run2}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if regressions != 1 {
 		t.Fatalf("regressions = %d, want 1\n%s", regressions, out.String())
 	}
-	if !strings.Contains(out.String(), "! BenchmarkA") {
-		t.Fatalf("report does not flag BenchmarkA:\n%s", out.String())
+	if !strings.Contains(out.String(), "! BenchmarkA") || strings.Contains(out.String(), "! BenchmarkB") {
+		t.Fatalf("report does not flag exactly BenchmarkA:\n%s", out.String())
 	}
 
-	// A single new run is not enough to measure noise.
-	if _, err := compareCmd([]string{"-noise", oldPath, run1}, &out); err == nil {
-		t.Fatal("-noise with one new run accepted")
+	// A looser tolerance absorbs the same delta.
+	out.Reset()
+	regressions, err = compareCmd([]string{"-tolerance", "4", oldPath, run1, run2}, &out)
+	if err != nil || regressions != 0 {
+		t.Fatalf("loose tolerance: regressions %d err %v", regressions, err)
+	}
+
+	// Error paths: a single run (not enough to measure noise), bad
+	// tolerance, disjoint and corrupt documents.
+	if _, err := compareCmd([]string{oldPath, run1}, &out); err == nil {
+		t.Fatal("one run accepted")
+	}
+	if _, err := compareCmd([]string{"-tolerance", "-1", oldPath, run1, run2}, &out); err == nil {
+		t.Fatal("negative tolerance accepted")
+	}
+	disjoint := writeBenchDoc(t, dir, "disjoint.json", []Benchmark{{Name: "BenchmarkZ", NsPerOp: 5}})
+	if _, err := compareCmd([]string{oldPath, disjoint, disjoint}, &out); err == nil {
+		t.Fatal("disjoint documents accepted")
+	}
+	corrupt := filepath.Join(dir, "corrupt.json")
+	if err := os.WriteFile(corrupt, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := compareCmd([]string{oldPath, run1, corrupt}, &out); err == nil {
+		t.Fatal("corrupt document accepted")
 	}
 }

@@ -42,7 +42,7 @@ func main() {
 	if *quick {
 		cfg.SweepN = 512
 	}
-	pol, err := parsePolicy(*policy)
+	pol, err := core.ParsePolicy(*policy)
 	if err != nil {
 		fatal(err)
 	}
@@ -104,19 +104,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println()
-	}
-}
-
-func parsePolicy(s string) (core.Policy, error) {
-	switch s {
-	case "rule-based":
-		return core.RuleBased, nil
-	case "empirical":
-		return core.Empirical, nil
-	case "hybrid":
-		return core.Hybrid, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", s)
 	}
 }
 

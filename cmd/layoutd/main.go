@@ -60,6 +60,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -173,13 +174,9 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	pol := map[string]core.Policy{
-		"rule-based": core.RuleBased, "empirical": core.Empirical,
-		"hybrid": core.Hybrid, "predict": core.PolicyPredict,
-	}
-	p, ok := pol[o.policy]
-	if !ok {
-		return fmt.Errorf("unknown policy %q", o.policy)
+	p, err := core.ParsePolicy(o.policy)
+	if err != nil {
+		return err
 	}
 	// Misconfiguration fails startup with the flag named, never mid-request:
 	// a zero or negative cap would silently fall back to a default (or wedge
@@ -235,11 +232,9 @@ func run(o options) error {
 	}
 	hist := &core.History{}
 	if o.histPath != "" {
-		h, err := loadHistory(o.histPath)
-		if err != nil {
+		if hist, err = core.LoadHistoryFile(o.histPath); err != nil {
 			return err
 		}
-		hist = h
 		logger.Info("loaded tuning history", "entries", hist.Len(), "path", o.histPath)
 	}
 	var model *svm.Model
@@ -272,11 +267,9 @@ func run(o options) error {
 	}
 	pairHist := &core.PairHistory{}
 	if o.pairHistPath != "" {
-		h, err := loadPairHistory(o.pairHistPath)
-		if err != nil {
+		if pairHist, err = core.LoadPairHistoryFile(o.pairHistPath); err != nil {
 			return err
 		}
-		pairHist = h
 		logger.Info("loaded pair tuning history", "entries", pairHist.Len(), "path", o.pairHistPath)
 	}
 	var pairPredictor *learn.PairForest
@@ -341,22 +334,8 @@ func run(o options) error {
 		TraceFetchPeerTimeout: o.tracePeer,
 		Cluster:               peers,
 		OnlineEvents:          events,
-		// Pushed models decode exactly like -predictor files, so a model that
-		// trains on one node distributes to the rest of the ring unchanged.
-		ModelLoader: func(b []byte) (core.FormatPredictor, error) {
-			f, err := learn.Load(bytes.NewReader(b))
-			if err != nil {
-				return nil, err
-			}
-			return f, nil
-		},
-		PairModelLoader: func(b []byte) (core.PairPredictor, error) {
-			f, err := learn.LoadPair(bytes.NewReader(b))
-			if err != nil {
-				return nil, err
-			}
-			return f, nil
-		},
+		ModelLoader:           loader[core.FormatPredictor](learn.Load),
+		PairModelLoader:       loader[core.PairPredictor](learn.LoadPair),
 	}
 	if store != nil {
 		// The store validates and counts rejected records itself, so the
@@ -378,41 +357,6 @@ func run(o options) error {
 	var ctl *online.Controller
 	var ctlCancel context.CancelFunc
 	if o.online {
-		// Both installers accept nil: a rollback to a no-model boot lane
-		// unloads the serving predictor locally (nothing to broadcast —
-		// peers keep whatever they serve until the next promotion).
-		// The install context carries the controller's online.retrain trace,
-		// so a promotion's ring-wide broadcast is recorded as one trace.
-		smsvInstall := func(ctx context.Context, f *learn.Forest) error {
-			if f == nil {
-				s.SwapPredictor(nil)
-				return nil
-			}
-			var buf bytes.Buffer
-			if err := f.Save(&buf); err != nil {
-				return err
-			}
-			s.SwapPredictor(f)
-			if n := s.BroadcastModel(ctx, serve.ModelKindSMSV, buf.Bytes()); n > 0 {
-				logger.Info("broadcast promoted format predictor", "peers", n)
-			}
-			return nil
-		}
-		pairInstall := func(ctx context.Context, f *learn.PairForest) error {
-			if f == nil {
-				s.SwapPairPredictor(nil)
-				return nil
-			}
-			var buf bytes.Buffer
-			if err := f.Save(&buf); err != nil {
-				return err
-			}
-			s.SwapPairPredictor(f)
-			if n := s.BroadcastModel(ctx, serve.ModelKindPair, buf.Bytes()); n > 0 {
-				logger.Info("broadcast promoted pair predictor", "peers", n)
-			}
-			return nil
-		}
 		// The Config zero value means "default margin"; an operator's
 		// explicit -promote-margin 0 means exactly zero (ties promote),
 		// which the controller spells with a sentinel.
@@ -431,16 +375,16 @@ func run(o options) error {
 			TraceSink:       func(tr *telemetry.Trace) { s.Traces().Put(tr) },
 			Node:            o.nodeID,
 			Lanes: []online.LaneConfig{
-				online.SMSVLane(predictor, learn.TrainConfig{}, smsvInstall),
-				online.PairLane(pairPredictor, learn.TrainConfig{}, pairInstall),
+				online.SMSVLane(predictor, learn.TrainConfig{},
+					installer[*learn.Forest](s, logger, serve.ModelKindSMSV, "format predictor", s.SwapPredictor)),
+				online.PairLane(pairPredictor, learn.TrainConfig{},
+					installer[*learn.PairForest](s, logger, serve.ModelKindPair, "pair predictor", s.SwapPairPredictor)),
 			},
 		})
 		if err != nil {
 			return err
 		}
-		s.Registry().Register(telemetry.CollectorFunc(func() []telemetry.Family {
-			return ctl.MetricFamilies("layoutd")
-		}))
+		s.Registry().Register(ctl)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		ctlCancel = cancel
@@ -514,13 +458,13 @@ func run(o options) error {
 			"hits", s.PredictorHits(), "fallbacks", s.PredictorFallbacks())
 	}
 	if o.histPath != "" {
-		if err := saveHistory(o.histPath, s.History()); err != nil {
+		if err := s.History().SaveFile(o.histPath); err != nil {
 			return fmt.Errorf("saving history: %w", err)
 		}
 		logger.Info("saved tuning history", "entries", s.History().Len(), "path", o.histPath)
 	}
 	if o.pairHistPath != "" {
-		if err := savePairHistory(o.pairHistPath, s.PairHistory()); err != nil {
+		if err := s.PairHistory().SaveFile(o.pairHistPath); err != nil {
 			return fmt.Errorf("saving pair history: %w", err)
 		}
 		logger.Info("saved pair tuning history", "entries", s.PairHistory().Len(), "path", o.pairHistPath)
@@ -533,7 +477,7 @@ func run(o options) error {
 		}
 	}
 	if store != nil && o.onlineStorePath != "" {
-		if err := saveOnlineStore(o.onlineStorePath, store); err != nil {
+		if err := core.WriteFileAtomic(o.onlineStorePath, store.Save); err != nil {
 			return fmt.Errorf("saving online store: %w", err)
 		}
 		logger.Info("saved online harvest store", "records", store.Len(), "path", o.onlineStorePath)
@@ -571,73 +515,51 @@ func loadOnlineStore(path string, capacity int, logger *slog.Logger) *online.Sto
 	return store
 }
 
-// saveOnlineStore writes atomically (temp file + rename): Store.Load
-// rejects truncated records, so a crash mid-save must never leave a
-// half-written file at the real path.
-func saveOnlineStore(path string, st *online.Store) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := st.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+// forest is what layoutd needs of either learn forest: a comparable zero
+// value (nil, "no model") and the model codec.
+type forest interface {
+	comparable
+	Save(io.Writer) error
 }
 
-// loadPairHistory reads an existing SpGEMM pair-history file; a missing
-// file starts empty.
-func loadPairHistory(path string) (*core.PairHistory, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return &core.PairHistory{}, nil
+// loader adapts one of learn's decoders to a serve model loader. Pushed
+// models decode exactly like -predictor files, so a model that trains on
+// one node distributes to the rest of the ring unchanged. P is the
+// predictor interface F serves as; Go cannot state that relation between
+// two type parameters, so it is asserted.
+func loader[P any, F forest](load func(io.Reader) (F, error)) func([]byte) (P, error) {
+	return func(b []byte) (p P, err error) {
+		f, err := load(bytes.NewReader(b))
+		if err != nil {
+			return p, err
+		}
+		return any(f).(P), nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.LoadPairHistory(f)
 }
 
-func savePairHistory(path string, h *core.PairHistory) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// installer returns a flywheel lane's install hook. A nil forest — a
+// rollback to a no-model boot lane — unloads the serving predictor locally
+// (nothing to broadcast: peers keep whatever they serve until the next
+// promotion); any other is serialised, swapped in through the same
+// hot-swap path cluster pushes use, and broadcast to the ring. The install
+// context carries the controller's online.retrain trace, so a promotion's
+// ring-wide broadcast is recorded as one trace.
+func installer[F forest, P any](s *serve.Server, logger *slog.Logger, kind, noun string, swap func(P)) func(context.Context, F) error {
+	return func(ctx context.Context, f F) error {
+		var unloaded F
+		if f == unloaded {
+			var none P
+			swap(none)
+			return nil
+		}
+		var buf bytes.Buffer
+		if err := f.Save(&buf); err != nil {
+			return err
+		}
+		swap(any(f).(P))
+		if n := s.BroadcastModel(ctx, kind, buf.Bytes()); n > 0 {
+			logger.Info("broadcast promoted "+noun, "peers", n)
+		}
+		return nil
 	}
-	if err := h.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func loadHistory(path string) (*core.History, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return &core.History{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.LoadHistory(f)
-}
-
-func saveHistory(path string, h *core.History) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := h.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"io"
 	"log/slog"
 	"os"
@@ -9,9 +12,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/learn"
 	"repro/internal/online"
 	"repro/internal/serve"
+	"repro/internal/sparse"
+	"repro/internal/spgemm"
 	"repro/internal/telemetry"
 )
 
@@ -127,26 +134,177 @@ func harvestRecord() online.Record {
 	}
 }
 
-// TestOnlineStorePersistenceRoundTrip: saveOnlineStore writes atomically
-// (no .tmp residue) and loadOnlineStore warm-starts from the result.
-func TestOnlineStorePersistenceRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "harvest.log")
-	st := online.NewStore(16, nil)
+// cutWriter passes the first left bytes through, then fails: a disk filling
+// up, or the process dying, half-way through a save.
+type cutWriter struct {
+	w    io.Writer
+	left int
+}
+
+func (c *cutWriter) Write(p []byte) (int, error) {
+	if len(p) > c.left {
+		n, _ := c.w.Write(p[:c.left])
+		c.left = 0
+		return n, errors.New("disk full")
+	}
+	c.left -= len(p)
+	return c.w.Write(p)
+}
+
+// TestPersistedStateSavesAtomically: every file the daemon loads at boot
+// rejects a truncated copy, so no save may open the live file for writing.
+// A save whose writer fails half-way — and a SaveFile that cannot even
+// create its temp sibling — leaves the previous file byte-identical and no
+// .tmp behind, and what was saved loads back.
+func TestPersistedStateSavesAtomically(t *testing.T) {
+	feats := harvestRecord().F
+	hist := &core.History{}
+	hist.Record(feats, sparse.CSR)
+	pairHist := &core.PairHistory{}
+	pairHist.RecordCandidate(feats, feats, spgemm.BaseCandidate)
+	forest, err := learn.Train([]learn.Example{learn.FromFeatures(feats, sparse.BaseCandidate(sparse.CSR))}, learn.TrainConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairForest, err := learn.TrainPair([]learn.PairExample{learn.FromPairFeatures(feats, feats, spgemm.BaseCandidate)}, learn.TrainConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := online.NewStore(16, nil)
 	for i := 0; i < 3; i++ {
-		if err := st.Add(harvestRecord()); err != nil {
+		if err := store.Add(harvestRecord()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := saveOnlineStore(path, st); err != nil {
+	loaded := func(n int, err error) error {
+		if err == nil && n == 0 {
+			err = errors.New("loaded back empty")
+		}
+		return err
+	}
+	for _, tc := range []struct {
+		name     string
+		write    func(io.Writer) error
+		saveFile func(path string) error
+		load     func(path string) error
+	}{
+		{"history", hist.Save, hist.SaveFile, func(p string) error {
+			h, err := core.LoadHistoryFile(p)
+			return loaded(h.Len(), err)
+		}},
+		{"pair history", pairHist.Save, pairHist.SaveFile, func(p string) error {
+			h, err := core.LoadPairHistoryFile(p)
+			return loaded(h.Len(), err)
+		}},
+		{"model", forest.Save, forest.SaveFile, func(p string) error {
+			f, err := learn.LoadFile(p)
+			return loaded(f.Trees(), err)
+		}},
+		{"pair model", pairForest.Save, pairForest.SaveFile, func(p string) error {
+			f, err := learn.LoadPairFile(p)
+			return loaded(f.Trees(), err)
+		}},
+		{"harvest store", store.Save,
+			func(p string) error { return core.WriteFileAtomic(p, store.Save) },
+			func(p string) error { return loaded(loadOnlineStore(p, 16, quietLogger()).Len(), nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "state")
+			if err := tc.saveFile(path); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unchanged := func(after string) {
+				t.Helper()
+				if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, before) {
+					t.Fatalf("%s: live file changed (err %v):\n%s", after, err, got)
+				}
+				if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+					t.Fatalf("%s: temp file left behind (stat err %v)", after, err)
+				}
+			}
+			unchanged("a completed save")
+			err = core.WriteFileAtomic(path, func(w io.Writer) error {
+				return tc.write(&cutWriter{w: w, left: len(before) / 2})
+			})
+			if err == nil {
+				t.Fatal("a save whose writer failed half-way reported success")
+			}
+			unchanged("a save cut half-way")
+			if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.saveFile(path); err == nil {
+				t.Fatal("SaveFile succeeded without its temp sibling: it does not go through the atomic helper")
+			}
+			if err := os.Remove(path + ".tmp"); err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			unchanged("a save that could not create its temp file")
+			if err := tc.load(path); err != nil {
+				t.Fatalf("saved file does not load back: %v", err)
+			}
+		})
+	}
+}
+
+// TestModelLoaderAndInstaller drives both workloads' instantiations of the
+// generic wiring: a saved forest decodes through loader into the predictor
+// interface serve swaps in, installer swaps a fitted forest in and a nil
+// one out.
+func TestModelLoaderAndInstaller(t *testing.T) {
+	feats := harvestRecord().F
+	forest, err := learn.Train([]learn.Example{learn.FromFeatures(feats, sparse.BaseCandidate(sparse.CSR))}, learn.TrainConfig{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("temp file left behind after save (stat err %v)", err)
+	pairForest, err := learn.TrainPair([]learn.PairExample{learn.FromPairFeatures(feats, feats, spgemm.BaseCandidate)}, learn.TrainConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	loaded := loadOnlineStore(path, 16, quietLogger())
-	if loaded.Len() != 3 {
-		t.Fatalf("loaded %d records, want 3", loaded.Len())
+	var buf bytes.Buffer
+	if err := forest.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := loader[core.FormatPredictor](learn.Load)(buf.Bytes()); err != nil || p == nil {
+		t.Fatalf("format model did not load: %v %v", p, err)
+	}
+	if p, err := loader[core.FormatPredictor](learn.Load)([]byte("{")); err == nil || p != nil {
+		t.Fatalf("corrupt model loaded as %v (err %v), want a nil predictor and an error", p, err)
+	}
+	buf.Reset()
+	if err := pairForest.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := loader[core.PairPredictor](learn.LoadPair)(buf.Bytes()); err != nil || p == nil {
+		t.Fatalf("pair model did not load: %v %v", p, err)
+	}
+
+	s := serve.NewServer(serve.Config{})
+	ctx := context.Background()
+	var swapped []core.FormatPredictor
+	install := installer[*learn.Forest](s, quietLogger(), serve.ModelKindSMSV, "format predictor",
+		func(p core.FormatPredictor) { swapped = append(swapped, p) })
+	if err := install(ctx, forest); err != nil {
+		t.Fatal(err)
+	}
+	if err := install(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(swapped) != 2 || swapped[0] != core.FormatPredictor(forest) || swapped[1] != nil {
+		t.Fatalf("installer swapped %v, want the forest then an untyped nil", swapped)
+	}
+	var pairSwapped []core.PairPredictor
+	pairInstall := installer[*learn.PairForest](s, quietLogger(), serve.ModelKindPair, "pair predictor",
+		func(p core.PairPredictor) { pairSwapped = append(pairSwapped, p) })
+	if err := pairInstall(ctx, pairForest); err != nil {
+		t.Fatal(err)
+	}
+	if len(pairSwapped) != 1 || pairSwapped[0] != core.PairPredictor(pairForest) {
+		t.Fatalf("pair installer swapped %v", pairSwapped)
 	}
 }
 

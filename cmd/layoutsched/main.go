@@ -50,30 +50,16 @@ import (
 )
 
 func main() {
+	subcommands := map[string]func([]string) error{
+		"train":        func(args []string) error { return trainCmd(smsvWorkload, args) },
+		"eval":         func(args []string) error { return evalCmd(smsvWorkload, args) },
+		"spgemm":       spgemmCmd,
+		"train-spgemm": func(args []string) error { return trainCmd(spgemmWorkload, args) },
+		"eval-spgemm":  func(args []string) error { return evalCmd(spgemmWorkload, args) },
+	}
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "train":
-			if err := trainCmd(os.Args[2:]); err != nil {
-				fatal(err)
-			}
-			return
-		case "eval":
-			if err := evalCmd(os.Args[2:]); err != nil {
-				fatal(err)
-			}
-			return
-		case "spgemm":
-			if err := spgemmCmd(os.Args[2:]); err != nil {
-				fatal(err)
-			}
-			return
-		case "train-spgemm":
-			if err := trainSpGEMMCmd(os.Args[2:]); err != nil {
-				fatal(err)
-			}
-			return
-		case "eval-spgemm":
-			if err := evalSpGEMMCmd(os.Args[2:]); err != nil {
+		if cmd, ok := subcommands[os.Args[1]]; ok {
+			if err := cmd(os.Args[2:]); err != nil {
 				fatal(err)
 			}
 			return
@@ -121,17 +107,13 @@ func scheduleCmd() {
 	if err != nil {
 		fatal(err)
 	}
-	pol := map[string]core.Policy{
-		"rule-based": core.RuleBased, "empirical": core.Empirical,
-		"hybrid": core.Hybrid, "predict": core.PolicyPredict,
-	}
-	p, ok := pol[*policy]
-	if !ok {
-		fatal(fmt.Errorf("unknown policy %q", *policy))
+	p, err := core.ParsePolicy(*policy)
+	if err != nil {
+		fatal(err)
 	}
 	var hist *core.History
 	if *histPath != "" {
-		hist, err = loadHistory(*histPath)
+		hist, err = core.LoadHistoryFile(*histPath)
 		if err != nil {
 			fatal(err)
 		}
@@ -177,7 +159,7 @@ func scheduleCmd() {
 		fatal(err)
 	}
 	if hist != nil {
-		if err := saveHistory(*histPath, hist); err != nil {
+		if err := hist.SaveFile(*histPath); err != nil {
 			fatal(err)
 		}
 	}
@@ -240,87 +222,159 @@ func scheduleCmd() {
 	}
 }
 
-// trainCmd fits a format predictor from measurement-labeled data: harvested
-// tuning history, LIBSVM files measured on the spot, and/or a generated
-// synthetic corpus.
-func trainCmd(args []string) error {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
+// forest is what the train and eval flows need of a trained model.
+type forest interface {
+	SaveFile(path string) error
+	Trees() int
+	TrainedOn() int
+}
+
+// workload describes one scheduled workload to the train and eval flows:
+// E is its training example, L a measurement-labeled corpus item, F its
+// forest. The strings are the only places the flows' flags, help text and
+// reports differ between workloads.
+type workload[E, L any, F forest] struct {
+	suffix string // subcommands are "train"+suffix and "eval"+suffix
+	pair   string // "pair " qualifies the SpGEMM nouns, "" the SMSV ones
+	items  string // what a corpus holds
+	model  string // default model file
+	// hasData: only SMSV has a single-file corpus, so only it takes -data.
+	hasData bool
+
+	harvest  func(histPath string) ([]E, error)
+	measure  func(glob string, synthetic int, seed int64, ex *exec.Exec) ([]L, error)
+	examples func([]L) []E
+	train    func([]E, learn.TrainConfig) (F, error)
+	load     func(path string) (F, error)
+	evaluate func(f F, items []L, tolerance, minConfidence float64) learn.EvalResult
+}
+
+var smsvWorkload = workload[learn.Example, learn.Labeled, *learn.Forest]{
+	items: "datasets", model: "model.json", hasData: true,
+	harvest: func(path string) ([]learn.Example, error) {
+		h, err := core.LoadHistoryFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return learn.FromHistory(h), nil
+	},
+	measure:  measureCorpus,
+	examples: learn.Examples,
+	train:    learn.Train,
+	load:     learn.LoadFile,
+	evaluate: learn.Evaluate,
+}
+
+var spgemmWorkload = workload[learn.PairExample, learn.PairLabeled, *learn.PairForest]{
+	suffix: "-spgemm", pair: "pair ", items: "operand pairs", model: "spgemm-model.json",
+	harvest: func(path string) ([]learn.PairExample, error) {
+		h, err := core.LoadPairHistoryFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return learn.FromPairHistory(h), nil
+	},
+	measure: func(_ string, synthetic int, seed int64, ex *exec.Exec) ([]learn.PairLabeled, error) {
+		if synthetic <= 0 {
+			return nil, nil
+		}
+		return learn.MeasurePairAll(context.Background(), learn.SyntheticPairCorpus(synthetic, seed), ex, seed)
+	},
+	examples: learn.PairExamples,
+	train:    learn.TrainPair,
+	load:     learn.LoadPairFile,
+	evaluate: learn.EvaluatePair,
+}
+
+// trainCmd fits a workload's predictor from measurement-labeled data:
+// harvested tuning history, LIBSVM files measured on the spot (SMSV only),
+// and/or a generated synthetic corpus.
+func trainCmd[E, L any, F forest](w workload[E, L, F], args []string) error {
+	fs := flag.NewFlagSet("train"+w.suffix, flag.ExitOnError)
 	var (
-		histPath  = fs.String("history", "", "tuning-history file to harvest examples from")
-		dataGlob  = fs.String("data", "", "glob of LIBSVM files to measure-label (e.g. 'corpus/*.libsvm')")
-		synthetic = fs.Int("synthetic", 0, "generate and measure-label this many synthetic datasets")
-		out       = fs.String("out", "model.json", "output model file")
+		histPath  = fs.String("history", "", w.pair+"tuning-history file to harvest examples from")
+		dataGlob  = new(string)
+		synthetic = fs.Int("synthetic", 0, "generate and measure-label this many synthetic "+w.items)
+		out       = fs.String("out", w.model, "output model file")
 		trees     = fs.Int("trees", 0, "forest size (0 = default)")
 		depth     = fs.Int("depth", 0, "maximum tree depth (0 = default)")
 		seed      = fs.Int64("seed", 1, "corpus generation and measurement seed")
 		workers   = fs.Int("workers", 0, "kernel workers for measurement (0 = all cores)")
 	)
+	sources := "-history and/or -synthetic"
+	if w.hasData {
+		fs.StringVar(dataGlob, "data", "", "glob of LIBSVM files to measure-label (e.g. 'corpus/*.libsvm')")
+		sources = "-history, -data, and/or -synthetic"
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	ex := exec.New(*workers, exec.Static)
 	defer ex.Close()
 
-	var examples []learn.Example
+	var examples []E
 	if *histPath != "" {
-		h, err := loadHistory(*histPath)
+		harvested, err := w.harvest(*histPath)
 		if err != nil {
 			return err
 		}
-		harvested := learn.FromHistory(h)
 		fmt.Printf("harvested %d examples from %s\n", len(harvested), *histPath)
 		examples = append(examples, harvested...)
 	}
-	measured, err := measureCorpus(*dataGlob, *synthetic, *seed, ex)
+	measured, err := w.measure(*dataGlob, *synthetic, *seed, ex)
 	if err != nil {
 		return err
 	}
 	if len(measured) > 0 {
-		fmt.Printf("measure-labeled %d datasets\n", len(measured))
-		examples = append(examples, learn.Examples(measured)...)
+		fmt.Printf("measure-labeled %d %s\n", len(measured), w.items)
+		examples = append(examples, w.examples(measured)...)
 	}
-	forest, err := learn.Train(examples, learn.TrainConfig{Trees: *trees, MaxDepth: *depth, Seed: *seed})
+	forest, err := w.train(examples, learn.TrainConfig{Trees: *trees, MaxDepth: *depth, Seed: *seed})
 	if err != nil {
-		return fmt.Errorf("%w (give -history, -data, and/or -synthetic)", err)
+		return fmt.Errorf("%w (give %s)", err, sources)
 	}
 	if err := forest.SaveFile(*out); err != nil {
 		return err
 	}
-	fmt.Printf("trained %d trees on %d examples, saved to %s\n", forest.Trees(), forest.TrainedOn(), *out)
+	fmt.Printf("trained %d trees on %d %sexamples, saved to %s\n", forest.Trees(), forest.TrainedOn(), w.pair, *out)
 	return nil
 }
 
 // evalCmd scores a trained predictor against a measured oracle on held-out
 // data.
-func evalCmd(args []string) error {
-	fs := flag.NewFlagSet("eval", flag.ExitOnError)
+func evalCmd[E, L any, F forest](w workload[E, L, F], args []string) error {
+	fs := flag.NewFlagSet("eval"+w.suffix, flag.ExitOnError)
 	var (
-		modelPath = fs.String("model", "model.json", "trained model file")
-		dataGlob  = fs.String("data", "", "glob of LIBSVM files to evaluate on")
-		synthetic = fs.Int("synthetic", 0, "evaluate on this many synthetic datasets")
+		modelPath = fs.String("model", w.model, "trained "+w.pair+"model file")
+		dataGlob  = new(string)
+		synthetic = fs.Int("synthetic", 0, "evaluate on this many synthetic "+w.items)
 		seed      = fs.Int64("seed", 2, "corpus seed; keep it different from the training seed so the split is held out")
 		tolerance = fs.Float64("tolerance", 1.25, "slowdown-vs-oracle counted as acceptable")
 		minConf   = fs.Float64("min-confidence", core.DefaultMinConfidence, "confidence threshold for the low-confidence count")
 		workers   = fs.Int("workers", 0, "kernel workers for measurement (0 = all cores)")
 	)
+	sources := "-synthetic"
+	if w.hasData {
+		fs.StringVar(dataGlob, "data", "", "glob of LIBSVM files to evaluate on")
+		sources = "-data and/or -synthetic"
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	forest, err := learn.LoadFile(*modelPath)
+	forest, err := w.load(*modelPath)
 	if err != nil {
 		return err
 	}
 	ex := exec.New(*workers, exec.Static)
 	defer ex.Close()
-	measured, err := measureCorpus(*dataGlob, *synthetic, *seed, ex)
+	measured, err := w.measure(*dataGlob, *synthetic, *seed, ex)
 	if err != nil {
 		return err
 	}
 	if len(measured) == 0 {
-		return fmt.Errorf("nothing to evaluate: give -data and/or -synthetic")
+		return fmt.Errorf("nothing to evaluate: give %s", sources)
 	}
-	res := learn.Evaluate(forest, measured, *tolerance, *minConf)
-	fmt.Println(res)
+	fmt.Println(w.evaluate(forest, measured, *tolerance, *minConf))
 	return nil
 }
 
@@ -382,31 +436,6 @@ func loadMatrix(file, name string, seed int64) (*sparse.Builder, error) {
 	default:
 		return nil, fmt.Errorf("give -file or -dataset (one of: adult, breast_cancer, aloi, gisette, mnist, sector, epsilon, leukemia, connect-4, trefethen, dna)")
 	}
-}
-
-// loadHistory reads an existing history file; a missing file starts empty.
-func loadHistory(path string) (*core.History, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return &core.History{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.LoadHistory(f)
-}
-
-func saveHistory(path string, h *core.History) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := h.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

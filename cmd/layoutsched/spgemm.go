@@ -52,17 +52,13 @@ func spgemmCmd(args []string) error {
 		return fmt.Errorf("operand B: %w", err)
 	}
 
-	pol := map[string]core.Policy{
-		"rule-based": core.RuleBased, "empirical": core.Empirical,
-		"hybrid": core.Hybrid, "predict": core.PolicyPredict,
-	}
-	p, ok := pol[*policy]
-	if !ok {
-		return fmt.Errorf("unknown policy %q", *policy)
+	p, err := core.ParsePolicy(*policy)
+	if err != nil {
+		return err
 	}
 	var hist *core.PairHistory
 	if *histPath != "" {
-		hist, err = loadPairHistory(*histPath)
+		hist, err = core.LoadPairHistoryFile(*histPath)
 		if err != nil {
 			return err
 		}
@@ -99,7 +95,7 @@ func spgemmCmd(args []string) error {
 		return err
 	}
 	if hist != nil {
-		if err := savePairHistory(*histPath, hist); err != nil {
+		if err := hist.SaveFile(*histPath); err != nil {
 			return err
 		}
 	}
@@ -150,113 +146,4 @@ func spgemmCmd(args []string) error {
 	fmt.Printf("\nDecision (%v policy): run the %v dataflow with A in %v and B in %v format.\n",
 		dec.Policy, dec.Chosen.Dataflow, dec.Chosen.AFormat, dec.Chosen.BFormat)
 	return nil
-}
-
-// trainSpGEMMCmd fits a pair predictor from measurement-labeled operand
-// pairs: harvested pair history and/or a generated synthetic pair corpus.
-func trainSpGEMMCmd(args []string) error {
-	fs := flag.NewFlagSet("train-spgemm", flag.ExitOnError)
-	var (
-		histPath  = fs.String("history", "", "pair tuning-history file to harvest examples from")
-		synthetic = fs.Int("synthetic", 0, "generate and measure-label this many synthetic operand pairs")
-		out       = fs.String("out", "spgemm-model.json", "output model file")
-		trees     = fs.Int("trees", 0, "forest size (0 = default)")
-		depth     = fs.Int("depth", 0, "maximum tree depth (0 = default)")
-		seed      = fs.Int64("seed", 1, "corpus generation and measurement seed")
-		workers   = fs.Int("workers", 0, "kernel workers for measurement (0 = all cores)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ex := exec.New(*workers, exec.Static)
-	defer ex.Close()
-
-	var examples []learn.PairExample
-	if *histPath != "" {
-		h, err := loadPairHistory(*histPath)
-		if err != nil {
-			return err
-		}
-		harvested := learn.FromPairHistory(h)
-		fmt.Printf("harvested %d examples from %s\n", len(harvested), *histPath)
-		examples = append(examples, harvested...)
-	}
-	if *synthetic > 0 {
-		corpus := learn.SyntheticPairCorpus(*synthetic, *seed)
-		measured, err := learn.MeasurePairAll(context.Background(), corpus, ex, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("measure-labeled %d operand pairs\n", len(measured))
-		examples = append(examples, learn.PairExamples(measured)...)
-	}
-	forest, err := learn.TrainPair(examples, learn.TrainConfig{Trees: *trees, MaxDepth: *depth, Seed: *seed})
-	if err != nil {
-		return fmt.Errorf("%w (give -history and/or -synthetic)", err)
-	}
-	if err := forest.SaveFile(*out); err != nil {
-		return err
-	}
-	fmt.Printf("trained %d trees on %d pair examples, saved to %s\n", forest.Trees(), forest.TrainedOn(), *out)
-	return nil
-}
-
-// evalSpGEMMCmd scores a trained pair predictor against a measured oracle
-// on a held-out synthetic pair corpus.
-func evalSpGEMMCmd(args []string) error {
-	fs := flag.NewFlagSet("eval-spgemm", flag.ExitOnError)
-	var (
-		modelPath = fs.String("model", "spgemm-model.json", "trained pair model file")
-		synthetic = fs.Int("synthetic", 0, "evaluate on this many synthetic operand pairs")
-		seed      = fs.Int64("seed", 2, "corpus seed; keep it different from the training seed so the split is held out")
-		tolerance = fs.Float64("tolerance", 1.25, "slowdown-vs-oracle counted as acceptable")
-		minConf   = fs.Float64("min-confidence", core.DefaultMinConfidence, "confidence threshold for the low-confidence count")
-		workers   = fs.Int("workers", 0, "kernel workers for measurement (0 = all cores)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	forest, err := learn.LoadPairFile(*modelPath)
-	if err != nil {
-		return err
-	}
-	ex := exec.New(*workers, exec.Static)
-	defer ex.Close()
-	if *synthetic <= 0 {
-		return fmt.Errorf("nothing to evaluate: give -synthetic")
-	}
-	corpus := learn.SyntheticPairCorpus(*synthetic, *seed)
-	measured, err := learn.MeasurePairAll(context.Background(), corpus, ex, *seed)
-	if err != nil {
-		return err
-	}
-	res := learn.EvaluatePair(forest, measured, *tolerance, *minConf)
-	fmt.Println(res)
-	return nil
-}
-
-// loadPairHistory reads an existing pair-history file; a missing file
-// starts empty.
-func loadPairHistory(path string) (*core.PairHistory, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return &core.PairHistory{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.LoadPairHistory(f)
-}
-
-func savePairHistory(path string, h *core.PairHistory) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := h.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

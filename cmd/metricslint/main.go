@@ -110,9 +110,9 @@ func scrapeTestServer() (string, error) {
 		OnlineEvents: events,
 	})
 	defer s.Drain()
-	// The online flywheel contributes its hand-built layoutd_online_*
-	// families to the same exposition; lint them together the way a
-	// `layoutd -online` scrape would serve them.
+	// The online flywheel contributes its layoutd_online_* families to the
+	// same exposition; lint them together the way a `layoutd -online`
+	// scrape would serve them.
 	ctl, err := online.New(online.Config{
 		Store:  store,
 		Events: events,
@@ -123,9 +123,7 @@ func scrapeTestServer() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.Registry().Register(telemetry.CollectorFunc(func() []telemetry.Family {
-		return ctl.MetricFamilies("layoutd")
-	}))
+	s.Registry().Register(ctl)
 	ctl.Step()
 	h := s.Handler()
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 
@@ -170,10 +169,6 @@ func (p *Peers) SetTraceSink(sink func(*telemetry.Trace)) {
 		p.repl.setTraceSink(sink)
 	}
 }
-
-// EncodePayload marshals a payload for Replicate entries; a helper so the
-// serve layer's wire structs stay the single source of truth.
-func EncodePayload(v any) (json.RawMessage, error) { return json.Marshal(v) }
 
 // Stop terminates the replicator (flushing its queue best-effort) and
 // releases idle peer connections. Call during drain, before the HTTP

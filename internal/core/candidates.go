@@ -96,9 +96,3 @@ func lessCandidateEstimate(a, b CandidateEstimate) bool {
 func EstimateCandidates(f dataset.Features, parallel bool) []CandidateEstimate {
 	return AppendCandidateEstimates(nil, EstimateCosts(f), parallel)
 }
-
-// RuleBasedCandidate returns the joint model's best candidate for a
-// feature vector.
-func RuleBasedCandidate(f dataset.Features, parallel bool) sparse.Candidate {
-	return EstimateCandidates(f, parallel)[0].Candidate
-}

@@ -242,3 +242,17 @@ func TestTrefethenEmpiricalPrefersSparseFormat(t *testing.T) {
 		t.Fatalf("empirical policy chose DEN on a 0.6%% dense banded matrix: %v", dec.Measured)
 	}
 }
+
+func TestParsePolicyInvertsString(t *testing.T) {
+	for _, want := range []Policy{RuleBased, Empirical, Hybrid, PolicyPredict} {
+		got, err := ParsePolicy(want.String())
+		if err != nil || got != want {
+			t.Fatalf("%s: %v %v", want, got, err)
+		}
+	}
+	for _, bad := range []string{"oracle", "unknown", ""} {
+		if _, err := ParsePolicy(bad); err == nil {
+			t.Fatalf("%q accepted", bad)
+		}
+	}
+}

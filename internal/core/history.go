@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -158,6 +159,49 @@ func (h *radiusStore[P, C]) load(r io.Reader, codec historyCodec[C]) error {
 	return sc.Err()
 }
 
+// loadFile reads the history at path into h. A missing file leaves h empty:
+// every persisted history is loaded at startup and written back on exit, so
+// on a first run there is nothing to read yet.
+func (h *radiusStore[P, C]) loadFile(path string, codec historyCodec[C]) error {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return h.load(f, codec)
+}
+
+// WriteFileAtomic replaces path with whatever write produces, or leaves it
+// untouched: the bytes go to a sibling temp file that is synced and renamed
+// over path only after write and Close both succeeded. Every loader of
+// persisted state (histories, models, the harvest store) rejects a
+// truncated file, so a save that fails or is killed half-way must never
+// have opened the live file for writing.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
 // History is the SMSV tuning memory — the OSKI-style tuning-database idea
 // applied to the paper's nine-parameter space, widened to the joint
 // (format × chunk × variant) space. Points are dataset.Embed, the same
@@ -210,6 +254,19 @@ func LoadHistory(r io.Reader) (*History, error) {
 	return h, nil
 }
 
+// SaveFile writes the history to path atomically.
+func (h *History) SaveFile(path string) error { return WriteFileAtomic(path, h.Save) }
+
+// LoadHistoryFile reads the history file at path; a missing file is an
+// empty history.
+func LoadHistoryFile(path string) (*History, error) {
+	h := &History{}
+	if err := h.loadFile(path, historyFile); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
 // DefaultHistoryRadius is the reuse threshold: embedded points closer than
 // this share a candidate. Calibrated so the Table V clones under different
 // seeds reuse each other while structurally different datasets do not.
@@ -257,6 +314,19 @@ func (h *PairHistory) Save(w io.Writer) error { return h.save(w, pairHistoryFile
 func LoadPairHistory(r io.Reader) (*PairHistory, error) {
 	h := &PairHistory{}
 	if err := h.load(r, pairHistoryFile); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// SaveFile writes the pair history to path atomically.
+func (h *PairHistory) SaveFile(path string) error { return WriteFileAtomic(path, h.Save) }
+
+// LoadPairHistoryFile reads the pair-history file at path; a missing file
+// is an empty history.
+func LoadPairHistoryFile(path string) (*PairHistory, error) {
+	h := &PairHistory{}
+	if err := h.loadFile(path, pairHistoryFile); err != nil {
 		return nil, err
 	}
 	return h, nil

@@ -67,6 +67,17 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy is String's inverse: the one place a policy name — a flag
+// value, a request's "policy" field — becomes a Policy.
+func ParsePolicy(name string) (Policy, error) {
+	for p := RuleBased; p <= PolicyPredict; p++ {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (want rule-based, empirical, hybrid, or predict)", name)
+}
+
 // FormatPredictor answers format queries from a trained model. It is
 // implemented by *learn.Forest; core only sees the interface so the learn
 // package can depend on core (for harvesting History) without a cycle.

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -191,15 +190,6 @@ func (s *Stats) MetricFamilies(prefix string) []telemetry.Family {
 		nanos.Samples = append(nanos.Samples, telemetry.Sample{Labels: labels, Value: float64(ks.Time)})
 	}
 	return []telemetry.Family{calls, elems, nanos}
-}
-
-// WriteMetrics renders the snapshot in the Prometheus text exposition
-// format: `# TYPE`-prefixed `<prefix>_kernel_{calls,elements,nanos}` counter
-// families with one kind-labelled line each per non-empty kind, sorted
-// deterministically. Concurrent updates during the write may split between
-// lines but never corrupt them. A nil receiver writes nothing.
-func (s *Stats) WriteMetrics(w io.Writer, prefix string) error {
-	return telemetry.WriteFamilies(w, s.MetricFamilies(prefix))
 }
 
 // String renders the snapshot as one line per kind.

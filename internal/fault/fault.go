@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -425,17 +424,6 @@ func MetricFamilies(prefix string) []telemetry.Family {
 		})
 	}
 	return []telemetry.Family{enabled, injected}
-}
-
-// WriteMetrics renders the active registry's counters in the Prometheus
-// text exposition the /metrics endpoint serves:
-//
-//	<prefix>_faults_enabled 1
-//	<prefix>_fault_injected_total{point="core.measure.err"} 12
-//
-// With no registry enabled it writes only the disabled gauge.
-func WriteMetrics(w io.Writer, prefix string) {
-	telemetry.WriteFamilies(w, MetricFamilies(prefix))
 }
 
 // String lists the armed points, for startup logs.

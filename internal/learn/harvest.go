@@ -27,41 +27,58 @@ type Labeled struct {
 // fastest becomes the training label. This is the expensive side of the
 // flywheel — each call costs a full measurement sweep.
 func Measure(ctx context.Context, b *sparse.Builder, ex *exec.Exec, seed int64) (Labeled, error) {
-	sched := core.New(core.Config{Policy: core.Empirical, Exec: ex, Seed: seed})
-	dec, err := sched.ChooseContext(ctx, b)
+	dec, err := core.New(core.Config{Policy: core.Empirical, Exec: ex, Seed: seed}).ChooseContext(ctx, b)
+	return labelFrom(dec, err, func(d *core.Decision) Labeled {
+		return Labeled{Example: FromFeatures(d.Features, d.ChosenCandidate), Features: d.Features, Times: maps.Clone(d.Measured)}
+	})
+}
+
+// labelFrom turns one empirical scheduler run into a labeled item. Decisions
+// are pooled, so build copies what must outlive the release.
+func labelFrom[D interface{ Release() }, L any](dec D, err error, build func(D) L) (L, error) {
 	if err != nil {
-		return Labeled{}, err
+		var none L
+		return none, err
 	}
-	// Decisions are pooled; copy what outlives the release.
-	l := Labeled{
-		Example:  FromFeatures(dec.Features, dec.ChosenCandidate),
-		Features: dec.Features,
-		Times:    maps.Clone(dec.Measured),
-	}
+	l := build(dec)
 	dec.Release()
 	return l, nil
 }
 
-// MeasureAll measure-labels a corpus of builders.
-func MeasureAll(ctx context.Context, corpus []*sparse.Builder, ex *exec.Exec, seed int64) ([]Labeled, error) {
-	out := make([]Labeled, 0, len(corpus))
-	for i, b := range corpus {
-		l, err := Measure(ctx, b, ex, seed+int64(i))
+// measureAll labels every corpus item, item i under seed+i; noun names
+// the item kind in the error, which carries the failing index.
+func measureAll[In, L any](corpus []In, seed int64, noun string, measure func(In, int64) (L, error)) ([]L, error) {
+	out := make([]L, 0, len(corpus))
+	for i, in := range corpus {
+		l, err := measure(in, seed+int64(i))
 		if err != nil {
-			return nil, fmt.Errorf("learn: labeling corpus dataset %d: %w", i, err)
+			return nil, fmt.Errorf("learn: labeling corpus %s %d: %w", noun, i, err)
 		}
 		out = append(out, l)
 	}
 	return out, nil
 }
 
-// Examples projects labeled data down to training examples.
-func Examples(items []Labeled) []Example {
-	out := make([]Example, len(items))
+// project maps items one to one: labeled data down to its training
+// examples, a history snapshot to the examples it recorded.
+func project[In, Out any](items []In, f func(In) Out) []Out {
+	out := make([]Out, len(items))
 	for i, it := range items {
-		out[i] = it.Example
+		out[i] = f(it)
 	}
 	return out
+}
+
+// MeasureAll measure-labels a corpus of builders.
+func MeasureAll(ctx context.Context, corpus []*sparse.Builder, ex *exec.Exec, seed int64) ([]Labeled, error) {
+	return measureAll(corpus, seed, "dataset", func(b *sparse.Builder, seed int64) (Labeled, error) {
+		return Measure(ctx, b, ex, seed)
+	})
+}
+
+// Examples projects labeled data down to training examples.
+func Examples(items []Labeled) []Example {
+	return project(items, func(l Labeled) Example { return l.Example })
 }
 
 // FormatOnlyExamples projects labeled data onto the pre-joint label space:

@@ -54,10 +54,7 @@ func FromFeatures(f dataset.Features, label sparse.Candidate) Example {
 // v1 histories carry base candidates, which train the forest exactly as the
 // old format-only labels did.
 func FromHistory(h *core.History) []Example {
-	snap := h.Snapshot()
-	out := make([]Example, len(snap))
-	for i, e := range snap {
-		out[i] = Example{Point: e.Point, Label: e.Candidate}
-	}
-	return out
+	return project(h.Snapshot(), func(e core.HistoryExample) Example {
+		return Example{Point: e.Point, Label: e.Candidate}
+	})
 }

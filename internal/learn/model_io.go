@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -150,17 +151,9 @@ func (f *forest[L]) loadFile(sp *space[L], path string) error {
 	return nil
 }
 
-// saveFile writes the forest to path.
+// saveFile writes the forest to path atomically.
 func (f *forest[L]) saveFile(sp *space[L], path string) error {
-	w, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := f.save(sp, w); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
+	return core.WriteFileAtomic(path, func(w io.Writer) error { return f.save(sp, w) })
 }
 
 // Save writes the forest as versioned JSON.

@@ -2,7 +2,6 @@ package learn
 
 import (
 	"context"
-	"fmt"
 	"maps"
 	"math/rand"
 	"time"
@@ -27,51 +26,30 @@ type PairLabeled struct {
 // supported dataflow candidate is built and timed and the fastest becomes
 // the label.
 func MeasurePair(ctx context.Context, a, b *sparse.Builder, ex *exec.Exec, seed int64) (PairLabeled, error) {
-	sched := core.NewSpGEMM(core.SpGEMMConfig{Policy: core.Empirical, Exec: ex, Seed: seed})
-	dec, err := sched.ChooseContext(ctx, a, b)
-	if err != nil {
-		return PairLabeled{}, err
-	}
-	l := PairLabeled{
-		PairExample: FromPairFeatures(dec.AFeatures, dec.BFeatures, dec.Chosen),
-		AFeatures:   dec.AFeatures,
-		BFeatures:   dec.BFeatures,
-		Times:       maps.Clone(dec.Measured),
-	}
-	dec.Release()
-	return l, nil
+	dec, err := core.NewSpGEMM(core.SpGEMMConfig{Policy: core.Empirical, Exec: ex, Seed: seed}).ChooseContext(ctx, a, b)
+	return labelFrom(dec, err, func(d *core.SpGEMMDecision) PairLabeled {
+		return PairLabeled{PairExample: FromPairFeatures(d.AFeatures, d.BFeatures, d.Chosen),
+			AFeatures: d.AFeatures, BFeatures: d.BFeatures, Times: maps.Clone(d.Measured)}
+	})
 }
 
 // MeasurePairAll measure-labels a corpus of operand pairs.
 func MeasurePairAll(ctx context.Context, corpus [][2]*sparse.Builder, ex *exec.Exec, seed int64) ([]PairLabeled, error) {
-	out := make([]PairLabeled, 0, len(corpus))
-	for i, p := range corpus {
-		l, err := MeasurePair(ctx, p[0], p[1], ex, seed+int64(i))
-		if err != nil {
-			return nil, fmt.Errorf("learn: labeling corpus pair %d: %w", i, err)
-		}
-		out = append(out, l)
-	}
-	return out, nil
+	return measureAll(corpus, seed, "pair", func(p [2]*sparse.Builder, seed int64) (PairLabeled, error) {
+		return MeasurePair(ctx, p[0], p[1], ex, seed)
+	})
 }
 
 // PairExamples projects labeled pairs down to training examples.
 func PairExamples(items []PairLabeled) []PairExample {
-	out := make([]PairExample, len(items))
-	for i, it := range items {
-		out[i] = it.PairExample
-	}
-	return out
+	return project(items, func(l PairLabeled) PairExample { return l.PairExample })
 }
 
 // FromPairHistory harvests a scheduler's pair history as training examples.
 func FromPairHistory(h *core.PairHistory) []PairExample {
-	snap := h.Snapshot()
-	out := make([]PairExample, len(snap))
-	for i, e := range snap {
-		out[i] = PairExample{Point: e.Point, Label: e.Candidate}
-	}
-	return out
+	return project(h.Snapshot(), func(e core.PairHistoryExample) PairExample {
+		return PairExample{Point: e.Point, Label: e.Candidate}
+	})
 }
 
 // SyntheticPairCorpus generates n conformable (A: m×k, B: k×n) operand

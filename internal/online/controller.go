@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"strconv"
 	"sync"
 	"time"
 
@@ -119,8 +118,9 @@ const (
 	laneMonitoring
 )
 
-// lane is one workload's live state plus its lifetime counters. All
-// mutable fields are guarded by Controller.mu.
+// lane is one workload's live state, guarded by Controller.mu, plus its
+// exported instruments: handles in the controller's registry that Step
+// updates with one atomic op each and a scrape reads without the lock.
 type lane struct {
 	cfg         LaneConfig
 	state       laneState
@@ -131,42 +131,34 @@ type lane struct {
 	promotedSeq uint64
 	promotedAt  time.Time
 
-	retrains      int64
-	retrainErrors int64
-	installErrors int64
-	shadowEvals   int64
-	promotions    int64
-	rejections    int64
-	rollbacks     int64
-	commits       int64
+	retrains      *telemetry.Counter
+	retrainErrors *telemetry.Counter
+	installErrors *telemetry.Counter
+	shadowEvals   *telemetry.Counter
+	promotions    *telemetry.Counter
+	rejections    *telemetry.Counter
+	rollbacks     *telemetry.Counter
+	commits       *telemetry.Counter
 
-	liveHitRate float64
-	candHitRate float64
-	postRegret  float64
+	monitoring  *telemetry.Gauge // mirrors state: 0 idle, 1 monitoring
+	liveHitRate *telemetry.Gauge
+	candHitRate *telemetry.Gauge
+	postRegret  *telemetry.Gauge
 
-	regretHist histCounts
+	regret *telemetry.Histogram
+}
+
+// setState moves the lane through the promotion state machine.
+func (ln *lane) setState(s laneState) {
+	ln.state = s
+	ln.monitoring.Set(float64(s))
 }
 
 // regretBounds bucket candidate shadow mean-regret ratios (1 = perfect).
-var regretBounds = [...]float64{1.01, 1.05, 1.1, 1.25, 1.5, 2, 3, 5, 10}
+var regretBounds = []float64{1.01, 1.05, 1.1, 1.25, 1.5, 2, 3, 5, 10}
 
-// histCounts is a minimal fixed-bucket histogram for the hand-built
-// exposition below (guarded by Controller.mu like the rest of lane).
-type histCounts struct {
-	counts [len(regretBounds) + 1]int64 // last bucket is +Inf
-	sum    float64
-	n      int64
-}
-
-func (h *histCounts) observe(v float64) {
-	i := 0
-	for i < len(regretBounds) && v > regretBounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.sum += v
-	h.n++
-}
+// metricPrefix names every family the controller exports.
+const metricPrefix = "layoutd_online"
 
 // Controller drives the harvest→retrain→shadow→promote/rollback state
 // machine. Step is the only state transition and is synchronous and
@@ -174,35 +166,14 @@ func (h *histCounts) observe(v float64) {
 // the daemon-mode ticker around it.
 type Controller struct {
 	cfg Config
-	// mu is held for the whole of Step and any metric snapshot. Step
-	// runs training under it too — retrains are background cadence
-	// work, never on a request path, so simplicity beats concurrency.
-	mu    chMutex
+	// mu is held for the whole of Step. Step runs training under it too —
+	// retrains are background cadence work, never on a request path, so
+	// simplicity beats concurrency.
+	mu    sync.Mutex
 	lanes []*lane
-
-	// scrapeMu guards the last successfully rendered per-lane families,
-	// served verbatim when a scrape loses the lock race against a Step
-	// in progress — counters must never vanish from one scrape and
-	// reappear the next, or scraper-side staleness and rate() break.
-	scrapeMu       sync.Mutex
-	lastLaneFams   []telemetry.Family
-	lastLanePrefix string
-}
-
-// chMutex is a channel-based mutex so MetricFamilies can snapshot
-// without blocking scrape goroutines behind a long training run more
-// than necessary — functionally a sync.Mutex with TryLock on scrape.
-type chMutex chan struct{}
-
-func (m chMutex) lock()   { m <- struct{}{} }
-func (m chMutex) unlock() { <-m }
-func (m chMutex) tryLock() bool {
-	select {
-	case m <- struct{}{}:
-		return true
-	default:
-		return false
-	}
+	// reg holds every layoutd_online_* family. Scrapes read it lock-free,
+	// so one that lands mid-retrain still sees every family.
+	reg *telemetry.Registry
 }
 
 // New validates cfg, applies defaults, and returns a controller with
@@ -244,7 +215,8 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(discard{}, nil))
 	}
-	c := &Controller{cfg: cfg, mu: make(chMutex, 1)}
+	c := &Controller{cfg: cfg, reg: telemetry.NewRegistry()}
+	c.registerStoreMetrics()
 	seen := map[Kind]bool{}
 	now := cfg.Now()
 	for _, lc := range cfg.Lanes {
@@ -261,9 +233,59 @@ func New(cfg Config) (*Controller, error) {
 		if lc.MinRecords <= 0 {
 			lc.MinRecords = 8
 		}
-		c.lanes = append(c.lanes, &lane{cfg: lc, live: lc.Boot, lastRetrain: now})
+		c.lanes = append(c.lanes, c.newLane(lc, now))
 	}
 	return c, nil
+}
+
+// registerStoreMetrics exports the harvest store's own counters, read at
+// scrape time.
+func (c *Controller) registerStoreMetrics() {
+	store := c.cfg.Store
+	c.reg.Gauge(metricPrefix+"_enabled", "1 when the online flywheel is running.").Set(1)
+	const harvested = "Measured decisions harvested into the online store, by workload."
+	c.reg.CounterFunc(metricPrefix+"_harvested_total", harvested,
+		func() float64 { smsv, _, _, _ := store.Counters(); return float64(smsv) }, telemetry.L("kind", string(KindSMSV)))
+	c.reg.CounterFunc(metricPrefix+"_harvested_total", harvested,
+		func() float64 { _, pair, _, _ := store.Counters(); return float64(pair) }, telemetry.L("kind", string(KindPair)))
+	c.reg.CounterFunc(metricPrefix+"_store_evicted_total", "Oldest records evicted from the bounded online store.",
+		func() float64 { _, _, evicted, _ := store.Counters(); return float64(evicted) })
+	c.reg.CounterFunc(metricPrefix+"_store_rejected_total", "Invalid records rejected at harvest.",
+		func() float64 { _, _, _, rejected := store.Counters(); return float64(rejected) })
+	c.reg.GaugeFunc(metricPrefix+"_store_records", "Live records in the online store.",
+		func() float64 { return float64(store.Len()) })
+}
+
+// newLane starts a lane idle on its boot model with its instruments
+// registered, so every family is present (at zero) from the first scrape.
+func (c *Controller) newLane(lc LaneConfig, now time.Time) *lane {
+	label := telemetry.L("lane", string(lc.Kind))
+	counter := func(name, help string) *telemetry.Counter {
+		return c.reg.Counter(metricPrefix+name, help, label)
+	}
+	gauge := func(name, help string) *telemetry.Gauge {
+		return c.reg.Gauge(metricPrefix+name, help, label)
+	}
+	return &lane{
+		cfg: lc, live: lc.Boot, lastRetrain: now,
+
+		retrains:      counter("_retrains_total", "Background retrain rounds attempted."),
+		retrainErrors: counter("_retrain_errors_total", "Retrain rounds that failed to fit a model."),
+		installErrors: counter("_install_errors_total", "Model installs (promote or rollback) that failed."),
+		shadowEvals:   counter("_shadow_evals_total", "Shadow evaluations of candidate vs live model."),
+		promotions:    counter("_promotions_total", "Candidates hot-swapped in after winning shadow eval."),
+		rejections:    counter("_rejections_total", "Candidates that failed to clear the promote margin."),
+		rollbacks:     counter("_rollbacks_total", "Promoted models rolled back on post-swap regret regression."),
+		commits:       counter("_commits_total", "Promoted models confirmed by post-swap traffic."),
+
+		monitoring:  gauge("_state", "Lane state: 0 idle, 1 monitoring a fresh promotion."),
+		liveHitRate: gauge("_live_hit_rate", "Live model hit rate on the latest shadow window."),
+		candHitRate: gauge("_candidate_hit_rate", "Candidate model hit rate on the latest shadow window."),
+		postRegret:  gauge("_post_swap_regret", "Mean regret of the latest post-swap judgment window."),
+
+		regret: c.reg.Histogram(metricPrefix+"_shadow_regret",
+			"Candidate mean shadow regret per retrain round (ratio, 1 = oracle).", regretBounds, label),
+	}
 }
 
 type discard struct{}
@@ -284,8 +306,8 @@ func predictOrAbstain(m Model) PredictFunc {
 // elapsed. It is safe to call from one goroutine at a time per
 // controller (Run serializes; tests call it directly).
 func (c *Controller) Step() {
-	c.mu.lock()
-	defer c.mu.unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	now := c.cfg.Now()
 	for _, ln := range c.lanes {
 		if ln.state == laneMonitoring {
@@ -338,7 +360,7 @@ func (c *Controller) judge(ln *lane, now time.Time) {
 		return // not enough evidence yet; stay monitoring
 	}
 	post := EvalShadow(fresh, predictOrAbstain(ln.live))
-	ln.postRegret = post.MeanRegret()
+	ln.postRegret.Set(post.MeanRegret())
 	if post.N > 0 && post.MeanRegret() > c.cfg.RollbackRegret {
 		// The trace is created only once a verdict is reached — judge runs
 		// every tick while monitoring, and a trace per no-op tick would
@@ -349,7 +371,7 @@ func (c *Controller) judge(ln *lane, now time.Time) {
 			telemetry.Float("post_regret", post.MeanRegret()))
 		if err := installModel(ctx, ln.prev); err != nil {
 			finish(err)
-			ln.installErrors++
+			ln.installErrors.Inc()
 			c.cfg.Logger.Error("online rollback install failed; will retry",
 				"lane", ln.cfg.Kind, "model", ln.prev.Name, "err", err)
 			return // stay monitoring, retry next tick
@@ -361,8 +383,8 @@ func (c *Controller) judge(ln *lane, now time.Time) {
 		c.event(ln, EventRollback, ln.live.Name, tid,
 			fmt.Sprintf("post_regret=%.3g threshold=%.3g to=%s", post.MeanRegret(), c.cfg.RollbackRegret, ln.prev.Name))
 		ln.live, ln.prev = ln.prev, Model{}
-		ln.state = laneIdle
-		ln.rollbacks++
+		ln.setState(laneIdle)
+		ln.rollbacks.Inc()
 		// Back off one interval: the window that produced the bad
 		// candidate is still mostly in the store.
 		ln.lastRetrain = now
@@ -388,8 +410,8 @@ func (c *Controller) judge(ln *lane, now time.Time) {
 	c.event(ln, typ, ln.live.Name, tid,
 		fmt.Sprintf("post_regret=%.3g fresh=%d", post.MeanRegret(), post.N))
 	ln.prev = Model{}
-	ln.state = laneIdle
-	ln.commits++
+	ln.setState(laneIdle)
+	ln.commits.Inc()
 }
 
 // retrain fits a candidate from the lane's recent window, shadow-scores
@@ -404,7 +426,7 @@ func (c *Controller) retrain(ln *lane, now time.Time) {
 		return
 	}
 	ln.round++
-	ln.retrains++
+	ln.retrains.Inc()
 	ctx, tid, finish := c.roundTrace("online.retrain",
 		telemetry.String("lane", string(ln.cfg.Kind)),
 		telemetry.Int("round", int(ln.round)),
@@ -414,7 +436,7 @@ func (c *Controller) retrain(ln *lane, now time.Time) {
 	if err != nil {
 		tsp.EndErr(err)
 		finish(err)
-		ln.retrainErrors++
+		ln.retrainErrors.Inc()
 		c.cfg.Logger.Error("online retrain failed", "lane", ln.cfg.Kind, "err", err)
 		return
 	}
@@ -426,13 +448,13 @@ func (c *Controller) retrain(ln *lane, now time.Time) {
 		telemetry.Float("live_hit", liveStats.HitRate()),
 		telemetry.Float("cand_hit", candStats.HitRate()))
 	ssp.End()
-	ln.shadowEvals++
-	ln.liveHitRate = liveStats.HitRate()
-	ln.candHitRate = candStats.HitRate()
-	ln.regretHist.observe(candStats.MeanRegret())
+	ln.shadowEvals.Inc()
+	ln.liveHitRate.Set(liveStats.HitRate())
+	ln.candHitRate.Set(candStats.HitRate())
+	ln.regret.Observe(candStats.MeanRegret())
 	if candStats.N == 0 || candStats.HitRate() < liveStats.HitRate()+c.cfg.PromoteMargin {
 		finish(nil)
-		ln.rejections++
+		ln.rejections.Inc()
 		c.cfg.Logger.Info("online candidate rejected",
 			"lane", ln.cfg.Kind, "candidate", cand.Name,
 			"cand_hit", candStats.HitRate(), "live_hit", liveStats.HitRate(),
@@ -445,7 +467,7 @@ func (c *Controller) retrain(ln *lane, now time.Time) {
 	if err := installModel(ictx, cand); err != nil {
 		isp.EndErr(err)
 		finish(err)
-		ln.installErrors++
+		ln.installErrors.Inc()
 		c.cfg.Logger.Error("online promote install failed",
 			"lane", ln.cfg.Kind, "candidate", cand.Name, "err", err)
 		return
@@ -460,8 +482,8 @@ func (c *Controller) retrain(ln *lane, now time.Time) {
 	ln.prev, ln.live = ln.live, cand
 	ln.promotedSeq = c.cfg.Store.LastSeq()
 	ln.promotedAt = now
-	ln.state = laneMonitoring
-	ln.promotions++
+	ln.setState(laneMonitoring)
+	ln.promotions.Inc()
 }
 
 // Run ticks Step at a quarter of the retrain interval (floor 1s) until
@@ -497,144 +519,24 @@ type LaneStatus struct {
 
 // Status snapshots every lane.
 func (c *Controller) Status() []LaneStatus {
-	c.mu.lock()
-	defer c.mu.unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make([]LaneStatus, 0, len(c.lanes))
 	for _, ln := range c.lanes {
 		out = append(out, LaneStatus{
 			Kind:       ln.cfg.Kind,
 			Monitoring: ln.state == laneMonitoring,
 			LiveModel:  ln.live.Name,
-			Promotions: ln.promotions, Rollbacks: ln.rollbacks, Commits: ln.commits,
-			LiveHitRate: ln.liveHitRate,
+			Promotions: ln.promotions.Value(), Rollbacks: ln.rollbacks.Value(), Commits: ln.commits.Value(),
+			LiveHitRate: ln.liveHitRate.Value(),
 		})
 	}
 	return out
 }
 
-// MetricFamilies renders the flywheel's state as hand-built exposition
-// families under <prefix>_online_*, the same idiom as
-// fault.MetricFamilies: counters for every state-machine transition,
-// gauges for the latest shadow scores, and a per-lane histogram of
-// candidate shadow regret. If the controller is mid-Step, rendering
-// fresh lane families would mean blocking the scrape behind a training
-// run; the scrape instead serves the last successfully rendered lane
-// families (slightly stale, never absent) next to the store-level
-// families, which have their own synchronization.
-func (c *Controller) MetricFamilies(prefix string) []telemetry.Family {
-	p := prefix + "_online"
-	smsv, pair, evicted, rejected := c.cfg.Store.Counters()
-	fams := []telemetry.Family{
-		{
-			Name: p + "_enabled", Kind: telemetry.KindGauge,
-			Help:    "1 when the online flywheel is running.",
-			Samples: []telemetry.Sample{{Value: 1}},
-		},
-		{
-			Name: p + "_harvested_total", Kind: telemetry.KindCounter,
-			Help: "Measured decisions harvested into the online store, by workload.",
-			Samples: []telemetry.Sample{
-				{Labels: []telemetry.Label{telemetry.L("kind", string(KindSMSV))}, Value: float64(smsv)},
-				{Labels: []telemetry.Label{telemetry.L("kind", string(KindPair))}, Value: float64(pair)},
-			},
-		},
-		{
-			Name: p + "_store_evicted_total", Kind: telemetry.KindCounter,
-			Help:    "Oldest records evicted from the bounded online store.",
-			Samples: []telemetry.Sample{{Value: float64(evicted)}},
-		},
-		{
-			Name: p + "_store_rejected_total", Kind: telemetry.KindCounter,
-			Help:    "Invalid records rejected at harvest.",
-			Samples: []telemetry.Sample{{Value: float64(rejected)}},
-		},
-		{
-			Name: p + "_store_records", Kind: telemetry.KindGauge,
-			Help:    "Live records in the online store.",
-			Samples: []telemetry.Sample{{Value: float64(c.cfg.Store.Len())}},
-		},
-	}
-	if !c.mu.tryLock() {
-		c.scrapeMu.Lock()
-		defer c.scrapeMu.Unlock()
-		if c.lastLanePrefix == p {
-			return append(fams, c.lastLaneFams...)
-		}
-		return fams // first scrape under a Step: nothing cached yet
-	}
-	laneFams := c.laneFamilies(p)
-	c.mu.unlock()
-	c.scrapeMu.Lock()
-	c.lastLaneFams, c.lastLanePrefix = laneFams, p
-	c.scrapeMu.Unlock()
-	return append(fams, laneFams...)
-}
-
-// laneFamilies renders the per-lane counter/gauge/histogram families.
-// Caller holds c.mu.
-func (c *Controller) laneFamilies(p string) []telemetry.Family {
-	var fams []telemetry.Family
-	counter := func(name, help string, get func(*lane) int64) telemetry.Family {
-		f := telemetry.Family{Name: p + name, Kind: telemetry.KindCounter, Help: help}
-		for _, ln := range c.lanes {
-			f.Samples = append(f.Samples, telemetry.Sample{
-				Labels: []telemetry.Label{telemetry.L("lane", string(ln.cfg.Kind))},
-				Value:  float64(get(ln)),
-			})
-		}
-		return f
-	}
-	gauge := func(name, help string, get func(*lane) float64) telemetry.Family {
-		f := telemetry.Family{Name: p + name, Kind: telemetry.KindGauge, Help: help}
-		for _, ln := range c.lanes {
-			f.Samples = append(f.Samples, telemetry.Sample{
-				Labels: []telemetry.Label{telemetry.L("lane", string(ln.cfg.Kind))},
-				Value:  float64(get(ln)),
-			})
-		}
-		return f
-	}
-	fams = append(fams,
-		counter("_retrains_total", "Background retrain rounds attempted.", func(l *lane) int64 { return l.retrains }),
-		counter("_retrain_errors_total", "Retrain rounds that failed to fit a model.", func(l *lane) int64 { return l.retrainErrors }),
-		counter("_install_errors_total", "Model installs (promote or rollback) that failed.", func(l *lane) int64 { return l.installErrors }),
-		counter("_shadow_evals_total", "Shadow evaluations of candidate vs live model.", func(l *lane) int64 { return l.shadowEvals }),
-		counter("_promotions_total", "Candidates hot-swapped in after winning shadow eval.", func(l *lane) int64 { return l.promotions }),
-		counter("_rejections_total", "Candidates that failed to clear the promote margin.", func(l *lane) int64 { return l.rejections }),
-		counter("_rollbacks_total", "Promoted models rolled back on post-swap regret regression.", func(l *lane) int64 { return l.rollbacks }),
-		counter("_commits_total", "Promoted models confirmed by post-swap traffic.", func(l *lane) int64 { return l.commits }),
-		gauge("_state", "Lane state: 0 idle, 1 monitoring a fresh promotion.", func(l *lane) float64 {
-			if l.state == laneMonitoring {
-				return 1
-			}
-			return 0
-		}),
-		gauge("_live_hit_rate", "Live model hit rate on the latest shadow window.", func(l *lane) float64 { return l.liveHitRate }),
-		gauge("_candidate_hit_rate", "Candidate model hit rate on the latest shadow window.", func(l *lane) float64 { return l.candHitRate }),
-		gauge("_post_swap_regret", "Mean regret of the latest post-swap judgment window.", func(l *lane) float64 { return l.postRegret }),
-	)
-
-	hist := telemetry.Family{
-		Name: p + "_shadow_regret", Kind: telemetry.KindHistogram,
-		Help: "Candidate mean shadow regret per retrain round (ratio, 1 = oracle).",
-	}
-	for _, ln := range c.lanes {
-		laneLabel := telemetry.L("lane", string(ln.cfg.Kind))
-		cum := int64(0)
-		for i, ub := range regretBounds {
-			cum += ln.regretHist.counts[i]
-			hist.Samples = append(hist.Samples, telemetry.Sample{
-				Suffix: "_bucket",
-				Labels: []telemetry.Label{laneLabel, telemetry.L("le", strconv.FormatFloat(ub, 'g', -1, 64))},
-				Value:  float64(cum),
-			})
-		}
-		cum += ln.regretHist.counts[len(regretBounds)]
-		hist.Samples = append(hist.Samples,
-			telemetry.Sample{Suffix: "_bucket", Labels: []telemetry.Label{laneLabel, telemetry.L("le", "+Inf")}, Value: float64(cum)},
-			telemetry.Sample{Suffix: "_sum", Labels: []telemetry.Label{laneLabel}, Value: ln.regretHist.sum},
-			telemetry.Sample{Suffix: "_count", Labels: []telemetry.Label{laneLabel}, Value: float64(cum)},
-		)
-	}
-	return append(fams, hist)
-}
+// MetricFamilies implements telemetry.Collector over the controller's
+// registry: counters for every state-machine transition, gauges for the
+// latest shadow scores, a per-lane histogram of candidate shadow regret,
+// and the store's own counters. It takes no controller lock, so a scrape
+// during a long training run returns every family at its current value.
+func (c *Controller) MetricFamilies() []telemetry.Family { return c.reg.Families() }

@@ -81,7 +81,7 @@ func harvestRegime(t *testing.T, s *Store, n int, fast string, slow map[string]f
 func scrape(t *testing.T, c *Controller) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := telemetry.WriteFamilies(&buf, c.MetricFamilies("layoutd")); err != nil {
+	if err := telemetry.WriteFamilies(&buf, c.MetricFamilies()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -515,46 +515,110 @@ func TestControllerConfigValidation(t *testing.T) {
 	}
 }
 
-// TestControllerScrapeServesCachedLaneFamiliesUnderStep: a scrape that
-// loses the lock race against a Step must serve the last rendered lane
-// families instead of dropping them — counters intermittently vanishing
-// breaks scraper-side staleness handling and rate().
-func TestControllerScrapeServesCachedLaneFamiliesUnderStep(t *testing.T) {
+// TestControllerScrapeDuringTrainSeesEveryFamily: a scrape must never wait
+// for, or lose families to, a Step in progress — counters intermittently
+// vanishing breaks scraper-side staleness handling and rate(). The very
+// first scrape lands while Step is blocked inside Train and must return
+// exactly the families an idle scrape does, at their current values.
+func TestControllerScrapeDuringTrainSeesEveryFamily(t *testing.T) {
 	clk := newTestClock()
 	store := NewStore(64, clk.Now)
 	it := &installTracker{}
+	training, release := make(chan struct{}), make(chan struct{})
 	c, err := New(Config{
 		Store: store, Now: clk.Now, RetrainInterval: time.Minute,
-		Lanes: []LaneConfig{{Kind: KindSMSV, Boot: it.model("boot", ""), Train: majorityTrainer(it)}},
+		Lanes: []LaneConfig{{Kind: KindSMSV, Boot: it.model("boot", ""),
+			Train: func(recs []Record, round int64) (Model, error) {
+				close(training)
+				<-release
+				return majorityTrainer(it)(recs, round)
+			}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	harvestRegime(t, store, 16, "CSR/static/base", map[string]float64{"COO/static/base": 2})
 	clk.Advance(time.Minute)
-	c.Step()
-	// A clean scrape renders and caches the lane families.
+	stepped := make(chan struct{})
+	go func() { c.Step(); close(stepped) }()
+	<-training
+	names := func(fams []telemetry.Family) string {
+		var out []string
+		for _, f := range fams {
+			out = append(out, f.Name)
+		}
+		return strings.Join(out, " ")
+	}
+	during := names(c.MetricFamilies())
 	exp := scrape(t, c)
 	wantMetric(t, exp, `layoutd_online_retrains_total{lane="smsv"} 1`)
-
-	// Simulate a Step in progress (training under the controller lock)
-	// and scrape again: the lane families must still be present, served
-	// from the cached render.
-	c.mu.lock()
-	exp = scrape(t, c)
-	c.mu.unlock()
-	wantMetric(t, exp, `layoutd_online_retrains_total{lane="smsv"} 1`)
-	wantMetric(t, exp, `layoutd_online_promotions_total{lane="smsv"} 1`)
-	wantMetric(t, exp, `layoutd_online_shadow_regret_count{lane="smsv"} 1`)
+	wantMetric(t, exp, `layoutd_online_promotions_total{lane="smsv"} 0`)
 	wantMetric(t, exp, `layoutd_online_harvested_total{kind="smsv"} 16`)
 	if errs := telemetry.Lint(strings.NewReader(exp)); errs != nil {
-		t.Fatalf("cached exposition lint: %v", errs)
+		t.Fatalf("mid-step exposition lint: %v", errs)
+	}
+	close(release)
+	<-stepped
+	if idle := names(c.MetricFamilies()); during != idle {
+		t.Fatalf("families scraped during Train:\n%s\nidle:\n%s", during, idle)
+	}
+	exp = scrape(t, c)
+	wantMetric(t, exp, `layoutd_online_promotions_total{lane="smsv"} 1`)
+	wantMetric(t, exp, `layoutd_online_shadow_regret_count{lane="smsv"} 1`)
+}
+
+// TestControllerRegretHistogramPinned holds the registry histogram to the
+// exposition the hand-built one rendered for the same observations (the
+// values below were produced by it): bucket bounds, `le` inclusive at 1.5
+// and 10, cumulative counts, sum and count.
+func TestControllerRegretHistogramPinned(t *testing.T) {
+	clk := newTestClock()
+	store := NewStore(64, clk.Now)
+	it := &installTracker{serving: "boot"}
+	c, err := New(Config{
+		Store: store, Now: clk.Now, RetrainInterval: time.Minute, ShadowWindow: 8,
+		Lanes: []LaneConfig{{
+			Kind: KindSMSV,
+			// The live model always hits; every candidate picks COO, whose
+			// planted slowdown is that round's mean shadow regret.
+			Boot:  it.model("boot", "CSR/static/base"),
+			Train: func([]Record, int64) (Model, error) { return it.model("coo", "COO/static/base"), nil },
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, regret := range []float64{1, 1.03, 1.2, 1.2, 1.5, 2.5, 7, 10, 20} {
+		harvestRegime(t, store, 8, "CSR/static/base", map[string]float64{"COO/static/base": regret})
+		clk.Advance(time.Minute)
+		c.Step()
+	}
+	exp := scrape(t, c)
+	for _, line := range []string{
+		`layoutd_online_shadow_regret_bucket{lane="smsv",le="1.01"} 1`,
+		`layoutd_online_shadow_regret_bucket{lane="smsv",le="1.05"} 2`,
+		`layoutd_online_shadow_regret_bucket{lane="smsv",le="1.1"} 2`,
+		`layoutd_online_shadow_regret_bucket{lane="smsv",le="1.25"} 4`,
+		`layoutd_online_shadow_regret_bucket{lane="smsv",le="1.5"} 5`,
+		`layoutd_online_shadow_regret_bucket{lane="smsv",le="2"} 5`,
+		`layoutd_online_shadow_regret_bucket{lane="smsv",le="3"} 6`,
+		`layoutd_online_shadow_regret_bucket{lane="smsv",le="5"} 6`,
+		`layoutd_online_shadow_regret_bucket{lane="smsv",le="10"} 8`,
+		`layoutd_online_shadow_regret_bucket{lane="smsv",le="+Inf"} 9`,
+		`layoutd_online_shadow_regret_sum{lane="smsv"} 45.43`,
+		`layoutd_online_shadow_regret_count{lane="smsv"} 9`,
+		`layoutd_online_rejections_total{lane="smsv"} 9`,
+	} {
+		wantMetric(t, exp, line)
+	}
+	if got := strings.Count(exp, "layoutd_online_shadow_regret_bucket{"); got != len(regretBounds)+1 {
+		t.Fatalf("%d bucket lines, want the %d bounds plus +Inf", got, len(regretBounds))
 	}
 }
 
 // TestControllerMetricsConcurrentWithSteps scrapes while stepping and
-// harvesting: the controller must stay race-clean, and a scrape that
-// loses the lock race still returns the store families.
+// harvesting: the controller must stay race-clean and every scrape
+// complete.
 func TestControllerMetricsConcurrentWithSteps(t *testing.T) {
 	clk := newTestClock()
 	store := NewStore(64, clk.Now)
@@ -583,10 +647,10 @@ func TestControllerMetricsConcurrentWithSteps(t *testing.T) {
 			}
 		}
 	}()
+	want := len(c.MetricFamilies())
 	for i := 0; i < 50; i++ {
-		fams := c.MetricFamilies("layoutd")
-		if len(fams) < 5 {
-			t.Errorf("scrape %d returned %d families, want at least the store set", i, len(fams))
+		if got := len(c.MetricFamilies()); got != want {
+			t.Errorf("scrape %d returned %d families, want all %d", i, got, want)
 		}
 	}
 	close(stop)

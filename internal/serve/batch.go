@@ -2,10 +2,13 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -20,10 +23,10 @@ import (
 // daemon's lifetime.
 const MaxBatchItems = 64
 
-// batchScratch is one batch's reusable workspace: the cache-key buffer, the
-// triplet builder every inline item is parsed into, and the feature
-// extractor with its row scratch. Pooled so a warm server keys and decides
-// N cached items with no per-item garbage; ownership follows ScheduleBatch
+// batchScratch is one request's reusable workspace: the cache-key buffer, the
+// triplet builder inline LIBSVM rows are parsed into, and the feature
+// extractor with its row scratch. Pooled so a warm server parses, keys and
+// decides with no per-request builder garbage; ownership follows the handler
 // — Get at entry, Put on return, never retained past the response. Items
 // within one batch are decided sequentially, so a single builder is safe:
 // by the time item i+1 parses, item i's measurement (if any) has finished
@@ -37,6 +40,165 @@ type batchScratch struct {
 var batchScratchPool = sync.Pool{New: func() any {
 	return &batchScratch{key: make([]byte, 0, 96), b: sparse.NewBuilder(1, 1)}
 }}
+
+func getScratch() *batchScratch { return batchScratchPool.Get().(*batchScratch) }
+
+// putScratch returns sc to the pool holding only its reusable arrays: the
+// formats the last request materialised (a dense candidate can be hundreds
+// of MiB) are dropped here, not whenever the pool is next drained.
+func putScratch(sc *batchScratch) {
+	sc.b.Reset(1, 1)
+	batchScratchPool.Put(sc)
+}
+
+// badRequest marks an error as the caller's mistake: writeScheduleError
+// answers it with 400 where a scheduler failure maps to 429/5xx.
+type badRequest struct{ error }
+
+// parse turns inline LIBSVM rows into the scratch builder's matrix and its
+// Table IV features — the one parse step behind every schedule endpoint. n
+// is the feature count the rows declare (feats.N is never below 1).
+func (sc *batchScratch) parse(data string) (feats dataset.Features, n int, err error) {
+	samples, n, err := dataset.ParseLIBSVM(strings.NewReader(data))
+	if err != nil {
+		return feats, 0, err
+	}
+	if len(samples) == 0 {
+		return feats, 0, core.ErrEmptyMatrix
+	}
+	sc.b.Reset(len(samples), max(n, 1))
+	for i, smp := range samples {
+		sc.b.AddRow(i, smp.Features)
+	}
+	csr, err := sc.b.Build(sparse.CSR)
+	if err != nil {
+		return feats, 0, fmt.Errorf("unbuildable matrix: %v", err)
+	}
+	return sc.ex.Extract(csr), n, nil
+}
+
+// resolve enforces "exactly one of profile or data" and yields the
+// request's features: a profile's as sent, inline rows' by parsing them into
+// the scratch builder under a request.parse span (inline reports which).
+// Every error is the caller's.
+func (sc *batchScratch) resolve(ctx context.Context, profile *FeaturesJSON, data string) (feats dataset.Features, n int, inline bool, err error) {
+	switch {
+	case profile != nil && data != "":
+		err = errors.New("give either profile or data, not both")
+	case profile != nil:
+		if feats = profile.Features(); feats.M <= 0 || feats.N <= 0 {
+			err = core.ErrEmptyMatrix
+		}
+	case data != "":
+		inline = true
+		_, psp := telemetry.StartSpan(ctx, "request.parse")
+		if feats, n, err = sc.parse(data); err == nil && psp != nil {
+			psp.Annotate(telemetry.Int("rows", feats.M), telemetry.Int("features", n))
+		}
+		psp.EndErr(err)
+	default:
+		err = errors.New("give a profile or inline LIBSVM data")
+	}
+	if err != nil {
+		err = badRequest{err}
+	}
+	return feats, n, inline, err
+}
+
+// peerReply is the ring owner's answer to a forwarded /v1/schedule request,
+// undecoded: the single endpoint relays it byte for byte, a batch slot
+// decodes it.
+type peerReply struct {
+	peer   string
+	status int
+	body   []byte
+}
+
+// result decodes the reply into a batch slot.
+func (p *peerReply) result() BatchItemResult {
+	if p.status == http.StatusOK {
+		var resp ScheduleResponse
+		if err := json.Unmarshal(p.body, &resp); err != nil {
+			return BatchItemResult{Error: fmt.Sprintf("peer %s sent an undecodable reply: %v", p.peer, err)}
+		}
+		return BatchItemResult{Decision: &resp.Decision}
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(p.body, &er); err != nil || er.Error == "" {
+		return BatchItemResult{Error: fmt.Sprintf("peer %s returned %d", p.peer, p.status)}
+	}
+	return BatchItemResult{Error: er.Error}
+}
+
+// scheduleOne is the one schedule path: /v1/schedule is a batch of one, and
+// it and every batch item decide here over a pooled scratch. A profile gets
+// the rule-based cost model; inline rows are parsed, keyed by shape class,
+// and answered by the ring owner (the reply comes back undecoded), the
+// decision cache, or a measurement under admission control. explain asks
+// for the human-readable account a single response carries — the trace
+// lines and the estimates block; without it the steady state allocates
+// only the decision the response must own.
+func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *ScheduleRequest, policy core.Policy, explain bool) (DecisionJSON, *peerReply, error) {
+	feats, n, inline, err := sc.resolve(ctx, req.Profile, req.Data)
+	if err != nil {
+		return DecisionJSON{}, nil, err
+	}
+	if !inline {
+		return s.profileDecision(ctx, feats, *req.Profile), nil, nil
+	}
+	if err := inlineCapError(feats); err != nil {
+		return DecisionJSON{}, nil, badRequest{fmt.Errorf("%v; send a profile-only request for shapes this large", err)}
+	}
+	var trace []string
+	if explain {
+		trace = append(trace, fmt.Sprintf("parsed %d LIBSVM rows, %d features", feats.M, n))
+	}
+
+	if policy == core.RuleBased {
+		// Pure model decision: nothing to measure, nothing worth caching.
+		t0 := time.Now()
+		dec, err := s.scheds[policy].ChooseContext(ctx, sc.b)
+		if err != nil {
+			return DecisionJSON{}, nil, err
+		}
+		s.observeDecision(ctx, time.Since(t0))
+		dj := NewDecisionJSON(dec)
+		dec.Release()
+		dj.TraceID = contextTraceID(ctx)
+		if explain {
+			dj.Trace = append(trace, "rule-based policy: model decision, no measurement")
+		}
+		return dj, nil, nil
+	}
+
+	sc.key = AppendKey(sc.key[:0], feats, policy.String(), s.cfg.TopK)
+	trace = s.noteLoopAverted(ctx, sc.key, trace)
+	if m, owned := routeOwner(ctx, s, s.smsv.cache, sc.key); owned {
+		// The policy may be the batch's or the server's default; pin it on a
+		// copy so the owner resolves the request exactly as this node did.
+		fwd := *req
+		fwd.Policy = policy.String()
+		if status, data, ok := s.forward(ctx, m, "/v1/schedule", &fwd); ok {
+			return DecisionJSON{}, &peerReply{peer: m.ID, status: status, body: data}, nil
+		}
+		// Owner unreachable: locality is lost but availability is not — the
+		// local decision path answers, exactly as if clustering were off.
+		s.forwardFallbacks.Add(1)
+		if explain {
+			trace = append(trace, fmt.Sprintf("cluster: owner %s unreachable, deciding locally", m.ID))
+		}
+	}
+	val, outcome, err := decide(ctx, s, &s.smsv, policy, sc.key, smsvIn{b: sc.b, feats: feats})
+	if err != nil {
+		return DecisionJSON{}, nil, err
+	}
+	d := decidedJSON(ctx, policy, feats, val, outcome)
+	if explain {
+		d.Trace = s.appendDecideTrace(trace, s.smsv.classNoun, sc.key, outcome, val, val.Format.String(), policy)
+		d.Estimates = encodeEstimates(core.EstimateCosts(feats))
+	}
+	return d, nil, nil
+}
 
 // handleScheduleBatch answers POST /v1/schedule/batch: up to MaxBatchItems
 // schedule items decided under one request body, one shared decision trace,
@@ -57,11 +219,9 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 			"batch of %d items exceeds the %d-item cap; split the request", len(req.Items), s.cfg.MaxBatch))
 		return
 	}
-	if req.Policy != "" {
-		if _, err := parsePolicy(req.Policy); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
+	if _, err := s.policyFor(req.Policy); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	r = s.acceptForwarded(r)
 	// One trace for the whole batch: every item's scheduling spans nest
@@ -78,8 +238,8 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 // drive the batched hot path without HTTP. Decisions[i] answers Items[i];
 // per-item failures land in that slot's Error.
 func (s *Server) ScheduleBatch(ctx context.Context, req *BatchScheduleRequest) BatchScheduleResponse {
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	out := BatchScheduleResponse{
 		Decisions: make([]BatchItemResult, len(req.Items)),
 		TraceID:   contextTraceID(ctx),
@@ -90,14 +250,32 @@ func (s *Server) ScheduleBatch(ctx context.Context, req *BatchScheduleRequest) B
 	return out
 }
 
-// scheduleItem wraps one item's decision in its trace span.
-func (s *Server) scheduleItem(ctx context.Context, sc *batchScratch, req *BatchScheduleRequest, i int) BatchItemResult {
-	ictx := ctx
+// scheduleItem decides one item under its trace span, resolving its
+// effective policy (item override → batch default → server default).
+func (s *Server) scheduleItem(ctx context.Context, sc *batchScratch, req *BatchScheduleRequest, i int) (res BatchItemResult) {
 	var isp *telemetry.Span
 	if telemetry.ContextTrace(ctx) != nil {
-		ictx, isp = telemetry.StartSpan(ctx, "batch.item", telemetry.Int("index", i))
+		ctx, isp = telemetry.StartSpan(ctx, "batch.item", telemetry.Int("index", i))
 	}
-	res := s.scheduleItemInner(ictx, sc, req, &req.Items[i])
+	item := &req.Items[i]
+	name := item.Policy
+	if name == "" {
+		name = req.Policy
+	}
+	policy, err := s.schedulePolicy(name)
+	var d DecisionJSON
+	var peer *peerReply
+	if err == nil {
+		d, peer, err = s.scheduleOne(ctx, sc, item, policy, false)
+	}
+	switch {
+	case err != nil:
+		res.Error = err.Error()
+	case peer != nil:
+		res = peer.result()
+	default:
+		res.Decision = &d
+	}
 	if isp != nil {
 		if res.Error != "" {
 			isp.Annotate(telemetry.String("error", res.Error))
@@ -108,92 +286,4 @@ func (s *Server) scheduleItem(ctx context.Context, sc *batchScratch, req *BatchS
 		isp.End()
 	}
 	return res
-}
-
-// scheduleItemInner resolves the item's effective policy (item override →
-// batch default → server default) and dispatches to the profile or
-// inline-data path.
-func (s *Server) scheduleItemInner(ctx context.Context, sc *batchScratch, req *BatchScheduleRequest, item *ScheduleRequest) BatchItemResult {
-	name := item.Policy
-	if name == "" {
-		name = req.Policy
-	}
-	policy, err := s.policyFor(name)
-	if err != nil {
-		return BatchItemResult{Error: err.Error()}
-	}
-	if policy == core.PolicyPredict && !s.predictor.Loaded() {
-		return BatchItemResult{Error: "predict policy needs a trained model (start layoutd with -predictor)"}
-	}
-	switch {
-	case item.Profile != nil && item.Data != "":
-		return BatchItemResult{Error: "give either profile or data, not both"}
-	case item.Profile != nil:
-		f := item.Profile.Features()
-		if f.M <= 0 || f.N <= 0 {
-			return BatchItemResult{Error: core.ErrEmptyMatrix.Error()}
-		}
-		d := s.profileDecision(ctx, f, *item.Profile)
-		return BatchItemResult{Decision: &d}
-	case item.Data != "":
-		return s.scheduleItemData(ctx, sc, item, policy)
-	default:
-		return BatchItemResult{Error: "give a profile or inline LIBSVM data"}
-	}
-}
-
-// scheduleItemData is the batch twin of scheduleData: parse into the pooled
-// builder, key from the pooled buffer, decide through the shared cache
-// machinery. On the steady-state path — every item's shape class already
-// cached — the whole body allocates only the DecisionJSON that the response
-// must own.
-func (s *Server) scheduleItemData(ctx context.Context, sc *batchScratch, item *ScheduleRequest, policy core.Policy) BatchItemResult {
-	samples, n, err := dataset.ParseLIBSVM(strings.NewReader(item.Data))
-	if err != nil {
-		return BatchItemResult{Error: err.Error()}
-	}
-	if len(samples) == 0 {
-		return BatchItemResult{Error: core.ErrEmptyMatrix.Error()}
-	}
-	if n < 1 {
-		n = 1
-	}
-	sc.b.Reset(max(len(samples), 1), n)
-	for i, smp := range samples {
-		sc.b.AddRow(i, smp.Features)
-	}
-	csr, err := sc.b.Build(sparse.CSR)
-	if err != nil {
-		return BatchItemResult{Error: fmt.Sprintf("unbuildable matrix: %v", err)}
-	}
-	feats := sc.ex.Extract(csr)
-	if err := inlineCapError(feats); err != nil {
-		return BatchItemResult{Error: err.Error() + "; send a profile-only item for shapes this large"}
-	}
-
-	if policy == core.RuleBased {
-		// Pure model decision: nothing to measure, nothing worth caching.
-		dec, err := s.scheds[policy].ChooseContext(ctx, sc.b)
-		if err != nil {
-			return BatchItemResult{Error: err.Error()}
-		}
-		dj := NewDecisionJSON(dec)
-		dec.Release()
-		dj.TraceID = contextTraceID(ctx)
-		return BatchItemResult{Decision: &dj}
-	}
-
-	sc.key = AppendKey(sc.key[:0], feats, policy.String(), s.cfg.TopK)
-	if m, owned := routeOwner(ctx, s, s.smsv.cache, sc.key); owned {
-		if res, answered := s.forwardItem(ctx, item, policy, m); answered {
-			return res
-		}
-		s.forwardFallbacks.Add(1)
-	}
-	val, outcome, err := decide(ctx, s, &s.smsv, policy, sc.key, smsvIn{b: sc.b, feats: feats})
-	if err != nil {
-		return BatchItemResult{Error: err.Error()}
-	}
-	d := decidedJSON(ctx, policy, feats, val, outcome)
-	return BatchItemResult{Decision: &d}
 }

@@ -55,9 +55,11 @@ func (s *Server) acceptForwarded(r *http.Request) *http.Request {
 // the owner: the successor only needs the verdict to answer after a
 // failover.
 type decisionWire struct {
-	Candidate  string  `json:"candidate"` // sparse.Candidate string form
+	Candidate  string  `json:"candidate"` // the workload's candidate string form
 	Source     string  `json:"source"`
 	Confidence float64 `json:"confidence,omitempty"`
+	// EstimatedNNZ is the SpGEMM output-size estimate; SMSV entries omit it.
+	EstimatedNNZ float64 `json:"estimated_nnz,omitempty"`
 }
 
 // historyWire is the replicated form of one tuning-history record: the nine
@@ -68,6 +70,8 @@ type historyWire struct {
 	Features  FeaturesJSON `json:"features"`
 	Candidate string       `json:"candidate"`
 }
+
+func (w historyWire) label() string { return w.Candidate }
 
 // ModelPushRequest is the /v1/cluster/model body: a trained predictor in
 // its JSON wire form. Propagate makes the receiving node fan the model out
@@ -200,32 +204,6 @@ func relay(w http.ResponseWriter, status int, data []byte) {
 	w.Write(data)
 }
 
-// forwardItem forwards one batch item: the owner answers a single-item
-// /v1/schedule call, and the result lands back in the item's slot.
-// ok=false means the caller should decide the item locally.
-func (s *Server) forwardItem(ctx context.Context, item *ScheduleRequest, policy core.Policy, m cluster.Member) (BatchItemResult, bool) {
-	// The item may have inherited its policy from the batch envelope or
-	// the server default; pin it on a copy.
-	fwd := *item
-	fwd.Policy = policy.String()
-	status, data, ok := s.forward(ctx, m, "/v1/schedule", &fwd)
-	if !ok {
-		return BatchItemResult{}, false
-	}
-	if status == http.StatusOK {
-		var resp ScheduleResponse
-		if err := json.Unmarshal(data, &resp); err != nil {
-			return BatchItemResult{}, false
-		}
-		return BatchItemResult{Decision: &resp.Decision}, true
-	}
-	var er ErrorResponse
-	if err := json.Unmarshal(data, &er); err != nil || er.Error == "" {
-		return BatchItemResult{Error: fmt.Sprintf("peer %s returned %d", m.ID, status)}, true
-	}
-	return BatchItemResult{Error: er.Error}, true
-}
-
 // routeOwner reports the remote owner a not-locally-cached shape class
 // should be forwarded to, or ok=false when the request must be decided
 // here: clustering off, request already forwarded once, or the local node
@@ -324,35 +302,40 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, cluster.ReplicateResponse{Applied: applied, Skipped: skipped})
 }
 
-// applyDecision applies one decision gossip entry into the decision cache;
-// false means skip it.
-func (s *Server) applyDecision(e cluster.ReplEntry) bool {
-	var dw decisionWire
-	if err := json.Unmarshal(e.Payload, &dw); err != nil || e.Key == "" {
-		return false
+// applyDecision returns a workload's gossip sink for decision entries:
+// parse the wire form and its candidate, then cache the verdict under the
+// entry's shape-class key. The sink reports false for an entry to skip.
+func applyDecision[C any, V Degradable](cache *Cache[V], parse func(string) (C, error), cached func(C, decisionWire) V) func(cluster.ReplEntry) bool {
+	return func(e cluster.ReplEntry) bool {
+		var dw decisionWire
+		if err := json.Unmarshal(e.Payload, &dw); err != nil || e.Key == "" {
+			return false
+		}
+		c, err := parse(dw.Candidate)
+		if err != nil {
+			return false
+		}
+		cache.Put(e.Key, cached(c, dw))
+		return true
 	}
-	c, err := sparse.ParseCandidate(dw.Candidate)
-	if err != nil {
-		return false
-	}
-	s.smsv.cache.Put(e.Key, &CachedDecision{
-		Candidate: c, Format: c.Format,
-		Source: dw.Source, Confidence: dw.Confidence,
-	})
-	return true
 }
 
-// applyHistory applies one history gossip entry into the tuning history;
-// false means skip it.
-func (s *Server) applyHistory(e cluster.ReplEntry) bool {
-	var hw historyWire
-	if err := json.Unmarshal(e.Payload, &hw); err != nil {
-		return false
+// applyHistory returns a workload's gossip sink for tuning-history
+// entries: parse the wire form H and its candidate, then hand both to
+// record, which validates the features and reports whether it stored them.
+func applyHistory[H interface{ label() string }, C any](parse func(string) (C, error), record func(H, C) bool) func(cluster.ReplEntry) bool {
+	return func(e cluster.ReplEntry) bool {
+		var hw H
+		if err := json.Unmarshal(e.Payload, &hw); err != nil {
+			return false
+		}
+		c, err := parse(hw.label())
+		return err == nil && record(hw, c)
 	}
-	c, err := sparse.ParseCandidate(hw.Candidate)
-	if err != nil {
-		return false
-	}
+}
+
+// recordHistory is the SMSV workload's history-gossip sink.
+func (s *Server) recordHistory(hw historyWire, c sparse.Candidate) bool {
 	feats := hw.Features.Features()
 	if feats.M <= 0 || feats.N <= 0 {
 		return false

@@ -20,6 +20,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/online"
 	"repro/internal/sparse"
+	"repro/internal/spgemm"
 	"repro/internal/svm"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/slo"
@@ -289,10 +290,17 @@ func NewServer(cfg Config) *Server {
 	s.pair.choose, s.pair.degrade, s.pair.publish = s.choosePair, s.degradePair, s.publishPair
 	s.pair.classNoun = "pair shape class"
 	s.replApply = map[string]func(cluster.ReplEntry) bool{
-		cluster.KindDecision:    s.applyDecision,
-		cluster.KindHistory:     s.applyHistory,
-		cluster.KindSpGEMM:      s.applyPairDecision,
-		cluster.KindPairHistory: s.applyPairHistory,
+		cluster.KindDecision: applyDecision(s.smsv.cache, sparse.ParseCandidate,
+			func(c sparse.Candidate, dw decisionWire) *CachedDecision {
+				return &CachedDecision{Candidate: c, Format: c.Format, Source: dw.Source, Confidence: dw.Confidence}
+			}),
+		cluster.KindHistory: applyHistory(sparse.ParseCandidate, s.recordHistory),
+		cluster.KindSpGEMM: applyDecision(s.pair.cache, parseSupportedPair,
+			func(c spgemm.Candidate, dw decisionWire) *CachedPairDecision {
+				return &CachedPairDecision{Candidate: c, Source: dw.Source, Confidence: dw.Confidence,
+					EstimatedNNZ: dw.EstimatedNNZ}
+			}),
+		cluster.KindPairHistory: applyHistory(parseSupportedPair, s.recordPairHistory),
 	}
 	smsvModel := newModelSlot("model", cfg.ModelLoader, &s.predictor.swapBox)
 	s.models = map[string]modelSlot{
@@ -368,10 +376,6 @@ func (s *Server) registerMetrics() {
 	iv := func(fn func() int64) func() float64 {
 		return func() float64 { return float64(fn()) }
 	}
-	reg.CounterFunc("layoutd_measurements_total",
-		"Schedule requests that ran an actual measurement.", iv(s.smsv.measurements.Load))
-	reg.CounterFunc("layoutd_degraded_total",
-		"Decisions served without measurement while the measurement path was failing.", iv(s.smsv.degraded.Load))
 	reg.CounterFunc("layoutd_handler_panics_total",
 		"Handler panics recovered into 500 responses.", iv(s.panics.Load))
 	reg.GaugeFunc("layoutd_breaker_state",
@@ -379,17 +383,6 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.breaker.State()) })
 	reg.CounterFunc("layoutd_breaker_opens_total",
 		"Times the measurement breaker tripped open.", iv(s.breaker.Opens))
-	reg.GaugeFunc("layoutd_predictor_loaded",
-		"Whether a trained format predictor is loaded (0 or 1).",
-		func() float64 {
-			if s.predictor.Loaded() {
-				return 1
-			}
-			return 0
-		})
-	reg.CounterFunc("layoutd_model_swaps_total",
-		"Predictor models hot-swapped in via /v1/cluster/model.",
-		iv(s.predictor.swaps.Load))
 	reg.CounterFunc("layoutd_model_swap_errors_total",
 		"Pushed predictor models rejected by the loader.", iv(s.modelSwapErrors.Load))
 	reg.CounterFunc("layoutd_predictor_hits_total",
@@ -398,27 +391,10 @@ func (s *Server) registerMetrics() {
 		"Predict-policy decisions that fell back to measurement.", iv(s.predictorFallbacks.Load))
 	reg.CounterFunc("layoutd_predictor_confidence_milli_sum",
 		"Sum of predictor hit confidences ×1000 (divide by hits for the mean).", iv(s.predictorConfMilli.Load))
-	reg.CounterFunc("layoutd_cache_hits_total",
-		"Decision-cache exact hits.", func() float64 { return float64(s.smsv.cache.Stats().Hits) })
-	reg.CounterFunc("layoutd_cache_misses_total",
-		"Decision-cache misses.", func() float64 { return float64(s.smsv.cache.Stats().Misses) })
-	reg.CounterFunc("layoutd_cache_dedups_total",
-		"Requests that joined an in-flight computation (singleflight).",
-		func() float64 { return float64(s.smsv.cache.Stats().Dedups) })
-	reg.CounterFunc("layoutd_cache_evictions_total",
-		"Decision-cache LRU evictions.", func() float64 { return float64(s.smsv.cache.Stats().Evictions) })
-	reg.CounterFunc("layoutd_cache_expired_total",
-		"Degraded cache entries expired by TTL.", func() float64 { return float64(s.smsv.cache.Stats().Expired) })
-	reg.GaugeFunc("layoutd_cache_entries",
-		"Decision-cache resident entries.", func() float64 { return float64(s.smsv.cache.Stats().Len) })
-	reg.GaugeFunc("layoutd_cache_inflight",
-		"Decision computations currently in flight.", func() float64 { return float64(s.smsv.cache.Stats().Inflight) })
 	reg.GaugeFunc("layoutd_measurement_slots",
 		"Measurement admission slots.", func() float64 { return float64(cap(s.sem)) })
 	reg.GaugeFunc("layoutd_measurement_slots_busy",
 		"Measurement admission slots currently held.", func() float64 { return float64(len(s.sem)) })
-	reg.GaugeFunc("layoutd_history_entries",
-		"Tuning-history entries.", func() float64 { return float64(s.cfg.History.Len()) })
 	reg.GaugeFunc("layoutd_trace_store_entries",
 		"Completed decision traces held for /v1/trace/{id}.",
 		func() float64 { return float64(s.traces.Len()) })
@@ -444,11 +420,47 @@ func (s *Server) registerMetrics() {
 			return s.cfg.OnlineEvents.MetricFamilies("layoutd")
 		}))
 	}
-	s.registerSpGEMMMetrics()
+	registerWorkloadMetrics(reg, "", "", &s.smsv, s.cfg.History.Len, &s.predictor.swapBox)
+	registerWorkloadMetrics(reg, "spgemm_", "SpGEMM: ", &s.pair, s.cfg.PairHistory.Len, &s.pairPredictor.swapBox)
 	if s.cluster != nil {
 		s.registerClusterMetrics()
 	}
 	telemetry.RegisterProcessMetrics(reg, "layoutd")
+}
+
+// registerWorkloadMetrics hangs one scheduled workload's families on the
+// registry as layoutd_<infix><family>: what the decide pipeline counts for
+// it, its cache, its tuning history and its predictor box. A workload
+// supplies only the infix and the help prefix, so every workload exports
+// the same set.
+func registerWorkloadMetrics[In any, V decided, P comparable](reg *telemetry.Registry, infix, helpPrefix string,
+	w *workload[In, V], historyLen func() int, model *swapBox[P]) {
+	counter := func(name, help string, fn func() int64) {
+		reg.CounterFunc("layoutd_"+infix+name, helpPrefix+help, func() float64 { return float64(fn()) })
+	}
+	gauge := func(name, help string, fn func() int) {
+		reg.GaugeFunc("layoutd_"+infix+name, helpPrefix+help, func() float64 { return float64(fn()) })
+	}
+	counter("measurements_total", "Schedule requests that ran an actual measurement.", w.measurements.Load)
+	counter("degraded_total",
+		"Decisions served without measurement while the measurement path was failing.", w.degraded.Load)
+	counter("cache_hits_total", "Decision-cache exact hits.", w.cache.hits.Load)
+	counter("cache_misses_total", "Decision-cache misses.", w.cache.misses.Load)
+	counter("cache_dedups_total",
+		"Requests that joined an in-flight computation (singleflight).", w.cache.dedups.Load)
+	counter("cache_evictions_total", "Decision-cache LRU evictions.", w.cache.evictions.Load)
+	counter("cache_expired_total", "Degraded cache entries expired by TTL.", w.cache.expired.Load)
+	gauge("cache_entries", "Decision-cache resident entries.", w.cache.Len)
+	gauge("cache_inflight", "Decision computations currently in flight.", w.cache.Inflight)
+	gauge("history_entries", "Tuning-history entries.", historyLen)
+	gauge("predictor_loaded", "Whether a trained predictor is loaded (0 or 1).", func() int {
+		if model.Loaded() {
+			return 1
+		}
+		return 0
+	})
+	counter("model_swaps_total",
+		"Predictor models hot-swapped in (cluster pushes and online promotions).", model.swaps.Load)
 }
 
 // Registry exposes the server's metric registry so embedders (and the
@@ -729,13 +741,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	policy, err := s.policyFor(req.Policy)
+	policy, err := s.schedulePolicy(req.Policy)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if policy == core.PolicyPredict && !s.predictor.Loaded() {
-		writeError(w, http.StatusBadRequest, "predict policy needs a trained model (start layoutd with -predictor)")
 		return
 	}
 	r = s.acceptForwarded(r)
@@ -748,16 +756,16 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		telemetry.String("policy", policy.String()))
 	setTraceID(w, tr.ID)
 	defer s.endTrace(tr, root, nil)
-	r = r.WithContext(ctx)
+	sc := getScratch()
+	defer putScratch(sc)
+	d, peer, err := s.scheduleOne(ctx, sc, &req, policy, true)
 	switch {
-	case req.Profile != nil && req.Data != "":
-		writeError(w, http.StatusBadRequest, "give either profile or data, not both")
-	case req.Profile != nil:
-		s.scheduleProfile(w, r, *req.Profile)
-	case req.Data != "":
-		s.scheduleData(w, r, req, policy)
+	case err != nil:
+		writeScheduleError(w, err)
+	case peer != nil:
+		relay(w, peer.status, peer.body)
 	default:
-		writeError(w, http.StatusBadRequest, "give a profile or inline LIBSVM data")
+		writeJSON(w, http.StatusOK, ScheduleResponse{Decision: d})
 	}
 }
 
@@ -810,20 +818,9 @@ func (s *Server) observeDecision(ctx context.Context, d time.Duration) {
 	s.metrics.decision.ObserveExemplar(d.Seconds(), contextTraceID(ctx), s.node)
 }
 
-// scheduleProfile answers a profile-only request: with no data to measure,
-// the decision is the rule-based cost model evaluated on the given nine
-// parameters.
-func (s *Server) scheduleProfile(w http.ResponseWriter, r *http.Request, p FeaturesJSON) {
-	f := p.Features()
-	if f.M <= 0 || f.N <= 0 {
-		writeError(w, http.StatusBadRequest, core.ErrEmptyMatrix.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, ScheduleResponse{Decision: s.profileDecision(r.Context(), f, p)})
-}
-
-// profileDecision evaluates the rule-based cost model on an already
-// validated profile; shared by the single and batch profile paths.
+// profileDecision answers a profile-only request: with no data to measure,
+// the decision is the rule-based cost model evaluated on the given
+// (already validated) nine parameters.
 func (s *Server) profileDecision(ctx context.Context, f dataset.Features, p FeaturesJSON) DecisionJSON {
 	_, sp := telemetry.StartSpan(ctx, "estimate.costs")
 	ests := core.EstimateCosts(f)
@@ -841,25 +838,6 @@ func (s *Server) profileDecision(ctx context.Context, f dataset.Features, p Feat
 	return d
 }
 
-// parseInline turns inline LIBSVM rows into a matrix builder and its Table
-// IV features. n is the feature count the rows declare (feats.N is never
-// below 1).
-func parseInline(data string) (b *sparse.Builder, feats dataset.Features, n int, err error) {
-	samples, n, err := dataset.ParseLIBSVM(strings.NewReader(data))
-	if err != nil {
-		return nil, feats, 0, err
-	}
-	if len(samples) == 0 {
-		return nil, feats, 0, core.ErrEmptyMatrix
-	}
-	b, _ = dataset.SamplesToMatrix(samples, n)
-	csr, err := b.Build(sparse.CSR)
-	if err != nil {
-		return nil, feats, 0, fmt.Errorf("unbuildable matrix: %v", err)
-	}
-	return b, dataset.Extract(csr), n, nil
-}
-
 // inlineCapError rejects shapes over maxInlineCells: a tiny body can
 // declare a near-int32 feature index, making the dense measurement
 // candidate a multi-gigabyte allocation. Such shapes get the profile-only
@@ -870,68 +848,6 @@ func inlineCapError(f dataset.Features) error {
 			f.M, f.N, cells, int64(maxInlineCells))
 	}
 	return nil
-}
-
-// scheduleData answers an inline-data request: parse the LIBSVM rows,
-// derive the shape class, and serve from the decision cache or measure
-// under admission control.
-func (s *Server) scheduleData(w http.ResponseWriter, r *http.Request, req ScheduleRequest, policy core.Policy) {
-	_, psp := telemetry.StartSpan(r.Context(), "request.parse")
-	b, feats, n, err := parseInline(req.Data)
-	if err != nil {
-		psp.EndErr(err)
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	psp.Annotate(telemetry.Int("rows", feats.M), telemetry.Int("features", n))
-	psp.End()
-	if err := inlineCapError(feats); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error()+"; send a profile-only request for shapes this large")
-		return
-	}
-	trace := []string{fmt.Sprintf("parsed %d LIBSVM rows, %d features", feats.M, n)}
-
-	if policy == core.RuleBased {
-		// Pure model decision: nothing to measure, nothing worth caching.
-		t0 := time.Now()
-		dec, err := s.scheds[policy].ChooseContext(r.Context(), b)
-		if err != nil {
-			writeScheduleError(w, err)
-			return
-		}
-		s.observeDecision(r.Context(), time.Since(t0))
-		dj := NewDecisionJSON(dec)
-		dec.Release()
-		dj.TraceID = contextTraceID(r.Context())
-		dj.Trace = append(trace, "rule-based policy: model decision, no measurement")
-		writeJSON(w, http.StatusOK, ScheduleResponse{Decision: dj})
-		return
-	}
-
-	key := AppendKey(nil, feats, policy.String(), s.cfg.TopK)
-	trace = s.noteLoopAverted(r.Context(), key, trace)
-	if m, owned := routeOwner(r.Context(), s, s.smsv.cache, key); owned {
-		req.Policy = policy.String() // req is this call's own copy
-		if status, data, ok := s.forward(r.Context(), m, "/v1/schedule", &req); ok {
-			relay(w, status, data)
-			return
-		}
-		// Owner unreachable: locality is lost but availability is not — the
-		// local decision path answers, exactly as if clustering were off.
-		s.forwardFallbacks.Add(1)
-		trace = append(trace, fmt.Sprintf("cluster: owner %s unreachable, deciding locally", m.ID))
-	}
-	val, outcome, err := decide(r.Context(), s, &s.smsv, policy, key, smsvIn{b: b, feats: feats})
-	if err != nil {
-		writeScheduleError(w, err)
-		return
-	}
-	trace = s.appendDecideTrace(trace, s.smsv.classNoun, key, outcome, val, val.Format.String(), policy)
-
-	d := decidedJSON(r.Context(), policy, feats, val, outcome)
-	d.Trace = trace
-	d.Estimates = encodeEstimates(core.EstimateCosts(feats))
-	writeJSON(w, http.StatusOK, ScheduleResponse{Decision: d})
 }
 
 // decidedJSON renders a decide result for the single and batch endpoints;
@@ -945,7 +861,7 @@ func decidedJSON(ctx context.Context, policy core.Policy, feats dataset.Features
 		Features:   NewFeaturesJSON(feats),
 		Source:     val.Source,
 		Confidence: val.Confidence,
-		Measured:   encodeMeasured(val.Measured),
+		Measured:   encodeMeasured(val.Measured, measurementRow),
 		Degraded:   val.Degraded,
 		TraceID:    contextTraceID(ctx),
 	}
@@ -1025,7 +941,7 @@ func (s *Server) degradeSMSV(in smsvIn) (val *CachedDecision) {
 // writeScheduleError maps scheduler failures onto HTTP statuses.
 func writeScheduleError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, core.ErrEmptyMatrix), errors.Is(err, core.ErrEmptyPair):
+	case errors.As(err, new(badRequest)), errors.Is(err, core.ErrEmptyMatrix), errors.Is(err, core.ErrEmptyPair):
 		writeError(w, http.StatusBadRequest, err.Error())
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "1")
@@ -1111,25 +1027,11 @@ func (s *Server) handlePredictFormat(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	var feats dataset.Features
-	switch {
-	case req.Profile != nil && req.Data != "":
-		writeError(w, http.StatusBadRequest, "give either profile or data, not both")
-		return
-	case req.Profile != nil:
-		feats = req.Profile.Features()
-		if feats.M <= 0 || feats.N <= 0 {
-			writeError(w, http.StatusBadRequest, core.ErrEmptyMatrix.Error())
-			return
-		}
-	case req.Data != "":
-		var err error
-		if _, feats, _, err = parseInline(req.Data); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	default:
-		writeError(w, http.StatusBadRequest, "give a profile or inline LIBSVM data")
+	sc := getScratch()
+	defer putScratch(sc)
+	feats, _, _, err := sc.resolve(r.Context(), req.Profile, req.Data)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	f, conf, ok := s.predictor.PredictFormat(feats)

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -101,8 +99,16 @@ func NewSpGEMMDecisionJSON(d *core.SpGEMMDecision) SpGEMMDecisionJSON {
 		OutputNNZ:    d.OutputNNZ,
 	}
 	out.Estimates = encodePairEstimates(d.Estimates)
-	out.Measured = encodePairMeasured(d.Measured)
+	out.Measured = encodeMeasured(d.Measured, pairMeasurementRow)
 	return out
+}
+
+func pairMeasurementRow(c spgemm.Candidate, t time.Duration) PairMeasurementJSON {
+	return PairMeasurementJSON{
+		Candidate: c.String(),
+		Nanos:     int64(t),
+		Millis:    float64(t) / float64(time.Millisecond),
+	}
 }
 
 func encodePairEstimates(ests []core.PairEstimate) []PairEstimateJSON {
@@ -119,27 +125,6 @@ func encodePairEstimates(ests []core.PairEstimate) []PairEstimateJSON {
 	return out
 }
 
-func encodePairMeasured(m map[spgemm.Candidate]time.Duration) []PairMeasurementJSON {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]PairMeasurementJSON, 0, len(m))
-	for c, t := range m {
-		out = append(out, PairMeasurementJSON{
-			Candidate: c.String(),
-			Nanos:     int64(t),
-			Millis:    float64(t) / float64(time.Millisecond),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Nanos != out[j].Nanos {
-			return out[i].Nanos < out[j].Nanos
-		}
-		return out[i].Candidate < out[j].Candidate
-	})
-	return out
-}
-
 // PairHistory returns the pairwise tuning history the server records into,
 // so daemons can persist it across restarts.
 func (s *Server) PairHistory() *core.PairHistory { return s.cfg.PairHistory }
@@ -151,49 +136,18 @@ func (s *Server) SpGEMMMeasurements() int64 { return s.pair.measurements.Load() 
 // SpGEMMCacheStats exposes the pair decision-cache counters.
 func (s *Server) SpGEMMCacheStats() CacheStats { return s.pair.cache.Stats() }
 
-// registerSpGEMMMetrics hangs the pair-endpoint series on the registry;
-// called from registerMetrics.
-func (s *Server) registerSpGEMMMetrics() {
-	reg := s.metrics.reg
-	reg.CounterFunc("layoutd_spgemm_measurements_total",
-		"SpGEMM schedule requests that ran an actual measurement.",
-		func() float64 { return float64(s.pair.measurements.Load()) })
-	reg.CounterFunc("layoutd_spgemm_degraded_total",
-		"SpGEMM decisions served without measurement while the measurement path was failing.",
-		func() float64 { return float64(s.pair.degraded.Load()) })
-	reg.CounterFunc("layoutd_spgemm_cache_hits_total",
-		"Pair decision-cache exact hits.", func() float64 { return float64(s.pair.cache.Stats().Hits) })
-	reg.CounterFunc("layoutd_spgemm_cache_misses_total",
-		"Pair decision-cache misses.", func() float64 { return float64(s.pair.cache.Stats().Misses) })
-	reg.GaugeFunc("layoutd_spgemm_cache_entries",
-		"Pair decision-cache resident entries.", func() float64 { return float64(s.pair.cache.Stats().Len) })
-	reg.GaugeFunc("layoutd_spgemm_history_entries",
-		"Pairwise tuning-history entries.", func() float64 { return float64(s.cfg.PairHistory.Len()) })
-	reg.GaugeFunc("layoutd_spgemm_predictor_loaded",
-		"Whether a trained pair predictor is loaded (0 or 1).",
-		func() float64 {
-			if s.pairPredictor.Loaded() {
-				return 1
-			}
-			return 0
-		})
-	reg.CounterFunc("layoutd_spgemm_model_swaps_total",
-		"Pair predictor hot swaps (cluster pushes and online promotions).",
-		func() float64 { return float64(s.pairPredictor.swaps.Load()) })
-}
-
-// parsePairOperand parses one operand's LIBSVM rows into a builder and its
-// extracted features. An error means the request is bad (400); which names
-// the operand in the message.
-func parsePairOperand(which, data string) (*sparse.Builder, dataset.Features, error) {
-	b, feats, _, err := parseInline(data)
+// parseOperand parses one SpGEMM operand's LIBSVM rows into the scratch
+// and checks the inline cap. An error means the request is bad (400);
+// which names the operand in the message.
+func (sc *batchScratch) parseOperand(which, data string) (dataset.Features, error) {
+	feats, _, err := sc.parse(data)
 	if err == nil {
 		err = inlineCapError(feats)
 	}
 	if err != nil {
-		return nil, dataset.Features{}, fmt.Errorf("operand %s: %v", which, err)
+		return feats, fmt.Errorf("operand %s: %v", which, err)
 	}
-	return b, feats, nil
+	return feats, nil
 }
 
 // handleScheduleSpGEMM answers POST /v1/schedule/spgemm: parse both
@@ -225,12 +179,16 @@ func (s *Server) handleScheduleSpGEMM(w http.ResponseWriter, r *http.Request) {
 	setTraceID(w, tr.ID)
 	defer s.endTrace(tr, root, nil)
 
+	// Both operands are alive until the decision returns, so each parses
+	// into a pooled scratch of its own.
+	sa, sb := getScratch(), getScratch()
+	defer putScratch(sa)
+	defer putScratch(sb)
 	_, psp := telemetry.StartSpan(ctx, "request.parse")
-	a, fa, err := parsePairOperand("a", req.A)
-	var b *sparse.Builder
+	fa, err := sa.parseOperand("a", req.A)
 	var fb dataset.Features
 	if err == nil {
-		b, fb, err = parsePairOperand("b", req.B)
+		fb, err = sb.parseOperand("b", req.B)
 	}
 	if err != nil {
 		psp.EndErr(err)
@@ -244,7 +202,7 @@ func (s *Server) handleScheduleSpGEMM(w http.ResponseWriter, r *http.Request) {
 			"dimension mismatch: A is %d×%d but B is %d×%d", fa.M, fa.N, fb.M, fb.N))
 		return
 	}
-	s.scheduleSpGEMM(w, r.WithContext(ctx), &req, policy, a, b, fa, fb)
+	s.scheduleSpGEMM(w, r.WithContext(ctx), &req, policy, sa.b, sb.b, fa, fb)
 }
 
 // scheduleSpGEMM decides one parsed pair: rule-based requests go straight
@@ -302,7 +260,7 @@ func (s *Server) scheduleSpGEMM(w http.ResponseWriter, r *http.Request, req *SpG
 		EstimatedNNZ: val.EstimatedNNZ,
 		OutputNNZ:    val.OutputNNZ,
 		Estimates:    encodePairEstimates(core.EstimatePairCandidates(fa, fb)),
-		Measured:     encodePairMeasured(val.Measured),
+		Measured:     encodeMeasured(val.Measured, pairMeasurementRow),
 		Degraded:     val.Degraded,
 		TraceID:      contextTraceID(r.Context()),
 		Trace:        trace,
@@ -340,7 +298,7 @@ func (s *Server) choosePair(ctx context.Context, policy core.Policy, in pairIn) 
 func (s *Server) publishPair(key []byte, in pairIn, val *CachedPairDecision) {
 	label := val.Candidate.String()
 	gossip(s, val, key,
-		cluster.KindSpGEMM, pairWire{Candidate: label, Source: val.Source,
+		cluster.KindSpGEMM, decisionWire{Candidate: label, Source: val.Source,
 			Confidence: val.Confidence, EstimatedNNZ: val.EstimatedNNZ},
 		cluster.KindPairHistory, pairHistoryWire{AFeatures: NewFeaturesJSON(in.fa),
 			BFeatures: NewFeaturesJSON(in.fb), Candidate: label})
@@ -366,15 +324,6 @@ func (s *Server) degradePair(in pairIn) (val *CachedPairDecision) {
 	return val
 }
 
-// pairWire is the replicated form of a pair-cache entry, riding under the
-// p1 pair key. Measurement evidence stays on the owner.
-type pairWire struct {
-	Candidate    string  `json:"candidate"` // spgemm.Candidate string form
-	Source       string  `json:"source"`
-	Confidence   float64 `json:"confidence,omitempty"`
-	EstimatedNNZ float64 `json:"estimated_nnz,omitempty"`
-}
-
 // pairHistoryWire is the replicated form of one pairwise tuning-history
 // record; the receiver re-runs dataset.EmbedPair.
 type pairHistoryWire struct {
@@ -383,35 +332,20 @@ type pairHistoryWire struct {
 	Candidate string       `json:"candidate"`
 }
 
-// applyPairDecision applies one spgemm-decision gossip entry into the pair
-// cache; false means skip it.
-func (s *Server) applyPairDecision(e cluster.ReplEntry) bool {
-	var pw pairWire
-	if err := json.Unmarshal(e.Payload, &pw); err != nil || e.Key == "" {
-		return false
+func (w pairHistoryWire) label() string { return w.Candidate }
+
+// parseSupportedPair is the pair workload's gossip candidate parser: a
+// peer's candidate this build cannot run is skipped like an unparseable one.
+func parseSupportedPair(s string) (spgemm.Candidate, error) {
+	c, err := spgemm.ParseCandidate(s)
+	if err == nil && !spgemm.Supported(c) {
+		err = fmt.Errorf("unsupported candidate %q", s)
 	}
-	c, err := spgemm.ParseCandidate(pw.Candidate)
-	if err != nil || !spgemm.Supported(c) {
-		return false
-	}
-	s.pair.cache.Put(e.Key, &CachedPairDecision{
-		Candidate: c, Source: pw.Source, Confidence: pw.Confidence,
-		EstimatedNNZ: pw.EstimatedNNZ,
-	})
-	return true
+	return c, err
 }
 
-// applyPairHistory applies one spgemm-history gossip entry into the pair
-// tuning history; false means skip it.
-func (s *Server) applyPairHistory(e cluster.ReplEntry) bool {
-	var hw pairHistoryWire
-	if err := json.Unmarshal(e.Payload, &hw); err != nil {
-		return false
-	}
-	c, err := spgemm.ParseCandidate(hw.Candidate)
-	if err != nil || !spgemm.Supported(c) {
-		return false
-	}
+// recordPairHistory is the pair workload's history-gossip sink.
+func (s *Server) recordPairHistory(hw pairHistoryWire, c spgemm.Candidate) bool {
 	fa, fb := hw.AFeatures.Features(), hw.BFeatures.Features()
 	if fa.M <= 0 || fa.N <= 0 || fb.M <= 0 || fb.N <= 0 {
 		return false

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -208,24 +212,90 @@ func TestScheduleSpGEMMBadRequests(t *testing.T) {
 	}
 }
 
+// TestSpGEMMMetricsExposed: the pair workload exports the same per-workload
+// families as SMSV, and the cache ones move with real pair traffic — a
+// request that joins an in-flight measurement, a capacity eviction, a
+// degraded entry outliving its TTL.
 func TestSpGEMMMetricsExposed(t *testing.T) {
-	s := newTestServer(t, Config{Policy: core.Hybrid, Repeats: 1})
+	clk := newFakeClock()
+	s := newTestServer(t, Config{Policy: core.Hybrid, Repeats: 1,
+		CacheShards: 1, CacheCapacity: 1, DegradedTTL: time.Second})
+	s.pair.cache.now = clk.Now
 	h := s.Handler()
-	decodeSpGEMM(t, post(t, h, "/v1/schedule/spgemm", conformablePair(24, 20, 14, 9)))
-	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	body := w.Body.String()
-	for _, want := range []string{
+	const path = "/v1/schedule/spgemm"
+	wantMetrics := func(wants ...string) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		for _, want := range wants {
+			if !strings.Contains(w.Body.String(), want+"\n") {
+				t.Errorf("metrics missing %q", want)
+			}
+		}
+	}
+	decodeSpGEMM(t, post(t, h, path, conformablePair(24, 20, 14, 9)))
+	wantMetrics(
 		"layoutd_spgemm_measurements_total 1",
 		"layoutd_spgemm_cache_misses_total 1",
 		"layoutd_spgemm_history_entries 1",
+		"layoutd_spgemm_cache_dedups_total 0",
+		"layoutd_spgemm_cache_evictions_total 0",
+		"layoutd_spgemm_cache_expired_total 0",
+		"layoutd_spgemm_cache_inflight 0",
 		`layoutd_requests_total{endpoint="schedule-spgemm"} 1`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics missing %q", want)
+	)
+
+	// The leader of a second shape class blocks in its measurement while an
+	// identical request joins it.
+	const (
+		pass = iota
+		block
+		fail
+	)
+	var mode atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	choose := s.pair.choose
+	s.pair.choose = func(ctx context.Context, policy core.Policy, in pairIn) (*CachedPairDecision, error) {
+		switch mode.Load() {
+		case block:
+			entered <- struct{}{}
+			<-release
+		case fail:
+			return nil, flake{errors.New("kernel flaked")}
 		}
+		return choose(ctx, policy, in)
 	}
+	mode.Store(block)
+	second := conformablePair(40, 32, 24, 13)
+	done := make(chan int, 2)
+	go func() { done <- post(t, h, path, second).Code }()
+	<-entered
+	go func() { done <- post(t, h, path, second).Code }()
+	for s.pair.cache.Stats().Dedups == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	wantMetrics("layoutd_spgemm_cache_dedups_total 1", "layoutd_spgemm_cache_inflight 1")
+	mode.Store(pass)
+	close(release)
+	if a, b := <-done, <-done; a != http.StatusOK || b != http.StatusOK {
+		t.Fatalf("leader and joiner answered %d and %d", a, b)
+	}
+	// One shard of capacity one: caching the second class evicted the first.
+	wantMetrics("layoutd_spgemm_cache_evictions_total 1", "layoutd_spgemm_cache_inflight 0")
+
+	// A failed measurement caches a degraded entry for the TTL only; the
+	// next request after it lapses drops it and decides afresh.
+	mode.Store(fail)
+	third := conformablePair(30, 26, 18, 5)
+	if d := decodeSpGEMM(t, post(t, h, path, third)).Decision; !d.Degraded {
+		t.Fatalf("failed measurement was not degraded: %+v", d)
+	}
+	mode.Store(pass)
+	clk.Advance(2 * time.Second)
+	if d := decodeSpGEMM(t, post(t, h, path, third)).Decision; d.Degraded || d.Source == "cache" {
+		t.Fatalf("lapsed degraded entry was not re-decided: %+v", d)
+	}
+	wantMetrics("layoutd_spgemm_cache_expired_total 1", "layoutd_spgemm_degraded_total 1")
 }
 
 func TestPairKeyStability(t *testing.T) {
@@ -260,11 +330,11 @@ func TestClusterReplicateAppliesSpGEMMKinds(t *testing.T) {
 		return cluster.ReplEntry{Kind: kind, Key: key, Payload: raw}
 	}
 	payload := cluster.ReplicatePayload{From: "n2", Entries: []cluster.ReplEntry{
-		entry(cluster.KindSpGEMM, "p1|hybrid/2|1,2,3|4,5,6", pairWire{
+		entry(cluster.KindSpGEMM, "p1|hybrid/2|1,2,3|4,5,6", decisionWire{
 			Candidate: good, Source: "measured", EstimatedNNZ: 128,
 		}),
-		entry(cluster.KindSpGEMM, "", pairWire{Candidate: good}),             // keyless
-		entry(cluster.KindSpGEMM, "p1|x", pairWire{Candidate: "gustavson/"}), // unparseable candidate
+		entry(cluster.KindSpGEMM, "", decisionWire{Candidate: good}),             // keyless
+		entry(cluster.KindSpGEMM, "p1|x", decisionWire{Candidate: "gustavson/"}), // unparseable candidate
 		entry(cluster.KindPairHistory, "", pairHistoryWire{
 			AFeatures: FeaturesJSON{M: 64, N: 32, NNZ: 300, Density: 0.15},
 			BFeatures: FeaturesJSON{M: 32, N: 16, NNZ: 90, Density: 0.17},
@@ -291,25 +361,46 @@ func TestClusterReplicateAppliesSpGEMMKinds(t *testing.T) {
 	}
 }
 
-// TestScheduleSpGEMMDecisionExemplar: a freshly computed SpGEMM decision —
-// rule-based or measured — lands in the decision-duration histogram with
-// the request's trace id as the bucket exemplar, exactly as /v1/schedule
-// decisions do, so a slow bucket links to the pair decision's span tree.
-func TestScheduleSpGEMMDecisionExemplar(t *testing.T) {
-	for _, policy := range []string{"rule-based", "hybrid"} {
-		s := newTestServer(t, Config{Repeats: 1})
-		h := s.Handler()
-		req := conformablePair(40, 32, 24, 3)
-		req.Policy = policy
-		d := decodeSpGEMM(t, post(t, h, "/v1/schedule/spgemm", req)).Decision
-		if d.TraceID == "" {
-			t.Fatalf("%s: decision carries no trace_id", policy)
-		}
-		mr := httptest.NewRecorder()
-		h.ServeHTTP(mr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-		exs := telemetry.ParseExemplars(mr.Body.String(), "layoutd_schedule_decision_duration_seconds")
-		if len(exs) != 1 || exs[0].TraceID != d.TraceID {
-			t.Fatalf("%s: decision-duration exemplars %+v, want exactly the decision's trace %s", policy, exs, d.TraceID)
+// TestScheduleDecisionExemplar: a freshly computed decision — rule-based or
+// measured, on any of the three schedule endpoints — lands in the
+// decision-duration histogram with the request's trace id as the bucket
+// exemplar, so a slow bucket links to the decision's span tree.
+func TestScheduleDecisionExemplar(t *testing.T) {
+	data := makeLIBSVM(40, 30, 5, 3)
+	for _, tc := range []struct {
+		path    string
+		body    func(policy string) any
+		traceID func(w *httptest.ResponseRecorder) string
+	}{
+		{"/v1/schedule",
+			func(policy string) any { return ScheduleRequest{Data: data, Policy: policy} },
+			func(w *httptest.ResponseRecorder) string { return decodeSchedule(t, w).Decision.TraceID }},
+		{"/v1/schedule/batch",
+			func(policy string) any {
+				return BatchScheduleRequest{Items: []ScheduleRequest{{Data: data, Policy: policy}}}
+			},
+			func(w *httptest.ResponseRecorder) string { return decodeBatch(t, w.Code, w.Body.Bytes()).TraceID }},
+		{"/v1/schedule/spgemm",
+			func(policy string) any {
+				req := conformablePair(40, 32, 24, 3)
+				req.Policy = policy
+				return req
+			},
+			func(w *httptest.ResponseRecorder) string { return decodeSpGEMM(t, w).Decision.TraceID }},
+	} {
+		for _, policy := range []string{"rule-based", "hybrid"} {
+			s := newTestServer(t, Config{Repeats: 1})
+			h := s.Handler()
+			id := tc.traceID(post(t, h, tc.path, tc.body(policy)))
+			if id == "" {
+				t.Fatalf("%s %s: response carries no trace_id", tc.path, policy)
+			}
+			mr := httptest.NewRecorder()
+			h.ServeHTTP(mr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			exs := telemetry.ParseExemplars(mr.Body.String(), "layoutd_schedule_decision_duration_seconds")
+			if len(exs) != 1 || exs[0].TraceID != id {
+				t.Fatalf("%s %s: decision-duration exemplars %+v, want exactly the decision's trace %s", tc.path, policy, exs, id)
+			}
 		}
 	}
 }

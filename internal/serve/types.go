@@ -8,7 +8,7 @@
 package serve
 
 import (
-	"fmt"
+	"errors"
 	"sort"
 	"time"
 
@@ -119,7 +119,7 @@ func NewDecisionJSON(d *core.Decision) DecisionJSON {
 	}
 	out.Confidence = d.Confidence
 	out.Estimates = encodeEstimates(d.Estimates)
-	out.Measured = encodeMeasured(d.Measured)
+	out.Measured = encodeMeasured(d.Measured, measurementRow)
 	return out
 }
 
@@ -134,32 +134,35 @@ func encodeEstimates(ests []core.Estimate) []EstimateJSON {
 	return out
 }
 
-// encodeMeasured renders a measurement map sorted by ascending time.
-func encodeMeasured(m map[sparse.Candidate]time.Duration) []MeasurementJSON {
+// encodeMeasured renders a measurement map as one row per candidate,
+// fastest first, ties by candidate string; nil when nothing was measured.
+func encodeMeasured[C candidate, R any](m map[C]time.Duration, row func(C, time.Duration) R) []R {
 	if len(m) == 0 {
 		return nil
 	}
-	out := make([]MeasurementJSON, 0, len(m))
-	for c, t := range m {
-		out = append(out, MeasurementJSON{
-			Format: c.Format.String(), Chunk: c.Chunk.String(), Variant: c.Variant.String(),
-			Nanos:  int64(t),
-			Millis: float64(t) / float64(time.Millisecond),
-		})
+	cands := make([]C, 0, len(m))
+	for c := range m {
+		cands = append(cands, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Nanos != out[j].Nanos {
-			return out[i].Nanos < out[j].Nanos
+	sort.Slice(cands, func(i, j int) bool {
+		if m[cands[i]] != m[cands[j]] {
+			return m[cands[i]] < m[cands[j]]
 		}
-		if out[i].Format != out[j].Format {
-			return out[i].Format < out[j].Format
-		}
-		if out[i].Chunk != out[j].Chunk {
-			return out[i].Chunk < out[j].Chunk
-		}
-		return out[i].Variant < out[j].Variant
+		return cands[i].String() < cands[j].String()
 	})
+	out := make([]R, len(cands))
+	for i, c := range cands {
+		out[i] = row(c, m[c])
+	}
 	return out
+}
+
+func measurementRow(c sparse.Candidate, t time.Duration) MeasurementJSON {
+	return MeasurementJSON{
+		Format: c.Format.String(), Chunk: c.Chunk.String(), Variant: c.Variant.String(),
+		Nanos:  int64(t),
+		Millis: float64(t) / float64(time.Millisecond),
+	}
 }
 
 // ScheduleRequest is the /v1/schedule body. Exactly one of Profile or Data
@@ -253,21 +256,15 @@ func (s *Server) policyFor(name string) (core.Policy, error) {
 	if name == "" {
 		return s.cfg.Policy, nil
 	}
-	return parsePolicy(name)
+	return core.ParsePolicy(name)
 }
 
-// parsePolicy maps the wire policy name to a core.Policy.
-func parsePolicy(s string) (core.Policy, error) {
-	switch s {
-	case "rule-based":
-		return core.RuleBased, nil
-	case "empirical":
-		return core.Empirical, nil
-	case "hybrid":
-		return core.Hybrid, nil
-	case "predict":
-		return core.PolicyPredict, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q (want rule-based, empirical, hybrid, or predict)", s)
+// schedulePolicy is policyFor for the SMSV endpoints, which refuse the
+// predict policy while no format predictor is loaded.
+func (s *Server) schedulePolicy(name string) (core.Policy, error) {
+	policy, err := s.policyFor(name)
+	if err == nil && policy == core.PolicyPredict && !s.predictor.Loaded() {
+		err = errors.New("predict policy needs a trained model (start layoutd with -predictor)")
 	}
+	return policy, err
 }

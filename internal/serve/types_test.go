@@ -67,7 +67,7 @@ func TestEncodeMeasuredTieBreak(t *testing.T) {
 		sparse.BaseCandidate(sparse.CSR): 5 * time.Millisecond,
 		sparse.BaseCandidate(sparse.ELL): time.Millisecond,
 	}
-	out := encodeMeasured(m)
+	out := encodeMeasured(m, measurementRow)
 	if out[0].Format != "ELL" {
 		t.Fatalf("fastest not first: %+v", out)
 	}
@@ -78,21 +78,7 @@ func TestEncodeMeasuredTieBreak(t *testing.T) {
 	if out[0].Millis != 1 {
 		t.Fatalf("millis %v", out[0].Millis)
 	}
-	if encodeMeasured(nil) != nil {
+	if encodeMeasured[sparse.Candidate](nil, measurementRow) != nil {
 		t.Fatal("empty map should encode as nil")
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	for name, want := range map[string]core.Policy{
-		"rule-based": core.RuleBased, "empirical": core.Empirical, "hybrid": core.Hybrid,
-	} {
-		got, err := parsePolicy(name)
-		if err != nil || got != want {
-			t.Fatalf("%s: %v %v", name, got, err)
-		}
-	}
-	if _, err := parsePolicy("oracle"); err == nil {
-		t.Fatal("oracle accepted")
 	}
 }

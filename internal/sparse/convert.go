@@ -14,15 +14,6 @@ func Convert(m Matrix, target Format) (Matrix, error) {
 	return b.Build(target)
 }
 
-// MustConvert is Convert for trusted input; it panics on error.
-func MustConvert(m Matrix, target Format) Matrix {
-	out, err := Convert(m, target)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // ToDense renders any matrix as a freshly allocated row-major dense slice,
 // mainly for tests and small reference computations.
 func ToDense(m Matrix) []float64 {

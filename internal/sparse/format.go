@@ -102,25 +102,3 @@ type Matrix interface {
 	// StorageBytes returns the in-memory footprint of the format's arrays.
 	StorageBytes() int64
 }
-
-// KindOf maps a storage format to its instrumentation counter kind.
-func KindOf(f Format) exec.Kind {
-	switch f {
-	case DEN:
-		return exec.KindDEN
-	case CSR:
-		return exec.KindCSR
-	case COO:
-		return exec.KindCOO
-	case ELL:
-		return exec.KindELL
-	case DIA:
-		return exec.KindDIA
-	case CSC:
-		return exec.KindCSC
-	case BCSR:
-		return exec.KindBCSR
-	default:
-		return exec.KindDEN
-	}
-}

@@ -38,23 +38,3 @@ func minI64(a, b int64) int64 {
 	}
 	return b
 }
-
-// StorageOf summarizes a concrete matrix's storage in Table II units and
-// bytes.
-type StorageOf struct {
-	Format         Format
-	StoredElements int64
-	Bytes          int64
-}
-
-// MeasureStorage reports StorageOf for each of the given matrices.
-func MeasureStorage(ms ...Matrix) []StorageOf {
-	out := make([]StorageOf, 0, len(ms))
-	for _, m := range ms {
-		if m == nil {
-			continue
-		}
-		out = append(out, StorageOf{m.Format(), m.StoredElements(), m.StorageBytes()})
-	}
-	return out
-}
