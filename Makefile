@@ -11,9 +11,10 @@
 #   make fuzz       native fuzz targets, $(FUZZTIME) each
 #   make flake      repeat the clock/cluster-sensitive suites 5x under -race
 #   make bench      run every benchmark once, human-readable
-#   make bench-trajectory  hot-path trajectory benchmarks (pool-vs-spawn,
-#                   SMO fusion, predict-vs-measure, batched serving) as
-#                   schema-stable BENCH_6.json with the pre-joint baseline
+#   make bench-trajectory  developer tool, gates nothing: hot-path
+#                   trajectory benchmarks (pool-vs-spawn, SMO fusion,
+#                   predict-vs-measure, batched serving) written as
+#                   schema-stable JSON to $(BENCH_OUT)
 #   make metrics-lint  validate /metrics exposition well-formedness
 #   make loadgen-smoke  boot a 3-node ring and drive it with cmd/loadgen
 #   make run-layoutd  start the layout-scheduling daemon on $(LAYOUTD_ADDR)
@@ -23,8 +24,8 @@ GO ?= go
 RACE_PKGS := ./internal/parallel/... ./internal/sparse/... ./internal/spgemm/... ./internal/core/... ./internal/svm/... ./internal/serve/... ./internal/learn/... ./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/online/... ./internal/breaker/...
 CHAOS_PKGS := ./internal/parallel ./internal/core ./internal/serve ./internal/breaker
 FUZZTIME ?= 20s
-# bench-trajectory output file; CI overrides this to collect repeated runs
-# for the compare gate without clobbering the committed baseline.
+# bench-trajectory output file; point it elsewhere to collect the repeated
+# runs `benchjson compare` wants without clobbering the committed snapshot.
 BENCH_OUT ?= BENCH_6.json
 LAYOUTD_ADDR ?= :8723
 
@@ -70,21 +71,12 @@ flake:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Trajectory: the PR-gated hot-path numbers (scheduling decision cost,
-# pooled execution, batched serving) in one schema-stable document. The
-# committed baseline carries the pre-joint-candidate numbers for diffing.
-#
-# Refreshing the committed BENCH_6.json baseline (do this when the numbers
-# go stale — new Go toolchain, hardware change, or an intentional perf
-# shift — never to paper over a regression):
-#   1. make bench-trajectory BENCH_OUT=/tmp/run1.json   # and run2, run3:
-#      repeated runs, so compare can tell drift from run-to-run noise
-#   2. go run ./cmd/benchjson compare -tolerance 2.0 BENCH_6.json \
-#        /tmp/run1.json /tmp/run2.json /tmp/run3.json
-#      and check that every ratio is either expected or improved;
-#   3. cp /tmp/run1.json BENCH_6.json and commit it, citing the compare
-#      output in the message. CI holds each PR's three fresh runs to the
-#      committed file with the same 2.0x base tolerance.
+# Trajectory: the hot-path numbers (scheduling decision cost, pooled
+# execution, batched serving) in one schema-stable document, for a developer
+# to compare before and after a change with `benchjson compare`. Nothing is
+# gated on it: the PR gate is benchmark/ (see benchmark/README.md), and the
+# allocation contracts it used to guard are tier-1 tests
+# (TestChooseSteadyStateAllocs, TestBatchHotPathAllocs).
 bench-trajectory:
 	@{ $(GO) test -run '^$$' -bench 'BenchmarkSMOPoolVsSpawn|BenchmarkAblationFusion' -benchtime 5x -benchmem . ; \
 	   $(GO) test -run '^$$' -bench 'BenchmarkPredictVsMeasure' -benchtime 100x -benchmem . ; \
@@ -106,6 +98,6 @@ loadgen-smoke:
 run-layoutd:
 	$(GO) run ./cmd/layoutd -addr $(LAYOUTD_ADDR)
 
-# BENCH_6.json is the committed trajectory baseline, not a build product.
+# BENCH_6.json is a committed trajectory snapshot, not a build product.
 clean:
 	rm -rf .bench_build benchmark/out

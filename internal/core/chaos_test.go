@@ -9,6 +9,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/sparse"
+	"repro/internal/spgemm"
 )
 
 // arm parses and enables a failpoint spec for the duration of the test.
@@ -42,54 +43,107 @@ func TestChaosChooseRetriesTransientMeasureFailure(t *testing.T) {
 	}
 }
 
+type chaosChoose func(t *testing.T, topK int, ex *exec.Exec) (measured int, err error)
+
+// chaosSchedulers are the two workloads the chaos cases below run against:
+// the fault sites sit in the shared ladder, so each case must come out the
+// same whichever scheduler drives it. choose runs one hybrid decision over
+// topK candidates (ex nil = the default pool) and reports how many of them
+// were measured.
+var chaosSchedulers = []struct {
+	name   string
+	choose chaosChoose
+}{
+	{"smsv", func(t *testing.T, topK int, ex *exec.Exec) (int, error) {
+		s := New(Config{Policy: Hybrid, TopK: topK, Exec: ex, RetryBackoff: 20 * time.Microsecond})
+		d, err := s.Choose(buildRandom(t, 300, 80, 0.2, 2))
+		if err != nil {
+			return 0, err
+		}
+		if d.Matrix == nil || d.Matrix.Format() != d.Chosen {
+			t.Error("decision did not materialize the chosen format")
+		}
+		for c := range d.Measured {
+			if !c.Valid() {
+				t.Errorf("impossible candidate measured: %v", c)
+			}
+		}
+		return len(d.Measured), nil
+	}},
+	{"spgemm", func(t *testing.T, topK int, ex *exec.Exec) (int, error) {
+		s := NewSpGEMM(SpGEMMConfig{Policy: Hybrid, TopK: topK, Exec: ex, RetryBackoff: 20 * time.Microsecond})
+		a, b := pairBuilders(2, 60, 40, 30, 0.2)
+		d, err := s.Choose(a, b)
+		if err != nil {
+			return 0, err
+		}
+		if _, ok := d.Measured[d.Chosen]; !ok || d.OutputNNZ <= 0 {
+			t.Errorf("chosen %s (output nnz %d) is not a measured candidate", d.Chosen, d.OutputNNZ)
+		}
+		for c := range d.Measured {
+			if !spgemm.Supported(c) {
+				t.Errorf("impossible candidate measured: %v", c)
+			}
+		}
+		return len(d.Measured), nil
+	}},
+}
+
+// chaos runs body once per scheduler with the failpoint spec armed.
+func chaos(t *testing.T, spec string, body func(t *testing.T, choose chaosChoose)) {
+	for _, sch := range chaosSchedulers {
+		t.Run(sch.name, func(t *testing.T) {
+			arm(t, spec)
+			body(t, sch.choose)
+		})
+	}
+}
+
 // TestChaosChooseExhaustedRetriesSkipsCandidate: a persistent failure burns
 // one candidate's whole retry budget; the decision must come from the other
 // candidates, not abort.
 func TestChaosChooseExhaustedRetriesSkipsCandidate(t *testing.T) {
 	// 3 fires = 1 attempt + 2 retries: exactly the first candidate's budget.
-	arm(t, "core.measure.err=1:3")
-	b := buildRandom(t, 150, 60, 0.2, 3)
-	s := New(Config{Policy: Hybrid, TopK: 3, RetryBackoff: 50 * time.Microsecond})
-	d, err := s.Choose(b)
-	if err != nil {
-		t.Fatalf("decision failed: %v", err)
-	}
-	if len(d.Measured) != 2 {
-		t.Fatalf("measured %d candidates, want 2 (first skipped)", len(d.Measured))
-	}
+	chaos(t, "core.measure.err=1:3", func(t *testing.T, choose chaosChoose) {
+		measured, err := choose(t, 3, nil)
+		if err != nil {
+			t.Fatalf("decision failed: %v", err)
+		}
+		if measured != 2 {
+			t.Fatalf("measured %d candidates, want 2 (first skipped)", measured)
+		}
+	})
 }
 
 // TestChaosChooseErrorsWhenEveryCandidateFails: with the error failpoint
 // always on, every candidate exhausts its retries and ChooseContext must
 // return the transient error — typed, so serving layers can degrade.
 func TestChaosChooseErrorsWhenEveryCandidateFails(t *testing.T) {
-	arm(t, "core.measure.err=1")
-	b := buildRandom(t, 100, 40, 0.2, 1)
-	s := New(Config{Policy: Hybrid, RetryBackoff: 20 * time.Microsecond})
-	_, err := s.Choose(b)
-	if err == nil {
-		t.Fatal("decision succeeded with measurement hard-down")
-	}
-	if !errors.Is(err, fault.ErrInjected) || !IsTransient(err) {
-		t.Fatalf("error %v lost the injected/transient classification", err)
-	}
+	chaos(t, "core.measure.err=1", func(t *testing.T, choose chaosChoose) {
+		_, err := choose(t, 2, nil)
+		if err == nil {
+			t.Fatal("decision succeeded with measurement hard-down")
+		}
+		if !errors.Is(err, fault.ErrInjected) || !IsTransient(err) {
+			t.Fatalf("error %v lost the injected/transient classification", err)
+		}
+	})
 }
 
 // TestChaosKernelPanicSurfacesAsError: a measurement kernel that panics on
 // every candidate must surface as a *KernelPanicError from Choose — an
 // error, not a process crash.
 func TestChaosKernelPanicSurfacesAsError(t *testing.T) {
-	arm(t, "core.measure.panic=1")
-	b := buildRandom(t, 100, 40, 0.2, 1)
-	s := New(Config{Policy: Hybrid})
-	_, err := s.Choose(b)
-	var kp *KernelPanicError
-	if !errors.As(err, &kp) {
-		t.Fatalf("err = %v, want *KernelPanicError", err)
-	}
-	if IsTransient(err) {
-		t.Fatal("kernel panics must not be classified transient")
-	}
+	chaos(t, "core.measure.panic=1", func(t *testing.T, choose chaosChoose) {
+		_, err := choose(t, 2, nil)
+		var kp *KernelPanicError
+		if !errors.As(err, &kp) {
+			t.Fatalf("err = %v, want *KernelPanicError", err)
+		}
+		if IsTransient(err) {
+			t.Fatal("kernel panics must not be classified transient")
+		}
+	})
 }
 
 // TestChaosWorkerPanicIsolatedToOneCandidate: a single injected panic inside
@@ -97,23 +151,17 @@ func TestChaosKernelPanicSurfacesAsError(t *testing.T) {
 // re-raises it on the submitter, measure converts it to an error, and the
 // decision still comes back from the surviving candidates.
 func TestChaosWorkerPanicIsolatedToOneCandidate(t *testing.T) {
-	arm(t, "exec.dispatch.panic=1:1")
-	ex := exec.New(4, exec.Static)
-	defer ex.Close()
-	b := buildRandom(t, 300, 80, 0.2, 2)
-	s := New(Config{Policy: Hybrid, TopK: 3, Exec: ex})
-	d, err := s.Choose(b)
-	if err != nil {
-		t.Fatalf("worker panic took down the decision: %v", err)
-	}
-	if len(d.Measured) == 0 {
-		t.Fatal("no candidate survived")
-	}
-	for c := range d.Measured {
-		if !c.Valid() {
-			t.Fatalf("impossible candidate measured: %v", c)
+	chaos(t, "exec.dispatch.panic=1:1", func(t *testing.T, choose chaosChoose) {
+		ex := exec.New(4, exec.Static)
+		defer ex.Close()
+		measured, err := choose(t, 3, ex)
+		if err != nil {
+			t.Fatalf("worker panic took down the decision: %v", err)
 		}
-	}
+		if measured != 2 {
+			t.Fatalf("measured %d candidates, want 2 (the panicked one skipped)", measured)
+		}
+	})
 }
 
 // TestChaosTimerSkewStillPicksAFormat: multiplicative timer skew corrupts
@@ -141,16 +189,15 @@ func TestChaosTimerSkewStillPicksAFormat(t *testing.T) {
 // TestChaosBuildFaultFallsThrough: injected candidate-build failures behave
 // like unbuildable formats — skipped, with the decision served by the rest.
 func TestChaosBuildFaultFallsThrough(t *testing.T) {
-	arm(t, "core.build.err=1:1")
-	b := buildRandom(t, 150, 60, 0.2, 3)
-	s := New(Config{Policy: Hybrid, TopK: 3})
-	d, err := s.Choose(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Measured) != 2 {
-		t.Fatalf("measured %d candidates, want 2 after one injected build failure", len(d.Measured))
-	}
+	chaos(t, "core.build.err=1:1", func(t *testing.T, choose chaosChoose) {
+		measured, err := choose(t, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if measured != 2 {
+			t.Fatalf("measured %d candidates, want 2 after one injected build failure", measured)
+		}
+	})
 }
 
 // BenchmarkChooseFaultsOff is the fault-layer overhead guard: with no

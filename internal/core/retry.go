@@ -46,34 +46,28 @@ func IsTransient(err error) bool {
 	return false
 }
 
-// retryMeasure runs one candidate's measurement attempt with bounded
-// retries: transient failures back off exponentially with seeded full
-// jitter (so retry storms against a struggling machine stay spread out and
-// tests stay reproducible), everything else — context expiry, kernel
-// panics — returns immediately. retries and backoff are the scheduler's
-// MeasureRetries/RetryBackoff (backoff <= 0 takes the default). attempt
-// is only called, never retained, so callers' closures stay on the stack.
-func retryMeasure(ctx context.Context, retries int, backoff time.Duration, rng *rand.Rand, traced bool,
-	attempt func(ctx context.Context) (time.Duration, error)) (time.Duration, error) {
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
+// retryMeasure measures one candidate with bounded retries: transient
+// failures back off exponentially with seeded full jitter (so retry storms
+// against a struggling machine stay spread out and tests stay
+// reproducible), everything else — context expiry, kernel panics — returns
+// immediately.
+func (l *ladder[P, C]) retryMeasure(ctx context.Context, w workload[P, C], c C, trials int, rng *rand.Rand, traced bool) (time.Duration, error) {
 	for n := 0; ; n++ {
 		actx := ctx
 		var asp *telemetry.Span
 		if traced {
 			actx, asp = telemetry.StartSpan(ctx, "measure.attempt", telemetry.Int("attempt", n))
 		}
-		t, err := attempt(actx)
+		t, err := l.measure(actx, w, c, trials, traced)
 		if err == nil {
 			asp.End()
 			return t, nil
 		}
 		asp.EndErr(err)
-		if !IsTransient(err) || n >= retries {
+		if !IsTransient(err) || n >= DefaultMeasureRetries {
 			return 0, err
 		}
-		delay := backoff<<n + time.Duration(rng.Int63n(int64(backoff)))
+		delay := l.retryBackoff<<n + time.Duration(rng.Int63n(int64(l.retryBackoff)))
 		var rsp *telemetry.Span
 		if traced {
 			_, rsp = telemetry.StartSpan(ctx, "measure.retry-backoff", telemetry.Dur("delay", delay))

@@ -5,15 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/sparse"
-	"repro/internal/telemetry"
 )
 
 // ErrEmptyMatrix is returned by Choose when the builder describes a
@@ -116,10 +114,9 @@ type Config struct {
 	TopK      int   // hybrid: candidates to measure; 0 = 2
 	Seed      int64 // sampling seed; fixed default keeps runs reproducible
 	// History enables incremental auto-tuning: measured decisions are
-	// recorded, and datasets whose features fall within HistoryRadius of
-	// a recorded one reuse its candidate without re-measuring.
-	History       *History
-	HistoryRadius float64 // 0 = DefaultHistoryRadius
+	// recorded, and datasets whose features fall within DefaultHistoryRadius
+	// of a recorded one reuse its candidate without re-measuring.
+	History *History
 	// Weights overrides the rule-based model's access-efficiency factors,
 	// typically from Calibrate; nil uses the paper-calibrated defaults.
 	Weights *Weights
@@ -130,40 +127,10 @@ type Config struct {
 	// MinConfidence gates the predictor: answers below it fall back to
 	// measurement. 0 = DefaultMinConfidence.
 	MinConfidence float64
-	// MeasureRetries bounds how many times a transient measurement failure
-	// is retried per candidate before the candidate is skipped.
-	// 0 = DefaultMeasureRetries, negative = never retry.
-	MeasureRetries int
-	// RetryBackoff is the first retry's backoff; each further attempt
-	// doubles it, plus seeded jitter. 0 = 250µs.
+	// RetryBackoff is the first backoff before a transient measurement
+	// failure is retried; each further attempt doubles it, plus seeded
+	// jitter. 0 = 250µs.
 	RetryBackoff time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.Exec == nil {
-		c.Exec = exec.Default()
-	}
-	if c.TrialRows <= 0 {
-		c.TrialRows = 3
-	}
-	if c.Repeats <= 0 {
-		c.Repeats = 2
-	}
-	if c.TopK <= 0 {
-		c.TopK = 2
-	}
-	if c.HistoryRadius <= 0 {
-		c.HistoryRadius = DefaultHistoryRadius
-	}
-	if c.MinConfidence <= 0 {
-		c.MinConfidence = DefaultMinConfidence
-	}
-	if c.MeasureRetries == 0 {
-		c.MeasureRetries = DefaultMeasureRetries
-	} else if c.MeasureRetries < 0 {
-		c.MeasureRetries = 0
-	}
-	return c
 }
 
 // Decision records everything the scheduler did: the extracted features,
@@ -206,21 +173,11 @@ var decisionPool = sync.Pool{New: func() any { return new(Decision) }}
 // slices, measurement map) and all semantic fields reset.
 func newDecision() *Decision {
 	d := decisionPool.Get().(*Decision)
-	d.Policy = 0
-	d.Features = dataset.Features{}
-	d.Estimates = d.Estimates[:0]
-	d.Candidates = d.Candidates[:0]
+	*d = Decision{Estimates: d.Estimates[:0], Candidates: d.Candidates[:0], Measured: d.Measured}
 	if d.Measured == nil {
 		d.Measured = make(map[sparse.Candidate]time.Duration, 8)
-	} else {
-		clear(d.Measured)
 	}
-	d.Chosen = 0
-	d.ChosenCandidate = sparse.Candidate{}
-	d.Matrix = nil
-	d.Reused = false
-	d.Predicted = false
-	d.Confidence = 0
+	clear(d.Measured)
 	return d
 }
 
@@ -237,22 +194,29 @@ func (d *Decision) Release() {
 	decisionPool.Put(d)
 }
 
-// chooseScratch is the per-choose workspace: kernel buffers, trial
-// vectors, candidate lists, feature extraction state, and the sampling
-// RNG. Instances are pooled per Scheduler so repeated Choose calls
-// allocate nothing after warmup.
+// chooseScratch is the pooled per-choose workspace and the SMSV workload
+// the ladder drives: kernel buffers, trial vectors, feature extraction state
+// and, for one choose, the input, the candidate build under measurement and
+// the decision being filled in. Pooling it per Scheduler is why repeated
+// Choose calls allocate nothing after warmup.
 type chooseScratch struct {
+	ladderScratch[sparse.Candidate]
+	s         *Scheduler
 	pair      sparse.PairScratch
 	trials    []sparse.Vector
-	cands     []sparse.Candidate
 	extractor dataset.Extractor
-	rng       *rand.Rand
+
+	b   *sparse.Builder
+	csr *sparse.CSRMatrix
+	m   sparse.Matrix // the candidate build being measured
+	d   *Decision
 }
 
 // Scheduler chooses storage formats and kernel execution parameters for
 // data matrices.
 type Scheduler struct {
-	cfg Config
+	cfg    Config
+	ladder ladder[[dataset.EmbedDims]float64, sparse.Candidate]
 	// execByChunk maps ChunkPolicy to a derived execution context, built
 	// once so the measurement loop never pays WithSched's copy.
 	execByChunk [2]*exec.Exec
@@ -261,21 +225,31 @@ type Scheduler struct {
 
 // New creates a Scheduler with the given configuration.
 func New(cfg Config) *Scheduler {
-	s := &Scheduler{cfg: cfg.withDefaults()}
-	s.execByChunk[sparse.ChunkStatic] = s.cfg.Exec.WithSched(exec.Static)
-	s.execByChunk[sparse.ChunkGuided] = s.cfg.Exec.WithSched(exec.Guided)
-	s.scratch.New = func() any {
-		return &chooseScratch{rng: rand.New(rand.NewSource(s.cfg.Seed + 1))}
+	if cfg.Exec == nil {
+		cfg.Exec = exec.Default()
 	}
+	if cfg.TrialRows <= 0 {
+		cfg.TrialRows = 3
+	}
+	s := &Scheduler{cfg: cfg}
+	s.ladder = ladder[[dataset.EmbedDims]float64, sparse.Candidate]{
+		policy: cfg.Policy, topK: cfg.TopK, repeats: cfg.Repeats,
+		minConfidence: cfg.MinConfidence, retryBackoff: cfg.RetryBackoff, seed: cfg.Seed,
+		radius: DefaultHistoryRadius, predictor: cfg.Predictor != nil,
+		span: "schedule.choose", op: "core: choose", noun: "candidate format",
+	}.withDefaults()
+	if cfg.Policy == Empirical { // the one policy that measures the whole space
+		for _, f := range sparse.BasicFormats {
+			s.ladder.space = sparse.AppendCandidates(s.ladder.space, f, s.parallel())
+		}
+	}
+	if cfg.History != nil {
+		s.ladder.history = &cfg.History.radiusStore
+	}
+	s.execByChunk[sparse.ChunkStatic] = cfg.Exec.WithSched(exec.Static)
+	s.execByChunk[sparse.ChunkGuided] = cfg.Exec.WithSched(exec.Guided)
+	s.scratch.New = func() any { return &chooseScratch{s: s} }
 	return s
-}
-
-// execFor returns the execution context for a candidate's chunk policy.
-func (s *Scheduler) execFor(c sparse.Candidate) *exec.Exec {
-	if int(c.Chunk) < len(s.execByChunk) {
-		return s.execByChunk[c.Chunk]
-	}
-	return s.cfg.Exec
 }
 
 // parallel reports whether the scheduler's kernels run multi-worker, which
@@ -301,22 +275,19 @@ func (s *Scheduler) Choose(b *sparse.Builder) (*Decision, error) {
 // trace the instrumentation is skipped entirely — the hot path stays
 // allocation-free.
 func (s *Scheduler) ChooseContext(ctx context.Context, b *sparse.Builder) (*Decision, error) {
-	traced := telemetry.ContextTrace(ctx) != nil
-	var sp *telemetry.Span
-	if traced {
-		ctx, sp = telemetry.StartSpan(ctx, "schedule.choose",
-			telemetry.String("policy", s.cfg.Policy.String()))
-	}
-	d, err := s.chooseContext(ctx, b, traced)
+	sc := s.scratch.Get().(*chooseScratch)
+	sc.b = b
+	v, err := s.ladder.choose(ctx, sc, &sc.ladderScratch)
+	d := sc.d
+	// A pooled scratch must not pin the caller's matrix or decision.
+	sc.b, sc.csr, sc.m, sc.d = nil, nil, nil, nil
+	s.scratch.Put(sc)
 	if err != nil {
-		sp.EndErr(err)
+		d.Release()
 		return nil, err
 	}
-	if traced {
-		sp.Annotate(telemetry.String("chosen", d.ChosenCandidate.String()),
-			telemetry.String("source", d.Source()))
-		sp.End()
-	}
+	d.Chosen, d.ChosenCandidate = v.chosen.Format, v.chosen
+	d.Reused, d.Predicted, d.Confidence = v.reused, v.predicted, v.confidence
 	return d, nil
 }
 
@@ -341,292 +312,91 @@ func (d *Decision) Source() string {
 	return sourceOf(d.Predicted, d.Reused, len(d.Measured) > 0)
 }
 
-func (s *Scheduler) chooseContext(ctx context.Context, b *sparse.Builder, traced bool) (*Decision, error) {
-	if rows, cols := b.Dims(); rows == 0 || cols == 0 {
-		return nil, ErrEmptyMatrix
+// prepare gets the features cheaply from the CSR materialization, which
+// Empirical and Hybrid need anyway as a measurement candidate.
+func (sc *chooseScratch) prepare(ranked []sparse.Candidate) (p [dataset.EmbedDims]float64, _ []sparse.Candidate, err error) {
+	if rows, cols := sc.b.Dims(); rows == 0 || cols == 0 {
+		return p, nil, ErrEmptyMatrix
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: choose: %w", err)
-	}
-	sc := s.scratch.Get().(*chooseScratch)
-	defer s.scratch.Put(sc)
-	// Features come cheaply from the CSR materialization, which Empirical
-	// and Hybrid need anyway as a measurement candidate.
-	csr, err := b.Build(sparse.CSR)
+	csr, err := sc.b.Build(sparse.CSR)
 	if err != nil {
-		return nil, fmt.Errorf("core: building CSR for analysis: %w", err)
+		return p, nil, fmt.Errorf("core: building CSR for analysis: %w", err)
 	}
-	feats := sc.extractor.Extract(csr)
 	weights := DefaultWeights()
-	if s.cfg.Weights != nil {
-		weights = *s.cfg.Weights
+	if sc.s.cfg.Weights != nil {
+		weights = *sc.s.cfg.Weights
 	}
 	d := newDecision()
-	d.Policy = s.cfg.Policy
-	d.Features = feats
-	d.Estimates = AppendEstimates(d.Estimates[:0], feats, weights)
-	d.Candidates = AppendCandidateEstimates(d.Candidates[:0], d.Estimates, s.parallel())
-
-	// Incremental auto-tuning: reuse a recorded decision for a similar
-	// dataset before paying for any measurement.
-	if s.cfg.History != nil {
-		var hsp *telemetry.Span
-		if traced {
-			_, hsp = telemetry.StartSpan(ctx, "history.lookup")
-		}
-		c, ok := s.cfg.History.Lookup(feats, s.cfg.HistoryRadius)
-		if traced {
-			hsp.Annotate(telemetry.String("hit", strconv.FormatBool(ok)))
-			if ok {
-				hsp.Annotate(telemetry.String("candidate", c.String()))
-			}
-			hsp.End()
-		}
-		if ok {
-			if m, err := materialize(b, csr, c.Format); err == nil {
-				d.Chosen = c.Format
-				d.ChosenCandidate = c
-				d.Matrix = m
-				d.Reused = true
-				return d, nil
-			}
-			// Unbuildable here (e.g. DIA cap): fall through to a fresh
-			// decision.
-		}
+	d.Policy = sc.s.cfg.Policy
+	d.Features = sc.extractor.Extract(csr)
+	d.Estimates = AppendEstimates(d.Estimates[:0], d.Features, weights)
+	d.Candidates = AppendCandidateEstimates(d.Candidates[:0], d.Estimates, sc.s.parallel())
+	ranked = slices.Grow(ranked, len(d.Candidates))
+	for _, e := range d.Candidates {
+		ranked = append(ranked, e.Candidate)
 	}
-
-	var candidates []sparse.Candidate
-	switch s.cfg.Policy {
-	case RuleBased:
-		for _, ce := range d.Candidates {
-			m, err := materialize(b, csr, ce.Candidate.Format)
-			if err != nil {
-				// The model can rank DIA first on matrices whose padded DIA
-				// form exceeds the memory cap; the next candidate stands in.
-				continue
-			}
-			d.Chosen = ce.Candidate.Format
-			d.ChosenCandidate = ce.Candidate
-			d.Matrix = m
-			return d, nil
-		}
-		d.Release()
-		return nil, fmt.Errorf("core: no buildable format")
-	case Empirical:
-		sc.cands = sc.cands[:0]
-		for _, f := range sparse.BasicFormats {
-			sc.cands = sparse.AppendCandidates(sc.cands, f, s.parallel())
-		}
-		candidates = sc.cands
-	case Hybrid:
-		candidates = s.topCandidates(sc, d.Candidates)
-	case PolicyPredict:
-		if s.cfg.Predictor == nil {
-			d.Release()
-			return nil, ErrNoPredictor
-		}
-		var psp *telemetry.Span
-		if traced {
-			_, psp = telemetry.StartSpan(ctx, "predictor.predict")
-		}
-		var c sparse.Candidate
-		var conf float64
-		var ok bool
-		if cp, isJoint := s.cfg.Predictor.(CandidatePredictor); isJoint {
-			c, conf, ok = cp.PredictCandidate(feats)
-		} else {
-			var f sparse.Format
-			f, conf, ok = s.cfg.Predictor.PredictFormat(feats)
-			c = sparse.BaseCandidate(f)
-		}
-		// Chaos hook: model-staleness simulation jitters the vote share.
-		conf = fault.Perturb("core.predict", conf)
-		if traced {
-			psp.Annotate(telemetry.String("candidate", c.String()),
-				telemetry.String("confidence", strconv.FormatFloat(conf, 'f', 3, 64)),
-				telemetry.String("trusted", strconv.FormatBool(ok && conf >= s.cfg.MinConfidence)))
-			psp.End()
-		}
-		d.Confidence = conf
-		if ok && conf >= s.cfg.MinConfidence {
-			if m, err := materialize(b, csr, c.Format); err == nil {
-				d.Chosen = c.Format
-				d.ChosenCandidate = c
-				d.Matrix = m
-				d.Predicted = true
-				return d, nil
-			}
-			// The model can predict a format the data cannot build (e.g.
-			// DIA over its memory cap): measure instead of failing.
-		}
-		// Low confidence or unbuildable prediction: hybrid-style
-		// measurement, recorded into History below so retraining covers
-		// this shape class.
-		candidates = s.topCandidates(sc, d.Candidates)
-	default:
-		d.Release()
-		return nil, fmt.Errorf("core: unknown policy %d", int(s.cfg.Policy))
-	}
-
-	sc.rng.Seed(s.cfg.Seed + 1)
-	s.sampleRows(sc, csr.(*sparse.CSRMatrix))
-	var best sparse.Matrix
-	bestTime := time.Duration(-1)
-	var lastErr error
-	for _, c := range candidates {
-		if err := ctx.Err(); err != nil {
-			d.Release()
-			return nil, fmt.Errorf("core: choose: %w", err)
-		}
-		cctx := ctx
-		var candSp, bsp *telemetry.Span
-		if traced {
-			cctx, candSp = telemetry.StartSpan(ctx, "candidate",
-				telemetry.String("candidate", c.String()))
-			_, bsp = telemetry.StartSpan(cctx, "candidate.build")
-		}
-		err := fault.Inject("core.build")
-		var m sparse.Matrix
-		if err == nil {
-			m, err = materialize(b, csr, c.Format)
-		}
-		bsp.EndErr(err)
-		if err != nil {
-			candSp.EndErr(err)
-			lastErr = err
-			continue
-		}
-		t, err := retryMeasure(cctx, s.cfg.MeasureRetries, s.cfg.RetryBackoff, sc.rng, traced,
-			func(actx context.Context) (time.Duration, error) { return s.measure(actx, m, c, sc, traced) })
-		if err != nil {
-			candSp.EndErr(err)
-			// Context expiry bounds the whole decision; anything else —
-			// retries exhausted, a kernel panic on this candidate's data —
-			// disqualifies only this candidate, so one poisoned candidate
-			// cannot sink a decision the others can still win.
-			if ctx.Err() != nil {
-				d.Release()
-				return nil, fmt.Errorf("core: choose: %w", ctx.Err())
-			}
-			lastErr = err
-			continue
-		}
-		if traced {
-			candSp.Annotate(telemetry.Dur("measured", t))
-			candSp.End()
-		}
-		d.Measured[c] = t
-		if bestTime < 0 || t < bestTime {
-			bestTime, best = t, m
-			d.Chosen, d.ChosenCandidate = c.Format, c
-		}
-	}
-	if best == nil {
-		d.Release()
-		return nil, fmt.Errorf("core: no candidate format could be measured: %w", lastErr)
-	}
-	d.Matrix = best
-	if s.cfg.History != nil {
-		s.cfg.History.RecordCandidate(feats, d.ChosenCandidate)
-	}
-	return d, nil
+	sc.csr, sc.d = csr.(*sparse.CSRMatrix), d
+	return dataset.Embed(d.Features), ranked, nil
 }
 
-// topCandidates lists the TopK cheapest modeled joint candidates as
-// measurement candidates, reusing the scratch buffer.
-func (s *Scheduler) topCandidates(sc *chooseScratch, ests []CandidateEstimate) []sparse.Candidate {
-	k := min(s.cfg.TopK, len(ests))
-	sc.cands = sc.cands[:0]
-	for _, e := range ests[:k] {
-		sc.cands = append(sc.cands, e.Candidate)
+// predict answers in the joint space when the predictor can, and as the
+// predicted format's base candidate otherwise.
+func (sc *chooseScratch) predict() (sparse.Candidate, float64, bool) {
+	if cp, isJoint := sc.s.cfg.Predictor.(CandidatePredictor); isJoint {
+		return cp.PredictCandidate(sc.d.Features)
 	}
-	return sc.cands
+	f, conf, ok := sc.s.cfg.Predictor.PredictFormat(sc.d.Features)
+	return sparse.BaseCandidate(f), conf, ok
 }
 
-// materialize builds format f from b, reusing the already-built CSR.
-func materialize(b *sparse.Builder, csr sparse.Matrix, f sparse.Format) (sparse.Matrix, error) {
-	if f == sparse.CSR {
-		return csr, nil
-	}
-	return b.Build(f)
+// usable materializes the decision's matrix in c's format (the Builder
+// caches each one); DIA over its memory cap is the format that can fail.
+func (sc *chooseScratch) usable(c sparse.Candidate) bool {
+	m, err := sc.b.Build(c.Format)
+	sc.d.Matrix = m
+	return err == nil
 }
 
-// sampleRows extracts TrialRows random rows of the matrix into the scratch
+func (sc *chooseScratch) build(c sparse.Candidate) (err error) {
+	sc.m, err = sc.b.Build(c.Format)
+	return err
+}
+
+// sample extracts TrialRows random rows of the matrix into the scratch
 // trial vectors — the same distribution SMO draws X_high/X_low from. Trial
 // vectors reuse their capacity across calls.
-func (s *Scheduler) sampleRows(sc *chooseScratch, m *sparse.CSRMatrix) {
-	rows, _ := m.Dims()
-	for len(sc.trials) < s.cfg.TrialRows {
-		sc.trials = append(sc.trials, sparse.Vector{})
-	}
-	sc.trials = sc.trials[:s.cfg.TrialRows]
-	for i := range sc.trials {
-		sc.trials[i] = m.RowTo(sc.trials[i], sc.rng.Intn(rows))
-	}
-}
-
-// measure times Repeats pair units (two SMSV products, the SMO iteration's
-// kernel work) per trial row under the candidate's variant and chunk
-// policy, returning the total. Cancellation is observed between
-// repetitions — one pair unit is the granularity of abort. A panic inside
-// a kernel (a poisoned dataset, or a worker fault re-raised by the pool)
-// is recovered into a *KernelPanicError so a measurement failure stays an
-// error, never a crash.
-func (s *Scheduler) measure(ctx context.Context, m sparse.Matrix, c sparse.Candidate, sc *chooseScratch, traced bool) (total time.Duration, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			// A mid-kernel panic can leave the scatter workspaces dirty;
-			// re-zero so the pooled scratch stays clean for the next use.
-			zero(sc.pair.Scratch1)
-			zero(sc.pair.Scratch2)
-			total, err = 0, &KernelPanicError{Format: m.Format(), Value: p}
-		}
-	}()
-	rows, cols := m.Dims()
+func (sc *chooseScratch) sample(rng *rand.Rand) int {
+	rows, cols := sc.csr.Dims()
 	sc.pair.Grow(rows, cols)
-	ex := s.execFor(c)
-	trials := sc.trials
-	// One warm-up pass touches every stored element, faulting pages in so
-	// the timed runs measure steady-state kernel speed.
-	if len(trials) > 0 {
-		var wsp *telemetry.Span
-		if traced {
-			_, wsp = telemetry.StartSpan(ctx, "measure.warmup")
-		}
-		x2 := trials[len(trials)-1]
-		c.RunPair(m, sc.pair.Dst1, sc.pair.Dst2, trials[0], x2, sc.pair.Scratch1, sc.pair.Scratch2, ex)
-		wsp.End()
+	n := sc.s.cfg.TrialRows
+	sc.trials = slices.Grow(sc.trials[:0], n)[:n]
+	for i := range sc.trials {
+		sc.trials[i] = sc.csr.RowTo(sc.trials[i], rng.Intn(rows))
 	}
-	for ti, x := range trials {
-		// Pair the trial row with its successor so fused kernels see two
-		// distinct x vectors, like an SMO iteration does.
-		x2 := trials[(ti+1)%len(trials)]
-		for r := 0; r < s.cfg.Repeats; r++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			// Chaos hooks: injected measurement failure, then timer skew and
-			// result perturbation over the measured repetition.
-			if err := fault.Inject("core.measure"); err != nil {
-				return 0, err
-			}
-			var rsp *telemetry.Span
-			if traced {
-				_, rsp = telemetry.StartSpan(ctx, "measure.rep",
-					telemetry.Int("trial", ti), telemetry.Int("rep", r))
-			}
-			start := time.Now()
-			c.RunPair(m, sc.pair.Dst1, sc.pair.Dst2, x, x2, sc.pair.Scratch1, sc.pair.Scratch2, ex)
-			rsp.End()
-			elapsed := fault.Skew("core.measure", time.Since(start))
-			total += time.Duration(fault.Perturb("core.measure", float64(elapsed)))
-		}
-	}
-	return total, nil
+	return n
 }
 
-func zero(s []float64) {
-	for i := range s {
-		s[i] = 0
+// run is one pair unit (two SMSV products, the SMO iteration's kernel work)
+// under the candidate's variant and chunk policy. The trial row is paired
+// with its successor so fused kernels see two distinct x vectors, like an
+// SMO iteration does.
+func (sc *chooseScratch) run(c sparse.Candidate, trial int) error {
+	x, x2 := sc.trials[trial], sc.trials[(trial+1)%len(sc.trials)]
+	c.RunPair(sc.m, sc.pair.Dst1, sc.pair.Dst2, x, x2, sc.pair.Scratch1, sc.pair.Scratch2, sc.s.execByChunk[c.Chunk])
+	return nil
+}
+
+func (sc *chooseScratch) kernelPanic(c sparse.Candidate, p any) error {
+	// A mid-kernel panic can leave the scatter workspaces dirty; re-zero so
+	// the pooled scratch stays clean for the next use.
+	clear(sc.pair.Scratch1)
+	clear(sc.pair.Scratch2)
+	return &KernelPanicError{Format: c.Format, Value: p}
+}
+
+func (sc *chooseScratch) measured(c sparse.Candidate, t time.Duration, best bool) {
+	sc.d.Measured[c] = t
+	if best {
+		sc.d.Matrix = sc.m
 	}
 }

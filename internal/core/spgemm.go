@@ -5,17 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/sparse"
 	"repro/internal/spgemm"
-	"repro/internal/telemetry"
 )
 
 // ErrEmptyPair is returned by the SpGEMM scheduler when either operand is a
@@ -89,40 +87,14 @@ type SpGEMMConfig struct {
 	Repeats int   // timed products per candidate; 0 = 2
 	TopK    int   // hybrid: candidates to measure; 0 = 2
 	Seed    int64 // retry-jitter seed; fixed default keeps runs reproducible
-	// History enables incremental tuning over pair shape classes.
-	History       *PairHistory
-	HistoryRadius float64 // 0 = DefaultPairHistoryRadius
+	// History enables incremental tuning over pair shape classes, reusing
+	// decisions within DefaultPairHistoryRadius.
+	History *PairHistory
 	// Predictor answers PolicyPredict queries (a trained pair forest).
 	Predictor     PairPredictor
 	MinConfidence float64 // 0 = DefaultMinConfidence
-	// MeasureRetries / RetryBackoff mirror the SMSV scheduler's transient
-	// retry bounds (0 = defaults, negative retries = never).
-	MeasureRetries int
-	RetryBackoff   time.Duration
-}
-
-func (c SpGEMMConfig) withDefaults() SpGEMMConfig {
-	if c.Exec == nil {
-		c.Exec = exec.Default()
-	}
-	if c.Repeats <= 0 {
-		c.Repeats = 2
-	}
-	if c.TopK <= 0 {
-		c.TopK = 2
-	}
-	if c.HistoryRadius <= 0 {
-		c.HistoryRadius = DefaultPairHistoryRadius
-	}
-	if c.MinConfidence <= 0 {
-		c.MinConfidence = DefaultMinConfidence
-	}
-	if c.MeasureRetries == 0 {
-		c.MeasureRetries = DefaultMeasureRetries
-	} else if c.MeasureRetries < 0 {
-		c.MeasureRetries = 0
-	}
-	return c
+	// RetryBackoff mirrors the SMSV scheduler's transient-retry backoff.
+	RetryBackoff time.Duration
 }
 
 // SpGEMMDecision records a dataflow choice for one A×B pair. Decisions are
@@ -150,21 +122,11 @@ var pairDecisionPool = sync.Pool{New: func() any { return new(SpGEMMDecision) }}
 
 func newPairDecision() *SpGEMMDecision {
 	d := pairDecisionPool.Get().(*SpGEMMDecision)
-	d.Policy = 0
-	d.AFeatures = dataset.Features{}
-	d.BFeatures = dataset.Features{}
-	d.Estimates = d.Estimates[:0]
+	*d = SpGEMMDecision{Estimates: d.Estimates[:0], Measured: d.Measured}
 	if d.Measured == nil {
 		d.Measured = make(map[spgemm.Candidate]time.Duration, 8)
-	} else {
-		clear(d.Measured)
 	}
-	d.Chosen = spgemm.Candidate{}
-	d.EstimatedNNZ = 0
-	d.OutputNNZ = 0
-	d.Reused = false
-	d.Predicted = false
-	d.Confidence = 0
+	clear(d.Measured)
 	return d
 }
 
@@ -182,15 +144,20 @@ func (d *SpGEMMDecision) Source() string {
 	return sourceOf(d.Predicted, d.Reused, len(d.Measured) > 0)
 }
 
-// spgemmScratch is the per-choose workspace: the multiply arena, the result
-// buffer measurements write into, candidate lists, the shared feature
-// extractor, and the retry-jitter RNG. Pooled per scheduler.
+// spgemmScratch is the pooled per-choose workspace and the SpGEMM workload
+// the ladder drives: the multiply arena, the result buffer measurements
+// write into, the shared feature extractor and, for one choose, the operands,
+// the builds under measurement and the decision being filled in.
 type spgemmScratch struct {
+	ladderScratch[spgemm.Candidate]
+	s         *SpGEMMScheduler
 	mul       spgemm.Scratch
 	out       spgemm.Result
-	cands     []spgemm.Candidate
 	extractor dataset.Extractor
-	rng       *rand.Rand
+
+	a, b   *sparse.Builder
+	am, bm sparse.Matrix // the candidate's operand builds being measured
+	d      *SpGEMMDecision
 }
 
 // SpGEMMScheduler chooses the SpGEMM dataflow and operand formats for an
@@ -198,15 +165,29 @@ type spgemmScratch struct {
 // Scheduler over spgemm.Candidate space.
 type SpGEMMScheduler struct {
 	cfg     SpGEMMConfig
+	ladder  ladder[[dataset.PairEmbedDims]float64, spgemm.Candidate]
 	scratch sync.Pool
 }
 
 // NewSpGEMM creates a SpGEMMScheduler.
 func NewSpGEMM(cfg SpGEMMConfig) *SpGEMMScheduler {
-	s := &SpGEMMScheduler{cfg: cfg.withDefaults()}
-	s.scratch.New = func() any {
-		return &spgemmScratch{rng: rand.New(rand.NewSource(s.cfg.Seed + 1))}
+	if cfg.Exec == nil {
+		cfg.Exec = exec.Default()
 	}
+	s := &SpGEMMScheduler{cfg: cfg}
+	s.ladder = ladder[[dataset.PairEmbedDims]float64, spgemm.Candidate]{
+		policy: cfg.Policy, topK: cfg.TopK, repeats: cfg.Repeats,
+		minConfidence: cfg.MinConfidence, retryBackoff: cfg.RetryBackoff, seed: cfg.Seed,
+		radius: DefaultPairHistoryRadius, predictor: cfg.Predictor != nil,
+		span: "schedule.spgemm", op: "core: spgemm choose", noun: "spgemm candidate",
+	}.withDefaults()
+	if cfg.Policy == Empirical { // the one policy that measures the whole space
+		s.ladder.space = spgemm.AppendCandidates(nil)
+	}
+	if cfg.History != nil {
+		s.ladder.history = &cfg.History.radiusStore
+	}
+	s.scratch.New = func() any { return &spgemmScratch{s: s} }
 	return s
 }
 
@@ -221,236 +202,87 @@ func (s *SpGEMMScheduler) Choose(a, b *sparse.Builder) (*SpGEMMDecision, error) 
 // is traced span by span (candidate builds, measurement attempts, retries,
 // predictor and history lookups). Without a trace no spans are allocated.
 func (s *SpGEMMScheduler) ChooseContext(ctx context.Context, a, b *sparse.Builder) (*SpGEMMDecision, error) {
-	traced := telemetry.ContextTrace(ctx) != nil
-	var sp *telemetry.Span
-	if traced {
-		ctx, sp = telemetry.StartSpan(ctx, "schedule.spgemm",
-			telemetry.String("policy", s.cfg.Policy.String()))
-	}
-	d, err := s.chooseContext(ctx, a, b, traced)
+	sc := s.scratch.Get().(*spgemmScratch)
+	sc.a, sc.b = a, b
+	v, err := s.ladder.choose(ctx, sc, &sc.ladderScratch)
+	d := sc.d
+	// A pooled scratch must not pin the caller's operands or decision.
+	sc.a, sc.b, sc.am, sc.bm, sc.d = nil, nil, nil, nil, nil
+	s.scratch.Put(sc)
 	if err != nil {
-		sp.EndErr(err)
+		d.Release()
 		return nil, err
 	}
-	if traced {
-		sp.Annotate(telemetry.String("chosen", d.Chosen.String()),
-			telemetry.String("source", d.Source()))
-		sp.End()
-	}
+	d.Chosen = v.chosen
+	d.Reused, d.Predicted, d.Confidence = v.reused, v.predicted, v.confidence
 	return d, nil
 }
 
-func (s *SpGEMMScheduler) chooseContext(ctx context.Context, a, b *sparse.Builder, traced bool) (*SpGEMMDecision, error) {
-	ar, ac := a.Dims()
-	br, bc := b.Dims()
+// prepare builds both operands as CSR, which gives the features and is what
+// most candidates measure on anyway; the Builder caches them per format.
+func (sc *spgemmScratch) prepare(ranked []spgemm.Candidate) (p [dataset.PairEmbedDims]float64, _ []spgemm.Candidate, err error) {
+	ar, ac := sc.a.Dims()
+	br, bc := sc.b.Dims()
 	if ar == 0 || ac == 0 || br == 0 || bc == 0 {
-		return nil, ErrEmptyPair
+		return p, nil, ErrEmptyPair
 	}
 	if ac != br {
-		return nil, fmt.Errorf("core: spgemm: dimension mismatch %dx%d × %dx%d", ar, ac, br, bc)
+		return p, nil, fmt.Errorf("core: spgemm: dimension mismatch %dx%d × %dx%d", ar, ac, br, bc)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: spgemm choose: %w", err)
-	}
-	sc := s.scratch.Get().(*spgemmScratch)
-	defer s.scratch.Put(sc)
-	// CSR materializations give the features and are measurement operands
-	// for most candidates anyway; the Builder caches them per format.
-	acsr, err := a.Build(sparse.CSR)
+	acsr, err := sc.a.Build(sparse.CSR)
 	if err != nil {
-		return nil, fmt.Errorf("core: spgemm: building CSR(A): %w", err)
+		return p, nil, fmt.Errorf("core: spgemm: building CSR(A): %w", err)
 	}
-	bcsr, err := b.Build(sparse.CSR)
+	bcsr, err := sc.b.Build(sparse.CSR)
 	if err != nil {
-		return nil, fmt.Errorf("core: spgemm: building CSR(B): %w", err)
+		return p, nil, fmt.Errorf("core: spgemm: building CSR(B): %w", err)
 	}
-	fa := sc.extractor.Extract(acsr)
-	fb := sc.extractor.Extract(bcsr)
-
 	d := newPairDecision()
-	d.Policy = s.cfg.Policy
+	d.Policy = sc.s.cfg.Policy
+	fa, fb := sc.extractor.Extract(acsr), sc.extractor.Extract(bcsr)
 	d.AFeatures, d.BFeatures = fa, fb
 	d.EstimatedNNZ = dataset.EstimateOutputNNZ(fa, fb)
 	d.Estimates = append(d.Estimates[:0], EstimatePairCandidates(fa, fb)...)
-
-	if s.cfg.History != nil {
-		var hsp *telemetry.Span
-		if traced {
-			_, hsp = telemetry.StartSpan(ctx, "history.lookup")
-		}
-		c, ok := s.cfg.History.Lookup(fa, fb, s.cfg.HistoryRadius)
-		if traced {
-			hsp.Annotate(telemetry.String("hit", strconv.FormatBool(ok)))
-			if ok {
-				hsp.Annotate(telemetry.String("candidate", c.String()))
-			}
-			hsp.End()
-		}
-		if ok && spgemm.Supported(c) {
-			d.Chosen = c
-			d.Reused = true
-			return d, nil
-		}
+	ranked = slices.Grow(ranked, len(d.Estimates))
+	for _, e := range d.Estimates {
+		ranked = append(ranked, e.Candidate)
 	}
-
-	var candidates []spgemm.Candidate
-	switch s.cfg.Policy {
-	case RuleBased:
-		d.Chosen = d.Estimates[0].Candidate
-		return d, nil
-	case Empirical:
-		sc.cands = spgemm.AppendCandidates(sc.cands[:0])
-		candidates = sc.cands
-	case Hybrid:
-		candidates = s.topPairCandidates(sc, d.Estimates)
-	case PolicyPredict:
-		if s.cfg.Predictor == nil {
-			d.Release()
-			return nil, ErrNoPredictor
-		}
-		var psp *telemetry.Span
-		if traced {
-			_, psp = telemetry.StartSpan(ctx, "predictor.predict")
-		}
-		c, conf, ok := s.cfg.Predictor.PredictPair(fa, fb)
-		// Chaos hook: model-staleness simulation jitters the vote share,
-		// the same site the SMSV predictor path uses.
-		conf = fault.Perturb("core.predict", conf)
-		if traced {
-			psp.Annotate(telemetry.String("candidate", c.String()),
-				telemetry.String("confidence", strconv.FormatFloat(conf, 'f', 3, 64)),
-				telemetry.String("trusted", strconv.FormatBool(ok && conf >= s.cfg.MinConfidence)))
-			psp.End()
-		}
-		d.Confidence = conf
-		if ok && conf >= s.cfg.MinConfidence && spgemm.Supported(c) {
-			d.Chosen = c
-			d.Predicted = true
-			return d, nil
-		}
-		// Low confidence: measure the top candidates and record the result
-		// into the pair history so retraining covers this shape class.
-		candidates = s.topPairCandidates(sc, d.Estimates)
-	default:
-		d.Release()
-		return nil, fmt.Errorf("core: unknown policy %d", int(s.cfg.Policy))
-	}
-
-	best := spgemm.Candidate{}
-	bestTime := time.Duration(-1)
-	var bestNNZ int64
-	var lastErr error
-	for _, c := range candidates {
-		if err := ctx.Err(); err != nil {
-			d.Release()
-			return nil, fmt.Errorf("core: spgemm choose: %w", err)
-		}
-		cctx := ctx
-		var candSp, bsp *telemetry.Span
-		if traced {
-			cctx, candSp = telemetry.StartSpan(ctx, "candidate",
-				telemetry.String("candidate", c.String()))
-			_, bsp = telemetry.StartSpan(cctx, "candidate.build")
-		}
-		err := fault.Inject("core.build")
-		var am, bm sparse.Matrix
-		if err == nil {
-			if am, err = a.Build(c.AFormat); err == nil {
-				bm, err = b.Build(c.BFormat)
-			}
-		}
-		bsp.EndErr(err)
-		if err != nil {
-			candSp.EndErr(err)
-			lastErr = err
-			continue
-		}
-		t, err := retryMeasure(cctx, s.cfg.MeasureRetries, s.cfg.RetryBackoff, sc.rng, traced,
-			func(actx context.Context) (time.Duration, error) { return s.measurePair(actx, c, am, bm, sc, traced) })
-		if err != nil {
-			candSp.EndErr(err)
-			// Context expiry bounds the whole decision; anything else only
-			// disqualifies this candidate.
-			if ctx.Err() != nil {
-				d.Release()
-				return nil, fmt.Errorf("core: spgemm choose: %w", ctx.Err())
-			}
-			lastErr = err
-			continue
-		}
-		if traced {
-			candSp.Annotate(telemetry.Dur("measured", t))
-			candSp.End()
-		}
-		d.Measured[c] = t
-		if bestTime < 0 || t < bestTime {
-			bestTime, best = t, c
-			bestNNZ = int64(sc.out.NNZ())
-		}
-	}
-	if bestTime < 0 {
-		d.Release()
-		return nil, fmt.Errorf("core: no spgemm candidate could be measured: %w", lastErr)
-	}
-	d.Chosen = best
-	d.OutputNNZ = bestNNZ
-	if s.cfg.History != nil {
-		s.cfg.History.RecordCandidate(fa, fb, d.Chosen)
-	}
-	return d, nil
+	sc.d = d
+	return dataset.EmbedPair(fa, fb), ranked, nil
 }
 
-// topPairCandidates lists the TopK cheapest modeled candidates, reusing the
-// scratch buffer.
-func (s *SpGEMMScheduler) topPairCandidates(sc *spgemmScratch, ests []PairEstimate) []spgemm.Candidate {
-	k := min(s.cfg.TopK, len(ests))
-	sc.cands = sc.cands[:0]
-	for _, e := range ests[:k] {
-		sc.cands = append(sc.cands, e.Candidate)
-	}
-	return sc.cands
+func (sc *spgemmScratch) predict() (spgemm.Candidate, float64, bool) {
+	return sc.s.cfg.Predictor.PredictPair(sc.d.AFeatures, sc.d.BFeatures)
 }
 
-// measurePair times Repeats full products under the candidate's dataflow
-// after one warm-up pass, observing cancellation between products and
-// recovering kernel panics into *KernelPanicError (attributed to the A-side
-// format). The product lands in sc.out, whose entry count the caller reads
-// for OutputNNZ.
-func (s *SpGEMMScheduler) measurePair(ctx context.Context, c spgemm.Candidate, am, bm sparse.Matrix, sc *spgemmScratch, traced bool) (total time.Duration, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			total, err = 0, &KernelPanicError{Format: c.AFormat, Value: p}
-		}
-	}()
-	// Warm-up: fault pages in and size the result arena.
-	var wsp *telemetry.Span
-	if traced {
-		_, wsp = telemetry.StartSpan(ctx, "measure.warmup")
+// usable builds nothing: the decision names a dataflow without carrying the
+// operands, so an unmeasured candidate only needs a kernel that exists.
+func (sc *spgemmScratch) usable(c spgemm.Candidate) bool { return spgemm.Supported(c) }
+
+func (sc *spgemmScratch) build(c spgemm.Candidate) (err error) {
+	if sc.am, err = sc.a.Build(c.AFormat); err == nil {
+		sc.bm, err = sc.b.Build(c.BFormat)
 	}
-	if err := sc.mul.Multiply(c, am, bm, &sc.out, s.cfg.Exec); err != nil {
-		wsp.EndErr(err)
-		return 0, err
+	return err
+}
+
+// sample draws nothing: every repetition is the one full product.
+func (sc *spgemmScratch) sample(*rand.Rand) int { return 1 }
+
+// run is one full product under the candidate's dataflow. It lands in
+// sc.out, whose entry count measured reads for OutputNNZ.
+func (sc *spgemmScratch) run(c spgemm.Candidate, _ int) error {
+	return sc.mul.Multiply(c, sc.am, sc.bm, &sc.out, sc.s.cfg.Exec)
+}
+
+// kernelPanic attributes the panic to the A-side format.
+func (sc *spgemmScratch) kernelPanic(c spgemm.Candidate, p any) error {
+	return &KernelPanicError{Format: c.AFormat, Value: p}
+}
+
+func (sc *spgemmScratch) measured(c spgemm.Candidate, t time.Duration, best bool) {
+	sc.d.Measured[c] = t
+	if best {
+		sc.d.OutputNNZ = int64(sc.out.NNZ())
 	}
-	wsp.End()
-	for r := 0; r < s.cfg.Repeats; r++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		if err := fault.Inject("core.measure"); err != nil {
-			return 0, err
-		}
-		var rsp *telemetry.Span
-		if traced {
-			_, rsp = telemetry.StartSpan(ctx, "measure.rep", telemetry.Int("rep", r))
-		}
-		start := time.Now()
-		if err := sc.mul.Multiply(c, am, bm, &sc.out, s.cfg.Exec); err != nil {
-			rsp.EndErr(err)
-			return 0, err
-		}
-		rsp.End()
-		elapsed := fault.Skew("core.measure", time.Since(start))
-		total += time.Duration(fault.Perturb("core.measure", float64(elapsed)))
-	}
-	return total, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -187,25 +188,6 @@ func TestSpGEMMChooseCancellation(t *testing.T) {
 	}
 }
 
-func TestSpGEMMChooseTraced(t *testing.T) {
-	ctx, tr, root := telemetry.NewTrace(context.Background(), "spgemm.test")
-	s := NewSpGEMM(SpGEMMConfig{Policy: Hybrid, Repeats: 1, History: &PairHistory{}})
-	a, b := pairBuilders(7, 14, 12, 9, 0.25)
-	d, err := s.ChooseContext(ctx, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Release()
-	root.End()
-	tr.Finish()
-	tree := tr.Tree()
-	for _, want := range []string{"schedule.spgemm", "history.lookup", "candidate", "measure.rep"} {
-		if !strings.Contains(tree, want) {
-			t.Fatalf("trace tree missing %q:\n%s", want, tree)
-		}
-	}
-}
-
 func TestPairHistorySaveLoad(t *testing.T) {
 	h := &PairHistory{}
 	fa := dataset.Features{M: 40, N: 30, NNZ: 200, Mdim: 9, Adim: 5, Vdim: 2, Density: 0.16}
@@ -289,5 +271,35 @@ func TestSpGEMMMeasureRetryTransient(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	if _, err := s.ChooseContext(ctx, a, b); err == nil {
 		t.Fatal("expired deadline accepted")
+	}
+}
+
+// TestSpGEMMRetryJitterReproducible pins SpGEMMConfig.Seed's promise past
+// the first decision: the RNG is reseeded at every choose, so the same
+// transient failures back off by the same jittered delays each time, whatever
+// the pooled scratch drew before.
+func TestSpGEMMRetryJitterReproducible(t *testing.T) {
+	s := NewSpGEMM(SpGEMMConfig{Policy: Hybrid, Seed: 5, RetryBackoff: 50 * time.Microsecond})
+	a, b := pairBuilders(9, 20, 16, 12, 0.2)
+	backoffs := func() (delays []string) {
+		arm(t, "core.measure.err=1:2")
+		ctx, tr, root := telemetry.NewTrace(context.Background(), "spgemm.retry")
+		d, err := s.ChooseContext(ctx, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Release()
+		root.End()
+		tr.Finish()
+		for _, sp := range tr.Snapshot().Spans {
+			if sp.Name == "measure.retry-backoff" {
+				delays = append(delays, strings.Join(sp.AttrList, " "))
+			}
+		}
+		return delays
+	}
+	first, second := backoffs(), backoffs()
+	if len(first) != 2 || !slices.Equal(first, second) {
+		t.Fatalf("retry backoffs differ between two decisions under one seed:\n first %v\nsecond %v", first, second)
 	}
 }
