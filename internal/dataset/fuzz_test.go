@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/sparse"
 )
 
-// FuzzParseLIBSVM checks the parser never panics and that anything it
-// accepts survives a write/parse round trip.
+// FuzzParseLIBSVM checks the parser never panics, that anything it accepts
+// survives a write/parse round trip, and — on every input — that both
+// readers over the byte-level tokenizer (ParseLIBSVM and the one-pass
+// Accumulator) agree with the legacy route kept in oracle_test.go: the same
+// error string, or the same samples, shape, triplets and feature bits.
 func FuzzParseLIBSVM(f *testing.F) {
 	f.Add("+1 1:0.5 3:1.25\n-1 2:2\n")
 	f.Add("")
@@ -33,7 +38,24 @@ func FuzzParseLIBSVM(f *testing.F) {
 	f.Add("+1 1:0x1p-3\n")        // hex float syntax
 	f.Add("+1  1:1\t2:2 \n")      // mixed whitespace
 	f.Add("#only a comment\n\n#") // nothing but comments
+
+	// Tokenizer corpus: where a byte-level split could part ways with
+	// TrimSpace + Fields. Signed and zero-padded indices; CRLF; Unicode
+	// white space between fields; bytes that only look like NBSP (no split);
+	// a comment found after trimming a wide space, then a label-only row;
+	// explicit and underflowed zeros around empty rows; every ASCII space,
+	// a bare \r included.
+	f.Add("+1 +3:1 007:2\n")
+	f.Add("+1 1:1\r\n-1 2:2\r\n")
+	f.Add("1\u00a01:1\u20282:2\u0085\n")
+	f.Add("1 1:1\xa02:2 \xff\n")
+	f.Add("\u3000# comment\n1\n")
+	f.Add("1 2:0 4:-0 6:1\n\n2\n3 1:1e-400\n")
+	f.Add("1 1:1\v2:2\f3:3\r4:4\n")
+	var acc Accumulator
+	pooled := sparse.NewBuilder(1, 1)
 	f.Fuzz(func(t *testing.T, in string) {
+		diffLIBSVM(t, &acc, pooled, in)
 		samples, n, err := ParseLIBSVM(strings.NewReader(in))
 		if err != nil {
 			return

@@ -1,12 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -23,18 +23,22 @@ import (
 // daemon's lifetime.
 const MaxBatchItems = 64
 
-// batchScratch is one request's reusable workspace: the cache-key buffer, the
-// triplet builder inline LIBSVM rows are parsed into, and the feature
-// extractor with its row scratch. Pooled so a warm server parses, keys and
-// decides with no per-request builder garbage; ownership follows the handler
-// — Get at entry, Put on return, never retained past the response. Items
-// within one batch are decided sequentially, so a single builder is safe:
-// by the time item i+1 parses, item i's measurement (if any) has finished
-// and its decision holds no reference to the builder's arrays.
+// batchScratch is one request's reusable workspace: the buffer its body is
+// read into, a batch's decoded items, the cache-key buffer, the triplet
+// builder inline LIBSVM rows land in, and the one-pass accumulator that
+// reads them. Pooled so a warm server reads, decodes, parses, keys and
+// decides with no per-request garbage; ownership follows the handler — Get
+// at entry, Put on return, never retained past the response, and with it
+// die the envelope's views into body. Items within one batch are decided
+// sequentially, so a single builder is safe: by the time item i+1 parses,
+// item i's measurement (if any) has finished and its decision holds no
+// reference to the builder's arrays.
 type batchScratch struct {
-	key []byte
-	b   *sparse.Builder
-	ex  dataset.Extractor
+	body  bytes.Buffer
+	items []envelope
+	key   []byte
+	b     *sparse.Builder
+	acc   dataset.Accumulator
 }
 
 var batchScratchPool = sync.Pool{New: func() any {
@@ -55,41 +59,32 @@ func putScratch(sc *batchScratch) {
 // answers it with 400 where a scheduler failure maps to 429/5xx.
 type badRequest struct{ error }
 
-// parse turns inline LIBSVM rows into the scratch builder's matrix and its
-// Table IV features — the one parse step behind every schedule endpoint. n
-// is the feature count the rows declare (feats.N is never below 1).
-func (sc *batchScratch) parse(data string) (feats dataset.Features, n int, err error) {
-	samples, n, err := dataset.ParseLIBSVM(strings.NewReader(data))
-	if err != nil {
-		return feats, 0, err
+// parse reads inline LIBSVM rows in one pass: their triplets into the
+// scratch builder, for a measurement to materialize if the decision misses,
+// and their Table IV features — the one parse step behind every endpoint
+// that takes rows. n is the feature count the rows declare (feats.N is
+// never below 1).
+func (sc *batchScratch) parse(data []byte) (feats dataset.Features, n int, err error) {
+	feats, n, err = sc.acc.ParseLIBSVM(data, sc.b)
+	if err == nil && feats.M == 0 {
+		err = core.ErrEmptyMatrix
 	}
-	if len(samples) == 0 {
-		return feats, 0, core.ErrEmptyMatrix
-	}
-	sc.b.Reset(len(samples), max(n, 1))
-	for i, smp := range samples {
-		sc.b.AddRow(i, smp.Features)
-	}
-	csr, err := sc.b.Build(sparse.CSR)
-	if err != nil {
-		return feats, 0, fmt.Errorf("unbuildable matrix: %v", err)
-	}
-	return sc.ex.Extract(csr), n, nil
+	return feats, n, err
 }
 
 // resolve enforces "exactly one of profile or data" and yields the
 // request's features: a profile's as sent, inline rows' by parsing them into
 // the scratch builder under a request.parse span (inline reports which).
 // Every error is the caller's.
-func (sc *batchScratch) resolve(ctx context.Context, profile *FeaturesJSON, data string) (feats dataset.Features, n int, inline bool, err error) {
+func (sc *batchScratch) resolve(ctx context.Context, profile *FeaturesJSON, data []byte) (feats dataset.Features, n int, inline bool, err error) {
 	switch {
-	case profile != nil && data != "":
+	case profile != nil && len(data) != 0:
 		err = errors.New("give either profile or data, not both")
 	case profile != nil:
 		if feats = profile.Features(); feats.M <= 0 || feats.N <= 0 {
 			err = core.ErrEmptyMatrix
 		}
-	case data != "":
+	case len(data) != 0:
 		inline = true
 		_, psp := telemetry.StartSpan(ctx, "request.parse")
 		if feats, n, err = sc.parse(data); err == nil && psp != nil {
@@ -138,13 +133,13 @@ func (p *peerReply) result() BatchItemResult {
 // for the human-readable account a single response carries — the trace
 // lines and the estimates block; without it the steady state allocates
 // only the decision the response must own.
-func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *ScheduleRequest, policy core.Policy, explain bool) (DecisionJSON, *peerReply, error) {
-	feats, n, inline, err := sc.resolve(ctx, req.Profile, req.Data)
+func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *envelope, policy core.Policy, explain bool) (DecisionJSON, *peerReply, error) {
+	feats, n, inline, err := sc.resolve(ctx, req.profile, req.data)
 	if err != nil {
 		return DecisionJSON{}, nil, err
 	}
 	if !inline {
-		return s.profileDecision(ctx, feats, *req.Profile), nil, nil
+		return s.profileDecision(ctx, feats, *req.profile), nil, nil
 	}
 	if err := inlineCapError(feats); err != nil {
 		return DecisionJSON{}, nil, badRequest{fmt.Errorf("%v; send a profile-only request for shapes this large", err)}
@@ -174,10 +169,12 @@ func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *Schedul
 	sc.key = AppendKey(sc.key[:0], feats, policy.String(), s.cfg.TopK)
 	trace = s.noteLoopAverted(ctx, sc.key, trace)
 	if m, owned := routeOwner(ctx, s, s.smsv.cache, sc.key); owned {
-		// The policy may be the batch's or the server's default; pin it on a
-		// copy so the owner resolves the request exactly as this node did.
-		fwd := *req
-		fwd.Policy = policy.String()
+		// The forwarded body is marshalled afresh — the rows copied out of
+		// the scratch, which this handler gives back while the peer may
+		// still be reading — with the policy pinned (it may be the batch's
+		// or the server's default), so the owner resolves the request
+		// exactly as this node did.
+		fwd := ScheduleRequest{Data: string(req.data), Policy: policy.String()}
 		if status, data, ok := s.forward(ctx, m, "/v1/schedule", &fwd); ok {
 			return DecisionJSON{}, &peerReply{peer: m.ID, status: status, body: data}, nil
 		}
@@ -206,20 +203,23 @@ func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *Schedul
 // policy, over the inline cap) fails alone in its slot; only a malformed
 // envelope fails the batch.
 func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchScheduleRequest
-	if !decodeBody(w, r, &req) {
+	sc := getScratch()
+	defer putScratch(sc)
+	env, ok := decodeEnvelope[BatchScheduleRequest](s, sc, w, r, batchFields)
+	if !ok {
 		return
 	}
-	if len(req.Items) == 0 {
+	items := env.items
+	if len(items) == 0 {
 		writeError(w, http.StatusBadRequest, "items is empty")
 		return
 	}
-	if len(req.Items) > s.cfg.MaxBatch {
+	if len(items) > s.cfg.MaxBatch {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf(
-			"batch of %d items exceeds the %d-item cap; split the request", len(req.Items), s.cfg.MaxBatch))
+			"batch of %d items exceeds the %d-item cap; split the request", len(items), s.cfg.MaxBatch))
 		return
 	}
-	if _, err := s.policyFor(req.Policy); err != nil {
+	if _, err := s.policyFor(env.policy); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -227,10 +227,10 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	// One trace for the whole batch: every item's scheduling spans nest
 	// under it, so a slow batch can be read as one tree.
 	ctx, tr, root := s.joinOrStartTrace(r, "schedule.batch",
-		telemetry.Int("items", len(req.Items)))
+		telemetry.Int("items", len(items)))
 	setTraceID(w, tr.ID)
 	defer s.endTrace(tr, root, nil)
-	writeJSON(w, http.StatusOK, s.ScheduleBatch(ctx, &req))
+	writeJSON(w, http.StatusOK, s.scheduleBatch(ctx, sc, items, env.policy))
 }
 
 // ScheduleBatch decides every item of req in order, sharing one pooled
@@ -240,27 +240,31 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) ScheduleBatch(ctx context.Context, req *BatchScheduleRequest) BatchScheduleResponse {
 	sc := getScratch()
 	defer putScratch(sc)
+	env := req.envelope()
+	return s.scheduleBatch(ctx, sc, env.items, env.policy)
+}
+
+func (s *Server) scheduleBatch(ctx context.Context, sc *batchScratch, items []envelope, policy string) BatchScheduleResponse {
 	out := BatchScheduleResponse{
-		Decisions: make([]BatchItemResult, len(req.Items)),
+		Decisions: make([]BatchItemResult, len(items)),
 		TraceID:   contextTraceID(ctx),
 	}
-	for i := range req.Items {
-		out.Decisions[i] = s.scheduleItem(ctx, sc, req, i)
+	for i := range items {
+		out.Decisions[i] = s.scheduleItem(ctx, sc, &items[i], policy, i)
 	}
 	return out
 }
 
-// scheduleItem decides one item under its trace span, resolving its
-// effective policy (item override → batch default → server default).
-func (s *Server) scheduleItem(ctx context.Context, sc *batchScratch, req *BatchScheduleRequest, i int) (res BatchItemResult) {
+// scheduleItem decides item i under its trace span, resolving its effective
+// policy (item override → batch default → server default).
+func (s *Server) scheduleItem(ctx context.Context, sc *batchScratch, item *envelope, batchPolicy string, i int) (res BatchItemResult) {
 	var isp *telemetry.Span
 	if telemetry.ContextTrace(ctx) != nil {
 		ctx, isp = telemetry.StartSpan(ctx, "batch.item", telemetry.Int("index", i))
 	}
-	item := &req.Items[i]
-	name := item.Policy
+	name := item.policy
 	if name == "" {
-		name = req.Policy
+		name = batchPolicy
 	}
 	policy, err := s.schedulePolicy(name)
 	var d DecisionJSON

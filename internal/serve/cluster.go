@@ -270,7 +270,7 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	var payload cluster.ReplicatePayload
-	if !decodeBody(w, r, &payload) {
+	if !decodeStrict(w, r.Body, &payload) {
 		return
 	}
 	// A gossip flush whose sender recorded a replicate.flush trace
@@ -373,7 +373,7 @@ func newModelSlot[P comparable](noun string, load func([]byte) (P, error), box *
 // serving.
 func (s *Server) handleClusterModel(w http.ResponseWriter, r *http.Request) {
 	var req ModelPushRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeStrict(w, r.Body, &req) {
 		return
 	}
 	if len(req.Model) == 0 {

@@ -1,0 +1,376 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/sparse"
+)
+
+// diffEnvelope decodes body twice — the way the handlers do (in place when
+// plain, through the library otherwise) and the way they used to
+// (json.Decoder + DisallowUnknownFields into the exported struct T) — and
+// requires the same verdict, the same error reply, and the same decoded
+// profile, policy and operand text.
+func diffEnvelope[T wireRequest](t *testing.T, s *Server, body []byte, allowed fieldSet) {
+	t.Helper()
+	var want T
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	wantErr := dec.Decode(&want)
+
+	sc := getScratch()
+	defer putScratch(sc)
+	w := httptest.NewRecorder()
+	// The decoder rewrites its buffer; body stays the fuzzer's.
+	r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(bytes.Clone(body)))
+	env, ok := decodeEnvelope[T](s, sc, w, r, allowed)
+	if ok != (wantErr == nil) {
+		t.Fatalf("%T %q: accepted=%v, library error %v", want, body, ok, wantErr)
+	}
+	if !ok {
+		var er ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusBadRequest ||
+			er.Error != fmt.Sprintf("bad request body: %v", wantErr) {
+			t.Fatalf("%T %q: replied %d %q, library error %v", want, body, w.Code, w.Body, wantErr)
+		}
+		return
+	}
+	wantEnv := want.envelope()
+	if !sameEnvelope(env, wantEnv) {
+		t.Fatalf("%T %q:\n decoded %s\n library %s", want, body, showEnvelope(env), showEnvelope(wantEnv))
+	}
+	if len(env.items) != len(wantEnv.items) {
+		t.Fatalf("%T %q: %d items, library %d", want, body, len(env.items), len(wantEnv.items))
+	}
+	for i := range env.items {
+		if !sameEnvelope(env.items[i], wantEnv.items[i]) {
+			t.Fatalf("%T %q: item %d\n decoded %s\n library %s", want, body, i, showEnvelope(env.items[i]), showEnvelope(wantEnv.items[i]))
+		}
+	}
+}
+
+func sameEnvelope(a, b envelope) bool {
+	return reflect.DeepEqual(a.profile, b.profile) && a.policy == b.policy &&
+		bytes.Equal(a.data, b.data) && bytes.Equal(a.a, b.a) && bytes.Equal(a.b, b.b)
+}
+
+func showEnvelope(e envelope) string {
+	return fmt.Sprintf("{profile:%+v data:%q a:%q b:%q policy:%q}", e.profile, e.data, e.a, e.b, e.policy)
+}
+
+// envelopeCorpus is what the in-place decoder must get right or leave
+// alone, shared by the fuzz target's seeds and the plain-path test.
+var envelopeCorpus = []struct {
+	body  string
+	plain bool // the in-place decoder takes it for every shape that admits its fields
+}{
+	{`{"data":"+1 1:0.5 3:1.25\n-1 2:2\n","policy":"hybrid"}`, true},
+	{`{"data":"+1\t1:1\\\/\"\b\f\r\n"}`, true},
+	{` { "policy" : "rule-based" , "data" : "1 1:1" } `, true},
+	{`{"DATA":"1 1:1","Policy":"empirical"}`, true},
+	{`{"profile":{"m":100,"n":50,"nnz":500,"density":0.1},"policy":"rule-based"}`, true},
+	{`{"profile":{"M":1,"n":1e0,"vdim":null}}`, false}, // 1e0 is no int: the library's to refuse
+	{`{"a":"1 2:1\n","b":"1 1:1\n1 1:2\n","policy":"predict"}`, true},
+	{`{"items":[{"data":"1 1:1\n"},{"profile":{"m":1,"n":1}},{"data":"1 2:1","policy":"hybrid"}],"policy":"empirical"}`, true},
+	{`{"items":[]}`, true},
+	{`{}`, true},
+	{`{"data":"1 1:1"} trailing garbage`, true},
+	{`{"data":"1 1:1"}{"data":"2 2:2"}`, true},
+	{`{"data":"+1 1:1\u000a"}`, false},
+	{`{"data":"\ud83d\ude00 1:1"}`, false}, // surrogate pair
+	{`{"data":"\ud83d 1:1"}`, false},       // lone surrogate → U+FFFD
+	{"{\"data\":\"1 1:1\xff\"}", false},    // invalid UTF-8 → U+FFFD
+	{"{\"data\":\"1\u00a01:1\"}", false},   // valid non-ASCII, kept
+	{`{"data":"1 1:1","data":"2 2:2"}`, false},
+	{`{"data":"1 1:1","DATA":"2 2:2"}`, false},
+	{`{"data":"1 1:1","data":null}`, false},
+	{`{"data":null,"policy":null,"profile":null}`, false},
+	{`{"items":null}`, false},
+	{`{"items":[null,{"data":"1 1:1"}]}`, false},
+	{`{"items":[{"data":"1 1:1"}],"items":[{"policy":"hybrid"}]}`, false},
+	{`{"profile":{"m":1},"profile":{"n":2}}`, false},
+	{`{"profile":{"m":1,"bogus":2}}`, false},
+	{`{"profile":{"m":1]}`, false},
+	{`{"profile":{"m":1}} }`, true},
+	{`{"profile":[1,2]}`, false},
+	{`{"d\u0061ta":"1 1:1"}`, false},
+	{`{"data":"1 1:1","top_k":2}`, false},
+	{`{"data":5}`, false},
+	{`{"data":"1 1:1",}`, false},
+	{`{"data":"1 1:1"`, false},
+	{`{"data":"1 1:1`, false}, // truncated string
+	{`{"data":"1 1:1\`, false},
+	{`{"data":"1 1:1\x"}`, false},
+	{"{\"data\":\"1 1:1\n\"}", false}, // raw control character
+	{`{"policy":"hy\u0062rid"}`, false},
+	{`{"policy":"hy\/brid"}`, false},
+	{`null`, false},
+	{`[1,2,3]`, false},
+	{`"data"`, false},
+	{``, false},
+	{`not json`, false},
+	{"\xef\xbb\xbf{}", false},
+}
+
+func envelopeTestServer(tb testing.TB) *Server {
+	ex := exec.New(2, exec.Static)
+	tb.Cleanup(ex.Close)
+	return NewServer(Config{Policy: core.RuleBased, Exec: ex, MaxBatch: 4})
+}
+
+// FuzzScheduleEnvelope holds the in-place envelope decoder to encoding/json
+// on all three envelope shapes (/v1/predict-format's is /v1/schedule's
+// without the policy): every body decodes to the same request or draws the
+// same error.
+func FuzzScheduleEnvelope(f *testing.F) {
+	for _, c := range envelopeCorpus {
+		f.Add([]byte(c.body))
+	}
+	s := envelopeTestServer(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		diffEnvelope[ScheduleRequest](t, s, body, scheduleFields)
+		diffEnvelope[PredictFormatRequest](t, s, body, predictFormatFields)
+		diffEnvelope[BatchScheduleRequest](t, s, body, batchFields)
+		diffEnvelope[SpGEMMRequest](t, s, body, spgemmFields)
+	})
+}
+
+// TestEnvelopePlainPath pins which bodies the in-place decoder takes: the
+// differential cannot tell a decoder that refuses everything from a correct
+// one, and a marshalled request must not take the long way round.
+func TestEnvelopePlainPath(t *testing.T) {
+	admits := func(body string, allowed fieldSet) bool {
+		var env envelope
+		c := cursor{b: []byte(body), maxItems: 4}
+		return c.object(&env, allowed)
+	}
+	// With every field admitted, only plainness decides.
+	for _, tc := range envelopeCorpus {
+		if got := admits(tc.body, ^fieldSet(0)); got != tc.plain {
+			t.Errorf("%q: taken in place = %v, want %v", tc.body, got, tc.plain)
+		}
+	}
+	// What the clients send: json.Marshal of the exported structs.
+	rows := makeLIBSVM(12, 30, 5, 1)
+	for _, tc := range []struct {
+		req     any
+		allowed fieldSet
+	}{
+		{ScheduleRequest{Data: rows, Policy: "hybrid"}, scheduleFields},
+		{PredictFormatRequest{Data: rows}, predictFormatFields},
+		{SpGEMMRequest{A: rows, B: rows, Policy: "empirical"}, spgemmFields},
+		{BatchScheduleRequest{Items: []ScheduleRequest{{Data: rows}, {Data: rows, Policy: "predict"}}}, batchFields},
+	} {
+		raw, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !admits(string(raw), tc.allowed) {
+			t.Errorf("marshalled %T is not decoded in place: %s", tc.req, raw)
+		}
+	}
+	// Over the batch cap the items are the library's: the request is about
+	// to be refused, and the pooled item slice must not grow for it.
+	over := `{"items":[{},{},{},{},{}]}`
+	if admits(over, batchFields) {
+		t.Errorf("a batch over the cap was scanned in place")
+	}
+}
+
+// TestTopKIsUnknownField: top_k was documented as a per-request override
+// that nothing read; it is gone, and a body carrying it is refused like any
+// other unknown field instead of being silently ignored.
+func TestTopKIsUnknownField(t *testing.T) {
+	h := newTestServer(t, Config{Policy: core.RuleBased}).Handler()
+	for path, body := range map[string]string{
+		"/v1/schedule":       `{"data":"+1 1:1\n","top_k":2}`,
+		"/v1/schedule/batch": `{"items":[{"data":"+1 1:1\n"}],"top_k":2}`,
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `unknown field \"top_k\"`) {
+			t.Errorf("%s: %d %s", path, w.Code, w.Body)
+		}
+	}
+}
+
+// hugeIndexRows declares the largest legal feature index in 16 bytes.
+const hugeIndexRows = "+1 2147483647:1\n"
+
+// TestHugeIndexBodyAllocatesLittle: a tiny body declaring a near-int32
+// column count used to cost a 2 GiB diagonal bitmap — allocated, zeroed and
+// kept in the pooled extractor — before the inline cap refused it (and
+// /v1/predict-format never refused it). The workspaces now follow what the
+// body holds; the three capped endpoints keep their reply.
+func TestHugeIndexBodyAllocatesLittle(t *testing.T) {
+	s := newTestServer(t, Config{Policy: core.Hybrid, Predictor: fixedPredictor{format: sparse.CSR, conf: 0.9, ok: true}})
+	h := s.Handler()
+	const capText = "matrix 1×2147483647 declares 2147483647 dense cells, over the 67108864 inline-scheduling cap"
+	for _, tc := range []struct {
+		name, path string
+		body       any
+		status     int
+		want       string
+	}{
+		{"schedule", "/v1/schedule", ScheduleRequest{Data: hugeIndexRows}, http.StatusBadRequest,
+			capText + "; send a profile-only request for shapes this large"},
+		{"batch item", "/v1/schedule/batch", BatchScheduleRequest{Items: []ScheduleRequest{{Data: hugeIndexRows}}}, http.StatusOK,
+			capText + "; send a profile-only request for shapes this large"},
+		{"spgemm operand a", "/v1/schedule/spgemm", SpGEMMRequest{A: hugeIndexRows, B: "1 1:1\n"}, http.StatusBadRequest,
+			"operand a: " + capText},
+		{"spgemm operand b", "/v1/schedule/spgemm", SpGEMMRequest{A: "1 1:1\n", B: hugeIndexRows}, http.StatusBadRequest,
+			"operand b: " + capText},
+		{"predict-format", "/v1/predict-format", PredictFormatRequest{Data: hugeIndexRows}, http.StatusOK,
+			`"n": 2147483647`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, err := json.Marshal(tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(raw)))
+			runtime.ReadMemStats(&after)
+			if w.Code != tc.status || !strings.Contains(w.Body.String(), tc.want) {
+				t.Fatalf("status %d, want %d with %q: %s", w.Code, tc.status, tc.want, w.Body)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Fatalf("a %d-byte request allocated %d bytes", len(raw), got)
+			}
+		})
+	}
+}
+
+// TestScheduleHTTPHotPathAllocs is the allocation contract of the request
+// front half, through Handler().ServeHTTP on warmed shape classes: what a
+// cache hit allocates does not grow with the matrix it describes. A 128 KB
+// operand may cost a few allocations more than a 1 KB one — a row count in
+// a span attribute outgrowing strconv's small-integer table, once per
+// parsed operand — never one per row or per value; and the bytes allocated
+// per request (most of them the pretty-printed response) stay under a fixed
+// budget well below the large bodies themselves, so nothing on the way
+// copies the rows.
+func TestScheduleHTTPHotPathAllocs(t *testing.T) {
+	if testing.Short() {
+		// make test-race pairs -short with the race detector, under which
+		// sync.Pool drops items at random and pooled paths allocate.
+		t.Skip("allocation counts are only meaningful without the race detector")
+	}
+	// The pooled scratch is what is under test: keep it from being emptied
+	// by a collection or stranded on another P between the runs.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := newTestServer(t, Config{Policy: core.Hybrid, TopK: 2, TrialRows: 8, Repeats: 1})
+	h := s.Handler()
+	marshal := func(v any) []byte {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	const items = 16
+	small, large := makeLIBSVM(10, 40, 6, 1), makeLIBSVM(960, 40, 6, 2)
+	batch := func(rows string) []byte {
+		req := BatchScheduleRequest{Items: make([]ScheduleRequest, items)}
+		for i := range req.Items {
+			req.Items[i].Data = rows
+		}
+		return marshal(req)
+	}
+	pair := func(rows string) []byte {
+		return marshal(SpGEMMRequest{A: rows + "+1 40:1\n", B: makeLIBSVM(39, 30, 5, 3) + "+1 30:1\n"})
+	}
+	for _, tc := range []struct {
+		name, path   string
+		small, large []byte
+		slack        float64 // allocations the large body may cost over the small one
+		budget       uint64  // bytes per request, either body
+	}{
+		{"schedule", "/v1/schedule", marshal(ScheduleRequest{Data: small}), marshal(ScheduleRequest{Data: large}), 4, 32 << 10},
+		{"batch", "/v1/schedule/batch", batch(small), batch(large), 4 + items, 192 << 10},
+		{"spgemm", "/v1/schedule/spgemm", pair(small), pair(large), 4, 48 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			measure := func(body []byte) (allocs float64, bytesPerRun uint64) {
+				rd := bytes.NewReader(body)
+				run := func() {
+					rd.Reset(body)
+					w := httptest.NewRecorder()
+					h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, rd))
+					if w.Code != http.StatusOK || strings.Contains(w.Body.String(), `"error"`) {
+						t.Fatalf("status %d: %s", w.Code, w.Body)
+					}
+				}
+				// First contact measures and caches the shape class; by the
+				// third the pooled buffers have reached their size.
+				run()
+				run()
+				const runs = 20
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				allocs = testing.AllocsPerRun(runs, run)
+				runtime.ReadMemStats(&after)
+				return allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+			}
+			smallAllocs, smallBytes := measure(tc.small)
+			largeAllocs, largeBytes := measure(tc.large)
+			t.Logf("%d-byte body: %.0f allocs, %d B; %d-byte body: %.0f allocs, %d B",
+				len(tc.small), smallAllocs, smallBytes, len(tc.large), largeAllocs, largeBytes)
+			if largeAllocs > smallAllocs+tc.slack {
+				t.Errorf("allocations grow with the matrix: %.0f for a %d-byte body, %.0f for a %d-byte one",
+					smallAllocs, len(tc.small), largeAllocs, len(tc.large))
+			}
+			if smallBytes > tc.budget || largeBytes > tc.budget {
+				t.Errorf("bytes per request over the %d-byte budget: %d for a %d-byte body, %d for a %d-byte one",
+					tc.budget, smallBytes, len(tc.small), largeBytes, len(tc.large))
+			}
+		})
+	}
+}
+
+// BenchmarkScheduleFrontHalf is what a /v1/schedule request pays before its
+// cache probe — body read, envelope decode, LIBSVM parse, Table IV features
+// — by body size: the "selector overhead on the serving path" table in
+// EXPERIMENTS.md.
+func BenchmarkScheduleFrontHalf(b *testing.B) {
+	s := NewServer(Config{})
+	for _, rows := range []int{8, 32, 256, 1024} {
+		body, err := json.Marshal(ScheduleRequest{Data: makeLIBSVM(rows, 40, 6, 1), Policy: "hybrid"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%dKB", (len(body)+512)>>10), func(b *testing.B) {
+			rd := bytes.NewReader(body)
+			r := httptest.NewRequest(http.MethodPost, "/v1/schedule", rd)
+			w := httptest.NewRecorder()
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				sc := getScratch()
+				env, ok := decodeEnvelope[ScheduleRequest](s, sc, w, r, scheduleFields)
+				if !ok {
+					b.Fatal(w.Body)
+				}
+				if _, _, err := sc.parse(env.data); err != nil {
+					b.Fatal(err)
+				}
+				putScratch(sc)
+			}
+		})
+	}
+}

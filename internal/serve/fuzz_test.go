@@ -21,7 +21,7 @@ func FuzzScheduleRequest(f *testing.F) {
 		{Profile: &FeaturesJSON{M: 100, N: 50, NNZ: 500, Density: 0.1}},
 		{Data: "+1 1:0.5 3:1.25\n-1 2:2\n"},
 		{Data: "+1 1:1\n", Policy: "hybrid"},
-		{Data: "+1 1:1\n", Policy: "empirical", TopK: 2},
+		{Data: "+1 1:1\n", Policy: "empirical"},
 		{Profile: &FeaturesJSON{M: 1, N: 1, NNZ: 1, Density: 1}, Policy: "rule-based"},
 	}
 	for _, s := range seeds {
@@ -40,6 +40,8 @@ func FuzzScheduleRequest(f *testing.F) {
 	f.Add([]byte(`{"data":"+1 4294967301:1\n"}`))
 	f.Add([]byte(`{"policy":"nonsense","data":"+1 1:1\n"}`))
 	f.Add([]byte(`{"unknown_field":true}`))
+	f.Add([]byte(`{"data":"+1 1:1\n","policy":"empirical","top_k":2}`)) // a field until PR 19; unknown since
+	f.Add([]byte(`{"data":"+1 2147483647:1\n"}`))                       // 28 bytes declaring a 2 GiB diagonal bitmap
 	f.Add([]byte(`not json`))
 	f.Add([]byte(``))
 	f.Add([]byte(`[1,2,3]`))

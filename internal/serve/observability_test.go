@@ -52,8 +52,8 @@ func remoteOwnedPair(t *testing.T, nd *clusterNode) (SpGEMMRequest, cluster.Memb
 	for seed := int64(0); seed < 100; seed++ {
 		pair := conformablePair(30+int(seed%7)*6, 20+int(seed%5)*4, 16+int(seed%3)*8, 7000+seed)
 		sc := getScratch()
-		fa, aerr := sc.parseOperand("a", pair.A)
-		fb, berr := sc.parseOperand("b", pair.B)
+		fa, aerr := sc.parseOperand("a", []byte(pair.A))
+		fb, berr := sc.parseOperand("b", []byte(pair.B))
 		if aerr != nil || berr != nil {
 			t.Fatalf("generated pair does not parse: %v %v", aerr, berr)
 		}

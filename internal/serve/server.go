@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -628,20 +629,15 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
-// decodeBody decodes the JSON request body into v, translating the
-// MaxBytesReader overflow into 413. It reports whether decoding succeeded;
-// on failure the error response has been written.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+// decodeStrict decodes the first JSON value of src — a request body, or the
+// scratch's copy of one — into v, refusing unknown fields and translating
+// the MaxBytesReader overflow into 413. It reports whether decoding
+// succeeded; on failure the error response has been written.
+func decodeStrict(w http.ResponseWriter, src io.Reader, v any) bool {
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		writeBodyError(w, err)
 		return false
 	}
 	return true
@@ -737,11 +733,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	var req ScheduleRequest
-	if !decodeBody(w, r, &req) {
+	sc := getScratch()
+	defer putScratch(sc)
+	env, ok := decodeEnvelope[ScheduleRequest](s, sc, w, r, scheduleFields)
+	if !ok {
 		return
 	}
-	policy, err := s.schedulePolicy(req.Policy)
+	policy, err := s.schedulePolicy(env.policy)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -756,9 +754,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		telemetry.String("policy", policy.String()))
 	setTraceID(w, tr.ID)
 	defer s.endTrace(tr, root, nil)
-	sc := getScratch()
-	defer putScratch(sc)
-	d, peer, err := s.scheduleOne(ctx, sc, &req, policy, true)
+	d, peer, err := s.scheduleOne(ctx, sc, &env, policy, true)
 	switch {
 	case err != nil:
 		writeScheduleError(w, err)
@@ -961,7 +957,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PredictRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeStrict(w, r.Body, &req) {
 		return
 	}
 	if len(req.Rows) == 0 {
@@ -1023,13 +1019,13 @@ func (s *Server) handlePredictFormat(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "no format predictor loaded (start layoutd with -predictor)")
 		return
 	}
-	var req PredictFormatRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
 	sc := getScratch()
 	defer putScratch(sc)
-	feats, _, _, err := sc.resolve(r.Context(), req.Profile, req.Data)
+	env, ok := decodeEnvelope[PredictFormatRequest](s, sc, w, r, predictFormatFields)
+	if !ok {
+		return
+	}
+	feats, _, _, err := sc.resolve(r.Context(), env.profile, env.data)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

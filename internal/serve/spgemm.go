@@ -139,7 +139,7 @@ func (s *Server) SpGEMMCacheStats() CacheStats { return s.pair.cache.Stats() }
 // parseOperand parses one SpGEMM operand's LIBSVM rows into the scratch
 // and checks the inline cap. An error means the request is bad (400);
 // which names the operand in the message.
-func (sc *batchScratch) parseOperand(which, data string) (dataset.Features, error) {
+func (sc *batchScratch) parseOperand(which string, data []byte) (dataset.Features, error) {
 	feats, _, err := sc.parse(data)
 	if err == nil {
 		err = inlineCapError(feats)
@@ -155,11 +155,16 @@ func (sc *batchScratch) parseOperand(which, data string) (dataset.Features, erro
 // decision from the pair cache, a ring peer, or a fresh measurement under
 // admission control.
 func (s *Server) handleScheduleSpGEMM(w http.ResponseWriter, r *http.Request) {
-	var req SpGEMMRequest
-	if !decodeBody(w, r, &req) {
+	// Both operands are alive until the decision returns, so each parses
+	// into a pooled scratch of its own; the body they view lives in sa.
+	sa, sb := getScratch(), getScratch()
+	defer putScratch(sa)
+	defer putScratch(sb)
+	req, ok := decodeEnvelope[SpGEMMRequest](s, sa, w, r, spgemmFields)
+	if !ok {
 		return
 	}
-	policy, err := s.policyFor(req.Policy)
+	policy, err := s.policyFor(req.policy)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -169,7 +174,7 @@ func (s *Server) handleScheduleSpGEMM(w http.ResponseWriter, r *http.Request) {
 			"predict policy needs a trained pair model (start layoutd with -spgemm-predictor)")
 		return
 	}
-	if req.A == "" || req.B == "" {
+	if len(req.a) == 0 || len(req.b) == 0 {
 		writeError(w, http.StatusBadRequest, "give both operands: a and b as inline LIBSVM rows")
 		return
 	}
@@ -179,16 +184,11 @@ func (s *Server) handleScheduleSpGEMM(w http.ResponseWriter, r *http.Request) {
 	setTraceID(w, tr.ID)
 	defer s.endTrace(tr, root, nil)
 
-	// Both operands are alive until the decision returns, so each parses
-	// into a pooled scratch of its own.
-	sa, sb := getScratch(), getScratch()
-	defer putScratch(sa)
-	defer putScratch(sb)
 	_, psp := telemetry.StartSpan(ctx, "request.parse")
-	fa, err := sa.parseOperand("a", req.A)
+	fa, err := sa.parseOperand("a", req.a)
 	var fb dataset.Features
 	if err == nil {
-		fb, err = sb.parseOperand("b", req.B)
+		fb, err = sb.parseOperand("b", req.b)
 	}
 	if err != nil {
 		psp.EndErr(err)
@@ -202,19 +202,19 @@ func (s *Server) handleScheduleSpGEMM(w http.ResponseWriter, r *http.Request) {
 			"dimension mismatch: A is %d×%d but B is %d×%d", fa.M, fa.N, fb.M, fb.N))
 		return
 	}
-	s.scheduleSpGEMM(w, r.WithContext(ctx), &req, policy, sa.b, sb.b, fa, fb)
+	s.scheduleSpGEMM(w, r.WithContext(ctx), &req, policy, sa, sb, fa, fb)
 }
 
 // scheduleSpGEMM decides one parsed pair: rule-based requests go straight
 // to the cost model, everything else through routing, the pair cache, and
 // admission-controlled measurement.
-func (s *Server) scheduleSpGEMM(w http.ResponseWriter, r *http.Request, req *SpGEMMRequest, policy core.Policy, a, b *sparse.Builder, fa, fb dataset.Features) {
+func (s *Server) scheduleSpGEMM(w http.ResponseWriter, r *http.Request, req *envelope, policy core.Policy, sa, sb *batchScratch, fa, fb dataset.Features) {
 	trace := []string{fmt.Sprintf("parsed pair %d×%d × %d×%d", fa.M, fa.N, fb.M, fb.N)}
 
 	if policy == core.RuleBased {
 		// Pure model decision: nothing to measure, nothing worth caching.
 		t0 := time.Now()
-		dec, err := s.spScheds[policy].ChooseContext(r.Context(), a, b)
+		dec, err := s.spScheds[policy].ChooseContext(r.Context(), sa.b, sb.b)
 		if err != nil {
 			writeScheduleError(w, err)
 			return
@@ -228,11 +228,12 @@ func (s *Server) scheduleSpGEMM(w http.ResponseWriter, r *http.Request, req *SpG
 		return
 	}
 
-	key := AppendPairKey(nil, fa, fb, policy.String(), s.cfg.TopK)
+	sa.key = AppendPairKey(sa.key[:0], fa, fb, policy.String(), s.cfg.TopK)
+	key := sa.key
 	trace = s.noteLoopAverted(r.Context(), key, trace)
 	if m, owned := routeOwner(r.Context(), s, s.pair.cache, key); owned {
-		fwd := *req
-		fwd.Policy = policy.String()
+		// As in scheduleOne: a fresh body, operands copied, policy pinned.
+		fwd := SpGEMMRequest{A: string(req.a), B: string(req.b), Policy: policy.String()}
 		if status, data, ok := s.forward(r.Context(), m, "/v1/schedule/spgemm", &fwd); ok {
 			relay(w, status, data)
 			return
@@ -240,7 +241,7 @@ func (s *Server) scheduleSpGEMM(w http.ResponseWriter, r *http.Request, req *SpG
 		s.forwardFallbacks.Add(1)
 		trace = append(trace, fmt.Sprintf("cluster: owner %s unreachable, deciding locally", m.ID))
 	}
-	val, outcome, err := decide(r.Context(), s, &s.pair, policy, key, pairIn{a: a, b: b, fa: fa, fb: fb})
+	val, outcome, err := decide(r.Context(), s, &s.pair, policy, key, pairIn{a: sa.b, b: sb.b, fa: fa, fb: fb})
 	if err != nil {
 		writeScheduleError(w, err)
 		return

@@ -175,8 +175,6 @@ type ScheduleRequest struct {
 	// Policy optionally overrides the server's default decision policy:
 	// "rule-based", "empirical", "hybrid", or "predict".
 	Policy string `json:"policy,omitempty"`
-	// TopK optionally overrides the hybrid policy's candidate count.
-	TopK int `json:"top_k,omitempty"`
 }
 
 // ScheduleResponse is the /v1/schedule reply.
@@ -187,11 +185,10 @@ type ScheduleResponse struct {
 // BatchScheduleRequest is the /v1/schedule/batch body: up to MaxBatchItems
 // schedule requests decided in one round trip, sharing one parse of the
 // connection, one decision trace, and one pass of pooled scratch. Policy
-// and TopK set batch-wide defaults that individual items may override.
+// sets the batch-wide default that individual items may override.
 type BatchScheduleRequest struct {
 	Items  []ScheduleRequest `json:"items"`
 	Policy string            `json:"policy,omitempty"`
-	TopK   int               `json:"top_k,omitempty"`
 }
 
 // BatchItemResult is one item's outcome. Exactly one of Decision or Error

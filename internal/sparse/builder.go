@@ -71,6 +71,34 @@ func (b *Builder) Reset(rows, cols int) {
 	b.builtAny = false
 }
 
+// Append adds one triplet without a range check. It is the fill path for
+// single-pass parsers that learn the matrix shape only at end of input:
+// Reset, Append every triplet, then Shape — which makes the range check for
+// all of them at once — before any Build.
+func (b *Builder) Append(row, col int32, val float64) {
+	b.r = append(b.r, row)
+	b.c = append(b.c, col)
+	b.v = append(b.v, val)
+}
+
+// Shape sets the final dimensions of a builder filled through Append and
+// drops whatever was cached under the old ones. It panics on non-positive
+// dimensions or a triplet outside them, like NewBuilder and Add.
+func (b *Builder) Shape(rows, cols int) {
+	if rows <= 0 || cols <= 0 {
+		panic(fmt.Sprintf("sparse: invalid dimensions %dx%d", rows, cols))
+	}
+	for k, row := range b.r {
+		if col := b.c[k]; row < 0 || int(row) >= rows || col < 0 || int(col) >= cols {
+			panic(fmt.Sprintf("sparse: triplet (%d,%d) outside %dx%d", row, col, rows, cols))
+		}
+	}
+	b.rows, b.cols = rows, cols
+	b.canonR, b.canonC, b.canonV = nil, nil, nil
+	b.built = [len(AllFormats)]Matrix{}
+	b.builtAny = false
+}
+
 // AddRow appends an entire sparse row at once.
 func (b *Builder) AddRow(row int, v Vector) {
 	for k, col := range v.Index {

@@ -132,6 +132,53 @@ func TestBuilderUnsortedInput(t *testing.T) {
 	}
 }
 
+// TestBuilderShapeKnownLast: a pooled builder filled through Append and
+// told its shape afterwards builds what NewBuilder + Add builds, forgets
+// what it had cached under the previous shape, and still refuses a triplet
+// outside the dimensions — at Shape, where they first exist.
+func TestBuilderShapeKnownLast(t *testing.T) {
+	want := NewBuilder(3, 5)
+	b := NewBuilder(1, 1)
+	b.Add(0, 0, 9)
+	stale := b.MustBuild(CSR)
+	b.Reset(1, 1)
+	for _, e := range []struct {
+		r, c int32
+		v    float64
+	}{{0, 1, 2}, {0, 4, 3}, {2, 0, 4}} {
+		want.Add(int(e.r), int(e.c), e.v)
+		b.Append(e.r, e.c, e.v)
+	}
+	b.Shape(3, 5)
+	for _, f := range AllFormats {
+		got, err := b.Build(f)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		if got == stale {
+			t.Fatalf("%v: Shape kept a matrix cached under the old dimensions", f)
+		}
+		if !Equal(got, want.MustBuild(f)) {
+			t.Fatalf("%v: content differs from NewBuilder + Add", f)
+		}
+	}
+	for name, bad := range map[string]func(){
+		"row out of range": func() { b.Shape(2, 5) },
+		"col out of range": func() { b.Shape(3, 4) },
+		"negative col":     func() { b.Append(0, -1, 1); b.Shape(3, 5) },
+		"zero dims":        func() { b.Shape(0, 5) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", name)
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
 func TestAllFormatsAgreeOnRandomMatrices(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []struct {
