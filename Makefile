@@ -11,10 +11,6 @@
 #   make fuzz       native fuzz targets, $(FUZZTIME) each
 #   make flake      repeat the clock/cluster-sensitive suites 5x under -race
 #   make bench      run every benchmark once, human-readable
-#   make bench-trajectory  developer tool, gates nothing: hot-path
-#                   trajectory benchmarks (pool-vs-spawn, SMO fusion,
-#                   predict-vs-measure, batched serving) written as
-#                   schema-stable JSON to $(BENCH_OUT)
 #   make metrics-lint  validate /metrics exposition well-formedness
 #   make loadgen-smoke  boot a 3-node ring and drive it with cmd/loadgen
 #   make run-layoutd  start the layout-scheduling daemon on $(LAYOUTD_ADDR)
@@ -24,12 +20,9 @@ GO ?= go
 RACE_PKGS := ./internal/parallel/... ./internal/sparse/... ./internal/spgemm/... ./internal/core/... ./internal/svm/... ./internal/serve/... ./internal/learn/... ./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/online/... ./internal/breaker/...
 CHAOS_PKGS := ./internal/parallel ./internal/core ./internal/serve ./internal/breaker
 FUZZTIME ?= 20s
-# bench-trajectory output file; point it elsewhere to collect the repeated
-# runs `benchjson compare` wants without clobbering the committed snapshot.
-BENCH_OUT ?= BENCH_6.json
 LAYOUTD_ADDR ?= :8723
 
-.PHONY: build vet test bench-module test-race chaos fuzz flake bench bench-trajectory metrics-lint loadgen-smoke run-layoutd clean
+.PHONY: build vet test bench-module test-race chaos fuzz flake bench metrics-lint loadgen-smoke run-layoutd clean
 
 build:
 	$(GO) build ./...
@@ -74,19 +67,6 @@ flake:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Trajectory: the hot-path numbers (scheduling decision cost, pooled
-# execution, batched serving) in one schema-stable document, for a developer
-# to compare before and after a change with `benchjson compare`. Nothing is
-# gated on it: the PR gate is benchmark/ (see benchmark/README.md), and the
-# allocation contracts it used to guard are tier-1 tests
-# (TestChooseSteadyStateAllocs, TestBatchHotPathAllocs).
-bench-trajectory:
-	@{ $(GO) test -run '^$$' -bench 'BenchmarkSMOPoolVsSpawn|BenchmarkAblationFusion' -benchtime 5x -benchmem . ; \
-	   $(GO) test -run '^$$' -bench 'BenchmarkPredictVsMeasure' -benchtime 100x -benchmem . ; \
-	   $(GO) test -run '^$$' -bench 'BenchmarkServeBatch' -benchmem ./internal/serve ; } \
-	| $(GO) run ./cmd/benchjson -baseline cmd/benchjson/testdata/baseline_pre_joint.json -out $(BENCH_OUT)
-	@echo wrote $(BENCH_OUT)
-
 # Metrics lint: stand up an in-process layoutd server, run a schedule
 # decision through it, scrape /metrics, and fail on any exposition defect
 # (missing TYPE lines, duplicate series, non-cumulative histograms, ...).
@@ -101,6 +81,5 @@ loadgen-smoke:
 run-layoutd:
 	$(GO) run ./cmd/layoutd -addr $(LAYOUTD_ADDR)
 
-# BENCH_6.json is a committed trajectory snapshot, not a build product.
 clean:
 	rm -rf .bench_build benchmark/out

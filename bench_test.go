@@ -355,36 +355,9 @@ func BenchmarkAblationFusion(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationELLLayout compares row-major against the classical
-// column-major (slot-major) ELLPACK element order.
-func BenchmarkAblationELLLayout(b *testing.B) {
-	d, err := dataset.ByName("connect-4")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bl := d.MustGenerate(benchSeed)
-	rowMajor := bl.MustBuild(sparse.ELL).(*sparse.ELLMatrix)
-	colMajor := sparse.NewELLColMajor(bl)
-	rows, cols := rowMajor.Dims()
-	xs := bench.SampleRows(rowMajor, 1, benchSeed)
-	dst := make([]float64, rows)
-	scratch := make([]float64, cols)
-	for _, tc := range []struct {
-		name string
-		m    sparse.Matrix
-	}{{"row-major", rowMajor}, {"col-major", colMajor}} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tc.m.MulVecSparse(dst, xs[0], scratch, nil)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSkewFormats compares ELL against its derived remedies
-// (HYB and JDS) on a Figure 3-style skewed matrix: one mdim-length row
-// forces ELL to pad every row, while HYB spills the tail to COO and JDS
-// stores exactly nnz.
+// BenchmarkAblationSkewFormats compares ELL against its derived remedy HYB
+// on a Figure 3-style skewed matrix: one mdim-length row forces ELL to pad
+// every row, while HYB spills the tail to COO.
 func BenchmarkAblationSkewFormats(b *testing.B) {
 	const n = 2048
 	rng := rand.New(rand.NewSource(benchSeed))
@@ -398,10 +371,9 @@ func BenchmarkAblationSkewFormats(b *testing.B) {
 	}{
 		{"ELL-padded", bl.MustBuild(sparse.ELL)},
 		{"HYB", sparse.NewHYB(bl, 0)},
-		{"JDS", sparse.NewJDS(bl)},
 		{"CSR", bl.MustBuild(sparse.CSR)},
 	}
-	xs := bench.SampleRows(mats[3].m, 1, benchSeed)
+	xs := bench.SampleRows(mats[2].m, 1, benchSeed)
 	dst := make([]float64, n)
 	scratch := make([]float64, n)
 	for _, tc := range mats {
@@ -491,45 +463,13 @@ func BenchmarkAblationShrinking(b *testing.B) {
 			}
 		}
 	})
+	shrinking := cfg
+	shrinking.Shrinking = true
 	b.Run("shrinking", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := svm.TrainShrinking(m, y, cfg); err != nil {
+			if _, _, err := svm.Train(m, y, shrinking); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-}
-
-// BenchmarkSMOPoolVsSpawn measures end-to-end SMO training on a Table V
-// clone under the persistent-pool execution context against the old
-// spawn-goroutines-per-kernel model at the same worker count. Every SMO
-// iteration issues two SMSV kernels plus reduction sweeps, so per-call
-// spawn overhead compounds across the whole run; the pooled context should
-// never be slower.
-func BenchmarkSMOPoolVsSpawn(b *testing.B) {
-	d, err := dataset.ByName("adult")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bl := d.MustGenerate(benchSeed)
-	m := bl.MustBuild(sparse.CSR)
-	rng := rand.New(rand.NewSource(benchSeed))
-	y := dataset.PlantedLabels(m, 0.02, rng)
-	const workers = 4
-	run := func(b *testing.B, ex *exec.Exec) {
-		cfg := svm.Config{C: 1, MaxIter: 300, Kernel: svm.KernelParams{Type: svm.Linear}, Exec: ex}
-		for i := 0; i < b.N; i++ {
-			if _, _, err := svm.Train(m, y, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("spawn", func(b *testing.B) {
-		run(b, exec.NewSpawning(workers, exec.Static))
-	})
-	b.Run("pool", func(b *testing.B) {
-		ex := exec.New(workers, exec.Static)
-		defer ex.Close()
-		run(b, ex)
 	})
 }

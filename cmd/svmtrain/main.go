@@ -40,7 +40,7 @@ func main() {
 		noise    = flag.Float64("noise", 0.02, "label noise for generated clones")
 		compare  = flag.Bool("compare", false, "also train with every fixed format and the reference baseline")
 		modelOut = flag.String("model", "", "write the trained model to this file")
-		shrink   = flag.Bool("shrink", false, "use the shrinking solver (active-set submatrix SMSVs)")
+		shrink   = flag.Bool("shrink", false, "use the shrinking solver (active-set submatrix SMSVs); excludes -wss2 and -cache")
 		wss2     = flag.Bool("wss2", false, "second-order working-set selection")
 		cache    = flag.Int("cache", 0, "kernel-row LRU cache size (rows)")
 	)
@@ -57,26 +57,12 @@ func main() {
 	ex := exec.New(*workers, exec.Static)
 	defer ex.Close()
 	cfg := svm.Config{C: *c, Tol: *tol, MaxIter: *maxIter, Kernel: kp, Exec: ex,
-		SecondOrder: *wss2, CacheRows: *cache}
+		Shrinking: *shrink, SecondOrder: *wss2, CacheRows: *cache}
 	sched := core.New(core.Config{Policy: core.Hybrid, Exec: ex, Seed: *seed})
 
-	var res *svm.AdaptiveResult
-	if *shrink {
-		dec, err := sched.Choose(b)
-		if err != nil {
-			fatal(err)
-		}
-		model, stats, err := svm.TrainShrinking(dec.Matrix, y, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		res = &svm.AdaptiveResult{Decision: dec, Model: model, Stats: stats}
-	} else {
-		var err error
-		res, err = svm.TrainAdaptive(b, y, sched, cfg)
-		if err != nil {
-			fatal(err)
-		}
+	res, err := svm.TrainAdaptive(b, y, sched, cfg)
+	if err != nil {
+		fatal(err)
 	}
 	fmt.Printf("Features: %v\n", res.Decision.Features)
 	fmt.Printf("Layout decision (%v policy): %v\n", res.Decision.Policy, res.Decision.Chosen)

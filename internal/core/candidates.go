@@ -55,7 +55,7 @@ func variantFactor(v sparse.KernelVariant) float64 {
 }
 
 // AppendCandidateEstimates expands per-format estimates (as produced by
-// EstimateCostsWith) into the joint candidate space, appends to dst, and
+// EstimateCosts) into the joint candidate space, appends to dst, and
 // returns it sorted by ascending cost. parallel gates the guided-chunk
 // candidates, which only exist under a multi-worker execution context.
 // The call is allocation-free when dst has capacity.

@@ -47,25 +47,18 @@ type Estimate struct {
 	Cost      float64 // Bytes × Weight × Imbalance
 }
 
-// EstimateCosts evaluates the rule-based model on a feature vector with
-// the paper-calibrated default weights and returns one Estimate per basic
-// format, sorted by ascending cost (the first entry is the model's
-// selection).
+// EstimateCosts evaluates the rule-based model on a feature vector and
+// returns one Estimate per basic format, sorted by ascending cost (the
+// first entry is the model's selection).
 func EstimateCosts(f dataset.Features) []Estimate {
-	return EstimateCostsWith(f, DefaultWeights())
-}
-
-// EstimateCostsWith is EstimateCosts with explicit (e.g. host-calibrated)
-// weights.
-func EstimateCostsWith(f dataset.Features, w Weights) []Estimate {
-	return AppendEstimates(make([]Estimate, 0, len(sparse.BasicFormats)), f, w)
+	return AppendEstimates(make([]Estimate, 0, len(sparse.BasicFormats)), f)
 }
 
 // AppendEstimates appends one Estimate per basic format to dst, sorted by
 // ascending cost, and returns it. It is the allocation-free form of
-// EstimateCostsWith for pooled hot paths: with capacity available it
-// neither allocates nor calls the reflect-based sort.
-func AppendEstimates(dst []Estimate, f dataset.Features, w Weights) []Estimate {
+// EstimateCosts for pooled hot paths: with capacity available it neither
+// allocates nor calls the reflect-based sort.
+func AppendEstimates(dst []Estimate, f dataset.Features) []Estimate {
 	m, n := int64(f.M), int64(f.N)
 	stride := m
 	if n < m {
@@ -73,15 +66,15 @@ func AppendEstimates(dst []Estimate, f dataset.Features, w Weights) []Estimate {
 	}
 	imbCSR := 1.0
 	if f.Adim > 0 {
-		imbCSR = 1 + w.Beta*f.Vdim/f.Adim
+		imbCSR = 1 + ImbalanceBeta*f.Vdim/f.Adim
 	}
 	start := len(dst)
 	dst = append(dst,
-		Estimate{Format: sparse.DEN, Bytes: 8 * m * n, Weight: w.DEN, Imbalance: 1},
-		Estimate{Format: sparse.CSR, Bytes: 12*f.NNZ + 8*m, Weight: w.CSR, Imbalance: imbCSR},
-		Estimate{Format: sparse.COO, Bytes: 16 * f.NNZ, Weight: w.COO, Imbalance: 1},
-		Estimate{Format: sparse.ELL, Bytes: 12 * m * int64(f.Mdim), Weight: w.ELL, Imbalance: 1},
-		Estimate{Format: sparse.DIA, Bytes: 8*int64(f.Ndig)*stride + 4*int64(f.Ndig), Weight: w.DIA, Imbalance: 1},
+		Estimate{Format: sparse.DEN, Bytes: 8 * m * n, Weight: WeightDEN, Imbalance: 1},
+		Estimate{Format: sparse.CSR, Bytes: 12*f.NNZ + 8*m, Weight: WeightCSR, Imbalance: imbCSR},
+		Estimate{Format: sparse.COO, Bytes: 16 * f.NNZ, Weight: WeightCOO, Imbalance: 1},
+		Estimate{Format: sparse.ELL, Bytes: 12 * m * int64(f.Mdim), Weight: WeightELL, Imbalance: 1},
+		Estimate{Format: sparse.DIA, Bytes: 8*int64(f.Ndig)*stride + 4*int64(f.Ndig), Weight: WeightDIA, Imbalance: 1},
 	)
 	ests := dst[start:]
 	for i := range ests {

@@ -117,9 +117,6 @@ type Config struct {
 	// recorded, and datasets whose features fall within DefaultHistoryRadius
 	// of a recorded one reuse its candidate without re-measuring.
 	History *History
-	// Weights overrides the rule-based model's access-efficiency factors,
-	// typically from Calibrate; nil uses the paper-calibrated defaults.
-	Weights *Weights
 	// Predictor is the trained model the PolicyPredict policy answers
 	// from (typically a *learn.Forest loaded from disk). Predictors that
 	// also implement CandidatePredictor answer in the joint space.
@@ -322,14 +319,10 @@ func (sc *chooseScratch) prepare(ranked []sparse.Candidate) (p [dataset.EmbedDim
 	if err != nil {
 		return p, nil, fmt.Errorf("core: building CSR for analysis: %w", err)
 	}
-	weights := DefaultWeights()
-	if sc.s.cfg.Weights != nil {
-		weights = *sc.s.cfg.Weights
-	}
 	d := newDecision()
 	d.Policy = sc.s.cfg.Policy
 	d.Features = sc.extractor.Extract(csr)
-	d.Estimates = AppendEstimates(d.Estimates[:0], d.Features, weights)
+	d.Estimates = AppendEstimates(d.Estimates[:0], d.Features)
 	d.Candidates = AppendCandidateEstimates(d.Candidates[:0], d.Estimates, sc.s.parallel())
 	ranked = slices.Grow(ranked, len(d.Candidates))
 	for _, e := range d.Candidates {

@@ -68,17 +68,6 @@ func New(workers int, sched Sched) *Exec {
 // value reads better.
 func Serial() *Exec { return &Exec{workers: 1} }
 
-// NewSpawning creates a context that spawns fresh goroutines on every call
-// instead of keeping a pool — the pre-pool execution model, retained as the
-// baseline for benchmarks that quantify what the persistent pool saves. It
-// needs no Close.
-func NewSpawning(workers int, sched Sched) *Exec {
-	if workers <= 0 {
-		workers = parallel.NumWorkers()
-	}
-	return &Exec{workers: workers, sched: sched}
-}
-
 var (
 	defaultOnce sync.Once
 	defaultExec *Exec
@@ -157,7 +146,7 @@ func (e *Exec) Tracking() bool { return e != nil && e.stats != nil }
 
 // Occupancy reports the pooled workers currently executing kernels and the
 // total worker count — the pool-occupancy gauge /metrics exposes. Serial
-// and spawning contexts report 0 busy.
+// contexts report 0 busy.
 func (e *Exec) Occupancy() (busy, workers int) {
 	if e == nil {
 		return 0, 1
@@ -178,21 +167,7 @@ func (e *Exec) ForRange(n int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	if e.pool != nil {
-		e.pool.ForRange(n, e.sched, body)
-		return
-	}
-	parallel.ForRange(n, e.workers, e.sched, body)
-}
-
-// For runs body(i) for every i in [0, n), like ForRange with single-index
-// granularity.
-func (e *Exec) For(n int, body func(i int)) {
-	e.ForRange(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
+	e.pool.ForRange(n, e.sched, body)
 }
 
 // Parts returns the partition count kernels should size per-worker scratch
@@ -207,7 +182,7 @@ func (e *Exec) Parts(n int) int {
 }
 
 // ForParts runs body(w) exactly once for each w in [0, parts), in parallel
-// when the context has a pool. It is the building block for kernels that
+// unless the context is serial. It is the building block for kernels that
 // accumulate into per-partition scratch (COO fix-ups, CSC partial outputs,
 // fused SMO updates): distinct w values may run concurrently, so body must
 // only write state indexed by w.
@@ -222,70 +197,41 @@ func (e *Exec) ForParts(parts int, body func(w int)) {
 		}
 		return
 	}
-	if e.pool != nil {
-		// Static: each part is one chunk, so parts map 1:1 onto claims.
-		e.pool.For(parts, parallel.Static, body)
-		return
-	}
-	parallel.For(parts, e.workers, parallel.Static, body)
+	// Static: each part is one chunk, so parts map 1:1 onto claims.
+	e.pool.For(parts, parallel.Static, body)
 }
 
-// Sum computes the sum of f(i) over [0, n). Partials accumulate
-// per-partition and merge in partition order, so the result is
-// deterministic for a fixed worker count.
-func (e *Exec) Sum(n int, f func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	p := e.Parts(n)
-	if p == 1 {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	partial := make([]float64, p)
-	e.ForParts(p, func(w int) {
-		lo, hi := parallel.SplitRange(n, p, w)
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += f(i)
-		}
-		partial[w] = s
-	})
-	var total float64
-	for _, s := range partial {
-		total += s
-	}
-	return total
+// ArgExtreme holds the result of an argmin/argmax reduction.
+type ArgExtreme struct {
+	Index int     // index of the extreme element; -1 if no element qualified
+	Value float64 // the extreme value; undefined when Index == -1
 }
 
 // ArgMin returns the index and value of the minimum of value(i) over the
 // i in [0, n) for which ok(i) is true (ok nil means all qualify). Ties
 // break toward the smallest index, matching a serial scan.
-func (e *Exec) ArgMin(n int, ok func(i int) bool, value func(i int) float64) parallel.ArgExtreme {
+func (e *Exec) ArgMin(n int, ok func(i int) bool, value func(i int) float64) ArgExtreme {
 	return e.argExtreme(n, ok, value, true)
 }
 
 // ArgMax is the maximizing counterpart of ArgMin.
-func (e *Exec) ArgMax(n int, ok func(i int) bool, value func(i int) float64) parallel.ArgExtreme {
+func (e *Exec) ArgMax(n int, ok func(i int) bool, value func(i int) float64) ArgExtreme {
 	return e.argExtreme(n, ok, value, false)
 }
 
-func (e *Exec) argExtreme(n int, ok func(i int) bool, value func(i int) float64, wantMin bool) parallel.ArgExtreme {
+func (e *Exec) argExtreme(n int, ok func(i int) bool, value func(i int) float64, wantMin bool) ArgExtreme {
 	if n <= 0 {
-		return parallel.ArgExtreme{Index: -1}
+		return ArgExtreme{Index: -1}
 	}
-	scan := func(lo, hi int) parallel.ArgExtreme {
-		best := parallel.ArgExtreme{Index: -1}
+	scan := func(lo, hi int) ArgExtreme {
+		best := ArgExtreme{Index: -1}
 		for i := lo; i < hi; i++ {
 			if ok != nil && !ok(i) {
 				continue
 			}
 			v := value(i)
 			if best.Index == -1 || (wantMin && v < best.Value) || (!wantMin && v > best.Value) {
-				best = parallel.ArgExtreme{Index: i, Value: v}
+				best = ArgExtreme{Index: i, Value: v}
 			}
 		}
 		return best
@@ -294,14 +240,14 @@ func (e *Exec) argExtreme(n int, ok func(i int) bool, value func(i int) float64,
 	if p == 1 {
 		return scan(0, n)
 	}
-	partial := make([]parallel.ArgExtreme, p)
+	partial := make([]ArgExtreme, p)
 	e.ForParts(p, func(w int) {
 		lo, hi := parallel.SplitRange(n, p, w)
 		partial[w] = scan(lo, hi)
 	})
 	// Partials are merged in ascending index order and replaced only on a
 	// strictly better value, keeping the smallest-index tie-break.
-	best := parallel.ArgExtreme{Index: -1}
+	best := ArgExtreme{Index: -1}
 	for _, cand := range partial {
 		if cand.Index == -1 {
 			continue

@@ -24,7 +24,6 @@ const (
 	KindCSC
 	KindBCSR
 	KindHYB
-	KindJDS
 	KindPair
 	KindMatMul
 	numKinds
@@ -49,8 +48,6 @@ func (k Kind) String() string {
 		return "BCSR"
 	case KindHYB:
 		return "HYB"
-	case KindJDS:
-		return "JDS"
 	case KindPair:
 		return "PAIR"
 	case KindMatMul:

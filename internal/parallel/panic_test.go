@@ -92,14 +92,3 @@ func TestPoolPanicWaitsForQuiescence(t *testing.T) {
 		t.Fatalf("%d workers still inside the body after the panic surfaced", n)
 	}
 }
-
-func TestSpawningForRangePanicPropagates(t *testing.T) {
-	for _, sched := range []Schedule{Static, Guided} {
-		pe := recoverRun(t, func() {
-			ForRange(512, 4, sched, func(lo, hi int) { panic(42) })
-		})
-		if pe == nil || pe.Value != 42 {
-			t.Fatalf("%v: spawning ForRange panic = %v, want PanicError{42}", sched, pe)
-		}
-	}
-}

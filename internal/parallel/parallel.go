@@ -1,6 +1,7 @@
-// Package parallel provides the shared-memory parallel building blocks used
-// by every compute kernel in this repository: a bounded parallel-for with
-// static and guided scheduling, tree reductions, and argmin/argmax reducers.
+// Package parallel provides the shared-memory parallel building block used
+// by every compute kernel in this repository: a persistent worker pool whose
+// parallel-for runs under static or guided scheduling. Reductions over it
+// live in package exec.
 //
 // The package deliberately mirrors the OpenMP constructs the paper's C
 // kernels were written with (parallel for, schedule(static|guided),
@@ -10,13 +11,9 @@
 // nnz-parallel formats (COO) stay balanced regardless of row skew.
 package parallel
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "runtime"
 
-// Schedule selects how For partitions the iteration space among workers.
+// Schedule selects how a Pool partitions the iteration space among workers.
 type Schedule int
 
 const (
@@ -41,135 +38,18 @@ func (s Schedule) String() string {
 	}
 }
 
-// DefaultWorkers, when positive, overrides the worker count used when a
-// Pool or For call is given a non-positive worker count. When zero (the
-// default) the effective count is resolved to runtime.GOMAXPROCS(0) at
-// call time, so runtime changes to GOMAXPROCS are honored.
-var DefaultWorkers int
-
-// NumWorkers returns the effective default worker count: DefaultWorkers if
-// positive, otherwise GOMAXPROCS at the time of the call.
-func NumWorkers() int {
-	if DefaultWorkers > 0 {
-		return DefaultWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// NumWorkers returns the default worker count: GOMAXPROCS at the time of
+// the call, so runtime changes to it are honored.
+func NumWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // minGuidedChunk is the smallest chunk Guided scheduling will hand out.
 // Chosen so the atomic counter is not contended for fine-grained loops.
 const minGuidedChunk = 16
 
-// For runs body(i) for every i in [0, n) using p workers and the given
-// schedule. It blocks until all iterations complete. p <= 0 means
-// DefaultWorkers. n <= 0 is a no-op. When p == 1 or n is small the loop
-// runs inline on the calling goroutine to avoid spawn overhead.
-func For(n, p int, sched Schedule, body func(i int)) {
-	ForRange(n, p, sched, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
-// ForRange is like For but hands each worker contiguous sub-ranges
-// [lo, hi) instead of single indices, letting kernels hoist per-range
-// setup out of the inner loop.
-func ForRange(n, p int, sched Schedule, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if p <= 0 {
-		p = NumWorkers()
-	}
-	if p > n {
-		p = n
-	}
-	if p == 1 {
-		body(0, n)
-		return
-	}
-	switch sched {
-	case Guided:
-		forGuided(n, p, body)
-	default:
-		forStatic(n, p, body)
-	}
-}
-
-func forStatic(n, p int, body func(lo, hi int)) {
-	var wg sync.WaitGroup
-	var panics panicBox
-	wg.Add(p)
-	// Split as evenly as possible: the first (n%p) workers get one extra.
-	base, extra := n/p, n%p
-	lo := 0
-	for w := 0; w < p; w++ {
-		hi := lo + base
-		if w < extra {
-			hi++
-		}
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics.record(p)
-				}
-			}()
-			if lo < hi {
-				body(lo, hi)
-			}
-		}(lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-	panics.rethrow()
-}
-
-func forGuided(n, p int, body func(lo, hi int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panics panicBox
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics.record(p)
-					// Park the cursor past the end so the other workers stop
-					// claiming chunks.
-					next.Store(int64(n))
-				}
-			}()
-			for {
-				remaining := int64(n) - next.Load()
-				if remaining <= 0 {
-					return
-				}
-				chunk := remaining / int64(2*p)
-				if chunk < minGuidedChunk {
-					chunk = minGuidedChunk
-				}
-				lo := next.Add(chunk) - chunk
-				if lo >= int64(n) {
-					return
-				}
-				hi := lo + chunk
-				if hi > int64(n) {
-					hi = int64(n)
-				}
-				body(int(lo), int(hi))
-			}
-		}()
-	}
-	wg.Wait()
-	panics.rethrow()
-}
-
 // SplitRange returns the w-th of p contiguous near-equal partitions of
-// [0, n) as a half-open interval. It matches forStatic's partitioning so
-// that callers can pre-allocate per-worker state.
+// [0, n) as a half-open interval: the first n%p partitions get one extra
+// iteration. It is the Static schedule's partitioning, so callers can
+// pre-allocate per-worker state.
 func SplitRange(n, p, w int) (lo, hi int) {
 	if p <= 0 || w < 0 || w >= p || n <= 0 {
 		return 0, 0

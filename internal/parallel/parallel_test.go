@@ -1,58 +1,9 @@
 package parallel
 
 import (
-	"math"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
-
-func TestForCoversAllIndices(t *testing.T) {
-	for _, sched := range []Schedule{Static, Guided} {
-		for _, n := range []int{0, 1, 2, 7, 100, 1023} {
-			for _, p := range []int{1, 2, 3, 8, 200} {
-				seen := make([]atomic.Int32, max(n, 1))
-				For(n, p, sched, func(i int) {
-					seen[i].Add(1)
-				})
-				for i := 0; i < n; i++ {
-					if got := seen[i].Load(); got != 1 {
-						t.Fatalf("sched=%v n=%d p=%d: index %d visited %d times", sched, n, p, i, got)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestForRangeCoversAllIndicesExactlyOnce(t *testing.T) {
-	for _, sched := range []Schedule{Static, Guided} {
-		n := 4097
-		seen := make([]atomic.Int32, n)
-		ForRange(n, 7, sched, func(lo, hi int) {
-			if lo < 0 || hi > n || lo >= hi {
-				t.Errorf("bad range [%d,%d)", lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				seen[i].Add(1)
-			}
-		})
-		for i := range seen {
-			if got := seen[i].Load(); got != 1 {
-				t.Fatalf("sched=%v: index %d visited %d times", sched, i, got)
-			}
-		}
-	}
-}
-
-func TestForZeroAndNegative(t *testing.T) {
-	called := false
-	For(0, 4, Static, func(int) { called = true })
-	For(-5, 4, Guided, func(int) { called = true })
-	if called {
-		t.Fatal("body called for non-positive n")
-	}
-}
 
 func TestSplitRangePartitions(t *testing.T) {
 	check := func(n, p int) bool {
@@ -104,103 +55,11 @@ func TestSplitRangeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestSumFloat64MatchesSerial(t *testing.T) {
-	vals := make([]float64, 1234)
-	for i := range vals {
-		vals[i] = float64(i%17) - 8.5
-	}
-	var want float64
-	for _, v := range vals {
-		want += v
-	}
-	for _, p := range []int{1, 2, 4, 13} {
-		got := SumFloat64(len(vals), p, func(i int) float64 { return vals[i] })
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("p=%d: got %v want %v", p, got, want)
-		}
-	}
-}
-
-func TestSumFloat64Deterministic(t *testing.T) {
-	vals := make([]float64, 999)
-	for i := range vals {
-		vals[i] = 1.0 / float64(i+1)
-	}
-	f := func(i int) float64 { return vals[i] }
-	first := SumFloat64(len(vals), 4, f)
-	for trial := 0; trial < 10; trial++ {
-		if got := SumFloat64(len(vals), 4, f); got != first {
-			t.Fatalf("nondeterministic sum: %v vs %v", got, first)
-		}
-	}
-}
-
-func TestArgMinArgMax(t *testing.T) {
-	vals := []float64{5, 3, 9, -2, 7, -2, 11}
-	for _, p := range []int{1, 2, 3, 7} {
-		mn := ArgMin(len(vals), p, nil, func(i int) float64 { return vals[i] })
-		if mn.Index != 3 || mn.Value != -2 {
-			t.Fatalf("p=%d ArgMin: got %+v", p, mn)
-		}
-		mx := ArgMax(len(vals), p, nil, func(i int) float64 { return vals[i] })
-		if mx.Index != 6 || mx.Value != 11 {
-			t.Fatalf("p=%d ArgMax: got %+v", p, mx)
-		}
-	}
-}
-
-func TestArgMinWithFilter(t *testing.T) {
-	vals := []float64{5, 3, 9, -2, 7}
-	even := func(i int) bool { return i%2 == 0 }
-	got := ArgMin(len(vals), 3, even, func(i int) float64 { return vals[i] })
-	if got.Index != 0 || got.Value != 5 {
-		t.Fatalf("filtered ArgMin: got %+v", got)
-	}
-}
-
-func TestArgMinEmptyAndAllFiltered(t *testing.T) {
-	if got := ArgMin(0, 2, nil, func(int) float64 { return 0 }); got.Index != -1 {
-		t.Fatalf("empty: got %+v", got)
-	}
-	none := func(int) bool { return false }
-	if got := ArgMax(10, 2, none, func(int) float64 { return 0 }); got.Index != -1 {
-		t.Fatalf("all filtered: got %+v", got)
-	}
-}
-
-func TestArgMinTieBreaksToSmallestIndex(t *testing.T) {
-	vals := make([]float64, 100)
-	vals[20] = -1
-	vals[80] = -1
-	for _, p := range []int{1, 2, 4, 8} {
-		got := ArgMin(len(vals), p, nil, func(i int) float64 { return vals[i] })
-		if got.Index != 20 {
-			t.Fatalf("p=%d: tie broke to %d, want 20", p, got.Index)
-		}
-	}
-}
-
 func TestScheduleString(t *testing.T) {
 	if Static.String() != "static" || Guided.String() != "guided" {
 		t.Fatal("unexpected schedule names")
 	}
 	if Schedule(99).String() != "unknown" {
 		t.Fatal("unknown schedule should stringify as unknown")
-	}
-}
-
-func BenchmarkForStatic(b *testing.B) {
-	data := make([]float64, 1<<16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		For(len(data), 0, Static, func(i int) { data[i] = float64(i) * 1.5 })
-	}
-}
-
-func BenchmarkForGuided(b *testing.B) {
-	data := make([]float64, 1<<16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		For(len(data), 0, Guided, func(i int) { data[i] = float64(i) * 1.5 })
 	}
 }

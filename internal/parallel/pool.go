@@ -10,9 +10,8 @@ import (
 // parked on a dispatch channel; each For/ForRange submission hands them
 // tickets for one run and the submitting goroutine itself participates, so a
 // run uses at most `workers` goroutines and never waits on goroutine spawn
-// or WaitGroup teardown. That removes the per-call overhead the spawning
-// For/ForRange functions pay, which dominates when SMO issues millions of
-// small SMSV kernels.
+// or WaitGroup teardown — per-call overhead that would dominate when SMO
+// issues millions of small SMSV kernels.
 //
 // A Pool is safe for concurrent use: independent goroutines may submit runs
 // at the same time, and a run body may itself submit nested runs (the inner

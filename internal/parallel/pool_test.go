@@ -136,16 +136,3 @@ func TestNilPoolRunsInline(t *testing.T) {
 		t.Fatalf("nil pool ran %d iterations, want 5", count)
 	}
 }
-
-func TestNumWorkersHonorsOverride(t *testing.T) {
-	old := DefaultWorkers
-	defer func() { DefaultWorkers = old }()
-	DefaultWorkers = 0
-	if NumWorkers() <= 0 {
-		t.Fatal("NumWorkers must resolve to GOMAXPROCS when unset")
-	}
-	DefaultWorkers = 3
-	if NumWorkers() != 3 {
-		t.Fatalf("NumWorkers = %d with override 3", NumWorkers())
-	}
-}

@@ -247,8 +247,8 @@ func BenchmarkServeBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkServeBatchHTTP is the endpoint-level number for BENCH_6.json:
-// one warmed 16-item inline batch through the full HTTP/JSON stack.
+// BenchmarkServeBatchHTTP is the endpoint-level number DESIGN §11 quotes:
+// one warmed 8-item inline batch through the full HTTP/JSON stack.
 func BenchmarkServeBatchHTTP(b *testing.B) {
 	s := NewServer(Config{Policy: core.Hybrid, TopK: 2})
 	h := s.Handler()

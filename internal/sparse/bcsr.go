@@ -80,9 +80,6 @@ func (m *BCSRMatrix) NNZ() int { return m.nnz }
 // Format returns BCSR.
 func (m *BCSRMatrix) Format() Format { return BCSR }
 
-// Block returns the block edge b.
-func (m *BCSRMatrix) Block() int { return m.b }
-
 // NumBlocks returns the number of stored b×b blocks.
 func (m *BCSRMatrix) NumBlocks() int { return len(m.bidx) }
 

@@ -193,7 +193,7 @@ func (b *Builder) build(f Format) (Matrix, error) {
 	case COO:
 		return newCOO(b.rows, b.cols, r, c, v), nil
 	case ELL:
-		return newELL(b.rows, b.cols, r, c, v, false), nil
+		return newELL(b.rows, b.cols, r, c, v), nil
 	case DIA:
 		return newDIA(b.rows, b.cols, r, c, v)
 	case CSC:

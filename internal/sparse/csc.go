@@ -65,9 +65,6 @@ func (m *CSCMatrix) Col(j int) Vector {
 	return Vector{Index: m.idx[lo:hi], Value: m.val[lo:hi], Dim: m.rows}
 }
 
-// ColNNZ returns the number of stored nonzeros in column j.
-func (m *CSCMatrix) ColNNZ(j int) int { return int(m.ptr[j+1] - m.ptr[j]) }
-
 // RowTo appends the nonzeros of row i to dst. CSC has no row index, so this
 // probes every column with a binary search — O(N log nnz); CSC is built for
 // column access, and this cost asymmetry is why it is not in the scheduled

@@ -21,21 +21,6 @@ func newDense(rows, cols int, r, c []int32, v []float64) *Dense {
 	return d
 }
 
-// NewDenseFrom wraps an existing row-major data slice (length rows*cols)
-// as a Dense matrix, counting its nonzeros. The slice is not copied.
-func NewDenseFrom(rows, cols int, data []float64) *Dense {
-	if len(data) != rows*cols {
-		panic("sparse: NewDenseFrom: data length != rows*cols")
-	}
-	nnz := 0
-	for _, x := range data {
-		if x != 0 {
-			nnz++
-		}
-	}
-	return &Dense{rows: rows, cols: cols, nnz: nnz, data: data}
-}
-
 // Dims returns the matrix dimensions.
 func (d *Dense) Dims() (int, int) { return d.rows, d.cols }
 

@@ -236,35 +236,3 @@ func TestDifferentialFormatsAgreePairwise(t *testing.T) {
 		}
 	}
 }
-
-// TestDifferentialMulVecDense mirrors the SMSV sweep for the dense-x SpMV
-// entry points, which have their own per-format kernels.
-func TestDifferentialMulVecDense(t *testing.T) {
-	ex := texec(t, 3, exec.Static)
-	rng := rand.New(rand.NewSource(17))
-	for _, c := range diffCases() {
-		xd := make([]float64, c.cols)
-		for j := range xd {
-			xd[j] = rng.NormFloat64()
-		}
-		want := refSMSV(c, NewVectorDense(xd))
-		for _, f := range BasicFormats {
-			m, err := c.b.Build(f)
-			if err != nil {
-				if f == DIA {
-					continue
-				}
-				t.Fatalf("%s: %v failed to build: %v", c.name, f, err)
-			}
-			dm, ok := m.(DenseMultiplier)
-			if !ok {
-				t.Fatalf("%v does not implement MulVecDense", f)
-			}
-			dst := make([]float64, c.rows)
-			dm.MulVecDense(dst, xd, ex)
-			if !almostEqual(dst, want, 1e-9) {
-				t.Fatalf("%s/%v: MulVecDense diverges from reference", c.name, f)
-			}
-		}
-	}
-}

@@ -9,20 +9,17 @@ import "repro/internal/exec"
 // which is exactly why the paper's Figure 3 shows ELL degrading as mdim
 // grows at fixed nnz.
 //
-// Two element orders are supported. Row-major matches how the CPU kernels
-// in this repo stream a row at a time; column-major (slot-major) is the
-// classical GPU-friendly ELLPACK order and is kept as an ablation
-// (BenchmarkAblationELLLayout).
+// Elements are row-major — row i occupies slots [i·width, (i+1)·width) —
+// which is how the CPU kernels stream a row at a time.
 type ELLMatrix struct {
 	rows, cols int
 	width      int // mdim: slots per row
 	nnz        int
-	colMajor   bool
 	idx        []int32   // rows*width
 	val        []float64 // rows*width
 }
 
-func newELL(rows, cols int, r, c []int32, v []float64, colMajor bool) *ELLMatrix {
+func newELL(rows, cols int, r, c []int32, v []float64) *ELLMatrix {
 	width := 0
 	counts := make([]int32, rows)
 	for _, row := range r {
@@ -35,38 +32,22 @@ func newELL(rows, cols int, r, c []int32, v []float64, colMajor bool) *ELLMatrix
 		width = 1 // keep arrays non-empty so the kernel has no special case
 	}
 	m := &ELLMatrix{
-		rows:     rows,
-		cols:     cols,
-		width:    width,
-		nnz:      len(v),
-		colMajor: colMajor,
-		idx:      make([]int32, rows*width),
-		val:      make([]float64, rows*width),
+		rows:  rows,
+		cols:  cols,
+		width: width,
+		nnz:   len(v),
+		idx:   make([]int32, rows*width),
+		val:   make([]float64, rows*width),
 	}
 	fill := make([]int32, rows)
 	for k := range v {
 		row := int(r[k])
-		slot := int(fill[row])
+		at := row*width + int(fill[row])
 		fill[row]++
-		m.idx[m.at(row, slot)] = c[k]
-		m.val[m.at(row, slot)] = v[k]
+		m.idx[at] = c[k]
+		m.val[at] = v[k]
 	}
 	return m
-}
-
-// NewELLColMajor builds the column-major (slot-major) layout variant from
-// a builder's contents.
-func NewELLColMajor(b *Builder) *ELLMatrix {
-	r, c, v := b.canonical()
-	return newELL(b.rows, b.cols, r, c, v, true)
-}
-
-// at maps (row, slot) to the flat array position under the active layout.
-func (m *ELLMatrix) at(row, slot int) int {
-	if m.colMajor {
-		return slot*m.rows + row
-	}
-	return row*m.width + slot
 }
 
 // Dims returns the matrix dimensions.
@@ -81,14 +62,10 @@ func (m *ELLMatrix) Format() Format { return ELL }
 // Width returns the per-row slot count (the dataset's mdim).
 func (m *ELLMatrix) Width() int { return m.width }
 
-// ColMajor reports whether the slot-major layout variant is in use.
-func (m *ELLMatrix) ColMajor() bool { return m.colMajor }
-
 // RowTo appends the nonzeros of row i to dst, skipping padding.
 func (m *ELLMatrix) RowTo(dst Vector, i int) Vector {
 	dst = dst.Reset(m.cols)
-	for s := 0; s < m.width; s++ {
-		k := m.at(i, s)
+	for k := i * m.width; k < (i+1)*m.width; k++ {
 		if m.val[k] != 0 {
 			dst = dst.Append(m.idx[k], m.val[k])
 		}
@@ -101,31 +78,16 @@ func (m *ELLMatrix) RowTo(dst Vector, i int) Vector {
 func (m *ELLMatrix) MulVecSparse(dst []float64, x Vector, scratch []float64, ex *exec.Exec) {
 	t := ex.Begin()
 	x.ScatterInto(scratch)
-	if m.colMajor {
-		// Slot-major: parallelize over rows; each row strides through the
-		// array, touching one element per slot lane.
-		ex.ForRange(m.rows, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				var sum float64
-				for s := 0; s < m.width; s++ {
-					k := s*m.rows + i
-					sum += m.val[k] * scratch[m.idx[k]]
-				}
-				dst[i] = sum
+	ex.ForRange(m.rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			base := i * m.width
+			var sum float64
+			for s := 0; s < m.width; s++ {
+				sum += m.val[base+s] * scratch[m.idx[base+s]]
 			}
-		})
-	} else {
-		ex.ForRange(m.rows, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				base := i * m.width
-				var sum float64
-				for s := 0; s < m.width; s++ {
-					sum += m.val[base+s] * scratch[m.idx[base+s]]
-				}
-				dst[i] = sum
-			}
-		})
-	}
+			dst[i] = sum
+		}
+	})
 	x.GatherFrom(scratch)
 	ex.End(exec.KindELL, m.StoredElements(), t)
 }

@@ -66,7 +66,7 @@ func NewHYB(b *Builder, width int) *HYBMatrix {
 		rows: b.rows,
 		cols: b.cols,
 		nnz:  len(v),
-		ell:  newELL(b.rows, b.cols, er, ec, ev, false),
+		ell:  newELL(b.rows, b.cols, er, ec, ev),
 		coo:  newCOO(b.rows, b.cols, or, oc, ov),
 	}
 	return m

@@ -80,61 +80,6 @@ func TestHYBMulVecSparseMatchesReference(t *testing.T) {
 	}
 }
 
-func TestMulVecDenseMatchesSparseAllFormats(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	b := randomBuilder(rng, 30, 22, 0.3)
-	x := make([]float64, 22)
-	for j := range x {
-		x[j] = rng.NormFloat64()
-	}
-	xs := NewVectorDense(x)
-	scratch := make([]float64, 22)
-	want := make([]float64, 30)
-	b.MustBuild(DEN).MulVecSparse(want, xs, scratch, nil)
-
-	mats := []Matrix{}
-	for _, f := range AllFormats {
-		m, err := b.Build(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mats = append(mats, m)
-	}
-	mats = append(mats, NewHYB(b, 2))
-	for _, m := range mats {
-		dm, ok := m.(DenseMultiplier)
-		if !ok {
-			t.Fatalf("%T does not implement DenseMultiplier", m)
-		}
-		for _, workers := range []int{1, 3} {
-			dst := make([]float64, 30)
-			dm.MulVecDense(dst, x, texec(t, workers, exec.Static))
-			if !almostEqual(dst, want, 1e-12) {
-				t.Fatalf("%T w=%d: MulVecDense mismatch", m, workers)
-			}
-		}
-	}
-}
-
-func TestMulVecDenseWithZeroVector(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	b := randomBuilder(rng, 12, 9, 0.4)
-	x := make([]float64, 9)
-	for _, f := range AllFormats {
-		m := b.MustBuild(f)
-		dst := make([]float64, 12)
-		for i := range dst {
-			dst[i] = 5 // stale values the kernel must clear
-		}
-		m.(DenseMultiplier).MulVecDense(dst, x, texec(t, 2, exec.Guided))
-		for i, d := range dst {
-			if d != 0 {
-				t.Fatalf("%v: dst[%d]=%v for zero x", f, i, d)
-			}
-		}
-	}
-}
-
 func TestDefaultHYBWidth(t *testing.T) {
 	if w := DefaultHYBWidth(10, 25); w != 3 {
 		t.Fatalf("width = %d, want ceil(25/10)=3", w)

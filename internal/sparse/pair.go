@@ -69,22 +69,12 @@ func (m *ELLMatrix) MulVecSparse2(dst1, dst2 []float64, x1, x2 Vector, scratch1,
 	ex.ForRange(m.rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var s1, s2 float64
-			if m.colMajor {
-				for s := 0; s < m.width; s++ {
-					k := s*m.rows + i
-					v := m.val[k]
-					j := m.idx[k]
-					s1 += v * scratch1[j]
-					s2 += v * scratch2[j]
-				}
-			} else {
-				base := i * m.width
-				for s := 0; s < m.width; s++ {
-					v := m.val[base+s]
-					j := m.idx[base+s]
-					s1 += v * scratch1[j]
-					s2 += v * scratch2[j]
-				}
+			base := i * m.width
+			for s := 0; s < m.width; s++ {
+				v := m.val[base+s]
+				j := m.idx[base+s]
+				s1 += v * scratch1[j]
+				s2 += v * scratch2[j]
 			}
 			dst1[i] = s1
 			dst2[i] = s2

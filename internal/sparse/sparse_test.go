@@ -416,31 +416,6 @@ func TestELLWidthEqualsMaxRowNNZ(t *testing.T) {
 	}
 }
 
-func TestELLColMajorMatchesRowMajor(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	b := randomBuilder(rng, 25, 19, 0.2)
-	rm := b.MustBuild(ELL)
-	cm := NewELLColMajor(b)
-	if !cm.ColMajor() {
-		t.Fatal("NewELLColMajor did not set column-major layout")
-	}
-	if !Equal(rm, cm) {
-		t.Fatal("col-major ELL content differs from row-major")
-	}
-	x := Vector{Dim: 19}
-	for j := 0; j < 19; j += 2 {
-		x = x.Append(int32(j), float64(j)+0.5)
-	}
-	scratch := make([]float64, 19)
-	a := make([]float64, 25)
-	c := make([]float64, 25)
-	rm.MulVecSparse(a, x, scratch, texec(t, 3, exec.Static))
-	cm.MulVecSparse(c, x, scratch, texec(t, 3, exec.Static))
-	if !almostEqual(a, c, 1e-13) {
-		t.Fatal("col-major ELL multiply differs from row-major")
-	}
-}
-
 func TestBCSRFillRatio(t *testing.T) {
 	b := NewBuilder(8, 8)
 	// One fully dense 4x4 block: fill ratio exactly 1.

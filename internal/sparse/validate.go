@@ -80,7 +80,7 @@ func (m *ELLMatrix) Validate() error {
 		prev := int32(-1)
 		rowN := 0
 		for s := 0; s < m.width; s++ {
-			k := m.at(i, s)
+			k := i*m.width + s
 			if int(m.idx[k]) >= m.cols || m.idx[k] < 0 {
 				return fmt.Errorf("sparse: ELL row %d slot %d index out of range", i, s)
 			}

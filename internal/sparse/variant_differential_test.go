@@ -166,12 +166,12 @@ func TestVariantFallbacks(t *testing.T) {
 	if !almostEqual(s.Dst1, want, 1e-9) || !almostEqual(s.Dst2, want, 1e-9) {
 		t.Fatal("COO fused fallback diverges")
 	}
-	// Column-major ELL has no branch-free row slices; the variant falls
+	// Only ELL has a branch-free kernel; asked of CSR, the variant falls
 	// back to the base kernel and must still agree.
-	ell := NewELLColMajor(c.b)
-	Candidate{Format: ELL, Variant: VariantBranchFree}.RunPair(ell, s.Dst1, s.Dst2, x1, x2, s.Scratch1, s.Scratch2, nil)
+	csr := c.b.MustBuild(CSR)
+	Candidate{Format: CSR, Variant: VariantBranchFree}.RunPair(csr, s.Dst1, s.Dst2, x1, x2, s.Scratch1, s.Scratch2, nil)
 	if !almostEqual(s.Dst1, want, 1e-9) {
-		t.Fatal("col-major ELL branch-free fallback diverges")
+		t.Fatal("CSR branch-free fallback diverges")
 	}
 }
 

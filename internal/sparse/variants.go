@@ -32,16 +32,10 @@ func (m *CSRMatrix) MulVecSparseRowBlocked(dst []float64, x Vector, scratch []fl
 	ex.End(exec.KindCSR, m.StoredElements(), t)
 }
 
-// MulVecSparseBranchFree is the branch-free row-major ELL SMSV kernel:
-// each row's slots are sliced out once so the inner loop ranges over the
-// value subslice with no layout branch and no per-slot index arithmetic.
-// On a column-major matrix it falls back to the base kernel (that layout
-// has no contiguous row to slice).
+// MulVecSparseBranchFree is the branch-free ELL SMSV kernel: each row's
+// slots are sliced out once so the inner loop ranges over the value
+// subslice with no per-slot index arithmetic.
 func (m *ELLMatrix) MulVecSparseBranchFree(dst []float64, x Vector, scratch []float64, ex *exec.Exec) {
-	if m.colMajor {
-		m.MulVecSparse(dst, x, scratch, ex)
-		return
-	}
 	t := ex.Begin()
 	x.ScatterInto(scratch)
 	w := m.width

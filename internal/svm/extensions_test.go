@@ -3,7 +3,6 @@ package svm
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -196,75 +195,6 @@ func TestLoadModelErrors(t *testing.T) {
 	}
 }
 
-// TestClassWeightsShiftDecision verifies the LIBSVM-style -w behaviour:
-// on imbalanced data, upweighting the minority class raises its recall.
-func TestClassWeightsShiftDecision(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	n := 200
-	b := sparse.NewBuilder(n, 3)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		// 10% positive minority, heavily overlapping with the majority.
-		sign := -1.0
-		if i%10 == 0 {
-			sign = 1
-		}
-		y[i] = sign
-		for j := 0; j < 3; j++ {
-			b.Add(i, j, sign*0.7+rng.NormFloat64())
-		}
-	}
-	m := b.MustBuild(sparse.CSR)
-	recall := func(model *Model) float64 {
-		pred := model.PredictBatch(m, nil)
-		var tp, actual int
-		for i := range y {
-			if y[i] == 1 {
-				actual++
-				if pred[i] == 1 {
-					tp++
-				}
-			}
-		}
-		return float64(tp) / float64(actual)
-	}
-	plain, _, err := Train(m, y, Config{C: 1, Kernel: KernelParams{Type: Linear}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	weighted, _, err := Train(m, y, Config{C: 1, WeightPos: 10, Kernel: KernelParams{Type: Linear}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rPlain, rWeighted := recall(plain), recall(weighted)
-	if rWeighted <= rPlain {
-		t.Fatalf("minority recall did not improve: %v -> %v", rPlain, rWeighted)
-	}
-	// The weighted alphas may exceed plain C for positives but never
-	// C·WeightPos.
-	for i, coef := range weighted.Coef {
-		if coef > 10+1e-9 || coef < -1-1e-9 {
-			t.Fatalf("SV %d coef %v outside weighted box", i, coef)
-		}
-	}
-}
-
-func TestClassWeightsDefaultIsUnweighted(t *testing.T) {
-	b, y := blobs(60, 4, 2.0, 72)
-	m := b.MustBuild(sparse.CSR)
-	a, sa, err := Train(m, y, Config{C: 2, Kernel: KernelParams{Type: Linear}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, sw, err := Train(m, y, Config{C: 2, WeightPos: 1, WeightNeg: 1, Kernel: KernelParams{Type: Linear}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa.Iterations != sw.Iterations || a.B != w.B {
-		t.Fatal("explicit unit weights changed the solution")
-	}
-}
-
 func TestConfigShrinkingFlagDispatches(t *testing.T) {
 	b, y := blobs(80, 4, 2.0, 73)
 	m := b.MustBuild(sparse.CSR)
@@ -280,6 +210,11 @@ func TestConfigShrinkingFlagDispatches(t *testing.T) {
 	}
 	if _, _, err := Train(m, y, Config{Kernel: KernelParams{Type: Linear}, Shrinking: true, SecondOrder: true}); err == nil {
 		t.Fatal("Shrinking+SecondOrder accepted")
+	}
+	// The shrinking loop never consults the row cache; before PR 21 the
+	// combination trained uncached without saying so.
+	if _, _, err := Train(m, y, Config{Kernel: KernelParams{Type: Linear}, Shrinking: true, CacheRows: 8}); err == nil {
+		t.Fatal("Shrinking+CacheRows accepted")
 	}
 }
 

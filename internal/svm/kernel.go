@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/exec"
 	"repro/internal/sparse"
 )
 
@@ -104,6 +105,21 @@ func (p KernelParams) FromDot(dot, normSqI, normSqJ float64) float64 {
 	default:
 		return math.NaN()
 	}
+}
+
+// transformRow applies the pointwise Table I transform in place under ex:
+// on entry dst[i] is the raw dot product X_r·X_i of some row r with row i,
+// on return K(X_r, X_i); normSq[i] and nr are ‖X_i‖² and ‖X_r‖². Linear is
+// the identity and dispatches nothing.
+func (p KernelParams) transformRow(ex *exec.Exec, dst, normSq []float64, nr float64) {
+	if p.Type == Linear {
+		return
+	}
+	ex.ForRange(len(dst), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = p.FromDot(dst[i], normSq[i], nr)
+		}
+	})
 }
 
 // Eval computes K(v, w) directly from two sparse vectors.

@@ -91,7 +91,7 @@ func TestKKTConditionsQuick(t *testing.T) {
 				return Train(m, y, Config{C: c, Tol: tol, Kernel: KernelParams{Type: Linear}, SecondOrder: true, MaxIter: 200000})
 			}},
 			{"shrinking", func() (*Model, Stats, error) {
-				return TrainShrinking(m, y, Config{C: c, Tol: tol, Kernel: KernelParams{Type: Linear}, MaxIter: 200000})
+				return Train(m, y, Config{C: c, Tol: tol, Kernel: KernelParams{Type: Linear}, Shrinking: true, MaxIter: 200000})
 			}},
 		} {
 			model, stats, err := variant.run()

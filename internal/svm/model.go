@@ -36,7 +36,7 @@ func (m *Model) Predict(x sparse.Vector) float64 {
 }
 
 // DecisionBatch evaluates the decision function on every row of x in
-// parallel — the input Platt scaling and threshold tuning consume.
+// parallel.
 func (m *Model) DecisionBatch(x sparse.Matrix, ex *exec.Exec) []float64 {
 	rows, _ := x.Dims()
 	out := make([]float64, rows)

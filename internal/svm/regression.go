@@ -170,16 +170,7 @@ func (s *svrSolver) kernelRow(dst []float64, sample int) {
 	defer func() { s.cache.put(sample, dst) }()
 	s.rowBuf = s.x.RowTo(s.rowBuf, sample)
 	s.x.MulVecSparse(dst, s.rowBuf, s.scratch, s.cfg.Exec)
-	p := s.cfg.Kernel
-	if p.Type == Linear {
-		return
-	}
-	nr := s.normSq[sample]
-	s.cfg.Exec.ForRange(len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = p.FromDot(dst[i], s.normSq[i], nr)
-		}
-	})
+	s.cfg.Kernel.transformRow(s.cfg.Exec, dst, s.normSq, s.normSq[sample])
 }
 
 func (s *svrSolver) selectWorkingSet() (high, low int, ok bool) {
@@ -215,27 +206,8 @@ func (s *svrSolver) run() Stats {
 		kLL := s.kLow[low%s.n]
 		kHL := s.kHigh[low%s.n]
 		eta := kHH + kLL - 2*kHL
-		if eta <= 0 {
-			eta = 1e-12
-		}
 		yl, yh := s.yext[low], s.yext[high]
-		dl := yl * (s.bHigh - s.bLow) / eta
-		sgn := yh * yl
-		loB, hiB := -s.alpha[low], s.cfg.C-s.alpha[low]
-		if sgn > 0 {
-			loB = math.Max(loB, s.alpha[high]-s.cfg.C)
-			hiB = math.Min(hiB, s.alpha[high])
-		} else {
-			loB = math.Max(loB, -s.alpha[high])
-			hiB = math.Min(hiB, s.cfg.C-s.alpha[high])
-		}
-		if dl < loB {
-			dl = loB
-		}
-		if dl > hiB {
-			dl = hiB
-		}
-		dh := -sgn * dl
+		dh, dl := pairStep(eta, yh, yl, s.bHigh, s.bLow, s.alpha[high], s.alpha[low], s.cfg.C)
 		s.alpha[low] += dl
 		s.alpha[high] += dh
 		if dh == 0 && dl == 0 {

@@ -1,13 +1,12 @@
 package svm
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/sparse"
 )
 
-// TrainShrinking runs SMO with the shrinking heuristic the paper's related
+// runShrinking is SMO with the shrinking heuristic the paper's related
 // work cites ("points shrinking, caching", Joachims 1999): variables stuck
 // at a bound whose gradient puts them far outside the current optimality
 // window are removed from the active set, and the per-iteration SMSVs run
@@ -15,66 +14,22 @@ import (
 // sweeps and the dominant kernel work. When the active problem converges,
 // the full gradient is reconstructed from the support vectors, everything
 // is unshrunk, and optimization continues until the full problem satisfies
-// the stopping rule, so the returned model solves the same problem as
-// Train.
-func TrainShrinking(x sparse.Matrix, y []float64, cfg Config) (*Model, Stats, error) {
-	start := time.Now()
-	rows, cols := x.Dims()
-	if len(y) != rows {
-		return nil, Stats{}, fmt.Errorf("svm: %d labels for %d rows", len(y), rows)
-	}
-	var pos, neg int
-	for _, l := range y {
-		switch l {
-		case 1:
-			pos++
-		case -1:
-			neg++
-		default:
-			return nil, Stats{}, fmt.Errorf("svm: label %v not in {-1,+1}", l)
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return nil, Stats{}, fmt.Errorf("svm: need both classes")
-	}
-	if err := cfg.Kernel.Validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	cfg = cfg.withDefaults(rows)
-
-	s := &shrinkSolver{
-		solver: solver{
-			x:        x,
-			y:        y,
-			cfg:      cfg,
-			alpha:    make([]float64, rows),
-			f:        make([]float64, rows),
-			kHigh:    make([]float64, rows),
-			kLow:     make([]float64, rows),
-			scratch:  make([]float64, cols),
-			scratch2: make([]float64, cols),
-			normSq:   rowNorms(x),
-		},
-	}
-	for i := range s.f {
-		s.f[i] = -y[i]
-	}
-	s.unshrink()
-	stats := s.runShrinking()
-	stats.TotalTime = time.Since(start)
-	model := s.buildModel()
-	stats.NumSV = len(model.SVs)
-	stats.Objective = s.objective()
-	return model, stats, nil
+// the stopping rule, so the returned model solves the same problem as the
+// plain loop.
+func (s *solver) runShrinking() Stats {
+	a := &shrinkSolver{solver: s}
+	a.unshrink()
+	return a.run()
 }
 
 // shrinkSolver extends the base solver with an active-set view of the
 // problem. f, alpha, y and normSq stay indexed by original row; the
 // kernel-row buffers and the working-set sweeps run over active positions.
 type shrinkSolver struct {
-	solver
-	active []int         // original indices of active rows, ascending
-	subX   sparse.Matrix // the active-rows submatrix (nil when all active)
+	*solver
+	active  []int         // original indices of active rows, ascending
+	subX    sparse.Matrix // the active rows of x (x itself when all are active)
+	subNorm []float64     // normSq of the active rows, by active position
 }
 
 // shrinkPeriod is how many iterations run between shrink attempts,
@@ -94,7 +49,7 @@ func (s *shrinkSolver) unshrink() {
 	for i := 0; i < n; i++ {
 		s.active = append(s.active, i)
 	}
-	s.subX = s.x
+	s.subX, s.subNorm = s.x, s.normSq
 }
 
 // shrink removes bound variables whose gradient lies strictly outside the
@@ -119,7 +74,7 @@ func (s *shrinkSolver) shrink() bool {
 
 // shrinkable reports whether row i is a bound variable outside the window.
 func (s *shrinkSolver) shrinkable(i int) bool {
-	a, yi, c := s.alpha[i], s.y[i], s.boxC(i)
+	a, yi, c := s.alpha[i], s.y[i], s.cfg.C
 	switch {
 	case a == 0 && yi > 0:
 		return s.f[i] > s.bLow // only ever in I_high, and never minimal
@@ -135,11 +90,11 @@ func (s *shrinkSolver) shrinkable(i int) bool {
 }
 
 // rebuildSub materializes the active-rows submatrix (CSR) used by the
-// per-iteration SMSVs.
+// per-iteration SMSVs, and gathers the same rows' norms.
 func (s *shrinkSolver) rebuildSub() {
 	_, cols := s.x.Dims()
 	if len(s.active) == len(s.y) {
-		s.subX = s.x
+		s.subX, s.subNorm = s.x, s.normSq
 		return
 	}
 	b := sparse.NewBuilder(max(len(s.active), 1), cols)
@@ -152,14 +107,14 @@ func (s *shrinkSolver) rebuildSub() {
 	if err != nil {
 		// Submatrix construction cannot realistically fail for CSR; fall
 		// back to the full matrix (correct, just unshrunken).
-		s.subX = s.x
-		s.active = s.active[:0]
-		for i := range s.y {
-			s.active = append(s.active, i)
-		}
+		s.unshrink()
 		return
 	}
 	s.subX = sub
+	s.subNorm = make([]float64, len(s.active))
+	for k, orig := range s.active {
+		s.subNorm[k] = s.normSq[orig]
+	}
 }
 
 // kernelRowsActive computes K(X_high, ·) and K(X_low, ·) restricted to the
@@ -178,18 +133,8 @@ func (s *shrinkSolver) kernelRowsActive(high, low int) {
 		sparse.PairMulVecSparse(s.subX, kH, kL, s.rowBufH, s.rowBufL,
 			s.scratch, s.scratch2, s.cfg.Exec)
 	}
-	p := s.cfg.Kernel
-	if p.Type == Linear {
-		return
-	}
-	nh, nl := s.normSq[high], s.normSq[low]
-	s.cfg.Exec.ForRange(nAct, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			orig := s.active[k]
-			kH[k] = p.FromDot(kH[k], s.normSq[orig], nh)
-			kL[k] = p.FromDot(kL[k], s.normSq[orig], nl)
-		}
-	})
+	s.cfg.Kernel.transformRow(s.cfg.Exec, kH, s.subNorm, s.normSq[high])
+	s.cfg.Kernel.transformRow(s.cfg.Exec, kL, s.subNorm, s.normSq[low])
 }
 
 // selectActive picks the working set over active positions, returning
@@ -226,24 +171,17 @@ func (s *shrinkSolver) reconstructF() {
 		}
 		v = s.x.RowTo(v, j)
 		s.x.MulVecSparse(row, v, s.scratch, s.cfg.Exec)
-		p := s.cfg.Kernel
+		s.cfg.Kernel.transformRow(s.cfg.Exec, row, s.normSq, s.normSq[j])
 		coef := s.alpha[j] * s.y[j]
-		if p.Type == Linear {
-			for i := 0; i < n; i++ {
-				s.f[i] += coef * row[i]
-			}
-		} else {
-			nj := s.normSq[j]
-			for i := 0; i < n; i++ {
-				s.f[i] += coef * p.FromDot(row[i], s.normSq[i], nj)
-			}
+		for i := 0; i < n; i++ {
+			s.f[i] += coef * row[i]
 		}
 	}
 }
 
-// runShrinking is the outer SMO loop with periodic shrinking and
-// reconstruction on inner convergence.
-func (s *shrinkSolver) runShrinking() Stats {
+// run is the outer SMO loop with periodic shrinking and reconstruction on
+// inner convergence.
+func (s *shrinkSolver) run() Stats {
 	var st Stats
 	sinceShrink := 0
 	reconstructed := false
@@ -272,36 +210,11 @@ func (s *shrinkSolver) runShrinking() Stats {
 		s.kernelRowsActive(high, low)
 		st.KernelTime += time.Since(t0)
 
-		// Analytic step on (high, low) using the active-position entries.
-		eta := s.kHigh[hPos] + s.kLow[lPos] - 2*s.kHigh[lPos]
-		if eta <= 0 {
-			eta = 1e-12
-		}
-		yl, yh := s.y[low], s.y[high]
-		dl := yl * (s.bHigh - s.bLow) / eta
-		sgn := yh * yl
-		cl, ch := s.boxC(low), s.boxC(high)
-		loB, hiB := -s.alpha[low], cl-s.alpha[low]
-		if sgn > 0 {
-			loB = maxF(loB, s.alpha[high]-ch)
-			hiB = minF(hiB, s.alpha[high])
-		} else {
-			loB = maxF(loB, -s.alpha[high])
-			hiB = minF(hiB, ch-s.alpha[high])
-		}
-		if dl < loB {
-			dl = loB
-		}
-		if dl > hiB {
-			dl = hiB
-		}
-		dh := -sgn * dl
-		s.alpha[low] += dl
-		s.alpha[high] += dh
+		dh, dl := s.step(high, low, hPos, lPos)
 		st.Iterations++
 		if dh != 0 || dl != 0 {
-			chc := dh * yh
-			clc := dl * yl
+			chc := dh * s.y[high]
+			clc := dl * s.y[low]
 			nAct := len(s.active)
 			s.cfg.Exec.ForRange(nAct, func(lo, hi int) {
 				for k := lo; k < hi; k++ {
@@ -316,18 +229,4 @@ func (s *shrinkSolver) runShrinking() Stats {
 		}
 	}
 	return st
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -16,7 +16,8 @@ func TestShrinkingMatchesPlainOnSeparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shr, ss, err := TrainShrinking(m, y, cfg)
+	cfg.Shrinking = true
+	shr, ss, err := Train(m, y, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,8 @@ func TestShrinkingMatchesPlainOnOverlapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ss, err := TrainShrinking(m, y, cfg)
+	cfg.Shrinking = true
+	_, ss, err := Train(m, y, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +69,8 @@ func TestShrinkingOnTableVClone(t *testing.T) {
 	b := d.MustGenerate(93)
 	m := b.MustBuild(sparse.ELL)
 	y := dataset.PlantedLabels(m, 0.05, testRandSVM(94))
-	cfg := Config{C: 1, Kernel: KernelParams{Type: Linear}, MaxIter: 20000}
-	model, stats, err := TrainShrinking(m, y, cfg)
+	cfg := Config{C: 1, Kernel: KernelParams{Type: Linear}, MaxIter: 20000, Shrinking: true}
+	model, stats, err := Train(m, y, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +82,15 @@ func TestShrinkingOnTableVClone(t *testing.T) {
 func TestShrinkingRejectsBadInput(t *testing.T) {
 	b, y := blobs(20, 3, 2.0, 95)
 	m := b.MustBuild(sparse.CSR)
-	if _, _, err := TrainShrinking(m, y[:5], Config{Kernel: KernelParams{Type: Linear}}); err == nil {
+	cfg := Config{Kernel: KernelParams{Type: Linear}, Shrinking: true}
+	if _, _, err := Train(m, y[:5], cfg); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 	one := make([]float64, 20)
 	for i := range one {
 		one[i] = 1
 	}
-	if _, _, err := TrainShrinking(m, one, Config{Kernel: KernelParams{Type: Linear}}); err == nil {
+	if _, _, err := Train(m, one, cfg); err == nil {
 		t.Fatal("single class accepted")
 	}
 }

@@ -2,7 +2,6 @@ package svm
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/exec"
@@ -12,14 +11,10 @@ import (
 
 // Config parameterizes SMO training.
 type Config struct {
-	C float64 // regularization constant; 0 means 1.0
-	// WeightPos/WeightNeg scale C per class (LIBSVM's -w option): the box
-	// constraint for a sample of class ±1 is C·Weight±. 0 means 1. Raising
-	// the minority class's weight counters class imbalance.
-	WeightPos, WeightNeg float64
-	Tol                  float64 // KKT tolerance τ; convergence when b_low ≤ b_high + 2τ; 0 means 1e-3
-	MaxIter              int     // iteration cap; 0 means 10·n + 1000
-	Kernel               KernelParams
+	C       float64 // regularization constant, the box bound of every α; 0 means 1.0
+	Tol     float64 // KKT tolerance τ; convergence when b_low ≤ b_high + 2τ; 0 means 1e-3
+	MaxIter int     // iteration cap; 0 means 10·n + 1000
+	Kernel  KernelParams
 	// Exec is the execution context every parallel kernel and reduction
 	// runs under; nil means exec.Default() (all cores, static schedule,
 	// pooled workers).
@@ -39,10 +34,11 @@ type Config struct {
 	// (f_i − b_high)²/η_i over the violating set instead of max f_i.
 	// Typically fewer, slightly costlier iterations.
 	SecondOrder bool
-	// Shrinking routes training through the active-set solver
-	// (TrainShrinking): bound variables outside the optimality window are
-	// dropped and the per-iteration SMSVs run on a submatrix. Pays off on
-	// long-running problems; see BenchmarkAblationShrinking.
+	// Shrinking trains with the active-set loop (runShrinking): bound
+	// variables outside the optimality window are dropped and the
+	// per-iteration SMSVs run on a submatrix. Pays off on long-running
+	// problems; see BenchmarkAblationShrinking. It has its own first-order
+	// selection and no row cache, so it excludes SecondOrder and CacheRows.
 	Shrinking bool
 }
 
@@ -52,12 +48,6 @@ func (c Config) withDefaults(n int) Config {
 	}
 	if c.C <= 0 {
 		c.C = 1
-	}
-	if c.WeightPos <= 0 {
-		c.WeightPos = 1
-	}
-	if c.WeightNeg <= 0 {
-		c.WeightNeg = 1
 	}
 	if c.Tol <= 0 {
 		c.Tol = 1e-3
@@ -78,18 +68,18 @@ type Stats struct {
 	NumSV      int
 }
 
-// Train runs binary SMO (the paper's Algorithm 1) on x with ±1 labels y.
-func Train(x sparse.Matrix, y []float64, cfg Config) (*Model, Stats, error) {
-	if cfg.Shrinking {
-		if cfg.SecondOrder {
-			return nil, Stats{}, fmt.Errorf("svm: Shrinking and SecondOrder cannot be combined")
-		}
-		return TrainShrinking(x, y, cfg)
+// validate is the one check of a classification problem, whichever loop
+// trains it.
+func validate(x sparse.Matrix, y []float64, cfg Config) error {
+	if cfg.Shrinking && cfg.SecondOrder {
+		return fmt.Errorf("svm: Shrinking and SecondOrder cannot be combined")
 	}
-	start := time.Now()
-	rows, cols := x.Dims()
+	if cfg.Shrinking && cfg.CacheRows > 0 {
+		return fmt.Errorf("svm: Shrinking and CacheRows cannot be combined")
+	}
+	rows, _ := x.Dims()
 	if len(y) != rows {
-		return nil, Stats{}, fmt.Errorf("svm: %d labels for %d rows", len(y), rows)
+		return fmt.Errorf("svm: %d labels for %d rows", len(y), rows)
 	}
 	var pos, neg int
 	for _, l := range y {
@@ -99,17 +89,44 @@ func Train(x sparse.Matrix, y []float64, cfg Config) (*Model, Stats, error) {
 		case -1:
 			neg++
 		default:
-			return nil, Stats{}, fmt.Errorf("svm: label %v not in {-1,+1}", l)
+			return fmt.Errorf("svm: label %v not in {-1,+1}", l)
 		}
 	}
 	if pos == 0 || neg == 0 {
-		return nil, Stats{}, fmt.Errorf("svm: need both classes, got %d positive and %d negative", pos, neg)
+		return fmt.Errorf("svm: need both classes, got %d positive and %d negative", pos, neg)
 	}
-	if err := cfg.Kernel.Validate(); err != nil {
+	return cfg.Kernel.Validate()
+}
+
+// Train runs binary SMO (the paper's Algorithm 1) on x with ±1 labels y,
+// under the loop cfg asks for: first-order (the default), SecondOrder or
+// Shrinking.
+func Train(x sparse.Matrix, y []float64, cfg Config) (*Model, Stats, error) {
+	start := time.Now()
+	if err := validate(x, y, cfg); err != nil {
 		return nil, Stats{}, err
 	}
-	cfg = cfg.withDefaults(rows)
+	s := newSolver(x, y, cfg)
+	var stats Stats
+	switch {
+	case cfg.Shrinking:
+		stats = s.runShrinking()
+	case cfg.SecondOrder:
+		stats = s.runSecondOrder()
+	default:
+		stats = s.run()
+	}
+	stats.TotalTime = time.Since(start)
+	model := s.buildModel()
+	stats.NumSV = len(model.SVs)
+	stats.Objective = s.objective()
+	return model, stats, nil
+}
 
+// newSolver sets up Algorithm 1's state at α = 0 for a validated problem.
+func newSolver(x sparse.Matrix, y []float64, cfg Config) *solver {
+	rows, cols := x.Dims()
+	cfg = cfg.withDefaults(rows)
 	s := &solver{
 		x:        x,
 		y:        y,
@@ -132,17 +149,7 @@ func Train(x sparse.Matrix, y []float64, cfg Config) (*Model, Stats, error) {
 			s.diag[i] = cfg.Kernel.FromDot(s.normSq[i], s.normSq[i], s.normSq[i])
 		}
 	}
-	var stats Stats
-	if cfg.SecondOrder {
-		stats = s.runSecondOrder()
-	} else {
-		stats = s.run()
-	}
-	stats.TotalTime = time.Since(start)
-	model := s.buildModel()
-	stats.NumSV = len(model.SVs)
-	stats.Objective = s.objective()
-	return model, stats, nil
+	return s
 }
 
 type solver struct {
@@ -166,14 +173,6 @@ type solver struct {
 	diag  []float64 // K(X_i, X_i), precomputed for second-order selection
 }
 
-// boxC returns sample i's upper box bound C·Weight_{class(i)}.
-func (s *solver) boxC(i int) float64 {
-	if s.y[i] > 0 {
-		return s.cfg.C * s.cfg.WeightPos
-	}
-	return s.cfg.C * s.cfg.WeightNeg
-}
-
 // rowNorms precomputes ‖X_i‖² for the Gaussian kernel.
 func rowNorms(x sparse.Matrix) []float64 {
 	rows, _ := x.Dims()
@@ -187,12 +186,12 @@ func rowNorms(x sparse.Matrix) []float64 {
 }
 
 func (s *solver) inHigh(i int) bool {
-	a, yi, c := s.alpha[i], s.y[i], s.boxC(i)
+	a, yi, c := s.alpha[i], s.y[i], s.cfg.C
 	return (a > 0 && a < c) || (yi > 0 && a == 0) || (yi < 0 && a == c)
 }
 
 func (s *solver) inLow(i int) bool {
-	a, yi, c := s.alpha[i], s.y[i], s.boxC(i)
+	a, yi, c := s.alpha[i], s.y[i], s.cfg.C
 	return (a > 0 && a < c) || (yi > 0 && a == c) || (yi < 0 && a == 0)
 }
 
@@ -206,7 +205,7 @@ func (s *solver) kernelRow(dst []float64, row sparse.Vector, r int) {
 	}
 	defer func() { s.cache.put(r, dst) }()
 	s.x.MulVecSparse(dst, row, s.scratch, s.cfg.Exec)
-	s.transformRow(dst, r)
+	s.cfg.Kernel.transformRow(s.cfg.Exec, dst, s.normSq, s.normSq[r])
 }
 
 // kernelRows fills kHigh and kLow for the working-set pair. When neither
@@ -238,26 +237,11 @@ func (s *solver) kernelRows(sel selection) {
 		}
 		sparse.PairMulVecSparse(s.x, s.kHigh, s.kLow, s.rowBufH, s.rowBufL,
 			s.scratch, s.scratch2, s.cfg.Exec)
-		s.transformRow(s.kHigh, sel.high)
-		s.transformRow(s.kLow, sel.low)
+		s.cfg.Kernel.transformRow(s.cfg.Exec, s.kHigh, s.normSq, s.normSq[sel.high])
+		s.cfg.Kernel.transformRow(s.cfg.Exec, s.kLow, s.normSq, s.normSq[sel.low])
 		s.cache.put(sel.high, s.kHigh)
 		s.cache.put(sel.low, s.kLow)
 	}
-}
-
-// transformRow applies the pointwise Table I transform to a row of raw dot
-// products.
-func (s *solver) transformRow(dst []float64, r int) {
-	p := s.cfg.Kernel
-	if p.Type == Linear {
-		return
-	}
-	nr := s.normSq[r]
-	s.cfg.Exec.ForRange(len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = p.FromDot(dst[i], s.normSq[i], nr)
-		}
-	})
 }
 
 // selection holds one working-set pick.
@@ -333,28 +317,24 @@ func (s *solver) updateF(dh, dl float64, sel selection) (selection, bool) {
 	return selection{high: out.minIdx, low: out.maxIdx}, true
 }
 
-// step performs the analytic two-variable update (Equations 5–6) with box
-// clipping, returning the applied deltas.
-func (s *solver) step(sel selection) (dh, dl float64) {
-	h, l := sel.high, sel.low
-	eta := s.kHigh[h] + s.kLow[l] - 2*s.kHigh[l]
+// pairStep is the analytic two-variable update: the unclipped Equation (5)
+// for Δα_low, clipped to the box both variables share — α_low + dl ∈ [0, c]
+// and α_high − s·dl ∈ [0, c] with s = y_high·y_low, from the equality
+// constraint — then Equation (6) for Δα_high. eta is the pair's curvature
+// K_hh + K_ll − 2·K_hl.
+func pairStep(eta, yh, yl, bHigh, bLow, ah, al, c float64) (dh, dl float64) {
 	if eta <= 0 {
 		eta = 1e-12 // degenerate pair; take a tiny safe step
 	}
-	yl, yh := s.y[l], s.y[h]
-	// Unclipped Equation (5).
-	dl = yl * (s.bHigh - s.bLow) / eta
-	// Box constraints: α_low + dl ∈ [0,C] and α_high − s·dl ∈ [0,C]
-	// with s = y_high·y_low (from the equality constraint).
+	dl = yl * (bHigh - bLow) / eta
 	sgn := yh * yl
-	cl, chi := s.boxC(l), s.boxC(h)
-	loB, hiB := -s.alpha[l], cl-s.alpha[l]
+	loB, hiB := -al, c-al
 	if sgn > 0 {
-		loB = math.Max(loB, s.alpha[h]-chi)
-		hiB = math.Min(hiB, s.alpha[h])
+		loB = max(loB, ah-c)
+		hiB = min(hiB, ah)
 	} else {
-		loB = math.Max(loB, -s.alpha[h])
-		hiB = math.Min(hiB, chi-s.alpha[h])
+		loB = max(loB, -ah)
+		hiB = min(hiB, c-ah)
 	}
 	if dl < loB {
 		dl = loB
@@ -362,9 +342,16 @@ func (s *solver) step(sel selection) (dh, dl float64) {
 	if dl > hiB {
 		dl = hiB
 	}
-	dh = -sgn * dl // Equation (6)
-	s.alpha[l] += dl
-	s.alpha[h] += dh
+	return -sgn * dl, dl
+}
+
+// step takes pairStep on the working set (high, low), whose kernel entries
+// sit at positions hPos and lPos of kHigh and kLow, and applies the deltas.
+func (s *solver) step(high, low, hPos, lPos int) (dh, dl float64) {
+	eta := s.kHigh[hPos] + s.kLow[lPos] - 2*s.kHigh[lPos]
+	dh, dl = pairStep(eta, s.y[high], s.y[low], s.bHigh, s.bLow, s.alpha[high], s.alpha[low], s.cfg.C)
+	s.alpha[low] += dl
+	s.alpha[high] += dh
 	return dh, dl
 }
 
@@ -382,7 +369,7 @@ func (s *solver) run() Stats {
 		t0 := time.Now()
 		s.kernelRows(sel)
 		st.KernelTime += time.Since(t0)
-		dh, dl := s.step(sel)
+		dh, dl := s.step(sel.high, sel.low, sel.high, sel.low)
 		if dh == 0 && dl == 0 {
 			// Box-clipped to a null step: the working set is exhausted at
 			// this pair; nudge convergence check via fresh selection.
@@ -452,7 +439,7 @@ func (s *solver) runSecondOrder() Stats {
 		st.KernelTime += time.Since(t0)
 		// The analytic step uses b_low = f[low] for this pair.
 		s.bLow = s.f[low]
-		dh, dl := s.step(selection{high: high, low: low})
+		dh, dl := s.step(high, low, high, low)
 		if dh == 0 && dl == 0 {
 			continue
 		}

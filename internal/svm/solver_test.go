@@ -162,6 +162,46 @@ func TestTrainRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestTrainersRejectAlike drives the same bad input through the three
+// classification loops: there is one validation, so the error is the same
+// whichever loop was asked for.
+func TestTrainersRejectAlike(t *testing.T) {
+	b, y := blobs(20, 3, 2.0, 5)
+	m := b.MustBuild(sparse.CSR)
+	badY := append([]float64{}, y...)
+	badY[0] = 2
+	oneClass := make([]float64, 20)
+	for i := range oneClass {
+		oneClass[i] = 1
+	}
+	linear := KernelParams{Type: Linear}
+	cases := []struct {
+		name   string
+		y      []float64
+		kernel KernelParams
+		want   string
+	}{
+		{"length mismatch", y[:10], linear, "svm: 10 labels for 20 rows"},
+		{"label outside ±1", badY, linear, "svm: label 2 not in {-1,+1}"},
+		{"one class", oneClass, linear, "svm: need both classes, got 20 positive and 0 negative"},
+		{"invalid kernel", y, KernelParams{Type: Gaussian}, "svm: gaussian kernel needs gamma > 0, got 0"},
+	}
+	loops := []struct {
+		name string
+		cfg  Config
+	}{{"plain", Config{}}, {"second-order", Config{SecondOrder: true}}, {"shrinking", Config{Shrinking: true}}}
+	for _, c := range cases {
+		for _, l := range loops {
+			cfg := l.cfg
+			cfg.Kernel = c.kernel
+			_, _, err := Train(m, c.y, cfg)
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s, %s: error %v, want %q", c.name, l.name, err, c.want)
+			}
+		}
+	}
+}
+
 func TestTrainAlphasRespectBox(t *testing.T) {
 	b, y := blobs(60, 3, 0.5, 6) // heavily overlapping: many bound SVs
 	m := b.MustBuild(sparse.CSR)
@@ -229,42 +269,5 @@ func TestPredictBatchMatchesScalar(t *testing.T) {
 		if got := model.Predict(v); got != batch[i] {
 			t.Fatalf("row %d: scalar %v != batch %v", i, got, batch[i])
 		}
-	}
-}
-
-func TestMulticlassThreeBlobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 150
-	b := sparse.NewBuilder(n, 2)
-	y := make([]float64, n)
-	centers := [][2]float64{{0, 6}, {-5, -3}, {5, -3}}
-	for i := 0; i < n; i++ {
-		c := i % 3
-		y[i] = float64(c)
-		b.Add(i, 0, centers[c][0]+rng.NormFloat64()*0.6)
-		b.Add(i, 1, centers[c][1]+rng.NormFloat64()*0.6)
-	}
-	m := b.MustBuild(sparse.DEN)
-	mm, err := TrainMulticlass(m, y, Config{C: 5, Kernel: KernelParams{Type: Linear}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mm.Classes) != 3 || len(mm.Pairs) != 3 {
-		t.Fatalf("classes %v pairs %d", mm.Classes, len(mm.Pairs))
-	}
-	if acc := mm.Accuracy(m, y); acc < 0.97 {
-		t.Fatalf("multiclass accuracy %v, want >= 0.97", acc)
-	}
-}
-
-func TestMulticlassRejectsOneClass(t *testing.T) {
-	b, _ := blobs(10, 2, 1, 12)
-	m := b.MustBuild(sparse.CSR)
-	y := make([]float64, 10)
-	if _, err := TrainMulticlass(m, y, Config{Kernel: KernelParams{Type: Linear}}); err == nil {
-		t.Fatal("single-class multiclass accepted")
-	}
-	if _, err := TrainMulticlass(m, y[:5], Config{}); err == nil {
-		t.Fatal("length mismatch accepted")
 	}
 }
