@@ -18,6 +18,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/hwmodel"
 	"repro/internal/learn"
+	"repro/internal/parallel"
 	"repro/internal/sparse"
 	"repro/internal/svm"
 	"repro/internal/svm/reference"
@@ -472,4 +473,108 @@ func BenchmarkAblationShrinking(b *testing.B) {
 			}
 		}
 	})
+}
+
+// smoReplay replays the phases of one first-order SMO iteration on a
+// matrix, outside the solver, so each can be timed alone: the two RowTo
+// calls that fetch the working rows, the pair SMSV, and the fused update of
+// f with the next working-set selection. The update body is the solver's,
+// bound once, with one partial result per part.
+type smoReplay struct {
+	m           sparse.Matrix
+	ex          *exec.Exec
+	y, alpha, f []float64
+	kHigh, kLow []float64
+	s1, s2      []float64
+	rowH, rowL  sparse.Vector
+	high, low   int
+	partial     []smoPick // one per part
+	body        func(w int)
+}
+
+type smoPick struct {
+	minIdx, maxIdx int
+	minVal, maxVal float64
+}
+
+func newSMOReplay(m sparse.Matrix, y []float64, ex *exec.Exec) *smoReplay {
+	rows, cols := m.Dims()
+	r := &smoReplay{m: m, ex: ex, y: y, high: rows / 3, low: 2 * rows / 3,
+		alpha: make([]float64, rows), f: make([]float64, rows),
+		kHigh: make([]float64, rows), kLow: make([]float64, rows),
+		s1: make([]float64, cols), s2: make([]float64, cols)}
+	for i := range r.f {
+		r.f[i] = -y[i]
+	}
+	r.partial = make([]smoPick, ex.ElementParts(rows))
+	r.body = r.updatePart
+	return r
+}
+
+func (r *smoReplay) rowTo() {
+	r.rowH = r.m.RowTo(r.rowH, r.high)
+	r.rowL = r.m.RowTo(r.rowL, r.low)
+}
+
+func (r *smoReplay) pair() {
+	sparse.PairMulVecSparse(r.m, r.kHigh, r.kLow, r.rowH, r.rowL, r.s1, r.s2, r.ex)
+}
+
+// update applies a step too small to move any f_i off its value by more
+// than rounding, so every replayed iteration does the same work.
+func (r *smoReplay) update() { r.ex.ForParts(len(r.partial), r.body) }
+
+func (r *smoReplay) updatePart(w int) {
+	const ch, cl = 1e-12, -1e-12
+	lo, hi := parallel.SplitRange(len(r.f), len(r.partial), w)
+	p := smoPick{minIdx: -1, maxIdx: -1}
+	for i := lo; i < hi; i++ {
+		fi := r.f[i] + (ch*r.kHigh[i] + cl*r.kLow[i])
+		r.f[i] = fi
+		a, yi := r.alpha[i], r.y[i]
+		if ((a > 0 && a < 1) || (yi > 0 && a == 0) || (yi < 0 && a == 1)) && (p.minIdx < 0 || fi < p.minVal) {
+			p.minIdx, p.minVal = i, fi
+		}
+		if ((a > 0 && a < 1) || (yi > 0 && a == 1) || (yi < 0 && a == 0)) && (p.maxIdx < 0 || fi > p.maxVal) {
+			p.maxIdx, p.maxVal = i, fi
+		}
+	}
+	r.partial[w] = p
+}
+
+// BenchmarkSMOIteration times the phases of one SMO iteration per Table V
+// clone of the gated svm_train workload, on CSR, at 1, 2 and 4 workers: it
+// is the measurement behind EXPERIMENTS.md's serial-grain table — whether a
+// loop of a few thousand elements is worth a ticket dispatch at all.
+func BenchmarkSMOIteration(b *testing.B) {
+	for _, name := range []string{"adult", "aloi", "mnist", "gisette", "trefethen", "connect-4", "sector"} {
+		d, err := dataset.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := d.MustGenerate(benchSeed).MustBuild(sparse.CSR)
+		y := dataset.PlantedLabels(m, 0.02, rand.New(rand.NewSource(benchSeed)))
+		for _, workers := range []int{1, 2, 4} {
+			ex := exec.New(workers, exec.Static)
+			r := newSMOReplay(m, y, ex)
+			r.rowTo()
+			for _, phase := range []struct {
+				name string
+				run  func()
+			}{
+				{"rowto", r.rowTo},
+				{"pair", r.pair},
+				{"update", r.update},
+				{"iteration", func() { r.rowTo(); r.pair(); r.update() }},
+			} {
+				b.Run(fmt.Sprintf("%s/workers=%d/%s", name, workers, phase.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						phase.run()
+					}
+				})
+			}
+			ex.Close()
+		}
+	}
 }

@@ -16,9 +16,9 @@ import (
 )
 
 // TestIntegrationSVMPipeline exercises the full SVM path: generate a
-// Table V clone → write LIBSVM text → parse it back → scale features →
-// schedule the layout → train adaptively → serialize the model → reload →
-// predict — every module boundary in one flow.
+// Table V clone → write LIBSVM text → parse it back → schedule the layout →
+// train adaptively → serialize the model → reload → predict — every module
+// boundary in one flow.
 func TestIntegrationSVMPipeline(t *testing.T) {
 	d, err := dataset.ByName("adult")
 	if err != nil {
@@ -47,11 +47,10 @@ func TestIntegrationSVMPipeline(t *testing.T) {
 	}
 	pb, py := dataset.SamplesToMatrix(parsed, n)
 
-	// Scale (sparsity-preserving), schedule, train.
-	scaled := dataset.MaxAbsScale(pb.MustBuild(sparse.CSR))
+	// Schedule, train.
 	hist := &core.History{}
 	sched := core.New(core.Config{Policy: core.Hybrid, History: hist, Seed: 9})
-	res, err := svm.TrainAdaptive(scaled, py, sched, svm.Config{
+	res, err := svm.TrainAdaptive(pb, py, sched, svm.Config{
 		C: 1, Kernel: svm.KernelParams{Type: svm.Linear}, MaxIter: 4000, CacheRows: 16,
 	})
 	if err != nil {

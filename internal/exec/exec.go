@@ -181,6 +181,33 @@ func (e *Exec) Parts(n int) int {
 	return p
 }
 
+// serialGrain is the iteration count below which a loop doing O(1) work per
+// iteration runs inline on the caller instead of on the pool. Waking a
+// parked worker costs more than such a loop takes: BenchmarkSMOIteration's
+// fused update + select over the 375 to 2265 rows of the Table V clones is
+// 5–80 % slower at 2 and 4 workers than inline, a sweep over n shows a tie
+// from 2048 to 8192 elements and the pool ahead from 32768 (EXPERIMENTS.md).
+// Results cannot depend on it: partial results merge in serial-scan order.
+const serialGrain = 4096
+
+// ElementParts is Parts for a loop doing O(1) work per element: one part
+// below serialGrain elements.
+func (e *Exec) ElementParts(n int) int {
+	if n < serialGrain {
+		return 1
+	}
+	return e.Parts(n)
+}
+
+// ForElements is ForRange for a loop doing O(1) work per iteration: inline
+// below serialGrain iterations.
+func (e *Exec) ForElements(n int, body func(lo, hi int)) {
+	if n < serialGrain {
+		e = nil
+	}
+	e.ForRange(n, body)
+}
+
 // ForParts runs body(w) exactly once for each w in [0, parts), in parallel
 // unless the context is serial. It is the building block for kernels that
 // accumulate into per-partition scratch (COO fix-ups, CSC partial outputs,
@@ -199,6 +226,35 @@ func (e *Exec) ForParts(parts int, body func(w int)) {
 	}
 	// Static: each part is one chunk, so parts map 1:1 onto claims.
 	e.pool.For(parts, parallel.Static, body)
+}
+
+// Operands and Kernel are the closure-free body form, re-exported from
+// package parallel: a kernel dispatched through ForKernel allocates nothing,
+// where a closure over its operands is one heap object per call.
+type (
+	Operands = parallel.Operands
+	Kernel   = parallel.Kernel
+)
+
+// ForKernel is ForRange for a body in Kernel form: k(o, lo, hi) over
+// contiguous sub-ranges of [0, n) under the context's schedule.
+func (e *Exec) ForKernel(n int, k Kernel, o Operands) { e.forKernel(n, e.Sched(), k, o) }
+
+// ForKernelStatic is ForKernel under the Static schedule whatever the
+// context's, for a kernel whose chunks must be the SplitRange partition of
+// [0, n) into Parts(n) — what ForParts plus SplitRange give a closure.
+func (e *Exec) ForKernelStatic(n int, k Kernel, o Operands) { e.forKernel(n, Static, k, o) }
+
+func (e *Exec) forKernel(n int, sched Sched, k Kernel, o Operands) {
+	if n <= 0 {
+		return
+	}
+	fault.Disrupt("exec.dispatch")
+	if e == nil || e.workers == 1 || n == 1 {
+		k(o, 0, n)
+		return
+	}
+	e.pool.ForKernel(n, sched, k, o)
 }
 
 // ArgExtreme holds the result of an argmin/argmax reduction.
@@ -236,7 +292,7 @@ func (e *Exec) argExtreme(n int, ok func(i int) bool, value func(i int) float64,
 		}
 		return best
 	}
-	p := e.Parts(n)
+	p := e.ElementParts(n)
 	if p == 1 {
 		return scan(0, n)
 	}

@@ -64,7 +64,7 @@ func TestExecForPartsRunsEachOnce(t *testing.T) {
 func TestExecReductionsMatchSerial(t *testing.T) {
 	e := New(4, Static)
 	defer e.Close()
-	n := 1000
+	n := 3 * serialGrain // above the grain: the partial-merge path
 	val := func(i int) float64 { return float64((i*2654435761)%977) - 488 }
 	ok := func(i int) bool { return i%3 != 0 }
 
@@ -123,9 +123,12 @@ func TestArgMinEmptyAndAllFiltered(t *testing.T) {
 }
 
 func TestArgMinTieBreaksToSmallestIndex(t *testing.T) {
-	low, high := make([]float64, 100), make([]float64, 100)
-	low[20], low[80] = -1, -1
-	high[20], high[80] = 1, 1
+	// Long enough for the partial-merge path, with the tied pair in
+	// different parts at every worker count.
+	n := 2 * serialGrain
+	low, high := make([]float64, n), make([]float64, n)
+	low[20], low[n-20] = -1, -1
+	high[20], high[n-20] = 1, 1
 	for _, p := range []int{1, 2, 4, 8} {
 		e := New(p, Static)
 		if got := e.ArgMin(len(low), nil, func(i int) float64 { return low[i] }); got.Index != 20 {
@@ -208,5 +211,42 @@ func TestDefaultIsSharedAndPooled(t *testing.T) {
 	}
 	if a.Workers() < 1 {
 		t.Fatalf("Default workers = %d", a.Workers())
+	}
+}
+
+// TestSerialGrain: element-wise loops below the grain run inline on the
+// caller, at or above it on the pool, and a row loop is never cut off.
+func TestSerialGrain(t *testing.T) {
+	e := New(4, Static)
+	defer e.Close()
+	if got := e.ElementParts(serialGrain - 1); got != 1 {
+		t.Fatalf("ElementParts below the grain = %d, want 1", got)
+	}
+	if got := e.ElementParts(serialGrain); got != 4 {
+		t.Fatalf("ElementParts at the grain = %d, want 4", got)
+	}
+	if got := e.Parts(8); got != 4 {
+		t.Fatalf("Parts(8) = %d: the grain must not apply to row loops", got)
+	}
+	for _, n := range []int{0, 1, serialGrain - 1, serialGrain, 3*serialGrain + 1} {
+		seen := make([]atomic.Int32, max(n, 1))
+		var chunks atomic.Int32
+		e.ForElements(n, func(lo, hi int) {
+			chunks.Add(1)
+			for i := lo; i < hi; i++ {
+				seen[i].Add(1)
+			}
+		})
+		for i := 0; i < n; i++ {
+			if seen[i].Load() != 1 {
+				t.Fatalf("n=%d: element %d visited %d times", n, i, seen[i].Load())
+			}
+		}
+		if n > 0 && n < serialGrain && chunks.Load() != 1 {
+			t.Fatalf("n=%d below the grain ran in %d chunks, want 1 inline", n, chunks.Load())
+		}
+		if n >= serialGrain && chunks.Load() != 4 {
+			t.Fatalf("n=%d ran in %d chunks, want one per worker", n, chunks.Load())
+		}
 	}
 }

@@ -33,12 +33,16 @@ func (b *panicBox) record(p any) {
 	b.mu.Unlock()
 }
 
-// rethrow re-raises the recorded panic, wrapped, on the calling goroutine.
-func (b *panicBox) rethrow() {
+// take returns the recorded panic, if any.
+func (b *panicBox) take() (val any, set bool) {
 	b.mu.Lock()
-	val, set := b.val, b.set
+	defer b.mu.Unlock()
+	return b.val, b.set
+}
+
+// reset empties the box for the record's next run.
+func (b *panicBox) reset() {
+	b.mu.Lock()
+	b.val, b.set = nil, false
 	b.mu.Unlock()
-	if set {
-		panic(&PanicError{Value: val})
-	}
 }

@@ -42,28 +42,6 @@ func TestPoolForCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestPoolParticipantIDsAreDistinctAndBounded(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	n := 4096
-	// One scratch slot per possible participant; concurrent writes to the
-	// same slot would be caught by -race, out-of-range IDs by the bounds
-	// check below.
-	var mu sync.Mutex
-	ids := map[int]bool{}
-	p.ForRangeID(n, Guided, func(id, lo, hi int) {
-		if id < 0 || id >= p.Workers() {
-			t.Errorf("participant id %d out of range [0,%d)", id, p.Workers())
-		}
-		mu.Lock()
-		ids[id] = true
-		mu.Unlock()
-	})
-	if len(ids) == 0 || len(ids) > p.Workers() {
-		t.Fatalf("got %d distinct participant ids, want 1..%d", len(ids), p.Workers())
-	}
-}
-
 func TestPoolConcurrentSubmitters(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()

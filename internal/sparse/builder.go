@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -15,18 +16,50 @@ type Builder struct {
 	r, c       []int32
 	v          []float64
 
-	// Cached canonical form; invalidated by Add. BuildAll materializes
-	// five formats from one sort instead of re-sorting per format.
-	canonR []int32
-	canonC []int32
-	canonV []float64
+	// lastRow is the row of the latest AddRow while every AddRow so far came
+	// in ascending row order, and math.MaxInt once one did not: only an
+	// in-order fill tells reserve how many rows are still to come.
+	lastRow int
 
-	// Cached successful materializations per format, invalidated with the
-	// canonical form. Matrices are immutable, so repeated Build calls for
-	// the same format — every Choose/measure cycle hits CSR at least
-	// twice — return the same instance allocation-free.
+	// Cached canonical form: one sort serves every format built from the
+	// same triplets. When the triplets are already canonical these alias
+	// r/c/v themselves, which is safe because every constructor copies what
+	// it keeps (TestConstructorsKeepNothing).
+	canonR  []int32
+	canonC  []int32
+	canonV  []float64
+	canonOK bool
+
+	// Cached successful materializations per format. Matrices are
+	// immutable, so repeated Build calls for the same format — every
+	// Choose/measure cycle hits CSR at least twice — return the same
+	// instance allocation-free.
 	built    [len(AllFormats)]Matrix
 	builtAny bool
+
+	// cachedLen is len(r) when the two caches above were last emptied.
+	// They are valid only while it still is: Add, AddRow and Append can
+	// only grow the arrays, and Reset and Shape — the two calls that change
+	// what an unchanged length means — empty the caches themselves. So no
+	// fill method has to touch the caches per triplet.
+	cachedLen int
+}
+
+// dropCaches forgets the canonical form and every built matrix.
+func (b *Builder) dropCaches() {
+	b.canonR, b.canonC, b.canonV, b.canonOK = nil, nil, nil, false
+	if b.builtAny {
+		b.built = [len(AllFormats)]Matrix{}
+		b.builtAny = false
+	}
+	b.cachedLen = len(b.r)
+}
+
+// dropStale empties the caches if triplets arrived since they were filled.
+func (b *Builder) dropStale() {
+	if b.cachedLen != len(b.r) {
+		b.dropCaches()
+	}
 }
 
 // NewBuilder creates a builder for an rows×cols matrix. It panics if either
@@ -47,11 +80,6 @@ func (b *Builder) Add(row, col int, val float64) {
 	b.r = append(b.r, int32(row))
 	b.c = append(b.c, int32(col))
 	b.v = append(b.v, val)
-	b.canonR, b.canonC, b.canonV = nil, nil, nil
-	if b.builtAny {
-		b.built = [len(AllFormats)]Matrix{}
-		b.builtAny = false
-	}
 }
 
 // Reset empties the builder for reuse as an rows×cols matrix, keeping the
@@ -66,9 +94,8 @@ func (b *Builder) Reset(rows, cols int) {
 	b.r = b.r[:0]
 	b.c = b.c[:0]
 	b.v = b.v[:0]
-	b.canonR, b.canonC, b.canonV = nil, nil, nil
-	b.built = [len(AllFormats)]Matrix{}
-	b.builtAny = false
+	b.lastRow = 0
+	b.dropCaches()
 }
 
 // Append adds one triplet without a range check. It is the fill path for
@@ -94,16 +121,63 @@ func (b *Builder) Shape(rows, cols int) {
 		}
 	}
 	b.rows, b.cols = rows, cols
-	b.canonR, b.canonC, b.canonV = nil, nil, nil
-	b.built = [len(AllFormats)]Matrix{}
-	b.builtAny = false
+	b.dropCaches()
 }
 
-// AddRow appends an entire sparse row at once.
+// AddRow appends an entire sparse row at once. Rows added in ascending
+// order — the way every converter and parser fills a builder — let it size
+// the triplet arrays for the rows still to come, see reserve.
 func (b *Builder) AddRow(row int, v Vector) {
+	if row < b.lastRow {
+		b.lastRow = math.MaxInt
+	} else {
+		b.lastRow = row
+	}
+	if need := len(b.r) + len(v.Index); need > cap(b.r) && b.lastRow == row {
+		b.reserve(row, need)
+	}
 	for k, col := range v.Index {
 		b.Add(row, int(col), v.Value[k])
 	}
+}
+
+const (
+	// reserveStep is the ratio between successive reservations while the
+	// extrapolated size is still far away. The capacity never exceeds
+	// reserveStep times append's own 1.25x step over what is stored, so a
+	// few long leading rows cannot reserve for a matrix that never arrives.
+	reserveStep = 4
+	// reserveSlack is the share added to the extrapolated remainder, so
+	// that a mean below the final one does not cost a last regrowth: a
+	// quarter covers rows whose lengths vary by 1.4 times their mean (one
+	// row in ten is ten times longer) from a quarter of the rows on.
+	reserveSlack = 4 // 1/4
+)
+
+// reserve grows the triplet arrays ahead of an in-order AddRow that needs
+// room for need triplets in all: rows [0, row) hold what is stored so far,
+// so the rows after this one are sized from their mean. While that size is
+// more than reserveStep steps of append away, the arrays climb towards it on
+// the ladder size/reserveStep^k, whose rungs add up to a third of the last
+// one. append's own growth is 1.25x per step for large slices and allocates
+// about five times the final size in all; this allocates about 1.6x. A
+// reservation below append's step is left to append.
+func (b *Builder) reserve(row, need int) {
+	if row <= 0 || row >= b.rows {
+		return
+	}
+	step := need + need/4
+	rest := float64(len(b.r)) / float64(row) * float64(b.rows-row-1)
+	want := need + int(rest*(1+1.0/reserveSlack))
+	for want > reserveStep*step {
+		want /= reserveStep
+	}
+	if want < step {
+		return
+	}
+	b.r = append(make([]int32, 0, want), b.r...)
+	b.c = append(make([]int32, 0, want), b.c...)
+	b.v = append(make([]float64, 0, want), b.v...)
 }
 
 // Len reports the number of triplets added so far (before dedup).
@@ -113,28 +187,39 @@ func (b *Builder) Len() int { return len(b.r) }
 // zero-value Builder reports 0×0, which Build and the scheduler reject.
 func (b *Builder) Dims() (rows, cols int) { return b.rows, b.cols }
 
-// canonical sorts triplets row-major, merges duplicates, drops zeros, and
-// returns the cleaned parallel slices. The builder is left untouched so it
-// can be materialized into several formats.
+// canonical returns the triplets sorted row-major with duplicates merged
+// and zeros dropped, as parallel slices the caller must only read. The
+// builder's own arrays are left untouched so it can be materialized into
+// several formats; when they are already canonical — strictly row-major,
+// so duplicate-free, and zero-free, which is what every converter and
+// generator emits — they are returned themselves, clipped to their length,
+// and nothing is allocated.
 func (b *Builder) canonical() (r, c []int32, v []float64) {
-	if b.canonR != nil {
+	b.dropStale()
+	if b.canonOK {
 		return b.canonR, b.canonC, b.canonV
 	}
 	n := len(b.r)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	sorted, zeroFree := true, true
+	for k := 0; k < n && sorted; k++ {
+		zeroFree = zeroFree && b.v[k] != 0
+		sorted = k == 0 || b.r[k] > b.r[k-1] || (b.r[k] == b.r[k-1] && b.c[k] > b.c[k-1])
 	}
-	// Fast path: generators usually emit row-major already-unique
-	// triplets; detect that in O(n) and skip the O(n log n) sort.
-	sorted := true
-	for k := 1; k < n; k++ {
-		if b.r[k] < b.r[k-1] || (b.r[k] == b.r[k-1] && b.c[k] <= b.c[k-1]) {
-			sorted = false
-			break
+	if sorted && zeroFree {
+		b.canonR, b.canonC, b.canonV, b.canonOK = b.r[:n:n], b.c[:n:n], b.v[:n:n], true
+		return b.canonR, b.canonC, b.canonV
+	}
+	r = make([]int32, 0, n)
+	c = make([]int32, 0, n)
+	v = make([]float64, 0, n)
+	if sorted {
+		// Strictly ordered means duplicate-free: only zeros have to go.
+		r, c, v = append(r, b.r...), append(c, b.c...), append(v, b.v...)
+	} else {
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
 		}
-	}
-	if !sorted {
 		sort.Slice(order, func(i, j int) bool {
 			oi, oj := order[i], order[j]
 			if b.r[oi] != b.r[oj] {
@@ -142,20 +227,17 @@ func (b *Builder) canonical() (r, c []int32, v []float64) {
 			}
 			return b.c[oi] < b.c[oj]
 		})
-	}
-	r = make([]int32, 0, n)
-	c = make([]int32, 0, n)
-	v = make([]float64, 0, n)
-	for _, o := range order {
-		if k := len(r) - 1; k >= 0 && r[k] == b.r[o] && c[k] == b.c[o] {
-			v[k] += b.v[o]
-			continue
+		for _, o := range order {
+			if k := len(r) - 1; k >= 0 && r[k] == b.r[o] && c[k] == b.c[o] {
+				v[k] += b.v[o]
+				continue
+			}
+			r = append(r, b.r[o])
+			c = append(c, b.c[o])
+			v = append(v, b.v[o])
 		}
-		r = append(r, b.r[o])
-		c = append(c, b.c[o])
-		v = append(v, b.v[o])
 	}
-	// Second pass: elide entries that are (or summed to) zero.
+	// Elide entries that are (or summed to) zero.
 	w := 0
 	for k := range r {
 		if v[k] == 0 {
@@ -164,14 +246,15 @@ func (b *Builder) canonical() (r, c []int32, v []float64) {
 		r[w], c[w], v[w] = r[k], c[k], v[k]
 		w++
 	}
-	b.canonR, b.canonC, b.canonV = r[:w], c[:w], v[:w]
+	b.canonR, b.canonC, b.canonV, b.canonOK = r[:w], c[:w], v[:w], true
 	return b.canonR, b.canonC, b.canonV
 }
 
 // Build materializes the accumulated triplets in the requested format.
-// Successful materializations are cached until the next Add or Reset, so
-// re-requesting a format is allocation-free.
+// Successful materializations are cached until the next triplet, Shape or
+// Reset, so re-requesting a format is allocation-free.
 func (b *Builder) Build(f Format) (Matrix, error) {
+	b.dropStale()
 	if f >= 0 && int(f) < len(b.built) && b.built[f] != nil {
 		return b.built[f], nil
 	}

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/exec"
-	"repro/internal/parallel"
 )
 
 // COOMatrix is coordinate (triplet) storage kept row-major sorted. Its
@@ -69,16 +68,14 @@ func (m *COOMatrix) MulVecSparse(dst []float64, x Vector, scratch []float64, ex 
 		ex.End(exec.KindCOO, 0, t)
 		return
 	}
-	if p := ex.Parts(n); p == 1 {
-		m.mulRows(dst, scratch, 0, n)
-	} else {
-		ex.ForParts(p, func(w int) {
-			lo, hi := parallel.SplitRange(n, p, w)
-			m.mulRows(dst, scratch, lo, hi)
-		})
-	}
+	// Static whatever the context's schedule: one triplet range per worker.
+	ex.ForKernelStatic(n, cooMulRange, exec.Operands{M: m, Dst: dst, X: scratch})
 	x.GatherFrom(scratch)
 	ex.End(exec.KindCOO, m.StoredElements(), t)
+}
+
+func cooMulRange(o exec.Operands, lo, hi int) {
+	o.M.(*COOMatrix).mulRows(o.Dst, o.X, lo, hi)
 }
 
 // mulRows accumulates the rows that start in triplet range [lo, hi): both

@@ -66,17 +66,13 @@ func (m *CSRMatrix) RowNNZ(i int) int { return int(m.ptr[i+1] - m.ptr[i]) }
 func (m *CSRMatrix) MulVecSparse(dst []float64, x Vector, scratch []float64, ex *exec.Exec) {
 	t := ex.Begin()
 	x.ScatterInto(scratch)
-	ex.ForRange(m.rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var sum float64
-			for k := m.ptr[i]; k < m.ptr[i+1]; k++ {
-				sum += m.val[k] * scratch[m.idx[k]]
-			}
-			dst[i] = sum
-		}
-	})
+	ex.ForKernel(m.rows, csrMulRange, exec.Operands{M: m, Dst: dst, X: scratch})
 	x.GatherFrom(scratch)
 	ex.End(exec.KindCSR, m.StoredElements(), t)
+}
+
+func csrMulRange(o exec.Operands, lo, hi int) {
+	o.M.(*CSRMatrix).MulVecRange(o.Dst, o.X, lo, hi)
 }
 
 // MulVecRange computes dst[i] = (A·x)[i] for rows i in [lo, hi) only, with

@@ -55,19 +55,22 @@ func (d *Dense) RowTo(dst Vector, i int) Vector {
 func (d *Dense) MulVecSparse(dst []float64, x Vector, scratch []float64, ex *exec.Exec) {
 	t := ex.Begin()
 	x.ScatterInto(scratch)
-	cols := d.cols
-	ex.ForRange(d.rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := d.data[i*cols : (i+1)*cols]
-			var sum float64
-			for j, a := range row {
-				sum += a * scratch[j]
-			}
-			dst[i] = sum
-		}
-	})
+	ex.ForKernel(d.rows, denseMulRange, exec.Operands{M: d, Dst: dst, X: scratch})
 	x.GatherFrom(scratch)
 	ex.End(exec.KindDEN, d.StoredElements(), t)
+}
+
+func denseMulRange(o exec.Operands, lo, hi int) {
+	d, dst, scratch := o.M.(*Dense), o.Dst, o.X
+	cols := d.cols
+	for i := lo; i < hi; i++ {
+		row := d.data[i*cols : (i+1)*cols]
+		var sum float64
+		for j, a := range row {
+			sum += a * scratch[j]
+		}
+		dst[i] = sum
+	}
 }
 
 // StoredElements returns M·N per Table II.

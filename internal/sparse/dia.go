@@ -110,37 +110,40 @@ func (m *DIAMatrix) RowTo(dst Vector, i int) Vector {
 func (m *DIAMatrix) MulVecSparse(dst []float64, x Vector, scratch []float64, ex *exec.Exec) {
 	t := ex.Begin()
 	x.ScatterInto(scratch)
-	ex.ForRange(m.rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = 0
-		}
-		for d, o := range m.offsets {
-			// Rows covered by diagonal o: [max(0,−o), min(rows, cols−o)).
-			rlo, rhi := lo, hi
-			if o < 0 && rlo < -int(o) {
-				rlo = -int(o)
-			}
-			if end := m.cols - int(o); rhi > end {
-				rhi = end
-			}
-			if rlo >= rhi {
-				continue
-			}
-			lane := m.data[d*m.stride : (d+1)*m.stride]
-			if o < 0 {
-				// slot = i + o and column j = i + o coincide.
-				for i := rlo; i < rhi; i++ {
-					dst[i] += lane[i+int(o)] * scratch[i+int(o)]
-				}
-			} else {
-				for i := rlo; i < rhi; i++ {
-					dst[i] += lane[i] * scratch[i+int(o)]
-				}
-			}
-		}
-	})
+	ex.ForKernel(m.rows, diaMulRange, exec.Operands{M: m, Dst: dst, X: scratch})
 	x.GatherFrom(scratch)
 	ex.End(exec.KindDIA, m.StoredElements(), t)
+}
+
+func diaMulRange(ops exec.Operands, lo, hi int) {
+	m, dst, scratch := ops.M.(*DIAMatrix), ops.Dst, ops.X
+	for i := lo; i < hi; i++ {
+		dst[i] = 0
+	}
+	for d, o := range m.offsets {
+		// Rows covered by diagonal o: [max(0,−o), min(rows, cols−o)).
+		rlo, rhi := lo, hi
+		if o < 0 && rlo < -int(o) {
+			rlo = -int(o)
+		}
+		if end := m.cols - int(o); rhi > end {
+			rhi = end
+		}
+		if rlo >= rhi {
+			continue
+		}
+		lane := m.data[d*m.stride : (d+1)*m.stride]
+		if o < 0 {
+			// slot = i + o and column j = i + o coincide.
+			for i := rlo; i < rhi; i++ {
+				dst[i] += lane[i+int(o)] * scratch[i+int(o)]
+			}
+		} else {
+			for i := rlo; i < rhi; i++ {
+				dst[i] += lane[i] * scratch[i+int(o)]
+			}
+		}
+	}
 }
 
 // StoredElements returns ndig·(min(M,N)+1): each lane's padded data plus

@@ -78,18 +78,21 @@ func (m *ELLMatrix) RowTo(dst Vector, i int) Vector {
 func (m *ELLMatrix) MulVecSparse(dst []float64, x Vector, scratch []float64, ex *exec.Exec) {
 	t := ex.Begin()
 	x.ScatterInto(scratch)
-	ex.ForRange(m.rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			base := i * m.width
-			var sum float64
-			for s := 0; s < m.width; s++ {
-				sum += m.val[base+s] * scratch[m.idx[base+s]]
-			}
-			dst[i] = sum
-		}
-	})
+	ex.ForKernel(m.rows, ellMulRange, exec.Operands{M: m, Dst: dst, X: scratch})
 	x.GatherFrom(scratch)
 	ex.End(exec.KindELL, m.StoredElements(), t)
+}
+
+func ellMulRange(o exec.Operands, lo, hi int) {
+	m, dst, scratch := o.M.(*ELLMatrix), o.Dst, o.X
+	for i := lo; i < hi; i++ {
+		base := i * m.width
+		var sum float64
+		for s := 0; s < m.width; s++ {
+			sum += m.val[base+s] * scratch[m.idx[base+s]]
+		}
+		dst[i] = sum
+	}
 }
 
 // StoredElements returns 2·M·mdim per Table II (index and value arrays,

@@ -19,17 +19,16 @@ const csrRowBlock = 64
 func (m *CSRMatrix) MulVecSparseRowBlocked(dst []float64, x Vector, scratch []float64, ex *exec.Exec) {
 	t := ex.Begin()
 	x.ScatterInto(scratch)
-	ex.ForRange(m.rows, func(lo, hi int) {
-		for blo := lo; blo < hi; blo += csrRowBlock {
-			bhi := blo + csrRowBlock
-			if bhi > hi {
-				bhi = hi
-			}
-			m.MulVecRange(dst, scratch, blo, bhi)
-		}
-	})
+	ex.ForKernel(m.rows, csrMulRangeBlocked, exec.Operands{M: m, Dst: dst, X: scratch})
 	x.GatherFrom(scratch)
 	ex.End(exec.KindCSR, m.StoredElements(), t)
+}
+
+func csrMulRangeBlocked(o exec.Operands, lo, hi int) {
+	m := o.M.(*CSRMatrix)
+	for blo := lo; blo < hi; blo += csrRowBlock {
+		m.MulVecRange(o.Dst, o.X, blo, min(blo+csrRowBlock, hi))
+	}
 }
 
 // MulVecSparseBranchFree is the branch-free ELL SMSV kernel: each row's
@@ -38,20 +37,23 @@ func (m *CSRMatrix) MulVecSparseRowBlocked(dst []float64, x Vector, scratch []fl
 func (m *ELLMatrix) MulVecSparseBranchFree(dst []float64, x Vector, scratch []float64, ex *exec.Exec) {
 	t := ex.Begin()
 	x.ScatterInto(scratch)
-	w := m.width
-	ex.ForRange(m.rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			vals := m.val[i*w : (i+1)*w]
-			idxs := m.idx[i*w : (i+1)*w]
-			var sum float64
-			for s, v := range vals {
-				sum += v * scratch[idxs[s]]
-			}
-			dst[i] = sum
-		}
-	})
+	ex.ForKernel(m.rows, ellMulRangeBranchFree, exec.Operands{M: m, Dst: dst, X: scratch})
 	x.GatherFrom(scratch)
 	ex.End(exec.KindELL, m.StoredElements(), t)
+}
+
+func ellMulRangeBranchFree(o exec.Operands, lo, hi int) {
+	m, dst, scratch := o.M.(*ELLMatrix), o.Dst, o.X
+	w := m.width
+	for i := lo; i < hi; i++ {
+		vals := m.val[i*w : (i+1)*w]
+		idxs := m.idx[i*w : (i+1)*w]
+		var sum float64
+		for s, v := range vals {
+			sum += v * scratch[idxs[s]]
+		}
+		dst[i] = sum
+	}
 }
 
 // RunPair executes one pair unit — dst1 = A·x1 and dst2 = A·x2 — under the

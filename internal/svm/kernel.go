@@ -107,19 +107,50 @@ func (p KernelParams) FromDot(dot, normSqI, normSqJ float64) float64 {
 	}
 }
 
-// transformRow applies the pointwise Table I transform in place under ex:
-// on entry dst[i] is the raw dot product X_r·X_i of some row r with row i,
-// on return K(X_r, X_i); normSq[i] and nr are ‖X_i‖² and ‖X_r‖². Linear is
-// the identity and dispatches nothing.
-func (p KernelParams) transformRow(ex *exec.Exec, dst, normSq []float64, nr float64) {
+// rowTransform applies the pointwise Table I transform to kernel rows. A
+// solver makes one and keeps it: the loop body is bound once and reads its
+// operands from the struct, so transforming a row allocates nothing.
+type rowTransform struct {
+	p      KernelParams
+	dst    []float64
+	normSq []float64
+	nr     float64
+	body   func(lo, hi int)
+}
+
+// newRowTransform returns nil for the linear kernel, whose transform is the
+// identity: apply on nil does nothing.
+func newRowTransform(p KernelParams) *rowTransform {
 	if p.Type == Linear {
+		return nil
+	}
+	t := &rowTransform{p: p}
+	t.body = t.rows
+	return t
+}
+
+// apply transforms dst in place under ex: on entry dst[i] is the raw dot
+// product X_r·X_i of some row r with row i, on return K(X_r, X_i); normSq[i]
+// and nr are ‖X_i‖² and ‖X_r‖², read by the Gaussian kernel alone — normSq
+// may be nil for the others.
+func (t *rowTransform) apply(ex *exec.Exec, dst, normSq []float64, nr float64) {
+	if t == nil {
 		return
 	}
-	ex.ForRange(len(dst), func(lo, hi int) {
+	t.dst, t.normSq, t.nr = dst, normSq, nr
+	ex.ForRange(len(dst), t.body)
+}
+
+func (t *rowTransform) rows(lo, hi int) {
+	if t.normSq == nil {
 		for i := lo; i < hi; i++ {
-			dst[i] = p.FromDot(dst[i], normSq[i], nr)
+			t.dst[i] = t.p.FromDot(t.dst[i], 0, 0)
 		}
-	})
+		return
+	}
+	for i := lo; i < hi; i++ {
+		t.dst[i] = t.p.FromDot(t.dst[i], t.normSq[i], t.nr)
+	}
 }
 
 // Eval computes K(v, w) directly from two sparse vectors.

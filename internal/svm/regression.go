@@ -71,7 +71,7 @@ func (m *RegressionModel) MSE(x sparse.Matrix, y []float64) float64 {
 // TrainRegression runs SMO ε-SVR on x with real-valued targets y.
 func TrainRegression(x sparse.Matrix, y []float64, cfg RegressionConfig) (*RegressionModel, Stats, error) {
 	start := time.Now()
-	rows, cols := x.Dims()
+	rows, _ := x.Dims()
 	if len(y) != rows {
 		return nil, Stats{}, fmt.Errorf("svm: %d targets for %d rows", len(y), rows)
 	}
@@ -95,14 +95,25 @@ func TrainRegression(x sparse.Matrix, y []float64, cfg RegressionConfig) (*Regre
 	if cfg.Tol <= 0 {
 		cfg.Tol = 1e-3
 	}
-	n2 := 2 * rows
 	if cfg.MaxIter <= 0 {
 		// ε-SVR needs far more SMO iterations than classification: with a
 		// tight tube most points sit near a boundary, so progress per
 		// two-variable step is small.
-		cfg.MaxIter = 200*n2 + 10000
+		cfg.MaxIter = 200*2*rows + 10000
 	}
+	s := newSVRSolver(x, y, cfg)
+	stats := s.run()
+	stats.TotalTime = time.Since(start)
+	model := s.buildModel()
+	stats.NumSV = len(model.SVs)
+	return model, stats, nil
+}
 
+// newSVRSolver sets up the extended problem at β = 0 for validated inputs
+// and a cfg with its defaults filled in.
+func newSVRSolver(x sparse.Matrix, y []float64, cfg RegressionConfig) *svrSolver {
+	rows, cols := x.Dims()
+	n2 := 2 * rows
 	s := &svrSolver{
 		x:       x,
 		cfg:     cfg,
@@ -113,8 +124,10 @@ func TrainRegression(x sparse.Matrix, y []float64, cfg RegressionConfig) (*Regre
 		kHigh:   make([]float64, rows),
 		kLow:    make([]float64, rows),
 		scratch: make([]float64, cols),
-		normSq:  rowNorms(x),
 		cache:   newRowCache(cfg.CacheRows),
+	}
+	if needsNorms(cfg.Kernel) {
+		s.normSq = rowNorms(x)
 	}
 	// f is the Keerthi-transformed gradient f_e = y_e·(Q̄β + p)_e; at β = 0
 	// that is y_e·p_e: +(ε − yᵢ) on the α half, −(ε + yᵢ) on the α* half.
@@ -124,11 +137,7 @@ func TrainRegression(x sparse.Matrix, y []float64, cfg RegressionConfig) (*Regre
 		s.f[i] = cfg.Epsilon - y[i]
 		s.f[rows+i] = -(cfg.Epsilon + y[i])
 	}
-	stats := s.run()
-	stats.TotalTime = time.Since(start)
-	model := s.buildModel()
-	stats.NumSV = len(model.SVs)
-	return model, stats, nil
+	return s
 }
 
 // svrSolver runs SMO on the 2n-variable extended problem. Extended index
@@ -145,11 +154,18 @@ type svrSolver struct {
 	kHigh   []float64 // K(X_{high%n}, ·), length n
 	kLow    []float64
 	scratch []float64
-	normSq  []float64
+	normSq  []float64 // ‖X_i‖², nil unless the kernel reads it
 	bHigh   float64
 	bLow    float64
 	rowBuf  sparse.Vector
 	cache   *rowCache
+
+	// Per-iteration loop state, bound by run: see solver.
+	scan     sweep
+	xform    *rowTransform
+	ch, cl   float64
+	selectFn func(w int)
+	updateFn func(lo, hi int)
 }
 
 func (s *svrSolver) inHigh(e int) bool {
@@ -167,25 +183,49 @@ func (s *svrSolver) kernelRow(dst []float64, sample int) {
 		copy(dst, cached)
 		return
 	}
-	defer func() { s.cache.put(sample, dst) }()
 	s.rowBuf = s.x.RowTo(s.rowBuf, sample)
 	s.x.MulVecSparse(dst, s.rowBuf, s.scratch, s.cfg.Exec)
-	s.cfg.Kernel.transformRow(s.cfg.Exec, dst, s.normSq, s.normSq[sample])
+	s.xform.apply(s.cfg.Exec, dst, s.normSq, normAt(s.normSq, sample))
+	s.cache.put(sample, dst)
 }
 
 func (s *svrSolver) selectWorkingSet() (high, low int, ok bool) {
-	n2 := 2 * s.n
-	mn := s.cfg.Exec.ArgMin(n2, s.inHigh, func(e int) float64 { return s.f[e] })
-	mx := s.cfg.Exec.ArgMax(n2, s.inLow, func(e int) float64 { return s.f[e] })
-	if mn.Index < 0 || mx.Index < 0 {
+	b := s.scan.run(2*s.n, s.selectFn)
+	if b.minIdx < 0 || b.maxIdx < 0 {
 		return 0, 0, false
 	}
-	s.bHigh, s.bLow = mn.Value, mx.Value
-	return mn.Index, mx.Index, true
+	s.bHigh, s.bLow = b.minVal, b.maxVal
+	return b.minIdx, b.maxIdx, true
+}
+
+func (s *svrSolver) selectPart(w int) {
+	lo, hi := s.scan.span(w)
+	b := noBest
+	for e := lo; e < hi; e++ {
+		b.offer(e, s.f[e], s.inHigh(e), s.inLow(e))
+	}
+	s.scan.partial[w] = b
+}
+
+// updateRange applies Δf to samples [lo, hi). Δf_e = y_e·ΔG_e with ΔG_e =
+// y_e·(y_h·K(e%n,h%n)·Δβ_h + y_l·K(e%n,l%n)·Δβ_l): the y_e² cancels, so BOTH
+// halves of the extended vector receive the same delta, and one base kernel
+// row serves them both.
+func (s *svrSolver) updateRange(lo, hi int) {
+	ch, cl, n := s.ch, s.cl, s.n
+	for i := lo; i < hi; i++ {
+		delta := ch*s.kHigh[i] + cl*s.kLow[i]
+		s.f[i] += delta
+		s.f[n+i] += delta
+	}
 }
 
 func (s *svrSolver) run() Stats {
 	var st Stats
+	// Bound once per run: a method value made per iteration is a heap
+	// object per iteration.
+	s.scan.ex, s.xform = s.cfg.Exec, newRowTransform(s.cfg.Kernel)
+	s.selectFn, s.updateFn = s.selectPart, s.updateRange
 	high, low, ok := s.selectWorkingSet()
 	if !ok {
 		return st
@@ -216,20 +256,9 @@ func (s *svrSolver) run() Stats {
 			}
 			continue
 		}
-		// Δf_e = y_e·ΔG_e with ΔG_e = y_e·(y_h·K(e%n,h%n)·Δβ_h +
-		// y_l·K(e%n,l%n)·Δβ_l): the y_e² cancels, so BOTH halves of the
-		// extended vector receive the same delta, and one base kernel row
-		// serves them both.
-		ch := dh * yh
-		cl := dl * yl
-		n := s.n
-		s.cfg.Exec.ForRange(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				delta := ch*s.kHigh[i] + cl*s.kLow[i]
-				s.f[i] += delta
-				s.f[n+i] += delta
-			}
-		})
+		s.ch = dh * yh
+		s.cl = dl * yl
+		s.cfg.Exec.ForElements(s.n, s.updateFn)
 		if high, low, ok = s.selectWorkingSet(); !ok {
 			break
 		}
@@ -242,14 +271,7 @@ func (s *svrSolver) buildModel() *RegressionModel {
 		Kernel: s.cfg.Kernel,
 		B:      -(s.bHigh + s.bLow) / 2,
 	}
-	var v sparse.Vector
-	for i := 0; i < s.n; i++ {
-		coef := s.alpha[i] - s.alpha[s.n+i] // αᵢ − αᵢ*
-		if coef != 0 {
-			v = s.x.RowTo(v, i)
-			m.SVs = append(m.SVs, v.Clone())
-			m.Coef = append(m.Coef, coef)
-		}
-	}
+	// αᵢ − αᵢ* per sample.
+	m.SVs, m.Coef = supportVectors(s.x, s.n, func(i int) float64 { return s.alpha[i] - s.alpha[s.n+i] })
 	return m
 }

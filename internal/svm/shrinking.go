@@ -18,6 +18,7 @@ import (
 // plain loop.
 func (s *solver) runShrinking() Stats {
 	a := &shrinkSolver{solver: s}
+	a.selectActiveFn, a.updateActiveFn = a.selectActivePart, a.updateActiveRange
 	a.unshrink()
 	return a.run()
 }
@@ -29,7 +30,11 @@ type shrinkSolver struct {
 	*solver
 	active  []int         // original indices of active rows, ascending
 	subX    sparse.Matrix // the active rows of x (x itself when all are active)
-	subNorm []float64     // normSq of the active rows, by active position
+	subNorm []float64     // normSq of the active rows, by active position; nil with normSq
+
+	// The active-set loop bodies, bound once like the base solver's.
+	selectActiveFn func(w int)
+	updateActiveFn func(lo, hi int)
 }
 
 // shrinkPeriod is how many iterations run between shrink attempts,
@@ -111,6 +116,9 @@ func (s *shrinkSolver) rebuildSub() {
 		return
 	}
 	s.subX = sub
+	if s.normSq == nil {
+		return
+	}
 	s.subNorm = make([]float64, len(s.active))
 	for k, orig := range s.active {
 		s.subNorm[k] = s.normSq[orig]
@@ -133,25 +141,37 @@ func (s *shrinkSolver) kernelRowsActive(high, low int) {
 		sparse.PairMulVecSparse(s.subX, kH, kL, s.rowBufH, s.rowBufL,
 			s.scratch, s.scratch2, s.cfg.Exec)
 	}
-	s.cfg.Kernel.transformRow(s.cfg.Exec, kH, s.subNorm, s.normSq[high])
-	s.cfg.Kernel.transformRow(s.cfg.Exec, kL, s.subNorm, s.normSq[low])
+	s.xform.apply(s.cfg.Exec, kH, s.subNorm, normAt(s.normSq, high))
+	s.xform.apply(s.cfg.Exec, kL, s.subNorm, normAt(s.normSq, low))
 }
 
 // selectActive picks the working set over active positions, returning
 // original indices and their active positions.
 func (s *shrinkSolver) selectActive() (high, low, hPos, lPos int, ok bool) {
-	nAct := len(s.active)
-	mn := s.cfg.Exec.ArgMin(nAct,
-		func(k int) bool { return s.inHigh(s.active[k]) },
-		func(k int) float64 { return s.f[s.active[k]] })
-	mx := s.cfg.Exec.ArgMax(nAct,
-		func(k int) bool { return s.inLow(s.active[k]) },
-		func(k int) float64 { return s.f[s.active[k]] })
-	if mn.Index < 0 || mx.Index < 0 {
+	b := s.scan.run(len(s.active), s.selectActiveFn)
+	if b.minIdx < 0 || b.maxIdx < 0 {
 		return 0, 0, 0, 0, false
 	}
-	s.bHigh, s.bLow = mn.Value, mx.Value
-	return s.active[mn.Index], s.active[mx.Index], mn.Index, mx.Index, true
+	s.bHigh, s.bLow = b.minVal, b.maxVal
+	return s.active[b.minIdx], s.active[b.maxIdx], b.minIdx, b.maxIdx, true
+}
+
+func (s *shrinkSolver) selectActivePart(w int) {
+	lo, hi := s.scan.span(w)
+	b := noBest
+	for k := lo; k < hi; k++ {
+		i := s.active[k]
+		b.offer(k, s.f[i], s.inHigh(i), s.inLow(i))
+	}
+	s.scan.partial[w] = b
+}
+
+// updateActiveRange applies step 5 to the active rows at positions [lo, hi).
+func (s *shrinkSolver) updateActiveRange(lo, hi int) {
+	ch, cl := s.ch, s.cl
+	for k := lo; k < hi; k++ {
+		s.f[s.active[k]] += ch*s.kHigh[k] + cl*s.kLow[k]
+	}
 }
 
 // reconstructF recomputes f for every row from the support vectors:
@@ -163,15 +183,14 @@ func (s *shrinkSolver) reconstructF() {
 	for i := 0; i < n; i++ {
 		s.f[i] = -s.y[i]
 	}
-	row := make([]float64, n)
-	var v sparse.Vector
+	row := s.kHigh // free until the next iteration recomputes it
 	for j := 0; j < n; j++ {
 		if s.alpha[j] == 0 {
 			continue
 		}
-		v = s.x.RowTo(v, j)
-		s.x.MulVecSparse(row, v, s.scratch, s.cfg.Exec)
-		s.cfg.Kernel.transformRow(s.cfg.Exec, row, s.normSq, s.normSq[j])
+		s.rowBufH = s.x.RowTo(s.rowBufH, j)
+		s.x.MulVecSparse(row, s.rowBufH, s.scratch, s.cfg.Exec)
+		s.xform.apply(s.cfg.Exec, row, s.normSq, normAt(s.normSq, j))
 		coef := s.alpha[j] * s.y[j]
 		for i := 0; i < n; i++ {
 			s.f[i] += coef * row[i]
@@ -213,14 +232,9 @@ func (s *shrinkSolver) run() Stats {
 		dh, dl := s.step(high, low, hPos, lPos)
 		st.Iterations++
 		if dh != 0 || dl != 0 {
-			chc := dh * s.y[high]
-			clc := dl * s.y[low]
-			nAct := len(s.active)
-			s.cfg.Exec.ForRange(nAct, func(lo, hi int) {
-				for k := lo; k < hi; k++ {
-					s.f[s.active[k]] += chc*s.kHigh[k] + clc*s.kLow[k]
-				}
-			})
+			s.ch = dh * s.y[high]
+			s.cl = dl * s.y[low]
+			s.cfg.Exec.ForElements(len(s.active), s.updateActiveFn)
 		}
 		sinceShrink++
 		if sinceShrink >= s.shrinkPeriod() {

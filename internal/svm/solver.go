@@ -137,8 +137,15 @@ func newSolver(x sparse.Matrix, y []float64, cfg Config) *solver {
 		kLow:     make([]float64, rows),
 		scratch:  make([]float64, cols),
 		scratch2: make([]float64, cols),
-		normSq:   rowNorms(x),
 		cache:    newRowCache(cfg.CacheRows),
+		scan:     sweep{ex: cfg.Exec},
+		xform:    newRowTransform(cfg.Kernel),
+	}
+	// The loop bodies are bound once: a method value or closure made per
+	// iteration is a heap object per iteration.
+	s.fusedFn, s.selectFn, s.pickFn, s.updateFn = s.fusedPart, s.selectPart, s.pickPart, s.updateRange
+	if needsNorms(cfg.Kernel) || cfg.SecondOrder {
+		s.normSq = rowNorms(x)
 	}
 	for i := range s.f {
 		s.f[i] = -y[i] // step 2 of Algorithm 1
@@ -162,7 +169,7 @@ type solver struct {
 	kLow     []float64
 	scratch  []float64
 	scratch2 []float64 // second workspace for the paired two-row SMSV
-	normSq   []float64
+	normSq   []float64 // ‖X_i‖², nil unless the kernel or SecondOrder reads it
 	bHigh    float64
 	bLow     float64
 
@@ -171,6 +178,80 @@ type solver struct {
 
 	cache *rowCache // optional kernel-row LRU
 	diag  []float64 // K(X_i, X_i), precomputed for second-order selection
+
+	// Per-iteration loop state, so that an iteration allocates nothing: the
+	// reduction workspace, the update coefficients Δα·y the bodies read,
+	// and the bodies themselves.
+	scan     sweep
+	xform    *rowTransform
+	ch, cl   float64
+	kHH      float64 // K(X_high, X_high) of the second-order pick
+	fusedFn  func(w int)
+	selectFn func(w int)
+	pickFn   func(w int)
+	updateFn func(lo, hi int)
+}
+
+// best is what one part of a selection sweep, or the whole sweep, found:
+// the minimum of its key over the candidates for high and the maximum over
+// the candidates for low, each with the smallest index among ties.
+type best struct {
+	minIdx, maxIdx int
+	minVal, maxVal float64
+}
+
+// noBest is a scan that has seen no candidate yet.
+var noBest = best{minIdx: -1, maxIdx: -1}
+
+// offer considers key v at index idx: for the minimum when it is a candidate
+// for high, for the maximum when it is one for low. Only a strictly better
+// value replaces, so an ascending scan keeps the smallest index among ties.
+func (b *best) offer(idx int, v float64, high, low bool) {
+	if high && (b.minIdx < 0 || v < b.minVal) {
+		b.minIdx, b.minVal = idx, v
+	}
+	if low && (b.maxIdx < 0 || v > b.maxVal) {
+		b.maxIdx, b.maxVal = idx, v
+	}
+}
+
+// sweep is a solver's reusable parallel reduction over [0, n): one static
+// partition, one best per part, merged in ascending part order and replaced
+// only on a strictly better value — the serial scan's answer whatever the
+// partition, which is what keeps results bit-identical across worker counts.
+type sweep struct {
+	ex      *exec.Exec
+	n, p    int
+	partial []best
+}
+
+// run calls body(w) once per part of [0, n); body scans span(w) and stores
+// what it found in partial[w].
+func (r *sweep) run(n int, body func(w int)) best {
+	r.n, r.p = n, r.ex.ElementParts(n)
+	if cap(r.partial) < r.p {
+		r.partial = make([]best, r.p)
+	}
+	r.ex.ForParts(r.p, body)
+	out := noBest
+	for _, b := range r.partial[:r.p] {
+		out.offer(b.minIdx, b.minVal, b.minIdx >= 0, false)
+		out.offer(b.maxIdx, b.maxVal, false, b.maxIdx >= 0)
+	}
+	return out
+}
+
+func (r *sweep) span(w int) (lo, hi int) { return parallel.SplitRange(r.n, r.p, w) }
+
+// needsNorms reports whether the kernel's Table I transform reads ‖X_i‖².
+func needsNorms(k KernelParams) bool { return k.Type == Gaussian }
+
+// normAt returns ‖X_i‖², or 0 when nothing reads the norms and normSq is nil.
+func normAt(normSq []float64, i int) float64 {
+	if normSq == nil {
+		return 0
+	}
+	return normSq[i]
 }
 
 // rowNorms precomputes ‖X_i‖² for the Gaussian kernel.
@@ -203,9 +284,9 @@ func (s *solver) kernelRow(dst []float64, row sparse.Vector, r int) {
 		copy(dst, cached)
 		return
 	}
-	defer func() { s.cache.put(r, dst) }()
 	s.x.MulVecSparse(dst, row, s.scratch, s.cfg.Exec)
-	s.cfg.Kernel.transformRow(s.cfg.Exec, dst, s.normSq, s.normSq[r])
+	s.xform.apply(s.cfg.Exec, dst, s.normSq, normAt(s.normSq, r))
+	s.cache.put(r, dst)
 }
 
 // kernelRows fills kHigh and kLow for the working-set pair. When neither
@@ -237,8 +318,8 @@ func (s *solver) kernelRows(sel selection) {
 		}
 		sparse.PairMulVecSparse(s.x, s.kHigh, s.kLow, s.rowBufH, s.rowBufL,
 			s.scratch, s.scratch2, s.cfg.Exec)
-		s.cfg.Kernel.transformRow(s.cfg.Exec, s.kHigh, s.normSq, s.normSq[sel.high])
-		s.cfg.Kernel.transformRow(s.cfg.Exec, s.kLow, s.normSq, s.normSq[sel.low])
+		s.xform.apply(s.cfg.Exec, s.kHigh, s.normSq, normAt(s.normSq, sel.high))
+		s.xform.apply(s.cfg.Exec, s.kLow, s.normSq, normAt(s.normSq, sel.low))
 		s.cache.put(sel.high, s.kHigh)
 		s.cache.put(sel.low, s.kLow)
 	}
@@ -252,69 +333,60 @@ type selection struct {
 // selectWorkingSet finds high = argmin f over I_high and low = argmax f
 // over I_low, setting bHigh/bLow (steps 6–10 of Algorithm 1).
 func (s *solver) selectWorkingSet() (selection, bool) {
-	n := len(s.f)
-	mn := s.cfg.Exec.ArgMin(n, s.inHigh, func(i int) float64 { return s.f[i] })
-	mx := s.cfg.Exec.ArgMax(n, s.inLow, func(i int) float64 { return s.f[i] })
-	if mn.Index < 0 || mx.Index < 0 {
+	return s.selected(s.scan.run(len(s.f), s.selectFn))
+}
+
+// selected adopts a sweep's result as the next working set.
+func (s *solver) selected(b best) (selection, bool) {
+	if b.minIdx < 0 || b.maxIdx < 0 {
 		return selection{}, false
 	}
-	s.bHigh, s.bLow = mn.Value, mx.Value
-	return selection{high: mn.Index, low: mx.Index}, true
+	s.bHigh, s.bLow = b.minVal, b.maxVal
+	return selection{high: b.minIdx, low: b.maxIdx}, true
+}
+
+func (s *solver) selectPart(w int) {
+	lo, hi := s.scan.span(w)
+	b := noBest
+	for i := lo; i < hi; i++ {
+		b.offer(i, s.f[i], s.inHigh(i), s.inLow(i))
+	}
+	s.scan.partial[w] = b
 }
 
 // updateF applies step 5: f_i += Δα_high·y_high·K_high,i + Δα_low·y_low·K_low,i.
 // In fused mode it also performs the next working-set reductions in the
 // same pass, saving one sweep over f per iteration.
 func (s *solver) updateF(dh, dl float64, sel selection) (selection, bool) {
-	ch := dh * s.y[sel.high]
-	cl := dl * s.y[sel.low]
-	n := len(s.f)
+	s.ch = dh * s.y[sel.high]
+	s.cl = dl * s.y[sel.low]
 	if s.cfg.Unfused {
-		s.cfg.Exec.ForRange(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s.f[i] += ch*s.kHigh[i] + cl*s.kLow[i]
-			}
-		})
+		s.cfg.Exec.ForElements(len(s.f), s.updateFn)
 		return s.selectWorkingSet()
 	}
-	p := s.cfg.Exec.Parts(n)
-	type best struct {
-		minIdx, maxIdx int
-		minVal, maxVal float64
+	return s.selected(s.scan.run(len(s.f), s.fusedFn))
+}
+
+func (s *solver) updateRange(lo, hi int) {
+	ch, cl := s.ch, s.cl
+	for i := lo; i < hi; i++ {
+		s.f[i] += ch*s.kHigh[i] + cl*s.kLow[i]
 	}
-	partial := make([]best, p)
-	s.cfg.Exec.ForParts(p, func(w int) {
-		lo, hi := parallel.SplitRange(n, p, w)
-		b := best{minIdx: -1, maxIdx: -1}
-		for i := lo; i < hi; i++ {
-			// Parenthesized to match the unfused `f[i] += ch*kH + cl*kL`
-			// association bit-for-bit, keeping both modes on the same
-			// optimization trajectory.
-			fi := s.f[i] + (ch*s.kHigh[i] + cl*s.kLow[i])
-			s.f[i] = fi
-			if s.inHigh(i) && (b.minIdx < 0 || fi < b.minVal) {
-				b.minIdx, b.minVal = i, fi
-			}
-			if s.inLow(i) && (b.maxIdx < 0 || fi > b.maxVal) {
-				b.maxIdx, b.maxVal = i, fi
-			}
-		}
-		partial[w] = b
-	})
-	out := best{minIdx: -1, maxIdx: -1}
-	for _, b := range partial {
-		if b.minIdx >= 0 && (out.minIdx < 0 || b.minVal < out.minVal) {
-			out.minIdx, out.minVal = b.minIdx, b.minVal
-		}
-		if b.maxIdx >= 0 && (out.maxIdx < 0 || b.maxVal > out.maxVal) {
-			out.maxIdx, out.maxVal = b.maxIdx, b.maxVal
-		}
+}
+
+func (s *solver) fusedPart(w int) {
+	lo, hi := s.scan.span(w)
+	ch, cl := s.ch, s.cl
+	b := noBest
+	for i := lo; i < hi; i++ {
+		// Parenthesized to match updateRange's `f[i] += ch*kH + cl*kL`
+		// association bit-for-bit, keeping both modes on the same
+		// optimization trajectory.
+		fi := s.f[i] + (ch*s.kHigh[i] + cl*s.kLow[i])
+		s.f[i] = fi
+		b.offer(i, fi, s.inHigh(i), s.inLow(i))
 	}
-	if out.minIdx < 0 || out.maxIdx < 0 {
-		return selection{}, false
-	}
-	s.bHigh, s.bLow = out.minVal, out.maxVal
-	return selection{high: out.minIdx, low: out.maxIdx}, true
+	s.scan.partial[w] = b
 }
 
 // pairStep is the analytic two-variable update: the unclipped Equation (5)
@@ -402,37 +474,25 @@ func (s *solver) runSecondOrder() Stats {
 	var st Stats
 	n := len(s.f)
 	for ; st.Iterations < s.cfg.MaxIter; st.Iterations++ {
-		mn := s.cfg.Exec.ArgMin(n, s.inHigh, func(i int) float64 { return s.f[i] })
-		mx := s.cfg.Exec.ArgMax(n, s.inLow, func(i int) float64 { return s.f[i] })
-		if mn.Index < 0 || mx.Index < 0 {
+		sel, ok := s.selectWorkingSet()
+		if !ok {
 			break
 		}
-		s.bHigh, s.bLow = mn.Value, mx.Value
 		if s.bLow <= s.bHigh+2*s.cfg.Tol {
 			st.Converged = true
 			break
 		}
-		high := mn.Index
+		high := sel.high
 		t0 := time.Now()
 		s.rowBufH = s.x.RowTo(s.rowBufH, high)
 		s.kernelRow(s.kHigh, s.rowBufH, high)
 		st.KernelTime += time.Since(t0)
 		// Second-order low: maximize (f_i − b_high)² / η_i over violators.
-		kHH := s.kHigh[high]
-		pick := s.cfg.Exec.ArgMax(n,
-			func(i int) bool { return s.inLow(i) && s.f[i] > s.bHigh },
-			func(i int) float64 {
-				d := s.f[i] - s.bHigh
-				eta := kHH + s.diag[i] - 2*s.kHigh[i]
-				if eta <= 0 {
-					eta = 1e-12
-				}
-				return d * d / eta
-			})
-		if pick.Index < 0 {
+		s.kHH = s.kHigh[high]
+		low := s.scan.run(n, s.pickFn).maxIdx
+		if low < 0 {
 			break
 		}
-		low := pick.Index
 		t0 = time.Now()
 		s.rowBufL = s.x.RowTo(s.rowBufL, low)
 		s.kernelRow(s.kLow, s.rowBufL, low)
@@ -443,15 +503,30 @@ func (s *solver) runSecondOrder() Stats {
 		if dh == 0 && dl == 0 {
 			continue
 		}
-		ch := dh * s.y[high]
-		cl := dl * s.y[low]
-		s.cfg.Exec.ForRange(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s.f[i] += ch*s.kHigh[i] + cl*s.kLow[i]
-			}
-		})
+		s.ch = dh * s.y[high]
+		s.cl = dl * s.y[low]
+		s.cfg.Exec.ForElements(n, s.updateFn)
 	}
 	return st
+}
+
+// pickPart scans one part for the second-order low: the violator of I_low
+// with the largest guaranteed dual decrease against the chosen high.
+func (s *solver) pickPart(w int) {
+	lo, hi := s.scan.span(w)
+	b := noBest
+	for i := lo; i < hi; i++ {
+		if !s.inLow(i) || !(s.f[i] > s.bHigh) {
+			continue
+		}
+		d := s.f[i] - s.bHigh
+		eta := s.kHH + s.diag[i] - 2*s.kHigh[i]
+		if eta <= 0 {
+			eta = 1e-12
+		}
+		b.offer(i, d*d/eta, false, true)
+	}
+	s.scan.partial[w] = b
 }
 
 // objective evaluates the dual objective of Equation (1) in O(n) using the
@@ -470,13 +545,40 @@ func (s *solver) buildModel() *Model {
 		Kernel: s.cfg.Kernel,
 		B:      (s.bHigh + s.bLow) / 2,
 	}
+	m.SVs, m.Coef = supportVectors(s.x, len(s.alpha), func(i int) float64 { return s.alpha[i] * s.y[i] })
+	return m
+}
+
+// supportVectors collects the rows of x whose coefficient coef(i) is
+// non-zero, with those coefficients. All the vectors share one index arena
+// and one value arena, sized by a first pass, so a model costs a fixed number
+// of allocations however many support vectors it has.
+func supportVectors(x sparse.Matrix, rows int, coef func(i int) float64) ([]sparse.Vector, []float64) {
 	var v sparse.Vector
-	for i, a := range s.alpha {
-		if a > 0 {
-			v = s.x.RowTo(v, i)
-			m.SVs = append(m.SVs, v.Clone())
-			m.Coef = append(m.Coef, a*s.y[i])
+	count, nnz := 0, 0
+	for i := 0; i < rows; i++ {
+		if coef(i) != 0 {
+			v = x.RowTo(v, i)
+			count++
+			nnz += len(v.Index)
 		}
 	}
-	return m
+	if count == 0 {
+		return nil, nil
+	}
+	svs, coefs := make([]sparse.Vector, 0, count), make([]float64, 0, count)
+	index, value := make([]int32, 0, nnz), make([]float64, 0, nnz)
+	for i := 0; i < rows; i++ {
+		c := coef(i)
+		if c == 0 {
+			continue
+		}
+		// RowTo appends in place: the arenas have room for every row.
+		at := len(index)
+		v = x.RowTo(sparse.Vector{Index: index[at:], Value: value[at:]}, i)
+		index, value = index[:at+len(v.Index)], value[:at+len(v.Value)]
+		v.Index, v.Value = v.Index[:len(v.Index):len(v.Index)], v.Value[:len(v.Value):len(v.Value)]
+		svs, coefs = append(svs, v), append(coefs, c)
+	}
+	return svs, coefs
 }

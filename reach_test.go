@@ -93,8 +93,6 @@ var reachAllow = map[string]string{
 
 	"internal/sparse/hyb.go": pending6a,
 
-	"internal/dataset/scale.go":                    pendingNext,
-	"internal/dataset/split.go":                    pendingNext,
 	"internal/dataset.RelErr":                      pendingNext,
 	"internal/dataset.BalancedLabels":              pendingNext,
 	"internal/bench.Table.Addf":                    pendingNext,
@@ -116,7 +114,6 @@ var reachAllow = map[string]string{
 	"internal/dnn.Network.ZeroGrads":               pendingNext,
 	"internal/dnn.Network.NumParams":               pendingNext,
 	"internal/dnn.MLP":                             pendingNext,
-	"internal/exec.Exec.Sched":                     pendingNext,
 	"internal/exec.Exec.Stats":                     pendingNext,
 	"internal/exec.Stats.Reset":                    pendingNext,
 	"internal/fault.Disable":                       pendingNext,
