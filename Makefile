@@ -53,6 +53,7 @@ chaos:
 # encoding/json; their seed corpora also run as plain tests in `make test`.
 fuzz:
 	$(GO) test -fuzz '^FuzzParseLIBSVM$$' -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -fuzz '^FuzzTripletFeatures$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -fuzz '^FuzzScheduleRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -fuzz '^FuzzScheduleEnvelope$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -fuzz '^FuzzSpGEMM$$' -fuzztime $(FUZZTIME) ./internal/spgemm

@@ -137,9 +137,9 @@ func BenchmarkTable6Adaptive(b *testing.B) {
 // BenchmarkPredictVsMeasure quantifies what the trained predictor buys on a
 // cache miss: a full measurement-based Choose (hybrid policy) against the
 // predict policy's model inference, plus the bare forest inference with no
-// matrix handling at all. The predict-policy decision still builds CSR,
-// extracts features, and materializes the chosen format — only the timed
-// kernel measurements disappear.
+// matrix handling at all. The predict-policy decision still reads the
+// features off the builder and materializes the chosen format — only the
+// timed kernel measurements disappear.
 func BenchmarkPredictVsMeasure(b *testing.B) {
 	ex := exec.Serial()
 	labeled, err := learn.MeasureAll(context.Background(), learn.SyntheticCorpus(20, benchSeed), ex, benchSeed)
@@ -439,7 +439,7 @@ func BenchmarkAblationPairedSMSV(b *testing.B) {
 	})
 	b.Run("fused-pair", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sparse.PairMulVecSparse(m, d1, d2, xs[0], xs[1], s1, s2, nil)
+			sparse.Candidate{Format: sparse.CSR, Variant: sparse.VariantFused}.RunPair(m, d1, d2, xs[0], xs[1], s1, s2, nil)
 		}
 	})
 }
@@ -517,7 +517,7 @@ func (r *smoReplay) rowTo() {
 }
 
 func (r *smoReplay) pair() {
-	sparse.PairMulVecSparse(r.m, r.kHigh, r.kLow, r.rowH, r.rowL, r.s1, r.s2, r.ex)
+	sparse.Candidate{Format: r.m.Format(), Variant: sparse.VariantFused}.RunPair(r.m, r.kHigh, r.kLow, r.rowH, r.rowL, r.s1, r.s2, r.ex)
 }
 
 // update applies a step too small to move any f_i off its value by more
@@ -575,6 +575,76 @@ func BenchmarkSMOIteration(b *testing.B) {
 				})
 			}
 			ex.Close()
+		}
+	}
+}
+
+// freshBuilder copies m's entries into a builder with nothing cached, the
+// way the gated svm_train job receives its dataset: sparse.Builder memoizes
+// every Build, so a reused builder would time a cache lookup.
+func freshBuilder(m sparse.Matrix) *sparse.Builder {
+	rows, cols := m.Dims()
+	b := sparse.NewBuilder(rows, cols)
+	var row sparse.Vector
+	for i := 0; i < rows; i++ {
+		row = m.RowTo(row, i)
+		b.AddRow(i, row)
+	}
+	return b
+}
+
+// BenchmarkChoose prices one scheduling decision per Table V clone of the
+// gated svm_train workload and per rung of the ladder that can answer it: a
+// hybrid measurement, a history hit, a trusted predictor answer and the
+// rule-based model. Every iteration decides on a fresh builder under a fresh
+// scheduler, as a training job does; filling the builder is not timed. It is
+// the source of EXPERIMENTS.md's "What a scheduling decision costs".
+func BenchmarkChoose(b *testing.B) {
+	ex := exec.Default()
+	labeled, err := learn.MeasureAll(context.Background(), learn.SyntheticCorpus(20, benchSeed), ex, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	forest, err := learn.Train(learn.Examples(labeled), learn.TrainConfig{Seed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"adult", "aloi", "mnist", "gisette", "trefethen", "connect-4", "sector"} {
+		d, err := dataset.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := d.MustGenerate(benchSeed).MustBuild(sparse.CSR)
+		hist := &core.History{}
+		if _, err := core.New(core.Config{Policy: core.Hybrid, History: hist, Exec: ex}).Choose(freshBuilder(src)); err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []struct {
+			name string
+			cfg  core.Config
+		}{
+			{"hybrid", core.Config{Policy: core.Hybrid}},
+			{"history", core.Config{Policy: core.Hybrid, History: hist}},
+			{"predict", core.Config{Policy: core.PolicyPredict, Predictor: forest, MinConfidence: 1e-9}},
+			{"rule-based", core.Config{Policy: core.RuleBased}},
+		} {
+			mode.cfg.Exec = ex
+			b.Run(name+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					bl := freshBuilder(src)
+					b.StartTimer()
+					dec, err := core.New(mode.cfg).Choose(bl)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if got := dec.Source(); (mode.name == "history") != (got == "history") || (mode.name == "predict") != (got == "predictor") {
+						b.Fatalf("decision answered from %s", got)
+					}
+					dec.Release()
+				}
+			})
 		}
 	}
 }

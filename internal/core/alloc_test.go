@@ -14,9 +14,13 @@ import (
 // path allocates no more than it did before the two schedulers shared one
 // ladder. An SMSV hybrid measurement allocates nothing either since the SMSV
 // kernels dispatch in closure-free form (14 before: one closure per kernel
-// call). The non-zero limits are the counts measured on these inputs under
-// exec.Serial: for the pair scheduler 11 on every path
-// (EstimatePairCandidates builds and sorts a fresh slice) plus 12 for a
+// call) — features come off the builder's triplets into pooled workspaces and
+// every build is the builder's cached one. A matrix large enough to be
+// sampled pays for its two measurement blocks, which are not cached: 6
+// objects here, a DEN block (2) and a CSR block (4). The other non-zero
+// limits are the counts measured on these inputs under exec.Serial, unchanged
+// since the two schedulers got one ladder: for the pair scheduler 11 on every
+// path (EstimatePairCandidates builds and sorts a fresh slice) plus 12 for a
 // hybrid measurement, whose SpGEMM kernels still close over their operands.
 // A per-call closure that escapes or a boxed candidate in the shared ladder
 // shows up here as a count above the limit.
@@ -48,6 +52,14 @@ func TestChooseSteadyStateAllocs(t *testing.T) {
 			return err
 		}
 	}
+	// Above 2·measureBlock stored elements candidates are timed on a row block.
+	big := buildRandom(t, 700, 90, 0.6, 4)
+	sampledSched := New(Config{Policy: Hybrid, Exec: ex})
+	sampledHybrid := func() error {
+		d, err := sampledSched.Choose(big)
+		d.Release()
+		return err
+	}
 	// A history that has seen the input once answers every later choose.
 	hist, pairHist := &History{}, &PairHistory{}
 	for _, seed := range []func() error{
@@ -67,6 +79,7 @@ func TestChooseSteadyStateAllocs(t *testing.T) {
 		{"smsv/predict", smsv(Config{Policy: PolicyPredict, Predictor: &stubPredictor{format: sparse.CSR, conf: 1, ok: true}}), 0},
 		{"smsv/history", smsv(Config{Policy: Hybrid, History: hist}), 0},
 		{"smsv/hybrid", smsv(Config{Policy: Hybrid}), 0},
+		{"smsv/hybrid/sampled", sampledHybrid, 6},
 		{"spgemm/predict", pair(SpGEMMConfig{Policy: PolicyPredict, Predictor: stubPairPredictor{spgemm.BaseCandidate, 1, true}}), 11},
 		{"spgemm/history", pair(SpGEMMConfig{Policy: Hybrid, History: pairHist}), 11},
 		{"spgemm/hybrid", pair(SpGEMMConfig{Policy: Hybrid}), 23},

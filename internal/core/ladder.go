@@ -28,10 +28,11 @@ type workload[P embedded, C candidate] interface {
 	prepare(ranked []C) (p P, _ []C, err error)
 	// predict asks the trained predictor; ok=false means it has no answer.
 	predict() (c C, confidence float64, ok bool)
-	// usable readies what the decision carries for a candidate chosen
-	// without measuring; false means c cannot serve this input.
+	// usable readies what the decision carries for the chosen candidate,
+	// measured or not; false means c cannot serve this input.
 	usable(c C) bool
-	// build readies the operands a measurement of c runs on.
+	// build readies the operands a measurement of c runs on, which may be a
+	// sample of the input.
 	build(c C) error
 	// sample draws the measurement's trial inputs from rng, sizes the kernel
 	// buffers, and reports how many trial inputs each candidate runs on.
@@ -47,10 +48,13 @@ type workload[P embedded, C candidate] interface {
 }
 
 // ladderScratch is the ladder's share of a workload's pooled scratch: the
-// ranked candidates, and the RNG trial sampling then retry jitter draw from.
+// ranked candidates, the ones about to be measured (set before sample, for a
+// workload whose sampling depends on them), and the RNG trial sampling then
+// retry jitter draw from.
 type ladderScratch[C candidate] struct {
-	cands []C
-	rng   *rand.Rand
+	cands   []C
+	measure []C
+	rng     *rand.Rand
 }
 
 // verdict is the ladder's answer, which each scheduler packs into its own
@@ -197,6 +201,7 @@ func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderS
 		ls.rng = rand.New(rand.NewSource(0))
 	}
 	ls.rng.Seed(l.seed + 1)
+	ls.measure = measure
 	trials := w.sample(ls.rng)
 	bestTime := time.Duration(-1)
 	var lastErr error
@@ -248,6 +253,17 @@ func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderS
 		return v, fmt.Errorf("core: no %s could be measured: %w", l.noun, lastErr)
 	}
 	v.measured = true
+	// What was timed may be a sample of the input; the decision carries the
+	// winner readied in full.
+	var wsp *telemetry.Span
+	if traced {
+		_, wsp = telemetry.StartSpan(ctx, "winner.build", telemetry.String("candidate", v.chosen.String()))
+	}
+	ok := w.usable(v.chosen)
+	wsp.End()
+	if !ok {
+		return v, fmt.Errorf("core: measured %s %s cannot serve the whole input", l.noun, v.chosen)
+	}
 	if l.history != nil {
 		l.history.record(p, v.chosen)
 	}

@@ -145,13 +145,19 @@ type Decision struct {
 	// (format × chunk × variant) space, ascending pair-unit cost.
 	Candidates []CandidateEstimate
 	// Measured holds the measured pair-unit time for every candidate that
-	// was benchmarked (empty for RuleBased).
+	// was benchmarked (empty for RuleBased): the total over the decision's
+	// trial rows and repeats, with every candidate of one decision timed on
+	// the same rows of the matrix — all of them for a small matrix, one block
+	// of about measureBlock stored elements otherwise. The times of one
+	// decision compare with each other, not with another decision's.
 	Measured map[sparse.Candidate]time.Duration
 	// Chosen is the chosen candidate's storage format (the materialized
 	// layout); ChosenCandidate carries the full execution choice.
 	Chosen          sparse.Format
 	ChosenCandidate sparse.Candidate
-	Matrix          sparse.Matrix // the data materialized in the chosen format
+	// Matrix is the whole data set materialized in the chosen format. It is
+	// the only full build a decision makes, however it was reached.
+	Matrix sparse.Matrix
 	// Reused is true when the candidate came from the incremental-tuning
 	// history rather than a fresh measurement.
 	Reused bool
@@ -191,11 +197,27 @@ func (d *Decision) Release() {
 	decisionPool.Put(d)
 }
 
+// measureBlock is about how many stored elements candidates are timed on.
+// A matrix holding more than twice as many is sampled: its candidates are
+// built and timed on one block of contiguous rows of this size, and only the
+// winner is then built in full. The value is fitted, not a setting — see
+// EXPERIMENTS.md "What a scheduling decision costs" for the sweep: large
+// enough that the block ranks formats as the whole matrix does on the
+// Table V clones and the Figure 2–4 families, small enough that building
+// and timing the loser costs a fraction of building it in full.
+const measureBlock = 16384
+
+// blockSkew is how far the mean row length of the measurement block may be
+// from the whole matrix's, as a ratio either way, for the block to stand for
+// the matrix.
+const blockSkew = 1.25
+
 // chooseScratch is the pooled per-choose workspace and the SMSV workload
 // the ladder drives: kernel buffers, trial vectors, feature extraction state
-// and, for one choose, the input, the candidate build under measurement and
-// the decision being filled in. Pooling it per Scheduler is why repeated
-// Choose calls allocate nothing after warmup.
+// and, for one choose, the input, the rows candidates are timed on, the
+// candidate build under measurement and the decision being filled in.
+// Pooling it per Scheduler is why repeated Choose calls allocate nothing
+// after warmup.
 type chooseScratch struct {
 	ladderScratch[sparse.Candidate]
 	s         *Scheduler
@@ -203,10 +225,12 @@ type chooseScratch struct {
 	trials    []sparse.Vector
 	extractor dataset.Extractor
 
-	b   *sparse.Builder
-	csr *sparse.CSRMatrix
-	m   sparse.Matrix // the candidate build being measured
-	d   *Decision
+	b         *sparse.Builder
+	longest   int           // the first longest row, which sets ELL's padding
+	lo, hi    int           // candidates are timed on rows [lo, hi)
+	oneFormat bool          // every candidate to be measured has one format
+	m         sparse.Matrix // the candidate build being measured: those rows
+	d         *Decision
 }
 
 // Scheduler chooses storage formats and kernel execution parameters for
@@ -243,8 +267,9 @@ func New(cfg Config) *Scheduler {
 	if cfg.History != nil {
 		s.ladder.history = &cfg.History.radiusStore
 	}
-	s.execByChunk[sparse.ChunkStatic] = cfg.Exec.WithSched(exec.Static)
-	s.execByChunk[sparse.ChunkGuided] = cfg.Exec.WithSched(exec.Guided)
+	for _, chunk := range []sparse.ChunkPolicy{sparse.ChunkStatic, sparse.ChunkGuided} {
+		s.execByChunk[chunk] = cfg.Exec.WithSched(chunk.Sched())
+	}
 	s.scratch.New = func() any { return &chooseScratch{s: s} }
 	return s
 }
@@ -277,7 +302,7 @@ func (s *Scheduler) ChooseContext(ctx context.Context, b *sparse.Builder) (*Deci
 	v, err := s.ladder.choose(ctx, sc, &sc.ladderScratch)
 	d := sc.d
 	// A pooled scratch must not pin the caller's matrix or decision.
-	sc.b, sc.csr, sc.m, sc.d = nil, nil, nil, nil
+	sc.b, sc.m, sc.d = nil, nil, nil
 	s.scratch.Put(sc)
 	if err != nil {
 		d.Release()
@@ -309,26 +334,22 @@ func (d *Decision) Source() string {
 	return sourceOf(d.Predicted, d.Reused, len(d.Measured) > 0)
 }
 
-// prepare gets the features cheaply from the CSR materialization, which
-// Empirical and Hybrid need anyway as a measurement candidate.
+// prepare reads the features off the builder's canonical triplets; no
+// format is built to decide which format to build.
 func (sc *chooseScratch) prepare(ranked []sparse.Candidate) (p [dataset.EmbedDims]float64, _ []sparse.Candidate, err error) {
 	if rows, cols := sc.b.Dims(); rows == 0 || cols == 0 {
 		return p, nil, ErrEmptyMatrix
 	}
-	csr, err := sc.b.Build(sparse.CSR)
-	if err != nil {
-		return p, nil, fmt.Errorf("core: building CSR for analysis: %w", err)
-	}
 	d := newDecision()
 	d.Policy = sc.s.cfg.Policy
-	d.Features = sc.extractor.Extract(csr)
+	d.Features, sc.longest = sc.extractor.Triplets(sc.b.Triplets())
 	d.Estimates = AppendEstimates(d.Estimates[:0], d.Features)
 	d.Candidates = AppendCandidateEstimates(d.Candidates[:0], d.Estimates, sc.s.parallel())
 	ranked = slices.Grow(ranked, len(d.Candidates))
 	for _, e := range d.Candidates {
 		ranked = append(ranked, e.Candidate)
 	}
-	sc.csr, sc.d = csr.(*sparse.CSRMatrix), d
+	sc.d = d
 	return dataset.Embed(d.Features), ranked, nil
 }
 
@@ -342,30 +363,85 @@ func (sc *chooseScratch) predict() (sparse.Candidate, float64, bool) {
 	return sparse.BaseCandidate(f), conf, ok
 }
 
-// usable materializes the decision's matrix in c's format (the Builder
-// caches each one); DIA over its memory cap is the format that can fail.
+// usable materializes the decision's matrix, the whole data set, in c's
+// format (the Builder caches each one); DIA over its memory cap is the format
+// that can fail.
 func (sc *chooseScratch) usable(c sparse.Candidate) bool {
 	m, err := sc.b.Build(c.Format)
+	if err != nil {
+		return false
+	}
 	sc.d.Matrix = m
-	return err == nil
+	return true
 }
 
+// build readies rows [lo, hi) in c's format. When those are all the rows
+// the build is the builder's cached full one, which the winner's decision
+// then carries; a block is kept until a candidate of another format asks, so
+// candidates that differ only in chunk policy or variant share it.
 func (sc *chooseScratch) build(c sparse.Candidate) (err error) {
-	sc.m, err = sc.b.Build(c.Format)
+	rows, cols := sc.b.Dims()
+	switch {
+	case sc.hi-sc.lo == rows:
+		sc.m, err = sc.b.Build(c.Format)
+		return err
+	case sc.m != nil && sc.m.Format() == c.Format:
+		return nil
+	case c.Format == sparse.DIA && !sparse.DIAFits(rows, cols, sc.d.Features.Ndig):
+		// A block's few rows can fit the cap the whole matrix exceeds.
+		sc.m = nil
+		return fmt.Errorf("core: DIA over its memory cap: %d diagonals of a %dx%d matrix", sc.d.Features.Ndig, rows, cols)
+	case sc.oneFormat:
+		// The winner's format is known before anything is timed: build it in
+		// full now, for BuildRows to cut the block from where it can.
+		if _, err = sc.b.Build(c.Format); err != nil {
+			sc.m = nil
+			return err
+		}
+	}
+	sc.m, err = sc.b.BuildRows(c.Format, sc.lo, sc.hi)
 	return err
 }
 
 // sample extracts TrialRows random rows of the matrix into the scratch
-// trial vectors — the same distribution SMO draws X_high/X_low from. Trial
+// trial vectors — the same distribution SMO draws X_high/X_low from — and
+// picks the rows the candidates about to be measured are timed on. Trial
 // vectors reuse their capacity across calls.
+//
+// A matrix of more than 2·measureBlock stored elements is timed on the block
+// of whole rows that covers measureBlock elements centred on its longest
+// row: ELL pads every row to the longest one, so a block without it would
+// time an ELL narrower than the one the job would run (the Figure 3 cliff).
+// The block stands for the matrix only if its rows are about as long as the
+// matrix's: DEN, ELL and DIA pay per row, CSR and COO per element, so a block
+// cut from where the rows are several times longer or shorter than average —
+// a matrix sorted by row length — ranks them for a different matrix. Such a
+// matrix is timed whole.
 func (sc *chooseScratch) sample(rng *rand.Rand) int {
-	rows, cols := sc.csr.Dims()
-	sc.pair.Grow(rows, cols)
+	t := sc.b.Triplets()
+	sc.pair.Grow(t.Rows, t.Cols)
 	n := sc.s.cfg.TrialRows
 	sc.trials = slices.Grow(sc.trials[:0], n)[:n]
 	for i := range sc.trials {
-		sc.trials[i] = sc.csr.RowTo(sc.trials[i], rng.Intn(rows))
+		sc.trials[i] = t.RowTo(sc.trials[i], rng.Intn(t.Rows))
 	}
+	sc.lo, sc.hi = 0, t.Rows
+	if nnz := len(t.Val); nnz > 2*measureBlock {
+		klo, khi := t.Span(sc.longest, sc.longest+1)
+		pad := max(measureBlock-(khi-klo), 0) / 2
+		// Slide the window inside the matrix instead of clipping it, so a
+		// longest row near either end still gets a full-size block.
+		klo = max(min(klo-pad, nnz-measureBlock), 0)
+		khi = min(max(khi+pad, klo+measureBlock), nnz)
+		lo, hi := int(t.Row[klo]), int(t.Row[khi-1])+1
+		klo, khi = t.Span(lo, hi)
+		// Row length of the block against the matrix's, cross-multiplied.
+		block, whole := float64(khi-klo)*float64(t.Rows), float64(nnz)*float64(hi-lo)
+		if block <= blockSkew*whole && whole <= blockSkew*block {
+			sc.lo, sc.hi = lo, hi
+		}
+	}
+	sc.oneFormat = !slices.ContainsFunc(sc.measure, func(c sparse.Candidate) bool { return c.Format != sc.measure[0].Format })
 	return n
 }
 
@@ -387,9 +463,6 @@ func (sc *chooseScratch) kernelPanic(c sparse.Candidate, p any) error {
 	return &KernelPanicError{Format: c.Format, Value: p}
 }
 
-func (sc *chooseScratch) measured(c sparse.Candidate, t time.Duration, best bool) {
+func (sc *chooseScratch) measured(c sparse.Candidate, t time.Duration, _ bool) {
 	sc.d.Measured[c] = t
-	if best {
-		sc.d.Matrix = sc.m
-	}
 }

@@ -218,8 +218,8 @@ func (s *SpGEMMScheduler) ChooseContext(ctx context.Context, a, b *sparse.Builde
 	return d, nil
 }
 
-// prepare builds both operands as CSR, which gives the features and is what
-// most candidates measure on anyway; the Builder caches them per format.
+// prepare reads both operands' features off their canonical triplets; the
+// operand formats a candidate multiplies are built when it is measured.
 func (sc *spgemmScratch) prepare(ranked []spgemm.Candidate) (p [dataset.PairEmbedDims]float64, _ []spgemm.Candidate, err error) {
 	ar, ac := sc.a.Dims()
 	br, bc := sc.b.Dims()
@@ -229,17 +229,10 @@ func (sc *spgemmScratch) prepare(ranked []spgemm.Candidate) (p [dataset.PairEmbe
 	if ac != br {
 		return p, nil, fmt.Errorf("core: spgemm: dimension mismatch %dx%d × %dx%d", ar, ac, br, bc)
 	}
-	acsr, err := sc.a.Build(sparse.CSR)
-	if err != nil {
-		return p, nil, fmt.Errorf("core: spgemm: building CSR(A): %w", err)
-	}
-	bcsr, err := sc.b.Build(sparse.CSR)
-	if err != nil {
-		return p, nil, fmt.Errorf("core: spgemm: building CSR(B): %w", err)
-	}
 	d := newPairDecision()
 	d.Policy = sc.s.cfg.Policy
-	fa, fb := sc.extractor.Extract(acsr), sc.extractor.Extract(bcsr)
+	fa, _ := sc.extractor.Triplets(sc.a.Triplets())
+	fb, _ := sc.extractor.Triplets(sc.b.Triplets())
 	d.AFeatures, d.BFeatures = fa, fb
 	d.EstimatedNNZ = dataset.EstimateOutputNNZ(fa, fb)
 	d.Estimates = append(d.Estimates[:0], EstimatePairCandidates(fa, fb)...)

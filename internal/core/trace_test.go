@@ -11,9 +11,9 @@ import (
 // TestChooseContextTraced verifies the span contract the telemetry PR
 // promises, for both workloads: a traced hybrid decision carries one
 // candidate span per measured candidate, each with a build child and
-// measurement attempts holding the warm-up and the timed reps, plus a
-// history lookup span when a history is configured — all under one root
-// span named after the workload.
+// measurement attempts holding the warm-up and the timed reps, one span for
+// readying the winner in full, plus a history lookup span when a history is
+// configured — all under one root span named after the workload.
 func TestChooseContextTraced(t *testing.T) {
 	b := buildRandom(t, 60, 40, 0.15, 1)
 	smsv := New(Config{Policy: Hybrid, History: &History{}, TopK: 2})
@@ -54,6 +54,7 @@ func TestChooseContextTraced(t *testing.T) {
 				tc.root: "test-schedule", "history.lookup": tc.root, "candidate": tc.root,
 				"candidate.build": "candidate", "measure.attempt": "candidate",
 				"measure.warmup": "measure.attempt", "measure.rep": "measure.attempt",
+				"winner.build": tc.root,
 			}
 			spans := tr.Snapshot().Spans
 			count := map[string]int{}
@@ -70,6 +71,7 @@ func TestChooseContextTraced(t *testing.T) {
 			for name, want := range map[string]int{
 				tc.root: 1, "history.lookup": 1, "candidate": measured, "candidate.build": measured,
 				"measure.attempt": measured, "measure.warmup": measured, "measure.rep": tc.reps * measured,
+				"winner.build": 1,
 			} {
 				if count[name] != want || want == 0 {
 					t.Errorf("%d %s spans, want %d\n%s", count[name], name, want, tr.Tree())

@@ -78,20 +78,8 @@ func (a *Accumulator) ParseLIBSVM(data []byte, b *sparse.Builder) (f Features, n
 	}
 	cols := max(t.n, 1)
 	b.Shape(rows, cols)
-	// From here on the arithmetic is Extract's, expression for expression,
-	// so the floating-point results carry the same bits.
 	f.M, f.N = rows, cols
-	f.Adim = float64(f.NNZ) / float64(rows)
-	for _, d := range a.dims {
-		delta := float64(d) - f.Adim
-		f.Vdim += delta * delta
-	}
-	f.Vdim /= float64(rows)
-	f.Density = float64(f.NNZ) / (float64(rows) * float64(cols))
-	if f.Ndig > 0 {
-		f.Dnnz = float64(f.NNZ) / float64(f.Ndig)
-	}
-	return f, t.n, nil
+	return finish(f, a.dims), t.n, nil
 }
 
 // resetDiag empties the diagonal set and sizes it for a text of n bytes: a

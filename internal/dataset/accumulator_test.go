@@ -63,6 +63,10 @@ func diffLIBSVM(t *testing.T, acc *Accumulator, pooled *sparse.Builder, in strin
 	if !sameFeatureBits(f, wantF) {
 		t.Fatalf("Accumulator(%q):\n one-pass %+v\n legacy   %+v", in, f, wantF)
 	}
+	var ext Extractor
+	if tf, _ := ext.Triplets(pooled.Triplets()); !sameFeatureBits(tf, wantF) {
+		t.Fatalf("Triplets(%q):\n triplets %+v\n legacy   %+v", in, tf, wantF)
+	}
 	got, want := pooled.MustBuild(sparse.CSR), wantB.MustBuild(sparse.CSR)
 	if gr, gc := got.Dims(); gr != wantRows || gc != wantF.N {
 		t.Fatalf("Accumulator(%q): builder is %dx%d, legacy %dx%d", in, gr, gc, wantRows, wantF.N)

@@ -73,17 +73,63 @@ func (e *Extractor) Extract(m sparse.Matrix) Features {
 			f.Ndig++
 		}
 	}
-	f.Adim = float64(f.NNZ) / float64(rows)
+	e.v = v
+	return finish(f, dims)
+}
+
+// Triplets computes the nine Table IV parameters in one pass over a
+// builder's canonical triplets — bit for bit what Extract reports for the
+// CSR they build, without building it — together with the index of the
+// first longest row (the row ELL's padding is set by).
+func (e *Extractor) Triplets(t sparse.Triplets) (f Features, longest int) {
+	rows, cols := t.Rows, t.Cols
+	f = Features{M: rows, N: cols, NNZ: int64(len(t.Row))}
+	if rows == 0 || cols == 0 {
+		return f, 0
+	}
+	diag := e.growDiag(rows + cols - 1) // diagonal o = j-i+rows-1
+	dims := e.growDims(rows)
+	clear(dims) // only occupied rows are written below
+	// A row is one run of equal row indices: its length is where the next
+	// run starts minus where it did.
+	shift, row, start := int32(rows-1), int32(0), 0
+	for k, i := range t.Row {
+		if i != row {
+			dims[row] = k - start
+			row, start = i, k
+		}
+		diag[t.Col[k]-i+shift] = true
+	}
+	dims[row] = len(t.Row) - start
+	for _, occupied := range diag {
+		if occupied {
+			f.Ndig++
+		}
+	}
+	for i, d := range dims {
+		if d > f.Mdim {
+			f.Mdim, longest = d, i
+		}
+	}
+	return finish(f, dims), longest
+}
+
+// finish derives the parameters that are arithmetic over the counts — Adim,
+// Vdim, Density, Dnnz — from M, N, NNZ, Ndig and the per-row nonzero counts.
+// It is the one copy of that arithmetic: Extract, Triplets and
+// Accumulator.ParseLIBSVM all end here, which is what makes their
+// floating-point results carry the same bits.
+func finish(f Features, dims []int) Features {
+	f.Adim = float64(f.NNZ) / float64(f.M)
 	for _, d := range dims {
 		delta := float64(d) - f.Adim
 		f.Vdim += delta * delta
 	}
-	f.Vdim /= float64(rows)
-	f.Density = float64(f.NNZ) / (float64(rows) * float64(cols))
+	f.Vdim /= float64(f.M)
+	f.Density = float64(f.NNZ) / (float64(f.M) * float64(f.N))
 	if f.Ndig > 0 {
 		f.Dnnz = float64(f.NNZ) / float64(f.Ndig)
 	}
-	e.v = v
 	return f
 }
 
@@ -91,11 +137,10 @@ func (e *Extractor) Extract(m sparse.Matrix) Features {
 func (e *Extractor) growDiag(n int) []bool {
 	if cap(e.diag) < n {
 		e.diag = make([]bool, n)
+		return e.diag
 	}
 	e.diag = e.diag[:n]
-	for i := range e.diag {
-		e.diag[i] = false
-	}
+	clear(e.diag)
 	return e.diag
 }
 

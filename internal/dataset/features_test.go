@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -267,4 +268,83 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	if a == c {
 		t.Fatal("different seeds gave identical matrices")
 	}
+}
+
+// tripletsMatchExtract holds the triplet pass to Extract on the CSR the same
+// builder builds: all nine parameters equal, the floats bit for bit, and the
+// reported longest row the first one of Mdim nonzeros.
+func tripletsMatchExtract(t *testing.T, name string, b *sparse.Builder) {
+	t.Helper()
+	var e Extractor
+	got, longest := e.Triplets(b.Triplets())
+	csr := b.MustBuild(sparse.CSR)
+	want := Extract(csr)
+	if !sameFeatureBits(got, want) {
+		t.Errorf("%s:\n triplets %+v\n extract  %+v", name, got, want)
+	}
+	for i := 0; i <= longest; i++ {
+		if n := csr.RowTo(sparse.Vector{}, i).NNZ(); (n == want.Mdim) != (i == longest) {
+			t.Fatalf("%s: longest row reported as %d (mdim %d), row %d has %d nonzeros", name, longest, want.Mdim, i, n)
+		}
+	}
+	// A reused extractor must not carry the previous matrix's counts over.
+	if again, _ := e.Triplets(b.Triplets()); !sameFeatureBits(again, want) {
+		t.Errorf("%s: second pass over the same extractor %+v, want %+v", name, again, want)
+	}
+}
+
+// TestTripletFeaturesMatchExtract: the scheduler reads its features off the
+// builder's canonical triplets instead of a CSR built for the purpose, so the
+// two routes must agree to the last bit — on the eleven Table V clones, the
+// Figure 2 / 3 / 4 families, and fills that only canonical() puts in order.
+func TestTripletFeaturesMatchExtract(t *testing.T) {
+	for _, d := range TableV() {
+		tripletsMatchExtract(t, d.Name, d.MustGenerate(3))
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, ndig := range []int{1, 7, 300} {
+		b, err := Banded(300, 300, ndig, 2000, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tripletsMatchExtract(t, fmt.Sprintf("banded/ndig=%d", ndig), b)
+	}
+	for _, mdim := range []int{2, 64, 512} {
+		b, err := SkewRows(512, 512, 1024, mdim, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tripletsMatchExtract(t, fmt.Sprintf("skew/mdim=%d", mdim), b)
+	}
+	for _, vdim := range []float64{0, 400, 6400} {
+		b, err := VdimFamily(200, 4000, 40, vdim, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tripletsMatchExtract(t, fmt.Sprintf("vdim=%.0f", vdim), b)
+	}
+
+	shuffled := sparse.NewBuilder(9, 14)
+	for _, k := range rng.Perm(9 * 14) {
+		if k%3 != 0 {
+			shuffled.Add(k/14, k%14, float64(k%5+1))
+		}
+	}
+	tripletsMatchExtract(t, "out of order", shuffled)
+
+	dup := sparse.NewBuilder(4, 6)
+	for _, e := range [][3]int{{3, 5, 2}, {0, 0, 1}, {3, 5, 4}, {1, 2, 7}, {0, 0, 1}, {2, 1, 3}, {0, 0, 1}} {
+		dup.Add(e[0], e[1], float64(e[2]))
+	}
+	tripletsMatchExtract(t, "duplicates", dup)
+
+	zero := sparse.NewBuilder(3, 3)
+	zero.Add(0, 0, 1)
+	zero.Add(1, 1, 5)
+	zero.Add(1, 1, -5) // row 1 sums to nothing: it must count as empty
+	zero.Add(2, 0, 0)
+	zero.Add(2, 2, 4)
+	tripletsMatchExtract(t, "sum to zero", zero)
+
+	tripletsMatchExtract(t, "empty", sparse.NewBuilder(5, 2))
 }

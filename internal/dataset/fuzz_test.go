@@ -97,3 +97,22 @@ func FuzzParseLIBSVM(f *testing.F) {
 		_ = n2
 	})
 }
+
+// FuzzTripletFeatures fills a builder in whatever order the bytes give —
+// shuffled, duplicated, summing to zero — and holds the triplet pass to
+// Extract on the CSR it builds, as FuzzBuilderCanonical (package sparse,
+// which cannot import this one) holds the builds themselves to a reference.
+func FuzzTripletFeatures(f *testing.F) {
+	f.Add([]byte{}, uint8(1), uint8(1))
+	f.Add([]byte{0, 0, 5, 0, 1, 7, 1, 0, 9}, uint8(2), uint8(2))
+	f.Add([]byte{1, 1, 3, 0, 0, 4, 1, 1, 0xfd, 0, 1, 0}, uint8(2), uint8(2)) // shuffled, sums to zero, explicit zero
+	f.Add([]byte{2, 3, 1, 2, 3, 1, 2, 3, 1, 0, 0, 0}, uint8(3), uint8(4))    // triplicate
+	f.Fuzz(func(t *testing.T, data []byte, rows8, cols8 uint8) {
+		rows, cols := int(rows8%12)+1, int(cols8%12)+1
+		b := sparse.NewBuilder(rows, cols)
+		for ; len(data) >= 3; data = data[3:] {
+			b.Add(int(data[0])%rows, int(data[1])%cols, float64(int8(data[2])))
+		}
+		tripletsMatchExtract(t, "fuzz", b)
+	})
+}

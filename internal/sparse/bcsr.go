@@ -22,7 +22,7 @@ type BCSRMatrix struct {
 	val        []float64 // len len(bidx)*b*b, blocks stored row-major
 }
 
-func newBCSR(rows, cols int, r, c []int32, v []float64, b int) *BCSRMatrix {
+func newBCSR(rows, cols int, base int32, r, c []int32, v []float64, b int) *BCSRMatrix {
 	if b <= 0 {
 		b = defaultBlock
 	}
@@ -36,7 +36,7 @@ func newBCSR(rows, cols int, r, c []int32, v []float64, b int) *BCSRMatrix {
 	m.ptr = make([]int64, brows+1)
 	seen := make(map[blockKey]bool)
 	for k := range v {
-		key := blockKey{r[k] / int32(b), c[k] / int32(b)}
+		key := blockKey{(r[k] - base) / int32(b), c[k] / int32(b)}
 		if !seen[key] {
 			seen[key] = true
 			m.ptr[key.br+1]++
@@ -50,7 +50,7 @@ func newBCSR(rows, cols int, r, c []int32, v []float64, b int) *BCSRMatrix {
 	m.val = make([]float64, nblocks*b*b)
 	fill := make([]int64, brows)
 	for k := range v {
-		key := blockKey{r[k] / int32(b), c[k] / int32(b)}
+		key := blockKey{(r[k] - base) / int32(b), c[k] / int32(b)}
 		pos, ok := blockOf[key]
 		if !ok {
 			pos = int(m.ptr[key.br] + fill[key.br])
@@ -58,7 +58,7 @@ func newBCSR(rows, cols int, r, c []int32, v []float64, b int) *BCSRMatrix {
 			m.bidx[pos] = key.bc
 			blockOf[key] = pos
 		}
-		lr := int(r[k]) - int(key.br)*b
+		lr := int(r[k]-base) - int(key.br)*b
 		lc := int(c[k]) - int(key.bc)*b
 		m.val[pos*b*b+lr*b+lc] = v[k]
 	}
@@ -68,7 +68,7 @@ func newBCSR(rows, cols int, r, c []int32, v []float64, b int) *BCSRMatrix {
 // NewBCSR builds a BCSR matrix with an explicit block edge from a builder.
 func NewBCSR(bld *Builder, block int) *BCSRMatrix {
 	r, c, v := bld.canonical()
-	return newBCSR(bld.rows, bld.cols, r, c, v, block)
+	return newBCSR(bld.rows, bld.cols, 0, r, c, v, block)
 }
 
 // Dims returns the matrix dimensions.

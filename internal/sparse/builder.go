@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -250,6 +251,41 @@ func (b *Builder) canonical() (r, c []int32, v []float64) {
 	return b.canonR, b.canonC, b.canonV
 }
 
+// Triplets is a read-only view of a builder's canonical element set: the
+// stored elements in row-major order, duplicate-free and zero-free, as three
+// parallel slices. The rows of any range [lo, hi) are one contiguous
+// sub-slice, which is what lets features, trial rows and row-block builds be
+// read from it without materializing a format first. The slices alias the
+// builder and are valid until its next triplet, Shape or Reset.
+type Triplets struct {
+	Rows, Cols int
+	Row, Col   []int32
+	Val        []float64
+}
+
+// Triplets returns the canonical element set. It sorts and merges at most
+// once per fill, and not at all when the fill was already canonical.
+func (b *Builder) Triplets() Triplets {
+	r, c, v := b.canonical()
+	return Triplets{Rows: b.rows, Cols: b.cols, Row: r, Col: c, Val: v}
+}
+
+// Span returns the element range [klo, khi) that rows [lo, hi) occupy.
+func (t Triplets) Span(lo, hi int) (klo, khi int) {
+	klo, _ = slices.BinarySearch(t.Row, int32(lo))
+	n, _ := slices.BinarySearch(t.Row[klo:], int32(hi))
+	return klo, klo + n
+}
+
+// RowTo appends the nonzeros of row i to dst, as Matrix.RowTo does.
+func (t Triplets) RowTo(dst Vector, i int) Vector {
+	dst = dst.Reset(t.Cols)
+	klo, khi := t.Span(i, i+1)
+	dst.Index = append(dst.Index, t.Col[klo:khi]...)
+	dst.Value = append(dst.Value, t.Val[klo:khi]...)
+	return dst
+}
+
 // Build materializes the accumulated triplets in the requested format.
 // Successful materializations are cached until the next triplet, Shape or
 // Reset, so re-requesting a format is allocation-free.
@@ -258,7 +294,7 @@ func (b *Builder) Build(f Format) (Matrix, error) {
 	if f >= 0 && int(f) < len(b.built) && b.built[f] != nil {
 		return b.built[f], nil
 	}
-	m, err := b.build(f)
+	m, err := b.BuildRows(f, 0, b.rows)
 	if err == nil && f >= 0 && int(f) < len(b.built) {
 		b.built[f] = m
 		b.builtAny = true
@@ -266,23 +302,43 @@ func (b *Builder) Build(f Format) (Matrix, error) {
 	return m, err
 }
 
-func (b *Builder) build(f Format) (Matrix, error) {
-	r, c, v := b.canonical()
+// BuildRows materializes rows [lo, hi) as an (hi−lo)×cols matrix in the
+// requested format: the same constructors Build runs, over the contiguous
+// sub-slice of the canonical triplets those rows occupy. A scheduler times
+// candidates on such a block instead of building every format in full.
+// Blocks are not cached; a CSR block is cut out of the cached full CSR when
+// there is one, sharing its arrays.
+func (b *Builder) BuildRows(f Format, lo, hi int) (Matrix, error) {
+	if lo < 0 || hi > b.rows || lo >= hi {
+		return nil, fmt.Errorf("sparse: rows [%d, %d) outside a %dx%d builder", lo, hi, b.rows, b.cols)
+	}
+	t := b.Triplets() // drops stale caches first
+	if full, ok := b.built[CSR].(*CSRMatrix); ok && f == CSR {
+		return full.rowBlock(lo, hi), nil
+	}
+	klo, khi := t.Span(lo, hi)
+	rows, base := hi-lo, int32(lo)
+	r, c, v := t.Row[klo:khi], t.Col[klo:khi], t.Val[klo:khi]
 	switch f {
 	case DEN:
-		return newDense(b.rows, b.cols, r, c, v), nil
+		return newDense(rows, b.cols, base, r, c, v), nil
 	case CSR:
-		return newCSR(b.rows, b.cols, r, c, v), nil
+		return newCSR(rows, b.cols, base, r, c, v), nil
 	case COO:
-		return newCOO(b.rows, b.cols, r, c, v), nil
+		return newCOO(rows, b.cols, base, r, c, v), nil
 	case ELL:
-		return newELL(b.rows, b.cols, r, c, v), nil
+		return newELL(rows, b.cols, base, r, c, v), nil
 	case DIA:
-		return newDIA(b.rows, b.cols, r, c, v)
+		// Not `return newDIA(...)`: a nil *DIAMatrix in a Matrix is not nil.
+		m, err := newDIA(rows, b.cols, base, r, c, v)
+		if err != nil {
+			return nil, err
+		}
+		return m, nil
 	case CSC:
-		return newCSC(b.rows, b.cols, r, c, v), nil
+		return newCSC(rows, b.cols, base, r, c, v), nil
 	case BCSR:
-		return newBCSR(b.rows, b.cols, r, c, v, defaultBlock), nil
+		return newBCSR(rows, b.cols, base, r, c, v, defaultBlock), nil
 	default:
 		return nil, fmt.Errorf("sparse: cannot build format %v", f)
 	}

@@ -249,6 +249,9 @@ func FuzzBuilderCanonical(f *testing.F) {
 		}
 		check("built")
 		for _, b := range []*Builder{asGiven, sorted, merged} {
+			rowBlocksMatch(t, b, dense)
+		}
+		for _, b := range []*Builder{asGiven, sorted, merged} {
 			for k := range b.r {
 				b.r[k], b.c[k], b.v[k] = 0, 0, -99
 			}
@@ -258,4 +261,103 @@ func FuzzBuilderCanonical(f *testing.F) {
 		}
 		check("after Reset and refill")
 	})
+}
+
+// rowBlocksMatch holds the triplet view and every format's row blocks to the
+// dense reference: row i of the view, and rows [lo, hi) built on their own —
+// cut from the cached full CSR where there is one — must hold exactly the
+// reference's rows, re-based to start at row 0.
+func rowBlocksMatch(t testing.TB, b *Builder, dense []float64) {
+	t.Helper()
+	rows, cols := b.Dims()
+	tr := b.Triplets()
+	var v Vector
+	for i := 0; i < rows; i++ {
+		v = tr.RowTo(v, i)
+		got := make([]float64, cols)
+		v.ScatterInto(got)
+		for j, x := range got {
+			if x != dense[i*cols+j] {
+				t.Fatalf("Triplets.RowTo(%d): column %d is %v, want %v", i, j, x, dense[i*cols+j])
+			}
+		}
+	}
+	for _, span := range [][2]int{{0, rows}, {0, (rows + 1) / 2}, {rows / 2, rows}, {rows / 3, rows/3 + 1}} {
+		lo, hi := span[0], span[1]
+		for _, f := range AllFormats {
+			m, err := b.BuildRows(f, lo, hi)
+			if err != nil {
+				t.Fatalf("BuildRows(%v, %d, %d): %v", f, lo, hi, err)
+			}
+			if r, c := m.Dims(); r != hi-lo || c != cols || m.Format() != f {
+				t.Fatalf("BuildRows(%v, %d, %d) is a %dx%d %v", f, lo, hi, r, c, m.Format())
+			}
+			if err := ValidateMatrix(m); err != nil {
+				t.Fatalf("BuildRows(%v, %d, %d): %v", f, lo, hi, err)
+			}
+			got, want := ToDense(m), dense[lo*cols:hi*cols]
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("BuildRows(%v, %d, %d): element %d is %v, want %v", f, lo, hi, k, got[k], want[k])
+				}
+			}
+		}
+	}
+	if _, err := b.BuildRows(CSR, 0, rows+1); err == nil {
+		t.Fatal("BuildRows past the last row did not fail")
+	}
+}
+
+// TestBuildRows drives rowBlocksMatch on a matrix large enough to have
+// interior blocks, before any full build exists (every block comes from the
+// triplets) and after (the CSR block is cut from the cached full CSR, whose
+// arrays it must share rather than copy).
+func TestBuildRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	b := randomBuilder(rng, 41, 29, 0.15)
+	dense := ToDense(b.MustBuild(DEN))
+	fresh := NewBuilder(41, 29)
+	for i := 0; i < 41; i++ {
+		for j := 0; j < 29; j++ {
+			if x := dense[i*29+j]; x != 0 {
+				fresh.Add(i, j, x)
+			}
+		}
+	}
+	rowBlocksMatch(t, fresh, dense)
+	full := fresh.MustBuild(CSR).(*CSRMatrix)
+	rowBlocksMatch(t, fresh, dense)
+	block, err := fresh.BuildRows(CSR, 10, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view := block.(*CSRMatrix); view.NNZ() == 0 || &view.val[0] != &full.val[full.ptr[10]] {
+		t.Fatal("a CSR block of a builder with a cached full CSR must share its arrays")
+	}
+	if want := full.ptr[30] - full.ptr[10]; int64(block.NNZ()) != want {
+		t.Fatalf("block holds %d nonzeros, rows 10..29 of the full matrix hold %d", block.NNZ(), want)
+	}
+}
+
+// TestBuildDIAOverCapReturnsNilMatrix: Build returned newDIA's nil
+// *DIAMatrix through the Matrix interface, so a DIA build over the memory cap
+// came back as an error together with a matrix that was not nil — and callers
+// that keep whatever Build hands them (core's usable) kept it.
+func TestBuildDIAOverCapReturnsNilMatrix(t *testing.T) {
+	const n = 40000
+	rng := rand.New(rand.NewSource(2))
+	b := NewBuilder(n, n)
+	for k := 0; k < 4000; k++ { // about as many diagonals, each of stride n
+		b.Add(rng.Intn(n), rng.Intn(n), 1)
+	}
+	m, err := b.Build(DIA)
+	if err == nil {
+		t.Fatalf("a %dx%d scattered fill built as DIA: %d diagonals", n, n, m.(*DIAMatrix).NumDiagonals())
+	}
+	if m != nil {
+		t.Fatalf("Build(DIA) failed with %q and still returned a %T", err, m)
+	}
+	if all, _ := b.BuildAll(); all[4] != nil {
+		t.Fatalf("BuildAll kept a %T for the format that failed", all[4])
+	}
 }

@@ -3,6 +3,8 @@ package sparse
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/exec"
 )
 
 // This file defines the joint scheduling candidate space. The paper's
@@ -40,6 +42,14 @@ func (c ChunkPolicy) String() string {
 	default:
 		return fmt.Sprintf("chunk(%d)", int(c))
 	}
+}
+
+// Sched is the loop schedule that carries the chunk policy out.
+func (c ChunkPolicy) Sched() exec.Sched {
+	if c == ChunkGuided {
+		return exec.Guided
+	}
+	return exec.Static
 }
 
 // KernelVariant names one multiply-kernel implementation. Every variant of

@@ -16,7 +16,7 @@ type COOMatrix struct {
 	val        []float64
 }
 
-func newCOO(rows, cols int, r, c []int32, v []float64) *COOMatrix {
+func newCOO(rows, cols int, base int32, r, c []int32, v []float64) *COOMatrix {
 	m := &COOMatrix{
 		rows: rows,
 		cols: cols,
@@ -25,6 +25,11 @@ func newCOO(rows, cols int, r, c []int32, v []float64) *COOMatrix {
 		val:  make([]float64, len(v)),
 	}
 	copy(m.row, r)
+	if base != 0 {
+		for k := range m.row {
+			m.row[k] -= base
+		}
+	}
 	copy(m.col, c)
 	copy(m.val, v)
 	return m

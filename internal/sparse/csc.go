@@ -20,7 +20,7 @@ type CSCMatrix struct {
 	val        []float64 // len nnz
 }
 
-func newCSC(rows, cols int, r, c []int32, v []float64) *CSCMatrix {
+func newCSC(rows, cols int, base int32, r, c []int32, v []float64) *CSCMatrix {
 	m := &CSCMatrix{
 		rows: rows,
 		cols: cols,
@@ -41,7 +41,7 @@ func newCSC(rows, cols int, r, c []int32, v []float64) *CSCMatrix {
 		col := c[k]
 		pos := m.ptr[col] + fill[col]
 		fill[col]++
-		m.idx[pos] = r[k]
+		m.idx[pos] = r[k] - base
 		m.val[pos] = v[k]
 	}
 	return m

@@ -14,7 +14,7 @@ type CSRMatrix struct {
 	val        []float64 // len nnz
 }
 
-func newCSR(rows, cols int, r, c []int32, v []float64) *CSRMatrix {
+func newCSR(rows, cols int, base int32, r, c []int32, v []float64) *CSRMatrix {
 	m := &CSRMatrix{
 		rows: rows,
 		cols: cols,
@@ -23,7 +23,7 @@ func newCSR(rows, cols int, r, c []int32, v []float64) *CSRMatrix {
 		val:  make([]float64, len(v)),
 	}
 	for _, row := range r {
-		m.ptr[row+1]++
+		m.ptr[row-base+1]++
 	}
 	for i := 0; i < rows; i++ {
 		m.ptr[i+1] += m.ptr[i]
@@ -31,6 +31,18 @@ func newCSR(rows, cols int, r, c []int32, v []float64) *CSRMatrix {
 	copy(m.idx, c)
 	copy(m.val, v)
 	return m
+}
+
+// rowBlock returns rows [lo, hi) as a matrix of its own that shares m's
+// index and value arrays (matrices are immutable); only the row pointers are
+// copied, rebased to the block's first element.
+func (m *CSRMatrix) rowBlock(lo, hi int) *CSRMatrix {
+	p0, p1 := m.ptr[lo], m.ptr[hi]
+	ptr := make([]int64, hi-lo+1)
+	for i := range ptr {
+		ptr[i] = m.ptr[lo+i] - p0
+	}
+	return &CSRMatrix{rows: hi - lo, cols: m.cols, ptr: ptr, idx: m.idx[p0:p1:p1], val: m.val[p0:p1:p1]}
 }
 
 // Dims returns the matrix dimensions.

@@ -13,10 +13,10 @@ type Dense struct {
 	data       []float64 // len rows*cols, row-major
 }
 
-func newDense(rows, cols int, r, c []int32, v []float64) *Dense {
+func newDense(rows, cols int, base int32, r, c []int32, v []float64) *Dense {
 	d := &Dense{rows: rows, cols: cols, nnz: len(v), data: make([]float64, rows*cols)}
 	for k := range v {
-		d.data[int(r[k])*cols+int(c[k])] = v[k]
+		d.data[int(r[k]-base)*cols+int(c[k])] = v[k]
 	}
 	return d
 }

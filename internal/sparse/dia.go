@@ -24,39 +24,49 @@ type DIAMatrix struct {
 	data       []float64
 }
 
-func newDIA(rows, cols int, r, c []int32, v []float64) (*DIAMatrix, error) {
+// DIAFits reports whether an rows×cols matrix with ndig occupied diagonals
+// stays within the padded-element cap DIA construction enforces.
+func DIAFits(rows, cols, ndig int) bool {
+	return int64(ndig)*int64(min(rows, cols)) <= maxDIAElements
+}
+
+// newDIA builds the rows×cols matrix whose triplets carry row indices
+// base..base+rows−1 (see Builder.BuildRows).
+func newDIA(rows, cols int, base int32, r, c []int32, v []float64) (*DIAMatrix, error) {
 	stride := min(rows, cols)
-	// First pass: find which diagonals are occupied.
-	present := make(map[int32]bool, 64)
+	// lane[o+rows−1] is, after the first pass, whether diagonal o = col − row
+	// is occupied and, after the numbering below, its lane.
+	lane := make([]int32, rows+cols-1)
+	shift := base + int32(rows) - 1
+	ndig := 0
 	for k := range v {
-		present[c[k]-r[k]] = true
-	}
-	offsets := make([]int32, 0, len(present))
-	for o := int32(-(rows - 1)); o <= int32(cols-1); o++ {
-		if present[o] {
-			offsets = append(offsets, o)
+		if o := c[k] - r[k] + shift; lane[o] == 0 {
+			lane[o] = 1
+			ndig++
 		}
 	}
-	need := int64(len(offsets)) * int64(stride)
-	if need > maxDIAElements {
+	if !DIAFits(rows, cols, ndig) {
 		return nil, fmt.Errorf("sparse: DIA would need %d padded elements (%d diagonals × stride %d), above the %d cap",
-			need, len(offsets), stride, int64(maxDIAElements))
+			int64(ndig)*int64(stride), ndig, stride, int64(maxDIAElements))
 	}
 	m := &DIAMatrix{
 		rows:    rows,
 		cols:    cols,
 		nnz:     len(v),
 		stride:  stride,
-		offsets: offsets,
-		data:    make([]float64, need),
+		offsets: make([]int32, 0, ndig),
+		data:    make([]float64, ndig*stride),
 	}
-	lane := make(map[int32]int, len(offsets))
-	for d, o := range offsets {
-		lane[o] = d
+	for o, occupied := range lane {
+		if occupied != 0 {
+			lane[o] = int32(len(m.offsets))
+			m.offsets = append(m.offsets, int32(o-rows+1))
+		}
 	}
 	for k := range v {
-		o := c[k] - r[k]
-		m.data[lane[o]*stride+m.slot(int(r[k]), o)] = v[k]
+		row := r[k] - base
+		o := c[k] - row
+		m.data[int(lane[o+int32(rows)-1])*stride+m.slot(int(row), o)] = v[k]
 	}
 	return m, nil
 }

@@ -19,13 +19,13 @@ type ELLMatrix struct {
 	val        []float64 // rows*width
 }
 
-func newELL(rows, cols int, r, c []int32, v []float64) *ELLMatrix {
+func newELL(rows, cols int, base int32, r, c []int32, v []float64) *ELLMatrix {
 	width := 0
 	counts := make([]int32, rows)
 	for _, row := range r {
-		counts[row]++
-		if int(counts[row]) > width {
-			width = int(counts[row])
+		counts[row-base]++
+		if int(counts[row-base]) > width {
+			width = int(counts[row-base])
 		}
 	}
 	if width == 0 {
@@ -41,7 +41,7 @@ func newELL(rows, cols int, r, c []int32, v []float64) *ELLMatrix {
 	}
 	fill := make([]int32, rows)
 	for k := range v {
-		row := int(r[k])
+		row := int(r[k] - base)
 		at := row*width + int(fill[row])
 		fill[row]++
 		m.idx[at] = c[k]

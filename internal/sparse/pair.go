@@ -145,15 +145,3 @@ func diaMulRange2(ops exec.Operands, lo, hi int) {
 		}
 	}
 }
-
-// PairMulVecSparse computes dst1 = A·x1 and dst2 = A·x2, using the fused
-// single-pass kernel when the format provides one and two independent
-// passes otherwise.
-func PairMulVecSparse(m Matrix, dst1, dst2 []float64, x1, x2 Vector, scratch1, scratch2 []float64, ex *exec.Exec) {
-	if pm, ok := m.(PairMultiplier); ok {
-		pm.MulVecSparse2(dst1, dst2, x1, x2, scratch1, scratch2, ex)
-		return
-	}
-	m.MulVecSparse(dst1, x1, scratch1, ex)
-	m.MulVecSparse(dst2, x2, scratch2, ex)
-}

@@ -33,7 +33,7 @@ func TestPairMulVecMatchesSingle(t *testing.T) {
 		m.MulVecSparse(want2, x2, s1, nil)
 		got1 := make([]float64, 40)
 		got2 := make([]float64, 40)
-		PairMulVecSparse(m, got1, got2, x1, x2, s1, s2, texec(t, 2, exec.Static))
+		Candidate{Format: f, Variant: VariantFused}.RunPair(m, got1, got2, x1, x2, s1, s2, texec(t, 2, exec.Static))
 		if !almostEqual(got1, want1, 1e-13) || !almostEqual(got2, want2, 1e-13) {
 			t.Fatalf("%v: paired products differ from singles", f)
 		}

@@ -16,12 +16,16 @@ type AdaptiveResult struct {
 // TrainAdaptive is the paper's full pipeline: extract the Table IV
 // parameters from the dataset, schedule the storage format, then run SMO on
 // the chosen layout. sched selects the decision policy (rule-based,
-// empirical or hybrid); cfg drives the SMO solver.
+// empirical or hybrid); cfg drives the SMO solver. The solver runs the whole
+// chosen candidate: its kernel variant under its chunk policy, on cfg.Exec's
+// workers, whatever schedule cfg.Exec carries — the variants of one format
+// agree bit for bit, so the model is Train's on that format.
 func TrainAdaptive(b *sparse.Builder, y []float64, sched *core.Scheduler, cfg Config) (*AdaptiveResult, error) {
 	dec, err := sched.Choose(b)
 	if err != nil {
 		return nil, err
 	}
+	cfg.chosen = &dec.ChosenCandidate
 	model, stats, err := Train(dec.Matrix, y, cfg)
 	if err != nil {
 		return nil, err
@@ -45,6 +49,7 @@ func TrainRegressionAdaptive(b *sparse.Builder, y []float64, sched *core.Schedul
 	if err != nil {
 		return nil, err
 	}
+	cfg.chosen = &dec.ChosenCandidate
 	model, stats, err := TrainRegression(dec.Matrix, y, cfg)
 	if err != nil {
 		return nil, err

@@ -32,6 +32,8 @@ type RegressionConfig struct {
 	Exec *exec.Exec
 	// CacheRows enables the kernel-row LRU cache, as in classification.
 	CacheRows int
+
+	chosen *sparse.Candidate // TrainRegressionAdaptive's, see Config.chosen
 }
 
 // RegressionModel predicts real-valued targets:
@@ -112,22 +114,15 @@ func TrainRegression(x sparse.Matrix, y []float64, cfg RegressionConfig) (*Regre
 // newSVRSolver sets up the extended problem at β = 0 for validated inputs
 // and a cfg with its defaults filled in.
 func newSVRSolver(x sparse.Matrix, y []float64, cfg RegressionConfig) *svrSolver {
-	rows, cols := x.Dims()
+	rows, _ := x.Dims()
 	n2 := 2 * rows
 	s := &svrSolver{
-		x:       x,
+		kernels: newKernels(x, cfg.Kernel, cfg.Exec, cfg.chosen, cfg.CacheRows, false),
 		cfg:     cfg,
 		n:       rows,
 		alpha:   make([]float64, n2),
 		f:       make([]float64, n2),
 		yext:    make([]float64, n2),
-		kHigh:   make([]float64, rows),
-		kLow:    make([]float64, rows),
-		scratch: make([]float64, cols),
-		cache:   newRowCache(cfg.CacheRows),
-	}
-	if needsNorms(cfg.Kernel) {
-		s.normSq = rowNorms(x)
 	}
 	// f is the Keerthi-transformed gradient f_e = y_e·(Q̄β + p)_e; at β = 0
 	// that is y_e·p_e: +(ε − yᵢ) on the α half, −(ε + yᵢ) on the α* half.
@@ -145,24 +140,17 @@ func newSVRSolver(x sparse.Matrix, y []float64, cfg RegressionConfig) *svrSolver
 // y_e·y_g·K(e%n, g%n) folded into the update coefficients, so only
 // base-kernel rows (length n) are ever computed — the same two SMSVs.
 type svrSolver struct {
-	x       sparse.Matrix
+	kernels // kHigh is K(X_{high%n}, ·), length n
 	cfg     RegressionConfig
 	n       int
 	alpha   []float64 // β over [0, 2n)
 	f       []float64
 	yext    []float64
-	kHigh   []float64 // K(X_{high%n}, ·), length n
-	kLow    []float64
-	scratch []float64
-	normSq  []float64 // ‖X_i‖², nil unless the kernel reads it
 	bHigh   float64
 	bLow    float64
-	rowBuf  sparse.Vector
-	cache   *rowCache
 
 	// Per-iteration loop state, bound by run: see solver.
 	scan     sweep
-	xform    *rowTransform
 	ch, cl   float64
 	selectFn func(w int)
 	updateFn func(lo, hi int)
@@ -176,17 +164,6 @@ func (s *svrSolver) inHigh(e int) bool {
 func (s *svrSolver) inLow(e int) bool {
 	a, ye := s.alpha[e], s.yext[e]
 	return (a > 0 && a < s.cfg.C) || (ye > 0 && a == s.cfg.C) || (ye < 0 && a == 0)
-}
-
-func (s *svrSolver) kernelRow(dst []float64, sample int) {
-	if cached := s.cache.get(sample); cached != nil {
-		copy(dst, cached)
-		return
-	}
-	s.rowBuf = s.x.RowTo(s.rowBuf, sample)
-	s.x.MulVecSparse(dst, s.rowBuf, s.scratch, s.cfg.Exec)
-	s.xform.apply(s.cfg.Exec, dst, s.normSq, normAt(s.normSq, sample))
-	s.cache.put(sample, dst)
 }
 
 func (s *svrSolver) selectWorkingSet() (high, low int, ok bool) {
@@ -224,7 +201,7 @@ func (s *svrSolver) run() Stats {
 	var st Stats
 	// Bound once per run: a method value made per iteration is a heap
 	// object per iteration.
-	s.scan.ex, s.xform = s.cfg.Exec, newRowTransform(s.cfg.Kernel)
+	s.scan.ex = s.cfg.Exec
 	s.selectFn, s.updateFn = s.selectPart, s.updateRange
 	high, low, ok := s.selectWorkingSet()
 	if !ok {
@@ -236,8 +213,7 @@ func (s *svrSolver) run() Stats {
 			break
 		}
 		t0 := time.Now()
-		s.kernelRow(s.kHigh, high%s.n)
-		s.kernelRow(s.kLow, low%s.n)
+		s.rows(high%s.n, low%s.n)
 		st.KernelTime += time.Since(t0)
 		// The feasible direction (Δβ_l = y_l·t, Δβ_h = −y_h·t) gives the
 		// curvature dᵀQ̄d = K_hh + K_ll − 2·K_hl: the y factors square away,

@@ -135,11 +135,10 @@ func (s *shrinkSolver) kernelRowsActive(high, low int) {
 	kH := s.kHigh[:nAct]
 	kL := s.kLow[:nAct]
 	if high == low {
-		s.subX.MulVecSparse(kH, s.rowBufH, s.scratch, s.cfg.Exec)
+		s.subX.MulVecSparse(kH, s.rowBufH, s.scratch, s.pair.ex)
 		copy(kL, kH)
 	} else {
-		sparse.PairMulVecSparse(s.subX, kH, kL, s.rowBufH, s.rowBufL,
-			s.scratch, s.scratch2, s.cfg.Exec)
+		s.pair.run(s.subX, kH, kL, s.rowBufH, s.rowBufL, s.scratch, s.scratch2)
 	}
 	s.xform.apply(s.cfg.Exec, kH, s.subNorm, normAt(s.normSq, high))
 	s.xform.apply(s.cfg.Exec, kL, s.subNorm, normAt(s.normSq, low))
@@ -189,7 +188,7 @@ func (s *shrinkSolver) reconstructF() {
 			continue
 		}
 		s.rowBufH = s.x.RowTo(s.rowBufH, j)
-		s.x.MulVecSparse(row, s.rowBufH, s.scratch, s.cfg.Exec)
+		s.x.MulVecSparse(row, s.rowBufH, s.scratch, s.pair.ex)
 		s.xform.apply(s.cfg.Exec, row, s.normSq, normAt(s.normSq, j))
 		coef := s.alpha[j] * s.y[j]
 		for i := 0; i < n; i++ {

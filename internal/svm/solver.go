@@ -40,6 +40,12 @@ type Config struct {
 	// problems; see BenchmarkAblationShrinking. It has its own first-order
 	// selection and no row cache, so it excludes SecondOrder and CacheRows.
 	Shrinking bool
+
+	// chosen is the scheduled candidate TrainAdaptive hands the solver: its
+	// SMSV products run that kernel variant under that chunk policy. Nil — any
+	// caller's Config — runs the matrix's fused pair kernel where it has one,
+	// under Exec's schedule.
+	chosen *sparse.Candidate
 }
 
 func (c Config) withDefaults(n int) Config {
@@ -125,28 +131,19 @@ func Train(x sparse.Matrix, y []float64, cfg Config) (*Model, Stats, error) {
 
 // newSolver sets up Algorithm 1's state at α = 0 for a validated problem.
 func newSolver(x sparse.Matrix, y []float64, cfg Config) *solver {
-	rows, cols := x.Dims()
+	rows, _ := x.Dims()
 	cfg = cfg.withDefaults(rows)
 	s := &solver{
-		x:        x,
-		y:        y,
-		cfg:      cfg,
-		alpha:    make([]float64, rows),
-		f:        make([]float64, rows),
-		kHigh:    make([]float64, rows),
-		kLow:     make([]float64, rows),
-		scratch:  make([]float64, cols),
-		scratch2: make([]float64, cols),
-		cache:    newRowCache(cfg.CacheRows),
-		scan:     sweep{ex: cfg.Exec},
-		xform:    newRowTransform(cfg.Kernel),
+		kernels: newKernels(x, cfg.Kernel, cfg.Exec, cfg.chosen, cfg.CacheRows, cfg.SecondOrder),
+		y:       y,
+		cfg:     cfg,
+		alpha:   make([]float64, rows),
+		f:       make([]float64, rows),
+		scan:    sweep{ex: cfg.Exec},
 	}
 	// The loop bodies are bound once: a method value or closure made per
 	// iteration is a heap object per iteration.
 	s.fusedFn, s.selectFn, s.pickFn, s.updateFn = s.fusedPart, s.selectPart, s.pickPart, s.updateRange
-	if needsNorms(cfg.Kernel) || cfg.SecondOrder {
-		s.normSq = rowNorms(x)
-	}
 	for i := range s.f {
 		s.f[i] = -y[i] // step 2 of Algorithm 1
 	}
@@ -160,30 +157,20 @@ func newSolver(x sparse.Matrix, y []float64, cfg Config) *solver {
 }
 
 type solver struct {
-	x        sparse.Matrix
-	y        []float64
-	cfg      Config
-	alpha    []float64
-	f        []float64
-	kHigh    []float64 // kernel row K(X_high, ·)
-	kLow     []float64
-	scratch  []float64
-	scratch2 []float64 // second workspace for the paired two-row SMSV
-	normSq   []float64 // ‖X_i‖², nil unless the kernel or SecondOrder reads it
-	bHigh    float64
-	bLow     float64
+	kernels
+	y     []float64
+	cfg   Config
+	alpha []float64
+	f     []float64
+	bHigh float64
+	bLow  float64
 
-	rowBufH sparse.Vector
-	rowBufL sparse.Vector
-
-	cache *rowCache // optional kernel-row LRU
-	diag  []float64 // K(X_i, X_i), precomputed for second-order selection
+	diag []float64 // K(X_i, X_i), precomputed for second-order selection
 
 	// Per-iteration loop state, so that an iteration allocates nothing: the
 	// reduction workspace, the update coefficients Δα·y the bodies read,
 	// and the bodies themselves.
 	scan     sweep
-	xform    *rowTransform
 	ch, cl   float64
 	kHH      float64 // K(X_high, X_high) of the second-order pick
 	fusedFn  func(w int)
@@ -276,53 +263,104 @@ func (s *solver) inLow(i int) bool {
 	return (a > 0 && a < c) || (yi > 0 && a == c) || (yi < 0 && a == 0)
 }
 
-// kernelRow computes K(X_r, X_i) for all i into dst: one SMSV producing the
-// dot products, then the pointwise Table I transform. With caching enabled,
-// warm rows are copied out of the LRU instead.
-func (s *solver) kernelRow(dst []float64, row sparse.Vector, r int) {
-	if cached := s.cache.get(r); cached != nil {
+// pairKernel is how a solver runs its SMSV products: one joint candidate's
+// kernel variant, under an execution context that carries the candidate's
+// chunk policy.
+type pairKernel struct {
+	cand sparse.Candidate
+	ex   *exec.Exec
+}
+
+// run computes dst1 = m·x1 and dst2 = m·x2. A matrix of another format than
+// the candidate's — the shrinking loop's CSR submatrix — has none of its
+// variants, and takes its own fused kernel.
+func (p pairKernel) run(m sparse.Matrix, dst1, dst2 []float64, x1, x2 sparse.Vector, scratch1, scratch2 []float64) {
+	c := p.cand
+	if m.Format() != c.Format {
+		c.Variant = sparse.VariantFused
+	}
+	c.RunPair(m, dst1, dst2, x1, x2, scratch1, scratch2, p.ex)
+}
+
+// kernels is the part of a solver that produces kernel rows K(X_r, ·) of the
+// data matrix: SMSV products, then the pointwise Table I transform, with an
+// optional LRU of finished rows in front.
+type kernels struct {
+	x        sparse.Matrix
+	ex       *exec.Exec // the caller's context, which the transform runs under
+	pair     pairKernel
+	kHigh    []float64 // kernel row K(X_high, ·)
+	kLow     []float64
+	scratch  []float64
+	scratch2 []float64 // second workspace for the paired two-row SMSV
+	normSq   []float64 // ‖X_i‖², nil unless the kernel or SecondOrder reads it
+	rowBufH  sparse.Vector
+	rowBufL  sparse.Vector
+	cache    *rowCache // optional kernel-row LRU
+	xform    *rowTransform
+}
+
+// newKernels sizes the buffers for x. The products run the chosen candidate
+// on ex's workers, or, when it is nil, x's fused pair kernel where it has one
+// under ex as it is.
+func newKernels(x sparse.Matrix, p KernelParams, ex *exec.Exec, chosen *sparse.Candidate, cacheRows int, norms bool) kernels {
+	rows, cols := x.Dims()
+	pair := pairKernel{cand: sparse.Candidate{Format: x.Format(), Variant: sparse.VariantFused}, ex: ex}
+	if chosen != nil {
+		pair = pairKernel{cand: *chosen, ex: ex.WithSched(chosen.Chunk.Sched())}
+	}
+	k := kernels{
+		x:        x,
+		ex:       ex,
+		pair:     pair,
+		kHigh:    make([]float64, rows),
+		kLow:     make([]float64, rows),
+		scratch:  make([]float64, cols),
+		scratch2: make([]float64, cols),
+		cache:    newRowCache(cacheRows),
+		xform:    newRowTransform(p),
+	}
+	if norms || needsNorms(p) {
+		k.normSq = rowNorms(x)
+	}
+	return k
+}
+
+// row computes K(X_r, X_i) for all i into dst: one SMSV producing the dot
+// products, then the pointwise Table I transform. With caching enabled, warm
+// rows are copied out of the LRU instead. buf receives X_r.
+func (k *kernels) row(dst []float64, buf *sparse.Vector, r int) {
+	if cached := k.cache.get(r); cached != nil {
 		copy(dst, cached)
 		return
 	}
-	s.x.MulVecSparse(dst, row, s.scratch, s.cfg.Exec)
-	s.xform.apply(s.cfg.Exec, dst, s.normSq, normAt(s.normSq, r))
-	s.cache.put(r, dst)
+	*buf = k.x.RowTo(*buf, r)
+	k.x.MulVecSparse(dst, *buf, k.scratch, k.pair.ex)
+	k.xform.apply(k.ex, dst, k.normSq, normAt(k.normSq, r))
+	k.cache.put(r, dst)
 }
 
-// kernelRows fills kHigh and kLow for the working-set pair. When neither
-// row is cached, both products come from one fused pass over the matrix
-// (PairMulVecSparse), halving matrix traffic versus two independent SMSVs
-// — the dominant per-iteration cost per §III-A.
-func (s *solver) kernelRows(sel selection) {
-	hCached := s.cache.get(sel.high)
-	lCached := s.cache.get(sel.low)
-	switch {
-	case hCached != nil && lCached != nil:
-		copy(s.kHigh, hCached)
-		copy(s.kLow, lCached)
-	case hCached != nil:
-		copy(s.kHigh, hCached)
-		s.rowBufL = s.x.RowTo(s.rowBufL, sel.low)
-		s.kernelRow(s.kLow, s.rowBufL, sel.low)
-	case lCached != nil:
-		copy(s.kLow, lCached)
-		s.rowBufH = s.x.RowTo(s.rowBufH, sel.high)
-		s.kernelRow(s.kHigh, s.rowBufH, sel.high)
-	default:
-		s.rowBufH = s.x.RowTo(s.rowBufH, sel.high)
-		s.rowBufL = s.x.RowTo(s.rowBufL, sel.low)
-		if sel.high == sel.low {
-			s.kernelRow(s.kHigh, s.rowBufH, sel.high)
-			copy(s.kLow, s.kHigh)
+// rows fills kHigh and kLow for the working-set pair. When neither row is
+// cached, both products come from one run of the pair kernel — for a fused
+// variant one pass over the matrix, halving its traffic versus two
+// independent SMSVs, the dominant per-iteration cost per §III-A.
+func (k *kernels) rows(high, low int) {
+	if high == low || k.cache.get(high) != nil || k.cache.get(low) != nil {
+		k.row(k.kHigh, &k.rowBufH, high)
+		if high == low {
+			copy(k.kLow, k.kHigh)
 			return
 		}
-		sparse.PairMulVecSparse(s.x, s.kHigh, s.kLow, s.rowBufH, s.rowBufL,
-			s.scratch, s.scratch2, s.cfg.Exec)
-		s.xform.apply(s.cfg.Exec, s.kHigh, s.normSq, normAt(s.normSq, sel.high))
-		s.xform.apply(s.cfg.Exec, s.kLow, s.normSq, normAt(s.normSq, sel.low))
-		s.cache.put(sel.high, s.kHigh)
-		s.cache.put(sel.low, s.kLow)
+		k.row(k.kLow, &k.rowBufL, low)
+		return
 	}
+	k.rowBufH = k.x.RowTo(k.rowBufH, high)
+	k.rowBufL = k.x.RowTo(k.rowBufL, low)
+	k.pair.run(k.x, k.kHigh, k.kLow, k.rowBufH, k.rowBufL, k.scratch, k.scratch2)
+	k.xform.apply(k.ex, k.kHigh, k.normSq, normAt(k.normSq, high))
+	k.xform.apply(k.ex, k.kLow, k.normSq, normAt(k.normSq, low))
+	k.cache.put(high, k.kHigh)
+	k.cache.put(low, k.kLow)
 }
 
 // selection holds one working-set pick.
@@ -439,7 +477,7 @@ func (s *solver) run() Stats {
 			break
 		}
 		t0 := time.Now()
-		s.kernelRows(sel)
+		s.rows(sel.high, sel.low)
 		st.KernelTime += time.Since(t0)
 		dh, dl := s.step(sel.high, sel.low, sel.high, sel.low)
 		if dh == 0 && dl == 0 {
@@ -484,8 +522,7 @@ func (s *solver) runSecondOrder() Stats {
 		}
 		high := sel.high
 		t0 := time.Now()
-		s.rowBufH = s.x.RowTo(s.rowBufH, high)
-		s.kernelRow(s.kHigh, s.rowBufH, high)
+		s.row(s.kHigh, &s.rowBufH, high)
 		st.KernelTime += time.Since(t0)
 		// Second-order low: maximize (f_i − b_high)² / η_i over violators.
 		s.kHH = s.kHigh[high]
@@ -494,8 +531,7 @@ func (s *solver) runSecondOrder() Stats {
 			break
 		}
 		t0 = time.Now()
-		s.rowBufL = s.x.RowTo(s.rowBufL, low)
-		s.kernelRow(s.kLow, s.rowBufL, low)
+		s.row(s.kLow, &s.rowBufL, low)
 		st.KernelTime += time.Since(t0)
 		// The analytic step uses b_low = f[low] for this pair.
 		s.bLow = s.f[low]

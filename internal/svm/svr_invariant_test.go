@@ -28,20 +28,9 @@ func TestSVRMaintainedGradientExact(t *testing.T) {
 		C: 20, Epsilon: 0.05, Tol: 1e-3, MaxIter: 5000,
 		Kernel: KernelParams{Type: Gaussian, Gamma: 1},
 	}
-	rows, cols := m.Dims()
+	rows, _ := m.Dims()
 	n2 := 2 * rows
-	s := &svrSolver{
-		x: m, cfg: cfg, n: rows,
-		alpha: make([]float64, n2), f: make([]float64, n2), yext: make([]float64, n2),
-		kHigh: make([]float64, rows), kLow: make([]float64, rows),
-		scratch: make([]float64, cols), normSq: rowNorms(m),
-	}
-	for i := 0; i < rows; i++ {
-		s.yext[i] = 1
-		s.yext[rows+i] = -1
-		s.f[i] = cfg.Epsilon - y[i]
-		s.f[rows+i] = -(cfg.Epsilon + y[i])
-	}
+	s := newSVRSolver(m, y, cfg)
 	s.run()
 
 	var rowVecs []sparse.Vector
