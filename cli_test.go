@@ -287,7 +287,7 @@ func TestLayoutdDaemon(t *testing.T) {
 	// adult's shape into the tuning history — a history near-miss would
 	// otherwise answer before the predictor is consulted.
 	code, body := post("/v1/schedule", map[string]string{"data": string(raw), "policy": "predict"})
-	if code != 200 || !strings.Contains(body, `"source": "predictor"`) {
+	if code != 200 || !strings.Contains(body, `"source":"predictor"`) {
 		t.Fatalf("predict-policy schedule: %d %s", code, body)
 	}
 	code, body = post("/v1/predict-format", map[string]string{"data": string(raw)})
@@ -296,11 +296,11 @@ func TestLayoutdDaemon(t *testing.T) {
 	}
 	req := map[string]string{"data": string(raw)}
 	code, body = post("/v1/schedule", req)
-	if code != 200 || !strings.Contains(body, `"source": "measured"`) {
+	if code != 200 || !strings.Contains(body, `"source":"measured"`) {
 		t.Fatalf("first schedule: %d %s", code, body)
 	}
 	code, body = post("/v1/schedule", req)
-	if code != 200 || !strings.Contains(body, `"source": "cache"`) {
+	if code != 200 || !strings.Contains(body, `"source":"cache"`) {
 		t.Fatalf("second schedule not cached: %d %s", code, body)
 	}
 	if code, body := post("/v1/predict", map[string]any{"rows": []string{"1:1"}}); code != 503 {

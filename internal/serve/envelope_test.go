@@ -232,7 +232,7 @@ func TestHugeIndexBodyAllocatesLittle(t *testing.T) {
 		{"spgemm operand b", "/v1/schedule/spgemm", SpGEMMRequest{A: "1 1:1\n", B: hugeIndexRows}, http.StatusBadRequest,
 			"operand b: " + capText},
 		{"predict-format", "/v1/predict-format", PredictFormatRequest{Data: hugeIndexRows}, http.StatusOK,
-			`"n": 2147483647`},
+			`"n":2147483647`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			raw, err := json.Marshal(tc.body)

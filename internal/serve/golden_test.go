@@ -55,15 +55,15 @@ func goldenConfig() Config {
 
 // Timings and trace ids are the only run-dependent bytes in a response.
 var (
-	maskTraceID = regexp.MustCompile(`"trace_id": "[0-9a-f]+"`)
-	maskNanos   = regexp.MustCompile(`"nanos": [0-9]+`)
-	maskMillis  = regexp.MustCompile(`"millis": [0-9.e+-]+`)
+	maskTraceID = regexp.MustCompile(`"trace_id":"[0-9a-f]+"`)
+	maskNanos   = regexp.MustCompile(`"nanos":[0-9]+`)
+	maskMillis  = regexp.MustCompile(`"millis":[0-9.e+-]+`)
 )
 
 func maskResponse(raw []byte) []byte {
-	raw = maskTraceID.ReplaceAll(raw, []byte(`"trace_id": "MASKED"`))
-	raw = maskNanos.ReplaceAll(raw, []byte(`"nanos": 0`))
-	return maskMillis.ReplaceAll(raw, []byte(`"millis": 0`))
+	raw = maskTraceID.ReplaceAll(raw, []byte(`"trace_id":"MASKED"`))
+	raw = maskNanos.ReplaceAll(raw, []byte(`"nanos":0`))
+	return maskMillis.ReplaceAll(raw, []byte(`"millis":0`))
 }
 
 func TestGoldenScheduleResponses(t *testing.T) {

@@ -88,9 +88,12 @@ type DecisionJSON struct {
 	Source string `json:"source"`
 	// Confidence is the predictor's vote share when one was consulted
 	// (predict policy), including fallbacks that measured instead.
-	Confidence float64           `json:"confidence,omitempty"`
-	Estimates  []EstimateJSON    `json:"estimates"`
-	Measured   []MeasurementJSON `json:"measured,omitempty"` // ascending time
+	Confidence float64 `json:"confidence,omitempty"`
+	// Estimates is the cost model's account of every format. /v1/schedule and
+	// layoutsched -json always fill it; batch slots decided from the cache
+	// leave it out.
+	Estimates []EstimateJSON    `json:"estimates,omitempty"`
+	Measured  []MeasurementJSON `json:"measured,omitempty"` // ascending time
 	// Degraded marks a decision produced without measurement because the
 	// measurement path was failing (circuit breaker open, or the failure
 	// that would have been a 5xx was absorbed). Degraded answers come from
