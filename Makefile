@@ -48,14 +48,16 @@ chaos:
 	$(GO) test -race -run 'Chaos|Panic|Breaker' -count=1 $(CHAOS_PKGS)
 
 # Fuzz: each native fuzz target gets $(FUZZTIME) of exploration. go test
-# fuzzes one target per invocation, hence one run each. FuzzParseLIBSVM and
-# FuzzScheduleEnvelope are differentials against the legacy parse route and
-# encoding/json; their seed corpora also run as plain tests in `make test`.
+# fuzzes one target per invocation, hence one run each. FuzzParseLIBSVM,
+# FuzzScheduleEnvelope and FuzzEncodeDecision are differentials against the
+# legacy parse route and encoding/json (decoding and encoding); their seed
+# corpora also run as plain tests in `make test`.
 fuzz:
 	$(GO) test -fuzz '^FuzzParseLIBSVM$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -fuzz '^FuzzTripletFeatures$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -fuzz '^FuzzScheduleRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -fuzz '^FuzzScheduleEnvelope$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -fuzz '^FuzzEncodeDecision$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -fuzz '^FuzzSpGEMM$$' -fuzztime $(FUZZTIME) ./internal/spgemm
 	$(GO) test -fuzz '^FuzzOnlineHarvestRecord$$' -fuzztime $(FUZZTIME) ./internal/online
 	$(GO) test -fuzz '^FuzzBuilderCanonical$$' -fuzztime $(FUZZTIME) ./internal/sparse

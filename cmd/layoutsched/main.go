@@ -139,7 +139,7 @@ func scheduleCmd() {
 	sched := core.New(cfg)
 	ctx := context.Background()
 	var tr *telemetry.Trace
-	var root *telemetry.Span
+	var root telemetry.Span
 	if *traceOut {
 		ctx, tr, root = telemetry.NewTrace(ctx, "layoutsched.schedule",
 			telemetry.String("policy", *policy))

@@ -80,7 +80,7 @@ func spgemmCmd(args []string) error {
 
 	ctx := context.Background()
 	var tr *telemetry.Trace
-	var root *telemetry.Span
+	var root telemetry.Span
 	if *traceOut {
 		ctx, tr, root = telemetry.NewTrace(ctx, "layoutsched.spgemm",
 			telemetry.String("policy", *policy))

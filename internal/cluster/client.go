@@ -52,7 +52,7 @@ const ForwardedHeader = "X-Layoutd-Forwarded"
 // trace id shared by every fragment of one logical operation, ParentHeader
 // the 16-hex wire id (telemetry.SpanWireID) of the caller's current span.
 // Client.Post injects them from the request context; serve handlers extract
-// them into telemetry.NewRemoteTrace.
+// them into telemetry.TraceStore.NewRemoteTrace.
 const (
 	TraceHeader  = "X-Layoutd-Trace"
 	ParentHeader = "X-Layoutd-Parent"

@@ -198,7 +198,7 @@ func (r *Replicator) flush(pending *[]ReplEntry) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.interval*4+time.Second)
 	defer cancel()
 	var tr *telemetry.Trace
-	var root *telemetry.Span
+	var root telemetry.Span
 	sink := r.traceSink.Load()
 	if sink != nil {
 		ctx, tr, root = telemetry.NewTrace(ctx, "replicate.flush",

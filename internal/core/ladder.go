@@ -109,7 +109,7 @@ func (l ladder[P, C]) withDefaults() ladder[P, C] {
 func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderScratch[C]) (v verdict[C], err error) {
 	traced := telemetry.ContextTrace(ctx) != nil
 	if traced {
-		var sp *telemetry.Span
+		var sp telemetry.Span
 		ctx, sp = telemetry.StartSpan(ctx, l.span, telemetry.String("policy", l.policy.String()))
 		defer func() {
 			if err == nil {
@@ -130,9 +130,9 @@ func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderS
 	// Incremental auto-tuning: reuse a recorded decision for a similar
 	// input before paying for any measurement.
 	if l.history != nil {
-		var hsp *telemetry.Span
+		var hsp telemetry.Span
 		if traced {
-			_, hsp = telemetry.StartSpan(ctx, "history.lookup")
+			hsp = telemetry.StartLeaf(ctx, "history.lookup")
 		}
 		c, ok := l.history.lookup(p, l.radius)
 		if traced {
@@ -171,9 +171,9 @@ func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderS
 		if !l.predictor {
 			return v, ErrNoPredictor
 		}
-		var psp *telemetry.Span
+		var psp telemetry.Span
 		if traced {
-			_, psp = telemetry.StartSpan(ctx, "predictor.predict")
+			psp = telemetry.StartLeaf(ctx, "predictor.predict")
 		}
 		c, conf, ok := w.predict()
 		// Chaos hook: model-staleness simulation jitters the vote share.
@@ -210,11 +210,11 @@ func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderS
 			return v, fmt.Errorf("%s: %w", l.op, err)
 		}
 		cctx := ctx
-		var candSp, bsp *telemetry.Span
+		var candSp, bsp telemetry.Span
 		if traced {
 			cctx, candSp = telemetry.StartSpan(ctx, "candidate",
 				telemetry.String("candidate", c.String()))
-			_, bsp = telemetry.StartSpan(cctx, "candidate.build")
+			bsp = telemetry.StartLeaf(cctx, "candidate.build")
 		}
 		err := fault.Inject("core.build")
 		if err == nil {
@@ -255,9 +255,9 @@ func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderS
 	v.measured = true
 	// What was timed may be a sample of the input; the decision carries the
 	// winner readied in full.
-	var wsp *telemetry.Span
+	var wsp telemetry.Span
 	if traced {
-		_, wsp = telemetry.StartSpan(ctx, "winner.build", telemetry.String("candidate", v.chosen.String()))
+		wsp = telemetry.StartLeaf(ctx, "winner.build", telemetry.String("candidate", v.chosen.String()))
 	}
 	ok := w.usable(v.chosen)
 	wsp.End()
@@ -282,9 +282,9 @@ func (l *ladder[P, C]) measure(ctx context.Context, w workload[P, C], c C, trial
 			total, err = 0, w.kernelPanic(c, p)
 		}
 	}()
-	var wsp *telemetry.Span
+	var wsp telemetry.Span
 	if traced {
-		_, wsp = telemetry.StartSpan(ctx, "measure.warmup")
+		wsp = telemetry.StartLeaf(ctx, "measure.warmup")
 	}
 	err = w.run(c, 0)
 	wsp.EndErr(err)
@@ -301,9 +301,9 @@ func (l *ladder[P, C]) measure(ctx context.Context, w workload[P, C], c C, trial
 			if err := fault.Inject("core.measure"); err != nil {
 				return 0, err
 			}
-			var rsp *telemetry.Span
+			var rsp telemetry.Span
 			if traced {
-				_, rsp = telemetry.StartSpan(ctx, "measure.rep",
+				rsp = telemetry.StartLeaf(ctx, "measure.rep",
 					telemetry.Int("trial", ti), telemetry.Int("rep", r))
 			}
 			start := time.Now()

@@ -54,7 +54,7 @@ func IsTransient(err error) bool {
 func (l *ladder[P, C]) retryMeasure(ctx context.Context, w workload[P, C], c C, trials int, rng *rand.Rand, traced bool) (time.Duration, error) {
 	for n := 0; ; n++ {
 		actx := ctx
-		var asp *telemetry.Span
+		var asp telemetry.Span
 		if traced {
 			actx, asp = telemetry.StartSpan(ctx, "measure.attempt", telemetry.Int("attempt", n))
 		}
@@ -68,9 +68,9 @@ func (l *ladder[P, C]) retryMeasure(ctx context.Context, w workload[P, C], c C, 
 			return 0, err
 		}
 		delay := l.retryBackoff<<n + time.Duration(rng.Int63n(int64(l.retryBackoff)))
-		var rsp *telemetry.Span
+		var rsp telemetry.Span
 		if traced {
-			_, rsp = telemetry.StartSpan(ctx, "measure.retry-backoff", telemetry.Dur("delay", delay))
+			rsp = telemetry.StartLeaf(ctx, "measure.retry-backoff", telemetry.Dur("delay", delay))
 		}
 		timer := time.NewTimer(delay)
 		select {

@@ -441,7 +441,7 @@ func (c *Controller) retrain(ln *lane, now time.Time) {
 		return
 	}
 	tsp.End()
-	_, ssp := telemetry.StartSpan(tctx, "online.shadow")
+	ssp := telemetry.StartLeaf(tctx, "online.shadow")
 	liveStats := EvalShadow(window, predictOrAbstain(ln.live))
 	candStats := EvalShadow(window, predictOrAbstain(cand))
 	ssp.Annotate(

@@ -25,11 +25,14 @@ const MaxBatchItems = 64
 
 // batchScratch is one request's reusable workspace: the buffer its body is
 // read into, a batch's decoded items, the cache-key buffer, the triplet
-// builder inline LIBSVM rows land in, and the one-pass accumulator that
-// reads them. Pooled so a warm server reads, decodes, parses, keys and
-// decides with no per-request garbage; ownership follows the handler — Get
-// at entry, Put on return, never retained past the response, and with it
-// die the envelope's views into body. Items within one batch are decided
+// builder inline LIBSVM rows land in, the one-pass accumulator that reads
+// them, and the reply half — the buffer the 200 reply is appended into, the
+// trace lines it will carry and the estimates block of a single decision.
+// Pooled so a warm server reads, decodes, parses, keys, decides and answers
+// with no per-request garbage; ownership follows the handler — Get at
+// entry, Put on return, never retained past the response, and with it die
+// the envelope's views into body and every reply field that views the
+// scratch. Items within one batch are decided
 // sequentially, so a single builder is safe: by the time item i+1 parses,
 // item i's measurement (if any) has finished and its decision holds no
 // reference to the builder's arrays.
@@ -39,6 +42,11 @@ type batchScratch struct {
 	key   []byte
 	b     *sparse.Builder
 	acc   dataset.Accumulator
+
+	out   wire            // the reply, written once when it is whole
+	trace traceLines      // the current decision's "trace" elements
+	ests  []core.Estimate // a single decision's cost-model rows ...
+	estsJ []EstimateJSON  // ... and their wire form, viewed by its reply
 }
 
 var batchScratchPool = sync.Pool{New: func() any {
@@ -86,8 +94,8 @@ func (sc *batchScratch) resolve(ctx context.Context, profile *FeaturesJSON, data
 		}
 	case len(data) != 0:
 		inline = true
-		_, psp := telemetry.StartSpan(ctx, "request.parse")
-		if feats, n, err = sc.parse(data); err == nil && psp != nil {
+		psp := telemetry.StartLeaf(ctx, "request.parse")
+		if feats, n, err = sc.parse(data); err == nil {
 			psp.Annotate(telemetry.Int("rows", feats.M), telemetry.Int("features", n))
 		}
 		psp.EndErr(err)
@@ -109,20 +117,31 @@ type peerReply struct {
 	body   []byte
 }
 
-// result decodes the reply into a batch slot.
-func (p *peerReply) result() BatchItemResult {
+// result decodes the reply into a batch slot: the owner's decision, or the
+// message that fails the slot.
+func (p *peerReply) result() (DecisionJSON, string) {
 	if p.status == http.StatusOK {
 		var resp ScheduleResponse
 		if err := json.Unmarshal(p.body, &resp); err != nil {
-			return BatchItemResult{Error: fmt.Sprintf("peer %s sent an undecodable reply: %v", p.peer, err)}
+			return DecisionJSON{}, fmt.Sprintf("peer %s sent an undecodable reply: %v", p.peer, err)
 		}
-		return BatchItemResult{Decision: &resp.Decision}
+		return resp.Decision, ""
 	}
 	var er ErrorResponse
 	if err := json.Unmarshal(p.body, &er); err != nil || er.Error == "" {
-		return BatchItemResult{Error: fmt.Sprintf("peer %s returned %d", p.peer, p.status)}
+		return DecisionJSON{}, fmt.Sprintf("peer %s returned %d", p.peer, p.status)
 	}
-	return BatchItemResult{Error: er.Error}
+	return DecisionJSON{}, er.Error
+}
+
+// scheduled is one schedule body's outcome on its way to a reply.
+type scheduled struct {
+	d DecisionJSON
+	// measured is d.Measured as the decision's cache entry rendered it; nil
+	// when the decision came from anywhere else.
+	measured []byte
+	// peer is set instead of d when the ring owner answered.
+	peer *peerReply
 }
 
 // scheduleOne is the one schedule path: /v1/schedule is a batch of one, and
@@ -131,22 +150,26 @@ func (p *peerReply) result() BatchItemResult {
 // and answered by the ring owner (the reply comes back undecoded), the
 // decision cache, or a measurement under admission control. explain asks
 // for the human-readable account a single response carries — the trace
-// lines and the estimates block; without it the steady state allocates
-// only the decision the response must own.
-func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *envelope, policy core.Policy, explain bool) (DecisionJSON, *peerReply, error) {
+// lines, noted into sc.trace, and the estimates block, which views the
+// scratch; without it the steady state allocates nothing the reply does not
+// keep.
+func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *envelope, policy core.Policy, explain bool) (scheduled, error) {
+	sc.trace.reset()
 	feats, n, inline, err := sc.resolve(ctx, req.profile, req.data)
 	if err != nil {
-		return DecisionJSON{}, nil, err
+		return scheduled{}, err
 	}
 	if !inline {
-		return s.profileDecision(ctx, feats, *req.profile), nil, nil
+		return scheduled{d: s.profileDecision(ctx, feats, *req.profile)}, nil
 	}
 	if err := inlineCapError(feats); err != nil {
-		return DecisionJSON{}, nil, badRequest{fmt.Errorf("%v; send a profile-only request for shapes this large", err)}
+		return scheduled{}, badRequest{fmt.Errorf("%v; send a profile-only request for shapes this large", err)}
 	}
-	var trace []string
+	// Lines are noted only for a reply that will carry them.
+	var trace *traceLines
 	if explain {
-		trace = append(trace, fmt.Sprintf("parsed %d LIBSVM rows, %d features", feats.M, n))
+		trace = &sc.trace
+		trace.text("parsed ").int(feats.M).text(" LIBSVM rows, ").int(n).text(" features").end()
 	}
 
 	if policy == core.RuleBased {
@@ -154,20 +177,20 @@ func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *envelop
 		t0 := time.Now()
 		dec, err := s.scheds[policy].ChooseContext(ctx, sc.b)
 		if err != nil {
-			return DecisionJSON{}, nil, err
+			return scheduled{}, err
 		}
 		s.observeDecision(ctx, time.Since(t0))
 		dj := NewDecisionJSON(dec)
 		dec.Release()
 		dj.TraceID = contextTraceID(ctx)
-		if explain {
-			dj.Trace = append(trace, "rule-based policy: model decision, no measurement")
+		if trace != nil {
+			trace.text("rule-based policy: model decision, no measurement").end()
 		}
-		return dj, nil, nil
+		return scheduled{d: dj}, nil
 	}
 
 	sc.key = AppendKey(sc.key[:0], feats, policy.String(), s.cfg.TopK)
-	trace = s.noteLoopAverted(ctx, sc.key, trace)
+	s.noteLoopAverted(ctx, sc.key, trace)
 	if m, owned := routeOwner(ctx, s, s.smsv.cache, sc.key); owned {
 		// The forwarded body is marshalled afresh — the rows copied out of
 		// the scratch, which this handler gives back while the peer may
@@ -176,25 +199,42 @@ func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *envelop
 		// exactly as this node did.
 		fwd := ScheduleRequest{Data: string(req.data), Policy: policy.String()}
 		if status, data, ok := s.forward(ctx, m, "/v1/schedule", &fwd); ok {
-			return DecisionJSON{}, &peerReply{peer: m.ID, status: status, body: data}, nil
+			return scheduled{peer: &peerReply{peer: m.ID, status: status, body: data}}, nil
 		}
 		// Owner unreachable: locality is lost but availability is not — the
 		// local decision path answers, exactly as if clustering were off.
 		s.forwardFallbacks.Add(1)
-		if explain {
-			trace = append(trace, fmt.Sprintf("cluster: owner %s unreachable, deciding locally", m.ID))
+		if trace != nil {
+			trace.text("cluster: owner ").text(m.ID).text(" unreachable, deciding locally").end()
 		}
 	}
 	val, outcome, err := decide(ctx, s, &s.smsv, policy, sc.key, smsvIn{b: sc.b, feats: feats})
 	if err != nil {
-		return DecisionJSON{}, nil, err
+		return scheduled{}, err
 	}
-	d := decidedJSON(ctx, policy, feats, val, outcome)
-	if explain {
-		d.Trace = s.appendDecideTrace(trace, s.smsv.classNoun, sc.key, outcome, val, val.Format.String(), policy)
-		d.Estimates = encodeEstimates(core.EstimateCosts(feats))
+	out := scheduled{d: DecisionJSON{
+		Policy:     policy.String(),
+		Chosen:     val.Format.String(),
+		Chunk:      val.Candidate.Chunk.String(),
+		Variant:    val.Candidate.Variant.String(),
+		Features:   NewFeaturesJSON(feats),
+		Source:     val.Source,
+		Confidence: val.Confidence,
+		Degraded:   val.Degraded,
+		TraceID:    contextTraceID(ctx),
+	}}
+	out.d.Measured, out.measured = val.evidence()
+	if outcome != "miss" {
+		// Anything but a fresh computation reports the cache.
+		out.d.Source = "cache"
 	}
-	return d, nil, nil
+	if trace != nil {
+		s.noteDecide(trace, s.smsv.classNoun, sc.key, outcome, val, val.Format.String(), policy)
+		sc.ests = core.AppendEstimates(sc.ests[:0], feats)
+		sc.estsJ = appendEstimates(sc.estsJ[:0], sc.ests)
+		out.d.Estimates = sc.estsJ
+	}
+	return out, nil
 }
 
 // handleScheduleBatch answers POST /v1/schedule/batch: up to MaxBatchItems
@@ -229,65 +269,65 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, tr, root := s.joinOrStartTrace(r, "schedule.batch",
 		telemetry.Int("items", len(items)))
 	setTraceID(w, tr.ID)
-	defer s.endTrace(tr, root, nil)
-	writeJSON(w, http.StatusOK, s.scheduleBatch(ctx, sc, items, env.policy))
+	defer s.endTrace(w, tr, root, nil)
+	sc.out.batchOpen()
+	for i := range items {
+		res, errMsg := s.scheduleItem(ctx, sc, &items[i], env.policy, i)
+		sc.out.batchItem(i, &res.d, rendered{measured: res.measured}, errMsg)
+	}
+	sc.out.batchClose(tr.ID)
+	writeReply(w, &sc.out)
 }
 
 // ScheduleBatch decides every item of req in order, sharing one pooled
 // scratch workspace across items. Exported so embedders and benchmarks can
 // drive the batched hot path without HTTP. Decisions[i] answers Items[i];
-// per-item failures land in that slot's Error.
+// per-item failures land in that slot's Error. A decision's Measured rows
+// are its cache entry's, shared with every other reply that reports the
+// entry: read them, do not modify them.
 func (s *Server) ScheduleBatch(ctx context.Context, req *BatchScheduleRequest) BatchScheduleResponse {
 	sc := getScratch()
 	defer putScratch(sc)
 	env := req.envelope()
-	return s.scheduleBatch(ctx, sc, env.items, env.policy)
-}
-
-func (s *Server) scheduleBatch(ctx context.Context, sc *batchScratch, items []envelope, policy string) BatchScheduleResponse {
 	out := BatchScheduleResponse{
-		Decisions: make([]BatchItemResult, len(items)),
+		Decisions: make([]BatchItemResult, len(env.items)),
 		TraceID:   contextTraceID(ctx),
 	}
-	for i := range items {
-		out.Decisions[i] = s.scheduleItem(ctx, sc, &items[i], policy, i)
+	for i := range env.items {
+		if res, errMsg := s.scheduleItem(ctx, sc, &env.items[i], env.policy, i); errMsg != "" {
+			out.Decisions[i].Error = errMsg
+		} else {
+			out.Decisions[i].Decision = &res.d
+		}
 	}
 	return out
 }
 
 // scheduleItem decides item i under its trace span, resolving its effective
-// policy (item override → batch default → server default).
-func (s *Server) scheduleItem(ctx context.Context, sc *batchScratch, item *envelope, batchPolicy string, i int) (res BatchItemResult) {
-	var isp *telemetry.Span
-	if telemetry.ContextTrace(ctx) != nil {
-		ctx, isp = telemetry.StartSpan(ctx, "batch.item", telemetry.Int("index", i))
-	}
+// policy (item override → batch default → server default). A non-empty
+// message fails the item alone; a ring owner's answer comes back decoded.
+func (s *Server) scheduleItem(ctx context.Context, sc *batchScratch, item *envelope, batchPolicy string, i int) (res scheduled, errMsg string) {
+	ctx, isp := telemetry.StartSpan(ctx, "batch.item", telemetry.Int("index", i))
 	name := item.policy
 	if name == "" {
 		name = batchPolicy
 	}
 	policy, err := s.schedulePolicy(name)
-	var d DecisionJSON
-	var peer *peerReply
 	if err == nil {
-		d, peer, err = s.scheduleOne(ctx, sc, item, policy, false)
+		res, err = s.scheduleOne(ctx, sc, item, policy, false)
 	}
 	switch {
 	case err != nil:
-		res.Error = err.Error()
-	case peer != nil:
-		res = peer.result()
-	default:
-		res.Decision = &d
+		errMsg = err.Error()
+	case res.peer != nil:
+		res.d, errMsg = res.peer.result()
 	}
-	if isp != nil {
-		if res.Error != "" {
-			isp.Annotate(telemetry.String("error", res.Error))
-		} else {
-			isp.Annotate(telemetry.String("chosen", res.Decision.Chosen),
-				telemetry.String("source", res.Decision.Source))
-		}
-		isp.End()
+	if errMsg != "" {
+		isp.Annotate(telemetry.String("error", errMsg))
+	} else {
+		isp.Annotate(telemetry.String("chosen", res.d.Chosen),
+			telemetry.String("source", res.d.Source))
 	}
-	return res
+	isp.End()
+	return res, errMsg
 }

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/sparse"
+	"repro/internal/telemetry"
 )
 
 func decodeBatch(t *testing.T, code int, body []byte) BatchScheduleResponse {
@@ -76,7 +79,7 @@ func TestScheduleBatchEndpoint(t *testing.T) {
 		t.Fatal("batch trace not stored")
 	}
 	items := 0
-	for _, sp := range tr.Snapshot().Spans {
+	for _, sp := range tr.Spans {
 		if sp.Name == "batch.item" {
 			items++
 		}
@@ -286,4 +289,136 @@ func benchPost(b *testing.B, h http.Handler, body []byte) BatchScheduleResponse 
 		b.Fatal(err)
 	}
 	return resp
+}
+
+// hitBodies are the three warmed requests the serving benchmarks share — a
+// 1 KB /v1/schedule body, a 16-item batch of it and an SpGEMM pair — keyed
+// by the sub-benchmark name, with the path each goes to.
+func hitBodies(tb testing.TB) map[string][2]string {
+	marshal := func(v any) string {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return string(raw)
+	}
+	rows := makeLIBSVM(10, 40, 6, 1)
+	batch := BatchScheduleRequest{Items: make([]ScheduleRequest, 16)}
+	for i := range batch.Items {
+		batch.Items[i].Data = rows
+	}
+	return map[string][2]string{
+		"schedule": {"/v1/schedule", marshal(ScheduleRequest{Data: rows})},
+		"batch16":  {"/v1/schedule/batch", marshal(batch)},
+		"spgemm":   {"/v1/schedule/spgemm", marshal(SpGEMMRequest{A: rows + "+1 40:1\n", B: makeLIBSVM(39, 30, 5, 3) + "+1 30:1\n"})},
+	}
+}
+
+// BenchmarkScheduleHitHTTP is a warmed request end to end through
+// Handler().ServeHTTP — body read, envelope, parse, key, cache hit, trace,
+// reply — per endpoint: with BenchmarkServeBatchHTTP the source of
+// EXPERIMENTS.md's "What a cache hit still allocates" (run with -benchmem).
+// The floor sub-benchmarks are what that costs before the server does
+// anything: httptest's request and recorder and the route wrapper around a
+// handler that reads the same body and writes the same reply.
+func BenchmarkScheduleHitHTTP(b *testing.B) {
+	s := NewServer(Config{Policy: core.Hybrid, TopK: 2, TrialRows: 8, Repeats: 1})
+	h := s.Handler()
+	for _, name := range []string{"schedule", "batch16", "spgemm"} {
+		req := hitBodies(b)[name]
+		path, body := req[0], req[1]
+		var reply []byte
+		bench := func(h http.Handler) func(b *testing.B) {
+			return func(b *testing.B) {
+				rd := strings.NewReader(body)
+				run := func() {
+					rd.Reset(body)
+					w := httptest.NewRecorder()
+					h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, rd))
+					if w.Code != http.StatusOK {
+						b.Fatalf("status %d: %s", w.Code, w.Body)
+					}
+					reply = w.Body.Bytes()
+				}
+				// First contact measures; the rest fill the trace ring, so the
+				// timed requests record into recycled storage.
+				for i := 0; i < telemetry.DefaultTraceCapacity+8; i++ {
+					run()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+			}
+		}
+		b.Run(name, bench(h))
+		b.Run(name+"/floor", bench(s.route("schedule", http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			w.Write(reply)
+		})))
+	}
+}
+
+// BenchmarkReplyEncode is the reply half alone: the three hit replies of
+// BenchmarkScheduleHitHTTP appended into a reused buffer, the measured
+// evidence and the trace lines spliced as the handlers splice them.
+func BenchmarkReplyEncode(b *testing.B) {
+	s := NewServer(Config{Policy: core.Hybrid, TopK: 2, TrialRows: 8, Repeats: 1})
+	h := s.Handler()
+	replies := map[string][]byte{}
+	for name, req := range hitBodies(b) {
+		for i := 0; i < 2; i++ { // the second reply is the hit
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, req[0], strings.NewReader(req[1])))
+			if w.Code != http.StatusOK {
+				b.Fatalf("%s: status %d: %s", name, w.Code, w.Body)
+			}
+			replies[name] = w.Body.Bytes()
+		}
+	}
+	var single ScheduleResponse
+	var batch BatchScheduleResponse
+	var pair SpGEMMResponse
+	for name, v := range map[string]any{"schedule": &single, "batch16": &batch, "spgemm": &pair} {
+		if err := json.Unmarshal(replies[name], v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pre := preRender(single.Decision.Measured, (*wire).measurement, single.Decision.Trace)
+	pairPre := preRender(pair.Decision.Measured, (*wire).pairMeasurement, pair.Decision.Trace)
+	slotPre := make([]rendered, len(batch.Decisions))
+	for i, slot := range batch.Decisions {
+		slotPre[i] = preRender(slot.Decision.Measured, (*wire).measurement, nil)
+	}
+	var w wire
+	for _, bc := range []struct {
+		name   string
+		encode func()
+	}{
+		{"schedule", func() { w.scheduleReply(&single.Decision, pre) }},
+		{"batch16", func() {
+			w.batchOpen()
+			for i, slot := range batch.Decisions {
+				w.batchItem(i, slot.Decision, slotPre[i], "")
+			}
+			w.batchClose(batch.TraceID)
+		}},
+		{"spgemm", func() { w.spgemmReply(&pair.Decision, pairPre) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bc.encode()
+			if !bytes.Equal(w.b, replies[bc.name]) {
+				b.Fatalf("encoded %s, the handler sent %s", w.b, replies[bc.name])
+			}
+			b.SetBytes(int64(len(w.b)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.encode()
+			}
+		})
+	}
 }

@@ -36,6 +36,10 @@ type CachedDecision struct {
 	// DegradedTTL, so they are re-measured once the path recovers instead
 	// of masquerading as authoritative forever.
 	Degraded bool
+
+	// ev is Measured in reply form, rendered on first use. An entry — its
+	// Measured map above all — is immutable once it is in a cache.
+	ev evidence[MeasurementJSON]
 }
 
 // IsDegraded implements Degradable.
@@ -57,6 +61,8 @@ type CachedPairDecision struct {
 	EstimatedNNZ float64
 	OutputNNZ    int64
 	Degraded     bool
+
+	ev evidence[PairMeasurementJSON] // as CachedDecision.ev
 }
 
 // IsDegraded implements Degradable.

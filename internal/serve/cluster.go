@@ -222,21 +222,22 @@ func routeOwner[V Degradable](ctx context.Context, s *Server, cache *Cache[V], k
 
 // noteLoopAverted handles divergent membership views: the sender's ring
 // said this node owns the key, ours disagrees. The forwarded marker
-// already stops the loop — record that it did, so operators can see view
-// skew in the trace instead of inferring it from hops.
-func (s *Server) noteLoopAverted(ctx context.Context, key []byte, trace []string) []string {
+// already stops the loop — record that it did, in a span and (when the
+// reply carries trace lines) in one of those, so operators can see view
+// skew instead of inferring it from hops.
+func (s *Server) noteLoopAverted(ctx context.Context, key []byte, trace *traceLines) {
 	if s.cluster == nil || !isForwarded(ctx) {
-		return trace
+		return
 	}
 	m, owned := s.cluster.Route(key)
 	if !owned {
-		return trace
+		return
 	}
-	_, lsp := telemetry.StartSpan(ctx, "forward.loop_averted",
-		telemetry.String("claimed_owner", m.ID))
-	lsp.End()
-	return append(trace, fmt.Sprintf(
-		"cluster: forwarded here but local ring says %s owns this key; deciding locally (loop averted)", m.ID))
+	telemetry.StartLeaf(ctx, "forward.loop_averted", telemetry.String("claimed_owner", m.ID)).End()
+	if trace != nil {
+		trace.text("cluster: forwarded here but local ring says ").text(m.ID).
+			text(" owns this key; deciding locally (loop averted)").end()
+	}
 }
 
 // gossip queues a freshly computed decision (and, when it was measured,
@@ -278,9 +279,9 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	// Without headers no trace is recorded — steady-state gossip must not
 	// churn the bounded trace store.
 	var tr *telemetry.Trace
-	var root *telemetry.Span
+	var root telemetry.Span
 	if tid, parent, ok := s.traceHeaders(r); ok {
-		_, tr, root = telemetry.NewRemoteTrace(r.Context(), tid, parent, s.node, "replicate.apply",
+		_, tr, root = s.traces.NewRemoteTrace(r.Context(), tid, parent, s.node, "replicate.apply",
 			telemetry.String("from", payload.From),
 			telemetry.Int("entries", len(payload.Entries)))
 	}
@@ -295,7 +296,7 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	s.replApplied.Add(int64(applied))
 	s.replSkipped.Add(int64(skipped))
 	if tr != nil {
-		s.endTrace(tr, root, nil)
+		s.endTrace(w, tr, root, nil)
 	}
 	s.logger.Debug("replication batch applied",
 		"from", payload.From, "applied", applied, "skipped", skipped)
@@ -387,7 +388,7 @@ func (s *Server) handleClusterModel(w http.ResponseWriter, r *http.Request) {
 	ctx, tr, root := s.joinOrStartTrace(r, "model.apply",
 		telemetry.String("kind", req.Kind))
 	var applyErr error
-	defer func() { s.endTrace(tr, root, applyErr) }()
+	defer func() { s.endTrace(w, tr, root, applyErr) }()
 	slot, known := s.models[req.Kind]
 	switch {
 	case !known:

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -426,5 +427,58 @@ func TestClusterRelays429WithRetryAfter(t *testing.T) {
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("429 relayed without Retry-After")
+	}
+}
+
+// TestClusterFallbackTraceRecordsOutcome: when a shape class's owner is
+// down the request is still answered, and its trace says what happened —
+// the failed hop on the cluster.forward span, the 200 on the root, which
+// the fallback leaves without an error.
+func TestClusterFallbackTraceRecordsOutcome(t *testing.T) {
+	nodes := startCluster(t, 2, nil)
+	// A shape class n1's ring hands to n2.
+	var data string
+	for seed := int64(1); data == ""; seed++ {
+		rows := makeLIBSVM(10+int(seed)*3, 12+int(seed)*5, 3, seed)
+		sc := getScratch()
+		feats, _, err := sc.parse([]byte(rows))
+		putScratch(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, remote := nodes[0].peers.Route(AppendKey(nil, feats, "hybrid", 0)); remote && m.ID == "n2" {
+			data = rows
+		}
+		if seed > 200 {
+			t.Fatal("no shape class routes to n2")
+		}
+	}
+	nodes[1].hs.Close()
+	const id = "00000000000000fb"
+	raw, _ := json.Marshal(ScheduleRequest{Data: data})
+	req, _ := http.NewRequest(http.MethodPost, nodes[0].url+"/v1/schedule", bytes.NewReader(raw))
+	req.Header.Set(cluster.TraceHeader, id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "cluster: owner n2 unreachable, deciding locally") {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	tr, ok := nodes[0].srv.Traces().Get(id)
+	if !ok {
+		t.Fatal("request left no trace")
+	}
+	if root := tr.Spans[0]; !slices.Contains(root.AttrList, "status=200") || root.Error != "" {
+		t.Errorf("root span %v error %q, want status=200 and no error\n%s", root.AttrList, root.Error, tr.Tree())
+	}
+	failedHop := false
+	for _, sp := range tr.Spans {
+		failedHop = failedHop || sp.Name == "cluster.forward" && sp.Error != "" && slices.Contains(sp.AttrList, "peer=n2")
+	}
+	if !failedHop {
+		t.Errorf("no failed cluster.forward span:\n%s", tr.Tree())
 	}
 }

@@ -67,27 +67,17 @@ type workload[In any, V decided] struct {
 // "dedup", or "miss", as for Cache.Do.
 func decide[In any, V decided](ctx context.Context, s *Server, w *workload[In, V], policy core.Policy, key []byte, in In) (V, string, error) {
 	if val, ok := w.cache.Get(key); ok {
-		// Traced requests still get the cache span on a hit; untraced
-		// callers (the batched steady state) skip it and stay alloc-free.
-		if telemetry.ContextTrace(ctx) != nil {
-			source, _ := val.provenance()
-			_, csp := telemetry.StartSpan(ctx, "cache.do",
-				telemetry.String("key", string(key)))
-			csp.Annotate(telemetry.String("outcome", "hit"),
-				telemetry.String("source", source))
-			csp.End()
-		}
+		// A hit's cache span is a leaf, and the key is copied into the
+		// trace's own bytes: traced or not, the hit allocates nothing.
+		source, _ := val.provenance()
+		telemetry.StartLeaf(ctx, "cache.do", telemetry.Bytes("key", key),
+			telemetry.String("outcome", "hit"), telemetry.String("source", source)).End()
 		return val, "hit", nil
 	}
 	// The cache span parents the scheduler's spans: the singleflight leader
 	// computes under this request's context, so its trace carries the full
 	// candidate/measurement tree while deduped waiters show only the join.
-	cctx := ctx
-	var csp *telemetry.Span
-	if telemetry.ContextTrace(ctx) != nil {
-		cctx, csp = telemetry.StartSpan(ctx, "cache.do",
-			telemetry.String("key", string(key)))
-	}
+	cctx, csp := telemetry.StartSpan(ctx, "cache.do", telemetry.Bytes("key", key))
 	mctx, cancel := context.WithTimeout(cctx, s.cfg.Timeout)
 	defer cancel()
 	val, outcome, err := w.cache.Do(string(key), func() (V, error) {
@@ -97,11 +87,9 @@ func decide[In any, V decided](ctx context.Context, s *Server, w *workload[In, V
 		csp.EndErr(err)
 		return val, outcome, err
 	}
-	if csp != nil {
-		source, _ := val.provenance()
-		csp.Annotate(telemetry.String("outcome", outcome), telemetry.String("source", source))
-		csp.End()
-	}
+	source, _ := val.provenance()
+	csp.Annotate(telemetry.String("outcome", outcome), telemetry.String("source", source))
+	csp.End()
 	if outcome == "miss" {
 		// Only the computing leader publishes, so one fresh decision
 		// gossips once and is one training record no matter how many
@@ -192,33 +180,41 @@ func harvest[C candidate](s *Server, val decided, rec online.Record, measured ma
 	s.cfg.Harvest(rec)
 }
 
-// appendDecideTrace explains a decide outcome in the response's trace
-// field. answer is how the workload names what the predictor said (a bare
-// format for SMSV, the full candidate for SpGEMM).
-func (s *Server) appendDecideTrace(trace []string, classNoun string, key []byte, outcome string, val decided, answer string, policy core.Policy) []string {
+// noteDecide explains a decide outcome in the reply's trace lines. answer
+// is how the workload names what the predictor said (a bare format for
+// SMSV, the full candidate for SpGEMM).
+func (s *Server) noteDecide(trace *traceLines, classNoun string, key []byte, outcome string, val decided, answer string, policy core.Policy) {
 	source, confidence := val.provenance()
+	class := func(lead string) *traceLines {
+		return trace.text(lead).text(classNoun).text(" ").bytes(key)
+	}
 	switch outcome {
 	case "hit":
-		return append(trace, fmt.Sprintf("cache: hit for %s %s (decision first %s)", classNoun, key, source))
+		class("cache: hit for ").text(" (decision first ").text(source).text(")").end()
+		return
 	case "dedup":
-		return append(trace, fmt.Sprintf("cache: joined in-flight measurement for %s %s", classNoun, key))
+		class("cache: joined in-flight measurement for ").end()
+		return
 	}
-	trace = append(trace, fmt.Sprintf("cache: miss for %s %s", classNoun, key))
+	class("cache: miss for ").end()
 	switch {
 	case val.IsDegraded():
-		return append(trace, fmt.Sprintf(
-			"degraded: measurement unavailable (breaker %s), answered from %s", s.breaker.State(), source))
+		trace.text("degraded: measurement unavailable (breaker ").text(s.breaker.State().String()).
+			text("), answered from ").text(source).end()
+		return
 	case source == "history":
-		return append(trace, "history: near-miss reuse, measurement skipped")
+		trace.text("history: near-miss reuse, measurement skipped").end()
+		return
 	case source == "predictor":
-		return append(trace, fmt.Sprintf("predictor: answered %s with confidence %.2f, measurement skipped",
-			answer, confidence))
+		trace.text("predictor: answered ").text(answer).text(" with confidence ").fixed2(confidence).
+			text(", measurement skipped").end()
+		return
 	}
 	if policy == core.PolicyPredict {
-		trace = append(trace, fmt.Sprintf("predictor: confidence %.2f below threshold, falling back to measurement",
-			confidence))
+		trace.text("predictor: confidence ").fixed2(confidence).
+			text(" below threshold, falling back to measurement").end()
 	}
-	return append(trace, fmt.Sprintf("admission: acquired 1 of %d measurement slots", cap(s.sem)))
+	trace.text("admission: acquired 1 of ").int(cap(s.sem)).text(" measurement slots").end()
 }
 
 // swapBox is an atomically swappable predictor: the schedulers and

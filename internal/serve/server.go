@@ -623,6 +623,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// writeReply sends the 200 decision reply appended into out: one Write of
+// bytes the encoder in encode.go holds identical to what writeJSON would
+// have produced from the wire struct.
+func writeReply(w http.ResponseWriter, out *wire) {
+	if out.nonFinite {
+		// encoding/json would have refused the value; say so instead of
+		// sending a body no JSON parser accepts.
+		writeError(w, http.StatusInternalServerError, "decision holds a NaN or an infinity, which JSON cannot carry")
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(out.b)
+}
+
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: msg})
 }
@@ -711,12 +726,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 				"trace %q not found (never recorded, or evicted from the %d-trace ring)", id, s.traces.Capacity()))
 			return
 		}
-		writeJSON(w, http.StatusOK, local.Snapshot())
+		writeJSON(w, http.StatusOK, local)
 		return
 	}
 	var frags []telemetry.TraceJSON
 	if localOK {
-		frags = append(frags, local.Snapshot())
+		frags = append(frags, local)
 	}
 	remote, incomplete := s.fetchPeerFragments(r.Context(), id)
 	frags = append(frags, remote...)
@@ -751,15 +766,17 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	ctx, tr, root := s.joinOrStartTrace(r, "schedule",
 		telemetry.String("policy", policy.String()))
 	setTraceID(w, tr.ID)
-	defer s.endTrace(tr, root, nil)
-	d, peer, err := s.scheduleOne(ctx, sc, &env, policy, true)
+	var res scheduled
+	defer func() { s.endTrace(w, tr, root, err) }()
+	res, err = s.scheduleOne(ctx, sc, &env, policy, true)
 	switch {
 	case err != nil:
 		writeScheduleError(w, err)
-	case peer != nil:
-		relay(w, peer.status, peer.body)
+	case res.peer != nil:
+		relay(w, res.peer.status, res.peer.body)
 	default:
-		writeJSON(w, http.StatusOK, ScheduleResponse{Decision: d})
+		sc.out.scheduleReply(&res.d, rendered{measured: res.measured, trace: sc.trace.elems})
+		writeReply(w, &sc.out)
 	}
 }
 
@@ -786,20 +803,26 @@ func (s *Server) traceHeaders(r *http.Request) (traceID, parent string, ok bool)
 // headers rode the request, and starts a fresh one otherwise. Either way
 // the trace is stamped with the local node id so assembled cluster
 // traces attribute every span.
-func (s *Server) joinOrStartTrace(r *http.Request, name string, attrs ...telemetry.Attr) (context.Context, *telemetry.Trace, *telemetry.Span) {
+func (s *Server) joinOrStartTrace(r *http.Request, name string, attrs ...telemetry.Attr) (context.Context, *telemetry.Trace, telemetry.Span) {
 	if tid, parent, ok := s.traceHeaders(r); ok {
-		return telemetry.NewRemoteTrace(r.Context(), tid, parent, s.node, name, attrs...)
+		return s.traces.NewRemoteTrace(r.Context(), tid, parent, s.node, name, attrs...)
 	}
-	ctx, tr, root := telemetry.NewTrace(r.Context(), name, attrs...)
+	ctx, tr, root := s.traces.NewTrace(r.Context(), name, attrs...)
 	if s.node != "" {
 		tr.SetNode(s.node)
 	}
 	return ctx, tr, root
 }
 
-// endTrace closes a handler's trace, recording err on its root span, and
-// files it in the bounded store /v1/trace/{id} serves from.
-func (s *Server) endTrace(tr *telemetry.Trace, root *telemetry.Span, err error) {
+// endTrace closes a handler's trace — the root span records the status the
+// handler answered with and err, the failure behind a non-2xx — and files
+// it in the bounded store /v1/trace/{id} serves from. A handler defers it
+// in a closure, so that err is the request's final error and not the nil
+// it held when the defer statement ran.
+func (s *Server) endTrace(w http.ResponseWriter, tr *telemetry.Trace, root telemetry.Span, err error) {
+	if rec, ok := w.(*statusRecorder); ok {
+		root.Annotate(telemetry.Int("status", rec.status))
+	}
 	root.EndErr(err)
 	tr.Finish()
 	s.traces.Put(tr)
@@ -812,24 +835,27 @@ func (s *Server) observeDecision(ctx context.Context, d time.Duration) {
 	s.metrics.decision.ObserveExemplar(d.Seconds(), contextTraceID(ctx), s.node)
 }
 
+// profileTrace is the one line a profile-only decision explains itself
+// with; shared by every such reply, so never modified.
+var profileTrace = []string{"profile-only request: rule-based cost model, no measurement"}
+
 // profileDecision answers a profile-only request: with no data to measure,
 // the decision is the rule-based cost model evaluated on the given
 // (already validated) nine parameters.
 func (s *Server) profileDecision(ctx context.Context, f dataset.Features, p FeaturesJSON) DecisionJSON {
-	_, sp := telemetry.StartSpan(ctx, "estimate.costs")
+	sp := telemetry.StartLeaf(ctx, "estimate.costs")
 	ests := core.EstimateCosts(f)
 	sp.Annotate(telemetry.String("chosen", ests[0].Format.String()))
 	sp.End()
-	d := DecisionJSON{
-		Policy:   core.RuleBased.String(),
-		Chosen:   ests[0].Format.String(),
-		Features: p,
-		Source:   "model",
-		TraceID:  contextTraceID(ctx),
-		Trace:    []string{"profile-only request: rule-based cost model, no measurement"},
+	return DecisionJSON{
+		Policy:    core.RuleBased.String(),
+		Chosen:    ests[0].Format.String(),
+		Features:  p,
+		Source:    "model",
+		Estimates: appendEstimates(nil, ests),
+		TraceID:   contextTraceID(ctx),
+		Trace:     profileTrace,
 	}
-	d.Estimates = encodeEstimates(ests)
-	return d
 }
 
 // inlineCapError rejects shapes over maxInlineCells: a tiny body can
@@ -842,27 +868,6 @@ func inlineCapError(f dataset.Features) error {
 			f.M, f.N, cells, int64(maxInlineCells))
 	}
 	return nil
-}
-
-// decidedJSON renders a decide result for the single and batch endpoints;
-// anything but a fresh computation reports source "cache".
-func decidedJSON(ctx context.Context, policy core.Policy, feats dataset.Features, val *CachedDecision, outcome string) DecisionJSON {
-	d := DecisionJSON{
-		Policy:     policy.String(),
-		Chosen:     val.Format.String(),
-		Chunk:      val.Candidate.Chunk.String(),
-		Variant:    val.Candidate.Variant.String(),
-		Features:   NewFeaturesJSON(feats),
-		Source:     val.Source,
-		Confidence: val.Confidence,
-		Measured:   encodeMeasured(val.Measured, measurementRow),
-		Degraded:   val.Degraded,
-		TraceID:    contextTraceID(ctx),
-	}
-	if outcome != "miss" {
-		d.Source = "cache"
-	}
-	return d
 }
 
 // smsvIn is the SMSV workload's operand bundle: the parsed matrix and its

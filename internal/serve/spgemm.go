@@ -182,71 +182,83 @@ func (s *Server) handleScheduleSpGEMM(w http.ResponseWriter, r *http.Request) {
 	ctx, tr, root := s.joinOrStartTrace(r, "schedule-spgemm",
 		telemetry.String("policy", policy.String()))
 	setTraceID(w, tr.ID)
-	defer s.endTrace(tr, root, nil)
+	defer func() { s.endTrace(w, tr, root, err) }()
+	if err = s.scheduleSpGEMM(ctx, w, &req, policy, sa, sb); err != nil {
+		writeScheduleError(w, err)
+	}
+}
 
-	_, psp := telemetry.StartSpan(ctx, "request.parse")
-	fa, err := sa.parseOperand("a", req.a)
-	var fb dataset.Features
-	if err == nil {
+// parsePair parses both operands under a request.parse span and checks
+// that they conform. Every error is the caller's.
+func parsePair(ctx context.Context, req *envelope, sa, sb *batchScratch) (fa, fb dataset.Features, err error) {
+	psp := telemetry.StartLeaf(ctx, "request.parse")
+	if fa, err = sa.parseOperand("a", req.a); err == nil {
 		fb, err = sb.parseOperand("b", req.b)
 	}
 	if err != nil {
 		psp.EndErr(err)
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return fa, fb, badRequest{err}
 	}
 	psp.Annotate(telemetry.Int("a_rows", fa.M), telemetry.Int("b_rows", fb.M))
 	psp.End()
 	if fa.N != fb.M {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf(
-			"dimension mismatch: A is %d×%d but B is %d×%d", fa.M, fa.N, fb.M, fb.N))
-		return
+		return fa, fb, badRequest{fmt.Errorf(
+			"dimension mismatch: A is %d×%d but B is %d×%d", fa.M, fa.N, fb.M, fb.N)}
 	}
-	s.scheduleSpGEMM(w, r.WithContext(ctx), &req, policy, sa, sb, fa, fb)
+	return fa, fb, nil
 }
 
-// scheduleSpGEMM decides one parsed pair: rule-based requests go straight
-// to the cost model, everything else through routing, the pair cache, and
-// admission-controlled measurement.
-func (s *Server) scheduleSpGEMM(w http.ResponseWriter, r *http.Request, req *envelope, policy core.Policy, sa, sb *batchScratch, fa, fb dataset.Features) {
-	trace := []string{fmt.Sprintf("parsed pair %d×%d × %d×%d", fa.M, fa.N, fb.M, fb.N)}
+// scheduleSpGEMM parses and decides one pair and writes its reply:
+// rule-based requests go straight to the cost model, everything else
+// through routing, the pair cache, and admission-controlled measurement.
+// An error comes back unwritten.
+func (s *Server) scheduleSpGEMM(ctx context.Context, w http.ResponseWriter, req *envelope, policy core.Policy, sa, sb *batchScratch) error {
+	fa, fb, err := parsePair(ctx, req, sa, sb)
+	if err != nil {
+		return err
+	}
+	trace := &sa.trace
+	trace.reset()
+	trace.text("parsed pair ").int(fa.M).text("×").int(fa.N).text(" × ").int(fb.M).text("×").int(fb.N).end()
+	reply := func(d *SpGEMMDecisionJSON, measured []byte) {
+		sa.out.spgemmReply(d, rendered{measured: measured, trace: trace.elems})
+		writeReply(w, &sa.out)
+	}
 
 	if policy == core.RuleBased {
 		// Pure model decision: nothing to measure, nothing worth caching.
 		t0 := time.Now()
-		dec, err := s.spScheds[policy].ChooseContext(r.Context(), sa.b, sb.b)
+		dec, err := s.spScheds[policy].ChooseContext(ctx, sa.b, sb.b)
 		if err != nil {
-			writeScheduleError(w, err)
-			return
+			return err
 		}
-		s.observeDecision(r.Context(), time.Since(t0))
+		s.observeDecision(ctx, time.Since(t0))
 		dj := NewSpGEMMDecisionJSON(dec)
 		dec.Release()
-		dj.TraceID = contextTraceID(r.Context())
-		dj.Trace = append(trace, "rule-based policy: model decision, no measurement")
-		writeJSON(w, http.StatusOK, SpGEMMResponse{Decision: dj})
-		return
+		dj.TraceID = contextTraceID(ctx)
+		trace.text("rule-based policy: model decision, no measurement").end()
+		reply(&dj, nil)
+		return nil
 	}
 
 	sa.key = AppendPairKey(sa.key[:0], fa, fb, policy.String(), s.cfg.TopK)
 	key := sa.key
-	trace = s.noteLoopAverted(r.Context(), key, trace)
-	if m, owned := routeOwner(r.Context(), s, s.pair.cache, key); owned {
+	s.noteLoopAverted(ctx, key, trace)
+	if m, owned := routeOwner(ctx, s, s.pair.cache, key); owned {
 		// As in scheduleOne: a fresh body, operands copied, policy pinned.
 		fwd := SpGEMMRequest{A: string(req.a), B: string(req.b), Policy: policy.String()}
-		if status, data, ok := s.forward(r.Context(), m, "/v1/schedule/spgemm", &fwd); ok {
+		if status, data, ok := s.forward(ctx, m, "/v1/schedule/spgemm", &fwd); ok {
 			relay(w, status, data)
-			return
+			return nil
 		}
 		s.forwardFallbacks.Add(1)
-		trace = append(trace, fmt.Sprintf("cluster: owner %s unreachable, deciding locally", m.ID))
+		trace.text("cluster: owner ").text(m.ID).text(" unreachable, deciding locally").end()
 	}
-	val, outcome, err := decide(r.Context(), s, &s.pair, policy, key, pairIn{a: sa.b, b: sb.b, fa: fa, fb: fb})
+	val, outcome, err := decide(ctx, s, &s.pair, policy, key, pairIn{a: sa.b, b: sb.b, fa: fa, fb: fb})
 	if err != nil {
-		writeScheduleError(w, err)
-		return
+		return err
 	}
-	trace = s.appendDecideTrace(trace, s.pair.classNoun, key, outcome, val, val.Candidate.String(), policy)
+	s.noteDecide(trace, s.pair.classNoun, key, outcome, val, val.Candidate.String(), policy)
 
 	d := SpGEMMDecisionJSON{
 		Policy:       policy.String(),
@@ -261,15 +273,15 @@ func (s *Server) scheduleSpGEMM(w http.ResponseWriter, r *http.Request, req *env
 		EstimatedNNZ: val.EstimatedNNZ,
 		OutputNNZ:    val.OutputNNZ,
 		Estimates:    encodePairEstimates(core.EstimatePairCandidates(fa, fb)),
-		Measured:     encodeMeasured(val.Measured, pairMeasurementRow),
 		Degraded:     val.Degraded,
-		TraceID:      contextTraceID(r.Context()),
-		Trace:        trace,
+		TraceID:      contextTraceID(ctx),
 	}
 	if outcome != "miss" {
 		d.Source = "cache"
 	}
-	writeJSON(w, http.StatusOK, SpGEMMResponse{Decision: d})
+	_, measured := val.evidence()
+	reply(&d, measured)
+	return nil
 }
 
 // pairIn is the SpGEMM workload's operand bundle: both parsed operands and

@@ -121,20 +121,20 @@ func NewDecisionJSON(d *core.Decision) DecisionJSON {
 		Source:   d.Source(),
 	}
 	out.Confidence = d.Confidence
-	out.Estimates = encodeEstimates(d.Estimates)
+	out.Estimates = appendEstimates(nil, d.Estimates)
 	out.Measured = encodeMeasured(d.Measured, measurementRow)
 	return out
 }
 
-func encodeEstimates(ests []core.Estimate) []EstimateJSON {
-	out := make([]EstimateJSON, 0, len(ests))
+// appendEstimates appends the wire form of ests to dst.
+func appendEstimates(dst []EstimateJSON, ests []core.Estimate) []EstimateJSON {
 	for _, e := range ests {
-		out = append(out, EstimateJSON{
+		dst = append(dst, EstimateJSON{
 			Format: e.Format.String(), Bytes: e.Bytes, Weight: e.Weight,
 			Imbalance: e.Imbalance, Cost: e.Cost,
 		})
 	}
-	return out
+	return dst
 }
 
 // encodeMeasured renders a measurement map as one row per candidate,

@@ -58,7 +58,8 @@ func TestNewRemoteTraceJoinsAndDegrades(t *testing.T) {
 		t.Fatalf("ContextTraceParent: %q %q %v", tid, parent, ok)
 	}
 
-	_, frag, froot := NewRemoteTrace(context.Background(), tid, parent, "node-b", "schedule")
+	store := NewTraceStore(2)
+	_, frag, froot := store.NewRemoteTrace(context.Background(), tid, parent, "node-b", "schedule")
 	if frag.ID != tid {
 		t.Fatalf("fragment id %q, want %q", frag.ID, tid)
 	}
@@ -73,7 +74,7 @@ func TestNewRemoteTraceJoinsAndDegrades(t *testing.T) {
 	}
 
 	// Garbage ids degrade to a fresh local trace instead of poisoning the store.
-	_, deg, _ := NewRemoteTrace(context.Background(), "not-hex!", "also-bad", "node-b", "schedule")
+	_, deg, _ := store.NewRemoteTrace(context.Background(), "not-hex!", "also-bad", "node-b", "schedule")
 	if deg.ID == "not-hex!" || !ValidTraceID(deg.ID) || deg.Snapshot().RemoteParent != "" {
 		t.Fatalf("invalid ids should degrade: %+v", deg.Snapshot())
 	}
@@ -81,8 +82,8 @@ func TestNewRemoteTraceJoinsAndDegrades(t *testing.T) {
 
 // contextWith rebuilds the context a trace's root span rides; NewTrace
 // returns it, but tests that only kept the trace need it back.
-func contextWith(tr *Trace, root *Span) context.Context {
-	return context.WithValue(context.Background(), traceCtxKey{}, root)
+func contextWith(tr *Trace, root Span) context.Context {
+	return &spanCtx{Context: context.Background(), span: root}
 }
 
 func hasAttr(s SpanJSON, kv string) bool {
@@ -102,8 +103,8 @@ func buildFragments(t *testing.T) (origin, fragment TraceJSON, parentWire string
 	otr.SetNode("node-a")
 	fctx, fsp := StartSpan(ctx, "cluster.forward")
 	tid, parent, _ := ContextTraceParent(fctx)
-	_, btr, broot := NewRemoteTrace(context.Background(), tid, parent, "node-b", "schedule")
-	_, dsp := StartSpan(context.WithValue(context.Background(), traceCtxKey{}, broot), "decide")
+	_, btr, broot := NewTraceStore(2).NewRemoteTrace(context.Background(), tid, parent, "node-b", "schedule")
+	_, dsp := StartSpan(contextWith(btr, broot), "decide")
 	dsp.End()
 	broot.End()
 	btr.Finish()

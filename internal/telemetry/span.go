@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	mrand "math/rand/v2"
 	"sort"
 	"strconv"
@@ -19,54 +20,209 @@ import (
 // decision (hundreds of retries) cannot balloon the trace store.
 const DefaultMaxSpans = 512
 
-// Attr is one key=value annotation on a span.
+// Attr is one key=value annotation for a span, as it is handed to StartSpan
+// or Annotate. A value is kept as what it was given as — a string, a
+// number, a duration — and is only spelled out when the trace is read, so
+// annotating a span formats and allocates nothing.
 type Attr struct {
 	Key   string
-	Value string
+	kind  attrKind
+	str   string // attrString
+	num   int64  // the integer of attrInt, the nanoseconds of attrDur, the bits of attrFloat
+	bytes []byte // attrBytes: copied when the attribute is stored, never retained
 }
 
+type attrKind uint8
+
+const (
+	attrString attrKind = iota
+	attrInt
+	attrFloat
+	attrDur
+	attrBytes
+)
+
 // String builds a string attribute.
-func String(key, value string) Attr { return Attr{Key: key, Value: value} }
+func String(key, value string) Attr { return Attr{Key: key, str: value} }
+
+// Bytes builds a string attribute from bytes the caller goes on to reuse:
+// the span copies them into its trace's own storage.
+func Bytes(key string, value []byte) Attr { return Attr{Key: key, kind: attrBytes, bytes: value} }
 
 // Int builds an integer attribute.
-func Int(key string, v int) Attr { return Attr{Key: key, Value: fmt.Sprint(v)} }
+func Int(key string, v int) Attr { return Attr{Key: key, kind: attrInt, num: int64(v)} }
 
-// Float builds a float attribute in compact form.
+// Float builds a float attribute, read back in compact form.
 func Float(key string, v float64) Attr {
-	return Attr{Key: key, Value: strconv.FormatFloat(v, 'g', -1, 64)}
+	return Attr{Key: key, kind: attrFloat, num: int64(math.Float64bits(v))}
 }
 
 // Dur builds a duration attribute.
-func Dur(key string, d time.Duration) Attr { return Attr{Key: key, Value: d.String()} }
+func Dur(key string, d time.Duration) Attr { return Attr{Key: key, kind: attrDur, num: int64(d)} }
 
-// Span is one timed operation inside a trace. A nil *Span is valid and
-// every method is a no-op, so instrumented code never branches on whether
-// tracing is active.
+// attrRec is an attribute as a span stores it: an Attr whose bytes, if it
+// had any, now lie in the trace's value bytes at num>>32, num&0xffffffff long.
+type attrRec struct {
+	key  string
+	str  string
+	num  int64
+	kind attrKind
+}
+
+// appendValue spells the attribute's value out, as reading a trace shows it.
+func (a attrRec) appendValue(dst, vals []byte) []byte {
+	switch a.kind {
+	case attrInt:
+		return strconv.AppendInt(dst, a.num, 10)
+	case attrFloat:
+		return strconv.AppendFloat(dst, math.Float64frombits(uint64(a.num)), 'g', -1, 64)
+	case attrDur:
+		return append(dst, time.Duration(a.num).String()...)
+	case attrBytes:
+		off, n := a.num>>32, a.num&0xffffffff
+		return append(dst, vals[off:off+n]...)
+	}
+	return append(dst, a.str...)
+}
+
+// Span is a handle on one timed operation inside a trace: the trace and the
+// span's index in it, a value to pass and copy freely. The zero Span is
+// valid and every method on it is a no-op, so instrumented code never
+// branches on whether tracing is active; a Span whose trace has finished is
+// a no-op in the same way.
 type Span struct {
-	trace  *Trace
-	id     int
-	parent int // -1 for the root
-	name   string
-	start  time.Time
-	dur    time.Duration
-	attrs  []Attr
-	errMsg string
+	t  *Trace
+	id int32
+}
+
+// spanRec is a span as its trace stores it.
+type spanRec struct {
+	parent int32 // -1 for the root
 	ended  bool
+	name   string
+	at     time.Duration // when it started, from the trace's start
+	dur    time.Duration
+	attrs  []attrRec
+	errMsg string
+}
+
+// storage is what a trace records into: the spans, each with its attribute
+// slice, and the bytes of the values that were copied in. It is the part of
+// a trace that outlives it: when a TraceStore evicts a trace it takes the
+// storage back, emptied but with its capacity, for the next trace it
+// starts, so a store that is full records without allocating per span.
+//
+// The first spanChunk spans live in one slice, which is what is recycled;
+// a trace that records more (a cold measurement with its hundreds of reps)
+// puts the rest in chunks of its own, which go to the collector with it
+// instead of staying pinned under every later three-span hit. A 16-item
+// batch records 49 spans. Neither part is ever copied to grow, so a long
+// trace costs its spans and not twice that.
+type storage struct {
+	spans []spanRec   // spans 0 .. spanChunk-1
+	more  [][]spanRec // then spanChunk at a time
+	n     int         // spans recorded
+	vals  []byte
+}
+
+const spanChunk = 64
+
+// at returns span id's record.
+func (st *storage) at(id int) *spanRec {
+	if id < spanChunk {
+		return &st.spans[id]
+	}
+	id -= spanChunk
+	return &st.more[id/spanChunk][id%spanChunk]
+}
+
+// reset empties the storage for its next trace, dropping every reference
+// the old spans held.
+func (st *storage) reset() {
+	for i := range st.spans {
+		sp := &st.spans[i]
+		clear(sp.attrs)
+		*sp = spanRec{attrs: sp.attrs[:0]}
+	}
+	st.spans, st.more, st.n, st.vals = st.spans[:0], nil, 0, st.vals[:0]
+}
+
+// push appends a span and returns its index. Attribute slices of spans a
+// previous trace recorded are reused.
+func (st *storage) push(parent int32, name string, at time.Duration, attrs []Attr) int32 {
+	id := st.n
+	st.n++
+	switch {
+	case id < spanChunk && id < cap(st.spans):
+		st.spans = st.spans[:id+1]
+	case id < spanChunk:
+		st.spans = append(st.spans, spanRec{})
+	default:
+		if (id-spanChunk)%spanChunk == 0 {
+			st.more = append(st.more, make([]spanRec, 0, spanChunk))
+		}
+		last := &st.more[len(st.more)-1]
+		*last = append(*last, spanRec{})
+	}
+	sp := st.at(id)
+	sp.parent, sp.name, sp.at = parent, name, at
+	st.annotate(sp, attrs)
+	return int32(id)
+}
+
+// annotate stores attrs on sp, copying in the values given as bytes.
+func (st *storage) annotate(sp *spanRec, attrs []Attr) {
+	if sp.attrs == nil && len(attrs) > 0 {
+		// Fresh storage: most spans are annotated once, so fit the first lot
+		// exactly instead of letting append round it up.
+		sp.attrs = make([]attrRec, 0, len(attrs))
+	}
+	for _, a := range attrs {
+		rec := attrRec{key: a.Key, str: a.str, num: a.num, kind: a.kind}
+		if a.kind == attrBytes {
+			rec.num = int64(len(st.vals))<<32 | int64(len(a.bytes))
+			st.vals = append(st.vals, a.bytes...)
+		}
+		sp.attrs = append(sp.attrs, rec)
+	}
 }
 
 // Trace is one decision's span tree. It is safe for concurrent use: spans
 // may start and end from any goroutine participating in the decision.
+//
+// A Trace is recorded by whoever started it until Finish, which freezes
+// it, and is then handed to a TraceStore, which owns it from there and on
+// eviction takes its storage away. The Trace itself is never reused — it
+// is the one object per decision left to the collector — so a context, a
+// Span or a *Trace that outlives the request still points at the trace it
+// was made for, finds it finished, and does nothing.
 type Trace struct {
 	ID string
 
 	mu           sync.Mutex
-	spans        []*Span
+	st           storage
+	finished     bool // Finish ran: nothing records any more
+	released     bool // a store took the storage back: nothing to read either
 	dropped      int
-	maxSpans     int
 	start        time.Time
-	finished     bool
 	node         string // cluster node that recorded this fragment ("" = standalone)
 	remoteParent string // wire id of the remote span that caused this fragment
+	root         spanCtx
+}
+
+// spanCtx is the context a span rides: ctx.Value(traceCtxKey{}) finds the
+// innermost one. The root's is part of its Trace; a child's is allocated
+// when the child is started with StartSpan (StartLeaf starts one without).
+type spanCtx struct {
+	context.Context
+	span Span
+}
+
+func (c *spanCtx) Value(key any) any {
+	if _, ok := key.(traceCtxKey); ok {
+		return c
+	}
+	return c.Context.Value(key)
 }
 
 type traceCtxKey struct{}
@@ -141,169 +297,179 @@ func SpanWireID(traceID, node string, id int) string {
 // NewTrace starts a trace with a root span of the given name and returns
 // the derived context (carrying the root span), the trace, and the root
 // span. Finish the root with End and hand the trace to a TraceStore.
-func NewTrace(ctx context.Context, name string, attrs ...Attr) (context.Context, *Trace, *Span) {
-	t := &Trace{ID: newTraceID(), maxSpans: DefaultMaxSpans, start: time.Now()}
-	root := &Span{trace: t, id: 0, parent: -1, name: name, start: t.start, attrs: attrs}
-	t.spans = append(t.spans, root)
-	return context.WithValue(ctx, traceCtxKey{}, root), t, root
+// (A daemon that keeps a store starts its traces there: TraceStore.NewTrace
+// records into storage the store got back from a trace it evicted.)
+func NewTrace(ctx context.Context, name string, attrs ...Attr) (context.Context, *Trace, Span) {
+	return startTrace(ctx, storage{}, newTraceID(), "", "", name, attrs)
 }
 
-// NewRemoteTrace starts a local fragment of a distributed trace: id is the
-// propagated 16-hex trace id and parent the wire id of the remote span that
-// caused this work (empty if the caller did not say). The fragment's root
-// span carries a node attr so assembled trees show which node ran what.
-// An invalid id is replaced with a fresh one, degrading to a local trace.
-func NewRemoteTrace(ctx context.Context, id, parent, node, name string, attrs ...Attr) (context.Context, *Trace, *Span) {
-	if !ValidTraceID(id) {
-		id = newTraceID()
-		parent = ""
-	}
-	if !ValidTraceID(parent) {
-		parent = ""
-	}
-	t := &Trace{ID: id, maxSpans: DefaultMaxSpans, start: time.Now(), node: node, remoteParent: parent}
-	if node != "" {
-		attrs = append(attrs, String("node", node))
-	}
-	root := &Span{trace: t, id: 0, parent: -1, name: name, start: t.start, attrs: attrs}
-	t.spans = append(t.spans, root)
-	return context.WithValue(ctx, traceCtxKey{}, root), t, root
+// startTrace is the one place a Trace is made: a fresh header over st,
+// which is empty storage — new, or recycled by a store.
+func startTrace(ctx context.Context, st storage, id, remoteParent, node, name string, attrs []Attr) (context.Context, *Trace, Span) {
+	t := &Trace{ID: id, st: st, start: time.Now(), remoteParent: remoteParent}
+	t.st.push(-1, name, 0, attrs)
+	t.root = spanCtx{Context: ctx, span: Span{t: t}}
+	t.SetNode(node)
+	return &t.root, t, t.root.span
 }
 
 // SetNode records which cluster node this trace belongs to and annotates
 // the root span with it. Call once, right after NewTrace; remote fragments
-// get their node from NewRemoteTrace instead.
+// get their node from TraceStore.NewRemoteTrace instead.
 func (t *Trace) SetNode(node string) {
 	if t == nil || node == "" {
 		return
 	}
 	t.mu.Lock()
-	if t.node == "" {
+	if t.node == "" && !t.finished {
 		t.node = node
-		if len(t.spans) > 0 {
-			t.spans[0].attrs = append(t.spans[0].attrs, String("node", node))
-		}
+		t.st.annotate(t.st.at(0), []Attr{String("node", node)})
 	}
 	t.mu.Unlock()
 }
 
-// Node returns the cluster node recorded on the trace ("" = standalone).
-func (t *Trace) Node() string {
-	if t == nil {
-		return ""
+// contextSpan returns the span riding ctx, or the zero Span.
+func contextSpan(ctx context.Context) Span {
+	if c, ok := ctx.Value(traceCtxKey{}).(*spanCtx); ok {
+		return c.span
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.node
+	return Span{}
 }
 
 // ContextTrace returns the trace riding ctx, or nil.
-func ContextTrace(ctx context.Context) *Trace {
-	if s, ok := ctx.Value(traceCtxKey{}).(*Span); ok {
-		return s.trace
-	}
-	return nil
-}
+func ContextTrace(ctx context.Context) *Trace { return contextSpan(ctx).t }
 
 // ContextTraceParent returns the propagation header values for the span
 // riding ctx: the trace id and the current span's wire id. ok is false on
 // a trace-free context.
 func ContextTraceParent(ctx context.Context) (traceID, spanID string, ok bool) {
-	s, ok := ctx.Value(traceCtxKey{}).(*Span)
-	if !ok {
+	s := contextSpan(ctx)
+	if s.t == nil {
 		return "", "", false
 	}
-	t := s.trace
-	t.mu.Lock()
-	node := t.node
-	t.mu.Unlock()
-	return t.ID, SpanWireID(t.ID, node, s.id), true
+	s.t.mu.Lock()
+	node := s.t.node
+	s.t.mu.Unlock()
+	return s.t.ID, SpanWireID(s.t.ID, node, int(s.id)), true
 }
 
 // StartSpan opens a child span under the span riding ctx and returns the
 // derived context and the span. On a trace-free context (or a trace at its
-// span cap) it returns ctx unchanged and a nil span — one context lookup,
-// no allocation — so callers always write
+// span cap, or one that has finished) it returns ctx unchanged and the
+// zero Span — one context lookup, no allocation — so callers
+// always write
 //
 //	ctx, sp := telemetry.StartSpan(ctx, "candidate.build", telemetry.String("format", f.String()))
 //	defer sp.End()
-func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	parent, ok := ctx.Value(traceCtxKey{}).(*Span)
-	if !ok {
-		return ctx, nil
+//
+// The derived context is the one allocation a span costs; a span that will
+// have no children of its own starts with StartLeaf and costs none.
+func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, Span) {
+	s := StartLeaf(ctx, name, attrs...)
+	if s.t == nil {
+		return ctx, s
 	}
-	t := parent.trace
-	t.mu.Lock()
-	if len(t.spans) >= t.maxSpans {
-		t.dropped++
-		t.mu.Unlock()
-		return ctx, nil
-	}
-	s := &Span{trace: t, id: len(t.spans), parent: parent.id, name: name, start: time.Now(), attrs: attrs}
-	t.spans = append(t.spans, s)
-	t.mu.Unlock()
-	return context.WithValue(ctx, traceCtxKey{}, s), s
+	return &spanCtx{Context: ctx, span: s}, s
 }
 
-// End closes the span, fixing its duration. Safe on nil and idempotent.
-func (s *Span) End() {
-	if s == nil {
-		return
+// StartLeaf opens a child span under the span riding ctx, as StartSpan
+// does, without deriving a context for children of its own.
+func StartLeaf(ctx context.Context, name string, attrs ...Attr) Span {
+	parent := contextSpan(ctx)
+	t := parent.t
+	if t == nil {
+		return Span{}
 	}
-	s.trace.mu.Lock()
-	if !s.ended {
-		s.ended = true
-		s.dur = time.Since(s.start)
+	at := time.Since(t.start)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.finished {
+		return Span{}
 	}
-	s.trace.mu.Unlock()
+	if t.st.n >= DefaultMaxSpans {
+		t.dropped++
+		return Span{}
+	}
+	return Span{t: t, id: t.st.push(parent.id, name, at, attrs)}
 }
+
+// rec returns the span's record for a caller holding the trace's lock, or
+// nil once the trace has finished.
+func (s Span) rec() *spanRec {
+	if s.t.finished {
+		return nil
+	}
+	return s.t.st.at(int(s.id))
+}
+
+// End closes the span, fixing its duration. Safe on the zero Span and
+// idempotent.
+func (s Span) End() { s.EndErr(nil) }
 
 // EndErr closes the span recording err (nil err is a plain End).
-func (s *Span) EndErr(err error) {
-	if s == nil {
+func (s Span) EndErr(err error) {
+	if s.t == nil {
 		return
 	}
-	if err != nil {
-		s.SetError(err)
+	s.t.mu.Lock()
+	if sp := s.rec(); sp != nil {
+		if err != nil {
+			sp.errMsg = err.Error()
+		}
+		if !sp.ended {
+			sp.ended, sp.dur = true, time.Since(s.t.start)-sp.at
+		}
 	}
-	s.End()
+	s.t.mu.Unlock()
 }
 
-// Annotate appends attributes to the span. Safe on nil.
-func (s *Span) Annotate(attrs ...Attr) {
-	if s == nil {
+// Annotate appends attributes to the span. Safe on the zero Span.
+func (s Span) Annotate(attrs ...Attr) {
+	if s.t == nil {
 		return
 	}
-	s.trace.mu.Lock()
-	s.attrs = append(s.attrs, attrs...)
-	s.trace.mu.Unlock()
-}
-
-// SetError records an error on the span. Safe on nil.
-func (s *Span) SetError(err error) {
-	if s == nil || err == nil {
-		return
+	s.t.mu.Lock()
+	if sp := s.rec(); sp != nil {
+		s.t.st.annotate(sp, attrs)
 	}
-	s.trace.mu.Lock()
-	s.errMsg = err.Error()
-	s.trace.mu.Unlock()
+	s.t.mu.Unlock()
 }
 
 // Finish marks the trace complete, ending any still-open spans (including
-// the root) at the current time.
+// the root) at the current time. A finished trace is frozen: a Span or a
+// context of it that is used afterwards does nothing.
 func (t *Trace) Finish() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	for _, s := range t.spans {
-		if !s.ended {
-			s.ended = true
-			s.dur = time.Since(s.start)
+	for i := 0; i < t.st.n; i++ {
+		if sp := t.st.at(i); !sp.ended {
+			sp.ended, sp.dur = true, time.Since(t.start)-sp.at
 		}
 	}
 	t.finished = true
 	t.mu.Unlock()
+}
+
+// release finishes the trace and takes its storage away, emptied for reuse.
+// Only the store that owns the trace calls it, once: on the way out of its
+// map, which a released trace cannot re-enter (Put).
+func (t *Trace) release() storage {
+	t.Finish()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	st := t.st
+	t.st, t.released = storage{}, true
+	st.reset()
+	return st
+}
+
+// isReleased reports whether a store has taken the trace's storage back.
+func (t *Trace) isReleased() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.released
 }
 
 // SpanJSON is the wire form of one span. Offsets and durations are
@@ -316,7 +482,6 @@ type SpanJSON struct {
 	StartUs  int64    `json:"start_us"`       // offset from trace start
 	DurUs    int64    `json:"dur_us"`
 	Error    string   `json:"error,omitempty"`
-	Attrs    []Attr   `json:"-"`
 	AttrList []string `json:"attrs,omitempty"` // "key=value" pairs, insertion order
 }
 
@@ -339,28 +504,38 @@ type TraceJSON struct {
 	Incomplete bool `json:"incomplete,omitempty"`
 }
 
-// Snapshot renders the trace's current state as its wire form.
+// Snapshot renders the trace's current state as its wire form: a copy,
+// sharing nothing with the trace. A trace whose store has evicted it
+// snapshots as its id and no spans.
 func (t *Trace) Snapshot() TraceJSON {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := TraceJSON{TraceID: t.ID, Start: t.start, Dropped: t.dropped, Node: t.node, RemoteParent: t.remoteParent}
-	for _, s := range t.spans {
+	if t.st.n == 0 {
+		return out
+	}
+	out.Spans = make([]SpanJSON, t.st.n)
+	var kv []byte
+	for i := range out.Spans {
+		s := t.st.at(i)
 		sj := SpanJSON{
-			ID:      s.id,
-			Parent:  s.parent,
+			ID:      i,
+			Parent:  int(s.parent),
 			Name:    s.name,
-			StartUs: s.start.Sub(t.start).Microseconds(),
+			StartUs: s.at.Microseconds(),
 			DurUs:   s.dur.Microseconds(),
 			Error:   s.errMsg,
 		}
-		for _, a := range s.attrs {
-			sj.AttrList = append(sj.AttrList, a.Key+"="+a.Value)
+		if len(s.attrs) > 0 {
+			sj.AttrList = make([]string, len(s.attrs))
+			for k, a := range s.attrs {
+				kv = append(append(kv[:0], a.key...), '=')
+				sj.AttrList[k] = string(a.appendValue(kv, t.st.vals))
+			}
 		}
-		out.Spans = append(out.Spans, sj)
+		out.Spans[i] = sj
 	}
-	if len(out.Spans) > 0 {
-		out.DurUs = out.Spans[0].DurUs
-	}
+	out.DurUs = out.Spans[0].DurUs
 	return out
 }
 
@@ -372,8 +547,10 @@ func (t *Trace) Snapshot() TraceJSON {
 //	│  ├─ build 120µs
 //	│  └─ measure 800µs reps=6
 //	└─ decide 1µs chosen=CSR
-func (t *Trace) Tree() string {
-	snap := t.Snapshot()
+func (t *Trace) Tree() string { return t.Snapshot().Tree() }
+
+// Tree renders a single-fragment snapshot as Trace.Tree renders its trace.
+func (snap TraceJSON) Tree() string {
 	children := make(map[int][]int)
 	for _, s := range snap.Spans {
 		if s.Parent >= 0 {

@@ -53,17 +53,16 @@ func TestSpanTreeAssembly(t *testing.T) {
 
 func TestStartSpanWithoutTraceIsNoop(t *testing.T) {
 	ctx, sp := StartSpan(context.Background(), "orphan")
-	if sp != nil {
+	if sp != (Span{}) {
 		t.Fatal("span on trace-free context")
 	}
 	if ctx != context.Background() {
 		t.Fatal("context rewrapped without a trace")
 	}
-	// All span methods must be nil-safe.
+	// All span methods must be safe on the zero Span.
 	sp.End()
 	sp.EndErr(errors.New("x"))
 	sp.Annotate(String("k", "v"))
-	sp.SetError(errors.New("y"))
 }
 
 func TestTraceSpanCap(t *testing.T) {
@@ -159,9 +158,11 @@ func TestTraceStoreConcurrent(t *testing.T) {
 				case <-stop:
 					return
 				case id := <-idc:
-					if tr, ok := s.Get(id); ok {
-						_ = tr.Snapshot()
-						_ = tr.Tree()
+					if snap, ok := s.Get(id); ok {
+						if snap.TraceID != id {
+							t.Errorf("Get(%s) answered trace %s", id, snap.TraceID)
+						}
+						_ = snap.Tree()
 					}
 				}
 			}

@@ -11,9 +11,11 @@
 //   - metric handles (*Counter, *Gauge, *Histogram) are resolved once at
 //     registration and then updated with a single atomic op — no map lookup,
 //     no lock, no allocation per observation;
-//   - spans only exist when a trace rides the context; StartSpan on a
-//     trace-free context returns a nil *Span whose every method is a no-op,
-//     so untraced calls pay one context lookup and nothing else;
+//   - spans only exist when a trace rides the context — StartSpan on a
+//     trace-free context returns the zero Span, whose every method is a
+//     no-op, so untraced calls pay one context lookup and nothing else —
+//     and when one does, a span is a record in storage the trace ring
+//     recycles, its numeric attributes formatted only when the trace is read;
 //   - exposition is pull-time work: Collectors snapshot external counters
 //     (kernel stats, fault activations, cache stats) only when /metrics is
 //     scraped.

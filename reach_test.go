@@ -146,7 +146,6 @@ var reachAllow = map[string]string{
 	"internal/telemetry.Histogram.Count":           pendingNext,
 	"internal/telemetry.Counter.Add":               pendingNext,
 	"internal/telemetry.Gauge.Add":                 pendingNext,
-	"internal/telemetry.Trace.Node":                pendingNext,
 }
 
 type unreached struct {
