@@ -50,8 +50,10 @@ chaos:
 # Fuzz: each native fuzz target gets $(FUZZTIME) of exploration. go test
 # fuzzes one target per invocation, hence one run each. FuzzParseLIBSVM,
 # FuzzScheduleEnvelope and FuzzEncodeDecision are differentials against the
-# legacy parse route and encoding/json (decoding and encoding); their seed
-# corpora also run as plain tests in `make test`.
+# legacy parse route and encoding/json (decoding and encoding);
+# FuzzBuilderRecycle holds a builder that recycles its matrices' storage to
+# a fresh builder's builds. Every target's seed corpus also runs as a plain
+# test in `make test`.
 fuzz:
 	$(GO) test -fuzz '^FuzzParseLIBSVM$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -fuzz '^FuzzTripletFeatures$$' -fuzztime $(FUZZTIME) ./internal/dataset
@@ -61,6 +63,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzSpGEMM$$' -fuzztime $(FUZZTIME) ./internal/spgemm
 	$(GO) test -fuzz '^FuzzOnlineHarvestRecord$$' -fuzztime $(FUZZTIME) ./internal/online
 	$(GO) test -fuzz '^FuzzBuilderCanonical$$' -fuzztime $(FUZZTIME) ./internal/sparse
+	$(GO) test -fuzz '^FuzzBuilderRecycle$$' -fuzztime $(FUZZTIME) ./internal/sparse
 	$(GO) test -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) ./internal/svm
 	$(GO) test -fuzz '^FuzzLoadHistory$$' -fuzztime $(FUZZTIME) ./internal/core
 

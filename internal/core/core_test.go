@@ -139,6 +139,27 @@ func TestSchedulerRuleBased(t *testing.T) {
 	}
 }
 
+// TestReleaseDropsMatrix: a decision carries its matrix until it is
+// released and not after, so a pooled decision never keeps a matrix
+// reachable once its builder recycles the storage (serve's putScratch, which
+// runs after every decision of the request was released).
+func TestReleaseDropsMatrix(t *testing.T) {
+	b := buildRandom(t, 40, 30, 0.2, 6)
+	for _, p := range []Policy{RuleBased, Empirical} {
+		d, err := New(Config{Policy: p, Exec: exec.Serial(), TrialRows: 2, Repeats: 1}).Choose(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Matrix == nil {
+			t.Fatalf("%v: the decision carries no matrix", p)
+		}
+		d.Release()
+		if d.Matrix != nil {
+			t.Fatalf("%v: a released decision still holds its %v matrix", p, d.Matrix.Format())
+		}
+	}
+}
+
 func TestSchedulerEmpiricalMeasuresAllFormats(t *testing.T) {
 	b := buildRandom(t, 200, 80, 0.15, 2)
 	s := New(Config{Policy: Empirical, Exec: exec.New(2, exec.Static)})

@@ -67,28 +67,36 @@ func TestPoolSurvivesBodyPanic(t *testing.T) {
 	}
 }
 
+// TestPoolPanicWaitsForQuiescence: by the time the submitter re-raises a
+// body's panic, no worker may still be inside the body — they could
+// otherwise scribble on caller-owned buffers, or read a matrix whose storage
+// the caller's builder recycles next. It holds for all three entry points:
+// closures over a range, per index (ForParts, the SpGEMM kernels) and in
+// Kernel form (the SMSV kernels).
 func TestPoolPanicWaitsForQuiescence(t *testing.T) {
 	p := NewPool(8)
 	defer p.Close()
 	var inBody atomic.Int32
-	pe := recoverRun(t, func() {
-		p.ForRange(8192, Static, func(lo, hi int) {
-			inBody.Add(1)
-			defer inBody.Add(-1)
-			if lo == 0 {
-				panic("first chunk dies")
-			}
-			for i := 0; i < 1000; i++ {
-				_ = i * i
-			}
-		})
-	})
-	if pe == nil {
-		t.Fatal("panic did not propagate")
+	body := func(lo int) {
+		inBody.Add(1)
+		defer inBody.Add(-1)
+		if lo == 0 {
+			panic("first chunk dies")
+		}
+		for i := 0; i < 1000; i++ {
+			_ = i * i
+		}
 	}
-	// By the time the submitter re-raises, no worker may still be inside the
-	// body (they could otherwise scribble on caller-owned buffers).
-	if n := inBody.Load(); n != 0 {
-		t.Fatalf("%d workers still inside the body after the panic surfaced", n)
+	for name, run := range map[string]func(){
+		"ForRange":  func() { p.ForRange(8192, Static, func(lo, _ int) { body(lo) }) },
+		"For":       func() { p.For(64, Static, body) },
+		"ForKernel": func() { p.ForKernel(8192, Static, func(_ Operands, lo, _ int) { body(lo) }, Operands{}) },
+	} {
+		if pe := recoverRun(t, run); pe == nil {
+			t.Fatalf("%s: panic did not propagate", name)
+		}
+		if n := inBody.Load(); n != 0 {
+			t.Fatalf("%s: %d workers still inside the body after the panic surfaced", name, n)
+		}
 	}
 }

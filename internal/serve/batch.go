@@ -55,11 +55,16 @@ var batchScratchPool = sync.Pool{New: func() any {
 
 func getScratch() *batchScratch { return batchScratchPool.Get().(*batchScratch) }
 
-// putScratch returns sc to the pool holding only its reusable arrays: the
-// formats the last request materialised (a dense candidate can be hundreds
-// of MiB) are dropped here, not whenever the pool is next drained.
+// putScratch returns sc to the pool. It is the one place that knows no
+// matrix the request built is reachable any more — decisions are released,
+// and what outlives the request (cache entries, gossip, history, harvest
+// records) holds candidates, times and features only — so its builder
+// recycles them: the next request on this scratch constructs its candidates
+// into their storage. What a builder keeps is bounded (sparse.Builder.Recycle),
+// so a dense candidate of hundreds of MiB is still given back here, not
+// whenever the pool is next drained.
 func putScratch(sc *batchScratch) {
-	sc.b.Reset(1, 1)
+	sc.b.Recycle()
 	batchScratchPool.Put(sc)
 }
 

@@ -22,18 +22,21 @@ type BCSRMatrix struct {
 	val        []float64 // len len(bidx)*b*b, blocks stored row-major
 }
 
-func newBCSR(rows, cols int, base int32, r, c []int32, v []float64, b int) *BCSRMatrix {
+func newBCSR(m *BCSRMatrix, rows, cols int, base int32, r, c []int32, v []float64, b int) *BCSRMatrix {
 	if b <= 0 {
 		b = defaultBlock
 	}
 	brows := (rows + b - 1) / b
-	m := &BCSRMatrix{rows: rows, cols: cols, b: b, brows: brows, nnz: len(v)}
+	if m == nil {
+		m = new(BCSRMatrix)
+	}
+	*m = BCSRMatrix{rows: rows, cols: cols, b: b, brows: brows, nnz: len(v),
+		ptr: zeroed(m.ptr, brows+1), bidx: m.bidx, val: m.val} // sized below
 	// Triplets arrive row-major sorted; group them by block row, then by
 	// block column within each block row.
 	type blockKey struct{ br, bc int32 }
 	blockOf := make(map[blockKey]int) // key -> position in m.bidx
 	// First pass: count blocks per block-row to size ptr.
-	m.ptr = make([]int64, brows+1)
 	seen := make(map[blockKey]bool)
 	for k := range v {
 		key := blockKey{(r[k] - base) / int32(b), c[k] / int32(b)}
@@ -46,8 +49,8 @@ func newBCSR(rows, cols int, base int32, r, c []int32, v []float64, b int) *BCSR
 		m.ptr[i+1] += m.ptr[i]
 	}
 	nblocks := int(m.ptr[brows])
-	m.bidx = make([]int32, nblocks)
-	m.val = make([]float64, nblocks*b*b)
+	m.bidx = reuse(m.bidx, nblocks)
+	m.val = zeroed(m.val, nblocks*b*b)
 	fill := make([]int64, brows)
 	for k := range v {
 		key := blockKey{(r[k] - base) / int32(b), c[k] / int32(b)}
@@ -68,7 +71,7 @@ func newBCSR(rows, cols int, base int32, r, c []int32, v []float64, b int) *BCSR
 // NewBCSR builds a BCSR matrix with an explicit block edge from a builder.
 func NewBCSR(bld *Builder, block int) *BCSRMatrix {
 	r, c, v := bld.canonical()
-	return newBCSR(bld.rows, bld.cols, 0, r, c, v, block)
+	return newBCSR(nil, bld.rows, bld.cols, 0, r, c, v, block)
 }
 
 // Dims returns the matrix dimensions.

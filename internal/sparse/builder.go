@@ -44,6 +44,46 @@ type Builder struct {
 	// what an unchanged length means — empty the caches themselves. So no
 	// fill method has to touch the caches per triplet.
 	cachedLen int
+
+	// Storage recycling (see Recycle). kept[f] is the largest matrix of
+	// format f built since the last Recycle; spare[f] is storage a Recycle
+	// kept, which the next build of format f constructs into. lane is
+	// newDIA's diagonal numbering. None of them is ever a view of the
+	// triplet arrays: only constructors, which copy, make what is kept.
+	kept  [len(AllFormats)]Matrix
+	spare [len(AllFormats)]Matrix
+	lane  []int32
+}
+
+// recycleBytes bounds what Recycle keeps: the capacity of the spares plus
+// the DIA lane workspace. It is fitted, not a setting — see EXPERIMENTS.md
+// "What a first contact allocates" for the sweep. Every format of the
+// largest matrix of the serve_cold deck fits in it together (7.4 MB), so a
+// first contact builds nothing fresh once its scratch has served one as
+// large; a pooled builder that once served a larger matrix, up to the
+// 512 MiB dense candidate the inline cap allows, gives it back to the
+// collector instead of pinning it.
+const recycleBytes = 16 << 20
+
+// reuse returns s resliced to n elements when its capacity allows and a
+// fresh slice otherwise. A constructor uses it for an array it overwrites
+// in full, so the old contents do not matter.
+func reuse[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// zeroed is reuse for an array whose format relies on zeros — DEN and DIA
+// data, BCSR blocks, pointer counts: a reused one is cleared.
+func zeroed[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // dropCaches forgets the canonical form and every built matrix.
@@ -85,8 +125,10 @@ func (b *Builder) Add(row, col int, val float64) {
 
 // Reset empties the builder for reuse as an rows×cols matrix, keeping the
 // triplet arrays' capacity. It is the arena-reuse entry point for batch
-// parsers that build many matrices through one pooled builder. It panics
-// on non-positive dimensions, like NewBuilder.
+// parsers that build many matrices through one pooled builder. Matrices
+// built before a Reset stay valid: Reset never hands their storage to a
+// later build (Recycle does). It panics on non-positive dimensions, like
+// NewBuilder.
 func (b *Builder) Reset(rows, cols int) {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("sparse: invalid dimensions %dx%d", rows, cols))
@@ -97,6 +139,67 @@ func (b *Builder) Reset(rows, cols int) {
 	b.v = b.v[:0]
 	b.lastRow = 0
 	b.dropCaches()
+}
+
+// Recycle is Reset(1, 1) for a builder none of whose matrices will be read
+// again: the storage of every matrix built since the last Recycle is kept,
+// the largest per format, as the spare the next build of that format
+// constructs into — a DEN, DIA or ELL of any shape that fits, re-sliced and
+// cleared where the format relies on zeros. What is kept, with the DIA lane
+// workspace, stays within recycleBytes; the largest spares go first.
+//
+// The caller guarantees that nothing built since the last Recycle is
+// reachable any more, by any goroutine: after Recycle such a matrix may be
+// overwritten by the next build. A pooled request scratch calls it when the
+// request is done; a builder that is never recycled keeps at most one matrix
+// per format alive past a Reset and is otherwise unaffected.
+func (b *Builder) Recycle() {
+	b.Reset(1, 1)
+	for f, m := range b.kept {
+		if m != nil && heldBytes(m) > heldBytes(b.spare[f]) {
+			b.spare[f] = m
+		}
+	}
+	b.kept = [len(AllFormats)]Matrix{}
+	var total int64
+	for _, m := range b.spare {
+		total += heldBytes(m)
+	}
+	for total > recycleBytes {
+		big := 0
+		for f, m := range b.spare {
+			if heldBytes(m) > heldBytes(b.spare[big]) {
+				big = f
+			}
+		}
+		total -= heldBytes(b.spare[big])
+		b.spare[big] = nil
+	}
+	if total+4*int64(cap(b.lane)) > recycleBytes {
+		b.lane = nil
+	}
+}
+
+// heldBytes is what keeping m's storage costs: its arrays' capacity, which
+// is what a later build can re-slice, not their length. nil holds nothing.
+func heldBytes(m Matrix) int64 {
+	switch m := m.(type) {
+	case *Dense:
+		return 8 * int64(cap(m.data))
+	case *CSRMatrix:
+		return 8*int64(cap(m.ptr)) + 4*int64(cap(m.idx)) + 8*int64(cap(m.val))
+	case *COOMatrix:
+		return 4*int64(cap(m.row)+cap(m.col)) + 8*int64(cap(m.val))
+	case *ELLMatrix:
+		return 4*int64(cap(m.idx)) + 8*int64(cap(m.val))
+	case *DIAMatrix:
+		return 4*int64(cap(m.offsets)) + 8*int64(cap(m.data))
+	case *CSCMatrix:
+		return 8*int64(cap(m.ptr)) + 4*int64(cap(m.idx)) + 8*int64(cap(m.val))
+	case *BCSRMatrix:
+		return 8*int64(cap(m.ptr)) + 4*int64(cap(m.bidx)) + 8*int64(cap(m.val))
+	}
+	return 0
 }
 
 // Append adds one triplet without a range check. It is the fill path for
@@ -307,10 +410,14 @@ func (b *Builder) Build(f Format) (Matrix, error) {
 // sub-slice of the canonical triplets those rows occupy. A scheduler times
 // candidates on such a block instead of building every format in full.
 // Blocks are not cached; a CSR block is cut out of the cached full CSR when
-// there is one, sharing its arrays.
+// there is one, sharing its arrays. Full builds and blocks alike construct
+// into the format's spare when a Recycle left one.
 func (b *Builder) BuildRows(f Format, lo, hi int) (Matrix, error) {
 	if lo < 0 || hi > b.rows || lo >= hi {
 		return nil, fmt.Errorf("sparse: rows [%d, %d) outside a %dx%d builder", lo, hi, b.rows, b.cols)
+	}
+	if f < 0 || int(f) >= len(AllFormats) {
+		return nil, fmt.Errorf("sparse: cannot build format %v", f)
 	}
 	t := b.Triplets() // drops stale caches first
 	if full, ok := b.built[CSR].(*CSRMatrix); ok && f == CSR {
@@ -319,29 +426,47 @@ func (b *Builder) BuildRows(f Format, lo, hi int) (Matrix, error) {
 	klo, khi := t.Span(lo, hi)
 	rows, base := hi-lo, int32(lo)
 	r, c, v := t.Row[klo:khi], t.Col[klo:khi], t.Val[klo:khi]
+	// The spare leaves its slot before anything is written into it, so a
+	// constructor that panics half-way drops it instead of leaving it
+	// half-valid.
+	spare := b.spare[f]
+	b.spare[f] = nil
+	var m Matrix
 	switch f {
 	case DEN:
-		return newDense(rows, b.cols, base, r, c, v), nil
+		s, _ := spare.(*Dense)
+		m = newDense(s, rows, b.cols, base, r, c, v)
 	case CSR:
-		return newCSR(rows, b.cols, base, r, c, v), nil
+		s, _ := spare.(*CSRMatrix)
+		m = newCSR(s, rows, b.cols, base, r, c, v)
 	case COO:
-		return newCOO(rows, b.cols, base, r, c, v), nil
+		s, _ := spare.(*COOMatrix)
+		m = newCOO(s, rows, b.cols, base, r, c, v)
 	case ELL:
-		return newELL(rows, b.cols, base, r, c, v), nil
+		s, _ := spare.(*ELLMatrix)
+		m = newELL(s, rows, b.cols, base, r, c, v)
 	case DIA:
-		// Not `return newDIA(...)`: a nil *DIAMatrix in a Matrix is not nil.
-		m, err := newDIA(rows, b.cols, base, r, c, v)
+		s, _ := spare.(*DIAMatrix)
+		d, lane, err := newDIA(s, b.lane, rows, b.cols, base, r, c, v)
+		b.lane = lane
 		if err != nil {
+			// Refused before anything was written: the spare is intact. And
+			// not `return d, err`: a nil *DIAMatrix in a Matrix is not nil.
+			b.spare[f] = spare
 			return nil, err
 		}
-		return m, nil
+		m = d
 	case CSC:
-		return newCSC(rows, b.cols, base, r, c, v), nil
+		s, _ := spare.(*CSCMatrix)
+		m = newCSC(s, rows, b.cols, base, r, c, v)
 	case BCSR:
-		return newBCSR(rows, b.cols, base, r, c, v, defaultBlock), nil
-	default:
-		return nil, fmt.Errorf("sparse: cannot build format %v", f)
+		s, _ := spare.(*BCSRMatrix)
+		m = newBCSR(s, rows, b.cols, base, r, c, v, defaultBlock)
 	}
+	if k := b.kept[f]; heldBytes(m) > heldBytes(k) {
+		b.kept[f] = m
+	}
+	return m, nil
 }
 
 // MustBuild is Build for callers with trusted input; it panics on error.
@@ -351,24 +476,4 @@ func (b *Builder) MustBuild(f Format) Matrix {
 		panic(err)
 	}
 	return m
-}
-
-// BuildAll materializes the same element set in every basic format,
-// returned in BasicFormats order. DIA construction can fail when the matrix
-// needs more diagonal lanes than memory sanity allows; such entries are nil
-// and the error for the first failure is returned alongside the rest.
-func (b *Builder) BuildAll() ([len(BasicFormats)]Matrix, error) {
-	var out [len(BasicFormats)]Matrix
-	var firstErr error
-	for i, f := range BasicFormats {
-		m, err := b.Build(f)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		out[i] = m
-	}
-	return out, firstErr
 }

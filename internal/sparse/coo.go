@@ -16,13 +16,16 @@ type COOMatrix struct {
 	val        []float64
 }
 
-func newCOO(rows, cols int, base int32, r, c []int32, v []float64) *COOMatrix {
-	m := &COOMatrix{
+func newCOO(m *COOMatrix, rows, cols int, base int32, r, c []int32, v []float64) *COOMatrix {
+	if m == nil {
+		m = new(COOMatrix)
+	}
+	*m = COOMatrix{
 		rows: rows,
 		cols: cols,
-		row:  make([]int32, len(v)),
-		col:  make([]int32, len(v)),
-		val:  make([]float64, len(v)),
+		row:  reuse(m.row, len(v)),
+		col:  reuse(m.col, len(v)),
+		val:  reuse(m.val, len(v)),
 	}
 	copy(m.row, r)
 	if base != 0 {

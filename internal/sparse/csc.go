@@ -20,13 +20,16 @@ type CSCMatrix struct {
 	val        []float64 // len nnz
 }
 
-func newCSC(rows, cols int, base int32, r, c []int32, v []float64) *CSCMatrix {
-	m := &CSCMatrix{
+func newCSC(m *CSCMatrix, rows, cols int, base int32, r, c []int32, v []float64) *CSCMatrix {
+	if m == nil {
+		m = new(CSCMatrix)
+	}
+	*m = CSCMatrix{
 		rows: rows,
 		cols: cols,
-		ptr:  make([]int64, cols+1),
-		idx:  make([]int32, len(v)),
-		val:  make([]float64, len(v)),
+		ptr:  zeroed(m.ptr, cols+1),
+		idx:  reuse(m.idx, len(v)),
+		val:  reuse(m.val, len(v)),
 	}
 	for _, col := range c {
 		m.ptr[col+1]++
@@ -34,16 +37,19 @@ func newCSC(rows, cols int, base int32, r, c []int32, v []float64) *CSCMatrix {
 	for j := 0; j < cols; j++ {
 		m.ptr[j+1] += m.ptr[j]
 	}
-	fill := make([]int64, cols)
 	// Input triplets are row-major sorted, so filling column buckets in
-	// order leaves row indices ascending within each column.
+	// order leaves row indices ascending within each column. ptr[j] is
+	// column j's fill cursor, which leaves it at column j+1's start: one
+	// shift puts every start back.
 	for k := range v {
 		col := c[k]
-		pos := m.ptr[col] + fill[col]
-		fill[col]++
+		pos := m.ptr[col]
+		m.ptr[col]++
 		m.idx[pos] = r[k] - base
 		m.val[pos] = v[k]
 	}
+	copy(m.ptr[1:], m.ptr[:cols])
+	m.ptr[0] = 0
 	return m
 }
 

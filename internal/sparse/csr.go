@@ -14,13 +14,16 @@ type CSRMatrix struct {
 	val        []float64 // len nnz
 }
 
-func newCSR(rows, cols int, base int32, r, c []int32, v []float64) *CSRMatrix {
-	m := &CSRMatrix{
+func newCSR(m *CSRMatrix, rows, cols int, base int32, r, c []int32, v []float64) *CSRMatrix {
+	if m == nil {
+		m = new(CSRMatrix)
+	}
+	*m = CSRMatrix{
 		rows: rows,
 		cols: cols,
-		ptr:  make([]int64, rows+1),
-		idx:  make([]int32, len(v)),
-		val:  make([]float64, len(v)),
+		ptr:  zeroed(m.ptr, rows+1),
+		idx:  reuse(m.idx, len(v)),
+		val:  reuse(m.val, len(v)),
 	}
 	for _, row := range r {
 		m.ptr[row-base+1]++

@@ -13,8 +13,11 @@ type Dense struct {
 	data       []float64 // len rows*cols, row-major
 }
 
-func newDense(rows, cols int, base int32, r, c []int32, v []float64) *Dense {
-	d := &Dense{rows: rows, cols: cols, nnz: len(v), data: make([]float64, rows*cols)}
+func newDense(d *Dense, rows, cols int, base int32, r, c []int32, v []float64) *Dense {
+	if d == nil {
+		d = new(Dense)
+	}
+	*d = Dense{rows: rows, cols: cols, nnz: len(v), data: zeroed(d.data, rows*cols)}
 	for k := range v {
 		d.data[int(r[k]-base)*cols+int(c[k])] = v[k]
 	}

@@ -31,12 +31,14 @@ func DIAFits(rows, cols, ndig int) bool {
 }
 
 // newDIA builds the rows×cols matrix whose triplets carry row indices
-// base..base+rows−1 (see Builder.BuildRows).
-func newDIA(rows, cols int, base int32, r, c []int32, v []float64) (*DIAMatrix, error) {
+// base..base+rows−1 (see Builder.BuildRows). lane is the caller's workspace
+// for numbering the diagonals, returned grown for the next call. A matrix
+// over the cap is refused before m is written to.
+func newDIA(m *DIAMatrix, lane []int32, rows, cols int, base int32, r, c []int32, v []float64) (*DIAMatrix, []int32, error) {
 	stride := min(rows, cols)
 	// lane[o+rows−1] is, after the first pass, whether diagonal o = col − row
 	// is occupied and, after the numbering below, its lane.
-	lane := make([]int32, rows+cols-1)
+	lane = zeroed(lane, rows+cols-1)
 	shift := base + int32(rows) - 1
 	ndig := 0
 	for k := range v {
@@ -46,16 +48,19 @@ func newDIA(rows, cols int, base int32, r, c []int32, v []float64) (*DIAMatrix, 
 		}
 	}
 	if !DIAFits(rows, cols, ndig) {
-		return nil, fmt.Errorf("sparse: DIA would need %d padded elements (%d diagonals × stride %d), above the %d cap",
+		return nil, lane, fmt.Errorf("sparse: DIA would need %d padded elements (%d diagonals × stride %d), above the %d cap",
 			int64(ndig)*int64(stride), ndig, stride, int64(maxDIAElements))
 	}
-	m := &DIAMatrix{
+	if m == nil {
+		m = new(DIAMatrix)
+	}
+	*m = DIAMatrix{
 		rows:    rows,
 		cols:    cols,
 		nnz:     len(v),
 		stride:  stride,
-		offsets: make([]int32, 0, ndig),
-		data:    make([]float64, ndig*stride),
+		offsets: reuse(m.offsets, ndig)[:0],
+		data:    zeroed(m.data, ndig*stride),
 	}
 	for o, occupied := range lane {
 		if occupied != 0 {
@@ -68,7 +73,7 @@ func newDIA(rows, cols int, base int32, r, c []int32, v []float64) (*DIAMatrix, 
 		o := c[k] - row
 		m.data[int(lane[o+int32(rows)-1])*stride+m.slot(int(row), o)] = v[k]
 	}
-	return m, nil
+	return m, lane, nil
 }
 
 // slot maps a row index on diagonal o to its lane position.

@@ -19,35 +19,49 @@ type ELLMatrix struct {
 	val        []float64 // rows*width
 }
 
-func newELL(rows, cols int, base int32, r, c []int32, v []float64) *ELLMatrix {
-	width := 0
-	counts := make([]int32, rows)
-	for _, row := range r {
-		counts[row-base]++
-		if int(counts[row-base]) > width {
-			width = int(counts[row-base])
-		}
+// newELL reads the triplets in row-major order, as canonical() and NewHYB
+// hand them over: each row's entries are one run, copied into the row's
+// slots, and only the padding after them is cleared.
+func newELL(m *ELLMatrix, rows, cols int, base int32, r, c []int32, v []float64) *ELLMatrix {
+	width := 1 // keep arrays non-empty so the kernel has no special case
+	for k := 0; k < len(r); {
+		end := rowEnd(r, k)
+		width = max(width, end-k)
+		k = end
 	}
-	if width == 0 {
-		width = 1 // keep arrays non-empty so the kernel has no special case
+	if m == nil {
+		m = new(ELLMatrix)
 	}
-	m := &ELLMatrix{
+	*m = ELLMatrix{
 		rows:  rows,
 		cols:  cols,
 		width: width,
 		nnz:   len(v),
-		idx:   make([]int32, rows*width),
-		val:   make([]float64, rows*width),
+		idx:   reuse(m.idx, rows*width),
+		val:   reuse(m.val, rows*width),
 	}
-	fill := make([]int32, rows)
-	for k := range v {
-		row := int(r[k] - base)
-		at := row*width + int(fill[row])
-		fill[row]++
-		m.idx[at] = c[k]
-		m.val[at] = v[k]
+	k := 0
+	for i := 0; i < rows; i++ {
+		at, pad := i*width, (i+1)*width
+		if k < len(r) && int(r[k]-base) == i {
+			end := rowEnd(r, k)
+			copy(m.idx[at:], c[k:end])
+			at += copy(m.val[at:], v[k:end])
+			k = end
+		}
+		clear(m.idx[at:pad])
+		clear(m.val[at:pad])
 	}
 	return m
+}
+
+// rowEnd returns the end of the run of row-major triplets that starts at k.
+func rowEnd(r []int32, k int) int {
+	end := k + 1
+	for end < len(r) && r[end] == r[k] {
+		end++
+	}
+	return end
 }
 
 // Dims returns the matrix dimensions.

@@ -66,8 +66,8 @@ func NewHYB(b *Builder, width int) *HYBMatrix {
 		rows: b.rows,
 		cols: b.cols,
 		nnz:  len(v),
-		ell:  newELL(b.rows, b.cols, 0, er, ec, ev),
-		coo:  newCOO(b.rows, b.cols, 0, or, oc, ov),
+		ell:  newELL(nil, b.rows, b.cols, 0, er, ec, ev),
+		coo:  newCOO(nil, b.rows, b.cols, 0, or, oc, ov),
 	}
 	return m
 }

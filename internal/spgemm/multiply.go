@@ -3,7 +3,6 @@ package spgemm
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/exec"
@@ -180,10 +179,13 @@ func (sc *Scratch) gustavson(a sparse.Matrix, b *sparse.CSRMatrix, out *Result, 
 }
 
 // outer accumulates rank-1 contributions A(:,k) ⊗ B(k,:). Workers emit
-// (row, col, value) triplets over contiguous k partitions; the merge
-// concatenates the buffers in partition order (so triplets stay in
-// ascending-k order), stable-sorts by (row, col), and sums duplicates in
-// that order — bit-identical to the serial product for any worker count.
+// (row, col, value) triplets over contiguous k partitions. The merge is
+// linear: a counting sort by row scatters the buffers in partition order, so
+// each row's triplets stay in ascending-k order, and a marker accumulator
+// then folds each row's cells in that order — the first contribution
+// assigned, the rest added, so a lone −0 stays −0 — and sorts the row's
+// distinct columns. Every cell is summed in ascending k whatever the worker
+// count, so the product is bit-identical to the serial one.
 func (sc *Scratch) outer(a *sparse.CSCMatrix, b sparse.Matrix, out *Result, ex *exec.Exec) {
 	_, k := a.Dims()
 	p := ex.Parts(k)
@@ -208,39 +210,58 @@ func (sc *Scratch) outer(a *sparse.CSCMatrix, b sparse.Matrix, out *Result, ex *
 		}
 	})
 
-	sc.merge = sc.merge[:0]
+	// Counting sort by row: sc.counts holds each row's next free slot in
+	// sc.merge, so after the scatter it holds the row's end.
+	clear(sc.counts)
 	for w := 0; w < p; w++ {
-		sc.merge = append(sc.merge, sc.workers[w].trip...)
-	}
-	m := sc.merge
-	sort.SliceStable(m, func(x, y int) bool {
-		if m[x].row != m[y].row {
-			return m[x].row < m[y].row
+		for _, t := range sc.workers[w].trip {
+			sc.counts[t.row]++
 		}
-		return m[x].col < m[y].col
-	})
-
-	// Compact: count distinct (row, col) cells, size the arena, then fill.
+	}
 	var total int64
-	for i := range m {
-		if i == 0 || m[i].row != m[i-1].row || m[i].col != m[i-1].col {
-			total++
+	for i, n := range sc.counts {
+		sc.counts[i] = total
+		total += n
+	}
+	sc.merge = slices.Grow(sc.merge[:0], int(total))[:total]
+	for w := 0; w < p; w++ {
+		for _, t := range sc.workers[w].trip {
+			sc.merge[sc.counts[t.row]] = t
+			sc.counts[t.row]++
 		}
 	}
-	out.grow(total)
-	var at int64 = -1
-	for i := range m {
-		if i == 0 || m[i].row != m[i-1].row || m[i].col != m[i-1].col {
+
+	// Fold row by row. A row's cells are packed to the front of sc.merge as
+	// they are done: at never passes the row's own start, and the row has
+	// been read in full by the time its cells are written.
+	ws := &sc.workers[0]
+	ws.ensure(out.cols)
+	var start, at int64
+	for i, end := range sc.counts {
+		ws.gen++
+		g := ws.gen
+		ws.cols = ws.cols[:0]
+		for _, t := range sc.merge[start:end] {
+			if ws.mark[t.col] != g {
+				ws.mark[t.col] = g
+				ws.acc[t.col] = t.val
+				ws.cols = append(ws.cols, t.col)
+			} else {
+				ws.acc[t.col] += t.val
+			}
+		}
+		slices.Sort(ws.cols)
+		for _, j := range ws.cols {
+			sc.merge[at] = triplet{col: j, val: ws.acc[j]}
 			at++
-			out.idx[at] = m[i].col
-			out.val[at] = m[i].val
-			out.ptr[m[i].row+1]++
-		} else {
-			out.val[at] += m[i].val
 		}
+		out.ptr[i+1] = at
+		start = end
 	}
-	for i := 0; i < out.rows; i++ {
-		out.ptr[i+1] += out.ptr[i]
+	out.grow(at)
+	for q, t := range sc.merge[:at] {
+		out.idx[q] = t.col
+		out.val[q] = t.val
 	}
 }
 

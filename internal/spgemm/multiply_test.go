@@ -3,6 +3,8 @@ package spgemm
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/exec"
@@ -211,6 +213,129 @@ func TestMultiplyDeterministic(t *testing.T) {
 					c, i, serial.idx[i], serial.val[i], pooled.idx[i], pooled.val[i])
 			}
 		}
+	}
+}
+
+// outerBySort is the outer-product merge as it was before the counting
+// merge, kept as its oracle: every contribution emitted in ascending k,
+// stable-sorted by (row, col) with sort.SliceStable, each cell's first
+// contribution assigned and the rest added in that order.
+func outerBySort(a *sparse.CSCMatrix, b sparse.Matrix) (ptr []int64, idx []int32, val []float64) {
+	rows, k := a.Dims()
+	var m []triplet
+	var brow sparse.Vector
+	for kk := 0; kk < k; kk++ {
+		col := a.Col(kk)
+		brow = b.RowTo(brow, kk)
+		for q, i := range col.Index {
+			for r, j := range brow.Index {
+				m = append(m, triplet{row: i, col: j, val: col.Value[q] * brow.Value[r]})
+			}
+		}
+	}
+	sort.SliceStable(m, func(x, y int) bool {
+		if m[x].row != m[y].row {
+			return m[x].row < m[y].row
+		}
+		return m[x].col < m[y].col
+	})
+	ptr = make([]int64, rows+1)
+	for q, t := range m {
+		if q > 0 && t.row == m[q-1].row && t.col == m[q-1].col {
+			val[len(val)-1] += t.val
+			continue
+		}
+		idx = append(idx, t.col)
+		val = append(val, t.val)
+		ptr[t.row+1]++
+	}
+	for i := 0; i < rows; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	return ptr, idx, val
+}
+
+// TestOuterMatchesSortMerge holds the counting merge to the stable-sort merge
+// it replaced, bit for bit, at 1, 2 and 4 workers: on random operands, on
+// duplicate-heavy ones where every cell sums dozens of contributions whose
+// order changes the rounding, and on signed zeros — a product that underflows
+// to −0 must stay −0 when it is a cell's only contribution, and a cell that
+// cancels must come out +0.
+func TestOuterMatchesSortMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	dup := func(rows, k, cols int) (*sparse.Builder, *sparse.Builder) {
+		// Few output cells, long k: each (i, j) collects about k/2 terms of
+		// mixed magnitude.
+		a, b := sparse.NewBuilder(rows, k), sparse.NewBuilder(k, cols)
+		for kk := 0; kk < k; kk++ {
+			for i := 0; i < rows; i++ {
+				if rng.Intn(2) == 0 {
+					a.Add(i, kk, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(9)-4)))
+				}
+			}
+			for j := 0; j < cols; j++ {
+				if rng.Intn(2) == 0 {
+					b.Add(kk, j, rng.NormFloat64())
+				}
+			}
+		}
+		return a, b
+	}
+	signed := func() (*sparse.Builder, *sparse.Builder) {
+		a, b := sparse.NewBuilder(3, 3), sparse.NewBuilder(3, 3)
+		a.Add(0, 0, 1e-200) // (0,0): 1e-200 · −1e-200 underflows to −0, alone
+		b.Add(0, 0, -1e-200)
+		a.Add(2, 0, 1e-200) // (2,0): two underflows, −0 + −0 stays −0
+		a.Add(2, 1, 1e-200)
+		b.Add(1, 0, -1e-200)
+		a.Add(1, 1, 2) // (1,2): 2·3 + (−3)·2 cancels to +0
+		a.Add(1, 2, -3)
+		b.Add(1, 2, 3)
+		b.Add(2, 2, 2)
+		return a, b
+	}
+	cases := []struct {
+		name string
+		a, b *sparse.Builder
+	}{
+		{"random", randBuilder(rng, 40, 300, 0.05), randBuilder(rng, 300, 35, 0.05)},
+		{"duplicate-heavy", nil, nil},
+		{"signed-zero", nil, nil},
+	}
+	cases[1].a, cases[1].b = dup(6, 400, 5)
+	cases[2].a, cases[2].b = signed()
+	for _, tc := range cases {
+		am := tc.a.MustBuild(sparse.CSC).(*sparse.CSCMatrix)
+		for _, bf := range []sparse.Format{sparse.CSR, sparse.ELL} {
+			bm := tc.b.MustBuild(bf)
+			ptr, idx, val := outerBySort(am, bm)
+			for _, workers := range []int{1, 2, 4} {
+				ex := exec.New(workers, exec.Static)
+				var out Result
+				if err := Multiply(Candidate{OuterProduct, sparse.CSC, bf}, am, bm, &out, ex); err != nil {
+					t.Fatal(err)
+				}
+				ex.Close()
+				if !slices.Equal(out.ptr, ptr) || !slices.Equal(out.idx, idx) {
+					t.Fatalf("%s ×%v, %d workers: structure differs from the sort merge", tc.name, bf, workers)
+				}
+				for q := range val {
+					if math.Float64bits(out.val[q]) != math.Float64bits(val[q]) {
+						t.Fatalf("%s ×%v, %d workers: entry %d is %v, the sort merge gives %v",
+							tc.name, bf, workers, q, out.val[q], val[q])
+					}
+				}
+			}
+		}
+	}
+	// The signed-zero case must actually exercise both signs.
+	am := cases[2].a.MustBuild(sparse.CSC).(*sparse.CSCMatrix)
+	var out Result
+	if err := Multiply(Candidate{OuterProduct, sparse.CSC, sparse.CSR}, am, cases[2].b.MustBuild(sparse.CSR), &out, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Dense(); !math.Signbit(got[0]) || got[1*3+2] != 0 || math.Signbit(got[1*3+2]) || !math.Signbit(got[2*3+0]) {
+		t.Fatalf("signed zeros not preserved: %v", got)
 	}
 }
 

@@ -131,7 +131,6 @@ var reachAllow = map[string]string{
 	"internal/sparse.NewBCSR":                      pendingNext,
 	"internal/sparse.BCSRMatrix.NumBlocks":         pendingNext,
 	"internal/sparse.BCSRMatrix.FillRatio":         pendingNext,
-	"internal/sparse.Builder.BuildAll":             pendingNext,
 	"internal/sparse.DIAMatrix.NumDiagonals":       pendingNext,
 	"internal/sparse.ELLMatrix.Width":              pendingNext,
 	"internal/sparse.Vector.SquaredDistance":       pendingNext,
