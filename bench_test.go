@@ -446,7 +446,8 @@ func BenchmarkAblationPairedSMSV(b *testing.B) {
 
 // BenchmarkAblationShrinking compares plain SMO against the shrinking
 // variant on an overlapping problem where many variables hit the C bound —
-// the regime shrinking was designed for.
+// the regime shrinking was designed for — and shrinking combined with
+// second-order selection and the row cache, LIBSVM's default.
 func BenchmarkAblationShrinking(b *testing.B) {
 	d, err := dataset.ByName("adult")
 	if err != nil {
@@ -457,22 +458,24 @@ func BenchmarkAblationShrinking(b *testing.B) {
 	rng := rand.New(rand.NewSource(benchSeed))
 	y := dataset.PlantedLabels(m, 0.08, rng) // noisy: many bound alphas
 	cfg := svm.Config{C: 0.5, Kernel: svm.KernelParams{Type: svm.Linear}, MaxIter: 30000, Exec: exec.Serial()}
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := svm.Train(m, y, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	shrinking := cfg
 	shrinking.Shrinking = true
-	b.Run("shrinking", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := svm.Train(m, y, shrinking); err != nil {
-				b.Fatal(err)
+	wss2 := shrinking
+	wss2.SecondOrder = true
+	cached := wss2
+	cached.CacheRows = 100
+	for _, tc := range []struct {
+		name string
+		cfg  svm.Config
+	}{{"plain", cfg}, {"shrinking", shrinking}, {"shrinking+wss2", wss2}, {"shrinking+wss2+cache", cached}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := svm.Train(m, y, tc.cfg); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // smoReplay replays the phases of one first-order SMO iteration on a

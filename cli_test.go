@@ -49,18 +49,11 @@ func TestCLIPipeline(t *testing.T) {
 	if !strings.Contains(out, "Layout decision") || !strings.Contains(out, "Training accuracy") {
 		t.Fatalf("svmtrain output missing sections:\n%s", out)
 	}
-	// -shrink trains through the same call; what the shrinking loop cannot
-	// honour is refused, where it used to be dropped without a word.
-	out = run("./cmd/svmtrain", "-file", data, "-shrink", "-maxiter", "2000")
-	if !strings.Contains(out, "Training accuracy") {
-		t.Fatalf("svmtrain -shrink output missing sections:\n%s", out)
-	}
-	for _, flags := range [][]string{{"-shrink", "-wss2"}, {"-shrink", "-cache", "16"}} {
-		args := append([]string{"run", "./cmd/svmtrain", "-file", data}, flags...)
-		out, err := exec.Command("go", args...).CombinedOutput()
-		if err == nil || !strings.Contains(string(out), "cannot be combined") {
-			t.Fatalf("svmtrain %v: err %v, want a refusal:\n%s", flags, err, out)
-		}
+	// Shrinking, second-order selection and the row cache train through the
+	// same call, together.
+	out = run("./cmd/svmtrain", "-file", data, "-shrink", "-wss2", "-cache", "16", "-maxiter", "2000")
+	if !strings.Contains(out, "Layout decision") || !strings.Contains(out, "Training accuracy") {
+		t.Fatalf("svmtrain -shrink -wss2 -cache output missing sections:\n%s", out)
 	}
 	out = run("./cmd/svmpredict", "-model", model, "-file", data, "-quiet")
 	if !strings.Contains(out, "accuracy:") || !strings.Contains(out, "per-class metrics") {

@@ -40,7 +40,7 @@ func main() {
 		noise    = flag.Float64("noise", 0.02, "label noise for generated clones")
 		compare  = flag.Bool("compare", false, "also train with every fixed format and the reference baseline")
 		modelOut = flag.String("model", "", "write the trained model to this file")
-		shrink   = flag.Bool("shrink", false, "use the shrinking solver (active-set submatrix SMSVs); excludes -wss2 and -cache")
+		shrink   = flag.Bool("shrink", false, "shrink the active set (active-set submatrix SMSVs)")
 		wss2     = flag.Bool("wss2", false, "second-order working-set selection")
 		cache    = flag.Int("cache", 0, "kernel-row LRU cache size (rows)")
 	)

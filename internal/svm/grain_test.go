@@ -49,8 +49,9 @@ func TestLoopsBitIdenticalAcrossWorkersAboveGrain(t *testing.T) {
 			bias, coef = mod.B, mod.Coef
 		default:
 			var mod *Model
-			mod, st, err = Train(m, y, Config{C: 1, MaxIter: 40, Exec: ex,
-				Unfused: name == "unfused", SecondOrder: name == "secondOrder", Shrinking: name == "shrinking"})
+			cfg := loopConfigs[name]
+			cfg.C, cfg.MaxIter, cfg.Exec = 1, 40, ex
+			mod, st, err = Train(m, y, cfg)
 			bias, coef = mod.B, mod.Coef
 		}
 		if err != nil {
@@ -58,7 +59,11 @@ func TestLoopsBitIdenticalAcrossWorkersAboveGrain(t *testing.T) {
 		}
 		return result{st.Iterations, math.Float64bits(bias), math.Float64bits(st.Objective), coef, st.NumSV}
 	}
-	for _, name := range []string{"run", "unfused", "secondOrder", "shrinking", "svr"} {
+	names := []string{"svr"}
+	for name := range loopConfigs {
+		names = append(names, name)
+	}
+	for _, name := range names {
 		want := train(name, exec.Serial())
 		for _, workers := range []int{2, 3} {
 			got := train(name, texec(t, workers))

@@ -93,6 +93,12 @@ func TestKKTConditionsQuick(t *testing.T) {
 			{"shrinking", func() (*Model, Stats, error) {
 				return Train(m, y, Config{C: c, Tol: tol, Kernel: KernelParams{Type: Linear}, Shrinking: true, MaxIter: 200000})
 			}},
+			{"shrinking+wss2", func() (*Model, Stats, error) {
+				return Train(m, y, Config{C: c, Tol: tol, Kernel: KernelParams{Type: Linear}, Shrinking: true, SecondOrder: true, MaxIter: 200000})
+			}},
+			{"shrinking+cache", func() (*Model, Stats, error) {
+				return Train(m, y, Config{C: c, Tol: tol, Kernel: KernelParams{Type: Linear}, Shrinking: true, CacheRows: 8, MaxIter: 200000})
+			}},
 		} {
 			model, stats, err := variant.run()
 			if err != nil {

@@ -54,22 +54,6 @@ func (m *RegressionModel) Predict(x sparse.Vector) float64 {
 	return sum + m.B
 }
 
-// MSE returns the mean squared error over a dataset.
-func (m *RegressionModel) MSE(x sparse.Matrix, y []float64) float64 {
-	rows, _ := x.Dims()
-	if rows == 0 {
-		return 0
-	}
-	var sum float64
-	var v sparse.Vector
-	for i := 0; i < rows; i++ {
-		v = x.RowTo(v, i)
-		d := m.Predict(v) - y[i]
-		sum += d * d
-	}
-	return sum / float64(rows)
-}
-
 // TrainRegression runs SMO ε-SVR on x with real-valued targets y.
 func TrainRegression(x sparse.Matrix, y []float64, cfg RegressionConfig) (*RegressionModel, Stats, error) {
 	start := time.Now()

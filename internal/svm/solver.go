@@ -34,11 +34,12 @@ type Config struct {
 	// (f_i − b_high)²/η_i over the violating set instead of max f_i.
 	// Typically fewer, slightly costlier iterations.
 	SecondOrder bool
-	// Shrinking trains with the active-set loop (runShrinking): bound
-	// variables outside the optimality window are dropped and the
-	// per-iteration SMSVs run on a submatrix. Pays off on long-running
-	// problems; see BenchmarkAblationShrinking. It has its own first-order
-	// selection and no row cache, so it excludes SecondOrder and CacheRows.
+	// Shrinking drops bound variables outside the optimality window from the
+	// active set every min(n, 1000) iterations, so that the sweeps run over
+	// the active rows and the per-iteration SMSVs over a submatrix of them.
+	// When the active problem converges, the gradient is reconstructed and
+	// the whole problem checked again, so the model solves the same problem.
+	// Pays off on long-running problems; see BenchmarkAblationShrinking.
 	Shrinking bool
 
 	// chosen is the scheduled candidate TrainAdaptive hands the solver: its
@@ -74,15 +75,8 @@ type Stats struct {
 	NumSV      int
 }
 
-// validate is the one check of a classification problem, whichever loop
-// trains it.
+// validate is the one check of a classification problem.
 func validate(x sparse.Matrix, y []float64, cfg Config) error {
-	if cfg.Shrinking && cfg.SecondOrder {
-		return fmt.Errorf("svm: Shrinking and SecondOrder cannot be combined")
-	}
-	if cfg.Shrinking && cfg.CacheRows > 0 {
-		return fmt.Errorf("svm: Shrinking and CacheRows cannot be combined")
-	}
 	rows, _ := x.Dims()
 	if len(y) != rows {
 		return fmt.Errorf("svm: %d labels for %d rows", len(y), rows)
@@ -104,24 +98,15 @@ func validate(x sparse.Matrix, y []float64, cfg Config) error {
 	return cfg.Kernel.Validate()
 }
 
-// Train runs binary SMO (the paper's Algorithm 1) on x with ±1 labels y,
-// under the loop cfg asks for: first-order (the default), SecondOrder or
-// Shrinking.
+// Train runs binary SMO (the paper's Algorithm 1) on x with ±1 labels y.
+// SecondOrder, Shrinking and CacheRows combine freely: one loop runs them.
 func Train(x sparse.Matrix, y []float64, cfg Config) (*Model, Stats, error) {
 	start := time.Now()
 	if err := validate(x, y, cfg); err != nil {
 		return nil, Stats{}, err
 	}
 	s := newSolver(x, y, cfg)
-	var stats Stats
-	switch {
-	case cfg.Shrinking:
-		stats = s.runShrinking()
-	case cfg.SecondOrder:
-		stats = s.runSecondOrder()
-	default:
-		stats = s.run()
-	}
+	stats := s.run()
 	stats.TotalTime = time.Since(start)
 	model := s.buildModel()
 	stats.NumSV = len(model.SVs)
@@ -135,12 +120,11 @@ func newSolver(x sparse.Matrix, y []float64, cfg Config) *solver {
 	cfg = cfg.withDefaults(rows)
 	s := &solver{
 		kernels: newKernels(x, cfg.Kernel, cfg.Exec, cfg.chosen, cfg.CacheRows, cfg.SecondOrder),
-		y:       y,
 		cfg:     cfg,
-		alpha:   make([]float64, rows),
-		f:       make([]float64, rows),
+		eager:   !cfg.SecondOrder && !cfg.Shrinking,
 		scan:    sweep{ex: cfg.Exec},
 	}
+	s.problem = problem{y: y, alpha: make([]float64, rows), f: make([]float64, rows), norm: s.normSq}
 	// The loop bodies are bound once: a method value or closure made per
 	// iteration is a heap object per iteration.
 	s.fusedFn, s.selectFn, s.pickFn, s.updateFn = s.fusedPart, s.selectPart, s.pickPart, s.updateRange
@@ -153,19 +137,51 @@ func newSolver(x sparse.Matrix, y []float64, cfg Config) *solver {
 			s.diag[i] = cfg.Kernel.FromDot(s.normSq[i], s.normSq[i], s.normSq[i])
 		}
 	}
+	if cfg.Shrinking {
+		s.index = make([]int, rows)
+		for i := range s.index {
+			s.index[i] = i
+		}
+	}
 	return s
+}
+
+// problem is what Algorithm 1 keeps per variable, over the variables the
+// loop works on: every row, or with Shrinking the active rows, in the order
+// of x, at consecutive positions.
+type problem struct {
+	y, alpha, f []float64
+	diag        []float64 // K(X_i, X_i), for second-order selection
+	norm        []float64 // ‖X_i‖², for the kernel rows; nil unless read
+	index       []int     // the row of x at each position; nil without Shrinking
+}
+
+// rowAt returns the row of x at position p.
+func (v *problem) rowAt(p int) int {
+	if v.index == nil {
+		return p
+	}
+	return v.index[p]
 }
 
 type solver struct {
 	kernels
-	y     []float64
-	cfg   Config
-	alpha []float64
-	f     []float64
-	bHigh float64
-	bLow  float64
+	problem
+	cfg       Config
+	bHigh     float64
+	bLow      float64
+	high, low int // the working pair, as positions
 
-	diag []float64 // K(X_i, X_i), precomputed for second-order selection
+	// eager: the update also selects the next pair, in the same pass unless
+	// Unfused, so that a run the cap stops holds the window of its final f.
+	// Shrinking runs select at the top of the iteration instead: a shrink
+	// renumbers the positions a selection holds, and reads the window the
+	// iteration's pair was picked in. Second-order runs do too, which keeps
+	// their trajectories (TestLoopTrajectoriesMatchParent).
+	eager bool
+
+	whole *problem // every row, while rows are shrunk; nil otherwise
+	keep  []int    // the positions a shrink keeps
 
 	// Per-iteration loop state, so that an iteration allocates nothing: the
 	// reduction workspace, the update coefficients Δα·y the bodies read,
@@ -272,7 +288,7 @@ type pairKernel struct {
 }
 
 // run computes dst1 = m·x1 and dst2 = m·x2. A matrix of another format than
-// the candidate's — the shrinking loop's CSR submatrix — has none of its
+// the candidate's — a shrunk problem's CSR submatrix — has none of its
 // variants, and takes its own fused kernel.
 func (p pairKernel) run(m sparse.Matrix, dst1, dst2 []float64, x1, x2 sparse.Vector, scratch1, scratch2 []float64) {
 	c := p.cand
@@ -284,16 +300,19 @@ func (p pairKernel) run(m sparse.Matrix, dst1, dst2 []float64, x1, x2 sparse.Vec
 
 // kernels is the part of a solver that produces kernel rows K(X_r, ·) of the
 // data matrix: SMSV products, then the pointwise Table I transform, with an
-// optional LRU of finished rows in front.
+// optional LRU of finished rows in front. A row holds the entries of the
+// active rows, which are every row unless a shrinking solver restricts them.
 type kernels struct {
 	x        sparse.Matrix
-	ex       *exec.Exec // the caller's context, which the transform runs under
+	sub      sparse.Matrix // the active rows of x: x itself, or a CSR submatrix
+	ex       *exec.Exec    // the caller's context, which the transform runs under
 	pair     pairKernel
 	kHigh    []float64 // kernel row K(X_high, ·)
 	kLow     []float64
 	scratch  []float64
 	scratch2 []float64 // second workspace for the paired two-row SMSV
 	normSq   []float64 // ‖X_i‖², nil unless the kernel or SecondOrder reads it
+	subNorm  []float64 // normSq of the active rows
 	rowBufH  sparse.Vector
 	rowBufL  sparse.Vector
 	cache    *rowCache // optional kernel-row LRU
@@ -311,6 +330,7 @@ func newKernels(x sparse.Matrix, p KernelParams, ex *exec.Exec, chosen *sparse.C
 	}
 	k := kernels{
 		x:        x,
+		sub:      x,
 		ex:       ex,
 		pair:     pair,
 		kHigh:    make([]float64, rows),
@@ -323,20 +343,48 @@ func newKernels(x sparse.Matrix, p KernelParams, ex *exec.Exec, chosen *sparse.C
 	if norms || needsNorms(p) {
 		k.normSq = rowNorms(x)
 	}
+	k.subNorm = k.normSq
 	return k
 }
 
-// row computes K(X_r, X_i) for all i into dst: one SMSV producing the dot
-// products, then the pointwise Table I transform. With caching enabled, warm
-// rows are copied out of the LRU instead. buf receives X_r.
+// restrict points the kernel rows at the rows index of x, in that order,
+// whose norms are norm — through a CSR submatrix of them — or back at every
+// row when index is nil. A cached row keeps its entries at the positions
+// keep of the rows before; back on every row, the cache starts empty.
+func (k *kernels) restrict(index []int, norm []float64, keep []int) {
+	k.subNorm = norm
+	if index == nil {
+		k.sub = k.x
+		k.kHigh, k.kLow = k.kHigh[:cap(k.kHigh)], k.kLow[:cap(k.kLow)]
+		if k.cache != nil {
+			k.cache = newRowCache(k.cache.capacity)
+		}
+		return
+	}
+	_, cols := k.x.Dims()
+	b := sparse.NewBuilder(max(len(index), 1), cols)
+	var v sparse.Vector
+	for p, i := range index {
+		v = k.x.RowTo(v, i)
+		b.AddRow(p, v)
+	}
+	k.sub = b.MustBuild(sparse.CSR)
+	k.kHigh, k.kLow = k.kHigh[:len(index)], k.kLow[:len(index)]
+	k.cache.keep(keep)
+}
+
+// row computes K(X_r, X_i) for the active rows i into dst: one SMSV
+// producing the dot products, then the pointwise Table I transform. With
+// caching enabled, warm rows are copied out of the LRU instead. buf receives
+// X_r.
 func (k *kernels) row(dst []float64, buf *sparse.Vector, r int) {
 	if cached := k.cache.get(r); cached != nil {
 		copy(dst, cached)
 		return
 	}
 	*buf = k.x.RowTo(*buf, r)
-	k.x.MulVecSparse(dst, *buf, k.scratch, k.pair.ex)
-	k.xform.apply(k.ex, dst, k.normSq, normAt(k.normSq, r))
+	k.sub.MulVecSparse(dst, *buf, k.scratch, k.pair.ex)
+	k.xform.apply(k.ex, dst, k.subNorm, normAt(k.normSq, r))
 	k.cache.put(r, dst)
 }
 
@@ -356,31 +404,27 @@ func (k *kernels) rows(high, low int) {
 	}
 	k.rowBufH = k.x.RowTo(k.rowBufH, high)
 	k.rowBufL = k.x.RowTo(k.rowBufL, low)
-	k.pair.run(k.x, k.kHigh, k.kLow, k.rowBufH, k.rowBufL, k.scratch, k.scratch2)
-	k.xform.apply(k.ex, k.kHigh, k.normSq, normAt(k.normSq, high))
-	k.xform.apply(k.ex, k.kLow, k.normSq, normAt(k.normSq, low))
+	k.pair.run(k.sub, k.kHigh, k.kLow, k.rowBufH, k.rowBufL, k.scratch, k.scratch2)
+	k.xform.apply(k.ex, k.kHigh, k.subNorm, normAt(k.normSq, high))
+	k.xform.apply(k.ex, k.kLow, k.subNorm, normAt(k.normSq, low))
 	k.cache.put(high, k.kHigh)
 	k.cache.put(low, k.kLow)
 }
 
-// selection holds one working-set pick.
-type selection struct {
-	high, low int
-}
-
 // selectWorkingSet finds high = argmin f over I_high and low = argmax f
 // over I_low, setting bHigh/bLow (steps 6–10 of Algorithm 1).
-func (s *solver) selectWorkingSet() (selection, bool) {
+func (s *solver) selectWorkingSet() bool {
 	return s.selected(s.scan.run(len(s.f), s.selectFn))
 }
 
 // selected adopts a sweep's result as the next working set.
-func (s *solver) selected(b best) (selection, bool) {
+func (s *solver) selected(b best) bool {
 	if b.minIdx < 0 || b.maxIdx < 0 {
-		return selection{}, false
+		return false
 	}
 	s.bHigh, s.bLow = b.minVal, b.maxVal
-	return selection{high: b.minIdx, low: b.maxIdx}, true
+	s.high, s.low = b.minIdx, b.maxIdx
+	return true
 }
 
 func (s *solver) selectPart(w int) {
@@ -392,17 +436,18 @@ func (s *solver) selectPart(w int) {
 	s.scan.partial[w] = b
 }
 
-// updateF applies step 5: f_i += Δα_high·y_high·K_high,i + Δα_low·y_low·K_low,i.
-// In fused mode it also performs the next working-set reductions in the
-// same pass, saving one sweep over f per iteration.
-func (s *solver) updateF(dh, dl float64, sel selection) (selection, bool) {
-	s.ch = dh * s.y[sel.high]
-	s.cl = dl * s.y[sel.low]
-	if s.cfg.Unfused {
-		s.cfg.Exec.ForElements(len(s.f), s.updateFn)
-		return s.selectWorkingSet()
+// update applies step 5: f_i += Δα_high·y_high·K_high,i + Δα_low·y_low·K_low,i.
+// An eager solver also selects the next working set: in the same pass,
+// saving one sweep over f per iteration, or with Unfused in a second sweep.
+// It reports false when that selection finds no pair.
+func (s *solver) update(dh, dl float64) bool {
+	s.ch = dh * s.y[s.high]
+	s.cl = dl * s.y[s.low]
+	if s.eager && !s.cfg.Unfused {
+		return s.selected(s.scan.run(len(s.f), s.fusedFn))
 	}
-	return s.selected(s.scan.run(len(s.f), s.fusedFn))
+	s.cfg.Exec.ForElements(len(s.f), s.updateFn)
+	return !s.eager || s.selectWorkingSet()
 }
 
 func (s *solver) updateRange(lo, hi int) {
@@ -455,95 +500,84 @@ func pairStep(eta, yh, yl, bHigh, bLow, ah, al, c float64) (dh, dl float64) {
 	return -sgn * dl, dl
 }
 
-// step takes pairStep on the working set (high, low), whose kernel entries
-// sit at positions hPos and lPos of kHigh and kLow, and applies the deltas.
-func (s *solver) step(high, low, hPos, lPos int) (dh, dl float64) {
-	eta := s.kHigh[hPos] + s.kLow[lPos] - 2*s.kHigh[lPos]
+// step takes pairStep on the working pair and applies the deltas.
+func (s *solver) step() (dh, dl float64) {
+	high, low := s.high, s.low
+	eta := s.kHigh[high] + s.kLow[low] - 2*s.kHigh[low]
 	dh, dl = pairStep(eta, s.y[high], s.y[low], s.bHigh, s.bLow, s.alpha[high], s.alpha[low], s.cfg.C)
 	s.alpha[low] += dl
 	s.alpha[high] += dh
 	return dh, dl
 }
 
+// run is the SMO loop of every classification configuration. An iteration
+// selects the working pair — high by the first-order rule, low by the first-
+// or second-order one — computes its two kernel rows, takes the step and
+// updates f; with Shrinking, every shrinkPeriod iterations it shrinks the
+// active set, and when the stopping rule holds it reconstructs the gradient
+// over every row and checks again.
 func (s *solver) run() Stats {
 	var st Stats
-	sel, ok := s.selectWorkingSet()
-	if !ok {
-		return st
-	}
-	for st.Iterations = 0; st.Iterations < s.cfg.MaxIter; st.Iterations++ {
-		if s.bLow <= s.bHigh+2*s.cfg.Tol {
-			st.Converged = true
+	selected, reconstructed := false, false
+	for st.Iterations < s.cfg.MaxIter {
+		if !selected && !s.selectWorkingSet() {
 			break
 		}
-		t0 := time.Now()
-		s.rows(sel.high, sel.low)
-		st.KernelTime += time.Since(t0)
-		dh, dl := s.step(sel.high, sel.low, sel.high, sel.low)
-		if dh == 0 && dl == 0 {
-			// Box-clipped to a null step: the working set is exhausted at
-			// this pair; nudge convergence check via fresh selection.
-			var ok bool
-			if sel, ok = s.selectWorkingSet(); !ok {
-				break
-			}
-			// A null step with the same selection would loop forever.
-			if s.bLow <= s.bHigh+2*s.cfg.Tol {
+		selected = false
+		if s.bLow <= s.bHigh+2*s.cfg.Tol {
+			if !s.cfg.Shrinking || reconstructed {
 				st.Converged = true
 				break
 			}
+			st.KernelTime += s.reconstruct()
+			reconstructed = true
 			continue
 		}
-		var okSel bool
-		sel, okSel = s.updateF(dh, dl, sel)
-		if !okSel {
-			break
+		reconstructed = false
+		t0 := time.Now()
+		if s.cfg.SecondOrder {
+			s.row(s.kHigh, &s.rowBufH, s.rowAt(s.high))
+			st.KernelTime += time.Since(t0)
+			if !s.pickLow() {
+				break
+			}
+			t0 = time.Now()
+			s.row(s.kLow, &s.rowBufL, s.rowAt(s.low))
+		} else {
+			s.rows(s.rowAt(s.high), s.rowAt(s.low))
 		}
+		st.KernelTime += time.Since(t0)
+		if dh, dl := s.step(); dh != 0 || dl != 0 {
+			if !s.update(dh, dl) {
+				break
+			}
+			selected = s.eager
+		}
+		st.Iterations++
+		if s.cfg.Shrinking && st.Iterations%s.shrinkPeriod() == 0 {
+			s.shrink()
+		}
+	}
+	if s.whole != nil {
+		// Stopped with rows shrunk, whose f is stale: the model and the
+		// objective read the whole problem, as LIBSVM's do.
+		st.KernelTime += s.reconstruct()
+		s.selectWorkingSet()
 	}
 	return st
 }
 
-// runSecondOrder is the WSS2 variant of run: high is still the maximal
-// violator (argmin f over I_high), but low maximizes the guaranteed dual
-// decrease (f_i − b_high)²/η_i over the violating part of I_low, which
-// requires K(X_high, ·) *before* picking low — so the loop computes the
-// high row first and cannot fuse the update with the next selection.
-func (s *solver) runSecondOrder() Stats {
-	var st Stats
-	n := len(s.f)
-	for ; st.Iterations < s.cfg.MaxIter; st.Iterations++ {
-		sel, ok := s.selectWorkingSet()
-		if !ok {
-			break
-		}
-		if s.bLow <= s.bHigh+2*s.cfg.Tol {
-			st.Converged = true
-			break
-		}
-		high := sel.high
-		t0 := time.Now()
-		s.row(s.kHigh, &s.rowBufH, high)
-		st.KernelTime += time.Since(t0)
-		// Second-order low: maximize (f_i − b_high)² / η_i over violators.
-		s.kHH = s.kHigh[high]
-		low := s.scan.run(n, s.pickFn).maxIdx
-		if low < 0 {
-			break
-		}
-		t0 = time.Now()
-		s.row(s.kLow, &s.rowBufL, low)
-		st.KernelTime += time.Since(t0)
-		// The analytic step uses b_low = f[low] for this pair.
-		s.bLow = s.f[low]
-		dh, dl := s.step(high, low, high, low)
-		if dh == 0 && dl == 0 {
-			continue
-		}
-		s.ch = dh * s.y[high]
-		s.cl = dl * s.y[low]
-		s.cfg.Exec.ForElements(n, s.updateFn)
+// pickLow replaces low by the second-order choice of Fan, Chen & Lin: the
+// violator of I_low with the largest guaranteed dual decrease
+// (f_i − b_high)²/η_i against high, and bLow by its f, which the step uses.
+func (s *solver) pickLow() bool {
+	s.kHH = s.kHigh[s.high]
+	low := s.scan.run(len(s.f), s.pickFn).maxIdx
+	if low < 0 {
+		return false
 	}
-	return st
+	s.low, s.bLow = low, s.f[low]
+	return true
 }
 
 // pickPart scans one part for the second-order low: the violator of I_low
@@ -563,6 +597,114 @@ func (s *solver) pickPart(w int) {
 		b.offer(i, d*d/eta, false, true)
 	}
 	s.scan.partial[w] = b
+}
+
+// shrinkPeriod is how many iterations run between shrinks, LIBSVM's
+// min(n, 1000) rule.
+func (s *solver) shrinkPeriod() int {
+	rows, _ := s.x.Dims()
+	return min(rows, 1000)
+}
+
+// shrink drops from the active set the bound variables whose gradient lies
+// strictly outside the (bHigh, bLow) window: none can join a violating pair
+// until the window moves past it. The rows that stay keep their order, so a
+// sweep breaks ties among them as it would over every row.
+func (s *solver) shrink() {
+	keep := s.keep[:0]
+	for p := range s.f {
+		if !s.shrinkable(p) {
+			keep = append(keep, p)
+		}
+	}
+	s.keep = keep
+	if len(keep) == len(s.f) {
+		return
+	}
+	src, dst := s.problem, s.problem
+	if s.whole == nil {
+		s.whole, dst = &src, problem{}
+	} else {
+		s.saveAlpha() // the rows about to leave keep their α there
+	}
+	s.problem = problem{
+		y:     gather(dst.y, src.y, keep),
+		alpha: gather(dst.alpha, src.alpha, keep),
+		f:     gather(dst.f, src.f, keep),
+		diag:  gather(dst.diag, src.diag, keep),
+		norm:  gather(dst.norm, src.norm, keep),
+		index: gather(dst.index, src.index, keep),
+	}
+	s.restrict(s.index, s.norm, keep)
+}
+
+// shrinkable reports whether position p holds a bound variable outside the
+// window.
+func (s *solver) shrinkable(p int) bool {
+	a, yp, c := s.alpha[p], s.y[p], s.cfg.C
+	switch {
+	case a == 0 && yp > 0:
+		return s.f[p] > s.bLow // only ever in I_high, and never minimal
+	case a == 0 && yp < 0:
+		return s.f[p] < s.bHigh
+	case a == c && yp > 0:
+		return s.f[p] < s.bHigh
+	case a == c && yp < 0:
+		return s.f[p] > s.bLow
+	default:
+		return false // free variable: always active
+	}
+}
+
+// reconstruct makes every row active and recomputes f from the support
+// vectors, f_i = Σ_j α_j·y_j·K(X_j, X_i) − y_i: one kernel row per support
+// vector, the price of shrinking, paid each time the active problem
+// converges. It returns the time it took.
+func (s *solver) reconstruct() time.Duration {
+	t0 := time.Now()
+	if s.whole != nil {
+		s.saveAlpha()
+		s.problem, s.whole = *s.whole, nil
+		s.restrict(nil, s.norm, nil)
+	}
+	for i := range s.f {
+		s.f[i] = -s.y[i]
+	}
+	for j, a := range s.alpha {
+		if a == 0 {
+			continue
+		}
+		s.row(s.kHigh, &s.rowBufH, j)
+		coef := a * s.y[j]
+		for i, k := range s.kHigh {
+			s.f[i] += coef * k
+		}
+	}
+	return time.Since(t0)
+}
+
+// saveAlpha writes the active rows' α into the whole problem's.
+func (s *solver) saveAlpha() {
+	for p, i := range s.index {
+		s.whole.alpha[i] = s.alpha[p]
+	}
+}
+
+// gather stores src's entries at the ascending positions keep into dst's
+// storage, which may be src's own — no entry moves to a later position — or
+// new storage when dst is nil. A nil src gathers to nil.
+func gather[T any](dst, src []T, keep []int) []T {
+	if src == nil {
+		return nil
+	}
+	if dst == nil {
+		dst = make([]T, 0, len(keep))
+	}
+	dst = dst[:0]
+	for _, p := range keep {
+		dst = append(dst, src[p])
+	}
+	return dst
 }
 
 // objective evaluates the dual objective of Equation (1) in O(n) using the

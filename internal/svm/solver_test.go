@@ -162,9 +162,9 @@ func TestTrainRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestTrainersRejectAlike drives the same bad input through the three
-// classification loops: there is one validation, so the error is the same
-// whichever loop was asked for.
+// TestTrainersRejectAlike drives the same bad input through the
+// classification configurations: there is one validation, so the error is
+// the same whichever was asked for.
 func TestTrainersRejectAlike(t *testing.T) {
 	b, y := blobs(20, 3, 2.0, 5)
 	m := b.MustBuild(sparse.CSR)
@@ -189,7 +189,13 @@ func TestTrainersRejectAlike(t *testing.T) {
 	loops := []struct {
 		name string
 		cfg  Config
-	}{{"plain", Config{}}, {"second-order", Config{SecondOrder: true}}, {"shrinking", Config{Shrinking: true}}}
+	}{
+		{"plain", Config{}},
+		{"second-order", Config{SecondOrder: true}},
+		{"shrinking", Config{Shrinking: true}},
+		{"shrinking+second-order", Config{Shrinking: true, SecondOrder: true}},
+		{"shrinking+cache", Config{Shrinking: true, CacheRows: 8}},
+	}
 	for _, c := range cases {
 		for _, l := range loops {
 			cfg := l.cfg

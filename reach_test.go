@@ -139,8 +139,6 @@ var reachAllow = map[string]string{
 	"internal/spgemm.Result.Dims":                  pendingNext,
 	"internal/spgemm.Result.Row":                   pendingNext,
 	"internal/spgemm.Result.RowNNZ":                pendingNext,
-	"internal/svm.rowCache.len":                    pendingNext,
-	"internal/svm.RegressionModel.MSE":             pendingNext,
 	"internal/telemetry.Histogram.ObserveDuration": pendingNext,
 	"internal/telemetry.Histogram.Count":           pendingNext,
 	"internal/telemetry.Counter.Add":               pendingNext,
