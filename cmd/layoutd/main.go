@@ -44,6 +44,8 @@
 //	POST /v1/predict           {"rows": ["1:0.5 3:1.2", ...]}
 //	POST /v1/predict-format    {"data": "<libsvm rows>"} or {"profile": {...}}
 //	POST /v1/cluster/replicate gossip batches from ring peers
+//	POST /v1/cluster/lookup    {"key": "<shape-class key>"} from a ring peer:
+//	                           this node's cached decision, or 404
 //	POST /v1/cluster/model     {"model": <predictor json>, "propagate": true}
 //	GET  /v1/trace/{id}        span tree of a recent decision; in cluster
 //	                           mode assembled across the ring (?scope=local

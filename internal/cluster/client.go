@@ -62,13 +62,28 @@ const (
 // (connections persist across forwards, so steady-state routing pays no
 // dial) plus a consecutive-failure circuit breaker per peer address.
 type Client struct {
+	// Post sends through the transport itself, under a deadline of timeout
+	// on its context; Get keeps http.Client, whose redirects and per-request
+	// header copy Post has no use for.
+	tr        *http.Transport
 	hc        *http.Client
+	timeout   time.Duration
 	threshold int
 	cooldown  time.Duration
 
-	mu       sync.Mutex
-	breakers map[string]*breaker.Breaker
+	mu    sync.Mutex
+	peers map[string]*peer // by address
 }
+
+// peer is what the client keeps per address: the breaker guarding it and a
+// template for each path posted to there.
+type peer struct {
+	breaker *breaker.Breaker
+	posts   map[string]*http.Request // by path; see postTemplate
+}
+
+// Content-Type of every peer POST, shared by all their header maps.
+var jsonContentType = []string{"application/json"}
 
 // ClientOptions tune a Client; the zero value takes every default.
 type ClientOptions struct {
@@ -102,23 +117,107 @@ func NewClient(opts ClientOptions) *Client {
 		IdleConnTimeout:     90 * time.Second,
 	}
 	return &Client{
+		tr:        tr,
 		hc:        &http.Client{Transport: tr, Timeout: opts.Timeout},
+		timeout:   opts.Timeout,
 		threshold: opts.BreakerThreshold,
 		cooldown:  opts.BreakerCooldown,
-		breakers:  make(map[string]*breaker.Breaker),
+		peers:     make(map[string]*peer),
 	}
+}
+
+// peerLocked returns (creating on first use) what the client keeps for
+// addr. Caller holds c.mu.
+func (c *Client) peerLocked(addr string) *peer {
+	p := c.peers[addr]
+	if p == nil {
+		p = &peer{breaker: breaker.New(c.threshold, c.cooldown), posts: make(map[string]*http.Request)}
+		c.peers[addr] = p
+	}
+	return p
 }
 
 // breakerFor returns (creating on first use) the breaker guarding addr.
 func (c *Client) breakerFor(addr string) *breaker.Breaker {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b := c.breakers[addr]
-	if b == nil {
-		b = breaker.New(c.threshold, c.cooldown)
-		c.breakers[addr] = b
+	return c.peerLocked(addr).breaker
+}
+
+// postTemplate returns addr's breaker and the template of a POST to
+// addr+path sent with the forwarded marker from: the URL parsed once, and
+// the headers every such request carries — Content-Type and the marker —
+// in a map shared by every request that carries no trace headers. Post
+// sends shallow copies of it to the transport, which only reads a request;
+// neither the template nor its header map is modified once built.
+func (c *Client) postTemplate(addr, path, from string) (*breaker.Breaker, *http.Request, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := c.peerLocked(addr)
+	if t := p.posts[path]; t != nil && t.Header.Get(ForwardedHeader) == from {
+		return p.breaker, t, nil
 	}
-	return b
+	t, err := http.NewRequest(http.MethodPost, addr+path, nil)
+	if err != nil {
+		return p.breaker, nil, err
+	}
+	t.Header = http.Header{"Content-Type": jsonContentType}
+	if from != "" {
+		t.Header[ForwardedHeader] = []string{from}
+	}
+	p.posts[path] = t
+	return p.breaker, t, nil
+}
+
+// postBody is one Post's request body. It carries the values of the
+// request's trace headers too, so a traced request costs one object more
+// than its header map, not one per header.
+type postBody struct {
+	bytes.Reader
+	data  []byte
+	trace [2]string // TraceHeader, ParentHeader
+}
+
+func (b *postBody) Close() error { return nil }
+
+// reopen is the request's GetBody: a fresh reader over the same bytes, for
+// the transport to replay the body on a keepalive connection that died
+// before any of it was written.
+func (b *postBody) reopen() (io.ReadCloser, error) {
+	fresh := &postBody{data: b.data}
+	fresh.Reset(b.data)
+	return fresh, nil
+}
+
+// newPost is one request from a template: a shallow copy carrying ctx, body
+// and, when ctx carries a trace, a header map of its own with the
+// propagation headers added to the template's.
+func newPost(ctx context.Context, tmpl *http.Request, body []byte) *http.Request {
+	pb := &postBody{data: body}
+	pb.Reset(body)
+	req := tmpl.WithContext(ctx)
+	req.Body, req.GetBody, req.ContentLength = pb, pb.reopen, int64(len(body))
+	if tid, sid, ok := telemetry.ContextTraceParent(ctx); ok {
+		pb.trace = [2]string{tid, sid}
+		req.Header = make(http.Header, len(tmpl.Header)+2)
+		for k, v := range tmpl.Header {
+			req.Header[k] = v
+		}
+		req.Header[TraceHeader], req.Header[ParentHeader] = pb.trace[0:1:1], pb.trace[1:2:2]
+	}
+	return req
+}
+
+// readReply reads a peer's response body: into one exact-size buffer when
+// the peer declared its length, as every short reply does, and capped at
+// maxPeerResponse either way.
+func readReply(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxPeerResponse {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxPeerResponse))
 }
 
 // PeerState reports the breaker position guarding addr ("closed" when the
@@ -144,31 +243,30 @@ func (c *Client) PeerDown(addr string) bool {
 // responses count against the peer's breaker (the peer is unhealthy); 2xx
 // and 4xx count as contact (4xx is the request's fault, not the peer's).
 // When the breaker is open the call returns ErrPeerDown without dialing.
+//
+// The transport may go on reading body after Post returns (when the peer
+// answers before it has read the request), so body must not be reused.
 func (c *Client) Post(ctx context.Context, addr, path, from string, body []byte) (int, []byte, error) {
-	b := c.breakerFor(addr)
+	b, tmpl, err := c.postTemplate(addr, path, from)
 	if !b.Allow() {
 		return 0, nil, ErrPeerDown
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+path, bytes.NewReader(body))
 	if err != nil {
 		b.Failure()
 		return 0, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if from != "" {
-		req.Header.Set(ForwardedHeader, from)
+	if d, ok := ctx.Deadline(); !ok || time.Until(d) > c.timeout {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		defer cancel()
 	}
-	if tid, sid, ok := telemetry.ContextTraceParent(ctx); ok {
-		req.Header.Set(TraceHeader, tid)
-		req.Header.Set(ParentHeader, sid)
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.tr.RoundTrip(newPost(ctx, tmpl, body))
 	if err != nil {
 		b.Failure()
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResponse))
+	data, err := readReply(resp)
 	if err != nil {
 		b.Failure()
 		return resp.StatusCode, nil, err
@@ -199,7 +297,5 @@ func (c *Client) Get(ctx context.Context, addr, path string) (int, []byte, error
 
 // Close releases idle keepalive connections.
 func (c *Client) Close() {
-	if tr, ok := c.hc.Transport.(*http.Transport); ok {
-		tr.CloseIdleConnections()
-	}
+	c.tr.CloseIdleConnections()
 }

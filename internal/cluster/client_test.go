@@ -1,14 +1,19 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func TestClientBreakerFailsFastAndRecovers(t *testing.T) {
@@ -82,6 +87,74 @@ func TestClientPostSetsForwardedHeader(t *testing.T) {
 	}
 	if st := c.PeerState(srv.URL); st != "closed" {
 		t.Fatalf("4xx moved the breaker to %s", st)
+	}
+}
+
+// TestClientPostWireAndAllocs: a Post sent from a shared template puts the
+// same request on the wire as one built afresh the way every Post used to be
+// — NewRequestWithContext plus a Header.Set per header — traced or not, on
+// first use of a path and on reuse; and building it costs a bounded handful
+// of objects where the fresh build cost 11.
+func TestClientPostWireAndAllocs(t *testing.T) {
+	dumps := make(chan string, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		dump, err := httputil.DumpRequest(r, true)
+		if err != nil {
+			t.Error(err)
+		}
+		dumps <- string(dump)
+		w.Write([]byte(`{"ok":true}`))
+	}))
+	defer srv.Close()
+	c := NewClient(ClientOptions{})
+	body := []byte(`{"key":"v2|hybrid/0|1,2,3"}`)
+	traced, _, _ := telemetry.NewTrace(context.Background(), "forward")
+	tid, sid, _ := telemetry.ContextTraceParent(traced)
+
+	fresh := func(ctx context.Context) string {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+LookupPath, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(ForwardedHeader, "n1")
+		if ctx != context.Background() {
+			req.Header.Set(TraceHeader, tid)
+			req.Header.Set(ParentHeader, sid)
+		}
+		resp, err := c.hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return <-dumps
+	}
+	for _, ctx := range []context.Context{context.Background(), traced, traced, context.Background()} {
+		want := fresh(ctx)
+		status, data, err := c.Post(ctx, srv.URL, LookupPath, "n1", body)
+		if err != nil || status != http.StatusOK || string(data) != `{"ok":true}` {
+			t.Fatalf("Post: %d %q %v", status, data, err)
+		}
+		if got := <-dumps; got != want {
+			t.Fatalf("on the wire:\n%s\nbuilt afresh:\n%s", got, want)
+		}
+	}
+
+	_, tmpl, err := c.postTemplate(srv.URL, LookupPath, "n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bound := range map[string]float64{"untraced": 3, "traced": 6} {
+		ctx := context.Background()
+		if name == "traced" {
+			ctx = traced
+		}
+		allocs := testing.AllocsPerRun(200, func() { newPost(ctx, tmpl, body) })
+		t.Logf("%s: %.0f allocations", name, allocs)
+		if allocs > bound {
+			t.Errorf("building a %s Post allocates %.0f objects, want at most %.0f", name, allocs, bound)
+		}
 	}
 }
 

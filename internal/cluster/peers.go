@@ -76,11 +76,20 @@ func (p *Peers) Route(key []byte) (Member, bool) {
 }
 
 // Forward posts body to the owner's endpoint with the forwarded marker set,
-// so the peer decides locally instead of re-routing. It returns the peer's
-// status and response body; any error (breaker open, transport failure,
-// peer 5xx) means the caller should fall back to its local decision path.
+// so the peer decides locally instead of re-routing, and counts one forward.
+// It returns the peer's status and response body; any error (breaker open,
+// transport failure, peer 5xx) means the caller should fall back to its
+// local decision path.
 func (p *Peers) Forward(ctx context.Context, m Member, path string, body []byte) (int, []byte, error) {
 	p.forwards.Add(1)
+	return p.Continue(ctx, m, path, body)
+}
+
+// Continue posts a later leg of a forward that Forward already counted —
+// the rows that follow a lookup the owner could not answer — so a routed
+// request counts one forward however many legs it takes. A failed leg counts
+// as a forward error, as in Forward; the caller falls back on the first one.
+func (p *Peers) Continue(ctx context.Context, m Member, path string, body []byte) (int, []byte, error) {
 	status, data, err := p.client.Post(ctx, m.Addr, path, p.self.ID, body)
 	if err != nil {
 		p.forwardErrors.Add(1)

@@ -18,6 +18,10 @@ const ReplicatePath = "/v1/cluster/replicate"
 // ModelPath is the endpoint retrained predictor models are pushed to.
 const ModelPath = "/v1/cluster/model"
 
+// LookupPath is the endpoint a forward's first leg asks a shape class's
+// owner for its cached decision on (Peers.Forward, then Peers.Continue).
+const LookupPath = "/v1/cluster/lookup"
+
 // Replication entry kinds. The payloads are opaque to this package; the
 // serve layer defines the wire structs for every kind (versioned with the
 // v2 decision/history key schema, and the p1 pair key schema for the

@@ -73,11 +73,24 @@ func TestReplicatorGossipsBatches(t *testing.T) {
 }
 
 func TestReplicatorDropsWhenFull(t *testing.T) {
-	// No server: the flush loop will fail, but Enqueue behavior is what is
-	// under test. A tiny queue with a slow interval fills immediately.
-	repl := NewReplicator(twoNodeRing("http://127.0.0.1:1"), NewClient(ClientOptions{}), "self",
-		ReplicatorOptions{QueueSize: 2, BatchSize: 64, Interval: time.Hour})
+	// Enqueue behavior is what is under test, so the gossip loop must not
+	// drain the queue while it fills: a batch of one sends the first entry at
+	// once, to a peer that holds the flush until the test is done.
+	flushing, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		first.Do(func() { close(flushing) })
+		<-release
+	}))
+	defer srv.Close()
+	repl := NewReplicator(twoNodeRing(srv.URL), NewClient(ClientOptions{}), "self",
+		ReplicatorOptions{QueueSize: 2, BatchSize: 1, Interval: time.Hour})
 	defer repl.Stop()
+	defer close(release)
+	if !repl.Enqueue(ReplEntry{Kind: KindHistory}) {
+		t.Fatal("enqueue rejected into an empty queue")
+	}
+	<-flushing
 	accepted := 0
 	for i := 0; i < 10; i++ {
 		if repl.Enqueue(ReplEntry{Kind: KindHistory}) {

@@ -17,11 +17,12 @@ import (
 // call) — features come off the builder's triplets into pooled workspaces and
 // every build is the builder's cached one. A matrix large enough to be
 // sampled pays for its two measurement blocks, which are not cached: 6
-// objects here, a DEN block (2) and a CSR block (4). The other non-zero
-// limits are the counts measured on these inputs under exec.Serial, unchanged
-// since the two schedulers got one ladder: for the pair scheduler 11 on every
-// path (EstimatePairCandidates builds and sorts a fresh slice) plus 12 for a
-// hybrid measurement, whose SpGEMM kernels still close over their operands.
+// objects here, a DEN block (2) and a CSR block (4). The pair scheduler ranks
+// its cost-model estimates into the pooled decision (AppendPairEstimates), so
+// its predict and history paths allocate nothing either (11 each while
+// EstimatePairCandidates built and sorted a fresh slice); a hybrid pair
+// measurement allocates 12, measured on these inputs under exec.Serial:
+// its SpGEMM kernels still close over their operands.
 // A per-call closure that escapes or a boxed candidate in the shared ladder
 // shows up here as a count above the limit.
 func TestChooseSteadyStateAllocs(t *testing.T) {
@@ -80,9 +81,9 @@ func TestChooseSteadyStateAllocs(t *testing.T) {
 		{"smsv/history", smsv(Config{Policy: Hybrid, History: hist}), 0},
 		{"smsv/hybrid", smsv(Config{Policy: Hybrid}), 0},
 		{"smsv/hybrid/sampled", sampledHybrid, 6},
-		{"spgemm/predict", pair(SpGEMMConfig{Policy: PolicyPredict, Predictor: stubPairPredictor{spgemm.BaseCandidate, 1, true}}), 11},
-		{"spgemm/history", pair(SpGEMMConfig{Policy: Hybrid, History: pairHist}), 11},
-		{"spgemm/hybrid", pair(SpGEMMConfig{Policy: Hybrid}), 23},
+		{"spgemm/predict", pair(SpGEMMConfig{Policy: PolicyPredict, Predictor: stubPairPredictor{spgemm.BaseCandidate, 1, true}}), 0},
+		{"spgemm/history", pair(SpGEMMConfig{Policy: Hybrid, History: pairHist}), 0},
+		{"spgemm/hybrid", pair(SpGEMMConfig{Policy: Hybrid}), 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var err error

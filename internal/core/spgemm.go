@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -56,25 +55,39 @@ func storedApprox(f dataset.Features, format sparse.Format) int64 {
 // uniform model nnzA·nnzB/K, so this works with only shape features in
 // hand — the serve layer's profile path and the rule-based policy share it.
 func EstimatePairCandidates(fa, fb dataset.Features) []PairEstimate {
+	return AppendPairEstimates(nil, fa, fb)
+}
+
+// AppendPairEstimates appends EstimatePairCandidates' ranking to dst and
+// returns it: the allocation-free form for pooled hot paths, as
+// AppendEstimates is EstimateCosts'. With capacity available it neither
+// allocates nor calls the reflect-based sort.
+func AppendPairEstimates(dst []PairEstimate, fa, fb dataset.Features) []PairEstimate {
 	flops := 0.0
 	if fa.N > 0 {
 		flops = float64(fa.NNZ) * float64(fb.NNZ) / float64(fa.N)
 	}
-	var out []PairEstimate
-	for _, c := range spgemm.AppendCandidates(nil) {
-		out = append(out, PairEstimate{
+	start := len(dst)
+	for i := 0; i < spgemm.NumCandidates; i++ {
+		c := spgemm.CandidateAt(i)
+		if !spgemm.Supported(c) {
+			continue
+		}
+		dst = append(dst, PairEstimate{
 			Candidate: c,
 			Cost: spgemm.EstimateCost(c, fa.M, fb.N,
 				storedApprox(fa, c.AFormat), storedApprox(fb, c.BFormat), int64(flops)),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cost != out[j].Cost {
-			return out[i].Cost < out[j].Cost
+	// Candidates arrive in ascending Index, so a stable insertion sort by
+	// cost breaks ties toward the lower Index.
+	ests := dst[start:]
+	for i := 1; i < len(ests); i++ {
+		for j := i; j > 0 && ests[j].Cost < ests[j-1].Cost; j-- {
+			ests[j], ests[j-1] = ests[j-1], ests[j]
 		}
-		return out[i].Candidate.Index() < out[j].Candidate.Index()
-	})
-	return out
+	}
+	return dst
 }
 
 // SpGEMMConfig parameterizes a SpGEMMScheduler. The zero value is usable:
@@ -235,7 +248,7 @@ func (sc *spgemmScratch) prepare(ranked []spgemm.Candidate) (p [dataset.PairEmbe
 	fb, _ := sc.extractor.Triplets(sc.b.Triplets())
 	d.AFeatures, d.BFeatures = fa, fb
 	d.EstimatedNNZ = dataset.EstimateOutputNNZ(fa, fb)
-	d.Estimates = append(d.Estimates[:0], EstimatePairCandidates(fa, fb)...)
+	d.Estimates = AppendPairEstimates(d.Estimates[:0], fa, fb)
 	ranked = slices.Grow(ranked, len(d.Estimates))
 	for _, e := range d.Estimates {
 		ranked = append(ranked, e.Candidate)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -301,5 +302,48 @@ func TestSpGEMMRetryJitterReproducible(t *testing.T) {
 	first, second := backoffs(), backoffs()
 	if len(first) != 2 || !slices.Equal(first, second) {
 		t.Fatalf("retry backoffs differ between two decisions under one seed:\n first %v\nsecond %v", first, second)
+	}
+}
+
+// TestAppendPairEstimatesMatchesSort: the pooled ranking is the one a sort by
+// cost, ties toward the lower Index, gives, appended after what dst held,
+// and with capacity at hand it allocates nothing.
+func TestAppendPairEstimatesMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	dst := make([]PairEstimate, 0, 16)
+	for i := 0; i < 200; i++ {
+		f := func() dataset.Features {
+			m, n := 1+rng.Intn(2000), 1+rng.Intn(2000)
+			nnz := int64(1 + rng.Intn(m*4))
+			return dataset.Features{M: m, N: n, NNZ: nnz, Mdim: 1 + rng.Intn(50), Density: float64(nnz) / float64(m*n)}
+		}
+		fa, fb := f(), f()
+		fb.M = fa.N
+		if i%7 == 0 {
+			fb = fa // equal operands: ties between the two outer candidates
+		}
+		// The ranking as EstimatePairCandidates computed it before it was
+		// pooled: every supported candidate costed, then sort.Slice.
+		flops := float64(fa.NNZ) * float64(fb.NNZ) / float64(fa.N)
+		var want []PairEstimate
+		for _, c := range spgemm.AppendCandidates(nil) {
+			want = append(want, PairEstimate{Candidate: c, Cost: spgemm.EstimateCost(c, fa.M, fb.N,
+				storedApprox(fa, c.AFormat), storedApprox(fb, c.BFormat), int64(flops))})
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Cost != want[j].Cost {
+				return want[i].Cost < want[j].Cost
+			}
+			return want[i].Candidate.Index() < want[j].Candidate.Index()
+		})
+		dst = append(dst[:0], PairEstimate{Cost: -1})
+		got := AppendPairEstimates(dst, fa, fb)
+		if got[0].Cost != -1 || !slices.Equal(got[1:], want) {
+			t.Fatalf("ranked %v after %v, want %v", got[1:], got[0], want)
+		}
+	}
+	fa := dataset.Features{M: 500, N: 400, NNZ: 2500, Mdim: 12}
+	if allocs := testing.AllocsPerRun(100, func() { dst = AppendPairEstimates(dst[:0], fa, fa) }); allocs != 0 {
+		t.Fatalf("AppendPairEstimates allocates %.0f objects with capacity at hand", allocs)
 	}
 }

@@ -26,8 +26,9 @@ const MaxBatchItems = 64
 // batchScratch is one request's reusable workspace: the buffer its body is
 // read into, a batch's decoded items, the cache-key buffer, the triplet
 // builder inline LIBSVM rows land in, the one-pass accumulator that reads
-// them, and the reply half — the buffer the 200 reply is appended into, the
-// trace lines it will carry and the estimates block of a single decision.
+// them, the buffer a forward hop's rows leg is encoded in, and the reply
+// half — the buffer the 200 reply is appended into, the trace lines it will
+// carry and the estimates block of a single decision.
 // Pooled so a warm server reads, decodes, parses, keys, decides and answers
 // with no per-request garbage; ownership follows the handler — Get at
 // entry, Put on return, never retained past the response, and with it die
@@ -43,10 +44,14 @@ type batchScratch struct {
 	b     *sparse.Builder
 	acc   dataset.Accumulator
 
-	out   wire            // the reply, written once when it is whole
-	trace traceLines      // the current decision's "trace" elements
-	ests  []core.Estimate // a single decision's cost-model rows ...
-	estsJ []EstimateJSON  // ... and their wire form, viewed by its reply
+	fwd wire // a forwarded request's rows, re-encoded for the owner
+
+	out       wire                // the reply, written once when it is whole
+	trace     traceLines          // the current decision's "trace" elements
+	ests      []core.Estimate     // a single decision's cost-model rows ...
+	estsJ     []EstimateJSON      // ... and their wire form, viewed by its reply
+	pairEsts  []core.PairEstimate // likewise for an SpGEMM decision
+	pairEstsJ []PairEstimateJSON
 }
 
 var batchScratchPool = sync.Pool{New: func() any {
@@ -113,9 +118,8 @@ func (sc *batchScratch) resolve(ctx context.Context, profile *FeaturesJSON, data
 	return feats, n, inline, err
 }
 
-// peerReply is the ring owner's answer to a forwarded /v1/schedule request,
-// undecoded: the single endpoint relays it byte for byte, a batch slot
-// decodes it.
+// peerReply is the ring owner's answer to a forward's rows leg, undecoded:
+// the single endpoints relay it byte for byte, a batch slot decodes it.
 type peerReply struct {
 	peer   string
 	status int
@@ -142,22 +146,24 @@ func (p *peerReply) result() (DecisionJSON, string) {
 // scheduled is one schedule body's outcome on its way to a reply.
 type scheduled struct {
 	d DecisionJSON
-	// measured is d.Measured as the decision's cache entry rendered it; nil
-	// when the decision came from anywhere else.
+	// measured is d's "measured" array as the decision's cache entry
+	// rendered it — here, or on the ring owner that answered from its cache;
+	// nil when the decision came from anywhere else.
 	measured []byte
-	// peer is set instead of d when the ring owner answered.
+	// peer is set instead of d when the ring owner decided from the rows.
 	peer *peerReply
 }
 
 // scheduleOne is the one schedule path: /v1/schedule is a batch of one, and
 // it and every batch item decide here over a pooled scratch. A profile gets
 // the rule-based cost model; inline rows are parsed, keyed by shape class,
-// and answered by the ring owner (the reply comes back undecoded), the
-// decision cache, or a measurement under admission control. explain asks
-// for the human-readable account a single response carries — the trace
-// lines, noted into sc.trace, and the estimates block, which views the
-// scratch; without it the steady state allocates nothing the reply does not
-// keep.
+// and answered by the ring owner's cache, the ring owner from the rows (the
+// reply comes back undecoded), the local decision cache, or a measurement
+// under admission control. A decision from either cache is rendered here,
+// from this request's own features. explain asks for the human-readable
+// account a single response carries — the trace lines, noted into
+// sc.trace, and the estimates block, which views the scratch; without it
+// the steady state allocates nothing the reply does not keep.
 func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *envelope, policy core.Policy, explain bool) (scheduled, error) {
 	sc.trace.reset()
 	feats, n, inline, err := sc.resolve(ctx, req.profile, req.data)
@@ -195,28 +201,20 @@ func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *envelop
 	}
 
 	sc.key = AppendKey(sc.key[:0], feats, policy.String(), s.cfg.TopK)
-	s.noteLoopAverted(ctx, sc.key, trace)
-	if m, owned := routeOwner(ctx, s, s.smsv.cache, sc.key); owned {
-		// The forwarded body is marshalled afresh — the rows copied out of
-		// the scratch, which this handler gives back while the peer may
-		// still be reading — with the policy pinned (it may be the batch's
-		// or the server's default), so the owner resolves the request
-		// exactly as this node did.
-		fwd := ScheduleRequest{Data: string(req.data), Policy: policy.String()}
-		if status, data, ok := s.forward(ctx, m, "/v1/schedule", &fwd); ok {
-			return scheduled{peer: &peerReply{peer: m.ID, status: status, body: data}}, nil
-		}
-		// Owner unreachable: locality is lost but availability is not — the
-		// local decision path answers, exactly as if clustering were off.
-		s.forwardFallbacks.Add(1)
-		if trace != nil {
-			trace.text("cluster: owner ").text(m.ID).text(" unreachable, deciding locally").end()
-		}
-	}
-	val, outcome, err := decide(ctx, s, &s.smsv, policy, sc.key, smsvIn{b: sc.b, feats: feats})
-	if err != nil {
+	r, err := decideRouted(ctx, s, &s.smsv, policy, sc.key, smsvIn{b: sc.b, feats: feats}, trace, "/v1/schedule",
+		func() []byte {
+			// Policy pinned — it may be the batch's or the server's default —
+			// so the owner resolves the request exactly as this node did.
+			sc.fwd.scheduleBody(req.data, policy.String())
+			return bytes.Clone(sc.fwd.b)
+		})
+	switch {
+	case err != nil:
 		return scheduled{}, err
+	case r.peer != nil:
+		return scheduled{peer: r.peer}, nil
 	}
+	val := r.val
 	out := scheduled{d: DecisionJSON{
 		Policy:     policy.String(),
 		Chosen:     val.Format.String(),
@@ -229,12 +227,12 @@ func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *envelop
 		TraceID:    contextTraceID(ctx),
 	}}
 	out.d.Measured, out.measured = val.evidence()
-	if outcome != "miss" {
+	if r.outcome != "miss" {
 		// Anything but a fresh computation reports the cache.
 		out.d.Source = "cache"
 	}
 	if trace != nil {
-		s.noteDecide(trace, s.smsv.classNoun, sc.key, outcome, val, val.Format.String(), policy)
+		s.noteDecide(trace, s.smsv.classNoun, sc.key, r.outcome, val, val.Format.String(), policy)
 		sc.ests = core.AppendEstimates(sc.ests[:0], feats)
 		sc.estsJ = appendEstimates(sc.estsJ[:0], sc.ests)
 		out.d.Estimates = sc.estsJ
@@ -289,7 +287,8 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 // drive the batched hot path without HTTP. Decisions[i] answers Items[i];
 // per-item failures land in that slot's Error. A decision's Measured rows
 // are its cache entry's, shared with every other reply that reports the
-// entry: read them, do not modify them.
+// entry: read them, do not modify them. (A decision a ring owner answered
+// from its cache arrives as the rendered array only, and is decoded here.)
 func (s *Server) ScheduleBatch(ctx context.Context, req *BatchScheduleRequest) BatchScheduleResponse {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -299,7 +298,13 @@ func (s *Server) ScheduleBatch(ctx context.Context, req *BatchScheduleRequest) B
 		TraceID:   contextTraceID(ctx),
 	}
 	for i := range env.items {
-		if res, errMsg := s.scheduleItem(ctx, sc, &env.items[i], env.policy, i); errMsg != "" {
+		res, errMsg := s.scheduleItem(ctx, sc, &env.items[i], env.policy, i)
+		if errMsg == "" && res.d.Measured == nil && len(res.measured) > 0 {
+			if err := json.Unmarshal(res.measured, &res.d.Measured); err != nil {
+				errMsg = fmt.Sprintf("unreadable measured evidence: %v", err)
+			}
+		}
+		if errMsg != "" {
 			out.Decisions[i].Error = errMsg
 		} else {
 			out.Decisions[i].Decision = &res.d

@@ -47,6 +47,19 @@ func (d *CachedDecision) IsDegraded() bool { return d.Degraded }
 
 func (d *CachedDecision) provenance() (string, float64) { return d.Source, d.Confidence }
 
+func (d *CachedDecision) verdict() decisionWire {
+	_, measured := d.evidence()
+	return decisionWire{Candidate: d.Candidate.String(), Source: d.Source, Confidence: d.Confidence,
+		Degraded: d.Degraded, Measured: measured}
+}
+
+// cachedDecision is the SMSV workload's decision rebuilt from its wire form.
+func cachedDecision(c sparse.Candidate, dw decisionWire) *CachedDecision {
+	d := &CachedDecision{Candidate: c, Format: c.Format, Source: dw.Source, Confidence: dw.Confidence, Degraded: dw.Degraded}
+	d.ev.seed(dw.Measured)
+	return d
+}
+
 // CachedPairDecision is CachedDecision for SpGEMM: one pairwise
 // shape class's winning dataflow candidate with its measurement evidence.
 type CachedPairDecision struct {
@@ -69,6 +82,21 @@ type CachedPairDecision struct {
 func (d *CachedPairDecision) IsDegraded() bool { return d.Degraded }
 
 func (d *CachedPairDecision) provenance() (string, float64) { return d.Source, d.Confidence }
+
+func (d *CachedPairDecision) verdict() decisionWire {
+	_, measured := d.evidence()
+	return decisionWire{Candidate: d.Candidate.String(), Source: d.Source, Confidence: d.Confidence,
+		EstimatedNNZ: d.EstimatedNNZ, OutputNNZ: d.OutputNNZ, Degraded: d.Degraded, Measured: measured}
+}
+
+// cachedPairDecision is the SpGEMM workload's decision rebuilt from its
+// wire form.
+func cachedPairDecision(c spgemm.Candidate, dw decisionWire) *CachedPairDecision {
+	d := &CachedPairDecision{Candidate: c, Source: dw.Source, Confidence: dw.Confidence,
+		EstimatedNNZ: dw.EstimatedNNZ, OutputNNZ: dw.OutputNNZ, Degraded: dw.Degraded}
+	d.ev.seed(dw.Measured)
+	return d
+}
 
 // Degradable is what the cache needs to know about a value: degraded
 // entries get a short TTL instead of living until LRU pressure.

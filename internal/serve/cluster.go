@@ -22,10 +22,12 @@ import (
 //
 // Routing contract: a request whose shape-class key is owned by a remote
 // peer is forwarded there (one hop — forwarded requests carry a marker and
-// are always decided locally by the receiver), and any forwarding failure
-// falls back to the local decision path. A peer death therefore degrades
-// locality, never availability: the local node still answers, and its
-// breaker-guarded client stops dialing the dead peer after a few failures.
+// are always decided locally by the receiver). The hop asks for the owner's
+// cached decision by key first and sends the rows only when the owner has
+// none, and any failure on either leg falls back to the local decision
+// path. A peer death therefore degrades locality, never availability: the
+// local node still answers, and its breaker-guarded client stops dialing
+// the dead peer after a few failures.
 
 // ctxForwarded marks a request context as already routed by a peer.
 type ctxForwarded struct{}
@@ -49,17 +51,32 @@ func (s *Server) acceptForwarded(r *http.Request) *http.Request {
 	return r.WithContext(withForwarded(r.Context()))
 }
 
-// decisionWire is the replicated form of a decision-cache entry. The cache
-// key it rides under is the v2 quantized shape-class key, so schema drift
-// between releases can never alias entries. Measurement evidence stays on
-// the owner: the successor only needs the verdict to answer after a
-// failover.
+// decisionWire is a decision-cache entry on the wire: the replicated form
+// gossip sends a ring successor, and the verdict an owner answers a lookup
+// leg with. The cache key it belongs to is the versioned shape-class key
+// (v2 for SMSV, p1 for SpGEMM), so schema drift between releases can never
+// alias entries. Gossip sends the first four fields only — the successor
+// needs just the verdict to answer after a failover — and a lookup answer
+// adds what stays on the owner, so the forwarder can render the reply the
+// owner would have.
 type decisionWire struct {
 	Candidate  string  `json:"candidate"` // the workload's candidate string form
 	Source     string  `json:"source"`
 	Confidence float64 `json:"confidence,omitempty"`
 	// EstimatedNNZ is the SpGEMM output-size estimate; SMSV entries omit it.
 	EstimatedNNZ float64 `json:"estimated_nnz,omitempty"`
+	// OutputNNZ is a measured SpGEMM decision's exact output size, Degraded
+	// marks a short-lived placeholder, and Measured is the entry's evidence
+	// as its reply's "measured" array.
+	OutputNNZ int64           `json:"output_nnz,omitempty"`
+	Degraded  bool            `json:"degraded,omitempty"`
+	Measured  json.RawMessage `json:"measured,omitempty"`
+}
+
+// lookupRequest is the body of a forward's lookup leg: the shape-class key
+// the forwarder built, whose version prefix names the workload.
+type lookupRequest struct {
+	Key string `json:"key"`
 }
 
 // historyWire is the replicated form of one tuning-history record: the nine
@@ -171,18 +188,27 @@ func (s *Server) BroadcastModel(ctx context.Context, kind string, model []byte) 
 	return s.cluster.BroadcastModel(ctx, body)
 }
 
-// forward relays a request — its policy already pinned, so the peer
-// resolves it exactly as this node did — to the key's ring owner under a
-// cluster.forward span. ok=false means the caller decides locally: any
-// transport failure, open peer breaker, or peer 5xx.
-func (s *Server) forward(ctx context.Context, m cluster.Member, path string, req any) (status int, data []byte, ok bool) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, nil, false
-	}
+// The two legs of a forward hop, as cluster.forward spans name them.
+const (
+	legLookup = "lookup"
+	legRows   = "rows"
+)
+
+// forwardLeg posts one leg of a forward hop to m under a cluster.forward
+// span naming the peer and the leg. The lookup leg counts the forward
+// (Peers.Forward); the rows leg continues it (Peers.Continue), so a routed
+// request is one forward however many legs it takes. ok=false means the
+// caller decides locally: any transport failure, open peer breaker, or peer
+// 5xx.
+func (s *Server) forwardLeg(ctx context.Context, m cluster.Member, leg, path string, body []byte) (status int, data []byte, ok bool) {
 	fctx, sp := telemetry.StartSpan(ctx, "cluster.forward",
-		telemetry.String("peer", m.ID))
-	status, data, err = s.cluster.Forward(fctx, m, path, body)
+		telemetry.String("peer", m.ID), telemetry.String("leg", leg))
+	var err error
+	if leg == legLookup {
+		status, data, err = s.cluster.Forward(fctx, m, path, body)
+	} else {
+		status, data, err = s.cluster.Continue(fctx, m, path, body)
+	}
 	if err != nil {
 		sp.EndErr(err)
 		return 0, nil, false
@@ -190,6 +216,134 @@ func (s *Server) forward(ctx context.Context, m cluster.Member, path string, req
 	sp.Annotate(telemetry.Int("status", status))
 	sp.End()
 	return status, data, true
+}
+
+// askOwner is the forward hop for a key the ring gives to m, in two legs.
+// The lookup leg sends the key alone, and the owner answers from its cache
+// with the entry's verdict, rebuilt here by the workload's fromWire as hit
+// — never cached here: the owner stays the one authority for its classes.
+// Or the owner answers 404, because the class is not cached there or
+// because it predates the lookup route; only then does the rows leg post
+// rows() to path, and the owner's reply to it comes back undecoded as peer.
+// ok=false means a leg failed and the caller decides locally.
+func askOwner[In any, V decided](ctx context.Context, s *Server, w *workload[In, V], m cluster.Member, key []byte, path string, rows func() []byte) (hit V, peer *peerReply, ok bool) {
+	status, data, ok := s.forwardLeg(ctx, m, legLookup, cluster.LookupPath, appendLookupBody(nil, key))
+	if !ok {
+		return hit, nil, false
+	}
+	if status == http.StatusOK {
+		var dw decisionWire
+		if json.Unmarshal(data, &dw) == nil {
+			if v, err := w.fromWire(dw); err == nil {
+				return v, nil, true
+			}
+		}
+		// A verdict this build cannot read is asked again with the rows.
+	}
+	if status, data, ok = s.forwardLeg(ctx, m, legRows, path, rows()); !ok {
+		return hit, nil, false
+	}
+	return hit, &peerReply{peer: m.ID, status: status, body: data}, true
+}
+
+// routed is one key's decision wherever it was made: here (decide's
+// outcome), in the owner's cache (outcome "hit"), or by the owner from the
+// rows, whose reply comes back undecoded in peer with val unset.
+type routed[V decided] struct {
+	val     V
+	outcome string
+	peer    *peerReply
+}
+
+// decideRouted is decide behind the ring, for every endpoint that routes:
+// a key another member owns is asked of that owner (askOwner), and decided
+// here when this node owns it, when the request was already forwarded once,
+// or when the owner cannot be reached — locality is lost then, availability
+// is not. rows builds the rows leg's body, and only a lookup miss calls it.
+// trace, when non-nil, notes which way the decision went.
+func decideRouted[In any, V decided](ctx context.Context, s *Server, w *workload[In, V], policy core.Policy, key []byte, in In, trace *traceLines, path string, rows func() []byte) (routed[V], error) {
+	s.noteLoopAverted(ctx, key, trace)
+	if m, owned := routeOwner(ctx, s, w.cache, key); owned {
+		hit, peer, ok := askOwner(ctx, s, w, m, key, path, rows)
+		switch {
+		case peer != nil:
+			return routed[V]{peer: peer}, nil
+		case ok:
+			if trace != nil {
+				trace.text("cluster: owner ").text(m.ID).text(" answered from its cache").end()
+			}
+			return routed[V]{val: hit, outcome: "hit"}, nil
+		}
+		s.forwardFallbacks.Add(1)
+		if trace != nil {
+			trace.text("cluster: owner ").text(m.ID).text(" unreachable, deciding locally").end()
+		}
+	}
+	val, outcome, err := decide(ctx, s, w, policy, key, in)
+	return routed[V]{val: val, outcome: outcome}, err
+}
+
+// lookupMiss is the 404 body of a lookup for a class not cached here; it
+// never varies, so it is written as it is.
+var lookupMiss = []byte(`{"error":"shape class not cached here"}` + "\n")
+
+// handleClusterLookup answers a forward's lookup leg: the shape-class key a
+// ring peer already built, looked up in the cache of the workload its
+// version prefix names. A hit answers 200 with the entry's verdict and is
+// recorded as a cluster.lookup fragment of the forwarder's trace; a miss
+// answers 404, untraced, and the rows leg that follows is decided here like
+// any forwarded request. A lookup never routes, measures or counts a cache
+// miss, and it counts a forwarded serve only when it answers one.
+func (s *Server) handleClusterLookup(w http.ResponseWriter, r *http.Request) {
+	if s.cluster == nil {
+		writeError(w, http.StatusServiceUnavailable, "clustering disabled (start layoutd with -peers)")
+		return
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	env, ok := decodeEnvelope[lookupRequest](s, sc, w, r, lookupFields)
+	if !ok {
+		return
+	}
+	var dw decisionWire
+	switch {
+	case hasKeyVersion(env.key, keyVersion):
+		dw, ok = lookup(s.smsv.cache, env.key)
+	case hasKeyVersion(env.key, pairKeyVersion):
+		dw, ok = lookup(s.pair.cache, env.key)
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("key %q names no workload this node serves", env.key))
+		return
+	}
+	if !ok {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusNotFound)
+		w.Write(lookupMiss)
+		return
+	}
+	s.forwardedServed.Add(1)
+	ctx, tr, root := s.joinOrStartTrace(r, "cluster.lookup")
+	telemetry.StartLeaf(ctx, "cache.do", telemetry.Bytes("key", env.key),
+		telemetry.String("outcome", "hit"), telemetry.String("source", dw.Source)).End()
+	sc.out.verdict(&dw)
+	writeReply(w, &sc.out)
+	s.endTrace(w, tr, root, nil)
+}
+
+// hasKeyVersion reports whether key is a shape-class key of the given
+// schema version: "<version>|...".
+func hasKeyVersion(key []byte, version string) bool {
+	return len(key) > len(version) && string(key[:len(version)]) == version && key[len(version)] == '|'
+}
+
+// lookup is a workload cache's answer to a lookup leg: the live entry's
+// verdict, counted as the hit it is.
+func lookup[V decided](cache *Cache[V], key []byte) (decisionWire, bool) {
+	val, ok := cache.Get(key)
+	if !ok {
+		return decisionWire{}, false
+	}
+	return val.verdict(), true
 }
 
 // relay writes a forwarded peer response through to the client.
@@ -303,20 +457,34 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, cluster.ReplicateResponse{Applied: applied, Skipped: skipped})
 }
 
+// fromWire returns a workload's rebuild of a verdict from its wire form:
+// parse the candidate, then construct the value with cached. Gossip applies
+// and lookup answers rebuild through the same one.
+func fromWire[C any, V decided](parse func(string) (C, error), cached func(C, decisionWire) V) func(decisionWire) (V, error) {
+	return func(dw decisionWire) (V, error) {
+		c, err := parse(dw.Candidate)
+		if err != nil {
+			var none V
+			return none, err
+		}
+		return cached(c, dw), nil
+	}
+}
+
 // applyDecision returns a workload's gossip sink for decision entries:
-// parse the wire form and its candidate, then cache the verdict under the
-// entry's shape-class key. The sink reports false for an entry to skip.
-func applyDecision[C any, V Degradable](cache *Cache[V], parse func(string) (C, error), cached func(C, decisionWire) V) func(cluster.ReplEntry) bool {
+// rebuild the verdict, then cache it under the entry's shape-class key. The
+// sink reports false for an entry to skip.
+func applyDecision[V decided](cache *Cache[V], fromWire func(decisionWire) (V, error)) func(cluster.ReplEntry) bool {
 	return func(e cluster.ReplEntry) bool {
 		var dw decisionWire
 		if err := json.Unmarshal(e.Payload, &dw); err != nil || e.Key == "" {
 			return false
 		}
-		c, err := parse(dw.Candidate)
+		val, err := fromWire(dw)
 		if err != nil {
 			return false
 		}
-		cache.Put(e.Key, cached(c, dw))
+		cache.Put(e.Key, val)
 		return true
 	}
 }

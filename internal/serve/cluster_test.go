@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,12 +29,26 @@ type clusterNode struct {
 	srv   *Server
 	peers *cluster.Peers
 	hs    *httptest.Server
+	// front, when set, sees every request the node receives before its
+	// server does and may answer it instead: a peer that fails, or one that
+	// predates a route.
+	front atomic.Pointer[func(w http.ResponseWriter, r *http.Request, next http.Handler)]
 }
 
-// startCluster boots an n-node ring on loopback listeners. The listeners
-// are bound before any Peers is built, because every member's address must
-// be in every node's ring from the start.
-func startCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*clusterNode {
+// startCluster boots an n-node ring on loopback listeners with a 25 ms
+// gossip cadence.
+func startCluster(t testing.TB, n int, mutate func(i int, cfg *Config)) []*clusterNode {
+	t.Helper()
+	return startRing(t, n, cluster.Options{
+		Client:      cluster.ClientOptions{Timeout: 5 * time.Second},
+		Replication: cluster.ReplicatorOptions{Interval: 25 * time.Millisecond},
+	}, mutate)
+}
+
+// startRing boots an n-node ring on loopback listeners. The listeners are
+// bound before any Peers is built, because every member's address must be
+// in every node's ring from the start.
+func startRing(t testing.TB, n int, opts cluster.Options, mutate func(i int, cfg *Config)) []*clusterNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	members := make([]cluster.Member, n)
@@ -47,10 +62,7 @@ func startCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*clust
 	}
 	nodes := make([]*clusterNode, n)
 	for i := range nodes {
-		peers, err := cluster.NewPeers(members[i].ID, members, cluster.Options{
-			Client:      cluster.ClientOptions{Timeout: 5 * time.Second},
-			Replication: cluster.ReplicatorOptions{Interval: 25 * time.Millisecond},
-		})
+		peers, err := cluster.NewPeers(members[i].ID, members, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,12 +71,20 @@ func startCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*clust
 			mutate(i, &cfg)
 		}
 		srv := newTestServer(t, cfg)
-		hs := &httptest.Server{Listener: lns[i], Config: &http.Server{Handler: srv.Handler()}}
-		hs.Start()
-		nodes[i] = &clusterNode{id: members[i].ID, url: members[i].Addr, srv: srv, peers: peers, hs: hs}
+		nd := &clusterNode{id: members[i].ID, url: members[i].Addr, srv: srv, peers: peers}
+		h := srv.Handler()
+		nd.hs = &httptest.Server{Listener: lns[i], Config: &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if front := nd.front.Load(); front != nil {
+				(*front)(w, r, h)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})}}
+		nd.hs.Start()
+		nodes[i] = nd
 		t.Cleanup(func() {
 			peers.Stop()
-			hs.Close()
+			nd.hs.Close()
 		})
 	}
 	return nodes

@@ -31,6 +31,8 @@ type decided interface {
 	// "history", "predictor" or "model") and the predictor's vote share
 	// when one was consulted.
 	provenance() (source string, confidence float64)
+	// verdict is the decision as its owner answers a lookup leg with it.
+	verdict() decisionWire
 }
 
 // workload is one scheduled workload's side of the pipeline. In is the
@@ -51,6 +53,9 @@ type workload[In any, V decided] struct {
 	// publish gossips a fresh decision to the ring successor and feeds the
 	// online flywheel; it runs on the singleflight leader only.
 	publish func(key []byte, in In, val V)
+	// fromWire rebuilds a decision from its wire form: a gossiped entry, or
+	// the owner's answer to a lookup leg.
+	fromWire func(decisionWire) (V, error)
 	// classNoun names the cache key's space in response trace lines.
 	classNoun string
 

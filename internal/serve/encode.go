@@ -370,6 +370,71 @@ func (w *wire) batchClose(traceID string) {
 	w.raw("}\n")
 }
 
+// The forward hop's bodies. Each is what encoding/json writes for its
+// struct — a ScheduleRequest or SpGEMMRequest with the policy pinned, a
+// lookupRequest, a decisionWire plus "\n" — which FuzzEncodeForward holds,
+// so an owner of any build decodes them as it always has.
+
+// appendLookupBody appends a lookup leg's body for key to dst.
+func appendLookupBody(dst, key []byte) []byte {
+	if dst == nil {
+		dst = make([]byte, 0, len(key)+len(`{"key":""}`))
+	}
+	dst = append(dst, `{"key":`...)
+	return append(appendJSONString(dst, key), '}')
+}
+
+// scheduleBody is a forwarded /v1/schedule's rows leg: data and the policy
+// this node resolved, so the owner decides exactly as this node would have.
+func (w *wire) scheduleBody(data []byte, policy string) {
+	w.reset()
+	w.raw("{")
+	if len(data) > 0 {
+		w.raw(`"data":`)
+		w.b = appendJSONString(w.b, data)
+		if policy != "" {
+			w.raw(",")
+		}
+	}
+	if policy != "" {
+		w.raw(`"policy":`)
+		w.str(policy)
+	}
+	w.raw("}")
+}
+
+// spgemmBody is a forwarded /v1/schedule/spgemm's rows leg, policy pinned.
+func (w *wire) spgemmBody(a, b []byte, policy string) {
+	w.reset()
+	w.raw(`{"a":`)
+	w.b = appendJSONString(w.b, a)
+	w.raw(`,"b":`)
+	w.b = appendJSONString(w.b, b)
+	w.optStr(`,"policy":`, policy)
+	w.raw("}")
+}
+
+// verdict starts over with an owner's answer to a lookup leg.
+func (w *wire) verdict(d *decisionWire) {
+	w.reset()
+	w.raw(`{"candidate":`)
+	w.str(d.Candidate)
+	w.raw(`,"source":`)
+	w.str(d.Source)
+	w.optFloat(`,"confidence":`, d.Confidence)
+	w.optFloat(`,"estimated_nnz":`, d.EstimatedNNZ)
+	if d.OutputNNZ != 0 {
+		w.raw(`,"output_nnz":`)
+		w.int(d.OutputNNZ)
+	}
+	w.optBool(`,"degraded":`, d.Degraded)
+	if len(d.Measured) > 0 {
+		w.raw(`,"measured":`)
+		w.b = append(w.b, d.Measured...)
+	}
+	w.raw("}\n")
+}
+
 // evidence is a cache entry's measurement map in reply form, rendered once:
 // the entry's map never changes after it is cached, so neither does the
 // array every hit used to sort and build afresh. It is built on first use —
@@ -394,6 +459,18 @@ func (ev *evidence[R]) render(build func() []R, row func(*wire, *R)) ([]R, []byt
 		ev.json = w.b
 	})
 	return ev.rows, ev.json
+}
+
+// seed gives an entry rebuilt from its wire form the evidence that form
+// carried: the "measured" array an owner rendered, and no rows — the entry
+// has no measurement map to build them from, and a written reply splices
+// the array. An empty array leaves the entry without evidence, as an empty
+// map does.
+func (ev *evidence[R]) seed(measured []byte) {
+	if len(measured) > len("[]") && measured[0] == '[' {
+		ev.json = measured
+	}
+	ev.once.Do(func() {})
 }
 
 // evidence returns the entry's measurements as reply rows and as the JSON

@@ -367,3 +367,55 @@ func equalJSON(t *testing.T, a, b any) bool {
 	}
 	return bytes.Equal(ra, rb)
 }
+
+// FuzzEncodeForward holds the forward hop's bodies to encoding/json, so an
+// owner of any build decodes them as it always has: a rows leg is
+// json.Marshal of the exported request with its policy pinned, a lookup leg
+// of its key's lookupRequest, and an owner's answer of its decisionWire plus
+// the newline writeJSON ends a value with — refused, like the library, when
+// a float is not finite.
+func FuzzEncodeForward(f *testing.F) {
+	f.Add("+1 1:0.5 3:1.25\n-1 2:2\n", "1 2:1\n", "hybrid", "gustavson/CSR/CSR", 0.84, int64(398))
+	f.Add(nasty, nasty, nasty, nasty, 1e-7, int64(math.MinInt64))
+	f.Add("", "", "", "", 0.0, int64(0))
+	for i, x := range nastyFloats {
+		f.Add(nasty[i%len(nasty):], "v2|hybrid/0|1,2,3", "predict", "CSR/static/fused", x, int64(i))
+	}
+	f.Fuzz(func(t *testing.T, a, b, policy, candidate string, x float64, n int64) {
+		var w wire
+		same := func(what string, got []byte, v any, suffix string) {
+			t.Helper()
+			want, err := json.Marshal(v)
+			if err != nil {
+				if !errors.As(err, new(*json.UnsupportedValueError)) {
+					t.Fatalf("%s: json.Marshal: %v", what, err)
+				}
+				want = nil
+			} else {
+				want = append(want, suffix...)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s\n got: %q\nwant: %q", what, got, want)
+			}
+		}
+		w.scheduleBody([]byte(a), policy)
+		same("schedule rows leg", w.b, ScheduleRequest{Data: a, Policy: policy}, "")
+		w.spgemmBody([]byte(a), []byte(b), policy)
+		same("spgemm rows leg", w.b, SpGEMMRequest{A: a, B: b, Policy: policy}, "")
+		same("lookup leg", appendLookupBody(nil, []byte(b)), lookupRequest{Key: b}, "")
+
+		// The evidence an owner rendered, as its cache entry renders it.
+		measured := preRender([]PairMeasurementJSON{{Candidate: candidate, Nanos: n, Millis: float64(n) / 1e6}},
+			(*wire).pairMeasurement, nil).measured
+		dw := decisionWire{Candidate: candidate, Source: a, Confidence: x, EstimatedNNZ: -x,
+			OutputNNZ: n, Degraded: n%2 != 0, Measured: measured}
+		if n%3 == 0 {
+			dw.Measured = nil
+		}
+		w.verdict(&dw)
+		if w.nonFinite {
+			w.b = nil
+		}
+		same("lookup answer", w.b, dw, "\n")
+	})
+}

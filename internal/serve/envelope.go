@@ -15,7 +15,8 @@ import (
 // /v1/predict-format): the body is read once into the scratch's pooled
 // buffer and its JSON envelope is decoded where it lies, so the rows reach
 // the LIBSVM tokenizer as views into that buffer instead of as strings
-// encoding/json copied out of it.
+// encoding/json copied out of it. A ring peer's lookup (/v1/cluster/lookup)
+// carries a shape-class key instead, decoded the same way.
 //
 // The in-place decoder handles the plain case only — one ASCII object whose
 // strings use no escape beyond the two-character ones — and never words an
@@ -26,8 +27,8 @@ import (
 // library accepts, rejects and says is therefore unchanged by construction;
 // FuzzScheduleEnvelope holds the two routes to the same decoded request.
 
-// envelope is a decoded request body. data, a and b view the scratch's body
-// buffer, and items is the scratch's slice: they are valid until the scratch
+// envelope is a decoded request body. data, a, b and key view the scratch's
+// body buffer, and items is the scratch's slice: they are valid until the scratch
 // returns to its pool and must not be retained past the handler — whatever
 // outlives it (a forwarded body, a log line) copies what it needs.
 type envelope struct {
@@ -36,6 +37,7 @@ type envelope struct {
 	a, b    []byte // SpGEMM operands, inline LIBSVM rows
 	policy  string
 	items   []envelope // a batch's schedule bodies
+	key     []byte     // a lookup's shape-class key
 }
 
 // fieldSet is a set of envelope fields; each endpoint admits the ones its
@@ -49,11 +51,13 @@ const (
 	fieldA
 	fieldB
 	fieldItems
+	fieldKey
 
 	scheduleFields      = fieldProfile | fieldData | fieldPolicy
 	batchFields         = fieldItems | fieldPolicy
 	spgemmFields        = fieldA | fieldB | fieldPolicy
 	predictFormatFields = fieldProfile | fieldData
+	lookupFields        = fieldKey
 )
 
 var fieldNames = [...]struct {
@@ -62,6 +66,7 @@ var fieldNames = [...]struct {
 }{
 	{[]byte("profile"), fieldProfile}, {[]byte("data"), fieldData}, {[]byte("policy"), fieldPolicy},
 	{[]byte("a"), fieldA}, {[]byte("b"), fieldB}, {[]byte("items"), fieldItems},
+	{[]byte("key"), fieldKey},
 }
 
 // fieldNamed resolves an object key as encoding/json resolves it against
@@ -93,6 +98,10 @@ func (r PredictFormatRequest) envelope() envelope {
 
 func (r SpGEMMRequest) envelope() envelope {
 	return envelope{a: []byte(r.A), b: []byte(r.B), policy: r.Policy}
+}
+
+func (r lookupRequest) envelope() envelope {
+	return envelope{key: []byte(r.Key)}
 }
 
 func (r BatchScheduleRequest) envelope() envelope {
@@ -234,6 +243,7 @@ func unescapeInPlace(s []byte) []byte {
 // backslash opens an escape, so the rows need no flag to say they hold any.
 func (e *envelope) unescape() {
 	e.data, e.a, e.b = unescapeInPlace(e.data), unescapeInPlace(e.a), unescapeInPlace(e.b)
+	e.key = unescapeInPlace(e.key)
 }
 
 // object scans one JSON object into env, admitting the allowed fields once
@@ -281,6 +291,8 @@ func (c *cursor) text(env *envelope, f fieldSet) bool {
 		env.a = s
 	case fieldB:
 		env.b = s
+	case fieldKey:
+		env.key = s
 	case fieldPolicy:
 		// A policy is one of four words; one spelled with escapes can take
 		// the long way round.

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/sparse"
 )
@@ -62,11 +63,11 @@ func diffEnvelope[T wireRequest](t *testing.T, s *Server, body []byte, allowed f
 
 func sameEnvelope(a, b envelope) bool {
 	return reflect.DeepEqual(a.profile, b.profile) && a.policy == b.policy &&
-		bytes.Equal(a.data, b.data) && bytes.Equal(a.a, b.a) && bytes.Equal(a.b, b.b)
+		bytes.Equal(a.data, b.data) && bytes.Equal(a.a, b.a) && bytes.Equal(a.b, b.b) && bytes.Equal(a.key, b.key)
 }
 
 func showEnvelope(e envelope) string {
-	return fmt.Sprintf("{profile:%+v data:%q a:%q b:%q policy:%q}", e.profile, e.data, e.a, e.b, e.policy)
+	return fmt.Sprintf("{profile:%+v data:%q a:%q b:%q policy:%q key:%q}", e.profile, e.data, e.a, e.b, e.policy, e.key)
 }
 
 // envelopeCorpus is what the in-place decoder must get right or leave
@@ -121,6 +122,8 @@ var envelopeCorpus = []struct {
 	{``, false},
 	{`not json`, false},
 	{"\xef\xbb\xbf{}", false},
+	{`{"key":"v2|hybrid/0|25,22,47,21,13,13,13,0,217"}`, true},
+	{`{"key":"p1|predict/3|1,2\/3","KEY":"x"}`, false},
 }
 
 func envelopeTestServer(tb testing.TB) *Server {
@@ -130,9 +133,9 @@ func envelopeTestServer(tb testing.TB) *Server {
 }
 
 // FuzzScheduleEnvelope holds the in-place envelope decoder to encoding/json
-// on all three envelope shapes (/v1/predict-format's is /v1/schedule's
-// without the policy): every body decodes to the same request or draws the
-// same error.
+// on all five envelope shapes (/v1/predict-format's is /v1/schedule's
+// without the policy; a ring peer's lookup carries only a key): every body
+// decodes to the same request or draws the same error.
 func FuzzScheduleEnvelope(f *testing.F) {
 	for _, c := range envelopeCorpus {
 		f.Add([]byte(c.body))
@@ -143,6 +146,7 @@ func FuzzScheduleEnvelope(f *testing.F) {
 		diffEnvelope[PredictFormatRequest](t, s, body, predictFormatFields)
 		diffEnvelope[BatchScheduleRequest](t, s, body, batchFields)
 		diffEnvelope[SpGEMMRequest](t, s, body, spgemmFields)
+		diffEnvelope[lookupRequest](t, s, body, lookupFields)
 	})
 }
 
@@ -171,6 +175,7 @@ func TestEnvelopePlainPath(t *testing.T) {
 		{PredictFormatRequest{Data: rows}, predictFormatFields},
 		{SpGEMMRequest{A: rows, B: rows, Policy: "empirical"}, spgemmFields},
 		{BatchScheduleRequest{Items: []ScheduleRequest{{Data: rows}, {Data: rows, Policy: "predict"}}}, batchFields},
+		{lookupRequest{Key: Key(dataset.Features{M: 12, N: 30, NNZ: 60}, "hybrid", 0)}, lookupFields},
 	} {
 		raw, err := json.Marshal(tc.req)
 		if err != nil {
@@ -320,6 +325,7 @@ func TestScheduleHTTPHotPathAllocs(t *testing.T) {
 	pair := func(rows string) []byte {
 		return marshal(SpGEMMRequest{A: rows + "+1 40:1\n", B: makeLIBSVM(39, 30, 5, 3) + "+1 30:1\n"})
 	}
+	allocsOf := map[string]float64{}
 	for _, tc := range []struct {
 		name, path   string
 		small, large []byte
@@ -334,6 +340,7 @@ func TestScheduleHTTPHotPathAllocs(t *testing.T) {
 			largeAllocs, largeBytes := measure(t, tc.path, tc.large)
 			t.Logf("%d-byte body: %.0f allocs, %d B; %d-byte body: %.0f allocs, %d B",
 				len(tc.small), smallAllocs, smallBytes, len(tc.large), largeAllocs, largeBytes)
+			allocsOf[tc.name] = smallAllocs
 			if largeAllocs > smallAllocs {
 				t.Errorf("allocations grow with the matrix: %.0f for a %d-byte body, %.0f for a %d-byte one",
 					smallAllocs, len(tc.small), largeAllocs, len(tc.large))
@@ -344,6 +351,15 @@ func TestScheduleHTTPHotPathAllocs(t *testing.T) {
 			}
 		})
 	}
+	// A pair hit's reply names the candidates of its estimates block and its
+	// choice from a table, and ranks the block in the scratch: it allocates
+	// no more than an SMSV hit, where each used to cost 21 objects more.
+	t.Run("pair hit", func(t *testing.T) {
+		if allocsOf["spgemm"] > allocsOf["schedule"] {
+			t.Errorf("a warmed spgemm request allocates %.0f objects, a warmed schedule request %.0f",
+				allocsOf["spgemm"], allocsOf["schedule"])
+		}
+	})
 	// What one more warmed item adds to a batch: the context its batch.item
 	// span hands its children — the reply slot is appended, the decision
 	// spliced, the spans recorded into recycled storage. (It was 21, most of

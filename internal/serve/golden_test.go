@@ -189,3 +189,62 @@ func TestGoldenReplicatePayload(t *testing.T) {
 		t.Fatal("receiver measured despite the replicated decisions")
 	}
 }
+
+// TestGoldenLookup pins a forward's lookup leg on the wire, one line per
+// workload: the body the forwarder sends — the shape-class key it built —
+// and the verdict an owner that has the class cached answers with. A class
+// the owner has not cached answers 404, and a key of no known version 400.
+func TestGoldenLookup(t *testing.T) {
+	peers, err := cluster.NewPeers("n1", []cluster.Member{{ID: "n1", Addr: "http://127.0.0.1:1"}},
+		cluster.Options{DisableReplication: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peers.Stop()
+	cfg := goldenConfig()
+	cfg.Cluster = peers
+	s := newTestServer(t, cfg)
+	h := s.Handler()
+	single := ScheduleRequest{Data: makeLIBSVM(24, 18, 4, 11)}
+	pair := conformablePair(40, 32, 24, 13)
+	decodeSchedule(t, post(t, h, "/v1/schedule", single))
+	decodeSpGEMM(t, post(t, h, "/v1/schedule/spgemm", pair))
+
+	sc := getScratch()
+	defer putScratch(sc)
+	feats, _, err := sc.parse([]byte(single.Data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa, aerr := sc.parseOperand("a", []byte(pair.A))
+	fb, berr := sc.parseOperand("b", []byte(pair.B))
+	if aerr != nil || berr != nil {
+		t.Fatal(aerr, berr)
+	}
+	lookup := func(key []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, cluster.LookupPath, bytes.NewReader(appendLookupBody(nil, key))))
+		return w
+	}
+	var requests, replies []byte
+	for _, key := range [][]byte{AppendKey(nil, feats, "hybrid", 1), AppendPairKey(nil, fa, fb, "hybrid", 1)} {
+		requests = append(appendLookupBody(requests, key), '\n')
+		w := lookup(key)
+		if w.Code != http.StatusOK {
+			t.Fatalf("lookup %s: %d %s", key, w.Code, w.Body)
+		}
+		replies = append(replies, maskResponse(w.Body.Bytes())...)
+	}
+	assertGolden(t, "lookup_request.json", requests)
+	assertGolden(t, "lookup_reply.json", replies)
+
+	if w := lookup(AppendKey(nil, feats, "empirical", 1)); w.Code != http.StatusNotFound || w.Body.String() != string(lookupMiss) {
+		t.Fatalf("uncached class: %d %s", w.Code, w.Body)
+	}
+	if w := lookup([]byte("v9|hybrid/1|1,2,3")); w.Code != http.StatusBadRequest {
+		t.Fatalf("unknown key version: %d %s", w.Code, w.Body)
+	}
+	if got := s.forwardedServed.Load(); got != 2 {
+		t.Fatalf("%d forwarded serves for 2 answered lookups", got)
+	}
+}

@@ -111,12 +111,52 @@ func spanNodes(tr telemetry.TraceJSON) map[string]bool {
 	return nodes
 }
 
+// spanAttr returns the value of sp's attribute key, or "".
+func spanAttr(sp telemetry.SpanJSON, key string) string {
+	for _, a := range sp.AttrList {
+		if k, v, ok := strings.Cut(a, "="); ok && k == key {
+			return v
+		}
+	}
+	return ""
+}
+
+// forwardLegs indexes an assembled trace's cluster.forward spans by leg,
+// failing on a leg recorded twice.
+func forwardLegs(t *testing.T, tr telemetry.TraceJSON) map[string]*telemetry.SpanJSON {
+	t.Helper()
+	legs := map[string]*telemetry.SpanJSON{}
+	for i, sp := range tr.Spans {
+		if sp.Name == "cluster.forward" {
+			leg := spanAttr(sp, "leg")
+			if legs[leg] != nil {
+				t.Fatalf("two %q legs:\n%s", leg, tr.Tree())
+			}
+			legs[leg] = &tr.Spans[i]
+		}
+	}
+	return legs
+}
+
+// ownerRoot returns the root span of the fragment node recorded: its first
+// span, whose parent is on another node.
+func ownerRoot(tr telemetry.TraceJSON, node string) *telemetry.SpanJSON {
+	for i, sp := range tr.Spans {
+		if sp.Node == node && sp.Parent >= 0 && tr.Spans[sp.Parent].Node != node {
+			return &tr.Spans[i]
+		}
+	}
+	return nil
+}
+
 // TestClusterForwardedScheduleOneTrace is the tentpole acceptance for trace
 // propagation: a schedule request that node A forwards to its ring owner B
 // produces ONE trace — the id the client sees resolves on A to an assembled
 // tree containing spans recorded by both nodes, each carrying its node attr.
 func TestClusterForwardedScheduleOneTrace(t *testing.T) {
-	nodes := startCluster(t, 3, nil)
+	// No replication: the entry node must not come to hold a replica of the
+	// class between the two requests.
+	nodes := startRing(t, 3, cluster.Options{DisableReplication: true}, nil)
 	entry := nodes[0]
 	data, owner := remoteOwnedPayload(t, entry)
 
@@ -168,6 +208,50 @@ func TestClusterForwardedScheduleOneTrace(t *testing.T) {
 	}
 	if unresolved != 0 {
 		t.Fatalf("%d fragments grafted with link=unresolved in a healthy ring", unresolved)
+	}
+	// A first contact took both legs of the hop: the lookup the owner could
+	// not answer, then the rows, under which the owner's decision hangs.
+	legs := forwardLegs(t, tr)
+	if lookup, rows := legs["lookup"], legs["rows"]; lookup == nil || rows == nil ||
+		spanAttr(*lookup, "status") != "404" || spanAttr(*rows, "status") != "200" {
+		t.Fatalf("want a lookup leg answered 404 and a rows leg answered 200:\n%s", tr.Tree())
+	}
+	if root := ownerRoot(tr, owner.ID); root == nil || root.Name != "schedule" || tr.Spans[root.Parent].Name != "cluster.forward" ||
+		spanAttr(tr.Spans[root.Parent], "leg") != "rows" {
+		t.Fatalf("the owner's decision is not grafted under the rows leg:\n%s", tr.Tree())
+	}
+
+	// Now the owner has the class cached: one leg, and the owner's fragment
+	// is the lookup it answered — a cluster.lookup root over a cache.do hit —
+	// grafted under it.
+	status, raw, _ = postURL(t, entry.url+"/v1/schedule", ScheduleRequest{Data: data})
+	if status != http.StatusOK {
+		t.Fatalf("second request status %d: %s", status, raw)
+	}
+	var hit ScheduleResponse
+	if err := json.Unmarshal(raw, &hit); err != nil {
+		t.Fatal(err)
+	}
+	htr := getTrace(t, entry.url, hit.Decision.TraceID, func(tr telemetry.TraceJSON) bool {
+		return spanNodes(tr)[owner.ID]
+	})
+	legs = forwardLegs(t, htr)
+	lookup := legs["lookup"]
+	if lookup == nil || legs["rows"] != nil || spanAttr(*lookup, "status") != "200" {
+		t.Fatalf("want one lookup leg answered 200 and no rows leg:\n%s", htr.Tree())
+	}
+	root := ownerRoot(htr, owner.ID)
+	if root == nil || root.Name != "cluster.lookup" || &htr.Spans[root.Parent] != lookup {
+		t.Fatalf("the owner's lookup is not grafted under the lookup leg:\n%s", htr.Tree())
+	}
+	var leaf *telemetry.SpanJSON
+	for i, sp := range htr.Spans {
+		if sp.Parent == root.ID {
+			leaf = &htr.Spans[i]
+		}
+	}
+	if leaf == nil || leaf.Name != "cache.do" || spanAttr(*leaf, "outcome") != "hit" {
+		t.Fatalf("the owner's lookup holds no cache.do hit:\n%s", htr.Tree())
 	}
 
 	// The same id resolves to the same cross-node tree from a NON-entry node:

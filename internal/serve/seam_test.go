@@ -20,6 +20,9 @@ type toyDecision struct {
 
 func (d *toyDecision) IsDegraded() bool              { return d.degraded }
 func (d *toyDecision) provenance() (string, float64) { return d.source, 0 }
+func (d *toyDecision) verdict() decisionWire {
+	return decisionWire{Source: d.source, Degraded: d.degraded}
+}
 
 type flake struct{ error }
 

@@ -41,7 +41,7 @@ func makeLIBSVM(rows, cols, nnzPerRow int, seed int64) string {
 	return sb.String()
 }
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	if cfg.Exec == nil {
 		ex := exec.New(2, exec.Static)

@@ -21,7 +21,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/online"
 	"repro/internal/sparse"
-	"repro/internal/spgemm"
 	"repro/internal/svm"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/slo"
@@ -286,21 +285,16 @@ func NewServer(cfg Config) *Server {
 	s.pairPredictor.set(cfg.PairPredictor)
 	s.smsv.cache = newDecisionCache[*CachedDecision](cfg)
 	s.smsv.choose, s.smsv.degrade, s.smsv.publish = s.chooseSMSV, s.degradeSMSV, s.publishSMSV
+	s.smsv.fromWire = fromWire(sparse.ParseCandidate, cachedDecision)
 	s.smsv.classNoun = "shape class"
 	s.pair.cache = newDecisionCache[*CachedPairDecision](cfg)
 	s.pair.choose, s.pair.degrade, s.pair.publish = s.choosePair, s.degradePair, s.publishPair
+	s.pair.fromWire = fromWire(parseSupportedPair, cachedPairDecision)
 	s.pair.classNoun = "pair shape class"
 	s.replApply = map[string]func(cluster.ReplEntry) bool{
-		cluster.KindDecision: applyDecision(s.smsv.cache, sparse.ParseCandidate,
-			func(c sparse.Candidate, dw decisionWire) *CachedDecision {
-				return &CachedDecision{Candidate: c, Format: c.Format, Source: dw.Source, Confidence: dw.Confidence}
-			}),
-		cluster.KindHistory: applyHistory(sparse.ParseCandidate, s.recordHistory),
-		cluster.KindSpGEMM: applyDecision(s.pair.cache, parseSupportedPair,
-			func(c spgemm.Candidate, dw decisionWire) *CachedPairDecision {
-				return &CachedPairDecision{Candidate: c, Source: dw.Source, Confidence: dw.Confidence,
-					EstimatedNNZ: dw.EstimatedNNZ}
-			}),
+		cluster.KindDecision:    applyDecision(s.smsv.cache, s.smsv.fromWire),
+		cluster.KindHistory:     applyHistory(sparse.ParseCandidate, s.recordHistory),
+		cluster.KindSpGEMM:      applyDecision(s.pair.cache, s.pair.fromWire),
 		cluster.KindPairHistory: applyHistory(parseSupportedPair, s.recordPairHistory),
 	}
 	smsvModel := newModelSlot("model", cfg.ModelLoader, &s.predictor.swapBox)
@@ -519,13 +513,14 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/trace/", s.route("trace", http.MethodGet, s.handleTrace))
 	mux.HandleFunc(cluster.ReplicatePath, s.route("cluster-replicate", http.MethodPost, s.handleClusterReplicate))
 	mux.HandleFunc(cluster.ModelPath, s.route("cluster-model", http.MethodPost, s.handleClusterModel))
+	mux.HandleFunc(cluster.LookupPath, s.route("cluster-lookup", http.MethodPost, s.handleClusterLookup))
 	mux.HandleFunc("/v1/healthz", s.route("healthz-slo", http.MethodGet, s.handleSLOHealthz))
 	mux.HandleFunc("/v1/online/events", s.route("online-events", http.MethodGet, s.handleOnlineEvents))
 	mux.HandleFunc("/healthz", s.route("healthz", http.MethodGet, s.handleHealthz))
 	mux.HandleFunc("/metrics", s.route("metrics", http.MethodGet, s.handleMetrics))
 	// Pre-register every route's series so the first scrape already shows
 	// zero-valued counters for endpoints that have seen no traffic.
-	for _, name := range []string{"schedule", "schedule-batch", "schedule-spgemm", "predict", "predict-format", "trace", "cluster-replicate", "cluster-model", "healthz-slo", "online-events", "healthz", "metrics"} {
+	for _, name := range []string{"schedule", "schedule-batch", "schedule-spgemm", "predict", "predict-format", "trace", "cluster-replicate", "cluster-model", "cluster-lookup", "healthz-slo", "online-events", "healthz", "metrics"} {
 		s.metrics.endpoint(name)
 	}
 	return mux
@@ -584,7 +579,11 @@ func (s *Server) route(name, method string, h http.HandlerFunc) http.HandlerFunc
 					s.sloLatency.Record(d <= s.cfg.SLOLatencyObjective)
 				}
 			}
-			s.logger.Debug("request", "endpoint", name, "status", rec.status, "dur", d)
+			// Asked first: the arguments would be boxed for a logger that
+			// drops the record anyway.
+			if s.logger.Enabled(r.Context(), slog.LevelDebug) {
+				s.logger.Debug("request", "endpoint", name, "status", rec.status, "dur", d)
+			}
 		}()
 		// Last line of defense: a panic anywhere in a handler — including
 		// an injected serve.request panic — becomes a 500, not a dead

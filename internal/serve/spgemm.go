@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -112,9 +113,13 @@ func pairMeasurementRow(c spgemm.Candidate, t time.Duration) PairMeasurementJSON
 }
 
 func encodePairEstimates(ests []core.PairEstimate) []PairEstimateJSON {
-	out := make([]PairEstimateJSON, 0, len(ests))
+	return appendPairEstimates(make([]PairEstimateJSON, 0, len(ests)), ests)
+}
+
+// appendPairEstimates appends the wire form of ests to dst.
+func appendPairEstimates(dst []PairEstimateJSON, ests []core.PairEstimate) []PairEstimateJSON {
 	for _, e := range ests {
-		out = append(out, PairEstimateJSON{
+		dst = append(dst, PairEstimateJSON{
 			Candidate: e.Candidate.String(),
 			Dataflow:  e.Candidate.Dataflow.String(),
 			AFormat:   e.Candidate.AFormat.String(),
@@ -122,7 +127,7 @@ func encodePairEstimates(ests []core.PairEstimate) []PairEstimateJSON {
 			Cost:      e.Cost,
 		})
 	}
-	return out
+	return dst
 }
 
 // PairHistory returns the pairwise tuning history the server records into,
@@ -152,8 +157,8 @@ func (sc *batchScratch) parseOperand(which string, data []byte) (dataset.Feature
 
 // handleScheduleSpGEMM answers POST /v1/schedule/spgemm: parse both
 // operands, derive the pairwise shape class, and serve the dataflow
-// decision from the pair cache, a ring peer, or a fresh measurement under
-// admission control.
+// decision from the pair cache, the ring owner (from its cache, or from the
+// operands), or a fresh measurement under admission control.
 func (s *Server) handleScheduleSpGEMM(w http.ResponseWriter, r *http.Request) {
 	// Both operands are alive until the decision returns, so each parses
 	// into a pooled scratch of its own; the body they view lives in sa.
@@ -243,26 +248,28 @@ func (s *Server) scheduleSpGEMM(ctx context.Context, w http.ResponseWriter, req 
 
 	sa.key = AppendPairKey(sa.key[:0], fa, fb, policy.String(), s.cfg.TopK)
 	key := sa.key
-	s.noteLoopAverted(ctx, key, trace)
-	if m, owned := routeOwner(ctx, s, s.pair.cache, key); owned {
-		// As in scheduleOne: a fresh body, operands copied, policy pinned.
-		fwd := SpGEMMRequest{A: string(req.a), B: string(req.b), Policy: policy.String()}
-		if status, data, ok := s.forward(ctx, m, "/v1/schedule/spgemm", &fwd); ok {
-			relay(w, status, data)
-			return nil
-		}
-		s.forwardFallbacks.Add(1)
-		trace.text("cluster: owner ").text(m.ID).text(" unreachable, deciding locally").end()
-	}
-	val, outcome, err := decide(ctx, s, &s.pair, policy, key, pairIn{a: sa.b, b: sb.b, fa: fa, fb: fb})
-	if err != nil {
+	r, err := decideRouted(ctx, s, &s.pair, policy, key, pairIn{a: sa.b, b: sb.b, fa: fa, fb: fb}, trace, "/v1/schedule/spgemm",
+		func() []byte {
+			// As in scheduleOne: policy pinned.
+			sa.fwd.spgemmBody(req.a, req.b, policy.String())
+			return bytes.Clone(sa.fwd.b)
+		})
+	switch {
+	case err != nil:
 		return err
+	case r.peer != nil:
+		relay(w, r.peer.status, r.peer.body)
+		return nil
 	}
-	s.noteDecide(trace, s.pair.classNoun, key, outcome, val, val.Candidate.String(), policy)
+	val := r.val
+	name := val.Candidate.String()
+	s.noteDecide(trace, s.pair.classNoun, key, r.outcome, val, name, policy)
 
+	sa.pairEsts = core.AppendPairEstimates(sa.pairEsts[:0], fa, fb)
+	sa.pairEstsJ = appendPairEstimates(sa.pairEstsJ[:0], sa.pairEsts)
 	d := SpGEMMDecisionJSON{
 		Policy:       policy.String(),
-		Chosen:       val.Candidate.String(),
+		Chosen:       name,
 		Dataflow:     val.Candidate.Dataflow.String(),
 		AFormat:      val.Candidate.AFormat.String(),
 		BFormat:      val.Candidate.BFormat.String(),
@@ -272,11 +279,11 @@ func (s *Server) scheduleSpGEMM(ctx context.Context, w http.ResponseWriter, req 
 		Confidence:   val.Confidence,
 		EstimatedNNZ: val.EstimatedNNZ,
 		OutputNNZ:    val.OutputNNZ,
-		Estimates:    encodePairEstimates(core.EstimatePairCandidates(fa, fb)),
+		Estimates:    sa.pairEstsJ,
 		Degraded:     val.Degraded,
 		TraceID:      contextTraceID(ctx),
 	}
-	if outcome != "miss" {
+	if r.outcome != "miss" {
 		d.Source = "cache"
 	}
 	_, measured := val.evidence()

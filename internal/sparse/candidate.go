@@ -132,36 +132,53 @@ func CandidateAt(i int) Candidate {
 
 // String renders the candidate as "FORMAT/chunk/variant", e.g.
 // "CSR/guided/rowblocked". This is the persisted wire form used by
-// history files and model leaves.
+// history files and model leaves. An in-range candidate's comes from a
+// table built once, so naming one — in gossip, harvest records, a lookup
+// answer — allocates nothing.
 func (c Candidate) String() string {
+	if int(c.Format) >= 0 && int(c.Format) < len(AllFormats) && c.Chunk < numChunkPolicies && c.Variant < numKernelVariants {
+		return candidateNames[c.Index()]
+	}
+	return c.name()
+}
+
+func (c Candidate) name() string {
 	return c.Format.String() + "/" + c.Chunk.String() + "/" + c.Variant.String()
 }
+
+var candidateNames = func() (t [NumCandidates]string) {
+	for i := range t {
+		t[i] = CandidateAt(i).name()
+	}
+	return t
+}()
 
 // ParseCandidate parses the String form. A bare format name (the v1
 // history wire form) parses as that format's base candidate, so old
 // persisted artifacts migrate transparently.
 func ParseCandidate(s string) (Candidate, error) {
-	parts := strings.Split(s, "/")
-	f, err := ParseFormat(parts[0])
+	format, rest, full := strings.Cut(s, "/")
+	f, err := ParseFormat(format)
 	if err != nil {
 		return Candidate{}, fmt.Errorf("sparse: candidate %q: %w", s, err)
 	}
 	c := Candidate{Format: f}
-	if len(parts) == 1 {
+	if !full {
 		return c, nil
 	}
-	if len(parts) != 3 {
+	chunk, variant, ok := strings.Cut(rest, "/")
+	if !ok || strings.Contains(variant, "/") {
 		return Candidate{}, fmt.Errorf("sparse: candidate %q: want FORMAT or FORMAT/chunk/variant", s)
 	}
-	switch parts[1] {
+	switch chunk {
 	case "static":
 		c.Chunk = ChunkStatic
 	case "guided":
 		c.Chunk = ChunkGuided
 	default:
-		return Candidate{}, fmt.Errorf("sparse: candidate %q: unknown chunk policy %q", s, parts[1])
+		return Candidate{}, fmt.Errorf("sparse: candidate %q: unknown chunk policy %q", s, chunk)
 	}
-	switch parts[2] {
+	switch variant {
 	case "base":
 		c.Variant = VariantBase
 	case "fused":
@@ -171,7 +188,7 @@ func ParseCandidate(s string) (Candidate, error) {
 	case "branchfree":
 		c.Variant = VariantBranchFree
 	default:
-		return Candidate{}, fmt.Errorf("sparse: candidate %q: unknown kernel variant %q", s, parts[2])
+		return Candidate{}, fmt.Errorf("sparse: candidate %q: unknown kernel variant %q", s, variant)
 	}
 	if !c.Valid() {
 		return Candidate{}, fmt.Errorf("sparse: candidate %q: variant %s not implemented for %s", s, c.Variant, c.Format)

@@ -84,10 +84,24 @@ func TestCandidateStringRoundTrip(t *testing.T) {
 	if err != nil || c != BaseCandidate(CSR) {
 		t.Fatalf("ParseCandidate(CSR) = %v, %v", c, err)
 	}
-	for _, bad := range []string{"", "XYZ", "CSR/static", "CSR/sometimes/base", "CSR/static/vectorized", "COO/static/fused", "DEN/static/rowblocked"} {
+	for _, bad := range []string{"", "XYZ", "CSR/static", "CSR/", "CSR//", "CSR/static/base/", "CSR/static/base/fused", "CSR/sometimes/base", "CSR/static/vectorized", "COO/static/fused", "DEN/static/rowblocked"} {
 		if _, err := ParseCandidate(bad); err == nil {
 			t.Fatalf("ParseCandidate(%q) accepted", bad)
 		}
+	}
+	// Every name, tabled or not, is the three parts joined; naming an
+	// in-range candidate allocates nothing.
+	for i := 0; i < NumCandidates; i++ {
+		c := CandidateAt(i)
+		if want := c.Format.String() + "/" + c.Chunk.String() + "/" + c.Variant.String(); c.String() != want {
+			t.Fatalf("candidate %d is named %q, want %q", i, c.String(), want)
+		}
+	}
+	if got := (Candidate{Format: 99, Chunk: 7, Variant: 9}).String(); got != "Format(99)/chunk(7)/variant(9)" {
+		t.Fatalf("out-of-range candidate named %q", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = CandidateAt(NumCandidates - 1).String() }); allocs != 0 {
+		t.Fatalf("naming a candidate allocates %.0f objects", allocs)
 	}
 }
 

@@ -103,25 +103,42 @@ func (c Candidate) Valid() bool {
 
 // String renders the candidate as "dataflow/AFORMAT/BFORMAT", e.g.
 // "gustavson/CSR/CSR". The form is persisted in pair histories and models.
+// An in-range candidate's comes from a table built once: a decision reply
+// names several candidates, and a cache hit concatenated each afresh.
 func (c Candidate) String() string {
+	if c.Valid() {
+		return candidateNames[c.Index()]
+	}
+	return c.name()
+}
+
+func (c Candidate) name() string {
 	return c.Dataflow.String() + "/" + c.AFormat.String() + "/" + c.BFormat.String()
 }
 
+var candidateNames = func() (t [NumCandidates]string) {
+	for i := range t {
+		t[i] = CandidateAt(i).name()
+	}
+	return t
+}()
+
 // ParseCandidate parses the String form back into a Candidate.
 func ParseCandidate(s string) (Candidate, error) {
-	parts := strings.Split(s, "/")
-	if len(parts) != 3 {
+	dataflow, rest, ok1 := strings.Cut(s, "/")
+	a, b, ok2 := strings.Cut(rest, "/")
+	if !ok1 || !ok2 || strings.Contains(b, "/") {
 		return Candidate{}, fmt.Errorf("spgemm: malformed candidate %q", s)
 	}
-	d, err := ParseDataflow(parts[0])
+	d, err := ParseDataflow(dataflow)
 	if err != nil {
 		return Candidate{}, err
 	}
-	af, err := sparse.ParseFormat(parts[1])
+	af, err := sparse.ParseFormat(a)
 	if err != nil {
 		return Candidate{}, fmt.Errorf("spgemm: candidate %q: %w", s, err)
 	}
-	bf, err := sparse.ParseFormat(parts[2])
+	bf, err := sparse.ParseFormat(b)
 	if err != nil {
 		return Candidate{}, fmt.Errorf("spgemm: candidate %q: %w", s, err)
 	}

@@ -423,6 +423,23 @@ func TestCandidateEncoding(t *testing.T) {
 	if _, err := ParseCandidate("spiral/CSR/CSR"); err == nil {
 		t.Fatal("unknown dataflow accepted")
 	}
+	if _, err := ParseCandidate("gustavson/CSR/CSR/CSR"); err == nil {
+		t.Fatal("long form accepted")
+	}
+	// Every name, tabled or not, is the three parts joined; naming an
+	// in-range candidate allocates nothing.
+	for i := 0; i < NumCandidates; i++ {
+		c := CandidateAt(i)
+		if want := c.Dataflow.String() + "/" + c.AFormat.String() + "/" + c.BFormat.String(); c.String() != want {
+			t.Fatalf("candidate %d is named %q, want %q", i, c.String(), want)
+		}
+	}
+	if got := (Candidate{Dataflow: 5}).String(); got != "Dataflow(5)/DEN/DEN" {
+		t.Fatalf("out-of-range candidate named %q", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = BaseCandidate.String() }); allocs != 0 {
+		t.Fatalf("naming a candidate allocates %.0f objects", allocs)
+	}
 }
 
 func TestEstimators(t *testing.T) {

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +27,25 @@ func TestSpanWireIDDeterministic(t *testing.T) {
 		if a == other {
 			t.Fatalf("wire id collision: %q", a)
 		}
+	}
+}
+
+// TestSpanWireIDIsFNV64a pins the wire id to fnv64a over "trace|node|id":
+// the assembler recomputes ids a peer derived, so every build in a ring must
+// agree on them byte for byte. The inlined hash allocates only the id.
+func TestSpanWireIDIsFNV64a(t *testing.T) {
+	for _, tc := range []struct {
+		trace, node string
+		id          int
+	}{{"0123456789abcdef", "node-a", 3}, {"fedcba9876543210", "", 0}, {"", "n12", -7}, {"00000000000000fb", "n1", 1 << 40}} {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s|%s|%d", tc.trace, tc.node, tc.id)
+		if got, want := SpanWireID(tc.trace, tc.node, tc.id), fmt.Sprintf("%016x", h.Sum64()); got != want {
+			t.Errorf("SpanWireID(%q, %q, %d) = %s, want %s", tc.trace, tc.node, tc.id, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { SpanWireID("0123456789abcdef", "node-a", 12) }); allocs > 1 {
+		t.Errorf("SpanWireID allocates %.0f objects, want the id string only", allocs)
 	}
 }
 

@@ -73,6 +73,20 @@ func TestExemplarLastObservationWins(t *testing.T) {
 	}
 }
 
+// TestObserveExemplarAllocatesNothing: every served request records one, so
+// the slot keeps the observation's parts and only a scrape builds the
+// Exemplar; the node label still comes out after the trace id.
+func TestObserveExemplarAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("z_seconds", "", []float64{1})
+	if allocs := testing.AllocsPerRun(100, func() { h.ObserveExemplar(0.5, "3333333333333333", "n2") }); allocs != 0 {
+		t.Fatalf("ObserveExemplar allocates %.0f objects", allocs)
+	}
+	if text := exposition(t, r); !strings.Contains(text, `# {trace_id="3333333333333333",node="n2"} 0.5`) {
+		t.Fatalf("exemplar lost its labels:\n%s", text)
+	}
+}
+
 func TestExemplarWithoutTraceIDIsPlainObserve(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("y_seconds", "", []float64{1})

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -40,7 +41,39 @@ type Histogram struct {
 	sumBits   atomic.Uint64  // IEEE-754 bits of the observation sum
 	count     atomic.Int64
 	labels    []Label
-	exemplars []atomic.Pointer[Exemplar] // len(bounds)+1, last observation per bucket
+	exemplars []exemplarSlot // len(bounds)+1, last observation per bucket
+}
+
+// exemplarSlot is one bucket's last traced observation, kept as its parts so
+// that recording one allocates nothing; the exposition builds the Exemplar.
+// An observer never waits for the slot: one that finds it being written or
+// read skips it, and the observation it lost to is as recent as its own.
+type exemplarSlot struct {
+	mu      sync.Mutex
+	set     bool
+	value   float64
+	traceID string
+	node    string
+}
+
+func (s *exemplarSlot) store(v float64, traceID, node string) {
+	if s.mu.TryLock() {
+		s.set, s.value, s.traceID, s.node = true, v, traceID, node
+		s.mu.Unlock()
+	}
+}
+
+func (s *exemplarSlot) load() *Exemplar {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.set {
+		return nil
+	}
+	labels := []Label{{Key: "trace_id", Value: s.traceID}}
+	if s.node != "" {
+		labels = append(labels, Label{Key: "node", Value: s.node})
+	}
+	return &Exemplar{Labels: labels, Value: s.value}
 }
 
 func newHistogram(bounds []float64, labels []Label) *Histogram {
@@ -55,7 +88,7 @@ func newHistogram(bounds []float64, labels []Label) *Histogram {
 		bounds:    b,
 		counts:    make([]atomic.Int64, len(b)+1),
 		labels:    labels,
-		exemplars: make([]atomic.Pointer[Exemplar], len(b)+1),
+		exemplars: make([]exemplarSlot, len(b)+1),
 	}
 }
 
@@ -69,22 +102,17 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ObserveExemplar records one value and retains (v, trace_id[, node]) as
-// the bucket's exemplar under an atomic slot — last observation wins, no
-// locking on the hot path. The exposition attaches it to the bucket line in
-// OpenMetrics `# {trace_id="..."}` syntax, so a latency spike in a scrape
-// links straight to the decision trace that caused it.
+// the bucket's exemplar — last observation wins, nothing allocated and
+// nothing waited for on the hot path. The exposition attaches it to the
+// bucket line in OpenMetrics `# {trace_id="..."}` syntax, so a latency
+// spike in a scrape links straight to the decision trace that caused it.
 func (h *Histogram) ObserveExemplar(v float64, traceID, node string) {
 	if math.IsNaN(v) {
 		return
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	if traceID != "" {
-		labels := make([]Label, 1, 2)
-		labels[0] = Label{Key: "trace_id", Value: traceID}
-		if node != "" {
-			labels = append(labels, Label{Key: "node", Value: node})
-		}
-		h.exemplars[i].Store(&Exemplar{Labels: labels, Value: v})
+		h.exemplars[i].store(v, traceID, node)
 	}
 	h.observe(v, i)
 }
@@ -122,12 +150,12 @@ func (h *Histogram) samples() []Sample {
 			Suffix:   "_bucket",
 			Labels:   append(copyLabels(h.labels), Label{Key: "le", Value: formatValue(ub)}),
 			Value:    float64(cum),
-			Exemplar: h.exemplars[i].Load(),
+			Exemplar: h.exemplars[i].load(),
 		})
 	}
 	cum += h.counts[len(h.bounds)].Load()
 	out = append(out,
-		Sample{Suffix: "_bucket", Labels: append(copyLabels(h.labels), Label{Key: "le", Value: "+Inf"}), Value: float64(cum), Exemplar: h.exemplars[len(h.bounds)].Load()},
+		Sample{Suffix: "_bucket", Labels: append(copyLabels(h.labels), Label{Key: "le", Value: "+Inf"}), Value: float64(cum), Exemplar: h.exemplars[len(h.bounds)].load()},
 		Sample{Suffix: "_sum", Labels: h.labels, Value: h.Sum()},
 		Sample{Suffix: "_count", Labels: h.labels, Value: float64(cum)},
 	)

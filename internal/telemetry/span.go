@@ -5,7 +5,6 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	mrand "math/rand/v2"
 	"sort"
@@ -283,15 +282,30 @@ func ValidTraceID(s string) bool {
 // SpanWireID derives the 16-hex wire id of span id within a trace fragment
 // recorded on node. It is deterministic — fnv64a over (trace, node, id) —
 // so the assembler can recompute every fragment's wire ids from its
-// snapshot alone and no per-span id needs to cross the wire.
+// snapshot alone and no per-span id needs to cross the wire. Every peer hop
+// of a traced request computes one, so the hash is inlined: the id string is
+// its only allocation.
 func SpanWireID(traceID, node string, id int) string {
-	h := fnv.New64a()
-	h.Write([]byte(traceID))
-	h.Write([]byte{'|'})
-	h.Write([]byte(node))
-	h.Write([]byte{'|'})
-	h.Write([]byte(strconv.Itoa(id)))
-	return hex16(h.Sum64())
+	var num [20]byte
+	h := fnv64a(fnvOffset64, traceID)
+	h = fnv64a(h, "|")
+	h = fnv64a(h, node)
+	h = fnv64a(h, "|")
+	return hex16(fnv64a(h, strconv.AppendInt(num[:0], int64(id), 10)))
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv64a folds s into the running FNV-1a hash h, as hash/fnv's New64a does.
+func fnv64a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // NewTrace starts a trace with a root span of the given name and returns

@@ -134,7 +134,6 @@ var reachAllow = map[string]string{
 	"internal/sparse.DIAMatrix.NumDiagonals":       pendingNext,
 	"internal/sparse.ELLMatrix.Width":              pendingNext,
 	"internal/sparse.Vector.SquaredDistance":       pendingNext,
-	"internal/spgemm.Candidate.Valid":              pendingNext,
 	"internal/spgemm.EstimateNNZ":                  pendingNext,
 	"internal/spgemm.Result.Dims":                  pendingNext,
 	"internal/spgemm.Result.Row":                   pendingNext,
