@@ -189,7 +189,7 @@ func BenchmarkPredictVsMeasure(b *testing.B) {
 	b.Run("predict-infer", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, ok := forest.PredictFormat(feats); !ok {
+			if _, _, ok := forest.PredictCandidate(feats); !ok {
 				b.Fatal("empty forest")
 			}
 		}

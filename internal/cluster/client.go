@@ -220,17 +220,6 @@ func readReply(resp *http.Response) ([]byte, error) {
 	return io.ReadAll(io.LimitReader(resp.Body, maxPeerResponse))
 }
 
-// PeerState reports the breaker position guarding addr ("closed" when the
-// peer has never been contacted).
-func (c *Client) PeerState(addr string) string {
-	return c.breakerFor(addr).State().String()
-}
-
-// PeerOpens reports how many times addr's breaker has tripped.
-func (c *Client) PeerOpens(addr string) int64 {
-	return c.breakerFor(addr).Opens()
-}
-
 // PeerDown reports whether addr's breaker is currently open — a cheap
 // pre-check for best-effort fan-outs (trace assembly) that want to skip
 // known-dead peers without probing them.

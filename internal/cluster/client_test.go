@@ -38,7 +38,7 @@ func TestClientBreakerFailsFastAndRecovers(t *testing.T) {
 			t.Fatal("5xx did not error")
 		}
 	}
-	if st := c.PeerState(srv.URL); st != "open" {
+	if st := c.breakerFor(srv.URL).State().String(); st != "open" {
 		t.Fatalf("breaker %s after threshold failures", st)
 	}
 	before := hits.Load()
@@ -55,11 +55,11 @@ func TestClientBreakerFailsFastAndRecovers(t *testing.T) {
 	if err != nil || status != http.StatusOK {
 		t.Fatalf("probe: status %d err %v", status, err)
 	}
-	if st := c.PeerState(srv.URL); st != "closed" {
+	if st := c.breakerFor(srv.URL).State().String(); st != "closed" {
 		t.Fatalf("breaker %s after successful probe", st)
 	}
-	if c.PeerOpens(srv.URL) != 1 {
-		t.Fatalf("opens %d, want 1", c.PeerOpens(srv.URL))
+	if c.breakerFor(srv.URL).Opens() != 1 {
+		t.Fatalf("opens %d, want 1", c.breakerFor(srv.URL).Opens())
 	}
 }
 
@@ -85,7 +85,7 @@ func TestClientPostSetsForwardedHeader(t *testing.T) {
 	if gotHeader != "n1" || gotBody != `{"a":1}` {
 		t.Fatalf("header %q body %q", gotHeader, gotBody)
 	}
-	if st := c.PeerState(srv.URL); st != "closed" {
+	if st := c.breakerFor(srv.URL).State().String(); st != "closed" {
 		t.Fatalf("4xx moved the breaker to %s", st)
 	}
 }
@@ -164,7 +164,7 @@ func TestClientTransportErrorCounts(t *testing.T) {
 	if _, _, err := c.Post(context.Background(), "http://127.0.0.1:1", "/x", "", nil); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
-	if st := c.PeerState("http://127.0.0.1:1"); st != "open" {
+	if st := c.breakerFor("http://127.0.0.1:1").State().String(); st != "open" {
 		t.Fatalf("breaker %s after dial failure with threshold 1", st)
 	}
 }

@@ -10,17 +10,15 @@ import (
 
 // Peers is the node-local cluster facade the serve layer talks to: the
 // ring, the peer client, and the replicator bundled with the local node's
-// identity, plus the forward/replication counters /metrics exposes.
+// identity, plus the forward counters /metrics exposes.
 type Peers struct {
 	self   Member
 	ring   *Ring
 	client *Client
 	repl   *Replicator
 
-	forwards         atomic.Int64 // requests forwarded to their ring owner
-	forwardErrors    atomic.Int64 // forwards that failed (transport, 5xx, breaker open)
-	modelBroadcasts  atomic.Int64 // model pushes fanned out to peers
-	modelBroadcastNG atomic.Int64 // model fan-out sends that failed
+	forwards      atomic.Int64 // requests forwarded to their ring owner
+	forwardErrors atomic.Int64 // forwards that failed (transport, 5xx, breaker open)
 }
 
 // Options configure NewPeers; zeros take defaults.
@@ -116,11 +114,9 @@ func (p *Peers) BroadcastModel(ctx context.Context, body []byte) int {
 		if m.ID == p.self.ID {
 			continue
 		}
-		p.modelBroadcasts.Add(1)
 		sctx, sp := telemetry.StartSpan(ctx, "cluster.model.push", telemetry.String("peer", m.ID))
 		status, _, err := p.client.Post(sctx, m.Addr, ModelPath, p.self.ID, body)
 		if err != nil || status >= 300 {
-			p.modelBroadcastNG.Add(1)
 			if err == nil {
 				err = fmt.Errorf("cluster: peer %s returned %d", m.ID, status)
 			}
@@ -144,9 +140,6 @@ func (p *Peers) Others() []Member {
 	}
 	return out
 }
-
-// PeerDown reports whether m's breaker is open (see Client.PeerDown).
-func (p *Peers) PeerDown(m Member) bool { return p.client.PeerDown(m.Addr) }
 
 // FetchTrace fetches peer m's local fragment of trace id. found=false means
 // the peer answered but holds no fragment (not an error: most traces touch
@@ -202,59 +195,3 @@ func (p *Peers) Forwards() int64 { return p.forwards.Load() }
 
 // ForwardErrors reports forwards that failed and fell back locally.
 func (p *Peers) ForwardErrors() int64 { return p.forwardErrors.Load() }
-
-// MetricFamilies renders the cluster state as telemetry families: ring
-// membership, per-peer breaker state, forward and replication counters.
-// The serve registry mounts this as a scrape-time collector.
-func (p *Peers) MetricFamilies(prefix string) []telemetry.Family {
-	members := p.ring.Members()
-	nodes := telemetry.Family{
-		Name: prefix + "_cluster_nodes", Kind: telemetry.KindGauge,
-		Help:    "Ring members in this node's membership view.",
-		Samples: []telemetry.Sample{{Value: float64(len(members))}},
-	}
-	state := telemetry.Family{
-		Name: prefix + "_cluster_peer_breaker_state", Kind: telemetry.KindGauge,
-		Help: "Peer forwarding breaker state (0 closed, 1 open, 2 half-open), by peer.",
-	}
-	opens := telemetry.Family{
-		Name: prefix + "_cluster_peer_breaker_opens_total", Kind: telemetry.KindCounter,
-		Help: "Times a peer's forwarding breaker tripped open, by peer.",
-	}
-	for _, m := range members {
-		if m.ID == p.self.ID {
-			continue
-		}
-		b := p.client.breakerFor(m.Addr)
-		label := []telemetry.Label{telemetry.L("peer", m.ID)}
-		state.Samples = append(state.Samples, telemetry.Sample{Labels: label, Value: float64(b.State())})
-		opens.Samples = append(opens.Samples, telemetry.Sample{Labels: label, Value: float64(b.Opens())})
-	}
-	fwd := telemetry.Family{
-		Name: prefix + "_cluster_forwards_total", Kind: telemetry.KindCounter,
-		Help:    "Requests forwarded to their ring owner.",
-		Samples: []telemetry.Sample{{Value: float64(p.forwards.Load())}},
-	}
-	fwdErr := telemetry.Family{
-		Name: prefix + "_cluster_forward_errors_total", Kind: telemetry.KindCounter,
-		Help:    "Forwards that failed (breaker open, transport error, peer 5xx) and fell back to the local decision path.",
-		Samples: []telemetry.Sample{{Value: float64(p.forwardErrors.Load())}},
-	}
-	rs := p.ReplicatorStats()
-	repl := func(name, help string, v int64) telemetry.Family {
-		return telemetry.Family{
-			Name: prefix + name, Kind: telemetry.KindCounter, Help: help,
-			Samples: []telemetry.Sample{{Value: float64(v)}},
-		}
-	}
-	return []telemetry.Family{
-		nodes, state, opens, fwd, fwdErr,
-		repl("_cluster_replication_enqueued_total", "Decision/history records queued for gossip.", rs.Enqueued),
-		repl("_cluster_replication_dropped_total", "Records dropped because the gossip queue was full.", rs.Dropped),
-		repl("_cluster_replication_sent_total", "Records delivered to the ring successor.", rs.Sent),
-		repl("_cluster_replication_batches_total", "Gossip batches flushed.", rs.Batches),
-		repl("_cluster_replication_errors_total", "Gossip flushes that failed (batch dropped).", rs.Errors),
-		repl("_cluster_model_broadcasts_total", "Model pushes fanned out to peers.", p.modelBroadcasts.Load()),
-		repl("_cluster_model_broadcast_errors_total", "Model fan-out sends that failed.", p.modelBroadcastNG.Load()),
-	}
-}

@@ -73,8 +73,6 @@ type Replicator struct {
 	enqueued atomic.Int64
 	dropped  atomic.Int64
 	sent     atomic.Int64
-	batches  atomic.Int64
-	errors   atomic.Int64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -196,7 +194,6 @@ func (r *Replicator) flush(pending *[]ReplEntry) {
 	}
 	body, err := json.Marshal(ReplicatePayload{From: r.self, Entries: batch})
 	if err != nil {
-		r.errors.Add(1)
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), r.interval*4+time.Second)
@@ -220,11 +217,9 @@ func (r *Replicator) flush(pending *[]ReplEntry) {
 		sink.fn(tr)
 	}
 	if err != nil {
-		r.errors.Add(1)
 		return
 	}
 	r.sent.Add(int64(len(batch)))
-	r.batches.Add(1)
 }
 
 // Stop flushes the queue best-effort and terminates the gossip loop. Safe
@@ -236,7 +231,7 @@ func (r *Replicator) Stop() {
 
 // ReplicatorStats is a point-in-time counter snapshot.
 type ReplicatorStats struct {
-	Enqueued, Dropped, Sent, Batches, Errors int64
+	Enqueued, Dropped, Sent int64
 }
 
 // Stats snapshots the replication counters.
@@ -245,7 +240,5 @@ func (r *Replicator) Stats() ReplicatorStats {
 		Enqueued: r.enqueued.Load(),
 		Dropped:  r.dropped.Load(),
 		Sent:     r.sent.Load(),
-		Batches:  r.batches.Load(),
-		Errors:   r.errors.Load(),
 	}
 }

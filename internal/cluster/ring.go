@@ -12,14 +12,14 @@ import (
 // rings (see TestRingBalance) at a few KB of table per member.
 const DefaultVirtualNodes = 128
 
-// fnv64a is FNV-1a over a byte or string key, finished with a murmur-style
+// fnv64a is FNV-1a over a key, finished with a murmur-style
 // 64-bit avalanche. The same stable hash places vnodes and looks up keys,
 // so ownership never depends on process identity, map iteration order, or
 // hash seeds that differ across restarts. The finalizer matters: bare
 // FNV-1a clusters badly on the near-sequential quantized shape-class keys
 // (and on "id#0".."id#127" vnode labels), skewing ring balance far past the
 // bound TestRingBalance pins.
-func fnv64a[T ~string | ~[]byte](key T) uint64 {
+func fnv64a(key []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -79,22 +79,9 @@ func (r *Ring) Add(m Member) {
 	r.rebuildLocked()
 }
 
-// Remove deletes a member by ID; unknown IDs are a no-op.
-func (r *Ring) Remove(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.members {
-		if r.members[i].ID == id {
-			r.members = append(r.members[:i], r.members[i+1:]...)
-			r.rebuildLocked()
-			return
-		}
-	}
-}
-
 // rebuildLocked regenerates the sorted vnode table. Caller holds r.mu.
-// Vnode hashes depend only on (member ID, replica index), so adding or
-// removing one member leaves every other member's points in place — the
+// Vnode hashes depend only on (member ID, replica index), so a ring with one
+// member more or less has every other member's points in place — the
 // minimal-key-movement property TestRingJoinMovesFewKeys pins.
 func (r *Ring) rebuildLocked() {
 	r.table = r.table[:0]
@@ -114,16 +101,6 @@ func (r *Ring) rebuildLocked() {
 // Owner returns the member owning key: the first vnode clockwise from the
 // key's hash. ok is false on an empty ring.
 func (r *Ring) Owner(key []byte) (Member, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.table) == 0 {
-		return Member{}, false
-	}
-	return r.members[r.table[r.searchLocked(fnv64a(key))].member], true
-}
-
-// OwnerString is Owner for string keys.
-func (r *Ring) OwnerString(key string) (Member, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.table) == 0 {
@@ -183,13 +160,6 @@ func (r *Ring) Members() []Member {
 	out := append([]Member(nil), r.members...)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Len reports the member count.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
 }
 
 // String renders the ring for logs: member count and vnode count.

@@ -20,7 +20,7 @@ func arm(t *testing.T, spec string) *fault.Registry {
 		t.Fatal(err)
 	}
 	fault.Enable(r)
-	t.Cleanup(fault.Disable)
+	t.Cleanup(func() { fault.Enable(nil) })
 	return r
 }
 
@@ -38,7 +38,7 @@ func TestChaosChooseRetriesTransientMeasureFailure(t *testing.T) {
 	if d.Matrix == nil || d.Matrix.Format() != d.Chosen {
 		t.Fatal("decision did not materialize the chosen format")
 	}
-	if got := reg.Fired("core.measure.err"); got != 2 {
+	if got := reg.Snapshot()[0].Fired; got != 2 {
 		t.Fatalf("failpoint fired %d times, want 2", got)
 	}
 }
@@ -204,7 +204,7 @@ func TestChaosBuildFaultFallsThrough(t *testing.T) {
 // registry enabled every failpoint is a single atomic nil-check, so this
 // must match the pre-fault-layer Choose numbers.
 func BenchmarkChooseFaultsOff(b *testing.B) {
-	fault.Disable()
+	fault.Enable(nil)
 	builder := buildRandomBench(b, 200, 80, 0.15, 2)
 	s := New(Config{Policy: Hybrid})
 	b.ResetTimer()

@@ -10,7 +10,8 @@ import (
 	"repro/internal/sparse"
 )
 
-// stubPredictor is a canned FormatPredictor for scheduler tests.
+// stubPredictor is a canned FormatPredictor for scheduler tests: it
+// answers its format's base candidate.
 type stubPredictor struct {
 	format sparse.Format
 	conf   float64
@@ -18,9 +19,9 @@ type stubPredictor struct {
 	calls  int
 }
 
-func (s *stubPredictor) PredictFormat(dataset.Features) (sparse.Format, float64, bool) {
+func (s *stubPredictor) PredictCandidate(dataset.Features) (sparse.Candidate, float64, bool) {
 	s.calls++
-	return s.format, s.conf, s.ok
+	return sparse.BaseCandidate(s.format), s.conf, s.ok
 }
 
 func predictBuilder(t *testing.T) *sparse.Builder {

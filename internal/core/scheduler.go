@@ -76,25 +76,14 @@ func ParsePolicy(name string) (Policy, error) {
 	return 0, fmt.Errorf("unknown policy %q (want rule-based, empirical, hybrid, or predict)", name)
 }
 
-// FormatPredictor answers format queries from a trained model. It is
+// FormatPredictor answers layout queries from a trained model: the joint
+// candidate (format, chunk policy, kernel variant) to run. It is
 // implemented by *learn.Forest; core only sees the interface so the learn
 // package can depend on core (for harvesting History) without a cycle.
 type FormatPredictor interface {
-	// PredictFormat returns the predicted best storage format for the
-	// given Table IV parameters with a confidence in [0, 1]. ok=false
-	// means the model has no answer at all (e.g. it holds no trees).
-	PredictFormat(f dataset.Features) (format sparse.Format, confidence float64, ok bool)
-}
-
-// CandidatePredictor is the joint-space extension of FormatPredictor:
-// models trained on the widened label space answer with a full candidate.
-// The scheduler type-asserts Config.Predictor against this interface and
-// falls back to format-level prediction (executed as the format's base
-// candidate) when it is not implemented, so format-only predictors keep
-// working unchanged.
-type CandidatePredictor interface {
-	// PredictCandidate returns the predicted best joint candidate with a
-	// confidence in [0, 1]; ok=false means the model has no answer.
+	// PredictCandidate returns the predicted best joint candidate for the
+	// given Table IV parameters with a confidence in [0, 1]. ok=false means
+	// the model has no answer at all (e.g. it holds no trees).
 	PredictCandidate(f dataset.Features) (c sparse.Candidate, confidence float64, ok bool)
 }
 
@@ -118,8 +107,7 @@ type Config struct {
 	// of a recorded one reuse its candidate without re-measuring.
 	History *History
 	// Predictor is the trained model the PolicyPredict policy answers
-	// from (typically a *learn.Forest loaded from disk). Predictors that
-	// also implement CandidatePredictor answer in the joint space.
+	// from (typically a *learn.Forest loaded from disk).
 	Predictor FormatPredictor
 	// MinConfidence gates the predictor: answers below it fall back to
 	// measurement. 0 = DefaultMinConfidence.
@@ -353,14 +341,9 @@ func (sc *chooseScratch) prepare(ranked []sparse.Candidate) (p [dataset.EmbedDim
 	return dataset.Embed(d.Features), ranked, nil
 }
 
-// predict answers in the joint space when the predictor can, and as the
-// predicted format's base candidate otherwise.
+// predict asks the predictor for the decision's joint candidate.
 func (sc *chooseScratch) predict() (sparse.Candidate, float64, bool) {
-	if cp, isJoint := sc.s.cfg.Predictor.(CandidatePredictor); isJoint {
-		return cp.PredictCandidate(sc.d.Features)
-	}
-	f, conf, ok := sc.s.cfg.Predictor.PredictFormat(sc.d.Features)
-	return sparse.BaseCandidate(f), conf, ok
+	return sc.s.cfg.Predictor.PredictCandidate(sc.d.Features)
 }
 
 // usable materializes the decision's matrix, the whole data set, in c's

@@ -131,14 +131,6 @@ func (e *Exec) WithStats(st *Stats) *Exec {
 	return &d
 }
 
-// Stats returns the attached counters, or nil when instrumentation is off.
-func (e *Exec) Stats() *Stats {
-	if e == nil {
-		return nil
-	}
-	return e.stats
-}
-
 // Tracking reports whether instrumentation counters are attached. Kernels
 // use it to skip work (like counting touched elements) that only feeds the
 // counters.

@@ -9,7 +9,7 @@ import (
 
 func TestNilExecIsSerialAndSafe(t *testing.T) {
 	var e *Exec
-	if e.Workers() != 1 || e.Sched() != Static || e.Tracking() || e.Stats() != nil {
+	if e.Workers() != 1 || e.Sched() != Static || e.Tracking() {
 		t.Fatal("nil Exec must read as serial, static, untracked")
 	}
 	count := 0
@@ -161,10 +161,6 @@ func TestStatsCountersAccumulate(t *testing.T) {
 	}
 	if tot := st.Total(); tot.Calls != 3 || tot.Elements != 120 {
 		t.Fatalf("total = %+v", tot)
-	}
-	st.Reset()
-	if len(st.Snapshot()) != 0 {
-		t.Fatal("Reset must zero the counters")
 	}
 }
 

@@ -151,18 +151,6 @@ func (s *Stats) Total() KindStats {
 	return t
 }
 
-// Reset zeroes all counters.
-func (s *Stats) Reset() {
-	if s == nil {
-		return
-	}
-	for k := range s.counters {
-		s.counters[k].calls.Store(0)
-		s.counters[k].elems.Store(0)
-		s.counters[k].nanos.Store(0)
-	}
-}
-
 // MetricFamilies renders the snapshot as telemetry metric families — one
 // counter family each for kernel calls, elements touched, and cumulative
 // kernel seconds, labelled by kind — so a telemetry.Registry can absorb the

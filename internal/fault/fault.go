@@ -137,8 +137,8 @@ type site struct {
 }
 
 // Registry is an immutable set of armed failpoints. Build one with Parse and
-// activate it with Enable; the counters inside keep working after Disable so
-// tests can assert on what fired.
+// activate it with Enable; the counters inside keep working after Enable(nil)
+// so tests can assert on what fired.
 type Registry struct {
 	sites  map[string]*site
 	points []*point // stable order for Snapshot
@@ -149,17 +149,8 @@ type Registry struct {
 // package helper a single atomic load.
 var active atomic.Pointer[Registry]
 
-// Enable activates r process-wide (nil is equivalent to Disable).
+// Enable activates r process-wide; nil deactivates fault injection.
 func Enable(r *Registry) { active.Store(r) }
-
-// Disable deactivates fault injection.
-func Disable() { active.Store(nil) }
-
-// Active returns the enabled registry, or nil when faults are off.
-func Active() *Registry { return active.Load() }
-
-// Enabled reports whether a registry is active.
-func Enabled() bool { return active.Load() != nil }
 
 // kindSuffixes maps the point-name suffix to its kind.
 var kindSuffixes = map[string]Kind{
@@ -383,19 +374,6 @@ func (r *Registry) Snapshot() []PointStats {
 		out = append(out, PointStats{Name: p.name, Kind: p.kind, Fired: p.fired.Load(), Remaining: rem})
 	}
 	return out
-}
-
-// Fired reports how many times the named failpoint has activated.
-func (r *Registry) Fired(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	for _, p := range r.points {
-		if p.name == name {
-			return p.fired.Load()
-		}
-	}
-	return 0
 }
 
 // MetricFamilies renders the active registry's counters as telemetry

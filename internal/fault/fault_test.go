@@ -38,7 +38,7 @@ func TestInjectErrAndCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	Enable(r)
-	t.Cleanup(Disable)
+	t.Cleanup(func() { Enable(nil) })
 	injected := Inject("core.measure")
 	if injected == nil {
 		t.Fatal("armed err point did not fire")
@@ -53,8 +53,8 @@ func TestInjectErrAndCounters(t *testing.T) {
 	if Inject("other.site") != nil {
 		t.Fatal("unarmed site fired")
 	}
-	if got := r.Fired("core.measure.err"); got != 1 {
-		t.Fatalf("Fired = %d, want 1", got)
+	if got := r.Snapshot()[0].Fired; got != 1 {
+		t.Fatalf("fired %d, want 1", got)
 	}
 }
 
@@ -64,7 +64,7 @@ func TestActivationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	Enable(r)
-	t.Cleanup(Disable)
+	t.Cleanup(func() { Enable(nil) })
 	for i := 0; i < 2; i++ {
 		if Inject("a.b") == nil {
 			t.Fatalf("activation %d did not fire within budget", i)
@@ -86,11 +86,11 @@ func TestProbabilityIsSeededAndDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		Enable(r)
-		defer Disable()
+		defer Enable(nil)
 		for i := 0; i < 200; i++ {
 			Inject("a.b")
 		}
-		return r.Fired("a.b.err")
+		return r.Snapshot()[0].Fired
 	}
 	a, b := run(7), run(7)
 	if a != b {
@@ -107,7 +107,7 @@ func TestDelayPanicSkewPerturb(t *testing.T) {
 		t.Fatal(err)
 	}
 	Enable(r)
-	t.Cleanup(Disable)
+	t.Cleanup(func() { Enable(nil) })
 
 	start := time.Now()
 	if err := Inject("d"); err != nil {
@@ -141,18 +141,15 @@ func TestDelayPanicSkewPerturb(t *testing.T) {
 }
 
 func TestDisabledFastPathIsInert(t *testing.T) {
-	Disable()
+	Enable(nil)
 	if Inject("any.site") != nil || Skew("s", time.Second) != time.Second || Perturb("x", 2) != 2 {
 		t.Fatal("helpers acted with no registry enabled")
 	}
 	Disrupt("p") // must not panic
-	if Enabled() || Active() != nil {
-		t.Fatal("registry reported enabled after Disable")
-	}
 }
 
 func BenchmarkInjectFaultsOff(b *testing.B) {
-	Disable()
+	Enable(nil)
 	for i := 0; i < b.N; i++ {
 		if Inject("core.measure") != nil {
 			b.Fatal("fired while disabled")

@@ -17,7 +17,7 @@ func TestChaosModelLoadFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault.Enable(r)
-	t.Cleanup(fault.Disable)
+	t.Cleanup(func() { fault.Enable(nil) })
 
 	_, err = LoadFile("some-model.json")
 	if !errors.Is(err, fault.ErrInjected) {

@@ -99,8 +99,8 @@ func (f *forest[L]) vote(sp *space[L], p []float64) (best L, confidence float64,
 }
 
 // Forest predicts the SMSV joint candidate from the embedded Table IV
-// parameters; it implements core.FormatPredictor and
-// core.CandidatePredictor. A nil *Forest is an empty model.
+// parameters; it implements core.FormatPredictor. A nil *Forest is an
+// empty model.
 type Forest struct{ forest[sparse.Candidate] }
 
 // generic returns the forest behind f, nil for a nil f — the generic
@@ -146,19 +146,11 @@ func (f *Forest) PredictPoint(p [dataset.EmbedDims]float64) (sparse.Candidate, f
 }
 
 // PredictCandidate embeds the Table IV parameters and votes over the joint
-// candidate space; it implements core.CandidatePredictor, so the scheduler
+// candidate space; it implements core.FormatPredictor, so the scheduler
 // can execute the predicted chunk policy and kernel variant, not just the
 // storage format.
 func (f *Forest) PredictCandidate(feats dataset.Features) (sparse.Candidate, float64, bool) {
 	return f.PredictPoint(dataset.Embed(feats))
-}
-
-// PredictFormat projects the joint vote down to its storage format; it
-// keeps the legacy core.FormatPredictor contract for callers that cannot
-// act on chunk or variant choices.
-func (f *Forest) PredictFormat(feats dataset.Features) (sparse.Format, float64, bool) {
-	c, conf, ok := f.PredictPoint(dataset.Embed(feats))
-	return c.Format, conf, ok
 }
 
 // PairExample is one labeled pairwise training point.

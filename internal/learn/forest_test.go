@@ -71,7 +71,7 @@ func TestNilAndEmptyForestPredict(t *testing.T) {
 	if f.Trees() != 0 || f.TrainedOn() != 0 {
 		t.Fatal("nil forest accessors must be zero")
 	}
-	if _, _, ok := (&Forest{}).PredictFormat(dataset.Features{M: 1, N: 1}); ok {
+	if _, _, ok := (&Forest{}).PredictCandidate(dataset.Features{M: 1, N: 1}); ok {
 		t.Fatal("empty forest must return ok=false")
 	}
 }
@@ -81,8 +81,8 @@ func TestSingleExampleConstantModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, conf, ok := f.PredictFormat(dataset.Features{M: 9000, N: 2, NNZ: 17000, Density: 0.9})
-	if !ok || got != sparse.COO || conf != 1 {
+	got, conf, ok := f.PredictCandidate(dataset.Features{M: 9000, N: 2, NNZ: 17000, Density: 0.9})
+	if !ok || got != sparse.BaseCandidate(sparse.COO) || conf != 1 {
 		t.Fatalf("constant model: got %v conf %g ok %v", got, conf, ok)
 	}
 }
@@ -91,7 +91,7 @@ func TestSingleExampleConstantModel(t *testing.T) {
 // scheduler relies on.
 func TestForestImplementsCorePredictor(t *testing.T) {
 	var p core.FormatPredictor = &Forest{}
-	if _, _, ok := p.PredictFormat(dataset.Features{}); ok {
+	if _, _, ok := p.PredictCandidate(dataset.Features{}); ok {
 		t.Fatal("empty forest must have no answer")
 	}
 }
@@ -143,7 +143,7 @@ func TestFromHistoryHarvest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _, ok := forest.PredictFormat(f2); !ok || got != sparse.DIA {
+	if got, _, ok := forest.PredictCandidate(f2); !ok || got != sparse.BaseCandidate(sparse.DIA) {
 		t.Fatalf("predict on recorded class: %v ok=%v", got, ok)
 	}
 }

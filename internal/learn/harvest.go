@@ -81,30 +81,6 @@ func Examples(items []Labeled) []Example {
 	return project(items, func(l Labeled) Example { return l.Example })
 }
 
-// FormatOnlyExamples projects labeled data onto the pre-joint label space:
-// each item is relabeled with the base candidate (static chunks, base
-// kernel) of the format whose base measurement was fastest — exactly what
-// the format-only scheduler could observe and execute. Training a forest on
-// this projection gives the baseline for the joint-vs-format-only regret
-// comparison in Evaluate.
-func FormatOnlyExamples(items []Labeled) []Example {
-	out := make([]Example, len(items))
-	for i, it := range items {
-		best := it.Label // fall back to the joint label's format if no base time exists
-		bestT := time.Duration(-1)
-		for c, t := range it.Times {
-			if c != sparse.BaseCandidate(c.Format) {
-				continue
-			}
-			if bestT < 0 || t < bestT || (t == bestT && c.Index() < best.Index()) {
-				best, bestT = c, t
-			}
-		}
-		out[i] = Example{Point: it.Point, Label: sparse.BaseCandidate(best.Format)}
-	}
-	return out
-}
-
 // SyntheticCorpus generates n structurally diverse matrices by cycling the
 // dataset generator families — banded (DIA territory), one-long-row skew
 // (ELL-hostile), high row-length variance (CSR vs COO), dense blocks (DEN),

@@ -155,8 +155,8 @@ func TestModelEmbeddingCompatibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ft := range feats {
-		g1, c1, _ := f.PredictFormat(ft)
-		g2, c2, _ := g.PredictFormat(ft)
+		g1, c1, _ := f.PredictCandidate(ft)
+		g2, c2, _ := g.PredictCandidate(ft)
 		if g1 != g2 || c1 != c2 {
 			t.Fatalf("saved model diverged on %+v", ft)
 		}

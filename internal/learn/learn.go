@@ -28,12 +28,8 @@ import (
 // ErrNoTrainingData is returned by Train when the example set is empty.
 var ErrNoTrainingData = errors.New("learn: empty training set")
 
-// Forest must satisfy both of the scheduler's predictor interfaces: the
-// legacy format-only one and the joint candidate one the scheduler prefers.
-var (
-	_ core.FormatPredictor    = (*Forest)(nil)
-	_ core.CandidatePredictor = (*Forest)(nil)
-)
+// Forest is the scheduler's predictor.
+var _ core.FormatPredictor = (*Forest)(nil)
 
 // Example is one labeled training point: the embedded Table IV parameters
 // of a dataset and the joint (format, chunk, kernel-variant) candidate that

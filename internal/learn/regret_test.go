@@ -58,7 +58,7 @@ func TestJointPredictorRegretNotWorseThanFormatOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formatOnly, err := Train(FormatOnlyExamples(train), TrainConfig{})
+	formatOnly, err := Train(formatOnlyExamples(train), TrainConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +84,29 @@ func TestJointPredictorRegretNotWorseThanFormatOnly(t *testing.T) {
 	}
 }
 
+// formatOnlyExamples projects labeled data onto the pre-joint label space:
+// each item is relabeled with the base candidate (static chunks, base
+// kernel) of the format whose base measurement was fastest — exactly what a
+// format-only scheduler could observe and execute. A forest trained on this
+// projection is the baseline of the joint-vs-format-only regret gate.
+func formatOnlyExamples(items []Labeled) []Example {
+	out := make([]Example, len(items))
+	for i, it := range items {
+		best := it.Label // fall back to the joint label's format if no base time exists
+		bestT := time.Duration(-1)
+		for c, t := range it.Times {
+			if c != sparse.BaseCandidate(c.Format) {
+				continue
+			}
+			if bestT < 0 || t < bestT || (t == bestT && c.Index() < best.Index()) {
+				best, bestT = c, t
+			}
+		}
+		out[i] = Example{Point: it.Point, Label: sparse.BaseCandidate(best.Format)}
+	}
+	return out
+}
+
 // TestFormatOnlyExamplesProjection pins the projection used for the
 // baseline: the label is the base candidate of the fastest *base*
 // measurement, even when a non-base candidate is globally fastest.
@@ -97,7 +120,7 @@ func TestFormatOnlyExamplesProjection(t *testing.T) {
 			sparse.BaseCandidate(sparse.ELL): 90,
 		},
 	}}
-	got := FormatOnlyExamples(items)
+	got := formatOnlyExamples(items)
 	if len(got) != 1 || got[0].Label != sparse.BaseCandidate(sparse.ELL) {
 		t.Fatalf("projected label %v, want ELL base", got[0].Label)
 	}

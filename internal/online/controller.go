@@ -216,7 +216,7 @@ func New(cfg Config) (*Controller, error) {
 		cfg.Logger = slog.New(slog.NewTextHandler(discard{}, nil))
 	}
 	c := &Controller{cfg: cfg, reg: telemetry.NewRegistry()}
-	c.registerStoreMetrics()
+	c.registerHarvestMetrics()
 	seen := map[Kind]bool{}
 	now := cfg.Now()
 	for _, lc := range cfg.Lanes {
@@ -238,22 +238,15 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// registerStoreMetrics exports the harvest store's own counters, read at
-// scrape time.
-func (c *Controller) registerStoreMetrics() {
+// registerHarvestMetrics exports the store's per-workload harvest counts,
+// read at scrape time.
+func (c *Controller) registerHarvestMetrics() {
 	store := c.cfg.Store
-	c.reg.Gauge(metricPrefix+"_enabled", "1 when the online flywheel is running.").Set(1)
 	const harvested = "Measured decisions harvested into the online store, by workload."
 	c.reg.CounterFunc(metricPrefix+"_harvested_total", harvested,
 		func() float64 { smsv, _, _, _ := store.Counters(); return float64(smsv) }, telemetry.L("kind", string(KindSMSV)))
 	c.reg.CounterFunc(metricPrefix+"_harvested_total", harvested,
 		func() float64 { _, pair, _, _ := store.Counters(); return float64(pair) }, telemetry.L("kind", string(KindPair)))
-	c.reg.CounterFunc(metricPrefix+"_store_evicted_total", "Oldest records evicted from the bounded online store.",
-		func() float64 { _, _, evicted, _ := store.Counters(); return float64(evicted) })
-	c.reg.CounterFunc(metricPrefix+"_store_rejected_total", "Invalid records rejected at harvest.",
-		func() float64 { _, _, _, rejected := store.Counters(); return float64(rejected) })
-	c.reg.GaugeFunc(metricPrefix+"_store_records", "Live records in the online store.",
-		func() float64 { return float64(store.Len()) })
 }
 
 // newLane starts a lane idle on its boot model with its instruments
@@ -537,6 +530,6 @@ func (c *Controller) Status() []LaneStatus {
 // MetricFamilies implements telemetry.Collector over the controller's
 // registry: counters for every state-machine transition, gauges for the
 // latest shadow scores, a per-lane histogram of candidate shadow regret,
-// and the store's own counters. It takes no controller lock, so a scrape
+// and the store's harvest counts. It takes no controller lock, so a scrape
 // during a long training run returns every family at its current value.
 func (c *Controller) MetricFamilies() []telemetry.Family { return c.reg.Families() }

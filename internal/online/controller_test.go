@@ -105,8 +105,9 @@ func TestControllerPromoteCommitRollback(t *testing.T) {
 	store := NewStore(64, clk.Now)
 	it := &installTracker{serving: "boot"}
 	interval := time.Minute
+	events := NewEventLog(4)
 	c, err := New(Config{
-		Store: store, Now: clk.Now,
+		Store: store, Now: clk.Now, Events: events,
 		RetrainInterval: interval, ShadowWindow: 32,
 		PromoteMargin: 0.05, RollbackRegret: 1.5, MonitorRecords: 8,
 		Lanes: []LaneConfig{{
@@ -195,6 +196,23 @@ func TestControllerPromoteCommitRollback(t *testing.T) {
 	// grouping, duplicate series).
 	if errs := telemetry.Lint(strings.NewReader(scrape(t, c))); errs != nil {
 		t.Fatalf("exposition lint: %v", errs)
+	}
+
+	// The event log counted all five transitions; its ring of four holds the
+	// last four.
+	var buf bytes.Buffer
+	if err := telemetry.WriteFamilies(&buf, events.MetricFamilies("layoutd")); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`layoutd_online_events_total{type="promote"} 2`,
+		`layoutd_online_events_total{type="commit"} 1`,
+		`layoutd_online_events_total{type="reject"} 1`,
+		`layoutd_online_events_total{type="rollback"} 1`,
+		`layoutd_online_events_total{type="quiescent-commit"} 0`,
+		"layoutd_online_events_retained 4",
+	} {
+		wantMetric(t, buf.String(), line)
 	}
 }
 

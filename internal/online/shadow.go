@@ -13,9 +13,9 @@ package online
 type PredictFunc func(Record) (string, bool)
 
 // ShadowStats accumulates hit/regret over scored records. The zero
-// value is ready to use. Observe folds one record; Merge folds a
-// partition — both are exact sums, so incremental accumulation equals a
-// from-scratch batch pass over the same records in the same order.
+// value is ready to use. Observe folds one record as an exact sum, so
+// incremental accumulation equals a from-scratch batch pass over the same
+// records in the same order.
 type ShadowStats struct {
 	N         int     // records scored
 	Hits      int     // model picked the measured-fastest candidate
@@ -29,13 +29,6 @@ func (s *ShadowStats) Observe(hit bool, regret float64) {
 		s.Hits++
 	}
 	s.RegretSum += regret
-}
-
-// Merge folds another partition's stats.
-func (s *ShadowStats) Merge(o ShadowStats) {
-	s.N += o.N
-	s.Hits += o.Hits
-	s.RegretSum += o.RegretSum
 }
 
 // HitRate returns Hits/N, or 0 when nothing was scored.

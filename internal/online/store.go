@@ -45,9 +45,6 @@ func NewStore(capacity int, now Clock) *Store {
 	return &Store{buf: make([]Record, capacity), now: now}
 }
 
-// Cap returns the store's fixed capacity.
-func (s *Store) Cap() int { return len(s.buf) }
-
 // Add validates r, stamps its sequence number and harvest time, and
 // appends it, evicting the oldest record when full. Invalid records are
 // counted and rejected rather than poisoning the training window.

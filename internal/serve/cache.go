@@ -395,17 +395,6 @@ func (c *Cache[V]) insertLocked(sh *shard[V], key string, val V) {
 	sh.entries[key] = sh.order.PushFront(&lruEntry[V]{key: key, val: val, expires: expires})
 }
 
-// Len reports the total number of cached decisions across shards.
-func (c *Cache[V]) Len() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // Inflight reports how many singleflight computations are currently
 // running.
 func (c *Cache[V]) Inflight() int {
@@ -416,23 +405,4 @@ func (c *Cache[V]) Inflight() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// CacheStats is a point-in-time counter snapshot.
-type CacheStats struct {
-	Hits, Misses, Dedups, Evictions, Expired int64
-	Len, Inflight                            int
-}
-
-// Stats snapshots the cache counters.
-func (c *Cache[V]) Stats() CacheStats {
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Dedups:    c.dedups.Load(),
-		Evictions: c.evictions.Load(),
-		Expired:   c.expired.Load(),
-		Len:       c.Len(),
-		Inflight:  c.Inflight(),
-	}
 }

@@ -12,6 +12,17 @@ import (
 	"repro/internal/sparse"
 )
 
+// cached counts a cache's resident entries across its shards.
+func cached[V Degradable](c *Cache[V]) int {
+	n := 0
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		n += len(sh.entries)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 func dec(f sparse.Format) *CachedDecision {
 	return &CachedDecision{Format: f, Source: "measured"}
 }
@@ -43,12 +54,11 @@ func TestCacheHitAndLRUEviction(t *testing.T) {
 	if _, outcome := mk("b"); outcome != "miss" {
 		t.Fatalf("b not evicted: %s", outcome)
 	}
-	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions recorded: %+v", st)
+	if c.evictions.Load() == 0 {
+		t.Fatal("no evictions recorded")
 	}
-	if st.Len > 2 {
-		t.Fatalf("capacity exceeded: %+v", st)
+	if n := cached(c); n > 2 {
+		t.Fatalf("capacity exceeded: %d entries", n)
 	}
 }
 
@@ -60,12 +70,11 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := c.Stats()
-	if st.Len > 16 {
-		t.Fatalf("cache grew past capacity: %+v", st)
+	if n := cached(c); n > 16 {
+		t.Fatalf("cache grew past capacity: %d entries", n)
 	}
-	if st.Evictions < 200-16 {
-		t.Fatalf("evictions %d, want >= %d", st.Evictions, 200-16)
+	if got := c.evictions.Load(); got < 200-16 {
+		t.Fatalf("evictions %d, want >= %d", got, 200-16)
 	}
 	// Entries still present serve hits.
 	if _, outcome, _ := c.Do("key-199", func() (*CachedDecision, error) { return dec(sparse.COO), nil }); outcome != "hit" {
@@ -118,8 +127,8 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	if _, _, err := c.Do("k", func() (*CachedDecision, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err %v", err)
 	}
-	if st := c.Stats(); st.Len != 0 {
-		t.Fatalf("error cached: %+v", st)
+	if n := cached(c); n != 0 {
+		t.Fatalf("error cached: %d entries", n)
 	}
 	v, outcome, err := c.Do("k", func() (*CachedDecision, error) { return dec(sparse.DEN), nil })
 	if err != nil || outcome != "miss" || v.Format != sparse.DEN {

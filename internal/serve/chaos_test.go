@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,7 +21,7 @@ func arm(t *testing.T, spec string) *fault.Registry {
 		t.Fatal(err)
 	}
 	fault.Enable(r)
-	t.Cleanup(fault.Disable)
+	t.Cleanup(func() { fault.Enable(nil) })
 	return r
 }
 
@@ -39,7 +40,7 @@ func getMetrics(t *testing.T, h http.Handler) string {
 // answering schedule requests — degraded, from the cost model — with zero
 // 5xx responses, an open breaker, and the failures visible in /metrics.
 func TestChaosServeDegradesUnderMeasureFaults(t *testing.T) {
-	arm(t, "core.measure.err=1")
+	reg := arm(t, "core.measure.err=1")
 	s := newTestServer(t, Config{Policy: core.Hybrid, BreakerThreshold: 2})
 	h := s.Handler()
 
@@ -80,7 +81,7 @@ func TestChaosServeDegradesUnderMeasureFaults(t *testing.T) {
 		"layoutd_breaker_opens_total 1",
 		"layoutd_breaker_state 1",
 		"layoutd_faults_enabled 1",
-		`layoutd_fault_injected_total{point="core.measure.err"}`,
+		fmt.Sprintf(`layoutd_fault_injected_total{point="core.measure.err"} %d`, reg.Snapshot()[0].Fired),
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, metrics)
@@ -125,7 +126,7 @@ func TestChaosDegradedNotCachedAsAuthoritative(t *testing.T) {
 	// 3: the faults clear and both the TTL and the breaker cooldown lapse;
 	// the expired degraded entry must be re-measured into an authoritative
 	// decision by the half-open probe.
-	fault.Disable()
+	fault.Enable(nil)
 	clk.Advance(6 * time.Second)
 	d = decodeSchedule(t, post(t, h, "/v1/schedule", ScheduleRequest{Data: data})).Decision
 	if d.Degraded {
@@ -134,7 +135,7 @@ func TestChaosDegradedNotCachedAsAuthoritative(t *testing.T) {
 	if d.Source != "measured" || len(d.Measured) == 0 {
 		t.Fatalf("post-recovery decision %+v, want fresh measurement", d)
 	}
-	if got := s.smsv.cache.Stats().Expired; got != 1 {
+	if got := s.smsv.cache.expired.Load(); got != 1 {
 		t.Fatalf("cache expired counter = %d, want 1", got)
 	}
 	if got := s.breaker.State(); got != breaker.Closed {
@@ -206,7 +207,7 @@ func TestChaosOverloadDoesNotConsumeProbe(t *testing.T) {
 	func() {
 		arm(t, "core.measure.err=1")
 		post(t, h, "/v1/schedule", ScheduleRequest{Data: makeLIBSVM(100, 40, 8, 1)})
-		fault.Disable()
+		fault.Enable(nil)
 	}()
 	if got := s.breaker.State(); got != breaker.Open {
 		t.Fatalf("breaker = %v, want open", got)

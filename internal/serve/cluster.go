@@ -120,34 +120,18 @@ type ModelPushResponse struct {
 	TraceID    string `json:"trace_id,omitempty"`
 }
 
-// predictorSwap is the swappable format predictor (see swapBox). It
-// implements both SMSV predictor interfaces.
+// predictorSwap is the swappable format predictor (see swapBox).
 type predictorSwap struct {
 	swapBox[core.FormatPredictor]
 }
 
-// PredictFormat implements core.FormatPredictor.
-func (s *predictorSwap) PredictFormat(f dataset.Features) (sparse.Format, float64, bool) {
-	p := s.load()
-	if p == nil {
-		return 0, 0, false
-	}
-	return p.PredictFormat(f)
-}
-
-// PredictCandidate implements core.CandidatePredictor, degrading a
-// format-only model to the format's base candidate — exactly what the
-// scheduler's own format-only branch does.
+// PredictCandidate implements core.FormatPredictor.
 func (s *predictorSwap) PredictCandidate(f dataset.Features) (sparse.Candidate, float64, bool) {
 	p := s.load()
 	if p == nil {
 		return sparse.Candidate{}, 0, false
 	}
-	if cp, ok := p.(core.CandidatePredictor); ok {
-		return cp.PredictCandidate(f)
-	}
-	fm, conf, ok := p.PredictFormat(f)
-	return sparse.BaseCandidate(fm), conf, ok
+	return p.PredictCandidate(f)
 }
 
 // pairPredictorSwap is the swappable pair predictor (see swapBox).
@@ -274,7 +258,6 @@ func decideRouted[In any, V decided](ctx context.Context, s *Server, w *workload
 			}
 			return routed[V]{val: hit, outcome: "hit"}, nil
 		}
-		s.forwardFallbacks.Add(1)
 		if trace != nil {
 			trace.text("cluster: owner ").text(m.ID).text(" unreachable, deciding locally").end()
 		}
@@ -447,8 +430,6 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 			skipped++
 		}
 	}
-	s.replApplied.Add(int64(applied))
-	s.replSkipped.Add(int64(skipped))
 	if tr != nil {
 		s.endTrace(w, tr, root, nil)
 	}
@@ -568,7 +549,6 @@ func (s *Server) handleClusterModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if applyErr = slot.install(req.Model); applyErr != nil {
-		s.modelSwapErrors.Add(1)
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("rejected %s: %v", slot.noun, applyErr))
 		return
 	}
@@ -634,24 +614,24 @@ func (s *Server) fetchPeerFragments(ctx context.Context, id string) ([]telemetry
 	return frags, incomplete
 }
 
-// registerClusterMetrics hangs the cluster series on the registry; called
-// from registerMetrics only when clustering is enabled.
+// registerClusterMetrics hangs every cluster series on the registry; called
+// from registerMetrics only when clustering is enabled. The counters live
+// where they are counted — forwards in cluster.Peers, gossip in its
+// replicator, forwarded serves here — and are read at scrape time.
 func (s *Server) registerClusterMetrics() {
 	reg := s.metrics.reg
-	iv := func(fn func() int64) func() float64 {
-		return func() float64 { return float64(fn()) }
+	counter := func(name, help string, fn func() int64) {
+		reg.CounterFunc("layoutd_cluster_"+name, help, func() float64 { return float64(fn()) })
 	}
-	reg.CounterFunc("layoutd_cluster_forward_fallbacks_total",
-		"Forwards that failed and were answered by the local decision path instead.",
-		iv(s.forwardFallbacks.Load))
-	reg.CounterFunc("layoutd_cluster_forwarded_served_total",
+	counter("forwards_total", "Requests forwarded to their ring owner.", s.cluster.Forwards)
+	counter("forward_errors_total",
+		"Forward legs that failed (breaker open, transport error, peer 5xx); each is answered by the local decision path.",
+		s.cluster.ForwardErrors)
+	counter("forwarded_served_total",
 		"Requests decided here that arrived forwarded from a peer (this node owns their shape class).",
-		iv(s.forwardedServed.Load))
-	reg.CounterFunc("layoutd_cluster_replication_applied_total",
-		"Gossip entries applied into the local cache or history.", iv(s.replApplied.Load))
-	reg.CounterFunc("layoutd_cluster_replication_skipped_total",
-		"Gossip entries skipped (unparseable or unknown kind).", iv(s.replSkipped.Load))
-	reg.Register(telemetry.CollectorFunc(func() []telemetry.Family {
-		return s.cluster.MetricFamilies("layoutd")
-	}))
+		s.forwardedServed.Load)
+	counter("replication_enqueued_total", "Decision/history records queued for gossip.",
+		func() int64 { return s.cluster.ReplicatorStats().Enqueued })
+	counter("replication_dropped_total", "Records dropped because the gossip queue was full.",
+		func() int64 { return s.cluster.ReplicatorStats().Dropped })
 }

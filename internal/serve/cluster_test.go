@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -90,6 +91,23 @@ func startRing(t testing.TB, n int, opts cluster.Options, mutate func(i int, cfg
 	return nodes
 }
 
+// metricValue scrapes a node's /metrics and returns the value of one series,
+// written as the exposition writes it: name{labels}.
+func metricValue(t *testing.T, nd *clusterNode, series string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(getMetrics(t, nd.srv.Handler()), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return int64(n)
+		}
+	}
+	t.Fatalf("%s exports no series %s", nd.id, series)
+	return 0
+}
+
 // postURL sends a JSON body over the network (unlike post, which drives a
 // handler in-process) and returns the status, response bytes, and headers.
 func postURL(t *testing.T, url string, body any) (int, []byte, http.Header) {
@@ -153,12 +171,14 @@ func TestClusterRoutesByOwnership(t *testing.T) {
 			}
 		}
 	}
-	var measured, misses, forwards, served int64
+	var measured, misses, forwards, served, enqueued, dropped int64
 	for _, nd := range nodes {
 		measured += nd.srv.Measurements()
-		misses += nd.srv.CacheStats().Misses
-		forwards += nd.peers.Forwards()
-		served += nd.srv.forwardedServed.Load()
+		misses += nd.srv.smsv.cache.misses.Load()
+		forwards += metricValue(t, nd, "layoutd_cluster_forwards_total")
+		served += metricValue(t, nd, "layoutd_cluster_forwarded_served_total")
+		enqueued += metricValue(t, nd, "layoutd_cluster_replication_enqueued_total")
+		dropped += metricValue(t, nd, "layoutd_cluster_replication_dropped_total")
 	}
 	// Each shape class is computed exactly once cluster-wide — on its owner.
 	// (Fewer measurements than classes is fine: the shared tuning history
@@ -174,6 +194,11 @@ func TestClusterRoutesByOwnership(t *testing.T) {
 	}
 	if served == 0 {
 		t.Fatal("no node served a forwarded request")
+	}
+	// Every fresh decision gossips its entry, and a measured one its history
+	// record too, into queues far from full.
+	if enqueued < int64(len(distinct)) || dropped != 0 {
+		t.Fatalf("gossip enqueued %d and dropped %d records for %d classes", enqueued, dropped, len(distinct))
 	}
 }
 
@@ -242,8 +267,7 @@ func TestClusterNodeKillZero5xx(t *testing.T) {
 	if killed == 0 {
 		t.Fatal("test never killed the node")
 	}
-	fallbacks := nodes[0].srv.forwardFallbacks.Load() + nodes[1].srv.forwardFallbacks.Load()
-	if fallbacks == 0 {
+	if nodes[0].peers.ForwardErrors()+nodes[1].peers.ForwardErrors() == 0 {
 		t.Fatal("no forward fell back locally: the dead node's keys were never exercised")
 	}
 }
@@ -279,15 +303,12 @@ func TestClusterReplicationWarmsSuccessor(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for succNode.srv.replApplied.Load() < 2 { // decision + history record
+	for cached(succNode.srv.smsv.cache) == 0 || succNode.srv.History().Len() == 0 { // decision + history record
 		if time.Now().After(deadline) {
-			t.Fatalf("successor %s applied %d replicated entries, want >= 2 (decision + history)",
-				succ.ID, succNode.srv.replApplied.Load())
+			t.Fatalf("successor %s holds %d replicated decisions and %d history records, want both",
+				succ.ID, cached(succNode.srv.smsv.cache), succNode.srv.History().Len())
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if succNode.srv.History().Len() == 0 {
-		t.Fatalf("successor %s history empty after replication", succ.ID)
 	}
 	// The replicated entry keeps the successor local for this shape class:
 	// the same request hits its cache instead of forwarding to the owner.
@@ -387,9 +408,6 @@ func TestClusterModelPushHotSwapAndPropagate(t *testing.T) {
 	status, _, _ := postURL(t, nodes[0].url+cluster.ModelPath, ModelPushRequest{Model: json.RawMessage(`{"format":"gibberish"}`)})
 	if status != http.StatusBadRequest {
 		t.Fatalf("bad model: status %d, want 400", status)
-	}
-	if nodes[0].srv.modelSwapErrors.Load() != 1 {
-		t.Fatalf("modelSwapErrors = %d, want 1", nodes[0].srv.modelSwapErrors.Load())
 	}
 	// Push to n1 with propagation: both nodes serve the model afterwards.
 	model := fmt.Sprintf(`{"format":%q}`, sparse.CSR.String())

@@ -210,9 +210,9 @@ func TestForwardedHitMatchesOwner(t *testing.T) {
 			}
 		})
 	}
-	if entry.srv.smsv.cache.Len() != 0 || entry.srv.pair.cache.Len() != 0 || entry.srv.Measurements() != 0 || entry.srv.SpGEMMMeasurements() != 0 {
+	if cached(entry.srv.smsv.cache) != 0 || cached(entry.srv.pair.cache) != 0 || entry.srv.Measurements() != 0 || entry.srv.SpGEMMMeasurements() != 0 {
 		t.Fatalf("the forwarder cached %d + %d owner answers and measured %d + %d classes",
-			entry.srv.smsv.cache.Len(), entry.srv.pair.cache.Len(), entry.srv.Measurements(), entry.srv.SpGEMMMeasurements())
+			cached(entry.srv.smsv.cache), cached(entry.srv.pair.cache), entry.srv.Measurements(), entry.srv.SpGEMMMeasurements())
 	}
 }
 
@@ -227,10 +227,11 @@ func closeConn(w http.ResponseWriter) {
 }
 
 // TestForwardCountsOneForward: a routed request is one forward, one
-// forwarded serve on the owner that answers it and at most one fallback,
-// however many legs it takes — ring_mixed compares the nodes' forward count
-// with the harness's own routing to within 2 % of ops, and a miss counted
-// twice would be 6.7 % over. Each case runs on a fresh two-node ring.
+// forwarded serve on the owner that answers it and at most one forward
+// error, however many legs it takes, as each node's /metrics reports them —
+// ring_mixed compares the nodes' forward count with the harness's own
+// routing to within 2 % of ops, and a miss counted twice would be 6.7 %
+// over. Each case runs on a fresh two-node ring.
 func TestForwardCountsOneForward(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -292,20 +293,20 @@ func TestForwardCountsOneForward(t *testing.T) {
 			if lines := strings.Join(resp.Decision.Trace, "\n"); tc.line != "" && !strings.Contains(lines, tc.line) {
 				t.Errorf("trace does not say %q:\n%s", tc.line, lines)
 			}
-			errs, fallbacks := int64(0), int64(0)
+			errs := int64(0)
 			if tc.fallback {
-				errs, fallbacks = 1, 1
+				errs = 1
 			}
 			for _, c := range []struct {
 				what      string
 				got, want int64
 			}{
-				{"entry forwards", entry.peers.Forwards(), 1},
-				{"entry forward errors", entry.peers.ForwardErrors(), errs},
-				{"entry forward fallbacks", entry.srv.forwardFallbacks.Load(), fallbacks},
-				{"owner forwarded serves", owner.srv.forwardedServed.Load(), tc.served},
-				{"entry forwarded serves", entry.srv.forwardedServed.Load(), 0},
-				{"owner forwards", owner.peers.Forwards(), 0},
+				{"entry forwards", metricValue(t, entry, "layoutd_cluster_forwards_total"), 1},
+				{"entry forward errors", metricValue(t, entry, "layoutd_cluster_forward_errors_total"), errs},
+				{"owner forwarded serves", metricValue(t, owner, "layoutd_cluster_forwarded_served_total"), tc.served},
+				{"entry forwarded serves", metricValue(t, entry, "layoutd_cluster_forwarded_served_total"), 0},
+				{"owner forwards", metricValue(t, owner, "layoutd_cluster_forwards_total"), 0},
+				{"owner forward errors", metricValue(t, owner, "layoutd_cluster_forward_errors_total"), 0},
 			} {
 				if c.got != c.want {
 					t.Errorf("%s = %d, want %d", c.what, c.got, c.want)

@@ -24,15 +24,13 @@ var decisionBuckets = telemetry.ExpBuckets(1e-4, 2, 15)
 // per-request path is a few atomic ops with no registry lock.
 type endpointMetrics struct {
 	requests *telemetry.Counter
-	errors   *telemetry.Counter
 	latency  *telemetry.Histogram
 }
 
 // serverMetrics is the server's telemetry.Registry plus the handle caches
 // the request path needs. Everything /metrics exposes — request counters,
 // latency histograms, cache/breaker/predictor series, kernel and fault
-// collectors, process gauges — registers here, and handleMetrics is one
-// WriteText call.
+// collectors — registers here, and handleMetrics is one WriteText call.
 type serverMetrics struct {
 	reg      *telemetry.Registry
 	start    time.Time
@@ -73,8 +71,6 @@ func (m *serverMetrics) endpoint(name string) *endpointMetrics {
 		em = &endpointMetrics{
 			requests: m.reg.Counter("layoutd_requests_total",
 				"HTTP requests handled, by endpoint.", label),
-			errors: m.reg.Counter("layoutd_request_errors_total",
-				"HTTP responses with status >= 400, by endpoint.", label),
 			latency: m.reg.Histogram("layoutd_request_duration_seconds",
 				"Handler latency in seconds, by endpoint.", requestBuckets, label),
 		}
@@ -86,11 +82,8 @@ func (m *serverMetrics) endpoint(name string) *endpointMetrics {
 // observe records one completed request. A non-empty traceID rides the
 // latency bucket as an OpenMetrics exemplar, so a blown percentile links
 // straight to a retrievable trace.
-func (m *serverMetrics) observe(name string, status int, d time.Duration, traceID, node string) {
+func (m *serverMetrics) observe(name string, d time.Duration, traceID, node string) {
 	em := m.endpoint(name)
 	em.requests.Inc()
-	if status >= 400 {
-		em.errors.Inc()
-	}
 	em.latency.ObserveExemplar(d.Seconds(), traceID, node)
 }

@@ -446,7 +446,7 @@ func TestClusterTraceAssemblyPartialOnHungPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault.Enable(reg)
-	t.Cleanup(fault.Disable)
+	t.Cleanup(func() { fault.Enable(nil) })
 
 	start := time.Now()
 	httpResp, err := http.Get(entry.url + "/v1/trace/" + resp.Decision.TraceID)
@@ -530,7 +530,7 @@ func TestHealthzFlipsUnderFaultStorm(t *testing.T) {
 			t.Fatalf("storm request %d: status %d, want an injected 5xx", i, w.Code)
 		}
 	}
-	fault.Disable()
+	fault.Enable(nil)
 
 	got := health()
 	if got.Status != slo.StateDegraded {

@@ -29,8 +29,8 @@ type fixedPredictor struct {
 	ok     bool
 }
 
-func (p fixedPredictor) PredictFormat(dataset.Features) (sparse.Format, float64, bool) {
-	return p.format, p.conf, p.ok
+func (p fixedPredictor) PredictCandidate(dataset.Features) (sparse.Candidate, float64, bool) {
+	return sparse.BaseCandidate(p.format), p.conf, p.ok
 }
 
 func TestSchedulePredictPolicy(t *testing.T) {

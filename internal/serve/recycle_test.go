@@ -246,8 +246,8 @@ func TestRecycleAfterKernelPanic(t *testing.T) {
 	reg := arm(t, "exec.dispatch.panic=1:2")
 	contacts[0][0].answer(t, h)
 	contacts[0][3].answer(t, h)
-	fault.Disable()
-	if reg.Fired("exec.dispatch.panic") == 0 {
+	fault.Enable(nil)
+	if reg.Snapshot()[0].Fired == 0 {
 		t.Fatal("no kernel panicked")
 	}
 	for _, fc := range contacts[1] {

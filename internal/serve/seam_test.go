@@ -58,7 +58,7 @@ func TestSeamDecideToyWorkload(t *testing.T) {
 	go func() { outcomes <- run("k1") }()
 	<-entered
 	go func() { outcomes <- run("k1") }()
-	for w.cache.Stats().Dedups == 0 {
+	for w.cache.dedups.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)

@@ -128,8 +128,8 @@ func TestScheduleInlineData(t *testing.T) {
 	if s.Measurements() != 1 {
 		t.Fatalf("cache hit re-measured: %d", s.Measurements())
 	}
-	if cs := s.CacheStats(); cs.Hits != 1 || cs.Misses != 1 {
-		t.Fatalf("cache stats %+v", cs)
+	if hits, misses := s.smsv.cache.hits.Load(), s.smsv.cache.misses.Load(); hits != 1 || misses != 1 {
+		t.Fatalf("cache hits %d misses %d, want 1 and 1", hits, misses)
 	}
 }
 
@@ -162,9 +162,9 @@ func TestScheduleSingleflight(t *testing.T) {
 	if got := s.Measurements(); got != 1 {
 		t.Fatalf("measurements = %d, want exactly 1", got)
 	}
-	cs := s.CacheStats()
-	if cs.Misses != 1 || cs.Hits+cs.Dedups != n-1 {
-		t.Fatalf("cache stats %+v, want 1 miss and %d hits+dedups", cs, n-1)
+	misses, dedups := s.smsv.cache.misses.Load(), s.smsv.cache.dedups.Load()
+	if hits := s.smsv.cache.hits.Load(); misses != 1 || hits+dedups != n-1 {
+		t.Fatalf("cache %d misses, %d hits, %d dedups; want 1 miss and %d hits+dedups", misses, hits, dedups, n-1)
 	}
 	// /metrics must report the cache traffic.
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
@@ -183,7 +183,7 @@ func TestScheduleSingleflight(t *testing.T) {
 	if _, err := fmt.Sscanf(body[idx+1:], "layoutd_cache_hits_total %d", &hits); err != nil {
 		t.Fatalf("metrics missing cache hits:\n%s", body)
 	}
-	if hits+cs.Dedups <= 0 {
+	if hits+dedups <= 0 {
 		t.Fatalf("no cache reuse recorded:\n%s", body)
 	}
 }
@@ -268,8 +268,8 @@ func TestScheduleCancelledMidMeasurement(t *testing.T) {
 	if s.Measurements() != 0 {
 		t.Fatal("cancelled measurement was counted as complete")
 	}
-	if cs := s.CacheStats(); cs.Len != 0 {
-		t.Fatalf("cancelled decision was cached: %+v", cs)
+	if n := cached(s.smsv.cache); n != 0 {
+		t.Fatalf("cancelled decision was cached: %d entries", n)
 	}
 	// The slot must have been released and the server still serves.
 	w2 := post(t, h, "/v1/schedule", ScheduleRequest{Data: makeLIBSVM(40, 20, 4, 2)})
@@ -453,11 +453,57 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	}
 	wg.Wait()
 	s.Drain()
-	cs := s.CacheStats()
-	if cs.Inflight != 0 {
-		t.Fatalf("inflight %d after drain", cs.Inflight)
+	if n := s.smsv.cache.Inflight(); n != 0 {
+		t.Fatalf("inflight %d after drain", n)
 	}
-	if cs.Misses == 0 {
+	if s.smsv.cache.misses.Load() == 0 {
 		t.Fatal("no cache misses recorded under load")
+	}
+}
+
+// TestMetricsPinnedByValue pins the server families no other test reads by
+// value: the kernel counters of the attached exec.Stats, the exec pool's
+// occupancy, the trace ring's evictions, the request and decision latency
+// histograms and the uptime gauge.
+func TestMetricsPinnedByValue(t *testing.T) {
+	ex := exec.New(2, exec.Static)
+	defer ex.Close()
+	stats := &exec.Stats{}
+	s := newTestServer(t, Config{Policy: core.Hybrid, Exec: ex, Stats: stats, TraceCapacity: 1})
+	h := s.Handler()
+	if d := decodeSchedule(t, post(t, h, "/v1/schedule", ScheduleRequest{Data: makeLIBSVM(60, 40, 5, 1)})).Decision; d.Source != "measured" {
+		t.Fatalf("source %q, want measured", d.Source)
+	}
+	decodeSchedule(t, post(t, h, "/v1/schedule", ScheduleRequest{Profile: &FeaturesJSON{M: 100, N: 80, NNZ: 500, Density: 0.0625}}))
+	body := getMetrics(t, h)
+	snap := stats.Snapshot()
+	if len(snap) == 0 {
+		t.Fatal("a measured decision ran no kernel")
+	}
+	want := []string{
+		"layoutd_pool_workers 2",
+		"layoutd_pool_busy 0",
+		// One trace per request in a ring of one: the second evicted the first.
+		"layoutd_trace_store_evicted_total 1",
+		`layoutd_request_duration_seconds_count{endpoint="schedule"} 2`,
+		// Only the measured request ran a scheduler.
+		"layoutd_schedule_decision_duration_seconds_count 1",
+	}
+	for _, ks := range snap {
+		want = append(want,
+			fmt.Sprintf(`layoutd_kernel_calls{kind="%s"} %d`, ks.Kind, ks.Calls),
+			fmt.Sprintf(`layoutd_kernel_elements{kind="%s"} %d`, ks.Kind, ks.Elements),
+			fmt.Sprintf(`layoutd_kernel_nanos{kind="%s"} %d`, ks.Kind, int64(ks.Time)))
+	}
+	for _, w := range want {
+		if !strings.Contains(body, w+"\n") {
+			t.Errorf("/metrics missing %q", w)
+		}
+	}
+	var uptime float64
+	if _, rest, _ := strings.Cut(body, "\nlayoutd_uptime_seconds "); rest == "" {
+		t.Error("/metrics has no uptime")
+	} else if _, err := fmt.Sscanf(rest, "%g", &uptime); err != nil || uptime <= 0 {
+		t.Errorf("uptime %q", rest[:strings.IndexByte(rest, '\n')])
 	}
 }

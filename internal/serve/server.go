@@ -260,11 +260,7 @@ type Server struct {
 	predictorFallbacks atomic.Int64 // predict-policy runs that measured instead
 	predictorConfMilli atomic.Int64 // sum of hit confidences ×1000, for the mean
 
-	forwardFallbacks atomic.Int64 // failed forwards answered locally instead
-	forwardedServed  atomic.Int64 // schedule requests that arrived forwarded from a peer
-	replApplied      atomic.Int64 // gossip entries applied into cache/history
-	replSkipped      atomic.Int64 // gossip entries skipped as unparseable
-	modelSwapErrors  atomic.Int64 // pushed models rejected by the loader
+	forwardedServed atomic.Int64 // schedule requests that arrived forwarded from a peer
 }
 
 // NewServer creates a Server from cfg.
@@ -378,21 +374,12 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.breaker.State()) })
 	reg.CounterFunc("layoutd_breaker_opens_total",
 		"Times the measurement breaker tripped open.", iv(s.breaker.Opens))
-	reg.CounterFunc("layoutd_model_swap_errors_total",
-		"Pushed predictor models rejected by the loader.", iv(s.modelSwapErrors.Load))
 	reg.CounterFunc("layoutd_predictor_hits_total",
 		"Decisions answered by the trained predictor without measurement.", iv(s.predictorHits.Load))
 	reg.CounterFunc("layoutd_predictor_fallbacks_total",
 		"Predict-policy decisions that fell back to measurement.", iv(s.predictorFallbacks.Load))
 	reg.CounterFunc("layoutd_predictor_confidence_milli_sum",
 		"Sum of predictor hit confidences ×1000 (divide by hits for the mean).", iv(s.predictorConfMilli.Load))
-	reg.GaugeFunc("layoutd_measurement_slots",
-		"Measurement admission slots.", func() float64 { return float64(cap(s.sem)) })
-	reg.GaugeFunc("layoutd_measurement_slots_busy",
-		"Measurement admission slots currently held.", func() float64 { return float64(len(s.sem)) })
-	reg.GaugeFunc("layoutd_trace_store_entries",
-		"Completed decision traces held for /v1/trace/{id}.",
-		func() float64 { return float64(s.traces.Len()) })
 	reg.CounterFunc("layoutd_trace_store_evicted_total",
 		"Decision traces evicted from the bounded ring buffer.",
 		func() float64 { return float64(s.traces.Evicted()) })
@@ -420,7 +407,6 @@ func (s *Server) registerMetrics() {
 	if s.cluster != nil {
 		s.registerClusterMetrics()
 	}
-	telemetry.RegisterProcessMetrics(reg, "layoutd")
 }
 
 // registerWorkloadMetrics hangs one scheduled workload's families on the
@@ -445,7 +431,6 @@ func registerWorkloadMetrics[In any, V decided, P comparable](reg *telemetry.Reg
 		"Requests that joined an in-flight computation (singleflight).", w.cache.dedups.Load)
 	counter("cache_evictions_total", "Decision-cache LRU evictions.", w.cache.evictions.Load)
 	counter("cache_expired_total", "Degraded cache entries expired by TTL.", w.cache.expired.Load)
-	gauge("cache_entries", "Decision-cache resident entries.", w.cache.Len)
 	gauge("cache_inflight", "Decision computations currently in flight.", w.cache.Inflight)
 	gauge("history_entries", "Tuning-history entries.", historyLen)
 	gauge("predictor_loaded", "Whether a trained predictor is loaded (0 or 1).", func() int {
@@ -481,9 +466,6 @@ func (s *Server) PredictorHits() int64 { return s.predictorHits.Load() }
 // PredictorFallbacks reports how many predict-policy decisions fell back to
 // measurement (low confidence or unbuildable prediction).
 func (s *Server) PredictorFallbacks() int64 { return s.predictorFallbacks.Load() }
-
-// CacheStats exposes the decision-cache counters.
-func (s *Server) CacheStats() CacheStats { return s.smsv.cache.Stats() }
 
 // Drain stops admitting requests (new ones get 503) and blocks until every
 // in-flight handler returns. Call after http.Server.Shutdown for a
@@ -569,7 +551,7 @@ func (s *Server) route(name, method string, h http.HandlerFunc) http.HandlerFunc
 		start := time.Now()
 		defer func() {
 			d := time.Since(start)
-			s.metrics.observe(name, rec.status, d, rec.traceID, s.node)
+			s.metrics.observe(name, d, rec.traceID, s.node)
 			if sli {
 				good := rec.status < 500
 				s.sloAvail.Record(good)
@@ -927,8 +909,6 @@ func (s *Server) degradeSMSV(in smsvIn) (val *CachedDecision) {
 	if c, ok := s.cfg.History.Lookup(in.feats, core.DefaultHistoryRadius); ok {
 		return &CachedDecision{Candidate: c, Format: c.Format, Source: "history", Degraded: true}
 	}
-	// The swap degrades joint-space predictors to a full candidate and
-	// format-only ones to the predicted format's base candidate.
 	if c, conf, ok := s.predictor.PredictCandidate(in.feats); ok {
 		return &CachedDecision{Candidate: c, Format: c.Format, Source: "predictor", Confidence: conf, Degraded: true}
 	}
@@ -1032,7 +1012,7 @@ func (s *Server) handlePredictFormat(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	f, conf, ok := s.predictor.PredictFormat(feats)
+	c, conf, ok := s.predictor.PredictCandidate(feats)
 	if !ok {
 		writeError(w, http.StatusServiceUnavailable, "predictor has no answer (empty model)")
 		return
@@ -1042,7 +1022,7 @@ func (s *Server) handlePredictFormat(w http.ResponseWriter, r *http.Request) {
 		min = core.DefaultMinConfidence
 	}
 	writeJSON(w, http.StatusOK, PredictFormatResponse{
-		Format:     f.String(),
+		Format:     c.Format.String(),
 		Confidence: conf,
 		Confident:  conf >= min,
 		Features:   NewFeaturesJSON(feats),

@@ -138,9 +138,6 @@ func (s *Server) PairHistory() *core.PairHistory { return s.cfg.PairHistory }
 // measurement.
 func (s *Server) SpGEMMMeasurements() int64 { return s.pair.measurements.Load() }
 
-// SpGEMMCacheStats exposes the pair decision-cache counters.
-func (s *Server) SpGEMMCacheStats() CacheStats { return s.pair.cache.Stats() }
-
 // parseOperand parses one SpGEMM operand's LIBSVM rows into the scratch
 // and checks the inline cap. An error means the request is bad (400);
 // which names the operand in the message.

@@ -110,8 +110,8 @@ func TestScheduleSpGEMMMeasuredThenCached(t *testing.T) {
 	if s.SpGEMMMeasurements() != 1 {
 		t.Fatalf("cache hit re-measured: %d", s.SpGEMMMeasurements())
 	}
-	if cs := s.SpGEMMCacheStats(); cs.Hits != 1 || cs.Misses != 1 {
-		t.Fatalf("pair cache stats %+v", cs)
+	if hits, misses := s.pair.cache.hits.Load(), s.pair.cache.misses.Load(); hits != 1 || misses != 1 {
+		t.Fatalf("pair cache hits %d misses %d, want 1 and 1", hits, misses)
 	}
 }
 
@@ -148,7 +148,7 @@ func TestScheduleSpGEMMRuleBased(t *testing.T) {
 	if d.Chosen != d.Estimates[0].Candidate {
 		t.Fatalf("chosen %s but cheapest estimate %s", d.Chosen, d.Estimates[0].Candidate)
 	}
-	if s.SpGEMMCacheStats().Misses != 0 {
+	if s.pair.cache.misses.Load() != 0 {
 		t.Fatal("rule-based decision went through the pair cache")
 	}
 }
@@ -271,7 +271,7 @@ func TestSpGEMMMetricsExposed(t *testing.T) {
 	go func() { done <- post(t, h, path, second).Code }()
 	<-entered
 	go func() { done <- post(t, h, path, second).Code }()
-	for s.pair.cache.Stats().Dedups == 0 {
+	for s.pair.cache.dedups.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	wantMetrics("layoutd_spgemm_cache_dedups_total 1", "layoutd_spgemm_cache_inflight 1")

@@ -256,6 +256,10 @@ func TestTraceRecycle(t *testing.T) {
 		total = 1600
 	}
 	ids := make(chan string, 64)
+	// last holds each writer's final trace id, and the last trace put is one
+	// of them: with one P the writers can turn the ring over before any
+	// reader fetches, and these are the trees still held when they stop.
+	last := make([]string, 8)
 	var writers, readers sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		writers.Add(1)
@@ -270,6 +274,7 @@ func TestTraceRecycle(t *testing.T) {
 					t.Errorf("%s: %d %s", paths[k], w.Code, w.Body)
 					return
 				}
+				last[g] = rest[:16]
 				select {
 				case ids <- rest[:16]:
 				default:
@@ -278,30 +283,36 @@ func TestTraceRecycle(t *testing.T) {
 		}(g)
 	}
 	var fetched atomic.Int64
+	fetch := func(id string) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/trace/"+id, nil))
+		if w.Code == http.StatusNotFound {
+			return // evicted between the reply and the fetch
+		}
+		var tr telemetry.TraceJSON
+		if err := json.Unmarshal(w.Body.Bytes(), &tr); err != nil || w.Code != http.StatusOK {
+			t.Errorf("trace %s: %d %v", id, w.Code, err)
+		} else if err := check(tr, id); err != nil {
+			t.Errorf("trace %s: %v\n%s", id, err, w.Body)
+		} else {
+			fetched.Add(1)
+		}
+	}
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
 			for id := range ids {
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/trace/"+id, nil))
-				if w.Code == http.StatusNotFound {
-					continue // evicted between the reply and the fetch
-				}
-				var tr telemetry.TraceJSON
-				if err := json.Unmarshal(w.Body.Bytes(), &tr); err != nil || w.Code != http.StatusOK {
-					t.Errorf("trace %s: %d %v", id, w.Code, err)
-				} else if err := check(tr, id); err != nil {
-					t.Errorf("trace %s: %v\n%s", id, err, w.Body)
-				} else {
-					fetched.Add(1)
-				}
+				fetch(id)
 			}
 		}()
 	}
 	writers.Wait()
 	close(ids)
 	readers.Wait()
+	for _, id := range last {
+		fetch(id)
+	}
 	if fetched.Load() == 0 || s.Traces().Evicted() < int64(total-4) {
 		t.Fatalf("%d trees checked over %d evictions", fetched.Load(), s.Traces().Evicted())
 	}

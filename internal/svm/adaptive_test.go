@@ -14,10 +14,6 @@ import (
 // predict-policy scheduler hands TrainAdaptive exactly that candidate.
 type candidatePredictor struct{ c sparse.Candidate }
 
-func (p candidatePredictor) PredictFormat(dataset.Features) (sparse.Format, float64, bool) {
-	return p.c.Format, 1, true
-}
-
 func (p candidatePredictor) PredictCandidate(dataset.Features) (sparse.Candidate, float64, bool) {
 	return p.c, 1, true
 }

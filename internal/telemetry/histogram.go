@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefDurationBuckets are the default latency bucket upper bounds, in
@@ -31,15 +30,14 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 }
 
 // Histogram is a fixed-bucket latency histogram. Observe is lock-free: one
-// binary search over the bounds plus two atomic adds, so it can sit on the
-// per-request and per-kernel-measurement paths. Bucket counts are stored
-// per-bucket (not cumulative) and accumulated at exposition time, where the
-// Prometheus `le` semantics require cumulative counts.
+// binary search over the bounds, an atomic add and a CAS on the sum, so it
+// can sit on the per-request and per-kernel-measurement paths. Bucket counts
+// are stored per-bucket (not cumulative) and accumulated at exposition time,
+// where the Prometheus `le` semantics require cumulative counts.
 type Histogram struct {
 	bounds    []float64      // ascending upper bounds; +Inf implicit
 	counts    []atomic.Int64 // len(bounds)+1, last is +Inf
 	sumBits   atomic.Uint64  // IEEE-754 bits of the observation sum
-	count     atomic.Int64
 	labels    []Label
 	exemplars []exemplarSlot // len(bounds)+1, last observation per bucket
 }
@@ -119,7 +117,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID, node string) {
 
 func (h *Histogram) observe(v float64, bucket int) {
 	h.counts[bucket].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -127,12 +124,6 @@ func (h *Histogram) observe(v float64, bucket int) {
 		}
 	}
 }
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns how many values have been observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }

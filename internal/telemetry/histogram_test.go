@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -22,8 +23,8 @@ func histFamily(t *testing.T, reg *Registry, name string) string {
 func TestHistogramZeroObservations(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("empty_seconds", "no data", []float64{0.001, 0.01, 0.1})
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("fresh histogram count=%d sum=%g", h.Count(), h.Sum())
+	if h.Sum() != 0 {
+		t.Fatalf("fresh histogram sum=%g", h.Sum())
 	}
 	out := histFamily(t, reg, "empty_seconds")
 	for _, want := range []string{
@@ -47,8 +48,8 @@ func TestHistogramZeroObservations(t *testing.T) {
 func TestHistogramUnderAndOverflow(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("edge_seconds", "edges", []float64{0.001, 0.01})
-	h.ObserveDuration(time.Nanosecond) // far below the 1ms floor
-	h.ObserveDuration(time.Hour)       // far above the 10ms ceiling
+	h.Observe(time.Nanosecond.Seconds()) // far below the 1ms floor
+	h.Observe(time.Hour.Seconds())       // far above the 10ms ceiling
 	out := histFamily(t, reg, "edge_seconds")
 	for _, want := range []string{
 		`edge_seconds_bucket{le="0.001"} 1`,
@@ -90,8 +91,8 @@ func TestHistogramNaNDropped(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("nan_seconds", "nan", []float64{1})
 	h.Observe(math.NaN())
-	if h.Count() != 0 {
-		t.Fatalf("NaN observation counted: %d", h.Count())
+	if out := histFamily(t, reg, "nan_seconds"); !strings.Contains(out, "nan_seconds_count 0\n") || h.Sum() != 0 {
+		t.Fatalf("NaN observation counted:\n%s", out)
 	}
 }
 
@@ -128,15 +129,15 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := h.Count(); got != goroutines*per {
-		t.Fatalf("count = %d, want %d", got, goroutines*per)
+	out := histFamily(t, reg, "conc_obs_seconds")
+	if want := fmt.Sprintf("conc_obs_seconds_count %d\n", goroutines*per); !strings.Contains(out, want) {
+		t.Fatalf("missing %q:\n%s", want, out)
 	}
 	n := float64(goroutines * per)
 	wantSum := 1e-7 * n * (n - 1) / 2
 	if math.Abs(h.Sum()-wantSum)/wantSum > 1e-9 {
 		t.Fatalf("sum = %g, want %g", h.Sum(), wantSum)
 	}
-	out := histFamily(t, reg, "conc_obs_seconds")
 	if errs := Lint(strings.NewReader(out)); len(errs) > 0 {
 		t.Fatalf("lint: %v\n%s", errs, out)
 	}

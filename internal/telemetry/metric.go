@@ -16,14 +16,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add increases the counter by n. Negative n is ignored: counters only go
-// up, and a buggy negative delta must not corrupt rate() queries downstream.
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -36,16 +28,6 @@ type Gauge struct {
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add shifts the gauge by delta via compare-and-swap.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -100,8 +100,8 @@ func TestTraceRecycle(t *testing.T) {
 		if err := consistent(d.Snapshot(), d.ID); err != nil {
 			t.Fatal(err)
 		}
-		if snap := a.Snapshot(); len(snap.Spans) != 0 || snap.TraceID != a.ID || s.Len() != 2 {
-			t.Fatalf("evicted trace still holds spans, or came back: %+v, %d held", snap, s.Len())
+		if snap := a.Snapshot(); len(snap.Spans) != 0 || snap.TraceID != a.ID || len(s.byID) != 2 {
+			t.Fatalf("evicted trace still holds spans, or came back: %+v, %d held", snap, len(s.byID))
 		}
 	})
 
@@ -120,16 +120,16 @@ func TestTraceRecycle(t *testing.T) {
 		s.Put(second)
 		s.Put(first) // released: must not displace second
 		snap, ok := s.Get(id)
-		if !ok || snap.Spans[0].Name != "second" || s.Len() != 1 || len(s.free) != 1 || len(first.Snapshot().Spans) != 0 {
-			t.Fatalf("held %d, free %d, got %+v", s.Len(), len(s.free), snap)
+		if !ok || snap.Spans[0].Name != "second" || len(s.byID) != 1 || len(s.free) != 1 || len(first.Snapshot().Spans) != 0 {
+			t.Fatalf("held %d, free %d, got %+v", len(s.byID), len(s.free), snap)
 		}
 		for i := 0; i < 4; i++ {
 			record(s, "x", 1)
 		}
 		// The first x recorded into first's storage; the fourth evicted
 		// second, whose storage is the one now waiting.
-		if _, ok := s.Get(id); ok || s.Evicted() != 1 || s.Len() != 4 || len(s.free) != 1 {
-			t.Fatalf("after the ring turned over: held %d, evicted %d, free %d", s.Len(), s.Evicted(), len(s.free))
+		if _, ok := s.Get(id); ok || s.Evicted() != 1 || len(s.byID) != 4 || len(s.free) != 1 {
+			t.Fatalf("after the ring turned over: held %d, evicted %d, free %d", len(s.byID), s.Evicted(), len(s.free))
 		}
 	})
 
@@ -176,8 +176,8 @@ func TestTraceRecycle(t *testing.T) {
 		writers.Wait()
 		close(ids)
 		readers.Wait()
-		if s.Len() != 4 || s.Evicted() < int64(8*rounds) {
-			t.Fatalf("held %d, evicted %d", s.Len(), s.Evicted())
+		if len(s.byID) != 4 || s.Evicted() < int64(8*rounds) {
+			t.Fatalf("held %d, evicted %d", len(s.byID), s.Evicted())
 		}
 	})
 

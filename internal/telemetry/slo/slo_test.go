@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -168,13 +169,20 @@ func TestMetricFamiliesLint(t *testing.T) {
 	if errs := telemetry.Lint(strings.NewReader(b.String())); len(errs) > 0 {
 		t.Fatalf("slo families do not lint: %v\n%s", errs, b.String())
 	}
+	// One good and one bad event burn the 0.1% budget 500 times over in
+	// both windows: availability is critical, latency has seen nothing.
+	burn := tr.Health().SLOs[0].BurnShort
 	for _, want := range []string{
-		`layoutd_slo_burn_rate{slo="availability",window="short"}`,
+		fmt.Sprintf(`layoutd_slo_burn_rate{slo="availability",window="short"} %v`, burn),
+		fmt.Sprintf(`layoutd_slo_burn_rate{slo="availability",window="long"} %v`, burn),
+		`layoutd_slo_state{slo="availability"} 2`,
 		`layoutd_slo_state{slo="latency"} 0`,
-		`layoutd_slo_health`,
+		`layoutd_slo_target{slo="availability"} 0.999`,
+		`layoutd_slo_good_total{slo="availability"} 1`,
 		`layoutd_slo_bad_total{slo="availability"} 1`,
+		`layoutd_slo_health 2`,
 	} {
-		if !strings.Contains(b.String(), want) {
+		if !strings.Contains(b.String(), want+"\n") {
 			t.Fatalf("missing %q in:\n%s", want, b.String())
 		}
 	}

@@ -105,8 +105,8 @@ func TestTraceStoreEviction(t *testing.T) {
 		s.Put(tr)
 		ids = append(ids, tr.ID)
 	}
-	if s.Len() != 4 {
-		t.Fatalf("store holds %d traces, want 4", s.Len())
+	if len(s.byID) != 4 {
+		t.Fatalf("store holds %d traces, want 4", len(s.byID))
 	}
 	if s.Evicted() != 6 {
 		t.Fatalf("evicted = %d, want 6", s.Evicted())
@@ -171,8 +171,8 @@ func TestTraceStoreConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	if s.Len() > 8 {
-		t.Fatalf("store overflowed its ring: %d", s.Len())
+	if len(s.byID) > 8 {
+		t.Fatalf("store overflowed its ring: %d", len(s.byID))
 	}
 	if s.Evicted() == 0 {
 		t.Fatal("no evictions under load")

@@ -133,16 +133,6 @@ func (s *TraceStore) Get(id string) (TraceJSON, bool) {
 	return t.Snapshot(), true
 }
 
-// Len reports how many traces are currently held.
-func (s *TraceStore) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byID)
-}
-
 // Capacity reports the ring size.
 func (s *TraceStore) Capacity() int {
 	if s == nil {

@@ -2,9 +2,8 @@
 // registry of lock-cheap counters, gauges, and log-bucketed latency
 // histograms with deterministic Prometheus text exposition; a decision-trace
 // span API threaded through the scheduler (see core.Scheduler.ChooseContext)
-// with a bounded ring buffer of completed traces; structured leveled logging
-// built on log/slog; and process-level gauges (goroutines, heap, GC pause,
-// pool occupancy).
+// with a bounded ring buffer of completed traces; and structured leveled
+// logging built on log/slog.
 //
 // Three rules keep the hot path cheap:
 //

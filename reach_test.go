@@ -93,55 +93,32 @@ var reachAllow = map[string]string{
 
 	"internal/sparse/hyb.go": pending6a,
 
-	"internal/dataset.RelErr":                      pendingNext,
-	"internal/dataset.BalancedLabels":              pendingNext,
-	"internal/bench.Table.Addf":                    pendingNext,
-	"internal/cluster.Client.PeerState":            pendingNext,
-	"internal/cluster.Client.PeerOpens":            pendingNext,
-	"internal/cluster.Peers.PeerDown":              pendingNext,
-	"internal/cluster.Ring.Remove":                 pendingNext,
-	"internal/cluster.Ring.OwnerString":            pendingNext,
-	"internal/cluster.Ring.Len":                    pendingNext,
-	"internal/core.EstimateCandidates":             pendingNext,
-	"internal/core.History.Record":                 pendingNext,
-	"internal/core.LoadHistory":                    pendingNext,
-	"internal/core.LoadPairHistory":                pendingNext,
-	"internal/core.SpGEMMScheduler.Choose":         pendingNext,
-	"internal/dnn.FromMatrix":                      pendingNext,
-	"internal/dnn/checkpoint.go":                   pendingNext,
-	"internal/dnn.Dataset.Batch":                   pendingNext,
-	"internal/dnn.SoftmaxCrossEntropy.Probs":       pendingNext,
-	"internal/dnn.Network.ZeroGrads":               pendingNext,
-	"internal/dnn.Network.NumParams":               pendingNext,
-	"internal/dnn.MLP":                             pendingNext,
-	"internal/exec.Exec.Stats":                     pendingNext,
-	"internal/exec.Stats.Reset":                    pendingNext,
-	"internal/fault.Disable":                       pendingNext,
-	"internal/fault.Active":                        pendingNext,
-	"internal/fault.Enabled":                       pendingNext,
-	"internal/fault.Registry.Fired":                pendingNext,
-	"internal/learn.FormatOnlyExamples":            pendingNext,
-	"internal/metrics.ConfusionMatrix.MacroF1":     pendingNext,
-	"internal/online.ShadowStats.Merge":            pendingNext,
-	"internal/online.Store.Cap":                    pendingNext,
-	"internal/serve.CacheStats":                    pendingNext,
-	"internal/serve.Cache.Stats":                   pendingNext,
-	"internal/serve.Server.CacheStats":             pendingNext,
-	"internal/serve.Server.SpGEMMCacheStats":       pendingNext,
-	"internal/sparse.NewBCSR":                      pendingNext,
-	"internal/sparse.BCSRMatrix.NumBlocks":         pendingNext,
-	"internal/sparse.BCSRMatrix.FillRatio":         pendingNext,
-	"internal/sparse.DIAMatrix.NumDiagonals":       pendingNext,
-	"internal/sparse.ELLMatrix.Width":              pendingNext,
-	"internal/sparse.Vector.SquaredDistance":       pendingNext,
-	"internal/spgemm.EstimateNNZ":                  pendingNext,
-	"internal/spgemm.Result.Dims":                  pendingNext,
-	"internal/spgemm.Result.Row":                   pendingNext,
-	"internal/spgemm.Result.RowNNZ":                pendingNext,
-	"internal/telemetry.Histogram.ObserveDuration": pendingNext,
-	"internal/telemetry.Histogram.Count":           pendingNext,
-	"internal/telemetry.Counter.Add":               pendingNext,
-	"internal/telemetry.Gauge.Add":                 pendingNext,
+	"internal/dataset.RelErr":                  pendingNext,
+	"internal/dataset.BalancedLabels":          pendingNext,
+	"internal/bench.Table.Addf":                pendingNext,
+	"internal/core.EstimateCandidates":         pendingNext,
+	"internal/core.History.Record":             pendingNext,
+	"internal/core.LoadHistory":                pendingNext,
+	"internal/core.LoadPairHistory":            pendingNext,
+	"internal/core.SpGEMMScheduler.Choose":     pendingNext,
+	"internal/dnn.FromMatrix":                  pendingNext,
+	"internal/dnn/checkpoint.go":               pendingNext,
+	"internal/dnn.Dataset.Batch":               pendingNext,
+	"internal/dnn.SoftmaxCrossEntropy.Probs":   pendingNext,
+	"internal/dnn.Network.ZeroGrads":           pendingNext,
+	"internal/dnn.Network.NumParams":           pendingNext,
+	"internal/dnn.MLP":                         pendingNext,
+	"internal/metrics.ConfusionMatrix.MacroF1": pendingNext,
+	"internal/sparse.NewBCSR":                  pendingNext,
+	"internal/sparse.BCSRMatrix.NumBlocks":     pendingNext,
+	"internal/sparse.BCSRMatrix.FillRatio":     pendingNext,
+	"internal/sparse.DIAMatrix.NumDiagonals":   pendingNext,
+	"internal/sparse.ELLMatrix.Width":          pendingNext,
+	"internal/sparse.Vector.SquaredDistance":   pendingNext,
+	"internal/spgemm.EstimateNNZ":              pendingNext,
+	"internal/spgemm.Result.Dims":              pendingNext,
+	"internal/spgemm.Result.Row":               pendingNext,
+	"internal/spgemm.Result.RowNNZ":            pendingNext,
 }
 
 type unreached struct {
