@@ -49,8 +49,10 @@ chaos:
 
 # Fuzz: each native fuzz target gets $(FUZZTIME) of exploration. go test
 # fuzzes one target per invocation, hence one run each. FuzzParseLIBSVM,
-# FuzzScheduleEnvelope and FuzzEncodeDecision are differentials against the
-# legacy parse route and encoding/json (decoding and encoding);
+# FuzzScheduleEnvelope, FuzzEncodeDecision and FuzzEncodeForward are
+# differentials against the legacy parse route and encoding/json (decoding
+# and encoding); FuzzVerdictWire holds a cache entry's wire form to a round
+# trip;
 # FuzzBuilderRecycle holds a builder that recycles its matrices' storage to
 # a fresh builder's builds. Every target's seed corpus also runs as a plain
 # test in `make test`.
@@ -60,6 +62,8 @@ fuzz:
 	$(GO) test -fuzz '^FuzzScheduleRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -fuzz '^FuzzScheduleEnvelope$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -fuzz '^FuzzEncodeDecision$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -fuzz '^FuzzEncodeForward$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -fuzz '^FuzzVerdictWire$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -fuzz '^FuzzSpGEMM$$' -fuzztime $(FUZZTIME) ./internal/spgemm
 	$(GO) test -fuzz '^FuzzOnlineHarvestRecord$$' -fuzztime $(FUZZTIME) ./internal/online
 	$(GO) test -fuzz '^FuzzBuilderCanonical$$' -fuzztime $(FUZZTIME) ./internal/sparse

@@ -180,7 +180,7 @@ func BenchmarkPredictVsMeasure(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !dec.Predicted {
+			if dec.Rung != core.RungPredictor {
 				b.Fatal("decision fell back to measurement")
 			}
 			dec.Release()
@@ -642,7 +642,7 @@ func BenchmarkChoose(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if got := dec.Source(); (mode.name == "history") != (got == "history") || (mode.name == "predict") != (got == "predictor") {
+					if got := dec.Rung; (mode.name == "history") != (got == core.RungHistory) || (mode.name == "predict") != (got == core.RungPredictor) {
 						b.Fatalf("decision answered from %s", got)
 					}
 					dec.Release()

@@ -159,7 +159,7 @@ func (c *cutWriter) Write(p []byte) (int, error) {
 func TestPersistedStateSavesAtomically(t *testing.T) {
 	feats := harvestRecord().F
 	hist := &core.History{}
-	hist.Record(feats, sparse.CSR)
+	hist.RecordCandidate(feats, sparse.BaseCandidate(sparse.CSR))
 	pairHist := &core.PairHistory{}
 	pairHist.RecordCandidate(feats, feats, spgemm.BaseCandidate)
 	forest, err := learn.Train([]learn.Example{learn.FromFeatures(feats, sparse.BaseCandidate(sparse.CSR))}, learn.TrainConfig{})

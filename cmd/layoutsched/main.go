@@ -175,10 +175,10 @@ func scheduleCmd() {
 		}
 		return
 	}
-	if hist != nil && dec.Reused {
+	if hist != nil && dec.Rung == core.RungHistory {
 		fmt.Println("(decision reused from tuning history)")
 	}
-	if dec.Predicted {
+	if dec.Rung == core.RungPredictor {
 		fmt.Printf("(decision predicted by the trained model, confidence %.2f — no measurement)\n", dec.Confidence)
 	} else if p == core.PolicyPredict {
 		fmt.Printf("(predictor confidence %.2f below threshold: measured instead)\n", dec.Confidence)

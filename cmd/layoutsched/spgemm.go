@@ -109,10 +109,10 @@ func spgemmCmd(args []string) error {
 		return enc.Encode(dj)
 	}
 
-	if hist != nil && dec.Reused {
+	if hist != nil && dec.Rung == core.RungHistory {
 		fmt.Println("(decision reused from pair tuning history)")
 	}
-	if dec.Predicted {
+	if dec.Rung == core.RungPredictor {
 		fmt.Printf("(decision predicted by the trained pair model, confidence %.2f — no measurement)\n", dec.Confidence)
 	} else if p == core.PolicyPredict {
 		fmt.Printf("(pair predictor confidence %.2f below threshold: measured instead)\n", dec.Confidence)

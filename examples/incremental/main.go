@@ -51,9 +51,7 @@ func main() {
 			log.Fatal(err)
 		}
 		elapsed := time.Since(start)
-		source := "measured"
-		if dec.Reused {
-			source = "history"
+		if dec.Rung == core.RungHistory {
 			reused++
 			reusedTime += elapsed
 		} else {
@@ -61,7 +59,7 @@ func main() {
 			measuredTime += elapsed
 		}
 		t.Add(fmt.Sprint(i+1), a.name, fmt.Sprint(a.seed), dec.Chosen.String(),
-			bench.FmtDur(elapsed), source)
+			bench.FmtDur(elapsed), dec.Rung.String())
 	}
 	t.Render(os.Stdout)
 	fmt.Printf("\n%d measured decisions (%v total), %d reused from history (%v total)\n",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/exec"
@@ -48,7 +49,7 @@ func TestChooseSteadyStateAllocs(t *testing.T) {
 		cfg.Exec = ex
 		s := NewSpGEMM(cfg)
 		return func() error {
-			d, err := s.Choose(a, b)
+			d, err := s.ChooseContext(context.Background(), a, b)
 			d.Release()
 			return err
 		}

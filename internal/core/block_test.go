@@ -216,7 +216,7 @@ func TestChooseSkipsUnusableDIA(t *testing.T) {
 	var e dataset.Extractor
 	f, _ := e.Triplets(b.Triplets())
 	hist := &History{}
-	hist.Record(f, sparse.DIA)
+	hist.RecordCandidate(f, sparse.BaseCandidate(sparse.DIA))
 	for _, cfg := range []Config{
 		{Policy: RuleBased, History: hist},
 		{Policy: PolicyPredict, Predictor: &stubPredictor{format: sparse.DIA, conf: 1, ok: true}},
@@ -226,8 +226,8 @@ func TestChooseSkipsUnusableDIA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", cfg.Policy, err)
 		}
-		if d.Reused || d.Predicted || d.Chosen == sparse.DIA {
-			t.Fatalf("%v: decision %v (reused %v, predicted %v) for a matrix DIA cannot hold", cfg.Policy, d.Chosen, d.Reused, d.Predicted)
+		if d.Rung == RungHistory || d.Rung == RungPredictor || d.Chosen == sparse.DIA {
+			t.Fatalf("%v: decision %v (from %v) for a matrix DIA cannot hold", cfg.Policy, d.Chosen, d.Rung)
 		}
 		if d.Matrix == nil || d.Matrix.Format() != d.Chosen || d.Matrix.NNZ() != len(b.Triplets().Val) {
 			t.Fatalf("%v: chose %v, Matrix is %v", cfg.Policy, d.Chosen, d.Matrix)
@@ -283,13 +283,13 @@ func TestChooseBuildsOnlyWhatItNeeds(t *testing.T) {
 	var e dataset.Extractor
 	f, _ := e.Triplets(tre.Triplets())
 	hist := &History{}
-	hist.Record(f, sparse.DIA)
+	hist.RecordCandidate(f, sparse.BaseCandidate(sparse.DIA))
 	got = allocatedBy(func() { dec, err = New(Config{Policy: Hybrid, History: hist, Exec: exec.Serial()}).Choose(tre) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Reused || dec.Chosen != sparse.DIA {
-		t.Fatalf("decision %v (reused %v), want the remembered DIA", dec.Chosen, dec.Reused)
+	if dec.Rung != RungHistory || dec.Chosen != sparse.DIA {
+		t.Fatalf("decision %v (from %v), want the remembered DIA", dec.Chosen, dec.Rung)
 	}
 	csr := tre.MustBuild(sparse.CSR).StorageBytes()
 	if limit := dec.Matrix.StorageBytes() + csr/2; got > limit {

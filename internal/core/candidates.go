@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/dataset"
-	"repro/internal/sparse"
-)
+import "repro/internal/sparse"
 
 // The joint cost model extends the per-format estimates into the
 // (format × chunk × variant) candidate space. Chunk and variant do not
@@ -89,10 +86,4 @@ func lessCandidateEstimate(a, b CandidateEstimate) bool {
 		return a.Cost < b.Cost
 	}
 	return a.Candidate.Index() < b.Candidate.Index()
-}
-
-// EstimateCandidates evaluates the joint model on a feature vector with
-// the default weights, for callers outside the scheduler's pooled path.
-func EstimateCandidates(f dataset.Features, parallel bool) []CandidateEstimate {
-	return AppendCandidateEstimates(nil, EstimateCosts(f), parallel)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -73,7 +74,7 @@ var chaosSchedulers = []struct {
 	{"spgemm", func(t *testing.T, topK int, ex *exec.Exec) (int, error) {
 		s := NewSpGEMM(SpGEMMConfig{Policy: Hybrid, TopK: topK, Exec: ex, RetryBackoff: 20 * time.Microsecond})
 		a, b := pairBuilders(2, 60, 40, 30, 0.2)
-		d, err := s.Choose(a, b)
+		d, err := s.ChooseContext(context.Background(), a, b)
 		if err != nil {
 			return 0, err
 		}

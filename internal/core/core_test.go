@@ -277,3 +277,20 @@ func TestParsePolicyInvertsString(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRungInvertsString pins the rungs' wire words: the "source" every
+// decision reply and cache entry carries. "cache" is a reply word, not a
+// rung.
+func TestParseRungInvertsString(t *testing.T) {
+	for want, word := range []string{"model", "measured", "history", "predictor"} {
+		got, err := ParseRung(word)
+		if err != nil || got != Rung(want) || got.String() != word {
+			t.Fatalf("%q: %v %v", word, got, err)
+		}
+	}
+	for _, bad := range []string{"cache", "Measured", ""} {
+		if _, err := ParseRung(bad); err == nil {
+			t.Fatalf("%q accepted", bad)
+		}
+	}
+}

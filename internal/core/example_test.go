@@ -56,8 +56,8 @@ func ExampleHistory() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("first reused:", first.Reused)
-	fmt.Println("second reused:", second.Reused)
+	fmt.Println("first reused:", first.Rung == core.RungHistory)
+	fmt.Println("second reused:", second.Rung == core.RungHistory)
 	fmt.Println("same format:", first.Chosen == second.Chosen)
 	// Output:
 	// first reused: false

@@ -13,7 +13,7 @@ func FuzzLoadHistory(f *testing.F) {
 	f.Add("1.5 -2 3 4 5 6 7 DIA\n\n0 0 0 0 0 0 0 ELL\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, in string) {
-		h, err := LoadHistory(strings.NewReader(in))
+		h, err := loadHistory(strings.NewReader(in))
 		if err != nil {
 			return
 		}
@@ -21,7 +21,7 @@ func FuzzLoadHistory(f *testing.F) {
 		if err := h.Save(&buf); err != nil {
 			t.Fatalf("save failed: %v", err)
 		}
-		again, err := LoadHistory(&buf)
+		again, err := loadHistory(&buf)
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}

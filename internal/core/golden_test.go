@@ -58,10 +58,10 @@ func TestGoldenHistoryV2(t *testing.T) {
 	h := &History{}
 	h.RecordCandidate(goldenFeatures[0], sparse.Candidate{Format: sparse.CSR, Chunk: sparse.ChunkGuided, Variant: sparse.VariantRowBlocked})
 	h.RecordCandidate(goldenFeatures[1], sparse.BaseCandidate(sparse.DIA))
-	h.Record(goldenFeatures[2], sparse.ELL)
+	h.RecordCandidate(goldenFeatures[2], sparse.BaseCandidate(sparse.ELL))
 	fixture := assertGolden(t, "testdata/history_v2.golden", saved(t, h.Save))
 
-	loaded, err := LoadHistory(bytes.NewReader(fixture))
+	loaded, err := loadHistory(bytes.NewReader(fixture))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestGoldenPairHistoryV1(t *testing.T) {
 		spgemm.Candidate{Dataflow: spgemm.InnerProduct, AFormat: sparse.CSR, BFormat: sparse.CSC})
 	fixture := assertGolden(t, "testdata/pair_history_v1.golden", saved(t, h.Save))
 
-	loaded, err := LoadPairHistory(bytes.NewReader(fixture))
+	loaded, err := loadPairHistory(bytes.NewReader(fixture))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,13 +220,6 @@ var historyFile = historyCodec[sparse.Candidate]{
 	noun: "history", parse: sparse.ParseCandidate,
 }
 
-// Record stores a decided (features, format) pair as the format's base
-// candidate. Kept for format-level callers; the scheduler records joint
-// candidates via RecordCandidate.
-func (h *History) Record(f dataset.Features, format sparse.Format) {
-	h.record(dataset.Embed(f), sparse.BaseCandidate(format))
-}
-
 // RecordCandidate stores a decided (features, candidate) pair.
 func (h *History) RecordCandidate(f dataset.Features, c sparse.Candidate) {
 	h.record(dataset.Embed(f), c)
@@ -242,23 +235,14 @@ func (h *History) Lookup(f dataset.Features, radius float64) (sparse.Candidate, 
 // "<f0> <f1> ... <f6> <FORMAT>/<chunk>/<variant>".
 func (h *History) Save(w io.Writer) error { return h.save(w, historyFile) }
 
-// LoadHistory reads a history written by Save, either wire version. v1
-// files (no header, bare format names) migrate in place: each entry loads
-// as the format's base candidate, so a pre-joint history keeps steering
-// decisions and is upgraded to v2 on the next Save.
-func LoadHistory(r io.Reader) (*History, error) {
-	h := &History{}
-	if err := h.load(r, historyFile); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
 // SaveFile writes the history to path atomically.
 func (h *History) SaveFile(path string) error { return WriteFileAtomic(path, h.Save) }
 
-// LoadHistoryFile reads the history file at path; a missing file is an
-// empty history.
+// LoadHistoryFile reads the history file at path, written by Save in either
+// wire version; a missing file is an empty history. v1 files (no header,
+// bare format names) migrate in place: each entry loads as the format's base
+// candidate, so a pre-joint history keeps steering decisions and is upgraded
+// to v2 on the next Save.
 func LoadHistoryFile(path string) (*History, error) {
 	h := &History{}
 	if err := h.loadFile(path, historyFile); err != nil {
@@ -309,21 +293,11 @@ func (h *PairHistory) Lookup(fa, fb dataset.Features, radius float64) (spgemm.Ca
 // entry: "<p0> ... <p11> <dataflow>/<AFORMAT>/<BFORMAT>".
 func (h *PairHistory) Save(w io.Writer) error { return h.save(w, pairHistoryFile) }
 
-// LoadPairHistory reads a pair history written by Save; a missing or
-// foreign header is an error.
-func LoadPairHistory(r io.Reader) (*PairHistory, error) {
-	h := &PairHistory{}
-	if err := h.load(r, pairHistoryFile); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
 // SaveFile writes the pair history to path atomically.
 func (h *PairHistory) SaveFile(path string) error { return WriteFileAtomic(path, h.Save) }
 
 // LoadPairHistoryFile reads the pair-history file at path; a missing file
-// is an empty history.
+// is an empty history, a missing or foreign header an error.
 func LoadPairHistoryFile(path string) (*PairHistory, error) {
 	h := &PairHistory{}
 	if err := h.loadFile(path, pairHistoryFile); err != nil {

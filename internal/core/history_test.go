@@ -17,7 +17,7 @@ func TestHistoryRecordLookup(t *testing.T) {
 	if _, ok := h.Lookup(fa, DefaultHistoryRadius); ok {
 		t.Fatal("empty history returned a hit")
 	}
-	h.Record(fa, sparse.ELL)
+	h.RecordCandidate(fa, sparse.BaseCandidate(sparse.ELL))
 	got, ok := h.Lookup(fa, DefaultHistoryRadius)
 	if !ok || got != sparse.BaseCandidate(sparse.ELL) {
 		t.Fatalf("exact lookup: %v %v", got, ok)
@@ -42,7 +42,7 @@ func TestHistoryReusesAcrossSeeds(t *testing.T) {
 	f1 := dataset.Extract(d.MustGenerate(1).MustBuild(sparse.CSR))
 	f2 := dataset.Extract(d.MustGenerate(99).MustBuild(sparse.CSR))
 	h := &History{}
-	h.Record(f1, sparse.CSR)
+	h.RecordCandidate(f1, sparse.BaseCandidate(sparse.CSR))
 	got, ok := h.Lookup(f2, DefaultHistoryRadius)
 	if !ok || got != sparse.BaseCandidate(sparse.CSR) {
 		t.Fatalf("seed-variant lookup failed: %v %v", got, ok)
@@ -51,13 +51,13 @@ func TestHistoryReusesAcrossSeeds(t *testing.T) {
 
 func TestHistorySaveLoadRoundTrip(t *testing.T) {
 	h := &History{}
-	h.Record(featuresOf(t, "adult"), sparse.ELL)
-	h.Record(featuresOf(t, "trefethen"), sparse.DIA)
+	h.RecordCandidate(featuresOf(t, "adult"), sparse.BaseCandidate(sparse.ELL))
+	h.RecordCandidate(featuresOf(t, "trefethen"), sparse.BaseCandidate(sparse.DIA))
 	var buf bytes.Buffer
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadHistory(&buf)
+	loaded, err := loadHistory(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestHistoryConcurrentRecordLookup(t *testing.T) {
 				if (g+i)%2 == 0 {
 					f = ft
 				}
-				h.Record(f, formats[(g+i)%len(formats)])
+				h.RecordCandidate(f, sparse.BaseCandidate(formats[(g+i)%len(formats)]))
 			}
 		}(g)
 		go func(g int) {
@@ -128,7 +128,7 @@ func TestHistoryConcurrentRecordLookup(t *testing.T) {
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadHistory(&buf)
+	loaded, err := loadHistory(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +145,12 @@ func TestLoadHistoryErrors(t *testing.T) {
 		"extra field": "0 0 0 0 0 0 0 CSR extra\n",
 	}
 	for name, in := range cases {
-		if _, err := LoadHistory(strings.NewReader(in)); err == nil {
+		if _, err := loadHistory(strings.NewReader(in)); err == nil {
 			t.Errorf("%s accepted: %q", name, in)
 		}
 	}
 	// Blank lines are fine.
-	if h, err := LoadHistory(strings.NewReader("\n\n")); err != nil || h.Len() != 0 {
+	if h, err := loadHistory(strings.NewReader("\n\n")); err != nil || h.Len() != 0 {
 		t.Fatalf("blank input: %v %v", h, err)
 	}
 }
@@ -166,7 +166,7 @@ func TestSchedulerReusesHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Reused {
+	if first.Rung == RungHistory {
 		t.Fatal("first decision cannot be a reuse")
 	}
 	if h.Len() != 1 {
@@ -176,7 +176,7 @@ func TestSchedulerReusesHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.Reused {
+	if second.Rung != RungHistory {
 		t.Fatal("second decision on a near-identical dataset did not reuse")
 	}
 	if second.Chosen != first.Chosen {
@@ -208,10 +208,28 @@ func TestSchedulerHistoryMissMeasures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Reused {
+	if dec.Rung == RungHistory {
 		t.Fatal("structurally different dataset reused a decision")
 	}
 	if h.Len() != 2 {
 		t.Fatalf("history length %d, want 2", h.Len())
 	}
+}
+
+// loadHistory and loadPairHistory read a history file's contents from r, as
+// LoadHistoryFile and LoadPairHistoryFile do from a path.
+func loadHistory(r io.Reader) (*History, error) {
+	h := &History{}
+	if err := h.load(r, historyFile); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+func loadPairHistory(r io.Reader) (*PairHistory, error) {
+	h := &PairHistory{}
+	if err := h.load(r, pairHistoryFile); err != nil {
+		return nil, err
+	}
+	return h, nil
 }

@@ -22,7 +22,7 @@ func TestHistoryV1FixtureLoadsAndMigrates(t *testing.T) {
 	if strings.HasPrefix(string(raw), "#") {
 		t.Fatal("fixture is not the headerless v1 wire form")
 	}
-	h, err := LoadHistory(bytes.NewReader(raw))
+	h, err := loadHistory(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("v1 history failed to load: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestHistoryV1FixtureLoadsAndMigrates(t *testing.T) {
 	if !strings.Contains(buf.String(), "CSR/static/base") {
 		t.Fatal("v2 save does not use candidate wire form")
 	}
-	reloaded, err := LoadHistory(bytes.NewReader(buf.Bytes()))
+	reloaded, err := loadHistory(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("v2 round trip failed: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestHistoryJointCandidateRoundTrip(t *testing.T) {
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadHistory(&buf)
+	loaded, err := loadHistory(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestHistoryJointCandidateRoundTrip(t *testing.T) {
 }
 
 func TestHistoryRejectsUnknownHeaderVersion(t *testing.T) {
-	_, err := LoadHistory(strings.NewReader("#layoutsched-history v99\n"))
+	_, err := loadHistory(strings.NewReader("#layoutsched-history v99\n"))
 	if err == nil || !strings.Contains(err.Error(), "unsupported header") {
 		t.Fatalf("unknown version accepted: %v", err)
 	}

@@ -57,15 +57,58 @@ type ladderScratch[C candidate] struct {
 	rng     *rand.Rand
 }
 
+// Rung is the rung of the decision ladder that answered: how a decision was
+// reached. The zero value is the cost model alone.
+type Rung uint8
+
+// The ladder's rungs.
+const (
+	RungModel     Rung = iota // the cost model's ranking, nothing measured
+	RungMeasured              // candidates were timed on the input
+	RungHistory               // a recorded decision for a similar input
+	RungPredictor             // the trained predictor, trusted without measuring
+)
+
+// rungNames are the rungs' wire words, the "source" of a decision reply.
+var rungNames = [...]string{"model", "measured", "history", "predictor"}
+
+// String returns the rung's wire word.
+func (r Rung) String() string { return rungNames[r] }
+
+// ParseRung is String's inverse; any other word is an error.
+func ParseRung(word string) (Rung, error) {
+	for r, name := range rungNames {
+		if name == word {
+			return Rung(r), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown decision source %q", word)
+}
+
+// Verdict is what a decision answered and how: the part of it that outlives
+// the pooled decision, as a serving cache keeps it per shape class.
+type Verdict[C comparable] struct {
+	Candidate C
+	Rung      Rung
+	// Confidence is the predictor's vote share whenever it was consulted,
+	// including answers that fell back to measurement.
+	Confidence float64
+	// Measured holds the time of every candidate that was timed. A verdict
+	// read off a decision shares the decision's map: copy it before Release.
+	Measured map[C]time.Duration
+	// EstimatedNNZ and OutputNNZ are SpGEMM's output-size evidence: the
+	// feature-level estimate, and the product's true entry count when the
+	// decision measured. Both are zero for SMSV.
+	EstimatedNNZ float64
+	OutputNNZ    int64
+}
+
 // verdict is the ladder's answer, which each scheduler packs into its own
 // exported decision type.
 type verdict[C candidate] struct {
-	chosen            C
-	reused, predicted bool
-	// confidence is the predictor's vote share whenever it was consulted,
-	// including answers that fell back to measurement.
-	confidence float64
-	measured   bool // at least one candidate was timed
+	chosen     C
+	rung       Rung
+	confidence float64 // as Verdict.Confidence
 }
 
 // ladder is the scheduling loop both workloads run: reuse a remembered
@@ -114,7 +157,7 @@ func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderS
 		defer func() {
 			if err == nil {
 				sp.Annotate(telemetry.String("chosen", v.chosen.String()),
-					telemetry.String("source", sourceOf(v.predicted, v.reused, v.measured)))
+					telemetry.String("source", v.rung.String()))
 			}
 			sp.EndErr(err)
 		}()
@@ -145,7 +188,7 @@ func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderS
 		// A remembered candidate this input cannot use (e.g. DIA over its
 		// memory cap) falls through to a fresh decision.
 		if ok && w.usable(c) {
-			v.chosen, v.reused = c, true
+			v.chosen, v.rung = c, RungHistory
 			return v, nil
 		}
 	}
@@ -190,7 +233,7 @@ func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderS
 		// instead of failing. The fallback is recorded into the history
 		// below, so retraining covers this shape class.
 		if trusted && w.usable(c) {
-			v.chosen, v.predicted = c, true
+			v.chosen, v.rung = c, RungPredictor
 			return v, nil
 		}
 	default:
@@ -252,7 +295,7 @@ func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderS
 	if bestTime < 0 {
 		return v, fmt.Errorf("core: no %s could be measured: %w", l.noun, lastErr)
 	}
-	v.measured = true
+	v.rung = RungMeasured
 	// What was timed may be a sample of the input; the decision carries the
 	// winner readied in full.
 	var wsp telemetry.Span

@@ -40,7 +40,7 @@ func TestPredictPolicyHighConfidenceSkipsMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Predicted || dec.Chosen != sparse.CSR || dec.Confidence != 0.9 {
+	if dec.Rung != RungPredictor || dec.Chosen != sparse.CSR || dec.Confidence != 0.9 {
 		t.Fatalf("decision %+v, want predicted CSR at 0.9", dec)
 	}
 	if len(dec.Measured) != 0 {
@@ -62,7 +62,7 @@ func TestPredictPolicyLowConfidenceFallsBackToMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Predicted {
+	if dec.Rung == RungPredictor {
 		t.Fatal("low-confidence prediction must not be trusted")
 	}
 	if dec.Confidence != 0.2 {
@@ -84,7 +84,7 @@ func TestPredictPolicyNoAnswerFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Predicted || len(dec.Measured) == 0 {
+	if dec.Rung == RungPredictor || len(dec.Measured) == 0 {
 		t.Fatalf("ok=false must force measurement, got %+v", dec)
 	}
 }
@@ -106,7 +106,7 @@ func TestPredictPolicyUnbuildablePredictionFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Predicted {
+	if dec.Rung == RungPredictor {
 		t.Fatal("unbuildable prediction must not be trusted")
 	}
 	if len(dec.Measured) == 0 || dec.Chosen == sparse.DIA {
@@ -130,7 +130,7 @@ func TestPredictPolicyMinConfidenceDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Predicted {
+	if dec.Rung != RungPredictor {
 		t.Fatalf("confidence == threshold must be trusted")
 	}
 	below := &stubPredictor{format: sparse.CSR, conf: DefaultMinConfidence - 0.01, ok: true}
@@ -139,7 +139,7 @@ func TestPredictPolicyMinConfidenceDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Predicted {
+	if dec.Rung == RungPredictor {
 		t.Fatal("confidence below threshold must fall back")
 	}
 }
@@ -149,14 +149,14 @@ func TestPredictPolicyHistoryShortCircuitsPredictor(t *testing.T) {
 	hist := &History{}
 	b := predictBuilder(t)
 	feats := dataset.Extract(b.MustBuild(sparse.CSR))
-	hist.Record(feats, sparse.COO)
+	hist.RecordCandidate(feats, sparse.BaseCandidate(sparse.COO))
 	p := &stubPredictor{format: sparse.CSR, conf: 1, ok: true}
 	sched := New(Config{Policy: PolicyPredict, Predictor: p, Exec: exec.Serial(), Seed: 1, History: hist})
 	dec, err := sched.Choose(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Reused || dec.Chosen != sparse.COO {
+	if dec.Rung != RungHistory || dec.Chosen != sparse.COO {
 		t.Fatalf("history should win over the predictor, got %+v", dec)
 	}
 	if p.calls != 0 {

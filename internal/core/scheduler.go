@@ -146,16 +146,21 @@ type Decision struct {
 	// Matrix is the whole data set materialized in the chosen format. It is
 	// the only full build a decision makes, however it was reached.
 	Matrix sparse.Matrix
-	// Reused is true when the candidate came from the incremental-tuning
-	// history rather than a fresh measurement.
-	Reused bool
-	// Predicted is true when the candidate came from the trained predictor
-	// (PolicyPredict with confidence at or above the threshold).
-	Predicted bool
+	// Rung is how the candidate was reached: the cost model, a measurement,
+	// the incremental-tuning history, or the trained predictor (PolicyPredict
+	// with confidence at or above the threshold).
+	Rung Rung
 	// Confidence is the predictor's vote share for its answer. It is set
 	// whenever the predictor was consulted, including low-confidence
 	// decisions that fell back to measurement.
 	Confidence float64
+}
+
+// Verdict returns the decision's answer and how it was reached. Its Measured
+// is the decision's own map.
+func (d *Decision) Verdict() Verdict[sparse.Candidate] {
+	return Verdict[sparse.Candidate]{Candidate: d.ChosenCandidate, Rung: d.Rung,
+		Confidence: d.Confidence, Measured: d.Measured}
 }
 
 var decisionPool = sync.Pool{New: func() any { return new(Decision) }}
@@ -297,29 +302,8 @@ func (s *Scheduler) ChooseContext(ctx context.Context, b *sparse.Builder) (*Deci
 		return nil, err
 	}
 	d.Chosen, d.ChosenCandidate = v.chosen.Format, v.chosen
-	d.Reused, d.Predicted, d.Confidence = v.reused, v.predicted, v.confidence
+	d.Rung, d.Confidence = v.rung, v.confidence
 	return d, nil
-}
-
-// sourceOf labels where a decision came from; the serve layer's Source
-// field carries the same strings.
-func sourceOf(predicted, reused, measured bool) string {
-	switch {
-	case predicted:
-		return "predictor"
-	case reused:
-		return "history"
-	case measured:
-		return "measured"
-	default:
-		return "model"
-	}
-}
-
-// Source labels where the decision came from: "predictor", "history",
-// "measured", or "model" (cost model only).
-func (d *Decision) Source() string {
-	return sourceOf(d.Predicted, d.Reused, len(d.Measured) > 0)
 }
 
 // prepare reads the features off the builder's canonical triplets; no

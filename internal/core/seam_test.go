@@ -100,7 +100,7 @@ func TestSeamLadderToyWorkload(t *testing.T) {
 	// labels. Label 2 fails in its warm-up run and is skipped; label 0 runs
 	// a warm-up and 2 trial inputs × 2 repeats, wins, and is remembered.
 	v := choose()
-	if v.chosen != 0 || !v.measured || v.predicted || v.reused || v.confidence != 0.2 {
+	if v.chosen != 0 || v.rung != RungMeasured || v.confidence != 0.2 {
 		t.Fatalf("fallback verdict %+v, want measured label 0 at confidence 0.2", v)
 	}
 	if _, ok := w.times[0]; !ok || len(w.times) != 1 || w.runs != 1+5 || l.history.Len() != 1 {
@@ -109,12 +109,12 @@ func TestSeamLadderToyWorkload(t *testing.T) {
 	// The same shape class again is answered from the history, before the
 	// predictor is even asked.
 	w.point, w.conf = toyPoint{3, 4.2}, 0.9
-	if v := choose(); v.chosen != 0 || !v.reused || v.predicted || v.confidence != 0 || w.runs != 0 {
+	if v := choose(); v.chosen != 0 || v.rung != RungHistory || v.confidence != 0 || w.runs != 0 {
 		t.Fatalf("history verdict %+v after %d runs, want reused label 0 without running", v, w.runs)
 	}
 	// A far-away shape with a trusted prediction takes the predictor's label.
 	w.point = toyPoint{10, 10}
-	if v := choose(); v.chosen != 1 || !v.predicted || v.reused || v.measured || v.confidence != 0.9 || w.runs != 0 {
+	if v := choose(); v.chosen != 1 || v.rung != RungPredictor || v.confidence != 0.9 || w.runs != 0 {
 		t.Fatalf("predict verdict %+v after %d runs, want predicted label 1 without running", v, w.runs)
 	}
 }

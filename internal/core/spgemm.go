@@ -126,9 +126,16 @@ type SpGEMMDecision struct {
 	// decision measured (0 otherwise).
 	EstimatedNNZ float64
 	OutputNNZ    int64
-	Reused       bool
-	Predicted    bool
-	Confidence   float64
+	// Rung and Confidence are as on Decision.
+	Rung       Rung
+	Confidence float64
+}
+
+// Verdict returns the decision's answer and how it was reached. Its Measured
+// is the decision's own map.
+func (d *SpGEMMDecision) Verdict() Verdict[spgemm.Candidate] {
+	return Verdict[spgemm.Candidate]{Candidate: d.Chosen, Rung: d.Rung, Confidence: d.Confidence,
+		Measured: d.Measured, EstimatedNNZ: d.EstimatedNNZ, OutputNNZ: d.OutputNNZ}
 }
 
 var pairDecisionPool = sync.Pool{New: func() any { return new(SpGEMMDecision) }}
@@ -149,12 +156,6 @@ func (d *SpGEMMDecision) Release() {
 		return
 	}
 	pairDecisionPool.Put(d)
-}
-
-// Source labels where the decision came from, with Decision.Source's
-// vocabulary.
-func (d *SpGEMMDecision) Source() string {
-	return sourceOf(d.Predicted, d.Reused, len(d.Measured) > 0)
 }
 
 // spgemmScratch is the pooled per-choose workspace and the SpGEMM workload
@@ -204,15 +205,10 @@ func NewSpGEMM(cfg SpGEMMConfig) *SpGEMMScheduler {
 	return s
 }
 
-// Choose decides the dataflow for a.Dims()=M×K times b.Dims()=K×N.
-func (s *SpGEMMScheduler) Choose(a, b *sparse.Builder) (*SpGEMMDecision, error) {
-	return s.ChooseContext(context.Background(), a, b)
-}
-
-// ChooseContext is Choose with cancellation and tracing, mirroring the SMSV
-// scheduler: the context is checked before every candidate build and
-// between timed products, and when a telemetry trace rides ctx the decision
-// is traced span by span (candidate builds, measurement attempts, retries,
+// ChooseContext decides the dataflow for a.Dims()=M×K times b.Dims()=K×N,
+// with cancellation and tracing as the SMSV scheduler's: the context is
+// checked before every candidate build and between timed products, and when
+// a telemetry trace rides ctx the decision is traced span by span (candidate builds, measurement attempts, retries,
 // predictor and history lookups). Without a trace no spans are allocated.
 func (s *SpGEMMScheduler) ChooseContext(ctx context.Context, a, b *sparse.Builder) (*SpGEMMDecision, error) {
 	sc := s.scratch.Get().(*spgemmScratch)
@@ -227,7 +223,7 @@ func (s *SpGEMMScheduler) ChooseContext(ctx context.Context, a, b *sparse.Builde
 		return nil, err
 	}
 	d.Chosen = v.chosen
-	d.Reused, d.Predicted, d.Confidence = v.reused, v.predicted, v.confidence
+	d.Rung, d.Confidence = v.rung, v.confidence
 	return d, nil
 }
 

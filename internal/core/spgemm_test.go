@@ -39,7 +39,7 @@ func TestSpGEMMChoosePolicies(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			s := NewSpGEMM(SpGEMMConfig{Policy: policy, Repeats: 1})
 			a, b := pairBuilders(1, 20, 16, 12, 0.2)
-			d, err := s.Choose(a, b)
+			d, err := s.ChooseContext(context.Background(), a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestSpGEMMChooseRejectsDegenerate(t *testing.T) {
 	a, b := pairBuilders(2, 6, 5, 4, 0.3)
 	bad := sparse.NewBuilder(7, 4) // inner dim 5 != 7
 	bad.Add(0, 0, 1)
-	if _, err := s.Choose(a, bad); err == nil || !strings.Contains(err.Error(), "dimension mismatch") {
+	if _, err := s.ChooseContext(context.Background(), a, bad); err == nil || !strings.Contains(err.Error(), "dimension mismatch") {
 		t.Fatalf("dimension mismatch error = %v", err)
 	}
 	_ = b
@@ -89,11 +89,11 @@ func TestSpGEMMHistoryReuse(t *testing.T) {
 	h := &PairHistory{}
 	s := NewSpGEMM(SpGEMMConfig{Policy: Hybrid, Repeats: 1, History: h})
 	a1, b1 := pairBuilders(3, 24, 18, 14, 0.2)
-	d1, err := s.Choose(a1, b1)
+	d1, err := s.ChooseContext(context.Background(), a1, b1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.Reused {
+	if d1.Rung == RungHistory {
 		t.Fatal("first decision cannot come from history")
 	}
 	first := d1.Chosen
@@ -103,12 +103,12 @@ func TestSpGEMMHistoryReuse(t *testing.T) {
 	}
 	// Same generator, different seed: a clone of the shape class.
 	a2, b2 := pairBuilders(4, 24, 18, 14, 0.2)
-	d2, err := s.Choose(a2, b2)
+	d2, err := s.ChooseContext(context.Background(), a2, b2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Release()
-	if !d2.Reused {
+	if d2.Rung != RungHistory {
 		t.Fatal("shape-class clone should reuse the recorded decision")
 	}
 	if d2.Chosen != first {
@@ -136,13 +136,13 @@ func TestSpGEMMPredictPolicy(t *testing.T) {
 			Policy:    PolicyPredict,
 			Predictor: stubPairPredictor{c: spgemm.BaseCandidate, conf: 0.9, ok: true},
 		})
-		d, err := s.Choose(a, b)
+		d, err := s.ChooseContext(context.Background(), a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer d.Release()
-		if !d.Predicted || d.Chosen != spgemm.BaseCandidate {
-			t.Fatalf("Predicted=%v Chosen=%s, want trusted predictor answer", d.Predicted, d.Chosen)
+		if d.Rung != RungPredictor || d.Chosen != spgemm.BaseCandidate {
+			t.Fatalf("Rung=%v Chosen=%s, want trusted predictor answer", d.Rung, d.Chosen)
 		}
 		if d.Confidence != 0.9 {
 			t.Fatalf("Confidence = %g, want 0.9", d.Confidence)
@@ -156,12 +156,12 @@ func TestSpGEMMPredictPolicy(t *testing.T) {
 			History:   h,
 			Predictor: stubPairPredictor{c: spgemm.BaseCandidate, conf: 0.2, ok: true},
 		})
-		d, err := s.Choose(a, b)
+		d, err := s.ChooseContext(context.Background(), a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer d.Release()
-		if d.Predicted {
+		if d.Rung == RungPredictor {
 			t.Fatal("low-confidence prediction must not be trusted")
 		}
 		if len(d.Measured) == 0 {
@@ -173,7 +173,7 @@ func TestSpGEMMPredictPolicy(t *testing.T) {
 	})
 	t.Run("no-predictor", func(t *testing.T) {
 		s := NewSpGEMM(SpGEMMConfig{Policy: PolicyPredict})
-		if _, err := s.Choose(a, b); err != ErrNoPredictor {
+		if _, err := s.ChooseContext(context.Background(), a, b); err != ErrNoPredictor {
 			t.Fatalf("err = %v, want ErrNoPredictor", err)
 		}
 	})
@@ -203,7 +203,7 @@ func TestPairHistorySaveLoad(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), pairHistoryFile.header+"\n") {
 		t.Fatalf("saved history missing header:\n%s", buf.String())
 	}
-	got, err := LoadPairHistory(strings.NewReader(buf.String()))
+	got, err := loadPairHistory(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestPairHistorySaveLoad(t *testing.T) {
 		"1 2 3 gustavson/CSR/CSR\n",               // headerless
 		pairHistoryFile.header + "\n1 2 3 nope\n", // wrong field count
 	} {
-		if _, err := LoadPairHistory(strings.NewReader(bad)); err == nil {
+		if _, err := loadPairHistory(strings.NewReader(bad)); err == nil {
 			t.Fatalf("malformed history accepted: %q", bad)
 		}
 	}

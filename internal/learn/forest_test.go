@@ -126,8 +126,8 @@ func TestFromHistoryHarvest(t *testing.T) {
 	h := &core.History{}
 	f1 := dataset.Features{M: 100, N: 50, NNZ: 500, Ndig: 120, Dnnz: 4, Mdim: 9, Adim: 5, Vdim: 2, Density: 0.1}
 	f2 := dataset.Features{M: 2000, N: 2000, NNZ: 21953, Ndig: 12, Dnnz: 1829, Mdim: 12, Adim: 10.98, Vdim: 1.25, Density: 0.006}
-	h.Record(f1, sparse.ELL)
-	h.Record(f2, sparse.DIA)
+	h.RecordCandidate(f1, sparse.BaseCandidate(sparse.ELL))
+	h.RecordCandidate(f2, sparse.BaseCandidate(sparse.DIA))
 	examples := FromHistory(h)
 	if len(examples) != 2 {
 		t.Fatalf("harvested %d examples, want 2", len(examples))

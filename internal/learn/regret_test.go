@@ -26,7 +26,7 @@ func modelLabeled(t *testing.T, n int, seed int64) []Labeled {
 		times := make(map[sparse.Candidate]time.Duration)
 		label := sparse.Candidate{}
 		best := time.Duration(-1)
-		for _, e := range core.EstimateCandidates(feats, true) {
+		for _, e := range core.AppendCandidateEstimates(nil, core.EstimateCosts(feats), true) {
 			// Scale before truncating so distinct costs stay distinct.
 			d := time.Duration(e.Cost * 64)
 			times[e.Candidate] = d

@@ -217,11 +217,11 @@ func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *envelop
 	val := r.val
 	out := scheduled{d: DecisionJSON{
 		Policy:     policy.String(),
-		Chosen:     val.Format.String(),
+		Chosen:     val.Candidate.Format.String(),
 		Chunk:      val.Candidate.Chunk.String(),
 		Variant:    val.Candidate.Variant.String(),
 		Features:   NewFeaturesJSON(feats),
-		Source:     val.Source,
+		Source:     val.Rung.String(),
 		Confidence: val.Confidence,
 		Degraded:   val.Degraded,
 		TraceID:    contextTraceID(ctx),
@@ -232,7 +232,7 @@ func (s *Server) scheduleOne(ctx context.Context, sc *batchScratch, req *envelop
 		out.d.Source = "cache"
 	}
 	if trace != nil {
-		s.noteDecide(trace, s.smsv.classNoun, sc.key, r.outcome, val, val.Format.String(), policy)
+		noteDecide(s, trace, s.smsv.classNoun, sc.key, r.outcome, val, val.Candidate.Format.String(), policy)
 		sc.ests = core.AppendEstimates(sc.ests[:0], feats)
 		sc.estsJ = appendEstimates(sc.estsJ[:0], sc.ests)
 		out.d.Estimates = sc.estsJ

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/sparse"
+	"repro/internal/spgemm"
 	"repro/internal/telemetry"
 )
 
@@ -163,10 +164,10 @@ func TestBatchHotPathAllocs(t *testing.T) {
 		Mdim: 6, Adim: 6, Vdim: 0.2, Density: 0.15}
 	key := AppendKey(nil, feats, "hybrid", 2)
 	s.smsv.cache.Do(string(key), func() (*CachedDecision, error) {
-		return &CachedDecision{
+		return &CachedDecision{Verdict: core.Verdict[sparse.Candidate]{
 			Candidate: sparse.Candidate{Format: sparse.CSR, Variant: sparse.VariantFused},
-			Format:    sparse.CSR, Source: "measured",
-		}, nil
+			Rung:      core.RungMeasured,
+		}}, nil
 	})
 
 	ctx := context.Background()
@@ -174,7 +175,7 @@ func TestBatchHotPathAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		buf = AppendKey(buf[:0], feats, "hybrid", 2)
 		val, _, err := decide(ctx, s, &s.smsv, core.Hybrid, buf, smsvIn{feats: feats})
-		if err != nil || val == nil || val.Format != sparse.CSR {
+		if err != nil || val == nil || val.Candidate.Format != sparse.CSR {
 			t.Fatalf("hot path broke: %v %v", val, err)
 		}
 	})
@@ -202,7 +203,7 @@ func TestPairDecideHotPathAllocs(t *testing.T) {
 	s := newTestServer(t, Config{Policy: core.Hybrid, TopK: 2})
 	fa := dataset.Features{M: 60, N: 40, NNZ: 360, Ndig: 2, Dnnz: 6, Mdim: 6, Adim: 6, Vdim: 0.2, Density: 0.15}
 	fb := dataset.Features{M: 40, N: 30, NNZ: 200, Ndig: 2, Dnnz: 6, Mdim: 6, Adim: 5, Vdim: 0.2, Density: 0.16}
-	s.pair.cache.Put(PairKey(fa, fb, "hybrid", 2), &CachedPairDecision{Source: "measured"})
+	s.pair.cache.Put(PairKey(fa, fb, "hybrid", 2), &CachedPairDecision{Verdict: core.Verdict[spgemm.Candidate]{Rung: core.RungMeasured}})
 	ctx := context.Background()
 	buf := make([]byte, 0, 160)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -231,10 +232,10 @@ func BenchmarkServeBatch(b *testing.B) {
 	for i := 0; i < n; i++ {
 		key := Key(featsOf(i), "hybrid", 2)
 		s.smsv.cache.Do(key, func() (*CachedDecision, error) {
-			return &CachedDecision{
+			return &CachedDecision{Verdict: core.Verdict[sparse.Candidate]{
 				Candidate: sparse.Candidate{Format: sparse.CSR, Variant: sparse.VariantFused},
-				Format:    sparse.CSR, Source: "measured",
-			}, nil
+				Rung:      core.RungMeasured,
+			}}, nil
 		})
 	}
 	ctx := context.Background()
@@ -387,11 +388,11 @@ func BenchmarkReplyEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	pre := preRender(single.Decision.Measured, (*wire).measurement, single.Decision.Trace)
-	pairPre := preRender(pair.Decision.Measured, (*wire).pairMeasurement, pair.Decision.Trace)
+	pre := preRender(single.Decision.Measured, single.Decision.Trace)
+	pairPre := preRender(pair.Decision.Measured, pair.Decision.Trace)
 	slotPre := make([]rendered, len(batch.Decisions))
 	for i, slot := range batch.Decisions {
-		slotPre[i] = preRender(slot.Decision.Measured, (*wire).measurement, nil)
+		slotPre[i] = preRender(slot.Decision.Measured, nil)
 	}
 	var w wire
 	for _, bc := range []struct {

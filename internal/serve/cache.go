@@ -2,34 +2,28 @@ package serve
 
 import (
 	"container/list"
+	"encoding/json"
 	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/sparse"
 	"repro/internal/spgemm"
 )
 
-// CachedDecision is what the serving cache keeps per shape class: the
-// winning joint candidate and the measurement evidence behind it. Matrices
-// are never cached — they belong to one request's data — and estimates are
-// re-derived from the request's own features (the model is pure and cheap).
-type CachedDecision struct {
-	// Candidate is the full execution choice; Format mirrors its storage
-	// format for callers that only materialize a layout.
-	Candidate sparse.Candidate
-	Format    sparse.Format
-	Measured  map[sparse.Candidate]time.Duration
-	// Source is the provenance of the original decision ("measured",
-	// "history", "predictor", or "model"), preserved so cache hits can
-	// report how the format was first chosen.
-	Source string
-	// Confidence is the predictor's vote share when one was consulted.
-	Confidence float64
+// Cached is what a workload's decision cache keeps per shape class: the
+// scheduler's verdict — the winning candidate of type C, the ladder rung
+// that answered, and the measurement evidence behind it — with the evidence
+// rendered once as the workload's reply rows R. Matrices are never cached —
+// they belong to one request's data — and estimates are re-derived from the
+// request's own features (the model is pure and cheap).
+type Cached[C candidate, R evidenceRow[C, R]] struct {
+	core.Verdict[C]
 	// Degraded marks a decision produced without measurement because the
 	// measurement path was failing (circuit breaker open or a measurement
 	// error absorbed). Degraded entries are cached only for the cache's
@@ -39,63 +33,54 @@ type CachedDecision struct {
 
 	// ev is Measured in reply form, rendered on first use. An entry — its
 	// Measured map above all — is immutable once it is in a cache.
-	ev evidence[MeasurementJSON]
+	ev evidence[R]
 }
+
+// CachedDecision is the SMSV workload's cache entry: a joint
+// (format × chunk × variant) candidate.
+type CachedDecision = Cached[sparse.Candidate, MeasurementJSON]
+
+// CachedPairDecision is the SpGEMM workload's cache entry: a dataflow
+// candidate for one pairwise shape class, with its output-size evidence.
+type CachedPairDecision = Cached[spgemm.Candidate, PairMeasurementJSON]
 
 // IsDegraded implements Degradable.
-func (d *CachedDecision) IsDegraded() bool { return d.Degraded }
+func (e *Cached[C, R]) IsDegraded() bool { return e.Degraded }
 
-func (d *CachedDecision) provenance() (string, float64) { return d.Source, d.Confidence }
-
-func (d *CachedDecision) verdict() decisionWire {
-	_, measured := d.evidence()
-	return decisionWire{Candidate: d.Candidate.String(), Source: d.Source, Confidence: d.Confidence,
-		Degraded: d.Degraded, Measured: measured}
+// evidence returns the entry's measurements as reply rows and as the JSON
+// array of those rows.
+func (e *Cached[C, R]) evidence() ([]R, []byte) {
+	return e.ev.render(func() []R { return encodeMeasured[C, R](e.Measured) })
 }
 
-// cachedDecision is the SMSV workload's decision rebuilt from its wire form.
-func cachedDecision(c sparse.Candidate, dw decisionWire) *CachedDecision {
-	d := &CachedDecision{Candidate: c, Format: c.Format, Source: dw.Source, Confidence: dw.Confidence, Degraded: dw.Degraded}
-	d.ev.seed(dw.Measured)
-	return d
+// wire renders the entry as its owner answers a lookup leg with it; gossip
+// sends the same render with the owner-only fields cleared.
+func (e *Cached[C, R]) wire() decisionWire {
+	_, measured := e.evidence()
+	return decisionWire{Candidate: e.Candidate.String(), Source: e.Rung.String(), Confidence: e.Confidence,
+		EstimatedNNZ: e.EstimatedNNZ, OutputNNZ: e.OutputNNZ, Degraded: e.Degraded, Measured: measured}
 }
 
-// CachedPairDecision is CachedDecision for SpGEMM: one pairwise
-// shape class's winning dataflow candidate with its measurement evidence.
-type CachedPairDecision struct {
-	Candidate spgemm.Candidate
-	Measured  map[spgemm.Candidate]time.Duration
-	Source    string
-	// Confidence is the pair predictor's vote share when one was consulted.
-	Confidence float64
-	// EstimatedNNZ and OutputNNZ carry the output-size evidence: the
-	// probabilistic estimate is always present, the exact count only when
-	// the decision measured (and therefore ran) the product.
-	EstimatedNNZ float64
-	OutputNNZ    int64
-	Degraded     bool
-
-	ev evidence[PairMeasurementJSON] // as CachedDecision.ev
-}
-
-// IsDegraded implements Degradable.
-func (d *CachedPairDecision) IsDegraded() bool { return d.Degraded }
-
-func (d *CachedPairDecision) provenance() (string, float64) { return d.Source, d.Confidence }
-
-func (d *CachedPairDecision) verdict() decisionWire {
-	_, measured := d.evidence()
-	return decisionWire{Candidate: d.Candidate.String(), Source: d.Source, Confidence: d.Confidence,
-		EstimatedNNZ: d.EstimatedNNZ, OutputNNZ: d.OutputNNZ, Degraded: d.Degraded, Measured: measured}
-}
-
-// cachedPairDecision is the SpGEMM workload's decision rebuilt from its
-// wire form.
-func cachedPairDecision(c spgemm.Candidate, dw decisionWire) *CachedPairDecision {
-	d := &CachedPairDecision{Candidate: c, Source: dw.Source, Confidence: dw.Confidence,
-		EstimatedNNZ: dw.EstimatedNNZ, OutputNNZ: dw.OutputNNZ, Degraded: dw.Degraded}
-	d.ev.seed(dw.Measured)
-	return d
+// fromWire rebuilds one of the workload's entries from its wire form: a
+// gossiped decision payload, or the owner's answer to a lookup leg. A
+// candidate or a source word this build cannot read rejects the entry.
+func (w *workload[In, C, R]) fromWire(data []byte) (*Cached[C, R], error) {
+	var dw decisionWire
+	if err := json.Unmarshal(data, &dw); err != nil {
+		return nil, err
+	}
+	c, err := w.parse(dw.Candidate)
+	if err != nil {
+		return nil, err
+	}
+	rung, err := core.ParseRung(dw.Source)
+	if err != nil {
+		return nil, err
+	}
+	e := &Cached[C, R]{Verdict: core.Verdict[C]{Candidate: c, Rung: rung, Confidence: dw.Confidence,
+		EstimatedNNZ: dw.EstimatedNNZ, OutputNNZ: dw.OutputNNZ}, Degraded: dw.Degraded}
+	e.ev.seed(dw.Measured)
+	return e, nil
 }
 
 // Degradable is what the cache needs to know about a value: degraded

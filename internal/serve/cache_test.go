@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/sparse"
 )
@@ -24,7 +25,7 @@ func cached[V Degradable](c *Cache[V]) int {
 }
 
 func dec(f sparse.Format) *CachedDecision {
-	return &CachedDecision{Format: f, Source: "measured"}
+	return &CachedDecision{Verdict: core.Verdict[sparse.Candidate]{Candidate: sparse.BaseCandidate(f), Rung: core.RungMeasured}}
 }
 
 func TestCacheHitAndLRUEviction(t *testing.T) {
@@ -99,7 +100,7 @@ func TestCacheSingleflightExactlyOnce(t *testing.T) {
 				time.Sleep(20 * time.Millisecond) // hold the flight open
 				return dec(sparse.DIA), nil
 			})
-			if err != nil || v.Format != sparse.DIA {
+			if err != nil || v.Candidate.Format != sparse.DIA {
 				t.Errorf("goroutine %d: %v %v", i, v, err)
 			}
 			outcomes[i] = outcome
@@ -131,7 +132,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 		t.Fatalf("error cached: %d entries", n)
 	}
 	v, outcome, err := c.Do("k", func() (*CachedDecision, error) { return dec(sparse.DEN), nil })
-	if err != nil || outcome != "miss" || v.Format != sparse.DEN {
+	if err != nil || outcome != "miss" || v.Candidate.Format != sparse.DEN {
 		t.Fatalf("retry after error: %v %s %v", v, outcome, err)
 	}
 }

@@ -61,7 +61,7 @@ func (s *Server) acceptForwarded(r *http.Request) *http.Request {
 // owner would have.
 type decisionWire struct {
 	Candidate  string  `json:"candidate"` // the workload's candidate string form
-	Source     string  `json:"source"`
+	Source     string  `json:"source"`    // the rung's word (core.Rung.String)
 	Confidence float64 `json:"confidence,omitempty"`
 	// EstimatedNNZ is the SpGEMM output-size estimate; SMSV entries omit it.
 	EstimatedNNZ float64 `json:"estimated_nnz,omitempty"`
@@ -204,37 +204,34 @@ func (s *Server) forwardLeg(ctx context.Context, m cluster.Member, leg, path str
 
 // askOwner is the forward hop for a key the ring gives to m, in two legs.
 // The lookup leg sends the key alone, and the owner answers from its cache
-// with the entry's verdict, rebuilt here by the workload's fromWire as hit
-// — never cached here: the owner stays the one authority for its classes.
+// with the entry's verdict, rebuilt here (fromWire) as hit — never cached
+// here: the owner stays the one authority for its classes.
 // Or the owner answers 404, because the class is not cached there or
 // because it predates the lookup route; only then does the rows leg post
 // rows() to path, and the owner's reply to it comes back undecoded as peer.
 // ok=false means a leg failed and the caller decides locally.
-func askOwner[In any, V decided](ctx context.Context, s *Server, w *workload[In, V], m cluster.Member, key []byte, path string, rows func() []byte) (hit V, peer *peerReply, ok bool) {
+func askOwner[In any, C candidate, R evidenceRow[C, R]](ctx context.Context, s *Server, w *workload[In, C, R], m cluster.Member, key []byte, path string, rows func() []byte) (hit *Cached[C, R], peer *peerReply, ok bool) {
 	status, data, ok := s.forwardLeg(ctx, m, legLookup, cluster.LookupPath, appendLookupBody(nil, key))
 	if !ok {
-		return hit, nil, false
+		return nil, nil, false
 	}
 	if status == http.StatusOK {
-		var dw decisionWire
-		if json.Unmarshal(data, &dw) == nil {
-			if v, err := w.fromWire(dw); err == nil {
-				return v, nil, true
-			}
+		if val, err := w.fromWire(data); err == nil {
+			return val, nil, true
 		}
 		// A verdict this build cannot read is asked again with the rows.
 	}
 	if status, data, ok = s.forwardLeg(ctx, m, legRows, path, rows()); !ok {
-		return hit, nil, false
+		return nil, nil, false
 	}
-	return hit, &peerReply{peer: m.ID, status: status, body: data}, true
+	return nil, &peerReply{peer: m.ID, status: status, body: data}, true
 }
 
 // routed is one key's decision wherever it was made: here (decide's
 // outcome), in the owner's cache (outcome "hit"), or by the owner from the
 // rows, whose reply comes back undecoded in peer with val unset.
-type routed[V decided] struct {
-	val     V
+type routed[C candidate, R evidenceRow[C, R]] struct {
+	val     *Cached[C, R]
 	outcome string
 	peer    *peerReply
 }
@@ -245,25 +242,25 @@ type routed[V decided] struct {
 // or when the owner cannot be reached — locality is lost then, availability
 // is not. rows builds the rows leg's body, and only a lookup miss calls it.
 // trace, when non-nil, notes which way the decision went.
-func decideRouted[In any, V decided](ctx context.Context, s *Server, w *workload[In, V], policy core.Policy, key []byte, in In, trace *traceLines, path string, rows func() []byte) (routed[V], error) {
+func decideRouted[In any, C candidate, R evidenceRow[C, R]](ctx context.Context, s *Server, w *workload[In, C, R], policy core.Policy, key []byte, in In, trace *traceLines, path string, rows func() []byte) (routed[C, R], error) {
 	s.noteLoopAverted(ctx, key, trace)
 	if m, owned := routeOwner(ctx, s, w.cache, key); owned {
 		hit, peer, ok := askOwner(ctx, s, w, m, key, path, rows)
 		switch {
 		case peer != nil:
-			return routed[V]{peer: peer}, nil
+			return routed[C, R]{peer: peer}, nil
 		case ok:
 			if trace != nil {
 				trace.text("cluster: owner ").text(m.ID).text(" answered from its cache").end()
 			}
-			return routed[V]{val: hit, outcome: "hit"}, nil
+			return routed[C, R]{val: hit, outcome: "hit"}, nil
 		}
 		if trace != nil {
 			trace.text("cluster: owner ").text(m.ID).text(" unreachable, deciding locally").end()
 		}
 	}
 	val, outcome, err := decide(ctx, s, w, policy, key, in)
-	return routed[V]{val: val, outcome: outcome}, err
+	return routed[C, R]{val: val, outcome: outcome}, err
 }
 
 // lookupMiss is the 404 body of a lookup for a class not cached here; it
@@ -321,12 +318,12 @@ func hasKeyVersion(key []byte, version string) bool {
 
 // lookup is a workload cache's answer to a lookup leg: the live entry's
 // verdict, counted as the hit it is.
-func lookup[V decided](cache *Cache[V], key []byte) (decisionWire, bool) {
+func lookup[C candidate, R evidenceRow[C, R]](cache *Cache[*Cached[C, R]], key []byte) (decisionWire, bool) {
 	val, ok := cache.Get(key)
 	if !ok {
 		return decisionWire{}, false
 	}
-	return val.verdict(), true
+	return val.wire(), true
 }
 
 // relay writes a forwarded peer response through to the client.
@@ -378,19 +375,22 @@ func (s *Server) noteLoopAverted(ctx context.Context, key []byte, trace *traceLi
 }
 
 // gossip queues a freshly computed decision (and, when it was measured,
-// the history record behind it) for async gossip to the ring successor,
-// each in its workload's wire form. Degraded decisions are not replicated:
-// they are short-TTL placeholders, not evidence.
-func gossip[D, H any](s *Server, val decided, key []byte, decisionKind string, decision D, historyKind string, history H) {
+// the history record behind it) for async gossip to the ring successor:
+// the decision as an owner renders it, less what stays on the owner, and
+// the history record in its workload's wire form. Degraded decisions are
+// not replicated: they are short-TTL placeholders, not evidence.
+func gossip[C candidate, R evidenceRow[C, R], H any](s *Server, val *Cached[C, R], key []byte, decisionKind, historyKind string, history H) {
 	if s.cluster == nil || val.IsDegraded() {
 		return
 	}
-	payload, err := json.Marshal(decision)
+	dw := val.wire()
+	dw.OutputNNZ, dw.Degraded, dw.Measured = 0, false, nil
+	payload, err := json.Marshal(dw)
 	if err != nil {
 		return
 	}
 	s.cluster.Replicate(cluster.ReplEntry{Kind: decisionKind, Key: string(key), Payload: payload})
-	if source, _ := val.provenance(); source == "measured" {
+	if val.Rung == core.RungMeasured {
 		if hp, err := json.Marshal(history); err == nil {
 			s.cluster.Replicate(cluster.ReplEntry{Kind: historyKind, Payload: hp})
 		}
@@ -438,34 +438,19 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, cluster.ReplicateResponse{Applied: applied, Skipped: skipped})
 }
 
-// fromWire returns a workload's rebuild of a verdict from its wire form:
-// parse the candidate, then construct the value with cached. Gossip applies
-// and lookup answers rebuild through the same one.
-func fromWire[C any, V decided](parse func(string) (C, error), cached func(C, decisionWire) V) func(decisionWire) (V, error) {
-	return func(dw decisionWire) (V, error) {
-		c, err := parse(dw.Candidate)
-		if err != nil {
-			var none V
-			return none, err
-		}
-		return cached(c, dw), nil
-	}
-}
-
 // applyDecision returns a workload's gossip sink for decision entries:
-// rebuild the verdict, then cache it under the entry's shape-class key. The
-// sink reports false for an entry to skip.
-func applyDecision[V decided](cache *Cache[V], fromWire func(decisionWire) (V, error)) func(cluster.ReplEntry) bool {
+// rebuild the entry (fromWire), then cache it under the entry's shape-class
+// key. The sink reports false for an entry to skip.
+func applyDecision[In any, C candidate, R evidenceRow[C, R]](w *workload[In, C, R]) func(cluster.ReplEntry) bool {
 	return func(e cluster.ReplEntry) bool {
-		var dw decisionWire
-		if err := json.Unmarshal(e.Payload, &dw); err != nil || e.Key == "" {
+		if e.Key == "" {
 			return false
 		}
-		val, err := fromWire(dw)
+		val, err := w.fromWire(e.Payload)
 		if err != nil {
 			return false
 		}
-		cache.Put(e.Key, val)
+		w.cache.Put(e.Key, val)
 		return true
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // This file is the decide pipeline every scheduled workload shares: cache
 // probe → cache.do span → singleflight → breaker → admission → choose →
-// source classification → publish. A workload plugs in through the table
+// rung classification → publish. A workload plugs in through the table
 // below; the pipeline itself never learns which one it is serving.
 
 // candidate is a workload's label type: a map key with the String form
@@ -24,43 +24,42 @@ type candidate interface {
 	fmt.Stringer
 }
 
-// decided is what the pipeline needs to know about a cached decision.
-type decided interface {
-	Degradable
-	// provenance reports how the decision was first obtained ("measured",
-	// "history", "predictor" or "model") and the predictor's vote share
-	// when one was consulted.
-	provenance() (source string, confidence float64)
-	// verdict is the decision as its owner answers a lookup leg with it.
-	verdict() decisionWire
+// decision is a scheduler's pooled answer, as newEntry reads it.
+type decision[C candidate] interface {
+	Verdict() core.Verdict[C]
+	Release()
 }
 
 // workload is one scheduled workload's side of the pipeline. In is the
-// parsed operand bundle a request carries (builders plus features), V the
-// cached decision. Both workloads share the measurement breaker and the
-// admission slots — they queue kernels onto the same exec pool — so those
-// stay on the Server. The table is filled once in NewServer; a request
-// constructs nothing.
-type workload[In any, V decided] struct {
-	cache *Cache[V]
-	// choose runs the policy's shared scheduler and returns the decision
-	// in cacheable form: decisions are pooled, so the value owns a copy of
-	// the measurement evidence.
-	choose func(ctx context.Context, policy core.Policy, in In) (V, error)
-	// degrade answers with the measurement path down: history, then the
-	// predictor at any confidence, then the cost model.
-	degrade func(in In) V
+// parsed operand bundle a request carries (builders plus features), C the
+// candidate type and R the row a reply reports a measurement as. Both
+// workloads share the measurement breaker and the admission slots — they
+// queue kernels onto the same exec pool — so those stay on the Server. The
+// table is filled once in NewServer; a request constructs nothing.
+type workload[In any, C candidate, R evidenceRow[C, R]] struct {
+	cache *Cache[*Cached[C, R]]
+	// choose runs the policy's shared scheduler on in.
+	choose func(ctx context.Context, policy core.Policy, in In) (decision[C], error)
+	// history, predict and model are the degrade ladder's lookups with the
+	// measurement path down: the tuning history, the predictor at any
+	// confidence, and the cost model, which always answers and also gives
+	// the output-size estimate (SpGEMM) a degraded entry carries.
+	history func(in In) (C, bool)
+	predict func(in In) (c C, confidence float64, ok bool)
+	model   func(in In) (c C, estimatedNNZ float64)
 	// publish gossips a fresh decision to the ring successor and feeds the
 	// online flywheel; it runs on the singleflight leader only.
-	publish func(key []byte, in In, val V)
-	// fromWire rebuilds a decision from its wire form: a gossiped entry, or
-	// the owner's answer to a lookup leg.
-	fromWire func(decisionWire) (V, error)
-	// classNoun names the cache key's space in response trace lines.
+	publish func(key []byte, in In, val *Cached[C, R])
+	// parse reads a candidate's string form off the wire.
+	parse func(string) (C, error)
+	// classNoun names the cache key's space in trace lines and logs.
 	classNoun string
 
-	measurements atomic.Int64 // scheduler runs that actually measured
-	degraded     atomic.Int64 // decisions served without measurement under failure
+	measurements       atomic.Int64 // scheduler runs that actually measured
+	degraded           atomic.Int64 // decisions served without measurement under failure
+	predictorHits      atomic.Int64 // decisions answered by the predictor
+	predictorFallbacks atomic.Int64 // predict-policy runs that measured instead
+	predictorConfMilli atomic.Int64 // sum of hit confidences ×1000, for the mean
 }
 
 // decide serves one parsed request from the workload's decision cache,
@@ -70,13 +69,12 @@ type workload[In any, V decided] struct {
 // touch — allocates nothing, which is what lets a warm batched request
 // decide N matrices with no per-item garbage. The outcome is "hit",
 // "dedup", or "miss", as for Cache.Do.
-func decide[In any, V decided](ctx context.Context, s *Server, w *workload[In, V], policy core.Policy, key []byte, in In) (V, string, error) {
+func decide[In any, C candidate, R evidenceRow[C, R]](ctx context.Context, s *Server, w *workload[In, C, R], policy core.Policy, key []byte, in In) (*Cached[C, R], string, error) {
 	if val, ok := w.cache.Get(key); ok {
 		// A hit's cache span is a leaf, and the key is copied into the
 		// trace's own bytes: traced or not, the hit allocates nothing.
-		source, _ := val.provenance()
 		telemetry.StartLeaf(ctx, "cache.do", telemetry.Bytes("key", key),
-			telemetry.String("outcome", "hit"), telemetry.String("source", source)).End()
+			telemetry.String("outcome", "hit"), telemetry.String("source", val.Rung.String())).End()
 		return val, "hit", nil
 	}
 	// The cache span parents the scheduler's spans: the singleflight leader
@@ -85,15 +83,14 @@ func decide[In any, V decided](ctx context.Context, s *Server, w *workload[In, V
 	cctx, csp := telemetry.StartSpan(ctx, "cache.do", telemetry.Bytes("key", key))
 	mctx, cancel := context.WithTimeout(cctx, s.cfg.Timeout)
 	defer cancel()
-	val, outcome, err := w.cache.Do(string(key), func() (V, error) {
+	val, outcome, err := w.cache.Do(string(key), func() (*Cached[C, R], error) {
 		return lead(mctx, s, w, policy, in)
 	})
 	if err != nil {
 		csp.EndErr(err)
 		return val, outcome, err
 	}
-	source, _ := val.provenance()
-	csp.Annotate(telemetry.String("outcome", outcome), telemetry.String("source", source))
+	csp.Annotate(telemetry.String("outcome", outcome), telemetry.String("source", val.Rung.String()))
 	csp.End()
 	if outcome == "miss" {
 		// Only the computing leader publishes, so one fresh decision
@@ -107,11 +104,9 @@ func decide[In any, V decided](ctx context.Context, s *Server, w *workload[In, V
 // lead is the singleflight leader's body. Only the leader reaches here, so
 // the breaker sees one Allow per computation, not one per deduplicated
 // waiter.
-func lead[In any, V decided](ctx context.Context, s *Server, w *workload[In, V], policy core.Policy, in In) (V, error) {
-	var none V
+func lead[In any, C candidate, R evidenceRow[C, R]](ctx context.Context, s *Server, w *workload[In, C, R], policy core.Policy, in In) (*Cached[C, R], error) {
 	if !s.breaker.Allow() {
-		w.degraded.Add(1)
-		return w.degrade(in), nil
+		return degrade(s, w, in), nil
 	}
 	// Admission bounds how many leaders may queue measurement kernels
 	// onto the exec pool. Overload is not a measurement outcome, so it
@@ -121,60 +116,84 @@ func lead[In any, V decided](ctx context.Context, s *Server, w *workload[In, V],
 	case s.sem <- struct{}{}:
 	default:
 		s.breaker.Cancel()
-		return none, ErrOverloaded
+		return nil, ErrOverloaded
 	}
 	defer func() { <-s.sem }()
 	t0 := time.Now()
-	val, err := w.choose(ctx, policy, in)
+	d, err := w.choose(ctx, policy, in)
 	if err != nil {
 		if isMeasurementFailure(err) {
 			s.breaker.Failure()
-			w.degraded.Add(1)
-			return w.degrade(in), nil
+			return degrade(s, w, in), nil
 		}
 		s.breaker.Cancel()
-		return none, err
+		return nil, err
 	}
 	s.observeDecision(ctx, time.Since(t0))
-	switch source, confidence := val.provenance(); source {
-	case "predictor":
+	val := newEntry[C, R](d)
+	switch val.Rung {
+	case core.RungPredictor:
 		// History/predictor answered without measuring: no evidence either
 		// way, so release the breaker without moving it.
 		s.breaker.Cancel()
-		s.predictorHits.Add(1)
-		s.predictorConfMilli.Add(int64(confidence * 1000))
-	case "history":
+		w.predictorHits.Add(1)
+		w.predictorConfMilli.Add(int64(val.Confidence * 1000))
+	case core.RungHistory:
 		s.breaker.Cancel()
 	default:
 		s.breaker.Success()
 		w.measurements.Add(1)
 		if policy == core.PolicyPredict {
-			s.predictorFallbacks.Add(1)
+			w.predictorFallbacks.Add(1)
 		}
 	}
 	return val, nil
 }
 
-// copyMeasured gives a cache entry its own copy of a pooled decision's
-// measurement evidence; nil when nothing was measured.
-func copyMeasured[C comparable](m map[C]time.Duration) map[C]time.Duration {
-	if len(m) == 0 {
-		return nil
+// newEntry is the one conversion of a scheduler decision into a cache
+// entry. Decisions are pooled, so the entry owns a copy of the measurement
+// evidence, and the decision is released.
+func newEntry[C candidate, R evidenceRow[C, R]](d decision[C]) *Cached[C, R] {
+	val := &Cached[C, R]{Verdict: d.Verdict()}
+	if len(val.Measured) == 0 {
+		val.Measured = nil
+	} else {
+		val.Measured = maps.Clone(val.Measured)
 	}
-	return maps.Clone(m)
+	d.Release()
+	return val
+}
+
+// degrade produces a best-effort entry with the measurement path down, from
+// the workload's ladder: tuning history first (closest to evidence), then
+// the trained predictor at any confidence, then the cost model. The entry
+// is Degraded, so it is cached only briefly and re-measured once the path
+// recovers.
+func degrade[In any, C candidate, R evidenceRow[C, R]](s *Server, w *workload[In, C, R], in In) *Cached[C, R] {
+	w.degraded.Add(1)
+	val := &Cached[C, R]{Degraded: true}
+	// The cost model's estimate rides on whichever rung answers.
+	val.Candidate, val.EstimatedNNZ = w.model(in)
+	if c, ok := w.history(in); ok {
+		val.Candidate, val.Rung = c, core.RungHistory
+	} else if c, conf, ok := w.predict(in); ok {
+		val.Candidate, val.Rung, val.Confidence = c, core.RungPredictor, conf
+	}
+	s.logger.Warn("serving degraded decision", "class", w.classNoun,
+		"breaker", s.breaker.State().String(), "source", val.Rung.String(), "candidate", val.Candidate.String())
+	return val
 }
 
 // harvest feeds one non-degraded measured decision to the online flywheel
 // as a measurement-labeled training record; rec arrives with its kind,
 // features and label set. Degraded, history-, and predictor-sourced
 // decisions carry no fresh measurement evidence and are never harvested.
-func harvest[C candidate](s *Server, val decided, rec online.Record, measured map[C]time.Duration) {
-	source, _ := val.provenance()
-	if s.cfg.Harvest == nil || val.IsDegraded() || source != "measured" || len(measured) == 0 {
+func harvest[C candidate, R evidenceRow[C, R]](s *Server, val *Cached[C, R], rec online.Record) {
+	if s.cfg.Harvest == nil || val.IsDegraded() || val.Rung != core.RungMeasured || len(val.Measured) == 0 {
 		return
 	}
-	rec.Times = make(map[string]int64, len(measured))
-	for c, d := range measured {
+	rec.Times = make(map[string]int64, len(val.Measured))
+	for c, d := range val.Measured {
 		if d > 0 {
 			rec.Times[c.String()] = int64(d)
 		}
@@ -188,14 +207,13 @@ func harvest[C candidate](s *Server, val decided, rec online.Record, measured ma
 // noteDecide explains a decide outcome in the reply's trace lines. answer
 // is how the workload names what the predictor said (a bare format for
 // SMSV, the full candidate for SpGEMM).
-func (s *Server) noteDecide(trace *traceLines, classNoun string, key []byte, outcome string, val decided, answer string, policy core.Policy) {
-	source, confidence := val.provenance()
+func noteDecide[C candidate, R evidenceRow[C, R]](s *Server, trace *traceLines, classNoun string, key []byte, outcome string, val *Cached[C, R], answer string, policy core.Policy) {
 	class := func(lead string) *traceLines {
 		return trace.text(lead).text(classNoun).text(" ").bytes(key)
 	}
 	switch outcome {
 	case "hit":
-		class("cache: hit for ").text(" (decision first ").text(source).text(")").end()
+		class("cache: hit for ").text(" (decision first ").text(val.Rung.String()).text(")").end()
 		return
 	case "dedup":
 		class("cache: joined in-flight measurement for ").end()
@@ -203,20 +221,20 @@ func (s *Server) noteDecide(trace *traceLines, classNoun string, key []byte, out
 	}
 	class("cache: miss for ").end()
 	switch {
-	case val.IsDegraded():
+	case val.Degraded:
 		trace.text("degraded: measurement unavailable (breaker ").text(s.breaker.State().String()).
-			text("), answered from ").text(source).end()
+			text("), answered from ").text(val.Rung.String()).end()
 		return
-	case source == "history":
+	case val.Rung == core.RungHistory:
 		trace.text("history: near-miss reuse, measurement skipped").end()
 		return
-	case source == "predictor":
-		trace.text("predictor: answered ").text(answer).text(" with confidence ").fixed2(confidence).
+	case val.Rung == core.RungPredictor:
+		trace.text("predictor: answered ").text(answer).text(" with confidence ").fixed2(val.Confidence).
 			text(", measurement skipped").end()
 		return
 	}
 	if policy == core.PolicyPredict {
-		trace.text("predictor: confidence ").fixed2(confidence).
+		trace.text("predictor: confidence ").fixed2(val.Confidence).
 			text(" below threshold, falling back to measurement").end()
 	}
 	trace.text("admission: acquired 1 of ").int(cap(s.sem)).text(" measurement slots").end()

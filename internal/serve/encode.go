@@ -221,7 +221,7 @@ func (w *wire) tail(pre rendered, rows int, row func(i int), degraded bool, trac
 	}
 }
 
-func (w *wire) measurement(m *MeasurementJSON) {
+func (m MeasurementJSON) appendTo(w *wire) {
 	w.raw(`{"format":`)
 	w.str(m.Format)
 	w.optStr(`,"chunk":`, m.Chunk)
@@ -263,11 +263,11 @@ func (w *wire) decision(d *DecisionJSON, pre rendered) {
 			w.raw(`}`)
 		})
 	}
-	w.tail(pre, len(d.Measured), func(i int) { w.measurement(&d.Measured[i]) }, d.Degraded, d.TraceID, d.Trace)
+	w.tail(pre, len(d.Measured), func(i int) { d.Measured[i].appendTo(w) }, d.Degraded, d.TraceID, d.Trace)
 	w.raw(`}`)
 }
 
-func (w *wire) pairMeasurement(m *PairMeasurementJSON) {
+func (m PairMeasurementJSON) appendTo(w *wire) {
 	w.raw(`{"candidate":`)
 	w.str(m.Candidate)
 	w.raw(`,"nanos":`)
@@ -320,7 +320,7 @@ func (w *wire) pairDecision(d *SpGEMMDecisionJSON, pre rendered) {
 			w.raw(`}`)
 		})
 	}
-	w.tail(pre, len(d.Measured), func(i int) { w.pairMeasurement(&d.Measured[i]) }, d.Degraded, d.TraceID, d.Trace)
+	w.tail(pre, len(d.Measured), func(i int) { d.Measured[i].appendTo(w) }, d.Degraded, d.TraceID, d.Trace)
 	w.raw(`}`)
 }
 
@@ -442,20 +442,20 @@ func (w *wire) verdict(d *decisionWire) {
 // literals alike — and is immutable from then on: rows is shared by every
 // reply struct that reports the entry and json is spliced into every reply
 // that is written, so neither may be modified by whoever reads them.
-type evidence[R any] struct {
+type evidence[R interface{ appendTo(*wire) }] struct {
 	once sync.Once
 	rows []R    // ascending time, ties by candidate string; nil when nothing was measured
 	json []byte // rows as the reply's "measured" array; nil when rows is
 }
 
 // render builds the evidence from a measurement map on first call.
-func (ev *evidence[R]) render(build func() []R, row func(*wire, *R)) ([]R, []byte) {
+func (ev *evidence[R]) render(build func() []R) ([]R, []byte) {
 	ev.once.Do(func() {
 		if ev.rows = build(); len(ev.rows) == 0 {
 			return
 		}
 		var w wire
-		w.list(len(ev.rows), func(i int) { row(&w, &ev.rows[i]) })
+		w.list(len(ev.rows), func(i int) { ev.rows[i].appendTo(&w) })
 		ev.json = w.b
 	})
 	return ev.rows, ev.json
@@ -471,22 +471,6 @@ func (ev *evidence[R]) seed(measured []byte) {
 		ev.json = measured
 	}
 	ev.once.Do(func() {})
-}
-
-// evidence returns the entry's measurements as reply rows and as the JSON
-// array of those rows.
-func (d *CachedDecision) evidence() ([]MeasurementJSON, []byte) {
-	return d.ev.render(
-		func() []MeasurementJSON { return encodeMeasured(d.Measured, measurementRow) },
-		(*wire).measurement)
-}
-
-// evidence returns the entry's measurements as reply rows and as the JSON
-// array of those rows.
-func (d *CachedPairDecision) evidence() ([]PairMeasurementJSON, []byte) {
-	return d.ev.render(
-		func() []PairMeasurementJSON { return encodeMeasured(d.Measured, pairMeasurementRow) },
-		(*wire).pairMeasurement)
 }
 
 // traceLines accumulates the elements of a reply's "trace" array — the

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/sparse"
 	"repro/internal/spgemm"
 )
@@ -42,9 +43,9 @@ func wantReply(t *testing.T, v any) []byte {
 // preRender renders what a handler would have as bytes before it builds the
 // reply: the measured rows, as a cache entry's evidence renders them, and
 // the trace lines, as traceLines notes them.
-func preRender[R any](rows []R, row func(*wire, *R), trace []string) rendered {
+func preRender[R interface{ appendTo(*wire) }](rows []R, trace []string) rendered {
 	var ev evidence[R]
-	_, measured := ev.render(func() []R { return rows }, row)
+	_, measured := ev.render(func() []R { return rows })
 	var tl traceLines
 	for _, line := range trace {
 		tl.text(line).end()
@@ -58,7 +59,7 @@ func diffSchedule(t *testing.T, resp *ScheduleResponse) {
 	d := &resp.Decision
 	for name, pre := range map[string]rendered{
 		"struct":   {},
-		"rendered": preRender(d.Measured, (*wire).measurement, d.Trace),
+		"rendered": preRender(d.Measured, d.Trace),
 	} {
 		if got := encodeVia(func(w *wire) { w.scheduleReply(d, pre) }); !bytes.Equal(got, want) {
 			t.Fatalf("ScheduleResponse (%s fields)\n got: %q\nwant: %q", name, got, want)
@@ -72,7 +73,7 @@ func diffSpGEMM(t *testing.T, resp *SpGEMMResponse) {
 	d := &resp.Decision
 	for name, pre := range map[string]rendered{
 		"struct":   {},
-		"rendered": preRender(d.Measured, (*wire).pairMeasurement, d.Trace),
+		"rendered": preRender(d.Measured, d.Trace),
 	} {
 		if got := encodeVia(func(w *wire) { w.spgemmReply(d, pre) }); !bytes.Equal(got, want) {
 			t.Fatalf("SpGEMMResponse (%s fields)\n got: %q\nwant: %q", name, got, want)
@@ -98,7 +99,7 @@ func diffBatch(t *testing.T, resp *BatchScheduleResponse) {
 		for i, slot := range resp.Decisions {
 			var pre rendered
 			if slot.Decision != nil {
-				pre = preRender(slot.Decision.Measured, (*wire).measurement, nil)
+				pre = preRender(slot.Decision.Measured, nil)
 			}
 			w.batchItem(i, slot.Decision, pre, slot.Error)
 		}
@@ -298,11 +299,11 @@ func FuzzEncodeDecision(f *testing.F) {
 // carries a verdict without evidence.
 func TestEvidenceRenderedOnce(t *testing.T) {
 	csr := sparse.Candidate{Format: sparse.CSR, Variant: sparse.VariantFused}
-	smsv := &CachedDecision{Candidate: csr, Format: sparse.CSR, Source: "measured", Measured: map[sparse.Candidate]time.Duration{
+	smsv := &CachedDecision{Verdict: core.Verdict[sparse.Candidate]{Candidate: csr, Rung: core.RungMeasured, Measured: map[sparse.Candidate]time.Duration{
 		{Format: sparse.ELL}: 900, {Format: sparse.COO}: 400, csr: 400, {Format: sparse.DEN}: 400, {Format: sparse.DIA}: 1,
-	}}
+	}}}
 	rows, raw := smsv.evidence()
-	if want := encodeMeasured(smsv.Measured, measurementRow); !equalJSON(t, rows, want) || len(rows) != 5 {
+	if want := encodeMeasured[sparse.Candidate, MeasurementJSON](smsv.Measured); !equalJSON(t, rows, want) || len(rows) != 5 {
 		t.Fatalf("rows %+v, want encodeMeasured's %+v", rows, want)
 	}
 	for i := 1; i < len(rows); i++ {
@@ -319,10 +320,10 @@ func TestEvidenceRenderedOnce(t *testing.T) {
 	}
 
 	g, o := spgemm.Candidate{Dataflow: spgemm.Gustavson}, spgemm.Candidate{Dataflow: spgemm.OuterProduct}
-	pair := &CachedPairDecision{Candidate: g, Source: "measured",
-		Measured: map[spgemm.Candidate]time.Duration{o: 70, g: 70, {Dataflow: spgemm.InnerProduct}: 5}}
+	pair := &CachedPairDecision{Verdict: core.Verdict[spgemm.Candidate]{Candidate: g, Rung: core.RungMeasured,
+		Measured: map[spgemm.Candidate]time.Duration{o: 70, g: 70, {Dataflow: spgemm.InnerProduct}: 5}}}
 	prows, praw := pair.evidence()
-	if want := encodeMeasured(pair.Measured, pairMeasurementRow); !equalJSON(t, prows, want) || len(prows) != 3 ||
+	if want := encodeMeasured[spgemm.Candidate, PairMeasurementJSON](pair.Measured); !equalJSON(t, prows, want) || len(prows) != 3 ||
 		prows[0].Nanos != 5 || prows[1].Candidate >= prows[2].Candidate {
 		t.Fatalf("pair rows %+v, want encodeMeasured's %+v", prows, want)
 	}
@@ -405,8 +406,7 @@ func FuzzEncodeForward(f *testing.F) {
 		same("lookup leg", appendLookupBody(nil, []byte(b)), lookupRequest{Key: b}, "")
 
 		// The evidence an owner rendered, as its cache entry renders it.
-		measured := preRender([]PairMeasurementJSON{{Candidate: candidate, Nanos: n, Millis: float64(n) / 1e6}},
-			(*wire).pairMeasurement, nil).measured
+		measured := preRender([]PairMeasurementJSON{{Candidate: candidate, Nanos: n, Millis: float64(n) / 1e6}}, nil).measured
 		dw := decisionWire{Candidate: candidate, Source: a, Confidence: x, EstimatedNNZ: -x,
 			OutputNNZ: n, Degraded: n%2 != 0, Measured: measured}
 		if n%3 == 0 {

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -313,5 +315,40 @@ func TestForwardCountsOneForward(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// lookupReplies returns the golden lookup answers: the SMSV verdict, then
+// the SpGEMM one.
+func lookupReplies(tb testing.TB) (smsv, pair []byte) {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "lookup_reply.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+	if len(lines) != 2 {
+		tb.Fatalf("%d golden lookup replies, want 2", len(lines))
+	}
+	return lines[0], lines[1]
+}
+
+// TestLookupHitRebuildAllocs bounds the forwarder's share of a forwarded
+// hit, ring_mixed's commonest path: decoding the owner's verdict and
+// rebuilding the entry it answers from, for both workloads. 11 objects is
+// what the two per-workload rebuilds cost before they were folded into one.
+func TestLookupHitRebuildAllocs(t *testing.T) {
+	s := newTestServer(t, Config{})
+	smsv, pair := lookupReplies(t)
+	for name, rebuild := range map[string]func() error{
+		"smsv": func() error { _, err := s.smsv.fromWire(smsv); return err },
+		"pair": func() error { _, err := s.pair.fromWire(pair); return err },
+	} {
+		if err := rebuild(); err != nil {
+			t.Fatalf("%s: golden lookup reply rejected: %v", name, err)
+		}
+		if allocs := testing.AllocsPerRun(200, func() { rebuild() }); allocs > 11 {
+			t.Errorf("%s: lookup-hit rebuild allocates %.1f objects, want at most 11", name, allocs)
+		}
 	}
 }

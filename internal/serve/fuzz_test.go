@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/exec"
 )
@@ -66,4 +68,64 @@ func FuzzScheduleRequest(f *testing.F) {
 			t.Fatalf("body %q produced non-JSON reply %q", body, w.Body)
 		}
 	})
+}
+
+// FuzzVerdictWire throws arbitrary bytes at the one rebuild of a cache
+// entry from its wire form, as a lookup answer and as a gossip decision
+// payload, for both workloads. The contract: the rebuild never panics; an
+// input it rejects leaves the cache untouched, and gossip applies exactly
+// what a lookup accepts; an accepted entry renders to a wire that rebuilds
+// to the same entry, whose render is the same bytes.
+func FuzzVerdictWire(f *testing.F) {
+	smsv, pair := lookupReplies(f)
+	f.Add(smsv)
+	f.Add(pair)
+	f.Add([]byte(`{"candidate":"ELL/static/fused","source":"measured"}`))
+	f.Add([]byte(`{"candidate":"gustavson/CSR/CSR","source":"history","estimated_nnz":675.5,"degraded":true}`))
+	f.Add([]byte(`{"candidate":"CSR","source":"predictor","confidence":0.95,"measured":[]}`))
+	f.Add([]byte(`{"candidate":"CSR/static/fused","source":"cache"}`)) // a reply word, not a rung
+	f.Add([]byte(`{"candidate":"CSR/static/fused","source":""}`))
+	f.Add([]byte(`{"candidate":"gustavson/","source":"measured"}`))
+	f.Add([]byte(`{"candidate":"CSR","source":"model","measured":{"a":1}}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`not json`))
+
+	s := newTestServer(f, Config{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkVerdictWire(t, s, &s.smsv, cluster.KindDecision, data)
+		checkVerdictWire(t, s, &s.pair, cluster.KindSpGEMM, data)
+	})
+}
+
+func checkVerdictWire[In any, C candidate, R evidenceRow[C, R]](t *testing.T, s *Server, w *workload[In, C, R], kind string, data []byte) {
+	t.Helper()
+	w.cache = newDecisionCache[*Cached[C, R]](s.cfg)
+	val, err := w.fromWire(data)
+	applied := s.replApply[kind](cluster.ReplEntry{Kind: kind, Key: "k", Payload: data})
+	if applied != (err == nil) || w.cache.Peek([]byte("k")) != applied {
+		t.Fatalf("%s %q: lookup rebuild err %v, but gossip applied %v (cached %v)",
+			kind, data, err, applied, w.cache.Peek([]byte("k")))
+	}
+	if err != nil {
+		return
+	}
+	render := func(val *Cached[C, R]) []byte {
+		var out wire
+		dw := val.wire()
+		out.verdict(&dw)
+		return out.b
+	}
+	first := render(val)
+	again, err := w.fromWire(first)
+	if err != nil {
+		t.Fatalf("%s %q: render %s does not rebuild: %v", kind, data, first, err)
+	}
+	_, ev := val.evidence()
+	_, evAgain := again.evidence()
+	if !reflect.DeepEqual(again.Verdict, val.Verdict) || again.Degraded != val.Degraded || !bytes.Equal(evAgain, ev) {
+		t.Fatalf("%s %q: entry %+v (evidence %s) rebuilt as %+v (evidence %s)", kind, data, val, ev, again, evAgain)
+	}
+	if second := render(again); !bytes.Equal(second, first) {
+		t.Fatalf("%s %q: render %s, then %s", kind, data, first, second)
+	}
 }

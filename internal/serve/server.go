@@ -21,6 +21,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/online"
 	"repro/internal/sparse"
+	"repro/internal/spgemm"
 	"repro/internal/svm"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/slo"
@@ -220,8 +221,8 @@ type Server struct {
 	spScheds [4]*core.SpGEMMScheduler // likewise, for /v1/schedule/spgemm
 	// smsv and pair are the two workloads' entries in the shared decide
 	// pipeline (decide.go): cache, scheduler call, degrade ladder, publish.
-	smsv    workload[smsvIn, *CachedDecision]
-	pair    workload[pairIn, *CachedPairDecision]
+	smsv    workload[smsvIn, sparse.Candidate, MeasurementJSON]
+	pair    workload[pairIn, spgemm.Candidate, PairMeasurementJSON]
 	metrics *serverMetrics
 	traces  *telemetry.TraceStore // completed decision traces, /v1/trace/{id}
 	logger  *slog.Logger
@@ -256,10 +257,6 @@ type Server struct {
 
 	panics atomic.Int64 // handler panics recovered into 500s
 
-	predictorHits      atomic.Int64 // decisions answered by the predictor
-	predictorFallbacks atomic.Int64 // predict-policy runs that measured instead
-	predictorConfMilli atomic.Int64 // sum of hit confidences ×1000, for the mean
-
 	forwardedServed atomic.Int64 // schedule requests that arrived forwarded from a peer
 }
 
@@ -279,18 +276,12 @@ func NewServer(cfg Config) *Server {
 	}
 	s.predictor.set(cfg.Predictor)
 	s.pairPredictor.set(cfg.PairPredictor)
-	s.smsv.cache = newDecisionCache[*CachedDecision](cfg)
-	s.smsv.choose, s.smsv.degrade, s.smsv.publish = s.chooseSMSV, s.degradeSMSV, s.publishSMSV
-	s.smsv.fromWire = fromWire(sparse.ParseCandidate, cachedDecision)
-	s.smsv.classNoun = "shape class"
-	s.pair.cache = newDecisionCache[*CachedPairDecision](cfg)
-	s.pair.choose, s.pair.degrade, s.pair.publish = s.choosePair, s.degradePair, s.publishPair
-	s.pair.fromWire = fromWire(parseSupportedPair, cachedPairDecision)
-	s.pair.classNoun = "pair shape class"
+	s.setupSMSV()
+	s.setupPair()
 	s.replApply = map[string]func(cluster.ReplEntry) bool{
-		cluster.KindDecision:    applyDecision(s.smsv.cache, s.smsv.fromWire),
+		cluster.KindDecision:    applyDecision(&s.smsv),
 		cluster.KindHistory:     applyHistory(sparse.ParseCandidate, s.recordHistory),
-		cluster.KindSpGEMM:      applyDecision(s.pair.cache, s.pair.fromWire),
+		cluster.KindSpGEMM:      applyDecision(&s.pair),
 		cluster.KindPairHistory: applyHistory(parseSupportedPair, s.recordPairHistory),
 	}
 	smsvModel := newModelSlot("model", cfg.ModelLoader, &s.predictor.swapBox)
@@ -374,12 +365,6 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.breaker.State()) })
 	reg.CounterFunc("layoutd_breaker_opens_total",
 		"Times the measurement breaker tripped open.", iv(s.breaker.Opens))
-	reg.CounterFunc("layoutd_predictor_hits_total",
-		"Decisions answered by the trained predictor without measurement.", iv(s.predictorHits.Load))
-	reg.CounterFunc("layoutd_predictor_fallbacks_total",
-		"Predict-policy decisions that fell back to measurement.", iv(s.predictorFallbacks.Load))
-	reg.CounterFunc("layoutd_predictor_confidence_milli_sum",
-		"Sum of predictor hit confidences ×1000 (divide by hits for the mean).", iv(s.predictorConfMilli.Load))
 	reg.CounterFunc("layoutd_trace_store_evicted_total",
 		"Decision traces evicted from the bounded ring buffer.",
 		func() float64 { return float64(s.traces.Evicted()) })
@@ -414,8 +399,8 @@ func (s *Server) registerMetrics() {
 // it, its cache, its tuning history and its predictor box. A workload
 // supplies only the infix and the help prefix, so every workload exports
 // the same set.
-func registerWorkloadMetrics[In any, V decided, P comparable](reg *telemetry.Registry, infix, helpPrefix string,
-	w *workload[In, V], historyLen func() int, model *swapBox[P]) {
+func registerWorkloadMetrics[In any, C candidate, R evidenceRow[C, R], P comparable](reg *telemetry.Registry, infix, helpPrefix string,
+	w *workload[In, C, R], historyLen func() int, model *swapBox[P]) {
 	counter := func(name, help string, fn func() int64) {
 		reg.CounterFunc("layoutd_"+infix+name, helpPrefix+help, func() float64 { return float64(fn()) })
 	}
@@ -441,6 +426,12 @@ func registerWorkloadMetrics[In any, V decided, P comparable](reg *telemetry.Reg
 	})
 	counter("model_swaps_total",
 		"Predictor models hot-swapped in (cluster pushes and online promotions).", model.swaps.Load)
+	counter("predictor_hits_total",
+		"Decisions answered by the trained predictor without measurement.", w.predictorHits.Load)
+	counter("predictor_fallbacks_total",
+		"Predict-policy decisions that fell back to measurement.", w.predictorFallbacks.Load)
+	counter("predictor_confidence_milli_sum",
+		"Sum of predictor hit confidences ×1000 (divide by hits for the mean).", w.predictorConfMilli.Load)
 }
 
 // Registry exposes the server's metric registry so embedders (and the
@@ -459,13 +450,13 @@ func (s *Server) History() *core.History { return s.cfg.History }
 // dedup, or the rule-based model).
 func (s *Server) Measurements() int64 { return s.smsv.measurements.Load() }
 
-// PredictorHits reports how many decisions were answered by the trained
-// predictor without measurement.
-func (s *Server) PredictorHits() int64 { return s.predictorHits.Load() }
+// PredictorHits reports how many SMSV decisions were answered by the
+// trained predictor without measurement.
+func (s *Server) PredictorHits() int64 { return s.smsv.predictorHits.Load() }
 
-// PredictorFallbacks reports how many predict-policy decisions fell back to
-// measurement (low confidence or unbuildable prediction).
-func (s *Server) PredictorFallbacks() int64 { return s.predictorFallbacks.Load() }
+// PredictorFallbacks reports how many predict-policy SMSV decisions fell
+// back to measurement (low confidence or unbuildable prediction).
+func (s *Server) PredictorFallbacks() int64 { return s.smsv.predictorFallbacks.Load() }
 
 // Drain stops admitting requests (new ones get 503) and blocks until every
 // in-flight handler returns. Call after http.Server.Shutdown for a
@@ -832,7 +823,7 @@ func (s *Server) profileDecision(ctx context.Context, f dataset.Features, p Feat
 		Policy:    core.RuleBased.String(),
 		Chosen:    ests[0].Format.String(),
 		Features:  p,
-		Source:    "model",
+		Source:    core.RungModel.String(),
 		Estimates: appendEstimates(nil, ests),
 		TraceID:   contextTraceID(ctx),
 		Trace:     profileTrace,
@@ -858,29 +849,32 @@ type smsvIn struct {
 	feats dataset.Features
 }
 
-// chooseSMSV is the SMSV workload's scheduler call.
-func (s *Server) chooseSMSV(ctx context.Context, policy core.Policy, in smsvIn) (*CachedDecision, error) {
-	dec, err := s.scheds[policy].ChooseContext(ctx, in.b)
-	if err != nil {
-		return nil, err
+// setupSMSV fills the SMSV workload's entry in the decide pipeline.
+func (s *Server) setupSMSV() {
+	w := &s.smsv
+	w.cache = newDecisionCache[*CachedDecision](s.cfg)
+	w.choose = func(ctx context.Context, policy core.Policy, in smsvIn) (decision[sparse.Candidate], error) {
+		return s.scheds[policy].ChooseContext(ctx, in.b)
 	}
-	val := &CachedDecision{
-		Candidate: dec.ChosenCandidate, Format: dec.Chosen,
-		Measured: copyMeasured(dec.Measured),
-		Source:   dec.Source(), Confidence: dec.Confidence,
+	w.history = func(in smsvIn) (sparse.Candidate, bool) {
+		return s.cfg.History.Lookup(in.feats, core.DefaultHistoryRadius)
 	}
-	dec.Release()
-	return val, nil
+	w.predict = func(in smsvIn) (sparse.Candidate, float64, bool) { return s.predictor.PredictCandidate(in.feats) }
+	w.model = func(in smsvIn) (sparse.Candidate, float64) {
+		return sparse.BaseCandidate(core.EstimateCosts(in.feats)[0].Format), 0
+	}
+	w.publish = s.publishSMSV
+	w.parse = sparse.ParseCandidate
+	w.classNoun = "shape class"
 }
 
 // publishSMSV gossips a fresh SMSV decision (and, when measured, the
 // history record behind it) and harvests it for the online flywheel.
 func (s *Server) publishSMSV(key []byte, in smsvIn, val *CachedDecision) {
 	label := val.Candidate.String()
-	gossip(s, val, key,
-		cluster.KindDecision, decisionWire{Candidate: label, Source: val.Source, Confidence: val.Confidence},
-		cluster.KindHistory, historyWire{Features: NewFeaturesJSON(in.feats), Candidate: label})
-	harvest(s, val, online.Record{Kind: online.KindSMSV, F: in.feats, Label: label}, val.Measured)
+	gossip(s, val, key, cluster.KindDecision, cluster.KindHistory,
+		historyWire{Features: NewFeaturesJSON(in.feats), Candidate: label})
+	harvest(s, val, online.Record{Kind: online.KindSMSV, F: in.feats, Label: label})
 }
 
 // isMeasurementFailure reports whether err is a failure of the measurement
@@ -894,26 +888,6 @@ func isMeasurementFailure(err error) bool {
 	}
 	var kp *core.KernelPanicError
 	return core.IsTransient(err) || errors.As(err, &kp)
-}
-
-// degradeSMSV produces a best-effort decision with the measurement path
-// down: tuning history first (closest to evidence), then the trained
-// predictor at any confidence, then the rule-based cost model, which always
-// answers. The result is marked Degraded so it is cached only briefly and
-// re-measured once the path recovers.
-func (s *Server) degradeSMSV(in smsvIn) (val *CachedDecision) {
-	defer func() {
-		s.logger.Warn("serving degraded decision",
-			"breaker", s.breaker.State().String(), "source", val.Source, "format", val.Format.String())
-	}()
-	if c, ok := s.cfg.History.Lookup(in.feats, core.DefaultHistoryRadius); ok {
-		return &CachedDecision{Candidate: c, Format: c.Format, Source: "history", Degraded: true}
-	}
-	if c, conf, ok := s.predictor.PredictCandidate(in.feats); ok {
-		return &CachedDecision{Candidate: c, Format: c.Format, Source: "predictor", Confidence: conf, Degraded: true}
-	}
-	f := core.EstimateCosts(in.feats)[0].Format
-	return &CachedDecision{Candidate: sparse.BaseCandidate(f), Format: f, Source: "model", Degraded: true}
 }
 
 // writeScheduleError maps scheduler failures onto HTTP statuses.

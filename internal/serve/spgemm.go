@@ -94,17 +94,17 @@ func NewSpGEMMDecisionJSON(d *core.SpGEMMDecision) SpGEMMDecisionJSON {
 		BFormat:      d.Chosen.BFormat.String(),
 		AFeatures:    NewFeaturesJSON(d.AFeatures),
 		BFeatures:    NewFeaturesJSON(d.BFeatures),
-		Source:       d.Source(),
+		Source:       d.Rung.String(),
 		Confidence:   d.Confidence,
 		EstimatedNNZ: d.EstimatedNNZ,
 		OutputNNZ:    d.OutputNNZ,
 	}
 	out.Estimates = encodePairEstimates(d.Estimates)
-	out.Measured = encodeMeasured(d.Measured, pairMeasurementRow)
+	out.Measured = encodeMeasured[spgemm.Candidate, PairMeasurementJSON](d.Measured)
 	return out
 }
 
-func pairMeasurementRow(c spgemm.Candidate, t time.Duration) PairMeasurementJSON {
+func (PairMeasurementJSON) measured(c spgemm.Candidate, t time.Duration) PairMeasurementJSON {
 	return PairMeasurementJSON{
 		Candidate: c.String(),
 		Nanos:     int64(t),
@@ -260,7 +260,7 @@ func (s *Server) scheduleSpGEMM(ctx context.Context, w http.ResponseWriter, req 
 	}
 	val := r.val
 	name := val.Candidate.String()
-	s.noteDecide(trace, s.pair.classNoun, key, r.outcome, val, name, policy)
+	noteDecide(s, trace, s.pair.classNoun, key, r.outcome, val, name, policy)
 
 	sa.pairEsts = core.AppendPairEstimates(sa.pairEsts[:0], fa, fb)
 	sa.pairEstsJ = appendPairEstimates(sa.pairEstsJ[:0], sa.pairEsts)
@@ -272,7 +272,7 @@ func (s *Server) scheduleSpGEMM(ctx context.Context, w http.ResponseWriter, req 
 		BFormat:      val.Candidate.BFormat.String(),
 		AFeatures:    NewFeaturesJSON(fa),
 		BFeatures:    NewFeaturesJSON(fb),
-		Source:       val.Source,
+		Source:       val.Rung.String(),
 		Confidence:   val.Confidence,
 		EstimatedNNZ: val.EstimatedNNZ,
 		OutputNNZ:    val.OutputNNZ,
@@ -295,50 +295,35 @@ type pairIn struct {
 	fa, fb dataset.Features
 }
 
-// choosePair is the SpGEMM workload's scheduler call.
-func (s *Server) choosePair(ctx context.Context, policy core.Policy, in pairIn) (*CachedPairDecision, error) {
-	dec, err := s.spScheds[policy].ChooseContext(ctx, in.a, in.b)
-	if err != nil {
-		return nil, err
+// setupPair fills the SpGEMM workload's entry in the decide pipeline.
+func (s *Server) setupPair() {
+	w := &s.pair
+	w.cache = newDecisionCache[*CachedPairDecision](s.cfg)
+	w.choose = func(ctx context.Context, policy core.Policy, in pairIn) (decision[spgemm.Candidate], error) {
+		return s.spScheds[policy].ChooseContext(ctx, in.a, in.b)
 	}
-	val := &CachedPairDecision{
-		Candidate: dec.Chosen, Measured: copyMeasured(dec.Measured),
-		Source: dec.Source(), Confidence: dec.Confidence,
-		EstimatedNNZ: dec.EstimatedNNZ, OutputNNZ: dec.OutputNNZ,
+	w.history = func(in pairIn) (spgemm.Candidate, bool) {
+		return s.cfg.PairHistory.Lookup(in.fa, in.fb, core.DefaultPairHistoryRadius)
 	}
-	dec.Release()
-	return val, nil
+	w.predict = func(in pairIn) (spgemm.Candidate, float64, bool) {
+		c, conf, ok := s.pairPredictor.PredictPair(in.fa, in.fb)
+		return c, conf, ok && spgemm.Supported(c)
+	}
+	w.model = func(in pairIn) (spgemm.Candidate, float64) {
+		return core.EstimatePairCandidates(in.fa, in.fb)[0].Candidate, dataset.EstimateOutputNNZ(in.fa, in.fb)
+	}
+	w.publish = s.publishPair
+	w.parse = parseSupportedPair
+	w.classNoun = "pair shape class"
 }
 
 // publishPair gossips a fresh pair decision (and, when measured, the
 // history record behind it) and harvests it for the online flywheel.
 func (s *Server) publishPair(key []byte, in pairIn, val *CachedPairDecision) {
 	label := val.Candidate.String()
-	gossip(s, val, key,
-		cluster.KindSpGEMM, decisionWire{Candidate: label, Source: val.Source,
-			Confidence: val.Confidence, EstimatedNNZ: val.EstimatedNNZ},
-		cluster.KindPairHistory, pairHistoryWire{AFeatures: NewFeaturesJSON(in.fa),
-			BFeatures: NewFeaturesJSON(in.fb), Candidate: label})
-	harvest(s, val, online.Record{Kind: online.KindPair, F: in.fa, FB: in.fb, Label: label}, val.Measured)
-}
-
-// degradePair produces a best-effort pair decision with the measurement
-// path down: pairwise tuning history first, then the pair predictor at any
-// confidence, then the cost model, which always answers.
-func (s *Server) degradePair(in pairIn) (val *CachedPairDecision) {
-	defer func() {
-		s.logger.Warn("serving degraded spgemm decision",
-			"breaker", s.breaker.State().String(), "source", val.Source, "candidate", val.Candidate.String())
-	}()
-	val = &CachedPairDecision{EstimatedNNZ: dataset.EstimateOutputNNZ(in.fa, in.fb), Degraded: true}
-	if c, ok := s.cfg.PairHistory.Lookup(in.fa, in.fb, core.DefaultPairHistoryRadius); ok {
-		val.Candidate, val.Source = c, "history"
-	} else if c, conf, ok := s.pairPredictor.PredictPair(in.fa, in.fb); ok && spgemm.Supported(c) {
-		val.Candidate, val.Source, val.Confidence = c, "predictor", conf
-	} else {
-		val.Candidate, val.Source = core.EstimatePairCandidates(in.fa, in.fb)[0].Candidate, "model"
-	}
-	return val
+	gossip(s, val, key, cluster.KindSpGEMM, cluster.KindPairHistory,
+		pairHistoryWire{AFeatures: NewFeaturesJSON(in.fa), BFeatures: NewFeaturesJSON(in.fb), Candidate: label})
+	harvest(s, val, online.Record{Kind: online.KindPair, F: in.fa, FB: in.fb, Label: label})
 }
 
 // pairHistoryWire is the replicated form of one pairwise tuning-history

@@ -189,6 +189,54 @@ func TestScheduleSpGEMMPredictPolicy(t *testing.T) {
 	}
 }
 
+// TestPredictorCountersPerWorkload: each workload counts its own predictor
+// hits, fallbacks and confidence. A SpGEMM prediction must not show up in the
+// SMSV families, whose model is not even loaded here, nor the reverse.
+func TestPredictorCountersPerWorkload(t *testing.T) {
+	s := newTestServer(t, Config{
+		PairPredictor: fixedPairPredictor{c: spgemm.BaseCandidate, conf: 0.95},
+	})
+	h := s.Handler()
+	req := conformablePair(30, 24, 18, 5)
+	req.Policy = "predict"
+	if d := decodeSpGEMM(t, post(t, h, "/v1/schedule/spgemm", req)).Decision; d.Source != "predictor" {
+		t.Fatalf("predict decision from %q", d.Source)
+	}
+	low := newTestServer(t, Config{
+		PairPredictor: fixedPairPredictor{c: spgemm.BaseCandidate, conf: 0.3},
+	})
+	if d := decodeSpGEMM(t, post(t, low.Handler(), "/v1/schedule/spgemm", req)).Decision; d.Source != "measured" {
+		t.Fatalf("low-confidence decision from %q", d.Source)
+	}
+	for srv, wants := range map[*Server][]string{
+		s: {
+			"layoutd_predictor_loaded 0",
+			"layoutd_predictor_hits_total 0",
+			"layoutd_predictor_confidence_milli_sum 0",
+			"layoutd_spgemm_predictor_loaded 1",
+			"layoutd_spgemm_predictor_hits_total 1",
+			"layoutd_spgemm_predictor_fallbacks_total 0",
+			"layoutd_spgemm_predictor_confidence_milli_sum 950",
+		},
+		low: {
+			"layoutd_predictor_fallbacks_total 0",
+			"layoutd_spgemm_predictor_hits_total 0",
+			"layoutd_spgemm_predictor_fallbacks_total 1",
+			"layoutd_spgemm_predictor_confidence_milli_sum 0",
+		},
+	} {
+		body := getMetrics(t, srv.Handler())
+		for _, want := range wants {
+			if !strings.Contains(body, want+"\n") {
+				t.Errorf("metrics missing %q", want)
+			}
+		}
+	}
+	if s.PredictorHits() != 0 || low.PredictorFallbacks() != 0 {
+		t.Fatalf("SMSV counters moved: hits %d, fallbacks %d", s.PredictorHits(), low.PredictorFallbacks())
+	}
+}
+
 func TestScheduleSpGEMMBadRequests(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
@@ -255,7 +303,7 @@ func TestSpGEMMMetricsExposed(t *testing.T) {
 	var mode atomic.Int32
 	entered, release := make(chan struct{}), make(chan struct{})
 	choose := s.pair.choose
-	s.pair.choose = func(ctx context.Context, policy core.Policy, in pairIn) (*CachedPairDecision, error) {
+	s.pair.choose = func(ctx context.Context, policy core.Policy, in pairIn) (decision[spgemm.Candidate], error) {
 		switch mode.Load() {
 		case block:
 			entered <- struct{}{}

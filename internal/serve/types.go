@@ -118,11 +118,11 @@ func NewDecisionJSON(d *core.Decision) DecisionJSON {
 		Chunk:    d.ChosenCandidate.Chunk.String(),
 		Variant:  d.ChosenCandidate.Variant.String(),
 		Features: NewFeaturesJSON(d.Features),
-		Source:   d.Source(),
+		Source:   d.Rung.String(),
 	}
 	out.Confidence = d.Confidence
 	out.Estimates = appendEstimates(nil, d.Estimates)
-	out.Measured = encodeMeasured(d.Measured, measurementRow)
+	out.Measured = encodeMeasured[sparse.Candidate, MeasurementJSON](d.Measured)
 	return out
 }
 
@@ -137,9 +137,17 @@ func appendEstimates(dst []EstimateJSON, ests []core.Estimate) []EstimateJSON {
 	return dst
 }
 
+// evidenceRow is a reply's row type for one measured candidate of type C:
+// measured builds a row (the receiver only names the type), and appendTo
+// appends one to a reply being written.
+type evidenceRow[C, R any] interface {
+	measured(c C, t time.Duration) R
+	appendTo(w *wire)
+}
+
 // encodeMeasured renders a measurement map as one row per candidate,
 // fastest first, ties by candidate string; nil when nothing was measured.
-func encodeMeasured[C candidate, R any](m map[C]time.Duration, row func(C, time.Duration) R) []R {
+func encodeMeasured[C candidate, R evidenceRow[C, R]](m map[C]time.Duration) []R {
 	if len(m) == 0 {
 		return nil
 	}
@@ -155,12 +163,12 @@ func encodeMeasured[C candidate, R any](m map[C]time.Duration, row func(C, time.
 	})
 	out := make([]R, len(cands))
 	for i, c := range cands {
-		out[i] = row(c, m[c])
+		out[i] = out[i].measured(c, m[c])
 	}
 	return out
 }
 
-func measurementRow(c sparse.Candidate, t time.Duration) MeasurementJSON {
+func (MeasurementJSON) measured(c sparse.Candidate, t time.Duration) MeasurementJSON {
 	return MeasurementJSON{
 		Format: c.Format.String(), Chunk: c.Chunk.String(), Variant: c.Variant.String(),
 		Nanos:  int64(t),

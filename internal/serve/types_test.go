@@ -67,7 +67,7 @@ func TestEncodeMeasuredTieBreak(t *testing.T) {
 		sparse.BaseCandidate(sparse.CSR): 5 * time.Millisecond,
 		sparse.BaseCandidate(sparse.ELL): time.Millisecond,
 	}
-	out := encodeMeasured(m, measurementRow)
+	out := encodeMeasured[sparse.Candidate, MeasurementJSON](m)
 	if out[0].Format != "ELL" {
 		t.Fatalf("fastest not first: %+v", out)
 	}
@@ -78,7 +78,7 @@ func TestEncodeMeasuredTieBreak(t *testing.T) {
 	if out[0].Millis != 1 {
 		t.Fatalf("millis %v", out[0].Millis)
 	}
-	if encodeMeasured[sparse.Candidate](nil, measurementRow) != nil {
+	if encodeMeasured[sparse.Candidate, MeasurementJSON](nil) != nil {
 		t.Fatal("empty map should encode as nil")
 	}
 }

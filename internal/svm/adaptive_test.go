@@ -73,8 +73,8 @@ func TestTrainAdaptiveRunsChosenCandidate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Decision.Predicted || res.Decision.ChosenCandidate != c || res.Stats.Iterations != iters {
-			t.Fatalf("%v: decision %v (predicted %v), %d iterations", c, res.Decision.ChosenCandidate, res.Decision.Predicted, res.Stats.Iterations)
+		if res.Decision.Rung != core.RungPredictor || res.Decision.ChosenCandidate != c || res.Stats.Iterations != iters {
+			t.Fatalf("%v: decision %v (from %v), %d iterations", c, res.Decision.ChosenCandidate, res.Decision.Rung, res.Stats.Iterations)
 		}
 		// A predicted decision measures nothing: every counted call is the
 		// solver's. Fused is one KindPair call per iteration; any other variant

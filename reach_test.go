@@ -96,11 +96,6 @@ var reachAllow = map[string]string{
 	"internal/dataset.RelErr":                  pendingNext,
 	"internal/dataset.BalancedLabels":          pendingNext,
 	"internal/bench.Table.Addf":                pendingNext,
-	"internal/core.EstimateCandidates":         pendingNext,
-	"internal/core.History.Record":             pendingNext,
-	"internal/core.LoadHistory":                pendingNext,
-	"internal/core.LoadPairHistory":            pendingNext,
-	"internal/core.SpGEMMScheduler.Choose":     pendingNext,
 	"internal/dnn.FromMatrix":                  pendingNext,
 	"internal/dnn/checkpoint.go":               pendingNext,
 	"internal/dnn.Dataset.Batch":               pendingNext,
