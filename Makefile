@@ -54,8 +54,9 @@ chaos:
 # and encoding); FuzzVerdictWire holds a cache entry's wire form to a round
 # trip;
 # FuzzBuilderRecycle holds a builder that recycles its matrices' storage to
-# a fresh builder's builds. Every target's seed corpus also runs as a plain
-# test in `make test`.
+# a fresh builder's builds; FuzzLoadHistory and FuzzLoadForest feed every
+# input to both workloads' history and model loaders. Every target's seed
+# corpus also runs as a plain test in `make test`.
 fuzz:
 	$(GO) test -fuzz '^FuzzParseLIBSVM$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -fuzz '^FuzzTripletFeatures$$' -fuzztime $(FUZZTIME) ./internal/dataset
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzBuilderRecycle$$' -fuzztime $(FUZZTIME) ./internal/sparse
 	$(GO) test -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) ./internal/svm
 	$(GO) test -fuzz '^FuzzLoadHistory$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz '^FuzzLoadForest$$' -fuzztime $(FUZZTIME) ./internal/learn
 
 # Flake detector: the fake-clock state machine and the cluster suite are
 # the two places where nondeterminism would hide; five repetitions under

@@ -142,7 +142,7 @@ func BenchmarkTable6Adaptive(b *testing.B) {
 // timed kernel measurements disappear.
 func BenchmarkPredictVsMeasure(b *testing.B) {
 	ex := exec.Serial()
-	labeled, err := learn.MeasureAll(context.Background(), learn.SyntheticCorpus(20, benchSeed), ex, benchSeed)
+	labeled, err := learn.SMSV.MeasureAll(context.Background(), learn.SMSV.Synthetic(20, benchSeed), ex, benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -604,7 +604,7 @@ func freshBuilder(m sparse.Matrix) *sparse.Builder {
 // the source of EXPERIMENTS.md's "What a scheduling decision costs".
 func BenchmarkChoose(b *testing.B) {
 	ex := exec.Default()
-	labeled, err := learn.MeasureAll(context.Background(), learn.SyntheticCorpus(20, benchSeed), ex, benchSeed)
+	labeled, err := learn.SMSV.MeasureAll(context.Background(), learn.SMSV.Synthetic(20, benchSeed), ex, benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -58,11 +58,9 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -76,7 +74,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
-	"repro/internal/learn"
 	"repro/internal/online"
 	"repro/internal/serve"
 	"repro/internal/svm"
@@ -89,11 +86,8 @@ type options struct {
 	addr          string
 	policy        string
 	workers       int
-	histPath      string
+	files         [2]workloadFiles // per workload, in daemonWorkloads order
 	modelPath     string
-	predictorPath string
-	pairHistPath  string
-	pairPredPath  string
 	minConfidence float64
 	maxInflight   int
 	maxBatch      int
@@ -131,11 +125,10 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8723", "listen address")
 	flag.StringVar(&o.policy, "policy", "hybrid", "default decision policy: rule-based, empirical, hybrid, predict")
 	flag.IntVar(&o.workers, "workers", 0, "kernel workers (0 = all cores)")
-	flag.StringVar(&o.histPath, "history", "", "tuning-history file: loaded at startup, saved on shutdown")
+	for _, w := range daemonWorkloads(&o.files) {
+		w.flags()
+	}
 	flag.StringVar(&o.modelPath, "model", "", "trained SVM model file served by /v1/predict")
-	flag.StringVar(&o.predictorPath, "predictor", "", "trained format-predictor file (from `layoutsched train`) served by /v1/predict-format and the predict policy")
-	flag.StringVar(&o.pairHistPath, "spgemm-history", "", "SpGEMM pair tuning-history file: loaded at startup, saved on shutdown")
-	flag.StringVar(&o.pairPredPath, "spgemm-predictor", "", "trained pair-predictor file (from `layoutsched train-spgemm`) serving the predict policy on /v1/schedule/spgemm")
 	flag.Float64Var(&o.minConfidence, "min-confidence", 0, "predictor confidence below which decisions fall back to measurement (0 = default)")
 	flag.IntVar(&o.maxInflight, "max-inflight", 4, "concurrent measurement slots; excess requests get 429")
 	flag.IntVar(&o.maxBatch, "max-batch", serve.MaxBatchItems, "items allowed per /v1/schedule/batch request")
@@ -232,12 +225,15 @@ func run(o options) error {
 		fault.Enable(reg)
 		logger.Warn("fault injection armed", "spec", fmt.Sprint(reg))
 	}
-	hist := &core.History{}
-	if o.histPath != "" {
-		if hist, err = core.LoadHistoryFile(o.histPath); err != nil {
+	// The predict policy's default workload is SMSV, the first.
+	if p == core.PolicyPredict && o.files[0].predictor == "" {
+		return fmt.Errorf("policy predict needs -predictor")
+	}
+	workloads := daemonWorkloads(&o.files)
+	for _, w := range workloads {
+		if err := w.load(logger); err != nil {
 			return err
 		}
-		logger.Info("loaded tuning history", "entries", hist.Len(), "path", o.histPath)
 	}
 	var model *svm.Model
 	if o.modelPath != "" {
@@ -251,38 +247,6 @@ func run(o options) error {
 			return err
 		}
 		logger.Info("loaded SVM model", "support_vectors", len(model.SVs), "path", o.modelPath)
-	}
-	// A corrupt or outdated predictor fails startup here, with the file
-	// named in the error — never mid-request.
-	var predictor *learn.Forest
-	if o.predictorPath != "" {
-		f, err := learn.LoadFile(o.predictorPath)
-		if err != nil {
-			return err
-		}
-		predictor = f
-		logger.Info("loaded format predictor",
-			"trees", predictor.Trees(), "trained_on", predictor.TrainedOn(), "path", o.predictorPath)
-	}
-	if p == core.PolicyPredict && predictor == nil {
-		return fmt.Errorf("policy predict needs -predictor")
-	}
-	pairHist := &core.PairHistory{}
-	if o.pairHistPath != "" {
-		if pairHist, err = core.LoadPairHistoryFile(o.pairHistPath); err != nil {
-			return err
-		}
-		logger.Info("loaded pair tuning history", "entries", pairHist.Len(), "path", o.pairHistPath)
-	}
-	var pairPredictor *learn.PairForest
-	if o.pairPredPath != "" {
-		f, err := learn.LoadPairFile(o.pairPredPath)
-		if err != nil {
-			return err
-		}
-		pairPredictor = f
-		logger.Info("loaded pair predictor",
-			"trees", pairPredictor.Trees(), "trained_on", pairPredictor.TrainedOn(), "path", o.pairPredPath)
 	}
 	// Cluster mode: every node is started with the same -peers list and its
 	// own -node-id; the consistent-hash ring then gives all nodes one view of
@@ -323,8 +287,7 @@ func run(o options) error {
 	}
 
 	cfg := serve.Config{
-		Policy: p, Exec: ex, Stats: &exec.Stats{}, History: hist, Model: model,
-		PairHistory:   pairHist,
+		Policy: p, Exec: ex, Stats: &exec.Stats{}, Model: model,
 		MinConfidence: o.minConfidence,
 		TrialRows:     o.trialRows, TopK: o.topK, Seed: o.seed,
 		MaxInflight: o.maxInflight, MaxBatch: o.maxBatch,
@@ -336,19 +299,14 @@ func run(o options) error {
 		TraceFetchPeerTimeout: o.tracePeer,
 		Cluster:               peers,
 		OnlineEvents:          events,
-		ModelLoader:           loader[core.FormatPredictor](learn.Load),
-		PairModelLoader:       loader[core.PairPredictor](learn.LoadPair),
+	}
+	for _, w := range workloads {
+		w.configure(&cfg)
 	}
 	if store != nil {
 		// The store validates and counts rejected records itself, so the
 		// hot-path hook stays a plain enqueue.
 		cfg.Harvest = func(r online.Record) { _ = store.Add(r) }
-	}
-	if predictor != nil {
-		cfg.Predictor = predictor
-	}
-	if pairPredictor != nil {
-		cfg.PairPredictor = pairPredictor
 	}
 	s := serve.NewServer(cfg)
 
@@ -366,6 +324,10 @@ func run(o options) error {
 		if margin == 0 {
 			margin = online.PromoteMarginZero
 		}
+		var lanes []online.LaneConfig
+		for _, w := range workloads {
+			lanes = append(lanes, w.lane(s, logger))
+		}
 		ctl, err = online.New(online.Config{
 			Store:           store,
 			RetrainInterval: o.retrainInterval,
@@ -376,12 +338,7 @@ func run(o options) error {
 			Events:          events,
 			TraceSink:       func(tr *telemetry.Trace) { s.Traces().Put(tr) },
 			Node:            o.nodeID,
-			Lanes: []online.LaneConfig{
-				online.SMSVLane(predictor, learn.TrainConfig{},
-					installer[*learn.Forest](s, logger, serve.ModelKindSMSV, "format predictor", s.SwapPredictor)),
-				online.PairLane(pairPredictor, learn.TrainConfig{},
-					installer[*learn.PairForest](s, logger, serve.ModelKindPair, "pair predictor", s.SwapPairPredictor)),
-			},
+			Lanes:           lanes,
 		})
 		if err != nil {
 			return err
@@ -455,21 +412,11 @@ func run(o options) error {
 		// is queued to the successor while peers are still reachable.
 		peers.Stop()
 	}
-	if o.predictorPath != "" {
-		logger.Info("predictor summary",
-			"hits", s.PredictorHits(), "fallbacks", s.PredictorFallbacks())
-	}
-	if o.histPath != "" {
-		if err := s.History().SaveFile(o.histPath); err != nil {
-			return fmt.Errorf("saving history: %w", err)
+	for _, w := range workloads {
+		w.summarize(s, logger)
+		if err := w.save(logger); err != nil {
+			return err
 		}
-		logger.Info("saved tuning history", "entries", s.History().Len(), "path", o.histPath)
-	}
-	if o.pairHistPath != "" {
-		if err := s.PairHistory().SaveFile(o.pairHistPath); err != nil {
-			return fmt.Errorf("saving pair history: %w", err)
-		}
-		logger.Info("saved pair tuning history", "entries", s.PairHistory().Len(), "path", o.pairHistPath)
 	}
 	if ctl != nil {
 		for _, ls := range ctl.Status() {
@@ -515,53 +462,4 @@ func loadOnlineStore(path string, capacity int, logger *slog.Logger) *online.Sto
 	}
 	logger.Info("loaded online harvest store", "records", store.Len(), "path", path)
 	return store
-}
-
-// forest is what layoutd needs of either learn forest: a comparable zero
-// value (nil, "no model") and the model codec.
-type forest interface {
-	comparable
-	Save(io.Writer) error
-}
-
-// loader adapts one of learn's decoders to a serve model loader. Pushed
-// models decode exactly like -predictor files, so a model that trains on
-// one node distributes to the rest of the ring unchanged. P is the
-// predictor interface F serves as; Go cannot state that relation between
-// two type parameters, so it is asserted.
-func loader[P any, F forest](load func(io.Reader) (F, error)) func([]byte) (P, error) {
-	return func(b []byte) (p P, err error) {
-		f, err := load(bytes.NewReader(b))
-		if err != nil {
-			return p, err
-		}
-		return any(f).(P), nil
-	}
-}
-
-// installer returns a flywheel lane's install hook. A nil forest — a
-// rollback to a no-model boot lane — unloads the serving predictor locally
-// (nothing to broadcast: peers keep whatever they serve until the next
-// promotion); any other is serialised, swapped in through the same
-// hot-swap path cluster pushes use, and broadcast to the ring. The install
-// context carries the controller's online.retrain trace, so a promotion's
-// ring-wide broadcast is recorded as one trace.
-func installer[F forest, P any](s *serve.Server, logger *slog.Logger, kind, noun string, swap func(P)) func(context.Context, F) error {
-	return func(ctx context.Context, f F) error {
-		var unloaded F
-		if f == unloaded {
-			var none P
-			swap(none)
-			return nil
-		}
-		var buf bytes.Buffer
-		if err := f.Save(&buf); err != nil {
-			return err
-		}
-		swap(any(f).(P))
-		if n := s.BroadcastModel(ctx, kind, buf.Bytes()); n > 0 {
-			logger.Info("broadcast promoted "+noun, "peers", n)
-		}
-		return nil
-	}
 }

@@ -47,11 +47,12 @@ func onlineDefaults(o *options) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	cases := []struct {
+	type badFlags struct {
 		name    string
 		mutate  func(*options)
 		wantSub string
-	}{
+	}
+	cases := []badFlags{
 		{"zero max-batch", func(o *options) { o.maxBatch = 0 }, "-max-batch"},
 		{"negative max-batch", func(o *options) { o.maxBatch = -3 }, "-max-batch"},
 		{"zero trace-buffer", func(o *options) { o.traceBuffer = 0 }, "-trace-buffer"},
@@ -75,9 +76,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"negative vnodes with peers", func(o *options) {
 			o.peers, o.nodeID, o.vnodes = "n1=http://h:1,n2=http://h:2", "n1", -1
 		}, "-vnodes"},
-		{"missing spgemm predictor", func(o *options) {
-			o.pairPredPath = "/nonexistent/spgemm-model.json"
-		}, "spgemm-model.json"},
 		{"online-store without online", func(o *options) {
 			o.onlineStorePath = "harvest.log"
 		}, "-online"},
@@ -101,6 +99,20 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			onlineDefaults(o)
 			o.rollbackRegret = 0.5
 		}, "-rollback-regret"},
+	}
+	// Each workload's persisted state fails startup with the file named:
+	// a corrupt history, a missing predictor, a corrupt predictor.
+	dir := t.TempDir()
+	corrupt := filepath.Join(dir, "corrupt")
+	if err := os.WriteFile(corrupt, []byte("#layoutsched-history v2\n1 2 3 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"smsv", "spgemm"} {
+		missing := filepath.Join(dir, name+"-model.json")
+		cases = append(cases,
+			badFlags{"corrupt " + name + " history", func(o *options) { o.files[i].history = corrupt }, corrupt},
+			badFlags{"missing " + name + " predictor", func(o *options) { o.files[i].predictor = missing }, missing},
+			badFlags{"corrupt " + name + " predictor", func(o *options) { o.files[i].predictor = corrupt }, corrupt})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,19 +201,19 @@ func TestPersistedStateSavesAtomically(t *testing.T) {
 		load     func(path string) error
 	}{
 		{"history", hist.Save, hist.SaveFile, func(p string) error {
-			h, err := core.LoadHistoryFile(p)
+			h, err := learn.SMSV.LoadHistory(p)
 			return loaded(h.Len(), err)
 		}},
 		{"pair history", pairHist.Save, pairHist.SaveFile, func(p string) error {
-			h, err := core.LoadPairHistoryFile(p)
+			h, err := learn.SpGEMM.LoadHistory(p)
 			return loaded(h.Len(), err)
 		}},
 		{"model", forest.Save, forest.SaveFile, func(p string) error {
-			f, err := learn.LoadFile(p)
+			f, err := learn.SMSV.LoadModelFile(p)
 			return loaded(f.Trees(), err)
 		}},
 		{"pair model", pairForest.Save, pairForest.SaveFile, func(p string) error {
-			f, err := learn.LoadPairFile(p)
+			f, err := learn.SpGEMM.LoadModelFile(p)
 			return loaded(f.Trees(), err)
 		}},
 		{"harvest store", store.Save,
@@ -252,9 +264,9 @@ func TestPersistedStateSavesAtomically(t *testing.T) {
 }
 
 // TestModelLoaderAndInstaller drives both workloads' instantiations of the
-// generic wiring: a saved forest decodes through loader into the predictor
-// interface serve swaps in, installer swaps a fitted forest in and a nil
-// one out.
+// generic wiring: configure hands serve a loader that decodes a saved forest
+// into the predictor interface serve swaps in, and installer swaps a fitted
+// forest in and a nil one out, each into its own workload's slot.
 func TestModelLoaderAndInstaller(t *testing.T) {
 	feats := harvestRecord().F
 	forest, err := learn.Train([]learn.Example{learn.FromFeatures(feats, sparse.BaseCandidate(sparse.CSR))}, learn.TrainConfig{})
@@ -265,46 +277,65 @@ func TestModelLoaderAndInstaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var files [2]workloadFiles
+	var cfg serve.Config
+	for _, w := range daemonWorkloads(&files) {
+		if err := w.load(quietLogger()); err != nil {
+			t.Fatal(err)
+		}
+		w.configure(&cfg)
+	}
+	if cfg.History == nil || cfg.PairHistory == nil || cfg.Predictor != nil || cfg.PairPredictor != nil {
+		t.Fatalf("no files: config %+v, want empty histories and no predictors", cfg)
+	}
 	var buf bytes.Buffer
 	if err := forest.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if p, err := loader[core.FormatPredictor](learn.Load)(buf.Bytes()); err != nil || p == nil {
+	if p, err := cfg.ModelLoader(buf.Bytes()); err != nil || p == nil {
 		t.Fatalf("format model did not load: %v %v", p, err)
 	}
-	if p, err := loader[core.FormatPredictor](learn.Load)([]byte("{")); err == nil || p != nil {
+	if p, err := cfg.ModelLoader([]byte("{")); err == nil || p != nil {
 		t.Fatalf("corrupt model loaded as %v (err %v), want a nil predictor and an error", p, err)
+	}
+	if p, err := cfg.PairModelLoader(buf.Bytes()); err == nil || p != nil {
+		t.Fatalf("format model loaded as a pair model: %v %v", p, err)
 	}
 	buf.Reset()
 	if err := pairForest.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if p, err := loader[core.PairPredictor](learn.LoadPair)(buf.Bytes()); err != nil || p == nil {
+	if p, err := cfg.PairModelLoader(buf.Bytes()); err != nil || p == nil {
 		t.Fatalf("pair model did not load: %v %v", p, err)
 	}
 
-	s := serve.NewServer(serve.Config{})
+	s := serve.NewServer(cfg)
 	ctx := context.Background()
-	var swapped []core.FormatPredictor
-	install := installer[*learn.Forest](s, quietLogger(), serve.ModelKindSMSV, "format predictor",
-		func(p core.FormatPredictor) { swapped = append(swapped, p) })
+	predictorLoaded := func(family string) bool {
+		t.Helper()
+		var out bytes.Buffer
+		s.Registry().WriteText(&out)
+		return strings.Contains(out.String(), family+" 1\n")
+	}
+	install := installer[*learn.Forest](s, quietLogger(), learn.SMSV.Kind, learn.SMSV.Predictor)
 	if err := install(ctx, forest); err != nil {
 		t.Fatal(err)
+	}
+	if !predictorLoaded("layoutd_predictor_loaded") || predictorLoaded("layoutd_spgemm_predictor_loaded") {
+		t.Fatal("format install did not land in the SMSV slot alone")
 	}
 	if err := install(ctx, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(swapped) != 2 || swapped[0] != core.FormatPredictor(forest) || swapped[1] != nil {
-		t.Fatalf("installer swapped %v, want the forest then an untyped nil", swapped)
+	if predictorLoaded("layoutd_predictor_loaded") {
+		t.Fatal("nil install did not unload the format predictor")
 	}
-	var pairSwapped []core.PairPredictor
-	pairInstall := installer[*learn.PairForest](s, quietLogger(), serve.ModelKindPair, "pair predictor",
-		func(p core.PairPredictor) { pairSwapped = append(pairSwapped, p) })
+	pairInstall := installer[*learn.PairForest](s, quietLogger(), learn.SpGEMM.Kind, learn.SpGEMM.Predictor)
 	if err := pairInstall(ctx, pairForest); err != nil {
 		t.Fatal(err)
 	}
-	if len(pairSwapped) != 1 || pairSwapped[0] != core.PairPredictor(pairForest) {
-		t.Fatalf("pair installer swapped %v", pairSwapped)
+	if !predictorLoaded("layoutd_spgemm_predictor_loaded") || predictorLoaded("layoutd_predictor_loaded") {
+		t.Fatal("pair install did not land in the SpGEMM slot alone")
 	}
 }
 

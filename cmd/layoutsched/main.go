@@ -51,11 +51,11 @@ import (
 
 func main() {
 	subcommands := map[string]func([]string) error{
-		"train":        func(args []string) error { return trainCmd(smsvWorkload, args) },
-		"eval":         func(args []string) error { return evalCmd(smsvWorkload, args) },
+		"train":        func(args []string) error { return trainCmd(&learn.SMSV, args) },
+		"eval":         func(args []string) error { return evalCmd(&learn.SMSV, args) },
 		"spgemm":       spgemmCmd,
-		"train-spgemm": func(args []string) error { return trainCmd(spgemmWorkload, args) },
-		"eval-spgemm":  func(args []string) error { return evalCmd(spgemmWorkload, args) },
+		"train-spgemm": func(args []string) error { return trainCmd(&learn.SpGEMM, args) },
+		"eval-spgemm":  func(args []string) error { return evalCmd(&learn.SpGEMM, args) },
 	}
 	if len(os.Args) > 1 {
 		if cmd, ok := subcommands[os.Args[1]]; ok {
@@ -113,14 +113,14 @@ func scheduleCmd() {
 	}
 	var hist *core.History
 	if *histPath != "" {
-		hist, err = core.LoadHistoryFile(*histPath)
+		hist, err = learn.SMSV.LoadHistory(*histPath)
 		if err != nil {
 			fatal(err)
 		}
 	}
 	cfg := core.Config{Policy: p, Seed: *seed, History: hist, MinConfidence: *minConf}
 	if *predPath != "" {
-		forest, err := learn.LoadFile(*predPath)
+		forest, err := learn.SMSV.LoadModelFile(*predPath)
 		if err != nil {
 			fatal(err)
 		}
@@ -222,87 +222,23 @@ func scheduleCmd() {
 	}
 }
 
-// forest is what the train and eval flows need of a trained model.
-type forest interface {
-	SaveFile(path string) error
-	Trees() int
-	TrainedOn() int
-}
-
-// workload describes one scheduled workload to the train and eval flows:
-// E is its training example, L a measurement-labeled corpus item, F its
-// forest. The strings are the only places the flows' flags, help text and
-// reports differ between workloads.
-type workload[E, L any, F forest] struct {
-	suffix string // subcommands are "train"+suffix and "eval"+suffix
-	pair   string // "pair " qualifies the SpGEMM nouns, "" the SMSV ones
-	items  string // what a corpus holds
-	model  string // default model file
-	// hasData: only SMSV has a single-file corpus, so only it takes -data.
-	hasData bool
-
-	harvest  func(histPath string) ([]E, error)
-	measure  func(glob string, synthetic int, seed int64, ex *exec.Exec) ([]L, error)
-	examples func([]L) []E
-	train    func([]E, learn.TrainConfig) (F, error)
-	load     func(path string) (F, error)
-	evaluate func(f F, items []L, tolerance, minConfidence float64) learn.EvalResult
-}
-
-var smsvWorkload = workload[learn.Example, learn.Labeled, *learn.Forest]{
-	items: "datasets", model: "model.json", hasData: true,
-	harvest: func(path string) ([]learn.Example, error) {
-		h, err := core.LoadHistoryFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return learn.FromHistory(h), nil
-	},
-	measure:  measureCorpus,
-	examples: learn.Examples,
-	train:    learn.Train,
-	load:     learn.LoadFile,
-	evaluate: learn.Evaluate,
-}
-
-var spgemmWorkload = workload[learn.PairExample, learn.PairLabeled, *learn.PairForest]{
-	suffix: "-spgemm", pair: "pair ", items: "operand pairs", model: "spgemm-model.json",
-	harvest: func(path string) ([]learn.PairExample, error) {
-		h, err := core.LoadPairHistoryFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return learn.FromPairHistory(h), nil
-	},
-	measure: func(_ string, synthetic int, seed int64, ex *exec.Exec) ([]learn.PairLabeled, error) {
-		if synthetic <= 0 {
-			return nil, nil
-		}
-		return learn.MeasurePairAll(context.Background(), learn.SyntheticPairCorpus(synthetic, seed), ex, seed)
-	},
-	examples: learn.PairExamples,
-	train:    learn.TrainPair,
-	load:     learn.LoadPairFile,
-	evaluate: learn.EvaluatePair,
-}
-
 // trainCmd fits a workload's predictor from measurement-labeled data:
-// harvested tuning history, LIBSVM files measured on the spot (SMSV only),
-// and/or a generated synthetic corpus.
-func trainCmd[E, L any, F forest](w workload[E, L, F], args []string) error {
-	fs := flag.NewFlagSet("train"+w.suffix, flag.ExitOnError)
+// harvested tuning history, LIBSVM files measured on the spot (workloads
+// whose corpus item is one matrix), and/or a generated synthetic corpus.
+func trainCmd[P any, L learn.Candidate, F learn.Model, H, In any](w *learn.Workload[P, L, F, H, In], args []string) error {
+	fs := flag.NewFlagSet("train"+w.CmdSuffix, flag.ExitOnError)
 	var (
-		histPath  = fs.String("history", "", w.pair+"tuning-history file to harvest examples from")
+		histPath  = fs.String("history", "", w.Pair+"tuning-history file to harvest examples from")
 		dataGlob  = new(string)
-		synthetic = fs.Int("synthetic", 0, "generate and measure-label this many synthetic "+w.items)
-		out       = fs.String("out", w.model, "output model file")
+		synthetic = fs.Int("synthetic", 0, "generate and measure-label this many synthetic "+w.Items)
+		out       = fs.String("out", w.FlagPrefix+"model.json", "output model file")
 		trees     = fs.Int("trees", 0, "forest size (0 = default)")
 		depth     = fs.Int("depth", 0, "maximum tree depth (0 = default)")
 		seed      = fs.Int64("seed", 1, "corpus generation and measurement seed")
 		workers   = fs.Int("workers", 0, "kernel workers for measurement (0 = all cores)")
 	)
 	sources := "-history and/or -synthetic"
-	if w.hasData {
+	if w.Single != nil {
 		fs.StringVar(dataGlob, "data", "", "glob of LIBSVM files to measure-label (e.g. 'corpus/*.libsvm')")
 		sources = "-history, -data, and/or -synthetic"
 	}
@@ -312,76 +248,77 @@ func trainCmd[E, L any, F forest](w workload[E, L, F], args []string) error {
 	ex := exec.New(*workers, exec.Static)
 	defer ex.Close()
 
-	var examples []E
+	var examples []core.Recorded[P, L]
 	if *histPath != "" {
-		harvested, err := w.harvest(*histPath)
+		h, err := w.LoadHistory(*histPath)
 		if err != nil {
 			return err
 		}
+		harvested := w.Harvest(h)
 		fmt.Printf("harvested %d examples from %s\n", len(harvested), *histPath)
 		examples = append(examples, harvested...)
 	}
-	measured, err := w.measure(*dataGlob, *synthetic, *seed, ex)
+	measured, err := measureCorpus(w, *dataGlob, *synthetic, *seed, ex)
 	if err != nil {
 		return err
 	}
 	if len(measured) > 0 {
-		fmt.Printf("measure-labeled %d %s\n", len(measured), w.items)
-		examples = append(examples, w.examples(measured)...)
+		fmt.Printf("measure-labeled %d %s\n", len(measured), w.Items)
+		examples = append(examples, learn.Examples(measured)...)
 	}
-	forest, err := w.train(examples, learn.TrainConfig{Trees: *trees, MaxDepth: *depth, Seed: *seed})
+	forest, err := w.Train(examples, learn.TrainConfig{Trees: *trees, MaxDepth: *depth, Seed: *seed})
 	if err != nil {
 		return fmt.Errorf("%w (give %s)", err, sources)
 	}
 	if err := forest.SaveFile(*out); err != nil {
 		return err
 	}
-	fmt.Printf("trained %d trees on %d %sexamples, saved to %s\n", forest.Trees(), forest.TrainedOn(), w.pair, *out)
+	fmt.Printf("trained %d trees on %d %sexamples, saved to %s\n", forest.Trees(), forest.TrainedOn(), w.Pair, *out)
 	return nil
 }
 
 // evalCmd scores a trained predictor against a measured oracle on held-out
 // data.
-func evalCmd[E, L any, F forest](w workload[E, L, F], args []string) error {
-	fs := flag.NewFlagSet("eval"+w.suffix, flag.ExitOnError)
+func evalCmd[P any, L learn.Candidate, F learn.Model, H, In any](w *learn.Workload[P, L, F, H, In], args []string) error {
+	fs := flag.NewFlagSet("eval"+w.CmdSuffix, flag.ExitOnError)
 	var (
-		modelPath = fs.String("model", w.model, "trained "+w.pair+"model file")
+		modelPath = fs.String("model", w.FlagPrefix+"model.json", "trained "+w.Pair+"model file")
 		dataGlob  = new(string)
-		synthetic = fs.Int("synthetic", 0, "evaluate on this many synthetic "+w.items)
+		synthetic = fs.Int("synthetic", 0, "evaluate on this many synthetic "+w.Items)
 		seed      = fs.Int64("seed", 2, "corpus seed; keep it different from the training seed so the split is held out")
 		tolerance = fs.Float64("tolerance", 1.25, "slowdown-vs-oracle counted as acceptable")
 		minConf   = fs.Float64("min-confidence", core.DefaultMinConfidence, "confidence threshold for the low-confidence count")
 		workers   = fs.Int("workers", 0, "kernel workers for measurement (0 = all cores)")
 	)
 	sources := "-synthetic"
-	if w.hasData {
+	if w.Single != nil {
 		fs.StringVar(dataGlob, "data", "", "glob of LIBSVM files to evaluate on")
 		sources = "-data and/or -synthetic"
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	forest, err := w.load(*modelPath)
+	forest, err := w.LoadModelFile(*modelPath)
 	if err != nil {
 		return err
 	}
 	ex := exec.New(*workers, exec.Static)
 	defer ex.Close()
-	measured, err := w.measure(*dataGlob, *synthetic, *seed, ex)
+	measured, err := measureCorpus(w, *dataGlob, *synthetic, *seed, ex)
 	if err != nil {
 		return err
 	}
 	if len(measured) == 0 {
 		return fmt.Errorf("nothing to evaluate: give %s", sources)
 	}
-	fmt.Println(w.evaluate(forest, measured, *tolerance, *minConf))
+	fmt.Println(w.Evaluate(forest, measured, *tolerance, *minConf))
 	return nil
 }
 
 // measureCorpus assembles the measurement-labeled corpus both train and
-// eval run on: LIBSVM files matching the glob plus n synthetic datasets.
-func measureCorpus(glob string, synthetic int, seed int64, ex *exec.Exec) ([]learn.Labeled, error) {
-	var corpus []*sparse.Builder
+// eval run on: LIBSVM files matching the glob plus n synthetic items.
+func measureCorpus[P any, L learn.Candidate, F learn.Model, H, In any](w *learn.Workload[P, L, F, H, In], glob string, synthetic int, seed int64, ex *exec.Exec) ([]learn.Measured[P, L], error) {
+	var corpus []In
 	if glob != "" {
 		paths, err := filepath.Glob(glob)
 		if err != nil {
@@ -396,16 +333,16 @@ func measureCorpus(glob string, synthetic int, seed int64, ex *exec.Exec) ([]lea
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", path, err)
 			}
-			corpus = append(corpus, b)
+			corpus = append(corpus, w.Single(b))
 		}
 	}
 	if synthetic > 0 {
-		corpus = append(corpus, learn.SyntheticCorpus(synthetic, seed)...)
+		corpus = append(corpus, w.Synthetic(synthetic, seed)...)
 	}
 	if len(corpus) == 0 {
 		return nil, nil
 	}
-	return learn.MeasureAll(context.Background(), corpus, ex, seed)
+	return w.MeasureAll(context.Background(), corpus, ex, seed)
 }
 
 func loadMatrix(file, name string, seed int64) (*sparse.Builder, error) {

@@ -58,14 +58,14 @@ func spgemmCmd(args []string) error {
 	}
 	var hist *core.PairHistory
 	if *histPath != "" {
-		hist, err = core.LoadPairHistoryFile(*histPath)
+		hist, err = learn.SpGEMM.LoadHistory(*histPath)
 		if err != nil {
 			return err
 		}
 	}
 	cfg := core.SpGEMMConfig{Policy: p, Seed: *seed, History: hist, MinConfidence: *minConf}
 	if *predPath != "" {
-		forest, err := learn.LoadPairFile(*predPath)
+		forest, err := learn.SpGEMM.LoadModelFile(*predPath)
 		if err != nil {
 			return err
 		}

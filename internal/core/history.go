@@ -24,8 +24,9 @@ type embedded interface {
 
 // Recorded is one remembered decision in embedded form, exposed so the
 // learned predictors can harvest every measurement the scheduler ever made
-// as training data (the measure→train→predict flywheel).
-type Recorded[P embedded, C any] struct {
+// as training data (the measure→train→predict flywheel); learn's training
+// examples are the same pair.
+type Recorded[P, C any] struct {
 	Point     P
 	Candidate C
 }
@@ -159,19 +160,35 @@ func (h *radiusStore[P, C]) load(r io.Reader, codec historyCodec[C]) error {
 	return sc.Err()
 }
 
-// loadFile reads the history at path into h. A missing file leaves h empty:
-// every persisted history is loaded at startup and written back on exit, so
-// on a first run there is nothing to read yet.
-func (h *radiusStore[P, C]) loadFile(path string, codec historyCodec[C]) error {
+// loadable is a tuning history as LoadHistory reads it: a *History or a
+// *PairHistory, each of which decodes its own wire form.
+type loadable[H any] interface {
+	*H
+	decode(r io.Reader) error
+}
+
+// LoadHistory reads the tuning-history file at path, in the wire form the
+// history's Save writes. An empty path or a missing file is an empty
+// history: every persisted history is loaded at startup and written back on
+// exit, so on a first run there is nothing to read yet. An error reading or
+// parsing the file names the path.
+func LoadHistory[H any, PH loadable[H]](path string) (*H, error) {
+	h := new(H)
+	if path == "" {
+		return h, nil
+	}
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil
+		return h, nil
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
-	return h.load(f, codec)
+	if err := PH(h).decode(f); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return h, nil
 }
 
 // WriteFileAtomic replaces path with whatever write produces, or leaves it
@@ -212,9 +229,6 @@ type History struct {
 	radiusStore[[dataset.EmbedDims]float64, sparse.Candidate]
 }
 
-// HistoryExample is one recorded SMSV decision in embedded form.
-type HistoryExample = Recorded[[dataset.EmbedDims]float64, sparse.Candidate]
-
 var historyFile = historyCodec[sparse.Candidate]{
 	header: "#layoutsched-history v2", headerless: true,
 	noun: "history", parse: sparse.ParseCandidate,
@@ -238,18 +252,11 @@ func (h *History) Save(w io.Writer) error { return h.save(w, historyFile) }
 // SaveFile writes the history to path atomically.
 func (h *History) SaveFile(path string) error { return WriteFileAtomic(path, h.Save) }
 
-// LoadHistoryFile reads the history file at path, written by Save in either
-// wire version; a missing file is an empty history. v1 files (no header,
+// decode reads either wire version written by Save. v1 files (no header,
 // bare format names) migrate in place: each entry loads as the format's base
 // candidate, so a pre-joint history keeps steering decisions and is upgraded
 // to v2 on the next Save.
-func LoadHistoryFile(path string) (*History, error) {
-	h := &History{}
-	if err := h.loadFile(path, historyFile); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
+func (h *History) decode(r io.Reader) error { return h.load(r, historyFile) }
 
 // DefaultHistoryRadius is the reuse threshold: embedded points closer than
 // this share a candidate. Calibrated so the Table V clones under different
@@ -265,10 +272,6 @@ const DefaultHistoryRadius = 0.75
 type PairHistory struct {
 	radiusStore[[dataset.PairEmbedDims]float64, spgemm.Candidate]
 }
-
-// PairHistoryExample is one recorded SpGEMM decision in embedded form, the
-// pair forest's harvesting unit.
-type PairHistoryExample = Recorded[[dataset.PairEmbedDims]float64, spgemm.Candidate]
 
 // The "v1" tracks dataset.PairEmbedVersion: a new embedding needs a new
 // header so stale points are rejected rather than silently misread. There
@@ -296,12 +299,5 @@ func (h *PairHistory) Save(w io.Writer) error { return h.save(w, pairHistoryFile
 // SaveFile writes the pair history to path atomically.
 func (h *PairHistory) SaveFile(path string) error { return WriteFileAtomic(path, h.Save) }
 
-// LoadPairHistoryFile reads the pair-history file at path; a missing file
-// is an empty history, a missing or foreign header an error.
-func LoadPairHistoryFile(path string) (*PairHistory, error) {
-	h := &PairHistory{}
-	if err := h.loadFile(path, pairHistoryFile); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
+// decode reads the v1 wire form; a missing or foreign header is an error.
+func (h *PairHistory) decode(r io.Reader) error { return h.load(r, pairHistoryFile) }

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -155,6 +157,29 @@ func TestLoadHistoryErrors(t *testing.T) {
 	}
 }
 
+// TestLoadHistoryFile covers the file loader both workloads share: an empty
+// path and a missing file are empty histories, and a corrupt file fails
+// with its path in the error, as a corrupt model file does.
+func TestLoadHistoryFile(t *testing.T) {
+	dir := t.TempDir()
+	if h, err := LoadHistory[History](""); err != nil || h.Len() != 0 {
+		t.Fatalf("empty path: %v, %v", h, err)
+	}
+	if h, err := LoadHistory[PairHistory](filepath.Join(dir, "absent")); err != nil || h.Len() != 0 {
+		t.Fatalf("missing file: %v, %v", h, err)
+	}
+	bad := filepath.Join(dir, "bad.hist")
+	if err := os.WriteFile(bad, []byte("#layoutsched-history v2\n1 2 3 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadHistory[History](bad); err == nil || !strings.HasPrefix(err.Error(), bad+": ") {
+		t.Errorf("corrupt history error %v does not name %s", err, bad)
+	}
+	if _, err := LoadHistory[PairHistory](bad); err == nil || !strings.HasPrefix(err.Error(), bad+": ") {
+		t.Errorf("foreign pair history error %v does not name %s", err, bad)
+	}
+}
+
 func TestSchedulerReusesHistory(t *testing.T) {
 	d, err := dataset.ByName("aloi")
 	if err != nil {
@@ -217,10 +242,10 @@ func TestSchedulerHistoryMissMeasures(t *testing.T) {
 }
 
 // loadHistory and loadPairHistory read a history file's contents from r, as
-// LoadHistoryFile and LoadPairHistoryFile do from a path.
+// LoadHistory does from a path.
 func loadHistory(r io.Reader) (*History, error) {
 	h := &History{}
-	if err := h.load(r, historyFile); err != nil {
+	if err := h.decode(r); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -228,7 +253,7 @@ func loadHistory(r io.Reader) (*History, error) {
 
 func loadPairHistory(r io.Reader) (*PairHistory, error) {
 	h := &PairHistory{}
-	if err := h.load(r, pairHistoryFile); err != nil {
+	if err := h.decode(r); err != nil {
 		return nil, err
 	}
 	return h, nil

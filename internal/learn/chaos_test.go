@@ -19,12 +19,12 @@ func TestChaosModelLoadFault(t *testing.T) {
 	fault.Enable(r)
 	t.Cleanup(func() { fault.Enable(nil) })
 
-	_, err = LoadFile("some-model.json")
+	_, err = SMSV.LoadModelFile("some-model.json")
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
 	// Budget spent: the next load reaches the real filesystem.
-	_, err = LoadFile("does-not-exist.json")
+	_, err = SMSV.LoadModelFile("does-not-exist.json")
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("err = %v, want plain not-exist", err)
 	}

@@ -3,6 +3,7 @@ package learn
 import (
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/sparse"
 	"repro/internal/spgemm"
@@ -10,9 +11,12 @@ import (
 
 // forest is a small random forest over embedded feature points:
 // bootstrap-sampled CART trees with a random feature subset per split,
-// answering by majority vote. Immutable after train/load, so concurrent
-// predictions need no locking. Forest and PairForest instantiate it.
+// answering by majority vote. It carries the space it was trained or loaded
+// in, so everything but the workload's own predict method is written here
+// once. Immutable after train/load, so concurrent predictions need no
+// locking. Forest and PairForest instantiate it.
 type forest[L label] struct {
+	sp      *space[L]
 	trees   []*tree[L]
 	trained int // examples seen at training time, for diagnostics
 }
@@ -46,7 +50,7 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	return c
 }
 
-// train fits the forest on parallel point rows and labels.
+// train fits the forest on parallel point rows and labels of sp's space.
 func (f *forest[L]) train(sp *space[L], rows [][]float64, labels []L, cfg TrainConfig) error {
 	if len(rows) == 0 {
 		return ErrNoTrainingData
@@ -57,7 +61,7 @@ func (f *forest[L]) train(sp *space[L], rows [][]float64, labels []L, cfg TrainC
 		maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf, mtry: cfg.Mtry,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
-	f.trained = len(rows)
+	f.sp, f.trained = sp, len(rows)
 	idx := make([]int, len(rows))
 	for t := 0; t < cfg.Trees; t++ {
 		for i := range idx {
@@ -68,43 +72,35 @@ func (f *forest[L]) train(sp *space[L], rows [][]float64, labels []L, cfg TrainC
 	return nil
 }
 
-func (f *forest[L]) size() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.trees)
-}
+// Trees reports the forest size.
+func (f *forest[L]) Trees() int { return len(f.trees) }
 
-func (f *forest[L]) trainedOn() int {
-	if f == nil {
-		return 0
-	}
-	return f.trained
-}
+// TrainedOn reports how many examples the forest was fitted to.
+func (f *forest[L]) TrainedOn() int { return f.trained }
 
 // vote runs the trees on an embedded point. Confidence is the winning
 // candidate's share of the vote; ok is false for a nil or empty forest.
 // Vote ties break toward the lower candidate index for determinism.
-func (f *forest[L]) vote(sp *space[L], p []float64) (best L, confidence float64, ok bool) {
+func (f *forest[L]) vote(p []float64) (best L, confidence float64, ok bool) {
 	if f == nil || len(f.trees) == 0 {
 		return best, 0, false
 	}
 	var buf [maxLabels]int
-	votes := buf[:sp.labels]
+	votes := buf[:f.sp.labels]
 	for _, t := range f.trees {
 		votes[t.predict(p).index]++
 	}
 	i := argmax(votes)
-	return sp.at(i), float64(votes[i]) / float64(len(f.trees)), true
+	return f.sp.at(i), float64(votes[i]) / float64(len(f.trees)), true
 }
 
 // Forest predicts the SMSV joint candidate from the embedded Table IV
-// parameters; it implements core.FormatPredictor. A nil *Forest is an
-// empty model.
+// parameters; it implements core.FormatPredictor. A nil *Forest predicts
+// nothing.
 type Forest struct{ forest[sparse.Candidate] }
 
-// generic returns the forest behind f, nil for a nil f — the generic
-// methods treat a nil forest as empty, so this is the one nil check.
+// generic returns the forest behind f, nil for a nil f — vote treats a nil
+// forest as empty, so this is the one nil check.
 func (f *Forest) generic() *forest[sparse.Candidate] {
 	if f == nil {
 		return nil
@@ -112,16 +108,20 @@ func (f *Forest) generic() *forest[sparse.Candidate] {
 	return &f.forest
 }
 
-// Trees reports the forest size.
-func (f *Forest) Trees() int { return f.generic().size() }
+// modelVersion is the SMSV serialization format version. Bump it whenever
+// the embedding (dataset.Embed), the node layout, or the vote semantics
+// change, so stale models are rejected at load time instead of silently
+// predicting in the wrong feature space. Version 2 widened leaf labels from
+// bare format names to joint candidate strings ("CSR/guided/fused");
+// version 1 models predict in a different label space and must be
+// retrained.
+const modelVersion = 2
 
-// TrainedOn reports how many examples the forest was fitted to.
-func (f *Forest) TrainedOn() int { return f.generic().trainedOn() }
-
+// SMSV model files predate the kind discriminator, so theirs is empty.
 var smsvSpace = space[sparse.Candidate]{
 	dims: dataset.EmbedDims, labels: sparse.NumCandidates,
 	at: sparse.CandidateAt, parse: sparse.ParseCandidate,
-	file: modelFile{version: ModelVersion, noun: "model", tree: "tree", retrain: "layoutsched train"},
+	file: modelFile{version: modelVersion, noun: "model", tree: "tree", retrain: "layoutsched train"},
 }
 
 // Train fits a forest on the labeled examples. It returns
@@ -131,7 +131,7 @@ func Train(examples []Example, cfg TrainConfig) (*Forest, error) {
 	rows := make([][]float64, len(examples))
 	labels := make([]sparse.Candidate, len(examples))
 	for i := range examples {
-		rows[i], labels[i] = examples[i].Point[:], examples[i].Label
+		rows[i], labels[i] = examples[i].Point[:], examples[i].Candidate
 	}
 	f := &Forest{}
 	if err := f.train(&smsvSpace, rows, labels, cfg); err != nil {
@@ -140,33 +140,26 @@ func Train(examples []Example, cfg TrainConfig) (*Forest, error) {
 	return f, nil
 }
 
-// PredictPoint votes the trees on an embedded point.
-func (f *Forest) PredictPoint(p [dataset.EmbedDims]float64) (sparse.Candidate, float64, bool) {
-	return f.generic().vote(&smsvSpace, p[:])
-}
-
 // PredictCandidate embeds the Table IV parameters and votes over the joint
 // candidate space; it implements core.FormatPredictor, so the scheduler
 // can execute the predicted chunk policy and kernel variant, not just the
 // storage format.
 func (f *Forest) PredictCandidate(feats dataset.Features) (sparse.Candidate, float64, bool) {
-	return f.PredictPoint(dataset.Embed(feats))
+	p := dataset.Embed(feats)
+	return f.generic().vote(p[:])
 }
 
 // PairExample is one labeled pairwise training point.
-type PairExample struct {
-	Point [dataset.PairEmbedDims]float64
-	Label spgemm.Candidate
-}
+type PairExample = core.Recorded[[dataset.PairEmbedDims]float64, spgemm.Candidate]
 
 // FromPairFeatures embeds an (A, B) feature pair into a training example.
 func FromPairFeatures(fa, fb dataset.Features, label spgemm.Candidate) PairExample {
-	return PairExample{Point: dataset.EmbedPair(fa, fb), Label: label}
+	return PairExample{Point: dataset.EmbedPair(fa, fb), Candidate: label}
 }
 
 // PairForest predicts the SpGEMM dataflow candidate from the pairwise
-// embedding; it implements core.PairPredictor. A nil *PairForest is an
-// empty model.
+// embedding; it implements core.PairPredictor. A nil *PairForest predicts
+// nothing.
 type PairForest struct{ forest[spgemm.Candidate] }
 
 func (f *PairForest) generic() *forest[spgemm.Candidate] {
@@ -176,24 +169,18 @@ func (f *PairForest) generic() *forest[spgemm.Candidate] {
 	return &f.forest
 }
 
-// Trees reports the forest size.
-func (f *PairForest) Trees() int { return f.generic().size() }
-
-// TrainedOn reports how many examples the forest was fitted to.
-func (f *PairForest) TrainedOn() int { return f.generic().trainedOn() }
-
-// PairModelVersion versions the pair-forest serialization independently of
-// the SMSV ModelVersion: the two models live in different embedded spaces
+// pairModelVersion versions the pair-forest serialization independently of
+// the SMSV modelVersion: the two models live in different embedded spaces
 // and must never be loaded into each other. The kind discriminator makes a
 // cross-load a clean error even at matching version numbers — a pair model
 // handed to Load, or an SMSV model handed to LoadPair, is rejected by
 // content, not by filename.
-const PairModelVersion = 1
+const pairModelVersion = 1
 
 var pairSpace = space[spgemm.Candidate]{
 	dims: dataset.PairEmbedDims, labels: spgemm.NumCandidates,
 	at: spgemm.CandidateAt, parse: spgemm.ParseCandidate,
-	file: modelFile{version: PairModelVersion, kind: "spgemm-pair",
+	file: modelFile{version: pairModelVersion, kind: kindPair,
 		noun: "pair model", tree: "pair tree", retrain: "layoutsched train-spgemm"},
 }
 
@@ -204,7 +191,7 @@ func TrainPair(examples []PairExample, cfg TrainConfig) (*PairForest, error) {
 	rows := make([][]float64, len(examples))
 	labels := make([]spgemm.Candidate, len(examples))
 	for i := range examples {
-		rows[i], labels[i] = examples[i].Point[:], examples[i].Label
+		rows[i], labels[i] = examples[i].Point[:], examples[i].Candidate
 	}
 	f := &PairForest{}
 	if err := f.train(&pairSpace, rows, labels, cfg); err != nil {
@@ -213,13 +200,9 @@ func TrainPair(examples []PairExample, cfg TrainConfig) (*PairForest, error) {
 	return f, nil
 }
 
-// PredictPairPoint votes the trees on a pairwise embedded point.
-func (f *PairForest) PredictPairPoint(p [dataset.PairEmbedDims]float64) (spgemm.Candidate, float64, bool) {
-	return f.generic().vote(&pairSpace, p[:])
-}
-
 // PredictPair embeds the feature pair and votes; this is the
 // core.PairPredictor contract.
 func (f *PairForest) PredictPair(fa, fb dataset.Features) (spgemm.Candidate, float64, bool) {
-	return f.PredictPairPoint(dataset.EmbedPair(fa, fb))
+	p := dataset.EmbedPair(fa, fb)
+	return f.generic().vote(p[:])
 }

@@ -26,14 +26,14 @@ func TestForestLearnsSeparableData(t *testing.T) {
 	correct := 0
 	held := axisExamples(100, 4, rng)
 	for _, e := range held {
-		got, conf, ok := f.PredictPoint(e.Point)
+		got, conf, ok := SMSV.Predict(f, e.Point)
 		if !ok {
 			t.Fatal("trained forest returned ok=false")
 		}
 		if conf <= 0 || conf > 1 {
 			t.Fatalf("confidence %g outside (0,1]", conf)
 		}
-		if got == e.Label {
+		if got == e.Candidate {
 			correct++
 		}
 	}
@@ -55,8 +55,8 @@ func TestForestDeterministicWithSeed(t *testing.T) {
 	}
 	probe := axisExamples(50, 1, rng)
 	for _, e := range probe {
-		g1, c1, _ := f1.PredictPoint(e.Point)
-		g2, c2, _ := f2.PredictPoint(e.Point)
+		g1, c1, _ := SMSV.Predict(f1, e.Point)
+		g2, c2, _ := SMSV.Predict(f2, e.Point)
 		if g1 != g2 || c1 != c2 {
 			t.Fatalf("same seed, different predictions: (%v %g) vs (%v %g)", g1, c1, g2, c2)
 		}
@@ -65,11 +65,11 @@ func TestForestDeterministicWithSeed(t *testing.T) {
 
 func TestNilAndEmptyForestPredict(t *testing.T) {
 	var f *Forest
-	if _, _, ok := f.PredictPoint([dataset.EmbedDims]float64{}); ok {
+	if _, _, ok := SMSV.Predict(f, [dataset.EmbedDims]float64{}); ok {
 		t.Fatal("nil forest must return ok=false")
 	}
-	if f.Trees() != 0 || f.TrainedOn() != 0 {
-		t.Fatal("nil forest accessors must be zero")
+	if e := (&Forest{}); e.Trees() != 0 || e.TrainedOn() != 0 {
+		t.Fatal("empty forest accessors must be zero")
 	}
 	if _, _, ok := (&Forest{}).PredictCandidate(dataset.Features{M: 1, N: 1}); ok {
 		t.Fatal("empty forest must return ok=false")
@@ -112,7 +112,7 @@ func TestConcurrentPredict(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, e := range probes {
-				if _, _, ok := f.PredictPoint(e.Point); !ok {
+				if _, _, ok := SMSV.Predict(f, e.Point); !ok {
 					t.Error("predict returned ok=false")
 					return
 				}
@@ -128,14 +128,14 @@ func TestFromHistoryHarvest(t *testing.T) {
 	f2 := dataset.Features{M: 2000, N: 2000, NNZ: 21953, Ndig: 12, Dnnz: 1829, Mdim: 12, Adim: 10.98, Vdim: 1.25, Density: 0.006}
 	h.RecordCandidate(f1, sparse.BaseCandidate(sparse.ELL))
 	h.RecordCandidate(f2, sparse.BaseCandidate(sparse.DIA))
-	examples := FromHistory(h)
+	examples := SMSV.Harvest(h)
 	if len(examples) != 2 {
 		t.Fatalf("harvested %d examples, want 2", len(examples))
 	}
-	if examples[0].Point != dataset.Embed(f1) || examples[0].Label != sparse.BaseCandidate(sparse.ELL) {
+	if examples[0].Point != dataset.Embed(f1) || examples[0].Candidate != sparse.BaseCandidate(sparse.ELL) {
 		t.Fatalf("example 0 = %+v", examples[0])
 	}
-	if examples[1].Point != dataset.Embed(f2) || examples[1].Label != sparse.BaseCandidate(sparse.DIA) {
+	if examples[1].Point != dataset.Embed(f2) || examples[1].Candidate != sparse.BaseCandidate(sparse.DIA) {
 		t.Fatalf("example 1 = %+v", examples[1])
 	}
 	// A forest trained on the harvest answers the recorded shape classes.

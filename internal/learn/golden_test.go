@@ -89,8 +89,8 @@ func TestGoldenModelV2(t *testing.T) {
 		t.Fatalf("load→save of the fixture is not the identity:\n%s", got)
 	}
 	for _, e := range exs {
-		wc, wconf, _ := f.PredictPoint(e.Point)
-		gc, gconf, ok := loaded.PredictPoint(e.Point)
+		wc, wconf, _ := SMSV.Predict(f, e.Point)
+		gc, gconf, ok := SMSV.Predict(loaded, e.Point)
 		if !ok || gc != wc || gconf != wconf {
 			t.Fatalf("loaded fixture predicts %v/%v, trained forest %v/%v", gc, gconf, wc, wconf)
 		}
@@ -118,8 +118,8 @@ func TestGoldenPairModelV1(t *testing.T) {
 		t.Fatalf("load→save of the fixture is not the identity:\n%s", got)
 	}
 	for _, e := range exs {
-		wc, wconf, _ := f.PredictPairPoint(e.Point)
-		gc, gconf, ok := loaded.PredictPairPoint(e.Point)
+		wc, wconf, _ := SpGEMM.Predict(f, e.Point)
+		gc, gconf, ok := SpGEMM.Predict(loaded, e.Point)
 		if !ok || gc != wc || gconf != wconf {
 			t.Fatalf("loaded fixture predicts %v/%v, trained forest %v/%v", gc, gconf, wc, wconf)
 		}

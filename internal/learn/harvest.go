@@ -13,14 +13,16 @@ import (
 	"repro/internal/sparse"
 )
 
-// Labeled is a measurement-labeled dataset: the training example plus the
-// raw features and the full per-candidate timing evidence, kept so Evaluate
-// can score a prediction's slowdown against the measured oracle.
-type Labeled struct {
-	Example
-	Features dataset.Features
-	Times    map[sparse.Candidate]time.Duration
+// Measured is a measurement-labeled corpus item: its training example plus
+// the full per-candidate timing evidence, kept so Evaluate can score a
+// prediction's slowdown against the measured oracle.
+type Measured[P any, L comparable] struct {
+	core.Recorded[P, L]
+	Times map[L]time.Duration
 }
+
+// Labeled is a measurement-labeled dataset.
+type Labeled = Measured[[dataset.EmbedDims]float64, sparse.Candidate]
 
 // Measure labels one dataset by empirical measurement: every eligible joint
 // candidate is built and timed (the scheduler's Empirical policy) and the
@@ -29,7 +31,7 @@ type Labeled struct {
 func Measure(ctx context.Context, b *sparse.Builder, ex *exec.Exec, seed int64) (Labeled, error) {
 	dec, err := core.New(core.Config{Policy: core.Empirical, Exec: ex, Seed: seed}).ChooseContext(ctx, b)
 	return labelFrom(dec, err, func(d *core.Decision) Labeled {
-		return Labeled{Example: FromFeatures(d.Features, d.ChosenCandidate), Features: d.Features, Times: maps.Clone(d.Measured)}
+		return Labeled{Recorded: FromFeatures(d.Features, d.ChosenCandidate), Times: maps.Clone(d.Measured)}
 	})
 }
 
@@ -45,49 +47,22 @@ func labelFrom[D interface{ Release() }, L any](dec D, err error, build func(D) 
 	return l, nil
 }
 
-// measureAll labels every corpus item, item i under seed+i; noun names
-// the item kind in the error, which carries the failing index.
-func measureAll[In, L any](corpus []In, seed int64, noun string, measure func(In, int64) (L, error)) ([]L, error) {
-	out := make([]L, 0, len(corpus))
-	for i, in := range corpus {
-		l, err := measure(in, seed+int64(i))
-		if err != nil {
-			return nil, fmt.Errorf("learn: labeling corpus %s %d: %w", noun, i, err)
-		}
-		out = append(out, l)
-	}
-	return out, nil
-}
-
-// project maps items one to one: labeled data down to its training
-// examples, a history snapshot to the examples it recorded.
-func project[In, Out any](items []In, f func(In) Out) []Out {
-	out := make([]Out, len(items))
+// Examples projects measurement-labeled items down to training examples.
+func Examples[P any, L comparable](items []Measured[P, L]) []core.Recorded[P, L] {
+	out := make([]core.Recorded[P, L], len(items))
 	for i, it := range items {
-		out[i] = f(it)
+		out[i] = it.Recorded
 	}
 	return out
 }
 
-// MeasureAll measure-labels a corpus of builders.
-func MeasureAll(ctx context.Context, corpus []*sparse.Builder, ex *exec.Exec, seed int64) ([]Labeled, error) {
-	return measureAll(corpus, seed, "dataset", func(b *sparse.Builder, seed int64) (Labeled, error) {
-		return Measure(ctx, b, ex, seed)
-	})
-}
-
-// Examples projects labeled data down to training examples.
-func Examples(items []Labeled) []Example {
-	return project(items, func(l Labeled) Example { return l.Example })
-}
-
-// SyntheticCorpus generates n structurally diverse matrices by cycling the
+// syntheticCorpus generates n structurally diverse matrices by cycling the
 // dataset generator families — banded (DIA territory), one-long-row skew
 // (ELL-hostile), high row-length variance (CSR vs COO), dense blocks (DEN),
 // and uniform rows (ELL) — with seed-derived parameters. Different seeds
 // give disjoint corpora, so train and eval splits are held out from each
 // other by construction.
-func SyntheticCorpus(n int, seed int64) []*sparse.Builder {
+func syntheticCorpus(n int, seed int64) []*sparse.Builder {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]*sparse.Builder, 0, n)
 	for i := 0; len(out) < n; i++ {
@@ -146,30 +121,19 @@ type EvalResult struct {
 	LowConfidence  int // predictions below the given confidence threshold
 }
 
-// Evaluate scores the forest against measurement-labeled data. tolerance
+// Evaluate scores the forest against measurement-labeled items. tolerance
 // ≤ 0 means 1.25; minConfidence only affects the LowConfidence count (every
 // prediction is scored — evaluation has the oracle, so there is nothing to
 // fall back to).
-func Evaluate(f *Forest, items []Labeled, tolerance, minConfidence float64) EvalResult {
-	return evaluate(f.generic(), &smsvSpace, len(items),
-		func(i int) ([]float64, sparse.Candidate, map[sparse.Candidate]time.Duration) {
-			return items[i].Point[:], items[i].Label, items[i].Times
-		}, tolerance, minConfidence)
-}
-
-// evaluate is the scorer behind Evaluate and EvaluatePair: item(i) yields
-// the i-th labeled point with its per-candidate timing evidence.
-func evaluate[L label](f *forest[L], sp *space[L], n int,
-	item func(i int) (point []float64, label L, times map[L]time.Duration),
-	tolerance, minConfidence float64) EvalResult {
+func (w *Workload[P, L, F, H, In]) Evaluate(f F, items []Measured[P, L], tolerance, minConfidence float64) EvalResult {
 	if tolerance <= 0 {
 		tolerance = 1.25
 	}
 	res := EvalResult{Tolerance: tolerance}
 	var slowdowns int
-	for i := 0; i < n; i++ {
-		point, label, times := item(i)
-		pred, conf, ok := f.vote(sp, point)
+	for _, it := range items {
+		label, times := it.Candidate, it.Times
+		pred, conf, ok := w.Predict(f, it.Point)
 		if !ok {
 			continue
 		}

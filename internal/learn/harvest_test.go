@@ -5,17 +5,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/sparse"
 )
 
 func TestSyntheticCorpusShapesAndDeterminism(t *testing.T) {
-	c1 := SyntheticCorpus(15, 3)
+	c1 := syntheticCorpus(15, 3)
 	if len(c1) != 15 {
 		t.Fatalf("corpus size %d, want 15", len(c1))
 	}
-	c2 := SyntheticCorpus(15, 3)
+	c2 := syntheticCorpus(15, 3)
 	for i := range c1 {
 		m1 := c1[i].MustBuild(sparse.CSR)
 		m2 := c2[i].MustBuild(sparse.CSR)
@@ -27,7 +28,7 @@ func TestSyntheticCorpusShapesAndDeterminism(t *testing.T) {
 		}
 	}
 	// Different seeds must give a different (held-out) corpus.
-	c3 := SyntheticCorpus(15, 4)
+	c3 := syntheticCorpus(15, 4)
 	same := 0
 	for i := range c1 {
 		if dataset.Extract(c1[i].MustBuild(sparse.CSR)) == dataset.Extract(c3[i].MustBuild(sparse.CSR)) {
@@ -44,23 +45,28 @@ func TestMeasureLabelsWithMeasuredBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Measure(context.Background(), b.MustGenerate(1), exec.Serial(), 1)
+	mat := b.MustGenerate(1)
+	l, err := Measure(context.Background(), mat, exec.Serial(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(l.Times) == 0 {
 		t.Fatal("Measure kept no timing evidence")
 	}
-	best, ok := l.Times[l.Label]
+	best, ok := l.Times[l.Candidate]
 	if !ok {
-		t.Fatalf("label %v has no measured time", l.Label)
+		t.Fatalf("label %v has no measured time", l.Candidate)
 	}
 	for f, d := range l.Times {
 		if d < best {
-			t.Fatalf("label %v (%v) is not the measured best: %v took %v", l.Label, best, f, d)
+			t.Fatalf("label %v (%v) is not the measured best: %v took %v", l.Candidate, best, f, d)
 		}
 	}
-	if l.Point != dataset.Embed(l.Features) {
+	dec, err := core.New(core.Config{Policy: core.RuleBased}).Choose(mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Point != dataset.Embed(dec.Features) {
 		t.Fatal("Labeled.Point must be the shared embedding of its features")
 	}
 }
@@ -71,16 +77,16 @@ func TestEvaluateScoring(t *testing.T) {
 	csr := sparse.BaseCandidate(sparse.CSR)
 	ell := sparse.BaseCandidate(sparse.ELL)
 	dia := sparse.BaseCandidate(sparse.DIA)
-	f, err := Train([]Example{{Label: csr}}, TrainConfig{Trees: 1})
+	f, err := Train([]Example{{Candidate: csr}}, TrainConfig{Trees: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	items := []Labeled{
-		{Example: Example{Label: csr}, Times: map[sparse.Candidate]time.Duration{csr: 100}},
-		{Example: Example{Label: ell}, Times: map[sparse.Candidate]time.Duration{ell: 100, csr: 110}},
-		{Example: Example{Label: dia}, Times: map[sparse.Candidate]time.Duration{dia: 100, csr: 300}},
+		{Recorded: Example{Candidate: csr}, Times: map[sparse.Candidate]time.Duration{csr: 100}},
+		{Recorded: Example{Candidate: ell}, Times: map[sparse.Candidate]time.Duration{ell: 100, csr: 110}},
+		{Recorded: Example{Candidate: dia}, Times: map[sparse.Candidate]time.Duration{dia: 100, csr: 300}},
 	}
-	res := Evaluate(f, items, 1.25, 0.5)
+	res := SMSV.Evaluate(f, items, 1.25, 0.5)
 	if res.N != 3 || res.Exact != 1 || res.Within != 2 {
 		t.Fatalf("got %+v, want N=3 Exact=1 Within=2", res)
 	}
@@ -93,12 +99,12 @@ func TestEvaluateScoring(t *testing.T) {
 	}
 	// A predicted candidate with no measured time counts against Within.
 	den := sparse.BaseCandidate(sparse.DEN)
-	items = append(items, Labeled{Example: Example{Label: den}, Times: map[sparse.Candidate]time.Duration{den: 100}})
-	res = Evaluate(f, items, 1.25, 0.5)
+	items = append(items, Labeled{Recorded: Example{Candidate: den}, Times: map[sparse.Candidate]time.Duration{den: 100}})
+	res = SMSV.Evaluate(f, items, 1.25, 0.5)
 	if res.N != 4 || res.Within != 2 {
 		t.Fatalf("unbuildable prediction must not count as within: %+v", res)
 	}
-	if empty := Evaluate(f, nil, 0, 0); empty.N != 0 || empty.String() == "" {
+	if empty := SMSV.Evaluate(f, nil, 0, 0); empty.N != 0 || empty.String() == "" {
 		t.Fatalf("empty eval: %+v", empty)
 	}
 }
@@ -113,11 +119,11 @@ func TestPredictorQuality(t *testing.T) {
 	}
 	ctx := context.Background()
 	ex := exec.Serial()
-	train, err := MeasureAll(ctx, SyntheticCorpus(60, 101), ex, 1)
+	train, err := SMSV.MeasureAll(ctx, syntheticCorpus(60, 101), ex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, err := MeasureAll(ctx, SyntheticCorpus(40, 202), ex, 2)
+	held, err := SMSV.MeasureAll(ctx, syntheticCorpus(40, 202), ex, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +131,7 @@ func TestPredictorQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Evaluate(f, held, 1.25, 0.6)
+	res := SMSV.Evaluate(f, held, 1.25, 0.6)
 	t.Log(res)
 	if res.N < 40 {
 		t.Fatalf("held-out set has %d scored datasets, want >= 40", res.N)

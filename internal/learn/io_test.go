@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/sparse"
+	"repro/internal/spgemm"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -34,8 +35,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// The loaded model must predict identically on fresh points.
 	for _, e := range axisExamples(80, 3, rng) {
-		g1, c1, _ := f.PredictPoint(e.Point)
-		g2, c2, _ := g.PredictPoint(e.Point)
+		g1, c1, _ := SMSV.Predict(f, e.Point)
+		g2, c2, _ := SMSV.Predict(g, e.Point)
 		if g1 != g2 || c1 != c2 {
 			t.Fatalf("round-trip changed prediction: (%v %g) vs (%v %g)", g1, c1, g2, c2)
 		}
@@ -62,7 +63,7 @@ func TestLoadCorruptModel(t *testing.T) {
 }
 
 func TestLoadVersionMismatch(t *testing.T) {
-	raw := fmt.Sprintf(`{"version":%d,"dims":7,"trees":[{"nodes":[{"feat":-1,"label":"CSR","purity":1}]}]}`, ModelVersion+1)
+	raw := fmt.Sprintf(`{"version":%d,"dims":7,"trees":[{"nodes":[{"feat":-1,"label":"CSR","purity":1}]}]}`, modelVersion+1)
 	_, err := Load(strings.NewReader(raw))
 	if !errors.Is(err, ErrModelVersion) {
 		t.Fatalf("err = %v, want ErrModelVersion", err)
@@ -78,10 +79,31 @@ func TestLoadVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestLoadChecksKind: each loader requires its own workload's kind, so a
+// model file never loads into the other workload's forest — not even at a
+// version and width the other loader would accept.
+func TestLoadChecksKind(t *testing.T) {
+	f, err := TrainPair([]PairExample{FromPairFeatures(dataset.Features{M: 4, N: 4}, dataset.Features{M: 4, N: 4}, spgemm.BaseCandidate)}, TrainConfig{Trees: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pair bytes.Buffer
+	if err := f.Save(&pair); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&pair); err == nil || errors.Is(err, ErrModelVersion) || !strings.Contains(err.Error(), "kind") {
+		t.Fatalf("Load of a pair model: err = %v, want a kind mismatch", err)
+	}
+	disguised := fmt.Sprintf(`{"version":%d,"kind":%q,"dims":7,"trees":[{"nodes":[{"feat":-1,"label":"CSR","purity":1}]}]}`, modelVersion, kindPair)
+	if _, err := Load(strings.NewReader(disguised)); err == nil {
+		t.Fatal("Load accepted a model of the pair kind at the SMSV version and width")
+	}
+}
+
 // TestSaveWritesCandidateLabels pins the v2 wire form: leaves serialize the
 // full candidate string so chunk and variant survive the round trip.
 func TestSaveWritesCandidateLabels(t *testing.T) {
-	f, err := Train([]Example{{Label: sparse.Candidate{Format: sparse.CSR, Chunk: sparse.ChunkGuided, Variant: sparse.VariantFused}}}, TrainConfig{Trees: 1})
+	f, err := Train([]Example{{Candidate: sparse.Candidate{Format: sparse.CSR, Chunk: sparse.ChunkGuided, Variant: sparse.VariantFused}}}, TrainConfig{Trees: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +118,7 @@ func TestSaveWritesCandidateLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, ok := g.PredictPoint([dataset.EmbedDims]float64{})
+	got, _, ok := SMSV.Predict(g, [dataset.EmbedDims]float64{})
 	if !ok || got != (sparse.Candidate{Format: sparse.CSR, Chunk: sparse.ChunkGuided, Variant: sparse.VariantFused}) {
 		t.Fatalf("round-tripped candidate label %v ok=%v", got, ok)
 	}
@@ -113,7 +135,7 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if err := f.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadFile(path)
+	g, err := SMSV.LoadModelFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +147,10 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), path) {
+	if _, err := SMSV.LoadModelFile(path); err == nil || !strings.Contains(err.Error(), path) {
 		t.Fatalf("LoadFile error should name the path: %v", err)
 	}
-	if _, err := LoadFile(filepath.Join(dir, "missing.json")); err == nil {
+	if _, err := SMSV.LoadModelFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("LoadFile on a missing file must error")
 	}
 }

@@ -33,24 +33,11 @@ var _ core.FormatPredictor = (*Forest)(nil)
 
 // Example is one labeled training point: the embedded Table IV parameters
 // of a dataset and the joint (format, chunk, kernel-variant) candidate that
-// measured fastest on it.
-type Example struct {
-	Point [dataset.EmbedDims]float64
-	Label sparse.Candidate
-}
+// measured fastest on it. It is the record a tuning history keeps, so a
+// history harvests into training data as it stands.
+type Example = core.Recorded[[dataset.EmbedDims]float64, sparse.Candidate]
 
 // FromFeatures embeds raw features into a labeled example.
 func FromFeatures(f dataset.Features, label sparse.Candidate) Example {
-	return Example{Point: dataset.Embed(f), Label: label}
-}
-
-// FromHistory harvests every decision recorded in a scheduler tuning
-// history as a training example — the cheapest data source, since the
-// measurements were already paid for while serving. Entries migrated from
-// v1 histories carry base candidates, which train the forest exactly as the
-// old format-only labels did.
-func FromHistory(h *core.History) []Example {
-	return project(h.Snapshot(), func(e core.HistoryExample) Example {
-		return Example{Point: e.Point, Label: e.Candidate}
-	})
+	return Example{Point: dataset.Embed(f), Candidate: label}
 }

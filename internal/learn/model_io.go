@@ -5,29 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 )
-
-// ModelVersion is the SMSV serialization format version. Bump it whenever
-// the embedding (dataset.Embed), the node layout, or the vote semantics
-// change, so stale models are rejected at load time instead of silently
-// predicting in the wrong feature space. Version 2 widened leaf labels from
-// bare format names to joint candidate strings ("CSR/guided/fused");
-// version 1 models predict in a different label space and must be
-// retrained.
-const ModelVersion = 2
 
 // ErrModelVersion is wrapped into Load's error when the file was written
 // by a different, incompatible model version.
 var ErrModelVersion = errors.New("learn: model version mismatch")
 
 // modelFile is what distinguishes one workload's model file from
-// another's: the version it writes and accepts, the kind discriminator
-// (empty = the file carries none, the SMSV form), and the nouns its error
-// text uses.
+// another's: the version it writes and accepts, the kind discriminator it
+// writes and requires (empty = the file carries none, the SMSV form), and
+// the nouns its error text uses.
 type modelFile struct {
 	version int
 	kind    string
@@ -60,9 +49,13 @@ type nodeJSON struct {
 	Purity float64 `json:"purity,omitempty"`
 }
 
-// save writes the forest as versioned JSON.
-func (f *forest[L]) save(sp *space[L], w io.Writer) error {
-	m := modelJSON{Version: sp.file.version, Kind: sp.file.kind, Dims: sp.dims, Trained: f.trained}
+// Save writes the forest as versioned JSON, in its workload's model-file
+// form.
+func (f *forest[L]) Save(w io.Writer) error {
+	if f.sp == nil {
+		return errors.New("learn: saving an untrained forest")
+	}
+	m := modelJSON{Version: f.sp.file.version, Kind: f.sp.file.kind, Dims: f.sp.dims, Trained: f.trained}
 	for _, t := range f.trees {
 		tj := treeJSON{Nodes: make([]nodeJSON, len(t.nodes))}
 		for i, n := range t.nodes {
@@ -77,18 +70,21 @@ func (f *forest[L]) save(sp *space[L], w io.Writer) error {
 	return json.NewEncoder(w).Encode(m)
 }
 
-// load reads a forest written by save, validating the kind, the version,
-// the embedding dimensionality, and every node's structure. A corrupt,
-// truncated, or mismatched file is a clean error, so daemons fail at
-// startup rather than mid-request.
+// SaveFile writes the forest to path atomically.
+func (f *forest[L]) SaveFile(path string) error { return core.WriteFileAtomic(path, f.Save) }
+
+// load reads a forest of sp's space written by Save, validating the kind,
+// the version, the embedding dimensionality, and every node's structure. A
+// corrupt, truncated, or mismatched file is a clean error, so daemons fail
+// at startup rather than mid-request.
 func (f *forest[L]) load(sp *space[L], r io.Reader) error {
 	mf := sp.file
 	var m modelJSON
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
 		return fmt.Errorf("learn: corrupt %s file: %w", mf.noun, err)
 	}
-	if mf.kind != "" && m.Kind != mf.kind {
-		return fmt.Errorf("learn: model kind %q, want %q (this is not a SpGEMM %s)", m.Kind, mf.kind, mf.noun)
+	if m.Kind != mf.kind {
+		return fmt.Errorf("learn: model kind %q, want %q (this is not a %s file)", m.Kind, mf.kind, mf.noun)
 	}
 	if m.Version != mf.version {
 		return fmt.Errorf("%w: %s file has version %d, this build reads %d (retrain with `%s`)",
@@ -100,7 +96,7 @@ func (f *forest[L]) load(sp *space[L], r io.Reader) error {
 	if len(m.Trees) == 0 {
 		return fmt.Errorf("learn: %s holds no trees", mf.noun)
 	}
-	f.trained = m.Trained
+	f.sp, f.trained = sp, m.Trained
 	for ti, tj := range m.Trees {
 		if len(tj.Nodes) == 0 {
 			return fmt.Errorf("learn: %s %d is empty", mf.tree, ti)
@@ -133,36 +129,7 @@ func (f *forest[L]) load(sp *space[L], r io.Reader) error {
 	return nil
 }
 
-// loadFile opens path and loads it into f, naming the path in any error.
-// Every model kind shares the "model.load" fault site so chaos specs cover
-// them all.
-func (f *forest[L]) loadFile(sp *space[L], path string) error {
-	if err := fault.Inject("model.load"); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	r, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	if err := f.load(sp, r); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
-}
-
-// saveFile writes the forest to path atomically.
-func (f *forest[L]) saveFile(sp *space[L], path string) error {
-	return core.WriteFileAtomic(path, func(w io.Writer) error { return f.save(sp, w) })
-}
-
-// Save writes the forest as versioned JSON.
-func (f *Forest) Save(w io.Writer) error { return f.save(&smsvSpace, w) }
-
-// SaveFile writes the forest to path.
-func (f *Forest) SaveFile(path string) error { return f.saveFile(&smsvSpace, path) }
-
-// Load reads a forest saved by Save; see the generic load for what is
+// Load reads an SMSV forest saved by Save; see the generic load for what is
 // validated.
 func Load(r io.Reader) (*Forest, error) {
 	f := &Forest{}
@@ -172,37 +139,10 @@ func Load(r io.Reader) (*Forest, error) {
 	return f, nil
 }
 
-// LoadFile opens and loads a model file, naming the path in any error.
-func LoadFile(path string) (*Forest, error) {
-	f := &Forest{}
-	if err := f.loadFile(&smsvSpace, path); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Save writes the pair forest as versioned JSON, in the flattened node
-// wire form of the SMSV model (labels are spgemm candidate strings).
-func (f *PairForest) Save(w io.Writer) error { return f.save(&pairSpace, w) }
-
-// SaveFile writes the pair forest to path.
-func (f *PairForest) SaveFile(path string) error { return f.saveFile(&pairSpace, path) }
-
-// LoadPair reads a pair forest saved by Save with the structural validation
-// Load applies, plus the kind check.
+// LoadPair reads a pair forest saved by Save, with the same validation.
 func LoadPair(r io.Reader) (*PairForest, error) {
 	f := &PairForest{}
 	if err := f.load(&pairSpace, r); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// LoadPairFile opens and loads a pair model file, naming the path in any
-// error.
-func LoadPairFile(path string) (*PairForest, error) {
-	f := &PairForest{}
-	if err := f.loadFile(&pairSpace, path); err != nil {
 		return nil, err
 	}
 	return f, nil

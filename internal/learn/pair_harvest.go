@@ -4,7 +4,6 @@ import (
 	"context"
 	"maps"
 	"math/rand"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -13,46 +12,17 @@ import (
 	"repro/internal/spgemm"
 )
 
-// PairLabeled is a measurement-labeled operand pair: the training example
-// plus the raw features of both operands and the full per-candidate timing
-// evidence for regret scoring.
-type PairLabeled struct {
-	PairExample
-	AFeatures, BFeatures dataset.Features
-	Times                map[spgemm.Candidate]time.Duration
-}
-
-// MeasurePair labels one (A, B) pair by empirical measurement: every
+// measurePair labels one (A, B) pair by empirical measurement: every
 // supported dataflow candidate is built and timed and the fastest becomes
 // the label.
-func MeasurePair(ctx context.Context, a, b *sparse.Builder, ex *exec.Exec, seed int64) (PairLabeled, error) {
-	dec, err := core.NewSpGEMM(core.SpGEMMConfig{Policy: core.Empirical, Exec: ex, Seed: seed}).ChooseContext(ctx, a, b)
-	return labelFrom(dec, err, func(d *core.SpGEMMDecision) PairLabeled {
-		return PairLabeled{PairExample: FromPairFeatures(d.AFeatures, d.BFeatures, d.Chosen),
-			AFeatures: d.AFeatures, BFeatures: d.BFeatures, Times: maps.Clone(d.Measured)}
+func measurePair(ctx context.Context, p [2]*sparse.Builder, ex *exec.Exec, seed int64) (pairLabeled, error) {
+	dec, err := core.NewSpGEMM(core.SpGEMMConfig{Policy: core.Empirical, Exec: ex, Seed: seed}).ChooseContext(ctx, p[0], p[1])
+	return labelFrom(dec, err, func(d *core.SpGEMMDecision) pairLabeled {
+		return pairLabeled{Recorded: FromPairFeatures(d.AFeatures, d.BFeatures, d.Chosen), Times: maps.Clone(d.Measured)}
 	})
 }
 
-// MeasurePairAll measure-labels a corpus of operand pairs.
-func MeasurePairAll(ctx context.Context, corpus [][2]*sparse.Builder, ex *exec.Exec, seed int64) ([]PairLabeled, error) {
-	return measureAll(corpus, seed, "pair", func(p [2]*sparse.Builder, seed int64) (PairLabeled, error) {
-		return MeasurePair(ctx, p[0], p[1], ex, seed)
-	})
-}
-
-// PairExamples projects labeled pairs down to training examples.
-func PairExamples(items []PairLabeled) []PairExample {
-	return project(items, func(l PairLabeled) PairExample { return l.PairExample })
-}
-
-// FromPairHistory harvests a scheduler's pair history as training examples.
-func FromPairHistory(h *core.PairHistory) []PairExample {
-	return project(h.Snapshot(), func(e core.PairHistoryExample) PairExample {
-		return PairExample{Point: e.Point, Label: e.Candidate}
-	})
-}
-
-// SyntheticPairCorpus generates n conformable (A: m×k, B: k×n) operand
+// syntheticPairCorpus generates n conformable (A: m×k, B: k×n) operand
 // pairs cycling structure families that separate the dataflows: sparse
 // uniform pairs (Gustavson territory), a dense-ish A against a hypersparse
 // B (outer-product friendly — few columns of A are ever touched), dense
@@ -61,7 +31,7 @@ func FromPairHistory(h *core.PairHistory) []PairExample {
 // skewed-row A against regular B (ELL-hostile A side), and banded pairs
 // (regular rows, ELL-friendly). Sizes are kept small: SpGEMM measurement
 // sweeps cost a full product per candidate.
-func SyntheticPairCorpus(n int, seed int64) [][2]*sparse.Builder {
+func syntheticPairCorpus(n int, seed int64) [][2]*sparse.Builder {
 	rng := rand.New(rand.NewSource(seed))
 	uniform := func(r, c int, density float64) *sparse.Builder {
 		b := sparse.NewBuilder(r, c)
@@ -122,12 +92,5 @@ func SyntheticPairCorpus(n int, seed int64) [][2]*sparse.Builder {
 	return out
 }
 
-// EvaluatePair scores the pair forest against measurement-labeled pairs,
-// with the same semantics as Evaluate (tolerance ≤ 0 means 1.25;
-// minConfidence only affects the LowConfidence count).
-func EvaluatePair(f *PairForest, items []PairLabeled, tolerance, minConfidence float64) EvalResult {
-	return evaluate(f.generic(), &pairSpace, len(items),
-		func(i int) ([]float64, spgemm.Candidate, map[spgemm.Candidate]time.Duration) {
-			return items[i].Point[:], items[i].Label, items[i].Times
-		}, tolerance, minConfidence)
-}
+// pairLabeled is a measurement-labeled operand pair.
+type pairLabeled = Measured[[dataset.PairEmbedDims]float64, spgemm.Candidate]

@@ -16,10 +16,10 @@ import (
 // scheduler's pair cost model on its real extracted features, so labels and
 // regret are deterministic while the feature→label structure matches what
 // the flywheel trains on.
-func modelPairLabeled(t *testing.T, n int, seed int64) []PairLabeled {
+func modelPairLabeled(t *testing.T, n int, seed int64) []pairLabeled {
 	t.Helper()
-	out := make([]PairLabeled, 0, n)
-	for _, p := range SyntheticPairCorpus(n, seed) {
+	out := make([]pairLabeled, 0, n)
+	for _, p := range syntheticPairCorpus(n, seed) {
 		ma, err := p[0].Build(sparse.CSR)
 		if err != nil {
 			t.Fatal(err)
@@ -39,12 +39,7 @@ func modelPairLabeled(t *testing.T, n int, seed int64) []PairLabeled {
 				label, best = e.Candidate, d
 			}
 		}
-		out = append(out, PairLabeled{
-			PairExample: FromPairFeatures(fa, fb, label),
-			AFeatures:   fa,
-			BFeatures:   fb,
-			Times:       times,
-		})
+		out = append(out, pairLabeled{Recorded: FromPairFeatures(fa, fb, label), Times: times})
 	}
 	return out
 }
@@ -52,7 +47,7 @@ func modelPairLabeled(t *testing.T, n int, seed int64) []PairLabeled {
 // gustavsonOnlyExamples projects the corpus onto a fixed-dataflow baseline:
 // the label becomes the cheapest Gustavson candidate, as a scheduler that
 // only knows the row-wise kernel would choose.
-func gustavsonOnlyExamples(items []PairLabeled) []PairExample {
+func gustavsonOnlyExamples(items []pairLabeled) []PairExample {
 	out := make([]PairExample, 0, len(items))
 	for _, it := range items {
 		label := spgemm.Candidate{}
@@ -65,14 +60,14 @@ func gustavsonOnlyExamples(items []PairLabeled) []PairExample {
 				label, best = c, d
 			}
 		}
-		out = append(out, PairExample{Point: it.Point, Label: label})
+		out = append(out, PairExample{Point: it.Point, Candidate: label})
 	}
 	return out
 }
 
 func TestTrainPairPredict(t *testing.T) {
 	train := modelPairLabeled(t, 50, 3)
-	f, err := TrainPair(PairExamples(train), TrainConfig{})
+	f, err := TrainPair(Examples(train), TrainConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +76,7 @@ func TestTrainPairPredict(t *testing.T) {
 	}
 	exact := 0
 	for _, it := range train {
-		pred, conf, ok := f.PredictPair(it.AFeatures, it.BFeatures)
+		pred, conf, ok := SpGEMM.Predict(f, it.Point)
 		if !ok {
 			t.Fatal("trained forest refused to predict")
 		}
@@ -91,7 +86,7 @@ func TestTrainPairPredict(t *testing.T) {
 		if !spgemm.Supported(pred) {
 			t.Fatalf("predicted unsupported candidate %s", pred)
 		}
-		if pred == it.Label {
+		if pred == it.Candidate {
 			exact++
 		}
 	}
@@ -105,7 +100,7 @@ func TestTrainPairPredict(t *testing.T) {
 
 func TestPairModelRoundTrip(t *testing.T) {
 	train := modelPairLabeled(t, 40, 5)
-	f, err := TrainPair(PairExamples(train), TrainConfig{Trees: 5})
+	f, err := TrainPair(Examples(train), TrainConfig{Trees: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +116,8 @@ func TestPairModelRoundTrip(t *testing.T) {
 		t.Fatalf("loaded Trees=%d TrainedOn=%d, want %d/%d", g.Trees(), g.TrainedOn(), f.Trees(), f.TrainedOn())
 	}
 	for _, it := range train {
-		p1, c1, _ := f.PredictPairPoint(it.Point)
-		p2, c2, _ := g.PredictPairPoint(it.Point)
+		p1, c1, _ := SpGEMM.Predict(f, it.Point)
+		p2, c2, _ := SpGEMM.Predict(g, it.Point)
 		if p1 != p2 || c1 != c2 {
 			t.Fatalf("round-trip prediction drift: %s/%g vs %s/%g", p1, c1, p2, c2)
 		}
@@ -158,7 +153,7 @@ func TestPairRegretGate(t *testing.T) {
 	train := modelPairLabeled(t, 60, 11)
 	held := modelPairLabeled(t, 40, 22)
 
-	joint, err := TrainPair(PairExamples(train), TrainConfig{})
+	joint, err := TrainPair(Examples(train), TrainConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +162,8 @@ func TestPairRegretGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	evJoint := EvaluatePair(joint, held, 1.25, 0.6)
-	evFixed := EvaluatePair(fixed, held, 1.25, 0.6)
+	evJoint := SpGEMM.Evaluate(joint, held, 1.25, 0.6)
+	evFixed := SpGEMM.Evaluate(fixed, held, 1.25, 0.6)
 	t.Logf("joint:          %s", evJoint)
 	t.Logf("gustavson-only: %s", evFixed)
 
@@ -181,13 +176,13 @@ func TestPairRegretGate(t *testing.T) {
 	}
 	nonGustavson := 0
 	for _, it := range held {
-		if pred, _, ok := joint.PredictPairPoint(it.Point); ok && pred.Dataflow != spgemm.Gustavson {
+		if pred, _, ok := SpGEMM.Predict(joint, it.Point); ok && pred.Dataflow != spgemm.Gustavson {
 			nonGustavson++
 		}
 	}
 	oracleNonGustavson := 0
 	for _, it := range held {
-		if it.Label.Dataflow != spgemm.Gustavson {
+		if it.Candidate.Dataflow != spgemm.Gustavson {
 			oracleNonGustavson++
 		}
 	}
@@ -199,7 +194,7 @@ func TestPairRegretGate(t *testing.T) {
 }
 
 func TestSyntheticPairCorpusConformable(t *testing.T) {
-	corpus := SyntheticPairCorpus(20, 7)
+	corpus := syntheticPairCorpus(20, 7)
 	if len(corpus) != 20 {
 		t.Fatalf("%d pairs, want 20", len(corpus))
 	}
@@ -221,8 +216,8 @@ func TestFromPairHistoryHarvest(t *testing.T) {
 	fb := dataset.Features{M: 24, N: 16, NNZ: 96, Mdim: 6, Adim: 4, Vdim: 2, Density: 0.25}
 	want := spgemm.Candidate{Dataflow: spgemm.InnerProduct, AFormat: sparse.CSR, BFormat: sparse.CSC}
 	h.RecordCandidate(fa, fb, want)
-	got := FromPairHistory(h)
-	if len(got) != 1 || got[0].Label != want || got[0].Point != dataset.EmbedPair(fa, fb) {
+	got := SpGEMM.Harvest(h)
+	if len(got) != 1 || got[0].Candidate != want || got[0].Point != dataset.EmbedPair(fa, fb) {
 		t.Fatalf("harvested %+v", got)
 	}
 }

@@ -17,7 +17,7 @@ import (
 func modelLabeled(t *testing.T, n int, seed int64) []Labeled {
 	t.Helper()
 	out := make([]Labeled, 0, n)
-	for _, b := range SyntheticCorpus(n, seed) {
+	for _, b := range syntheticCorpus(n, seed) {
 		m, err := b.Build(sparse.CSR)
 		if err != nil {
 			t.Fatal(err)
@@ -34,11 +34,7 @@ func modelLabeled(t *testing.T, n int, seed int64) []Labeled {
 				label, best = e.Candidate, d
 			}
 		}
-		out = append(out, Labeled{
-			Example:  FromFeatures(feats, label),
-			Features: feats,
-			Times:    times,
-		})
+		out = append(out, Labeled{Recorded: FromFeatures(feats, label), Times: times})
 	}
 	return out
 }
@@ -63,8 +59,8 @@ func TestJointPredictorRegretNotWorseThanFormatOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	evJoint := Evaluate(joint, held, 1.25, 0.6)
-	evFmt := Evaluate(formatOnly, held, 1.25, 0.6)
+	evJoint := SMSV.Evaluate(joint, held, 1.25, 0.6)
+	evFmt := SMSV.Evaluate(formatOnly, held, 1.25, 0.6)
 	t.Logf("joint:       %s", evJoint)
 	t.Logf("format-only: %s", evFmt)
 
@@ -92,7 +88,7 @@ func TestJointPredictorRegretNotWorseThanFormatOnly(t *testing.T) {
 func formatOnlyExamples(items []Labeled) []Example {
 	out := make([]Example, len(items))
 	for i, it := range items {
-		best := it.Label // fall back to the joint label's format if no base time exists
+		best := it.Candidate // fall back to the joint label's format if no base time exists
 		bestT := time.Duration(-1)
 		for c, t := range it.Times {
 			if c != sparse.BaseCandidate(c.Format) {
@@ -102,7 +98,7 @@ func formatOnlyExamples(items []Labeled) []Example {
 				best, bestT = c, t
 			}
 		}
-		out[i] = Example{Point: it.Point, Label: sparse.BaseCandidate(best.Format)}
+		out[i] = Example{Point: it.Point, Candidate: sparse.BaseCandidate(best.Format)}
 	}
 	return out
 }
@@ -113,7 +109,7 @@ func formatOnlyExamples(items []Labeled) []Example {
 func TestFormatOnlyExamplesProjection(t *testing.T) {
 	csrFused := sparse.Candidate{Format: sparse.CSR, Variant: sparse.VariantFused}
 	items := []Labeled{{
-		Example: Example{Label: csrFused},
+		Recorded: Example{Candidate: csrFused},
 		Times: map[sparse.Candidate]time.Duration{
 			csrFused:                         55,
 			sparse.BaseCandidate(sparse.CSR): 100,
@@ -121,7 +117,7 @@ func TestFormatOnlyExamplesProjection(t *testing.T) {
 		},
 	}}
 	got := formatOnlyExamples(items)
-	if len(got) != 1 || got[0].Label != sparse.BaseCandidate(sparse.ELL) {
-		t.Fatalf("projected label %v, want ELL base", got[0].Label)
+	if len(got) != 1 || got[0].Candidate != sparse.BaseCandidate(sparse.ELL) {
+		t.Fatalf("projected label %v, want ELL base", got[0].Candidate)
 	}
 }

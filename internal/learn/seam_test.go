@@ -32,15 +32,15 @@ func TestSeamForestToyWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := f.save(&toySpace, &buf); err != nil {
+	if err := f.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := loaded.load(&toySpace, bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	for i, row := range rows {
-		want, wconf, _ := f.vote(&toySpace, row)
-		got, gconf, ok := loaded.vote(&toySpace, row)
+		want, wconf, _ := f.vote(row)
+		got, gconf, ok := loaded.vote(row)
 		if !ok || want != labels[i] || got != want || gconf != wconf {
 			t.Fatalf("row %v: trained %v/%g, loaded %v/%g, label %v", row, want, wconf, got, gconf, labels[i])
 		}

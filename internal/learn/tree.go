@@ -12,9 +12,8 @@ import (
 // dense Index (persisted nowhere, but it orders vote ties) and the String
 // form model files persist.
 type label interface {
-	comparable
+	Candidate
 	Index() int
-	String() string
 }
 
 // space describes one workload's point and label space to the generic

@@ -19,10 +19,10 @@ func axisExamples(n, dim int, rng *rand.Rand) []Example {
 		}
 		if e.Point[dim] <= 0 {
 			e.Point[dim] -= 0.5 // margin so midpoint thresholds generalize
-			e.Label = sparse.BaseCandidate(sparse.CSR)
+			e.Candidate = sparse.BaseCandidate(sparse.CSR)
 		} else {
 			e.Point[dim] += 0.5
-			e.Label = sparse.BaseCandidate(sparse.DIA)
+			e.Candidate = sparse.BaseCandidate(sparse.DIA)
 		}
 		out = append(out, e)
 	}
@@ -34,7 +34,7 @@ func smsvGrower(examples []Example, maxDepth, minLeaf int, rng *rand.Rand) *grow
 	g := &grower[sparse.Candidate]{sp: &smsvSpace, maxDepth: maxDepth, minLeaf: minLeaf, rng: rng}
 	for i := range examples {
 		g.rows = append(g.rows, examples[i].Point[:])
-		g.labels = append(g.labels, examples[i].Label)
+		g.labels = append(g.labels, examples[i].Candidate)
 	}
 	return g
 }
@@ -50,8 +50,8 @@ func TestTreeLearnsAxisSplit(t *testing.T) {
 	for _, e := range axisExamples(100, 2, rng) {
 		leaf := tr.predict(e.Point[:])
 		got, purity := leaf.label, leaf.purity
-		if got != e.Label {
-			t.Fatalf("tree predicted %v for a point with label %v", got, e.Label)
+		if got != e.Candidate {
+			t.Fatalf("tree predicted %v for a point with label %v", got, e.Candidate)
 		}
 		if purity != 1 {
 			t.Fatalf("separable data should give pure leaves, got purity %g", purity)
@@ -77,8 +77,8 @@ func TestTreeDepthCap(t *testing.T) {
 
 func TestMajorityTieBreaksLow(t *testing.T) {
 	examples := []Example{
-		{Label: sparse.BaseCandidate(sparse.DIA)}, {Label: sparse.BaseCandidate(sparse.DIA)},
-		{Label: sparse.BaseCandidate(sparse.CSR)}, {Label: sparse.BaseCandidate(sparse.CSR)},
+		{Candidate: sparse.BaseCandidate(sparse.DIA)}, {Candidate: sparse.BaseCandidate(sparse.DIA)},
+		{Candidate: sparse.BaseCandidate(sparse.CSR)}, {Candidate: sparse.BaseCandidate(sparse.CSR)},
 	}
 	label, frac, pure := smsvGrower(examples, 0, 0, nil).majority([]int{0, 1, 2, 3})
 	if label != sparse.BaseCandidate(sparse.CSR) {
@@ -94,7 +94,7 @@ func TestBestSplitConstantFeatures(t *testing.T) {
 	// leaf instead of recursing forever.
 	examples := make([]Example, 10)
 	for i := range examples {
-		examples[i].Label = sparse.BaseCandidate(sparse.Format(i % 2))
+		examples[i].Candidate = sparse.BaseCandidate(sparse.Format(i % 2))
 	}
 	idx := make([]int, len(examples))
 	for i := range idx {
@@ -129,7 +129,7 @@ func TestFromFeaturesUsesSharedEmbedding(t *testing.T) {
 	if e.Point != dataset.Embed(f) {
 		t.Fatal("FromFeatures must vectorize with dataset.Embed")
 	}
-	if e.Label != sparse.BaseCandidate(sparse.ELL) {
-		t.Fatalf("label %v", e.Label)
+	if e.Candidate != sparse.BaseCandidate(sparse.ELL) {
+		t.Fatalf("label %v", e.Candidate)
 	}
 }

@@ -4,31 +4,26 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/learn"
-	"repro/internal/sparse"
-	"repro/internal/spgemm"
 )
 
-// Turnkey lane constructors: each wraps one of learn's forests as a
-// flywheel lane — records decode into the forest's example type, the
-// fitted forest predicts candidate strings for shadow eval, and the
-// caller supplies the install step (serve swap + cluster broadcast).
-
-// forestLane builds a lane over forest type F. boot may be nil (no model
-// loaded at daemon start — the lane then promotes the first candidate that
-// clears the margin over an always-abstaining live model, and a rollback
-// to boot installs a nil forest, unloading the serving predictor). install
-// makes a fitted forest the serving model and must accept nil as "unload".
-// predict and train are the two places the forest type shows: one shadow
-// prediction as a candidate string, and one fit over harvested records.
-func forestLane[F any](kind Kind, namePrefix string, boot *F,
-	predict func(*F, Record) (string, bool),
-	train func([]Record) (*F, error),
-	install func(context.Context, *F) error) LaneConfig {
-	mk := func(name string, f *F) Model {
+// Lane builds the flywheel lane of workload w over its forest type F:
+// records decode into w's examples, a fitted forest predicts candidate
+// strings for shadow eval, and the caller supplies the install step (serve
+// swap + cluster broadcast). boot may be nil (no model loaded at daemon
+// start — the lane then promotes the first candidate that clears the
+// margin over an always-abstaining live model, and a rollback to boot
+// installs a nil forest, unloading the serving predictor). install makes a
+// fitted forest the serving model and must accept nil as "unload".
+func Lane[P any, L learn.Candidate, F learn.Model, H, In any](w *learn.Workload[P, L, F, H, In], boot F, tc learn.TrainConfig, install func(context.Context, F) error) LaneConfig {
+	mk := func(name string, f F) Model {
 		return Model{
-			Name:    name,
-			Predict: func(r Record) (string, bool) { return predict(f, r) },
+			Name: name,
+			Predict: func(r Record) (string, bool) {
+				c, _, ok := w.Predict(f, w.Embed(r.F, r.FB))
+				return c.String(), ok
+			},
 			Install: func(ctx context.Context) error { return install(ctx, f) },
 		}
 	}
@@ -36,61 +31,38 @@ func forestLane[F any](kind Kind, namePrefix string, boot *F,
 	// the daemon back where it started: no predictor loaded. Without
 	// this, rolling back a first promotion would leave the rejected
 	// candidate serving.
-	bootModel := Model{Name: "boot", Install: func(ctx context.Context) error { return install(ctx, nil) }}
-	if boot != nil {
+	var none F
+	bootModel := Model{Name: "boot", Install: func(ctx context.Context) error { return install(ctx, none) }}
+	if boot != none {
 		bootModel = mk("boot", boot)
 	}
 	return LaneConfig{
-		Kind: kind,
+		Kind: Kind(w.Kind),
 		Boot: bootModel,
 		Train: func(recs []Record, round int64) (Model, error) {
-			f, err := train(recs)
+			exs := make([]core.Recorded[P, L], 0, len(recs))
+			for _, r := range recs {
+				c, err := w.Parse(r.Label)
+				if err != nil {
+					continue // store validation makes this unreachable
+				}
+				exs = append(exs, core.Recorded[P, L]{Point: w.Embed(r.F, r.FB), Candidate: c})
+			}
+			f, err := w.Train(exs, tc)
 			if err != nil {
 				return Model{}, err
 			}
-			return mk(fmt.Sprintf("%s-online-r%d", namePrefix, round), f), nil
+			return mk(fmt.Sprintf("%s-online-r%d", w.Name, round), f), nil
 		},
 	}
 }
 
-// SMSVLane builds the single-matrix lane over learn.Forest; see forestLane
-// for the nil-boot and install(nil) contracts.
+// SMSVLane is the single-matrix workload's Lane.
 func SMSVLane(boot *learn.Forest, tc learn.TrainConfig, install func(context.Context, *learn.Forest) error) LaneConfig {
-	return forestLane(KindSMSV, "smsv", boot,
-		func(f *learn.Forest, r Record) (string, bool) {
-			c, _, ok := f.PredictCandidate(r.F)
-			return c.String(), ok
-		},
-		func(recs []Record) (*learn.Forest, error) {
-			exs := make([]learn.Example, 0, len(recs))
-			for _, r := range recs {
-				c, err := sparse.ParseCandidate(r.Label)
-				if err != nil {
-					continue // store validation makes this unreachable
-				}
-				exs = append(exs, learn.FromFeatures(r.F, c))
-			}
-			return learn.Train(exs, tc)
-		}, install)
+	return Lane(&learn.SMSV, boot, tc, install)
 }
 
-// PairLane builds the SpGEMM lane over learn.PairForest; see forestLane
-// for the nil-boot and install(nil) contracts.
+// PairLane is the SpGEMM workload's Lane.
 func PairLane(boot *learn.PairForest, tc learn.TrainConfig, install func(context.Context, *learn.PairForest) error) LaneConfig {
-	return forestLane(KindPair, "spgemm", boot,
-		func(f *learn.PairForest, r Record) (string, bool) {
-			c, _, ok := f.PredictPair(r.F, r.FB)
-			return c.String(), ok
-		},
-		func(recs []Record) (*learn.PairForest, error) {
-			exs := make([]learn.PairExample, 0, len(recs))
-			for _, r := range recs {
-				c, err := spgemm.ParseCandidate(r.Label)
-				if err != nil {
-					continue // store validation makes this unreachable
-				}
-				exs = append(exs, learn.FromPairFeatures(r.F, r.FB, c))
-			}
-			return learn.TrainPair(exs, tc)
-		}, install)
+	return Lane(&learn.SpGEMM, boot, tc, install)
 }

@@ -30,24 +30,25 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/learn"
 	"repro/internal/sparse"
 	"repro/internal/spgemm"
 )
 
 // Kind discriminates which workload a harvested record belongs to. The
-// values are persisted in the store's save format and must not change;
-// they mirror the model-IO content discriminators so a record can never
-// be replayed against the wrong workload's parser (cf. learn's
-// spgemm-pair model kind).
+// values are the workload descriptors' kinds (learn.Workload.Kind), which
+// model pushes and the pair model file carry too; they are persisted in
+// the store's save format and must not change, and a record can never be
+// replayed against the wrong workload's parser.
 type Kind string
 
-const (
+var (
 	// KindSMSV labels records harvested from /v1/schedule decisions:
 	// joint sparse.Candidate labels over single-matrix features.
-	KindSMSV Kind = "smsv"
+	KindSMSV = Kind(learn.SMSV.Kind)
 	// KindPair labels records harvested from /v1/schedule/spgemm
 	// decisions: spgemm.Candidate labels over an (A, B) operand pair.
-	KindPair Kind = "spgemm-pair"
+	KindPair = Kind(learn.SpGEMM.Kind)
 )
 
 // Valid reports whether k is a known workload discriminator.

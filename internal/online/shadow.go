@@ -4,8 +4,8 @@ package online
 // scores it against the measured oracle the record carries. Hit-rate
 // answers "would the model have picked the fastest candidate?"; regret
 // answers "how much slower would its pick have run?" — the same metrics
-// learn.Evaluate reports offline, computed incrementally here so the
-// controller can fold a window record-by-record.
+// learn.Workload.Evaluate reports offline, computed incrementally here so
+// the controller can fold a window record-by-record.
 
 // PredictFunc is a model as the shadow evaluator sees it: features in,
 // candidate string out. ok=false means the model abstains (no model

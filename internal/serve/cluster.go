@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/online"
 	"repro/internal/sparse"
 	"repro/internal/spgemm"
 	"repro/internal/telemetry"
@@ -90,6 +92,11 @@ type historyWire struct {
 
 func (w historyWire) label() string { return w.Candidate }
 
+func (w historyWire) operands() (smsvIn, bool) {
+	f := w.Features.Features()
+	return smsvIn{feats: f}, f.M > 0 && f.N > 0
+}
+
 // ModelPushRequest is the /v1/cluster/model body: a trained predictor in
 // its JSON wire form. Propagate makes the receiving node fan the model out
 // to every other ring member (with propagate off, so the fan-out is one
@@ -104,11 +111,9 @@ type ModelPushRequest struct {
 	Propagate bool            `json:"propagate,omitempty"`
 }
 
-// Model push kinds.
-const (
-	ModelKindSMSV = "smsv"
-	ModelKindPair = "spgemm-pair"
-)
+// ModelKindSMSV is the SMSV model push kind; each workload's push kind is
+// its harvest-record kind (online.Kind).
+var ModelKindSMSV = string(online.KindSMSV)
 
 // ModelPushResponse acknowledges a model push. TraceID names the trace
 // the apply (and any fan-out) was recorded under — the pusher's own
@@ -120,56 +125,97 @@ type ModelPushResponse struct {
 	TraceID    string `json:"trace_id,omitempty"`
 }
 
-// predictorSwap is the swappable format predictor (see swapBox).
-type predictorSwap struct {
-	swapBox[core.FormatPredictor]
+// predictorSwap is an atomically swappable predictor: the schedulers and
+// handlers hold one stable pointer for the server's lifetime while a model
+// push or an online promotion replaces the model underneath with a single
+// atomic store. P is the workload's predictor interface; the swap
+// implements both workloads' (core.FormatPredictor, core.PairPredictor)
+// and answers ok=false from the one P is not, as it does when the zero P
+// means "no model loaded" — which every caller already treats as "measure
+// instead".
+type predictorSwap[P comparable] struct {
+	v     atomic.Pointer[P]
+	swaps atomic.Int64
 }
 
 // PredictCandidate implements core.FormatPredictor.
-func (s *predictorSwap) PredictCandidate(f dataset.Features) (sparse.Candidate, float64, bool) {
-	p := s.load()
-	if p == nil {
-		return sparse.Candidate{}, 0, false
+func (s *predictorSwap[P]) PredictCandidate(f dataset.Features) (sparse.Candidate, float64, bool) {
+	if p, ok := any(s.load()).(core.FormatPredictor); ok {
+		return p.PredictCandidate(f)
 	}
-	return p.PredictCandidate(f)
-}
-
-// pairPredictorSwap is the swappable pair predictor (see swapBox).
-type pairPredictorSwap struct {
-	swapBox[core.PairPredictor]
+	return sparse.Candidate{}, 0, false
 }
 
 // PredictPair implements core.PairPredictor.
-func (s *pairPredictorSwap) PredictPair(fa, fb dataset.Features) (spgemm.Candidate, float64, bool) {
-	p := s.load()
-	if p == nil {
-		return spgemm.Candidate{}, 0, false
+func (s *predictorSwap[P]) PredictPair(fa, fb dataset.Features) (spgemm.Candidate, float64, bool) {
+	if p, ok := any(s.load()).(core.PairPredictor); ok {
+		return p.PredictPair(fa, fb)
 	}
-	return p.PredictPair(fa, fb)
+	return spgemm.Candidate{}, 0, false
 }
 
-// SwapPredictor atomically replaces the serving format predictor — the
-// install step of an online SMSV promotion (cluster pushes arrive through
-// handleClusterModel instead). nil unloads the model.
-func (s *Server) SwapPredictor(p core.FormatPredictor) { s.predictor.swap(p) }
+func (s *predictorSwap[P]) load() (p P) {
+	if v := s.v.Load(); v != nil {
+		p = *v
+	}
+	return p
+}
 
-// SwapPairPredictor atomically replaces the serving pair predictor.
-func (s *Server) SwapPairPredictor(p core.PairPredictor) { s.pairPredictor.swap(p) }
+// set installs p without counting a swap: the boot-time model.
+func (s *predictorSwap[P]) set(p P) { s.v.Store(&p) }
 
-// BroadcastModel pushes a serialized model of the given kind ("" or
-// ModelKindSMSV for the format predictor, ModelKindPair for the pair
-// predictor) to every other ring member without propagate, returning how
-// many peers acked. A non-clustered server returns 0 — promotion still
-// succeeds locally.
-func (s *Server) BroadcastModel(ctx context.Context, kind string, model []byte) int {
-	if s.cluster == nil || len(model) == 0 {
-		return 0
+// swap installs p (the zero P unloads the model) and counts the swap.
+func (s *predictorSwap[P]) swap(p P) {
+	s.set(p)
+	s.swaps.Add(1)
+}
+
+// Loaded reports whether a model is present.
+func (s *predictorSwap[P]) Loaded() bool {
+	var none P
+	return s.load() != none
+}
+
+// InstallModel makes model, in its model-file form, the serving predictor
+// of the workload whose push kind is kind — through the same loader and
+// hot swap a cluster push of that kind takes — and pushes it to every other
+// ring member without propagate; peers counts the acks (0 on a
+// non-clustered server: the install still succeeds locally). A nil model
+// unloads the predictor here and pushes nothing, so peers keep what they
+// serve until the next install. This is the install step of an online
+// promotion.
+func (s *Server) InstallModel(ctx context.Context, kind string, model []byte) (peers int, err error) {
+	slot, ok := s.models[kind]
+	switch {
+	case !ok:
+		return 0, fmt.Errorf("unknown model kind %q", kind)
+	case model == nil:
+		slot.unload()
+		return 0, nil
+	case slot.install == nil:
+		return 0, fmt.Errorf("no %s loader configured", slot.noun)
+	}
+	if err := slot.install(model); err != nil {
+		return 0, err
+	}
+	if s.cluster == nil {
+		return 0, nil
 	}
 	body, err := json.Marshal(ModelPushRequest{Model: model, Kind: kind})
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	return s.cluster.BroadcastModel(ctx, body)
+	return s.cluster.BroadcastModel(ctx, body), nil
+}
+
+// PredictorStats reports the predictor counters of the workload whose push
+// kind is kind: decisions its predictor answered without measurement, and
+// predict-policy decisions that fell back to measurement.
+func (s *Server) PredictorStats(kind string) (hits, fallbacks int64) {
+	if slot, ok := s.models[kind]; ok {
+		return slot.counts.predictorHits.Load(), slot.counts.predictorFallbacks.Load()
+	}
+	return 0, 0
 }
 
 // The two legs of a forward hop, as cluster.forward spans name them.
@@ -455,50 +501,60 @@ func applyDecision[In any, C candidate, R evidenceRow[C, R]](w *workload[In, C, 
 	}
 }
 
+// historyEntry is a workload's replicated tuning-history record: its
+// candidate's string form, and the operands its features describe (ok is
+// false for a degenerate shape).
+type historyEntry[In any] interface {
+	label() string
+	operands() (in In, ok bool)
+}
+
 // applyHistory returns a workload's gossip sink for tuning-history
-// entries: parse the wire form H and its candidate, then hand both to
-// record, which validates the features and reports whether it stored them.
-func applyHistory[H interface{ label() string }, C any](parse func(string) (C, error), record func(H, C) bool) func(cluster.ReplEntry) bool {
+// entries: decode the wire form H, parse its candidate, check its shape,
+// and record it into the workload's history. The sink reports false for an
+// entry to skip.
+func applyHistory[H historyEntry[In], In any, C candidate, R evidenceRow[C, R]](w *workload[In, C, R]) func(cluster.ReplEntry) bool {
 	return func(e cluster.ReplEntry) bool {
 		var hw H
 		if err := json.Unmarshal(e.Payload, &hw); err != nil {
 			return false
 		}
-		c, err := parse(hw.label())
-		return err == nil && record(hw, c)
+		c, err := w.parse(hw.label())
+		if err != nil {
+			return false
+		}
+		in, ok := hw.operands()
+		if ok {
+			w.record(in, c)
+		}
+		return ok
 	}
 }
 
-// recordHistory is the SMSV workload's history-gossip sink.
-func (s *Server) recordHistory(hw historyWire, c sparse.Candidate) bool {
-	feats := hw.Features.Features()
-	if feats.M <= 0 || feats.N <= 0 {
-		return false
-	}
-	s.cfg.History.RecordCandidate(feats, c)
-	return true
-}
-
-// modelSlot is where a pushed model of one kind lands: noun names it in
-// replies and logs; install parses the model and swaps it in, and is nil
-// when no loader is configured for the kind.
+// modelSlot is one workload's predictor as the model routes reach it by
+// push kind: noun names it in replies and logs; install parses a model and
+// swaps it in, and is nil when no loader is configured for the kind; unload
+// swaps the model out; counts are the workload's decide counters.
 type modelSlot struct {
 	noun    string
 	install func(model []byte) error
+	unload  func()
+	counts  *decideCounts
 }
 
-func newModelSlot[P comparable](noun string, load func([]byte) (P, error), box *swapBox[P]) modelSlot {
-	if load == nil {
-		return modelSlot{noun: noun}
-	}
-	return modelSlot{noun: noun, install: func(model []byte) error {
-		p, err := load(model)
-		if err != nil {
-			return err
+func newModelSlot[P comparable](noun string, load func([]byte) (P, error), box *predictorSwap[P], counts *decideCounts) modelSlot {
+	slot := modelSlot{noun: noun, unload: func() { var none P; box.swap(none) }, counts: counts}
+	if load != nil {
+		slot.install = func(model []byte) error {
+			p, err := load(model)
+			if err != nil {
+				return err
+			}
+			box.swap(p)
+			return nil
 		}
-		box.swap(p)
-		return nil
-	}}
+	}
+	return slot
 }
 
 // handleClusterModel hot-swaps the pushed model's workload predictor and

@@ -303,10 +303,10 @@ func TestClusterReplicationWarmsSuccessor(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for cached(succNode.srv.smsv.cache) == 0 || succNode.srv.History().Len() == 0 { // decision + history record
+	for cached(succNode.srv.smsv.cache) == 0 || succNode.srv.cfg.History.Len() == 0 { // decision + history record
 		if time.Now().After(deadline) {
 			t.Fatalf("successor %s holds %d replicated decisions and %d history records, want both",
-				succ.ID, cached(succNode.srv.smsv.cache), succNode.srv.History().Len())
+				succ.ID, cached(succNode.srv.smsv.cache), succNode.srv.cfg.History.Len())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -363,8 +363,8 @@ func TestClusterReplicateHandlerAppliesAndSkips(t *testing.T) {
 	if !nd.srv.smsv.cache.Peek([]byte("v2|hybrid/0|1,2,3")) {
 		t.Fatal("applied decision entry not in the cache")
 	}
-	if nd.srv.History().Len() != 1 {
-		t.Fatalf("history len %d, want 1", nd.srv.History().Len())
+	if nd.srv.cfg.History.Len() != 1 {
+		t.Fatalf("history len %d, want 1", nd.srv.cfg.History.Len())
 	}
 }
 

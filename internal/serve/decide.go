@@ -55,6 +55,14 @@ type workload[In any, C candidate, R evidenceRow[C, R]] struct {
 	// classNoun names the cache key's space in trace lines and logs.
 	classNoun string
 
+	// record stores a peer's replicated tuning-history entry.
+	record func(in In, c C)
+
+	decideCounts
+}
+
+// decideCounts is what the decide pipeline counts for one workload.
+type decideCounts struct {
 	measurements       atomic.Int64 // scheduler runs that actually measured
 	degraded           atomic.Int64 // decisions served without measurement under failure
 	predictorHits      atomic.Int64 // decisions answered by the predictor
@@ -238,37 +246,4 @@ func noteDecide[C candidate, R evidenceRow[C, R]](s *Server, trace *traceLines, 
 			text(" below threshold, falling back to measurement").end()
 	}
 	trace.text("admission: acquired 1 of ").int(cap(s.sem)).text(" measurement slots").end()
-}
-
-// swapBox is an atomically swappable predictor: the schedulers and
-// handlers hold one stable pointer for the server's lifetime while a model
-// push or an online promotion replaces the model underneath with a single
-// atomic store. The zero P means "no model loaded"; the per-workload
-// wrappers answer ok=false then, which every caller already treats as
-// "measure instead".
-type swapBox[P comparable] struct {
-	v     atomic.Pointer[P]
-	swaps atomic.Int64
-}
-
-func (s *swapBox[P]) load() (p P) {
-	if v := s.v.Load(); v != nil {
-		p = *v
-	}
-	return p
-}
-
-// set installs p without counting a swap: the boot-time model.
-func (s *swapBox[P]) set(p P) { s.v.Store(&p) }
-
-// swap installs p (the zero P unloads the model) and counts the swap.
-func (s *swapBox[P]) swap(p P) {
-	s.set(p)
-	s.swaps.Add(1)
-}
-
-// Loaded reports whether a model is present.
-func (s *swapBox[P]) Loaded() bool {
-	var none P
-	return s.load() != none
 }

@@ -176,8 +176,8 @@ func TestGoldenReplicatePayload(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &ack); err != nil || ack.Applied != 4 || ack.Skipped != 0 {
 		t.Fatalf("apply ack %s (err %v), want 4 applied, 0 skipped", w.Body, err)
 	}
-	if recv.History().Len() != 1 || recv.PairHistory().Len() != 1 {
-		t.Fatalf("history lens %d/%d after apply, want 1/1", recv.History().Len(), recv.PairHistory().Len())
+	if recv.cfg.History.Len() != 1 || recv.cfg.PairHistory.Len() != 1 {
+		t.Fatalf("history lens %d/%d after apply, want 1/1", recv.cfg.History.Len(), recv.cfg.PairHistory.Len())
 	}
 	if d := decodeSchedule(t, post(t, rh, "/v1/schedule", single)).Decision; d.Source != "cache" {
 		t.Fatalf("replicated SMSV decision served from %q, want cache", d.Source)

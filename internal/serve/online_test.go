@@ -181,7 +181,7 @@ func TestClusterModelPushPairKind(t *testing.T) {
 
 	// A model the loader rejects must not swap anything.
 	w := post(t, h, cluster.ModelPath, ModelPushRequest{
-		Kind: ModelKindPair, Model: json.RawMessage(`{"candidate":"nonsense"}`),
+		Kind: string(online.KindPair), Model: json.RawMessage(`{"candidate":"nonsense"}`),
 	})
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("bad pair model: status %d, want 400", w.Code)
@@ -194,7 +194,7 @@ func TestClusterModelPushPairKind(t *testing.T) {
 	}
 
 	model := fmt.Sprintf(`{"candidate":%q}`, spgemm.BaseCandidate.String())
-	w = post(t, h, cluster.ModelPath, ModelPushRequest{Kind: ModelKindPair, Model: json.RawMessage(model)})
+	w = post(t, h, cluster.ModelPath, ModelPushRequest{Kind: string(online.KindPair), Model: json.RawMessage(model)})
 	if w.Code != http.StatusOK {
 		t.Fatalf("pair push: status %d: %s", w.Code, w.Body)
 	}
@@ -221,7 +221,7 @@ func TestClusterModelPushPairKind(t *testing.T) {
 	// And the pair kind without a pair loader is equally unavailable.
 	sNoPair := newTestServer(t, Config{ModelLoader: stubLoader})
 	w = post(t, sNoPair.Handler(), cluster.ModelPath, ModelPushRequest{
-		Kind: ModelKindPair, Model: json.RawMessage(`{}`),
+		Kind: string(online.KindPair), Model: json.RawMessage(`{}`),
 	})
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("pair kind without PairModelLoader: status %d, want 503", w.Code)
@@ -244,6 +244,43 @@ func onlineFeats(m, n int, nnz int64) dataset.Features {
 		Ndig: n / 2, Dnnz: float64(nnz) / float64(m),
 		Mdim: 8, Adim: 4, Vdim: 2,
 		Density: float64(nnz) / float64(m*n),
+	}
+}
+
+// TestInstallModelByKind drives the install step of an online promotion
+// for the pair workload: an unknown kind and a kind without a loader are
+// errors, a model goes through the pair loader into the pair slot (and
+// nowhere else), its hits count under the pair kind, and a nil model
+// unloads it.
+func TestInstallModelByKind(t *testing.T) {
+	ctx := context.Background()
+	if _, err := newTestServer(t, Config{}).InstallModel(ctx, string(online.KindPair), []byte(`{}`)); err == nil {
+		t.Fatal("install without a pair loader succeeded")
+	}
+	s := newTestServer(t, Config{PairModelLoader: stubPairLoader})
+	if _, err := s.InstallModel(ctx, "who-knows", []byte(`{}`)); err == nil {
+		t.Fatal("install of an unknown kind succeeded")
+	}
+	model := fmt.Sprintf(`{"candidate":%q}`, spgemm.BaseCandidate.String())
+	if peers, err := s.InstallModel(ctx, string(online.KindPair), []byte(model)); err != nil || peers != 0 {
+		t.Fatalf("pair install: peers %d, err %v", peers, err)
+	}
+	if !s.pairPredictor.Loaded() || s.predictor.Loaded() {
+		t.Fatalf("after a pair install: pair loaded %v, smsv loaded %v", s.pairPredictor.Loaded(), s.predictor.Loaded())
+	}
+	req := conformablePair(30, 24, 18, 5)
+	req.Policy = "predict"
+	if d := decodeSpGEMM(t, post(t, s.Handler(), "/v1/schedule/spgemm", req)).Decision; d.Source != "predictor" {
+		t.Fatalf("after install: source %q", d.Source)
+	}
+	if hits, fallbacks := s.PredictorStats(string(online.KindPair)); hits != 1 || fallbacks != 0 {
+		t.Fatalf("pair predictor stats %d/%d, want 1/0", hits, fallbacks)
+	}
+	if hits, _ := s.PredictorStats(ModelKindSMSV); hits != 0 {
+		t.Fatalf("smsv predictor stats moved: %d hits", hits)
+	}
+	if _, err := s.InstallModel(ctx, string(online.KindPair), nil); err != nil || s.pairPredictor.Loaded() {
+		t.Fatalf("nil install: err %v, still loaded %v", err, s.pairPredictor.Loaded())
 	}
 }
 
@@ -290,16 +327,16 @@ func TestClusterOnlinePromotionPropagatesModel(t *testing.T) {
 	var propagated int
 	install := func(ctx context.Context, f *learn.Forest) error {
 		if f == nil { // rollback to the no-model boot lane unloads
-			nodes[0].srv.SwapPredictor(nil)
-			return nil
+			_, err := nodes[0].srv.InstallModel(ctx, ModelKindSMSV, nil)
+			return err
 		}
-		nodes[0].srv.SwapPredictor(f)
 		var buf bytes.Buffer
 		if err := f.Save(&buf); err != nil {
 			return err
 		}
-		propagated = nodes[0].srv.BroadcastModel(ctx, ModelKindSMSV, buf.Bytes())
-		return nil
+		var err error
+		propagated, err = nodes[0].srv.InstallModel(ctx, ModelKindSMSV, buf.Bytes())
+		return err
 	}
 	interval := time.Minute
 	ctl, err := online.New(online.Config{

@@ -50,16 +50,16 @@ func TestSchedulePredictPolicy(t *testing.T) {
 	if len(d.Measured) != 0 || s.Measurements() != 0 {
 		t.Fatal("confident prediction must not measure")
 	}
-	if s.PredictorHits() != 1 || s.PredictorFallbacks() != 0 {
-		t.Fatalf("hits %d fallbacks %d", s.PredictorHits(), s.PredictorFallbacks())
+	if s.smsv.predictorHits.Load() != 1 || s.smsv.predictorFallbacks.Load() != 0 {
+		t.Fatalf("hits %d fallbacks %d", s.smsv.predictorHits.Load(), s.smsv.predictorFallbacks.Load())
 	}
 	if !strings.Contains(strings.Join(d.Trace, "\n"), "predictor: answered CSR with confidence 0.92") {
 		t.Fatalf("trace missing predictor attribution: %v", d.Trace)
 	}
 	// Same shape again: exact-key cache hit, predictor not consulted.
 	w = post(t, h, "/v1/schedule", ScheduleRequest{Data: makeLIBSVM(200, 80, 10, 1)})
-	if d := decodeSchedule(t, w).Decision; d.Source != "cache" || s.PredictorHits() != 1 {
-		t.Fatalf("second request source %q, hits %d", d.Source, s.PredictorHits())
+	if d := decodeSchedule(t, w).Decision; d.Source != "cache" || s.smsv.predictorHits.Load() != 1 {
+		t.Fatalf("second request source %q, hits %d", d.Source, s.smsv.predictorHits.Load())
 	}
 
 	// /metrics must export the predictor counters.
@@ -92,16 +92,16 @@ func TestSchedulePredictLowConfidenceFallsBack(t *testing.T) {
 	if d.Confidence != 0.3 {
 		t.Fatalf("fallback must report the predictor confidence, got %g", d.Confidence)
 	}
-	if s.Measurements() != 1 || s.PredictorHits() != 0 || s.PredictorFallbacks() != 1 {
+	if s.Measurements() != 1 || s.smsv.predictorHits.Load() != 0 || s.smsv.predictorFallbacks.Load() != 1 {
 		t.Fatalf("measurements %d hits %d fallbacks %d",
-			s.Measurements(), s.PredictorHits(), s.PredictorFallbacks())
+			s.Measurements(), s.smsv.predictorHits.Load(), s.smsv.predictorFallbacks.Load())
 	}
 	if !strings.Contains(strings.Join(d.Trace, "\n"), "predictor: confidence 0.30 below threshold") {
 		t.Fatalf("trace missing fallback attribution: %v", d.Trace)
 	}
 	// The fallback measurement feeds the flywheel.
-	if s.History().Len() != 1 {
-		t.Fatalf("history len %d, want the fallback recorded", s.History().Len())
+	if s.cfg.History.Len() != 1 {
+		t.Fatalf("history len %d, want the fallback recorded", s.cfg.History.Len())
 	}
 }
 

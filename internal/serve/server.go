@@ -239,8 +239,8 @@ type Server struct {
 	// /v1/cluster/model pushes and online promotions can hot-swap a model
 	// under live traffic; schedulers, degrade ladders and handlers only
 	// ever see these stable pointers.
-	predictor     *predictorSwap
-	pairPredictor *pairPredictorSwap
+	predictor     *predictorSwap[core.FormatPredictor]
+	pairPredictor *predictorSwap[core.PairPredictor]
 	cluster       *cluster.Peers // nil when running single-node
 	node          string         // cluster node id; "" single-node
 	// replApply and models route a gossip entry or a pushed model to its
@@ -270,8 +270,8 @@ func NewServer(cfg Config) *Server {
 		logger:        cfg.Logger,
 		breaker:       breaker.New(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		sem:           make(chan struct{}, cfg.MaxInflight),
-		predictor:     &predictorSwap{},
-		pairPredictor: &pairPredictorSwap{},
+		predictor:     &predictorSwap[core.FormatPredictor]{},
+		pairPredictor: &predictorSwap[core.PairPredictor]{},
 		cluster:       cfg.Cluster,
 	}
 	s.predictor.set(cfg.Predictor)
@@ -280,15 +280,15 @@ func NewServer(cfg Config) *Server {
 	s.setupPair()
 	s.replApply = map[string]func(cluster.ReplEntry) bool{
 		cluster.KindDecision:    applyDecision(&s.smsv),
-		cluster.KindHistory:     applyHistory(sparse.ParseCandidate, s.recordHistory),
+		cluster.KindHistory:     applyHistory[historyWire](&s.smsv),
 		cluster.KindSpGEMM:      applyDecision(&s.pair),
-		cluster.KindPairHistory: applyHistory(parseSupportedPair, s.recordPairHistory),
+		cluster.KindPairHistory: applyHistory[pairHistoryWire](&s.pair),
 	}
-	smsvModel := newModelSlot("model", cfg.ModelLoader, &s.predictor.swapBox)
+	smsvModel := newModelSlot("model", cfg.ModelLoader, s.predictor, &s.smsv.decideCounts)
 	s.models = map[string]modelSlot{
-		"":            smsvModel,
-		ModelKindSMSV: smsvModel,
-		ModelKindPair: newModelSlot("pair model", cfg.PairModelLoader, &s.pairPredictor.swapBox),
+		"":                      smsvModel,
+		ModelKindSMSV:           smsvModel,
+		string(online.KindPair): newModelSlot("pair model", cfg.PairModelLoader, s.pairPredictor, &s.pair.decideCounts),
 	}
 	if s.cluster != nil {
 		s.node = s.cluster.Self().ID
@@ -387,8 +387,8 @@ func (s *Server) registerMetrics() {
 			return s.cfg.OnlineEvents.MetricFamilies("layoutd")
 		}))
 	}
-	registerWorkloadMetrics(reg, "", "", &s.smsv, s.cfg.History.Len, &s.predictor.swapBox)
-	registerWorkloadMetrics(reg, "spgemm_", "SpGEMM: ", &s.pair, s.cfg.PairHistory.Len, &s.pairPredictor.swapBox)
+	registerWorkloadMetrics(reg, "", "", &s.smsv, s.cfg.History.Len, s.predictor)
+	registerWorkloadMetrics(reg, "spgemm_", "SpGEMM: ", &s.pair, s.cfg.PairHistory.Len, s.pairPredictor)
 	if s.cluster != nil {
 		s.registerClusterMetrics()
 	}
@@ -400,7 +400,7 @@ func (s *Server) registerMetrics() {
 // supplies only the infix and the help prefix, so every workload exports
 // the same set.
 func registerWorkloadMetrics[In any, C candidate, R evidenceRow[C, R], P comparable](reg *telemetry.Registry, infix, helpPrefix string,
-	w *workload[In, C, R], historyLen func() int, model *swapBox[P]) {
+	w *workload[In, C, R], historyLen func() int, model *predictorSwap[P]) {
 	counter := func(name, help string, fn func() int64) {
 		reg.CounterFunc("layoutd_"+infix+name, helpPrefix+help, func() float64 { return float64(fn()) })
 	}
@@ -441,22 +441,10 @@ func (s *Server) Registry() *telemetry.Registry { return s.metrics.reg }
 // Traces exposes the completed-trace ring buffer.
 func (s *Server) Traces() *telemetry.TraceStore { return s.traces }
 
-// History returns the tuning history the server records into, so daemons
-// can persist it across restarts.
-func (s *Server) History() *core.History { return s.cfg.History }
-
 // Measurements reports how many schedule requests ran an actual
 // measurement (as opposed to being served from the cache, the singleflight
 // dedup, or the rule-based model).
 func (s *Server) Measurements() int64 { return s.smsv.measurements.Load() }
-
-// PredictorHits reports how many SMSV decisions were answered by the
-// trained predictor without measurement.
-func (s *Server) PredictorHits() int64 { return s.smsv.predictorHits.Load() }
-
-// PredictorFallbacks reports how many predict-policy SMSV decisions fell
-// back to measurement (low confidence or unbuildable prediction).
-func (s *Server) PredictorFallbacks() int64 { return s.smsv.predictorFallbacks.Load() }
 
 // Drain stops admitting requests (new ones get 503) and blocks until every
 // in-flight handler returns. Call after http.Server.Shutdown for a
@@ -864,6 +852,7 @@ func (s *Server) setupSMSV() {
 		return sparse.BaseCandidate(core.EstimateCosts(in.feats)[0].Format), 0
 	}
 	w.publish = s.publishSMSV
+	w.record = func(in smsvIn, c sparse.Candidate) { s.cfg.History.RecordCandidate(in.feats, c) }
 	w.parse = sparse.ParseCandidate
 	w.classNoun = "shape class"
 }

@@ -130,10 +130,6 @@ func appendPairEstimates(dst []PairEstimateJSON, ests []core.PairEstimate) []Pai
 	return dst
 }
 
-// PairHistory returns the pairwise tuning history the server records into,
-// so daemons can persist it across restarts.
-func (s *Server) PairHistory() *core.PairHistory { return s.cfg.PairHistory }
-
 // SpGEMMMeasurements reports how many spgemm requests ran an actual
 // measurement.
 func (s *Server) SpGEMMMeasurements() int64 { return s.pair.measurements.Load() }
@@ -313,6 +309,7 @@ func (s *Server) setupPair() {
 		return core.EstimatePairCandidates(in.fa, in.fb)[0].Candidate, dataset.EstimateOutputNNZ(in.fa, in.fb)
 	}
 	w.publish = s.publishPair
+	w.record = func(in pairIn, c spgemm.Candidate) { s.cfg.PairHistory.RecordCandidate(in.fa, in.fb, c) }
 	w.parse = parseSupportedPair
 	w.classNoun = "pair shape class"
 }
@@ -336,6 +333,11 @@ type pairHistoryWire struct {
 
 func (w pairHistoryWire) label() string { return w.Candidate }
 
+func (w pairHistoryWire) operands() (pairIn, bool) {
+	fa, fb := w.AFeatures.Features(), w.BFeatures.Features()
+	return pairIn{fa: fa, fb: fb}, fa.M > 0 && fa.N > 0 && fb.M > 0 && fb.N > 0
+}
+
 // parseSupportedPair is the pair workload's gossip candidate parser: a
 // peer's candidate this build cannot run is skipped like an unparseable one.
 func parseSupportedPair(s string) (spgemm.Candidate, error) {
@@ -344,14 +346,4 @@ func parseSupportedPair(s string) (spgemm.Candidate, error) {
 		err = fmt.Errorf("unsupported candidate %q", s)
 	}
 	return c, err
-}
-
-// recordPairHistory is the pair workload's history-gossip sink.
-func (s *Server) recordPairHistory(hw pairHistoryWire, c spgemm.Candidate) bool {
-	fa, fb := hw.AFeatures.Features(), hw.BFeatures.Features()
-	if fa.M <= 0 || fa.N <= 0 || fb.M <= 0 || fb.N <= 0 {
-		return false
-	}
-	s.cfg.PairHistory.RecordCandidate(fa, fb, c)
-	return true
 }

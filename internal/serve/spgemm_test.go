@@ -122,8 +122,8 @@ func TestScheduleSpGEMMHistoryNearMiss(t *testing.T) {
 	if d.Source != "measured" {
 		t.Fatalf("first source %q", d.Source)
 	}
-	if s.PairHistory().Len() != 1 {
-		t.Fatalf("pair history has %d entries", s.PairHistory().Len())
+	if s.cfg.PairHistory.Len() != 1 {
+		t.Fatalf("pair history has %d entries", s.cfg.PairHistory.Len())
 	}
 	// Same shape class, different seed: the quantized pair key may differ,
 	// but the scheduler's radius lookup reuses the recorded decision.
@@ -232,8 +232,8 @@ func TestPredictorCountersPerWorkload(t *testing.T) {
 			}
 		}
 	}
-	if s.PredictorHits() != 0 || low.PredictorFallbacks() != 0 {
-		t.Fatalf("SMSV counters moved: hits %d, fallbacks %d", s.PredictorHits(), low.PredictorFallbacks())
+	if s.smsv.predictorHits.Load() != 0 || low.smsv.predictorFallbacks.Load() != 0 {
+		t.Fatalf("SMSV counters moved: hits %d, fallbacks %d", s.smsv.predictorHits.Load(), low.smsv.predictorFallbacks.Load())
 	}
 }
 
@@ -404,8 +404,8 @@ func TestClusterReplicateAppliesSpGEMMKinds(t *testing.T) {
 	if !nd.srv.pair.cache.Peek([]byte("p1|hybrid/2|1,2,3|4,5,6")) {
 		t.Fatal("replicated spgemm decision not in the pair cache")
 	}
-	if nd.srv.PairHistory().Len() != 1 {
-		t.Fatalf("pair history len %d, want 1", nd.srv.PairHistory().Len())
+	if nd.srv.cfg.PairHistory.Len() != 1 {
+		t.Fatalf("pair history len %d, want 1", nd.srv.cfg.PairHistory.Len())
 	}
 }
 
