@@ -54,7 +54,8 @@ chaos:
 # and encoding); FuzzVerdictWire holds a cache entry's wire form to a round
 # trip;
 # FuzzBuilderRecycle holds a builder that recycles its matrices' storage to
-# a fresh builder's builds; FuzzLoadHistory and FuzzLoadForest feed every
+# a fresh builder's builds; FuzzColumnPair holds CSC's column pair to CSR's
+# fused pair bit for bit; FuzzLoadHistory and FuzzLoadForest feed every
 # input to both workloads' history and model loaders. Every target's seed
 # corpus also runs as a plain test in `make test`.
 fuzz:
@@ -69,6 +70,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzOnlineHarvestRecord$$' -fuzztime $(FUZZTIME) ./internal/online
 	$(GO) test -fuzz '^FuzzBuilderCanonical$$' -fuzztime $(FUZZTIME) ./internal/sparse
 	$(GO) test -fuzz '^FuzzBuilderRecycle$$' -fuzztime $(FUZZTIME) ./internal/sparse
+	$(GO) test -fuzz '^FuzzColumnPair$$' -fuzztime $(FUZZTIME) ./internal/sparse
 	$(GO) test -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) ./internal/svm
 	$(GO) test -fuzz '^FuzzLoadHistory$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz '^FuzzLoadForest$$' -fuzztime $(FUZZTIME) ./internal/learn

@@ -131,8 +131,8 @@ func TestSchedulerRuleBased(t *testing.T) {
 	if d.Matrix == nil || d.Matrix.Format() != d.Chosen {
 		t.Fatalf("materialized format %v != chosen %v", d.Matrix.Format(), d.Chosen)
 	}
-	if d.Chosen != d.Estimates[0].Format {
-		t.Fatalf("rule-based chose %v, model best is %v", d.Chosen, d.Estimates[0].Format)
+	if top := d.Candidates[0].Candidate; d.ChosenCandidate != top || d.Chosen != top.Format {
+		t.Fatalf("rule-based chose %v, the joint ranking's top is %v", d.ChosenCandidate, top)
 	}
 	if len(d.Measured) != 0 {
 		t.Fatal("rule-based policy should not measure")

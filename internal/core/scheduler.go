@@ -130,7 +130,9 @@ type Decision struct {
 	Features  dataset.Features
 	Estimates []Estimate // per-format modeled costs, ascending
 	// Candidates is the joint model's ranking over the
-	// (format × chunk × variant) space, ascending pair-unit cost.
+	// (format × chunk × variant) space of the paper's five formats and the
+	// column dataflow (ColumnCandidate), ascending pair-unit cost. Estimates
+	// keeps the five Table II rows alone.
 	Candidates []CandidateEstimate
 	// Measured holds the measured pair-unit time for every candidate that
 	// was benchmarked (empty for RuleBased): the total over the decision's
@@ -314,9 +316,10 @@ func (sc *chooseScratch) prepare(ranked []sparse.Candidate) (p [dataset.EmbedDim
 	}
 	d := newDecision()
 	d.Policy = sc.s.cfg.Policy
-	d.Features, sc.longest = sc.extractor.Triplets(sc.b.Triplets())
+	var touched float64
+	d.Features, sc.longest, touched = sc.extractor.Triplets(sc.b.Triplets())
 	d.Estimates = AppendEstimates(d.Estimates[:0], d.Features)
-	d.Candidates = AppendCandidateEstimates(d.Candidates[:0], d.Estimates, sc.s.parallel())
+	d.Candidates = AppendCandidateEstimates(d.Candidates[:0], d.Estimates, columnCost(d.Features.M, touched), sc.s.parallel())
 	ranked = slices.Grow(ranked, len(d.Candidates))
 	for _, e := range d.Candidates {
 		ranked = append(ranked, e.Candidate)
@@ -365,6 +368,11 @@ func (sc *chooseScratch) build(c sparse.Candidate) (err error) {
 			sc.m = nil
 			return err
 		}
+	case c.Format == sparse.CSR:
+		// The block lives only while this choose times it, so it can view the
+		// triplets instead of copying them: only its row pointers are new.
+		sc.m = sc.b.Triplets().CSRRows(sc.lo, sc.hi)
+		return nil
 	}
 	sc.m, err = sc.b.BuildRows(c.Format, sc.lo, sc.hi)
 	return err

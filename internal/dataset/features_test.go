@@ -271,12 +271,23 @@ func TestGeneratorsDeterministic(t *testing.T) {
 }
 
 // tripletsMatchExtract holds the triplet pass to Extract on the CSR the same
-// builder builds: all nine parameters equal, the floats bit for bit, and the
-// reported longest row the first one of Mdim nonzeros.
+// builder builds: all nine parameters equal, the floats bit for bit, the
+// reported longest row the first one of Mdim nonzeros, and touched the
+// column-length sum of squares over M of the CSC it builds.
 func tripletsMatchExtract(t *testing.T, name string, b *sparse.Builder) {
 	t.Helper()
 	var e Extractor
-	got, longest := e.Triplets(b.Triplets())
+	got, longest, touched := e.Triplets(b.Triplets())
+	csc := b.MustBuild(sparse.CSC).(*sparse.CSCMatrix)
+	rows, cols := csc.Dims()
+	var squares float64
+	for j := 0; j < cols; j++ {
+		n := float64(csc.Col(j).NNZ())
+		squares += n * n
+	}
+	if want := squares / float64(rows); touched != want {
+		t.Errorf("%s: touched %v, the CSC's columns give %v", name, touched, want)
+	}
 	csr := b.MustBuild(sparse.CSR)
 	want := Extract(csr)
 	if !sameFeatureBits(got, want) {
@@ -288,8 +299,8 @@ func tripletsMatchExtract(t *testing.T, name string, b *sparse.Builder) {
 		}
 	}
 	// A reused extractor must not carry the previous matrix's counts over.
-	if again, _ := e.Triplets(b.Triplets()); !sameFeatureBits(again, want) {
-		t.Errorf("%s: second pass over the same extractor %+v, want %+v", name, again, want)
+	if again, _, retouched := e.Triplets(b.Triplets()); !sameFeatureBits(again, want) || retouched != touched {
+		t.Errorf("%s: second pass over the same extractor %+v touching %v, want %+v touching %v", name, again, retouched, want, touched)
 	}
 }
 

@@ -195,7 +195,7 @@ func heldBytes(m Matrix) int64 {
 	case *DIAMatrix:
 		return 4*int64(cap(m.offsets)) + 8*int64(cap(m.data))
 	case *CSCMatrix:
-		return 8*int64(cap(m.ptr)) + 4*int64(cap(m.idx)) + 8*int64(cap(m.val))
+		return 4*int64(cap(m.ptr)) + 4*int64(cap(m.idx)) + 8*int64(cap(m.val))
 	case *BCSRMatrix:
 		return 8*int64(cap(m.ptr)) + 4*int64(cap(m.bidx)) + 8*int64(cap(m.val))
 	}
@@ -389,6 +389,23 @@ func (t Triplets) RowTo(dst Vector, i int) Vector {
 	return dst
 }
 
+// CSRRows returns rows [lo, hi) as a CSR matrix that views the triplets'
+// column and value arrays, which hold CSR's in CSR's order: only its row
+// pointers are new. It is valid as long as the triplets are, so it suits a
+// block that is built, timed and dropped while the builder stands still, as
+// a scheduler's measurement block is; Builder.BuildRows copies instead.
+func (t Triplets) CSRRows(lo, hi int) *CSRMatrix {
+	klo, khi := t.Span(lo, hi)
+	ptr := make([]int64, hi-lo+1)
+	for _, r := range t.Row[klo:khi] {
+		ptr[int(r)-lo+1]++
+	}
+	for i := 1; i < len(ptr); i++ {
+		ptr[i] += ptr[i-1]
+	}
+	return &CSRMatrix{rows: hi - lo, cols: t.Cols, ptr: ptr, idx: t.Col[klo:khi:khi], val: t.Val[klo:khi:khi]}
+}
+
 // Build materializes the accumulated triplets in the requested format.
 // Successful materializations are cached until the next triplet, Shape or
 // Reset, so re-requesting a format is allocation-free.
@@ -457,6 +474,10 @@ func (b *Builder) BuildRows(f Format, lo, hi int) (Matrix, error) {
 		}
 		m = d
 	case CSC:
+		if len(v) > math.MaxInt32 {
+			b.spare[f] = spare
+			return nil, fmt.Errorf("sparse: %d elements overflow CSC's int32 column pointers", len(v))
+		}
 		s, _ := spare.(*CSCMatrix)
 		m = newCSC(s, rows, b.cols, base, r, c, v)
 	case BCSR:

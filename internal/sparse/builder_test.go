@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -336,6 +337,32 @@ func TestBuildRows(t *testing.T) {
 	}
 	if want := full.ptr[30] - full.ptr[10]; int64(block.NNZ()) != want {
 		t.Fatalf("block holds %d nonzeros, rows 10..29 of the full matrix hold %d", block.NNZ(), want)
+	}
+}
+
+// TestTripletCSRRows: a CSR block viewed from the triplets is BuildRows'
+// copy to the last array element, shares the triplets' arrays instead of
+// copying them, and costs only its row pointers and itself.
+func TestTripletCSRRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	b := randomBuilder(rng, 41, 29, 0.15)
+	tr := b.Triplets()
+	for _, span := range [][2]int{{0, 41}, {0, 1}, {10, 30}, {40, 41}} {
+		lo, hi := span[0], span[1]
+		view := tr.CSRRows(lo, hi)
+		copied, err := b.BuildRows(CSR, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(view, copied) {
+			t.Fatalf("rows [%d, %d): view %+v, BuildRows %+v", lo, hi, view, copied)
+		}
+		if klo, _ := tr.Span(lo, hi); view.NNZ() > 0 && &view.val[0] != &tr.Val[klo] {
+			t.Fatalf("rows [%d, %d): the view copied the triplets' values", lo, hi)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { tr.CSRRows(10, 30) }); n != 2 {
+		t.Fatalf("a viewed block allocates %v objects, want 2: the matrix and its row pointers", n)
 	}
 }
 

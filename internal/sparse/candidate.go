@@ -65,6 +65,8 @@ const (
 	// VariantFused computes the SMO pair (X·X_high, X·X_low) in a single
 	// sweep over the stored elements (MulVecSparse2), halving matrix
 	// memory traffic. Available where the format implements PairMultiplier.
+	// On CSC it is the column pair: two column walks, each over the columns
+	// of its own row's support.
 	VariantFused
 	// VariantRowBlocked processes CSR rows in fixed-size blocks inside
 	// each parallel chunk, improving locality of the row-pointer walk on
@@ -205,7 +207,7 @@ func VariantSupported(f Format, v KernelVariant) bool {
 		return true
 	case VariantFused:
 		switch f {
-		case CSR, DEN, ELL, DIA:
+		case CSR, DEN, ELL, DIA, CSC:
 			return true
 		}
 		return false

@@ -4,18 +4,18 @@ import (
 	"sort"
 
 	"repro/internal/exec"
-	"repro/internal/parallel"
 )
 
 // CSCMatrix is compressed sparse column storage — the column-wise twin of
 // CSR that the paper notes is derivable from it (§III-A). Its multiply
 // kernel iterates only the columns where x is nonzero, so unlike the other
 // formats its SMSV work is Θ(Σ_{j∈nnz(x)} colnnz(j)) rather than the full
-// stored-element count; it is included as an extension, not one of the five
-// scheduled formats.
+// stored-element count. It is scheduled as an extension beside the paper's
+// five formats: the column dataflow, candidate CSC/static/fused, whose SMO
+// products read only the columns the two working rows touch.
 type CSCMatrix struct {
 	rows, cols int
-	ptr        []int64   // len cols+1
+	ptr        []int32   // len cols+1; int32 as idx is, since a wide matrix's pointers are much of it
 	idx        []int32   // len nnz, row indices, ascending within a column
 	val        []float64 // len nnz
 }
@@ -72,9 +72,9 @@ func (m *CSCMatrix) Col(j int) Vector {
 }
 
 // RowTo appends the nonzeros of row i to dst. CSC has no row index, so this
-// probes every column with a binary search — O(N log nnz); CSC is built for
-// column access, and this cost asymmetry is why it is not in the scheduled
-// set for the row-access SMO workload.
+// probes every column with a binary search — O(N log nnz). A solver whose
+// products run on CSC reads its rows from row-major storage beside it (the
+// builder's canonical triplets) instead.
 func (m *CSCMatrix) RowTo(dst Vector, i int) Vector {
 	dst = dst.Reset(m.cols)
 	for j := 0; j < m.cols; j++ {
@@ -82,61 +82,50 @@ func (m *CSCMatrix) RowTo(dst Vector, i int) Vector {
 		seg := m.idx[lo:hi]
 		k := sort.Search(len(seg), func(k int) bool { return seg[k] >= int32(i) })
 		if k < len(seg) && seg[k] == int32(i) {
-			dst = dst.Append(int32(j), m.val[lo+int64(k)])
+			dst = dst.Append(int32(j), m.val[lo+int32(k)])
 		}
 	}
 	return dst
 }
 
-// MulVecSparse computes dst = A·x column-wise: only columns with a nonzero
-// x entry are touched. Columns are distributed over the context's workers
-// with per-partition partial outputs merged serially, keeping the result
-// deterministic.
-func (m *CSCMatrix) MulVecSparse(dst []float64, x Vector, scratch []float64, ex *exec.Exec) {
+// MulVecSparse computes dst = A·x column-wise: only the columns of x's
+// support are read, Σ_{j∈supp x} colnnz(j) + M work in all. x's indices
+// ascend, so each dst[i] adds its terms in ascending column order, as the
+// CSR kernel's row sum does: the result is CSR's bit for bit (the terms CSR
+// adds for columns outside supp x are zeros, which leave a sum unchanged).
+// The kernel is serial whatever ex's worker count, so the bits cannot
+// depend on it; scratch is not read.
+func (m *CSCMatrix) MulVecSparse(dst []float64, x Vector, _ []float64, ex *exec.Exec) {
 	t := ex.Begin()
-	for i := range dst {
-		dst[i] = 0
-	}
-	nx := len(x.Index)
-	if nx == 0 {
-		ex.End(exec.KindCSC, 0, t)
-		return
-	}
-	p := ex.Parts(nx)
-	if p == 1 {
-		for k, j := range x.Index {
-			xv := x.Value[k]
-			for q := m.ptr[j]; q < m.ptr[j+1]; q++ {
-				dst[m.idx[q]] += m.val[q] * xv
-			}
-		}
-		if ex.Tracking() {
-			ex.End(exec.KindCSC, m.touched(x), t)
-		}
-		return
-	}
-	partial := make([][]float64, p)
-	ex.ForParts(p, func(w int) {
-		lo, hi := parallel.SplitRange(nx, p, w)
-		acc := make([]float64, m.rows)
-		for k := lo; k < hi; k++ {
-			j := x.Index[k]
-			xv := x.Value[k]
-			for q := m.ptr[j]; q < m.ptr[j+1]; q++ {
-				acc[m.idx[q]] += m.val[q] * xv
-			}
-		}
-		partial[w] = acc
-	})
-	for _, acc := range partial {
-		for i, a := range acc {
-			if a != 0 {
-				dst[i] += a
-			}
-		}
-	}
+	m.mulCols(dst, x)
 	if ex.Tracking() {
 		ex.End(exec.KindCSC, m.touched(x), t)
+	}
+}
+
+// MulVecSparse2 computes dst1 = A·x1 and dst2 = A·x2 as two column walks.
+// Unlike the row formats' fused sweeps the two products share no stored
+// element — each reads only its own row's columns — so there is nothing to
+// fuse; the pair is CSC's SMO unit, and each product is MulVecSparse's.
+func (m *CSCMatrix) MulVecSparse2(dst1, dst2 []float64, x1, x2 Vector, _, _ []float64, ex *exec.Exec) {
+	t := ex.Begin()
+	m.mulCols(dst1, x1)
+	m.mulCols(dst2, x2)
+	if ex.Tracking() {
+		ex.End(exec.KindPair, m.touched(x1)+m.touched(x2), t)
+	}
+}
+
+// mulCols is the column kernel: dst = Σ_{j∈supp x} x_j·A[:,j].
+func (m *CSCMatrix) mulCols(dst []float64, x Vector) {
+	clear(dst)
+	for k, j := range x.Index {
+		xv := x.Value[k]
+		lo, hi := m.ptr[j], m.ptr[j+1]
+		val := m.val[lo:hi]
+		for q, i := range m.idx[lo:hi] {
+			dst[i] += val[q] * xv
+		}
 	}
 }
 
@@ -146,7 +135,7 @@ func (m *CSCMatrix) MulVecSparse(dst []float64, x Vector, scratch []float64, ex 
 func (m *CSCMatrix) touched(x Vector) int64 {
 	var n int64
 	for _, j := range x.Index {
-		n += m.ptr[j+1] - m.ptr[j]
+		n += int64(m.ptr[j+1] - m.ptr[j])
 	}
 	return n
 }
@@ -160,5 +149,5 @@ func (m *CSCMatrix) StoredElements() int64 {
 
 // StorageBytes returns the backing array footprint.
 func (m *CSCMatrix) StorageBytes() int64 {
-	return int64(len(m.ptr))*8 + int64(len(m.idx))*4 + int64(len(m.val))*8
+	return int64(len(m.ptr))*4 + int64(len(m.idx))*4 + int64(len(m.val))*8
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/exec"
@@ -162,12 +163,17 @@ func TestDifferentialSMSVAllFormats(t *testing.T) {
 	}
 }
 
+// scheduledFormats are the formats a scheduling decision can materialize:
+// the paper's five and CSC, the column dataflow's.
+var scheduledFormats = append(slices.Clone(BasicFormats[:]), CSC)
+
 // TestDifferentialSMSVWorkerCountInvariant is the DESIGN §6 contract: a
-// format's SMSV result does not depend on how many workers ran it or how
-// the rows were chunked. Bits are compared, not tolerances — the SMO
-// trajectory amplifies a last-place difference into a different iteration
-// count, which is how a worker-count-dependent COO kernel once made tier-1
-// fail on multi-core hosts.
+// scheduled format's SMSV result, single and paired, does not depend on how
+// many workers ran it or how the rows were chunked. Bits are compared, not
+// tolerances — the SMO trajectory amplifies a last-place difference into a
+// different iteration count, which is how a worker-count-dependent COO
+// kernel once made tier-1 fail on multi-core hosts, and how CSC's, which
+// summed per-worker partial vectors, differed from its serial kernel.
 func TestDifferentialSMSVWorkerCountInvariant(t *testing.T) {
 	var execs []*exec.Exec
 	for _, workers := range []int{1, 2, 3, 4, 7} {
@@ -175,28 +181,45 @@ func TestDifferentialSMSVWorkerCountInvariant(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(23))
 	for _, c := range diffCases() {
-		for xi, x := range xVariants(c.cols, rng) {
-			for _, f := range BasicFormats {
+		xs := xVariants(c.cols, rng)
+		for xi, x := range xs {
+			x2 := xs[(xi+1)%len(xs)]
+			for _, f := range scheduledFormats {
 				m, err := c.b.Build(f)
 				if err != nil {
 					continue // DIA over its diagonal cap; the sweep above checks that
 				}
-				scratch := make([]float64, c.cols)
-				serial := make([]float64, c.rows)
-				m.MulVecSparse(serial, x, scratch, nil)
+				pair := Candidate{Format: f, Variant: VariantFused}
+				s1, s2 := make([]float64, c.cols), make([]float64, c.cols)
+				serial, serial2 := make([]float64, c.rows), make([]float64, c.rows)
+				m.MulVecSparse(serial, x, s1, nil)
+				m.MulVecSparse(serial2, x2, s1, nil)
 				for _, ex := range execs {
-					got := make([]float64, c.rows)
-					m.MulVecSparse(got, x, scratch, ex)
-					for i := range got {
-						if math.Float64bits(got[i]) != math.Float64bits(serial[i]) {
-							t.Fatalf("%s/%v/x%d: %d workers give dst[%d] = %v, serial kernel gives %v",
-								c.name, f, xi, ex.Workers(), i, got[i], serial[i])
-						}
+					got, got2 := make([]float64, c.rows), make([]float64, c.rows)
+					m.MulVecSparse(got, x, s1, ex)
+					if i := firstBitDiff(got, serial); i >= 0 {
+						t.Fatalf("%s/%v/x%d: %d workers give dst[%d] = %v, serial kernel gives %v",
+							c.name, f, xi, ex.Workers(), i, got[i], serial[i])
+					}
+					pair.RunPair(m, got, got2, x, x2, s1, s2, ex)
+					if i, j := firstBitDiff(got, serial), firstBitDiff(got2, serial2); i >= 0 || j >= 0 {
+						t.Fatalf("%s/%v/x%d: %d workers' pair differs from the serial kernel at dst1[%d], dst2[%d]",
+							c.name, f, xi, ex.Workers(), i, j)
 					}
 				}
 			}
 		}
 	}
+}
+
+// firstBitDiff is the first index where a and b differ in bits, or -1.
+func firstBitDiff(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
 }
 
 // TestDifferentialFormatsAgreePairwise cross-checks the formats against each

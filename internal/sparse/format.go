@@ -5,11 +5,14 @@
 // sparse-matrix × sparse-vector (SMSV) kernels that dominate SMO-based SVM
 // training.
 //
-// Every format's multiply kernel intentionally performs work proportional
-// to its *stored* element count (padding included), because that
-// proportionality — "the complexity of computation in SVM is proportional
-// to the complexity of storage" — is the mechanism behind the paper's
-// format-dependent performance gaps (Figures 1–4, Tables II–III).
+// Each of the five formats' multiply kernels intentionally performs work
+// proportional to its *stored* element count (padding included), because
+// that proportionality — "the complexity of computation in SVM is
+// proportional to the complexity of storage" — is the mechanism behind the
+// paper's format-dependent performance gaps (Figures 1–4, Tables II–III).
+// CSC is the exception, and it is scheduled too, as an extension: its
+// column kernel reads only the columns in the sparse x's support, the
+// outer-product dataflow of SMSV, and computes CSR's result bit for bit.
 package sparse
 
 import (
@@ -94,7 +97,7 @@ type Matrix interface {
 	// image has been scattered into scratch (len == cols). dst must have
 	// len == rows. ex supplies workers, schedule, and optional counters; a
 	// nil ex runs the kernel serially. The kernel touches every *stored*
-	// element of A.
+	// element of A, except CSC's, which touches the columns of x's support.
 	MulVecSparse(dst []float64, x Vector, scratch []float64, ex *exec.Exec)
 	// StoredElements returns how many scalar/index slots the format keeps,
 	// in the units of the paper's Table II (padding included).

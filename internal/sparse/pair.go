@@ -6,7 +6,9 @@ import "repro/internal/exec"
 // SMSV products in a single pass over the stored elements. SMO needs
 // exactly two kernel rows per iteration (X·X_high and X·X_low, §III-A), so
 // fusing them halves the matrix memory traffic — on a memory-bound kernel
-// (Equation 7), nearly a 2× iteration speedup.
+// (Equation 7), nearly a 2× iteration speedup. CSC implements it too, as the
+// column pair: each of its products reads only its own row's columns, so
+// there is no shared sweep to fuse, and it runs them as two column walks.
 type PairMultiplier interface {
 	// MulVecSparse2 computes dst1 = A·x1 and dst2 = A·x2 with one sweep
 	// over A. scratch1 and scratch2 are distinct cols-length workspaces;

@@ -48,7 +48,7 @@ func TestPairMulVecMatchesSingle(t *testing.T) {
 func TestPairMultiplierImplementations(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	b := randomBuilder(rng, 10, 10, 0.3)
-	for _, f := range []Format{DEN, CSR, ELL, DIA} {
+	for _, f := range []Format{DEN, CSR, ELL, DIA, CSC} {
 		if _, ok := b.MustBuild(f).(PairMultiplier); !ok {
 			t.Errorf("%v should implement PairMultiplier", f)
 		}

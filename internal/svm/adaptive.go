@@ -25,12 +25,24 @@ func TrainAdaptive(b *sparse.Builder, y []float64, sched *core.Scheduler, cfg Co
 	if err != nil {
 		return nil, err
 	}
-	cfg.chosen = &dec.ChosenCandidate
+	cfg.chosen, cfg.rows = &dec.ChosenCandidate, rowsBeside(dec, b)
 	model, stats, err := Train(dec.Matrix, y, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &AdaptiveResult{Decision: dec, Model: model, Stats: stats}, nil
+}
+
+// rowsBeside is where a solver on the decided matrix reads its rows: the
+// builder's canonical triplets when the matrix is CSC, which has no row
+// index, and the matrix itself (nil) otherwise. The triplets hold the same
+// elements in row-major order, and they stay valid while the job runs,
+// since nothing adds to b meanwhile.
+func rowsBeside(dec *core.Decision, b *sparse.Builder) rowSource {
+	if dec.Matrix.Format() != sparse.CSC {
+		return nil
+	}
+	return b.Triplets()
 }
 
 // AdaptiveRegressionResult bundles the layout decision with the trained
@@ -49,7 +61,7 @@ func TrainRegressionAdaptive(b *sparse.Builder, y []float64, sched *core.Schedul
 	if err != nil {
 		return nil, err
 	}
-	cfg.chosen = &dec.ChosenCandidate
+	cfg.chosen, cfg.rows = &dec.ChosenCandidate, rowsBeside(dec, b)
 	model, stats, err := TrainRegression(dec.Matrix, y, cfg)
 	if err != nil {
 		return nil, err

@@ -64,6 +64,7 @@ func TestTrainAdaptiveRunsChosenCandidate(t *testing.T) {
 		{Format: sparse.CSR, Chunk: sparse.ChunkStatic, Variant: sparse.VariantFused},
 		{Format: sparse.ELL, Chunk: sparse.ChunkStatic, Variant: sparse.VariantBranchFree},
 		{Format: sparse.COO},
+		core.ColumnCandidate,
 	} {
 		stats := &exec.Stats{}
 		ex := texec(t, 2).WithStats(stats)
@@ -88,12 +89,16 @@ func TestTrainAdaptiveRunsChosenCandidate(t *testing.T) {
 			t.Errorf("%v: kernel counters %+v, want %d calls of %v only", c, snap, calls, kind)
 		}
 
-		want, _, err := Train(b.MustBuild(c.Format), y, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameModelBits(res.Model, want) {
-			t.Errorf("%v: TrainAdaptive's model differs from Train's on %v", c, c.Format)
+		// Every layout gives the same bits: the column candidate's model is
+		// the row formats' too.
+		for _, f := range []sparse.Format{c.Format, sparse.CSR} {
+			want, _, err := Train(b.MustBuild(f), y, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameModelBits(res.Model, want) {
+				t.Errorf("%v: TrainAdaptive's model differs from Train's on %v", c, f)
+			}
 		}
 
 		// The chunk policy: every product of a solver started with the
@@ -115,28 +120,67 @@ func TestTrainAdaptiveRunsChosenCandidate(t *testing.T) {
 
 	// ε-SVR takes the same route.
 	_, _, target := allocProblem(t)
-	c := sparse.Candidate{Format: sparse.CSR, Chunk: sparse.ChunkGuided, Variant: sparse.VariantRowBlocked}
-	stats := &exec.Stats{}
-	ex := texec(t, 2).WithStats(stats)
-	sched := core.New(core.Config{Policy: core.PolicyPredict, Predictor: candidatePredictor{c}, Exec: ex})
-	rcfg := RegressionConfig{C: 1, Epsilon: 0.1, MaxIter: iters, Exec: ex}
-	res, err := TrainRegressionAdaptive(b, target, sched, rcfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []sparse.Candidate{
+		{Format: sparse.CSR, Chunk: sparse.ChunkGuided, Variant: sparse.VariantRowBlocked},
+		core.ColumnCandidate,
+	} {
+		stats := &exec.Stats{}
+		ex := texec(t, 2).WithStats(stats)
+		sched := core.New(core.Config{Policy: core.PolicyPredict, Predictor: candidatePredictor{c}, Exec: ex})
+		rcfg := RegressionConfig{C: 1, Epsilon: 0.1, MaxIter: iters, Exec: ex}
+		res, err := TrainRegressionAdaptive(b, target, sched, rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind := exec.KindCSR
+		if c.Variant == sparse.VariantFused {
+			kind = exec.KindPair
+		}
+		if snap := stats.Snapshot(); len(snap) != 1 || snap[0].Kind != kind {
+			t.Errorf("ε-SVR under %v: kernel counters %+v, want %v calls only", c, snap, kind)
+		}
+		want, _, err := TrainRegression(b.MustBuild(sparse.CSR), target, rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.Model.B) != math.Float64bits(want.B) || len(res.Model.Coef) != len(want.Coef) {
+			t.Fatalf("ε-SVR under %v: B %v with %d SVs, TrainRegression on CSR %v with %d", c, res.Model.B, len(res.Model.Coef), want.B, len(want.Coef))
+		}
+		for i := range want.Coef {
+			if math.Float64bits(res.Model.Coef[i]) != math.Float64bits(want.Coef[i]) {
+				t.Fatalf("ε-SVR under %v: coefficient %d differs from TrainRegression's on CSR", c, i)
+			}
+		}
 	}
-	if snap := stats.Snapshot(); len(snap) != 1 || snap[0].Kind != exec.KindCSR {
-		t.Errorf("ε-SVR under %v: kernel counters %+v, want CSR calls only", c, snap)
-	}
-	want, _, err := TrainRegression(b.MustBuild(sparse.CSR), target, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(res.Model.B) != math.Float64bits(want.B) || len(res.Model.Coef) != len(want.Coef) {
-		t.Fatalf("ε-SVR under %v: B %v with %d SVs, TrainRegression on CSR %v with %d", c, res.Model.B, len(res.Model.Coef), want.B, len(want.Coef))
-	}
-	for i := range want.Coef {
-		if math.Float64bits(res.Model.Coef[i]) != math.Float64bits(want.Coef[i]) {
-			t.Fatalf("ε-SVR under %v: coefficient %d differs from TrainRegression's on CSR", c, i)
+}
+
+// TestColumnJobReadsRowsFromTriplets: a job on the column candidate reads
+// its rows — the working pair, the Gaussian norms, the support vectors, a
+// shrink's submatrix — from the builder's triplets, never through CSC's
+// RowTo, which probes every column; and its model is the CSR job's.
+func TestColumnJobReadsRowsFromTriplets(t *testing.T) {
+	b, y, _ := allocProblem(t)
+	gaussian := KernelParams{Type: Gaussian, Gamma: 0.05}
+	for _, cfg := range []Config{
+		{C: 1, MaxIter: 200, Kernel: gaussian},
+		{C: 0.1, MaxIter: 400, Shrinking: true, SecondOrder: true, CacheRows: 8},
+	} {
+		cfg.Exec = texec(t, 2)
+		want, _, err := Train(b.MustBuild(sparse.CSR), y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csc := &rowCounter{Matrix: b.MustBuild(sparse.CSC)}
+		cfg.rows = b.Triplets()
+		got, _, err := Train(csc, y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if csc.rowTo != 0 {
+			t.Errorf("%+v: %d rows read through CSC's RowTo", cfg, csc.rowTo)
+		}
+		if !sameModelBits(got, want) {
+			t.Errorf("%+v: the column job's model differs from the CSR job's", cfg)
 		}
 	}
 }

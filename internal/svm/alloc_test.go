@@ -33,7 +33,7 @@ func allocProblem(t *testing.T) (*sparse.Builder, []float64, []float64) {
 // TestTrainSteadyStateAllocs is the allocation contract of the SMO loops
 // (DESIGN §6): the steady-state iteration of the classification loop, in
 // every configuration, and of ε-SVR allocates nothing of its own on a
-// pooled context —
+// pooled context, on every basic format and on the column candidate —
 // the SMSV kernels dispatch in closure-free form on recycled run records, the
 // sweep bodies and their partial results live on the solver. Measured as a
 // 60-iteration job minus a 10-iteration one, so that set-up and the model
@@ -50,11 +50,12 @@ func TestTrainSteadyStateAllocs(t *testing.T) {
 	ex := texec(t, 2)
 	const short, long, limit = 10, 60, 10
 
-	type job func(m sparse.Matrix, maxIter int) (Stats, error)
+	type job func(l trainLayout, maxIter int) (Stats, error)
 	classify := func(cfg Config) job {
-		return func(m sparse.Matrix, maxIter int) (Stats, error) {
+		return func(l trainLayout, maxIter int) (Stats, error) {
+			cfg := l.config(cfg)
 			cfg.Exec, cfg.MaxIter = ex, maxIter
-			_, st, err := Train(m, y, cfg)
+			_, st, err := Train(l.m, y, cfg)
 			return st, err
 		}
 	}
@@ -69,19 +70,18 @@ func TestTrainSteadyStateAllocs(t *testing.T) {
 		{"shrinking", classify(Config{C: 1, Shrinking: true})},
 		{"shrinking/secondOrder", classify(Config{C: 1, Shrinking: true, SecondOrder: true})},
 		{"shrinking/cacheRows", classify(Config{C: 1, Shrinking: true, CacheRows: 4})},
-		{"svr", func(m sparse.Matrix, maxIter int) (Stats, error) {
-			_, st, err := TrainRegression(m, target, RegressionConfig{C: 1, Epsilon: 0.01, MaxIter: maxIter, Exec: ex})
+		{"svr", func(l trainLayout, maxIter int) (Stats, error) {
+			_, st, err := TrainRegression(l.m, target, RegressionConfig{C: 1, Epsilon: 0.01, MaxIter: maxIter, Exec: ex, rows: l.rows, chosen: l.chosen})
 			return st, err
 		}},
 	}
-	for _, f := range sparse.BasicFormats {
-		m := b.MustBuild(f)
+	for _, l := range trainLayouts(b) {
 		for _, loop := range loops {
-			t.Run(f.String()+"/"+loop.name, func(t *testing.T) {
+			t.Run(l.name+"/"+loop.name, func(t *testing.T) {
 				measure := func(maxIter int) float64 {
 					var st Stats
 					var err error
-					allocs := testing.AllocsPerRun(5, func() { st, err = loop.run(m, maxIter) })
+					allocs := testing.AllocsPerRun(5, func() { st, err = loop.run(l, maxIter) })
 					if err != nil {
 						t.Fatal(err)
 					}

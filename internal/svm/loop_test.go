@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/sparse"
 )
@@ -59,7 +60,9 @@ var loopConfigs = map[string]Config{
 // shrinks four times by iteration 1300 and reconstructs the gradient three
 // times before it converges; the Gaussian one at C = 10 shrinks twice by
 // iteration 700, with the norms gathered to the active rows. Every basic
-// format at 1 and 2 workers must give the same fingerprint (DESIGN §6).
+// format at 1 and 2 workers must give the same fingerprint (DESIGN §6), and
+// so must the column candidate: products on CSC, rows from the builder's
+// triplets, and after a shrink a CSR submatrix of the active rows.
 //
 // Three entries differ from what those loops returned: a shrinking run
 // stopped at the cap with rows shrunk reported B and the objective from a
@@ -108,26 +111,52 @@ func TestLoopTrajectoriesMatchParent(t *testing.T) {
 		{"shrinking+gaussian", 10, 100000, trajectory{1427, 0xc3b412adfb83f2ee, 0xbfd1f0c577c2c0a8, 0x409241beb3f8a528}},
 	}
 	execs := []*exec.Exec{texec(t, 1), texec(t, 2)}
-	formats := sparse.BasicFormats[:]
+	layouts := trainLayouts(b)
 	if testing.Short() {
-		formats = formats[:1] // make test-race: one format is enough for the detector
+		layouts = layouts[:1] // make test-race: one layout is enough for the detector
 	}
-	for _, f := range formats {
-		m := b.MustBuild(f)
+	for _, l := range layouts {
 		for _, w := range want {
 			for _, ex := range execs {
-				cfg := loopConfigs[w.config]
+				cfg := l.config(loopConfigs[w.config])
 				cfg.C, cfg.MaxIter, cfg.Exec = w.c, w.maxIter, ex
-				model, st, err := Train(m, y, cfg)
+				model, st, err := Train(l.m, y, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := trajectoryOf(model, st); got != w.trajectory {
-					t.Errorf("%v, %s, C %v, cap %d, %d workers: %#x, want %#x", f, w.config, w.c, w.maxIter, ex.Workers(), got, w.trajectory)
+					t.Errorf("%s, %s, C %v, cap %d, %d workers: %#x, want %#x", l.name, w.config, w.c, w.maxIter, ex.Workers(), got, w.trajectory)
 				}
 			}
 		}
 	}
+}
+
+// trainLayout is one way a solver runs on a problem: a matrix, and for the
+// column candidate where the rows come from and which candidate runs.
+type trainLayout struct {
+	name   string
+	m      sparse.Matrix
+	rows   rowSource
+	chosen *sparse.Candidate
+}
+
+// config is cfg set up to run the layout as TrainAdaptive would.
+func (l trainLayout) config(cfg Config) Config {
+	cfg.rows, cfg.chosen = l.rows, l.chosen
+	return cfg
+}
+
+// trainLayouts are the layouts a scheduled job can run on b: each basic
+// format, reading its rows from the matrix, and the column candidate, whose
+// products run on CSC and whose rows come from b's canonical triplets.
+func trainLayouts(b *sparse.Builder) []trainLayout {
+	var out []trainLayout
+	for _, f := range sparse.BasicFormats {
+		out = append(out, trainLayout{name: f.String(), m: b.MustBuild(f)})
+	}
+	column := core.ColumnCandidate
+	return append(out, trainLayout{name: "column", m: b.MustBuild(sparse.CSC), rows: b.Triplets(), chosen: &column})
 }
 
 // dualObjective recomputes F(α) = Σα − ½·ΣΣ αᵢαⱼyᵢyⱼK(Xᵢ, Xⱼ) from a model

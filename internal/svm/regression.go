@@ -34,6 +34,7 @@ type RegressionConfig struct {
 	CacheRows int
 
 	chosen *sparse.Candidate // TrainRegressionAdaptive's, see Config.chosen
+	rows   rowSource         // likewise, see Config.rows
 }
 
 // RegressionModel predicts real-valued targets:
@@ -101,7 +102,7 @@ func newSVRSolver(x sparse.Matrix, y []float64, cfg RegressionConfig) *svrSolver
 	rows, _ := x.Dims()
 	n2 := 2 * rows
 	s := &svrSolver{
-		kernels: newKernels(x, cfg.Kernel, cfg.Exec, cfg.chosen, cfg.CacheRows, false),
+		kernels: newKernels(x, cfg.rows, cfg.Kernel, cfg.Exec, cfg.chosen, cfg.CacheRows, false),
 		cfg:     cfg,
 		n:       rows,
 		alpha:   make([]float64, n2),
@@ -232,6 +233,6 @@ func (s *svrSolver) buildModel() *RegressionModel {
 		B:      -(s.bHigh + s.bLow) / 2,
 	}
 	// αᵢ − αᵢ* per sample.
-	m.SVs, m.Coef = supportVectors(s.x, s.n, func(i int) float64 { return s.alpha[i] - s.alpha[s.n+i] })
+	m.SVs, m.Coef = supportVectors(s.src, s.n, func(i int) float64 { return s.alpha[i] - s.alpha[s.n+i] })
 	return m
 }

@@ -47,6 +47,16 @@ type Config struct {
 	// caller's Config — runs the matrix's fused pair kernel where it has one,
 	// under Exec's schedule.
 	chosen *sparse.Candidate
+	// rows is where the solver reads data rows, when not from the matrix:
+	// TrainAdaptive hands it the builder's canonical triplets when the
+	// decided matrix is CSC, whose RowTo probes every column.
+	rows rowSource
+}
+
+// rowSource is where a solver reads the data rows X_i: the matrix, or
+// row-major storage of the same elements beside it.
+type rowSource interface {
+	RowTo(dst sparse.Vector, i int) sparse.Vector
 }
 
 func (c Config) withDefaults(n int) Config {
@@ -119,7 +129,7 @@ func newSolver(x sparse.Matrix, y []float64, cfg Config) *solver {
 	rows, _ := x.Dims()
 	cfg = cfg.withDefaults(rows)
 	s := &solver{
-		kernels: newKernels(x, cfg.Kernel, cfg.Exec, cfg.chosen, cfg.CacheRows, cfg.SecondOrder),
+		kernels: newKernels(x, cfg.rows, cfg.Kernel, cfg.Exec, cfg.chosen, cfg.CacheRows, cfg.SecondOrder),
 		cfg:     cfg,
 		eager:   !cfg.SecondOrder && !cfg.Shrinking,
 		scan:    sweep{ex: cfg.Exec},
@@ -257,13 +267,13 @@ func normAt(normSq []float64, i int) float64 {
 	return normSq[i]
 }
 
-// rowNorms precomputes ‖X_i‖² for the Gaussian kernel.
-func rowNorms(x sparse.Matrix) []float64 {
-	rows, _ := x.Dims()
+// rowNorms precomputes ‖X_i‖² of the rows rows of src, for the Gaussian
+// kernel.
+func rowNorms(src rowSource, rows int) []float64 {
 	out := make([]float64, rows)
 	var v sparse.Vector
 	for i := 0; i < rows; i++ {
-		v = x.RowTo(v, i)
+		v = src.RowTo(v, i)
 		out[i] = v.Norm2Sq()
 	}
 	return out
@@ -303,14 +313,19 @@ func (p pairKernel) run(m sparse.Matrix, dst1, dst2 []float64, x1, x2 sparse.Vec
 // optional LRU of finished rows in front. A row holds the entries of the
 // active rows, which are every row unless a shrinking solver restricts them.
 type kernels struct {
-	x        sparse.Matrix
-	sub      sparse.Matrix // the active rows of x: x itself, or a CSR submatrix
-	ex       *exec.Exec    // the caller's context, which the transform runs under
-	pair     pairKernel
-	kHigh    []float64 // kernel row K(X_high, ·)
-	kLow     []float64
+	x     sparse.Matrix
+	src   rowSource     // where the rows X_r are read: x, or the triplets x was built from
+	sub   sparse.Matrix // the active rows of x: x itself, or a CSR submatrix
+	ex    *exec.Exec    // the caller's context, which the transform runs under
+	pair  pairKernel
+	kHigh []float64 // kernel row K(X_high, ·)
+	kLow  []float64
+	// scratch and scratch2 are the cols-length scatter workspaces of the row
+	// formats' products; nil while the products run on CSC, whose column
+	// kernel reads x's support directly, until a shrink's CSR submatrix
+	// needs them.
 	scratch  []float64
-	scratch2 []float64 // second workspace for the paired two-row SMSV
+	scratch2 []float64
 	normSq   []float64 // ‖X_i‖², nil unless the kernel or SecondOrder reads it
 	subNorm  []float64 // normSq of the active rows
 	rowBufH  sparse.Vector
@@ -319,32 +334,46 @@ type kernels struct {
 	xform    *rowTransform
 }
 
-// newKernels sizes the buffers for x. The products run the chosen candidate
-// on ex's workers, or, when it is nil, x's fused pair kernel where it has one
-// under ex as it is.
-func newKernels(x sparse.Matrix, p KernelParams, ex *exec.Exec, chosen *sparse.Candidate, cacheRows int, norms bool) kernels {
-	rows, cols := x.Dims()
+// newKernels sizes the buffers for x, whose rows are read from src, or from
+// x when src is nil. The products run the chosen candidate on ex's workers,
+// or, when it is nil, x's fused pair kernel where it has one under ex as it
+// is.
+func newKernels(x sparse.Matrix, src rowSource, p KernelParams, ex *exec.Exec, chosen *sparse.Candidate, cacheRows int, norms bool) kernels {
+	rows, _ := x.Dims()
+	if src == nil {
+		src = x
+	}
 	pair := pairKernel{cand: sparse.Candidate{Format: x.Format(), Variant: sparse.VariantFused}, ex: ex}
 	if chosen != nil {
 		pair = pairKernel{cand: *chosen, ex: ex.WithSched(chosen.Chunk.Sched())}
 	}
 	k := kernels{
-		x:        x,
-		sub:      x,
-		ex:       ex,
-		pair:     pair,
-		kHigh:    make([]float64, rows),
-		kLow:     make([]float64, rows),
-		scratch:  make([]float64, cols),
-		scratch2: make([]float64, cols),
-		cache:    newRowCache(cacheRows),
-		xform:    newRowTransform(p),
+		x:     x,
+		src:   src,
+		sub:   x,
+		ex:    ex,
+		pair:  pair,
+		kHigh: make([]float64, rows),
+		kLow:  make([]float64, rows),
+		cache: newRowCache(cacheRows),
+		xform: newRowTransform(p),
+	}
+	if x.Format() != sparse.CSC {
+		k.workspaces()
 	}
 	if norms || needsNorms(p) {
-		k.normSq = rowNorms(x)
+		k.normSq = rowNorms(src, rows)
 	}
 	k.subNorm = k.normSq
 	return k
+}
+
+// workspaces allocates the scatter workspaces once something needs them.
+func (k *kernels) workspaces() {
+	if k.scratch == nil {
+		_, cols := k.x.Dims()
+		k.scratch, k.scratch2 = make([]float64, cols), make([]float64, cols)
+	}
 }
 
 // restrict points the kernel rows at the rows index of x, in that order,
@@ -365,10 +394,11 @@ func (k *kernels) restrict(index []int, norm []float64, keep []int) {
 	b := sparse.NewBuilder(max(len(index), 1), cols)
 	var v sparse.Vector
 	for p, i := range index {
-		v = k.x.RowTo(v, i)
+		v = k.src.RowTo(v, i)
 		b.AddRow(p, v)
 	}
 	k.sub = b.MustBuild(sparse.CSR)
+	k.workspaces()
 	k.kHigh, k.kLow = k.kHigh[:len(index)], k.kLow[:len(index)]
 	k.cache.keep(keep)
 }
@@ -382,7 +412,7 @@ func (k *kernels) row(dst []float64, buf *sparse.Vector, r int) {
 		copy(dst, cached)
 		return
 	}
-	*buf = k.x.RowTo(*buf, r)
+	*buf = k.src.RowTo(*buf, r)
 	k.sub.MulVecSparse(dst, *buf, k.scratch, k.pair.ex)
 	k.xform.apply(k.ex, dst, k.subNorm, normAt(k.normSq, r))
 	k.cache.put(r, dst)
@@ -402,8 +432,8 @@ func (k *kernels) rows(high, low int) {
 		k.row(k.kLow, &k.rowBufL, low)
 		return
 	}
-	k.rowBufH = k.x.RowTo(k.rowBufH, high)
-	k.rowBufL = k.x.RowTo(k.rowBufL, low)
+	k.rowBufH = k.src.RowTo(k.rowBufH, high)
+	k.rowBufL = k.src.RowTo(k.rowBufL, low)
 	k.pair.run(k.sub, k.kHigh, k.kLow, k.rowBufH, k.rowBufL, k.scratch, k.scratch2)
 	k.xform.apply(k.ex, k.kHigh, k.subNorm, normAt(k.normSq, high))
 	k.xform.apply(k.ex, k.kLow, k.subNorm, normAt(k.normSq, low))
@@ -723,7 +753,7 @@ func (s *solver) buildModel() *Model {
 		Kernel: s.cfg.Kernel,
 		B:      (s.bHigh + s.bLow) / 2,
 	}
-	m.SVs, m.Coef = supportVectors(s.x, len(s.alpha), func(i int) float64 { return s.alpha[i] * s.y[i] })
+	m.SVs, m.Coef = supportVectors(s.src, len(s.alpha), func(i int) float64 { return s.alpha[i] * s.y[i] })
 	return m
 }
 
@@ -731,7 +761,7 @@ func (s *solver) buildModel() *Model {
 // non-zero, with those coefficients. All the vectors share one index arena
 // and one value arena, sized by a first pass, so a model costs a fixed number
 // of allocations however many support vectors it has.
-func supportVectors(x sparse.Matrix, rows int, coef func(i int) float64) ([]sparse.Vector, []float64) {
+func supportVectors(x rowSource, rows int, coef func(i int) float64) ([]sparse.Vector, []float64) {
 	var v sparse.Vector
 	count, nnz := 0, 0
 	for i := 0; i < rows; i++ {

@@ -10,7 +10,9 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -50,6 +52,60 @@ func TestReachability(t *testing.T) {
 		if covered[key] == 0 {
 			t.Errorf("reachAllow[%q] (%s) covers nothing unreached any more: remove the entry", key, reason)
 		}
+	}
+}
+
+// TestReachabilityGenericThroughInterface: a method of a generic type that a
+// main calls only through an interface is reached, and so is what it calls.
+// The graph once skipped generic types when matching interfaces, which made
+// both read as unreached.
+func TestReachabilityGenericThroughInterface(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"cmd/x/main.go": `package main
+
+import "repro/internal/p"
+
+func main() { p.New().Say() }
+`,
+		"internal/p/p.go": `package p
+
+type Sayer interface{ Say() int }
+
+type Box[T any] struct{ v T }
+
+func (b *Box[T]) Say() int { return helper() }
+
+func (b *Box[T]) Unused() {}
+
+func helper() int { return 1 }
+
+func New() Sayer { return &Box[int]{} }
+`,
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dir := range []string{"examples", "benchmark"} {
+		if err := os.Mkdir(filepath.Join(root, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead, err := unreachedInternal(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range dead {
+		names = append(names, d.name)
+	}
+	if want := []string{"Box.Unused"}; !slices.Equal(names, want) {
+		t.Fatalf("unreached %v, want %v", names, want)
 	}
 }
 
@@ -212,8 +268,17 @@ type reachGraph struct {
 	anon  map[types.Object][]*types.Interface // declaration → interface literals inside it
 	live  map[types.Object]bool
 	queue []types.Object
-	types []*types.TypeName // reached concrete named types
-	iface []reachIface      // reached interfaces
+	types []reachType  // reached concrete named types
+	iface []reachIface // reached interfaces
+}
+
+// reachType is a reached concrete named type. A generic one cannot be
+// checked against an interface without its instantiation, so it satisfies
+// any interface it has a method of every name of, as a generic interface is
+// satisfied.
+type reachType struct {
+	*types.TypeName
+	generic bool
 }
 
 type reachIface struct {
@@ -284,12 +349,13 @@ func (g *reachGraph) mark(obj types.Object) {
 }
 
 // satisfy marks the methods through which named type tn implements it. An
-// interface that is generic or carries a type term (a constraint) cannot be
-// checked without its instantiation, so there a type with a method of every
-// name counts: an over-approximation, which can only keep code reachable.
-func (g *reachGraph) satisfy(tn *types.TypeName, it reachIface) {
+// interface that is generic or carries a type term (a constraint), or a type
+// that is generic, cannot be checked without its instantiation, so there a
+// type with a method of every name counts: an over-approximation, which can
+// only keep code reachable.
+func (g *reachGraph) satisfy(tn reachType, it reachIface) {
 	ptr := types.NewPointer(tn.Type())
-	if !it.byName && !types.Implements(ptr, it.Interface) {
+	if !it.byName && !tn.generic && !types.Implements(ptr, it.Interface) {
 		return
 	}
 	var found []types.Object
@@ -344,12 +410,10 @@ func (g *reachGraph) run() {
 				g.addInterface(it, generic)
 				continue
 			}
-			if generic {
-				continue // its methods are reached by name, through Uses
-			}
-			g.types = append(g.types, o)
+			rt := reachType{o, generic}
+			g.types = append(g.types, rt)
 			for _, it := range g.iface {
-				g.satisfy(o, it)
+				g.satisfy(rt, it)
 			}
 		}
 	}
