@@ -8,7 +8,10 @@ import (
 )
 
 // Schedule the storage format for the banded trefethen clone: the
-// rule-based model reads the Table IV parameters and picks DIA.
+// rule-based model reads the Table IV parameters, where DIA is the best of
+// the paper's five formats, but ranks the column dataflow on CSC first: a
+// product walks the 11 or so columns of one row, some 120 of the matrix's
+// 22 000 elements.
 func ExampleScheduler_Choose() {
 	d, err := dataset.ByName("trefethen")
 	if err != nil {
@@ -23,7 +26,7 @@ func ExampleScheduler_Choose() {
 	fmt.Println("chosen:", dec.Chosen)
 	// Output:
 	// ndig: 12
-	// chosen: DIA
+	// chosen: CSC
 }
 
 // The cost model explains itself: every format gets a byte count, an
