@@ -18,7 +18,8 @@ import (
 // call) — features come off the builder's triplets into pooled workspaces and
 // every build is the builder's cached one. A matrix large enough to be
 // sampled pays for its two measurement blocks, which are not cached: 6
-// objects here, a DEN block (2) and a CSR block (4). The pair scheduler ranks
+// objects here, a DEN block (2) and a CSC block (4) for the column
+// candidate (a CSR block would be 2: it views the triplets). The pair scheduler ranks
 // its cost-model estimates into the pooled decision (AppendPairEstimates), so
 // its predict and history paths allocate nothing either (11 each while
 // EstimatePairCandidates built and sorted a fresh slice); a hybrid pair

@@ -51,15 +51,14 @@ func allocatedBy(f func()) int64 {
 }
 
 // sampled runs prepare and sample for b the way the ladder does before it
-// measures the given candidates, and returns the scratch holding the block.
-func sampled(t *testing.T, s *Scheduler, b *sparse.Builder, measure []sparse.Candidate) *chooseScratch {
+// measures, and returns the scratch holding the block.
+func sampled(t *testing.T, s *Scheduler, b *sparse.Builder) *chooseScratch {
 	t.Helper()
 	sc := s.scratch.Get().(*chooseScratch)
 	sc.b = b
 	if _, _, err := sc.prepare(nil); err != nil {
 		t.Fatal(err)
 	}
-	sc.measure = measure
 	sc.sample(rand.New(rand.NewSource(1)))
 	return sc
 }
@@ -71,16 +70,15 @@ func sampled(t *testing.T, s *Scheduler, b *sparse.Builder, measure []sparse.Can
 // block's ELL is as wide as the matrix's — wherever that row is.
 func TestMeasurementBlock(t *testing.T) {
 	s := New(Config{Policy: Empirical, Exec: exec.Serial()})
-	both := []sparse.Candidate{{Format: sparse.CSR}, {Format: sparse.ELL}}
 
 	small := buildRandom(t, 400, 80, 0.9, 1) // 28.8k stored elements
-	if sc := sampled(t, s, small, both); sc.lo != 0 || sc.hi != 400 {
+	if sc := sampled(t, s, small); sc.lo != 0 || sc.hi != 400 {
 		t.Errorf("a matrix of %d elements is timed on rows [%d, %d), want all 400", small.Len(), sc.lo, sc.hi)
 	}
 
 	for _, at := range []int{0, 17000, 39999} {
 		b := figure3Matrix(40000, 2048, 1024, at)
-		sc := sampled(t, s, b, both)
+		sc := sampled(t, s, b)
 		if sc.longest != at || sc.lo > at || sc.hi <= at {
 			t.Fatalf("longest row %d (found %d) outside the block [%d, %d)", at, sc.longest, sc.lo, sc.hi)
 		}
@@ -103,7 +101,7 @@ func TestMeasurementBlock(t *testing.T) {
 		if b.Len() <= 2*measureBlock {
 			continue
 		}
-		sc := sampled(t, s, b, both)
+		sc := sampled(t, s, b)
 		rows, _ := b.Dims()
 		if sc.hi-sc.lo == rows {
 			t.Errorf("%s: %d elements, yet timed whole", d.Name, b.Len())
@@ -128,16 +126,16 @@ func TestMeasurementBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc := sampled(t, s, sorted, both); sc.lo != 0 || sc.hi != 4000 {
+	if sc := sampled(t, s, sorted); sc.lo != 0 || sc.hi != 4000 {
 		t.Errorf("a matrix sorted by row length is timed on rows [%d, %d), want all 4000", sc.lo, sc.hi)
 	}
 }
 
 // TestBlockBuilds pins what build materializes for a sampled matrix: a block
-// per format, shared by the candidates of that format; nothing in full when
-// the candidates differ in format; the one full build, with the block cut
-// from it, when they all share one; and no DIA block for a matrix whose full
-// DIA is over the cap, however few diagonals the block itself has.
+// per format, shared by the candidates of that format; nothing in full; a CSR
+// block that views the triplets, so it costs its row pointers alone; and no
+// DIA block for a matrix whose full DIA is over the cap, however few
+// diagonals the block itself has.
 func TestBlockBuilds(t *testing.T) {
 	s := New(Config{Policy: Hybrid, Exec: exec.Serial()})
 	d, err := dataset.ByName("connect-4")
@@ -149,7 +147,7 @@ func TestBlockBuilds(t *testing.T) {
 	ellFused := sparse.Candidate{Format: sparse.ELL, Variant: sparse.VariantFused}
 
 	b := d.MustGenerate(1)
-	sc := sampled(t, s, b, []sparse.Candidate{csrFused, csrBlocked, ellFused})
+	sc := sampled(t, s, b)
 	rows, _ := b.Dims()
 	if sc.hi-sc.lo >= rows/2 {
 		t.Fatalf("connect-4 is timed on rows [%d, %d) of %d: not sampled", sc.lo, sc.hi, rows)
@@ -173,12 +171,10 @@ func TestBlockBuilds(t *testing.T) {
 	}
 
 	b = d.MustGenerate(1)
-	sc = sampled(t, s, b, []sparse.Candidate{csrFused, csrBlocked})
-	if err := sc.build(csrFused); err != nil {
-		t.Fatal(err)
-	}
-	if grew := allocatedBy(func() { full = b.MustBuild(sparse.CSR) }); grew > 1024 {
-		t.Fatalf("with one format to measure the full CSR must be built before the block is cut from it; building it afterwards allocated %d bytes", grew)
+	sc = sampled(t, s, b)
+	pointers := 8 * int64(sc.hi-sc.lo+1)
+	if grew := allocatedBy(func() { err = sc.build(csrFused) }); err != nil || grew > pointers+1024 {
+		t.Fatalf("a CSR block cost %d bytes (err %v), its %d row pointers %d: it copied the triplets", grew, err, sc.hi-sc.lo+1, pointers)
 	}
 	if sc.m.StorageBytes() >= full.StorageBytes()/2 {
 		t.Fatalf("the block holds %d bytes of a %d-byte matrix", sc.m.StorageBytes(), full.StorageBytes())
@@ -192,7 +188,7 @@ func TestBlockBuilds(t *testing.T) {
 	for i := 0; i < n; i++ {
 		scattered.Add(i, rng.Intn(n), 1)
 	}
-	sc = sampled(t, s, scattered, []sparse.Candidate{csrFused, {Format: sparse.DIA}})
+	sc = sampled(t, s, scattered)
 	if sc.hi-sc.lo >= n/2 {
 		t.Fatalf("scattered matrix timed on rows [%d, %d): not sampled", sc.lo, sc.hi)
 	}

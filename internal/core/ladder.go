@@ -48,13 +48,10 @@ type workload[P embedded, C candidate] interface {
 }
 
 // ladderScratch is the ladder's share of a workload's pooled scratch: the
-// ranked candidates, the ones about to be measured (set before sample, for a
-// workload whose sampling depends on them), and the RNG trial sampling then
-// retry jitter draw from.
+// ranked candidates, and the RNG trial sampling then retry jitter draw from.
 type ladderScratch[C candidate] struct {
-	cands   []C
-	measure []C
-	rng     *rand.Rand
+	cands []C
+	rng   *rand.Rand
 }
 
 // Rung is the rung of the decision ladder that answered: how a decision was
@@ -244,7 +241,6 @@ func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderS
 		ls.rng = rand.New(rand.NewSource(0))
 	}
 	ls.rng.Seed(l.seed + 1)
-	ls.measure = measure
 	trials := w.sample(ls.rng)
 	bestTime := time.Duration(-1)
 	var lastErr error

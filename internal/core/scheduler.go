@@ -220,12 +220,11 @@ type chooseScratch struct {
 	trials    []sparse.Vector
 	extractor dataset.Extractor
 
-	b         *sparse.Builder
-	longest   int           // the first longest row, which sets ELL's padding
-	lo, hi    int           // candidates are timed on rows [lo, hi)
-	oneFormat bool          // every candidate to be measured has one format
-	m         sparse.Matrix // the candidate build being measured: those rows
-	d         *Decision
+	b       *sparse.Builder
+	longest int           // the first longest row, which sets ELL's padding
+	lo, hi  int           // candidates are timed on rows [lo, hi)
+	m       sparse.Matrix // the candidate build being measured: those rows
+	d       *Decision
 }
 
 // Scheduler chooses storage formats and kernel execution parameters for
@@ -348,7 +347,9 @@ func (sc *chooseScratch) usable(c sparse.Candidate) bool {
 // build readies rows [lo, hi) in c's format. When those are all the rows
 // the build is the builder's cached full one, which the winner's decision
 // then carries; a block is kept until a candidate of another format asks, so
-// candidates that differ only in chunk policy or variant share it.
+// candidates that differ only in chunk policy or variant share it. A CSR
+// block views the triplets, which hold CSR's arrays in CSR's order: it lives
+// only while this choose times it, so only its row pointers are new.
 func (sc *chooseScratch) build(c sparse.Candidate) (err error) {
 	rows, cols := sc.b.Dims()
 	switch {
@@ -361,16 +362,7 @@ func (sc *chooseScratch) build(c sparse.Candidate) (err error) {
 		// A block's few rows can fit the cap the whole matrix exceeds.
 		sc.m = nil
 		return fmt.Errorf("core: DIA over its memory cap: %d diagonals of a %dx%d matrix", sc.d.Features.Ndig, rows, cols)
-	case sc.oneFormat:
-		// The winner's format is known before anything is timed: build it in
-		// full now, for BuildRows to cut the block from where it can.
-		if _, err = sc.b.Build(c.Format); err != nil {
-			sc.m = nil
-			return err
-		}
 	case c.Format == sparse.CSR:
-		// The block lives only while this choose times it, so it can view the
-		// triplets instead of copying them: only its row pointers are new.
 		sc.m = sc.b.Triplets().CSRRows(sc.lo, sc.hi)
 		return nil
 	}
@@ -416,7 +408,6 @@ func (sc *chooseScratch) sample(rng *rand.Rand) int {
 			sc.lo, sc.hi = lo, hi
 		}
 	}
-	sc.oneFormat = !slices.ContainsFunc(sc.measure, func(c sparse.Candidate) bool { return c.Format != sc.measure[0].Format })
 	return n
 }
 
