@@ -210,7 +210,7 @@ func TestChooseSkipsUnusableDIA(t *testing.T) {
 		b.Add(rng.Intn(n), rng.Intn(n), 1)
 	}
 	var e dataset.Extractor
-	f, _, _ := e.Triplets(b.Triplets())
+	f, _ := e.Triplets(b.Triplets())
 	hist := &History{}
 	hist.RecordCandidate(f, sparse.BaseCandidate(sparse.DIA))
 	for _, cfg := range []Config{
@@ -277,7 +277,7 @@ func TestChooseBuildsOnlyWhatItNeeds(t *testing.T) {
 
 	tre := fresh("trefethen")
 	var e dataset.Extractor
-	f, _, _ := e.Triplets(tre.Triplets())
+	f, _ := e.Triplets(tre.Triplets())
 	hist := &History{}
 	hist.RecordCandidate(f, sparse.BaseCandidate(sparse.DIA))
 	got = allocatedBy(func() { dec, err = New(Config{Policy: Hybrid, History: hist, Exec: exec.Serial()}).Choose(tre) })

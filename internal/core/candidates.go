@@ -33,7 +33,7 @@ const (
 // the matrix but walk the columns of the data row's support. A product reads
 // 12 bytes per element it touches (value and row index, as CSR's) and writes
 // 8 per output row, and the elements it touches are, in expectation over the
-// data rows, Σ_j nnz_j²/M (Extractor.Triplets). The uniform-popularity value
+// data rows, Σ_j nnz_j²/M (Extractor.Touched). The uniform-popularity value
 // Adim·NNZ/N is only a lower bound of that: it undercounts most where popular
 // columns hold nearly every row, which is where the walk reads about every
 // stored element and loses to the row formats. The pair's two walks share no

@@ -65,11 +65,12 @@ func zipfColumns(m, n, draws int, s float64, seed int64) *sparse.Builder {
 // dominate, not as the uniform-popularity Adim·NNZ/N, its lower bound. On a
 // matrix whose popular columns hold nearly every row, the column walk reads
 // nearly every stored element per product, and rule-based ranks it below the
-// best row format (DEN's fused pair, about twice as fast there).
+// best row format (DEN's fused pair, which measured 1.6× as fast there).
 func TestSkewedColumnsRankColumnCandidateBelow(t *testing.T) {
 	b := zipfColumns(600, 300, 3000, 1.05, 1)
 	var e dataset.Extractor
-	f, _, touched := e.Triplets(b.Triplets())
+	f, _ := e.Triplets(b.Triplets())
+	touched := e.Touched(b.Triplets())
 	if uniform := f.Adim * float64(f.NNZ) / float64(f.N); touched <= uniform {
 		t.Fatalf("touched %v is not above the uniform-popularity %v: the columns are not skewed", touched, uniform)
 	}
@@ -90,16 +91,26 @@ func TestSkewedColumnsRankColumnCandidateBelow(t *testing.T) {
 // formats' joint candidates and nothing else — the column dataflow reaches
 // decisions through the cost-model ranking, so Table VI and Figure 7, which
 // run Empirical, keep the paper's comparison and a first contact measures
-// what it did.
+// what it did. An Empirical decision does not price the column row either.
 func TestEmpiricalSpaceIsThePaperFormats(t *testing.T) {
+	b := buildRandom(t, 60, 40, 0.1, 7)
 	for _, workers := range []int{1, 2} {
 		ex := exec.New(workers, exec.Static)
 		var want []sparse.Candidate
 		for _, f := range sparse.BasicFormats {
 			want = sparse.AppendCandidates(want, f, workers > 1)
 		}
-		if got := New(Config{Policy: Empirical, Exec: ex}).ladder.space; !slices.Equal(got, want) {
+		s := New(Config{Policy: Empirical, Exec: ex, TrialRows: 2, Repeats: 1})
+		if got := s.ladder.space; !slices.Equal(got, want) {
 			t.Errorf("%d workers: Empirical measures %v, want %v", workers, got, want)
 		}
+		d, err := s.Choose(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rank := columnRank(d); rank >= 0 || len(d.Measured) != len(want) {
+			t.Errorf("%d workers: the column row ranks %d, %d candidates measured, want no column row and %d", workers, rank, len(d.Measured), len(want))
+		}
+		d.Release()
 	}
 }

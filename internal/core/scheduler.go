@@ -315,10 +315,14 @@ func (sc *chooseScratch) prepare(ranked []sparse.Candidate) (p [dataset.EmbedDim
 	}
 	d := newDecision()
 	d.Policy = sc.s.cfg.Policy
-	var touched float64
-	d.Features, sc.longest, touched = sc.extractor.Triplets(sc.b.Triplets())
+	t := sc.b.Triplets()
+	d.Features, sc.longest = sc.extractor.Triplets(t)
 	d.Estimates = AppendEstimates(d.Estimates[:0], d.Features)
-	d.Candidates = AppendCandidateEstimates(d.Candidates[:0], d.Estimates, columnCost(d.Features.M, touched), sc.s.parallel())
+	var column float64 // Empirical measures its own space: no column row to price
+	if d.Policy != Empirical {
+		column = columnCost(d.Features.M, sc.extractor.Touched(t))
+	}
+	d.Candidates = AppendCandidateEstimates(d.Candidates[:0], d.Estimates, column, sc.s.parallel())
 	ranked = slices.Grow(ranked, len(d.Candidates))
 	for _, e := range d.Candidates {
 		ranked = append(ranked, e.Candidate)

@@ -240,8 +240,8 @@ func (sc *spgemmScratch) prepare(ranked []spgemm.Candidate) (p [dataset.PairEmbe
 	}
 	d := newPairDecision()
 	d.Policy = sc.s.cfg.Policy
-	fa, _, _ := sc.extractor.Triplets(sc.a.Triplets())
-	fb, _, _ := sc.extractor.Triplets(sc.b.Triplets())
+	fa, _ := sc.extractor.Triplets(sc.a.Triplets())
+	fb, _ := sc.extractor.Triplets(sc.b.Triplets())
 	d.AFeatures, d.BFeatures = fa, fb
 	d.EstimatedNNZ = dataset.EstimateOutputNNZ(fa, fb)
 	d.Estimates = AppendPairEstimates(d.Estimates[:0], fa, fb)

@@ -64,7 +64,7 @@ func diffLIBSVM(t *testing.T, acc *Accumulator, pooled *sparse.Builder, in strin
 		t.Fatalf("Accumulator(%q):\n one-pass %+v\n legacy   %+v", in, f, wantF)
 	}
 	var ext Extractor
-	if tf, _, _ := ext.Triplets(pooled.Triplets()); !sameFeatureBits(tf, wantF) {
+	if tf, _ := ext.Triplets(pooled.Triplets()); !sameFeatureBits(tf, wantF) {
 		t.Fatalf("Triplets(%q):\n triplets %+v\n legacy   %+v", in, tf, wantF)
 	}
 	got, want := pooled.MustBuild(sparse.CSR), wantB.MustBuild(sparse.CSR)

@@ -43,7 +43,7 @@ func Extract(m sparse.Matrix) Features {
 type Extractor struct {
 	diag []bool
 	dims []int
-	cols []int32 // per-column nonzero counts, for Triplets' touched
+	cols []int32 // per-column nonzero counts, for Touched
 	v    sparse.Vector
 }
 
@@ -81,22 +81,16 @@ func (e *Extractor) Extract(m sparse.Matrix) Features {
 // Triplets computes the nine Table IV parameters in one pass over a
 // builder's canonical triplets — bit for bit what Extract reports for the
 // CSR they build, without building it — together with the index of the
-// first longest row (the row ELL's padding is set by) and touched, the
-// expected number of stored elements a column-driven product A·x reads when
-// x is a row of A drawn uniformly: Σ_j nnz_j² / M over the column counts
-// nnz_j, since column j is in a random row's support with probability
-// nnz_j / M and costs nnz_j to walk. It is not a Table IV parameter: it
-// prices the column dataflow's cost row and nothing else.
-func (e *Extractor) Triplets(t sparse.Triplets) (f Features, longest int, touched float64) {
+// first longest row (the row ELL's padding is set by).
+func (e *Extractor) Triplets(t sparse.Triplets) (f Features, longest int) {
 	rows, cols := t.Rows, t.Cols
 	f = Features{M: rows, N: cols, NNZ: int64(len(t.Row))}
 	if rows == 0 || cols == 0 {
-		return f, 0, 0
+		return f, 0
 	}
 	diag := e.growDiag(rows + cols - 1) // diagonal o = j-i+rows-1
 	dims := e.growDims(rows)
 	clear(dims) // only occupied rows are written below
-	colCounts := e.growCols(cols)
 	// A row is one run of equal row indices: its length is where the next
 	// run starts minus where it did.
 	shift, row, start := int32(rows-1), int32(0), 0
@@ -105,9 +99,7 @@ func (e *Extractor) Triplets(t sparse.Triplets) (f Features, longest int, touche
 			dims[row] = k - start
 			row, start = i, k
 		}
-		j := t.Col[k]
-		diag[j-i+shift] = true
-		colCounts[j]++
+		diag[t.Col[k]-i+shift] = true
 	}
 	dims[row] = len(t.Row) - start
 	for _, occupied := range diag {
@@ -120,11 +112,28 @@ func (e *Extractor) Triplets(t sparse.Triplets) (f Features, longest int, touche
 			f.Mdim, longest = d, i
 		}
 	}
+	return finish(f, dims), longest
+}
+
+// Touched is the expected number of stored elements a column-driven product
+// A·x reads when x is a row of A drawn uniformly: Σ_j nnz_j² / M over the
+// column counts nnz_j, since column j is in a random row's support with
+// probability nnz_j / M and costs nnz_j to walk. It is not a Table IV
+// parameter: it prices the column dataflow's cost row and nothing else, so
+// it is a pass of its own, which only a decision that ranks that row pays.
+func (e *Extractor) Touched(t sparse.Triplets) float64 {
+	if t.Rows == 0 {
+		return 0
+	}
+	counts := e.growCols(t.Cols)
+	for _, j := range t.Col {
+		counts[j]++
+	}
 	var squares int64
-	for _, c := range colCounts {
+	for _, c := range counts {
 		squares += int64(c) * int64(c)
 	}
-	return finish(f, dims), longest, float64(squares) / float64(rows)
+	return float64(squares) / float64(t.Rows)
 }
 
 // finish derives the parameters that are arithmetic over the counts — Adim,

@@ -104,9 +104,9 @@ func (m *CSCMatrix) MulVecSparse(dst []float64, x Vector, _ []float64, ex *exec.
 }
 
 // MulVecSparse2 computes dst1 = A·x1 and dst2 = A·x2 as two column walks.
-// Unlike the row formats' fused sweeps the two products share no stored
-// element — each reads only its own row's columns — so there is nothing to
-// fuse; the pair is CSC's SMO unit, and each product is MulVecSparse's.
+// Unlike the row formats' products, which each stream the whole matrix and
+// so share one sweep when fused, each walk reads only its own row's columns;
+// each product is MulVecSparse's, bit for bit.
 func (m *CSCMatrix) MulVecSparse2(dst1, dst2 []float64, x1, x2 Vector, _, _ []float64, ex *exec.Exec) {
 	t := ex.Begin()
 	m.mulCols(dst1, x1)
