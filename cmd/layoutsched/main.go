@@ -195,6 +195,14 @@ func scheduleCmd() {
 			fmt.Sprintf("%.2f", e.Imbalance), fmt.Sprintf("%.3g", e.Cost))
 	}
 	t.Render(os.Stdout)
+	// The joint ranking is what rule-based answers and hybrid measures the
+	// top of; the column dataflow is in it but in no Table II row above.
+	fmt.Println()
+	jt := bench.NewTable("Joint candidate ranking (pair-unit cost, top 3)", "candidate", "cost")
+	for _, e := range dec.Candidates[:min(3, len(dec.Candidates))] {
+		jt.Add(e.Candidate.String(), fmt.Sprintf("%.3g", e.Cost))
+	}
+	jt.Render(os.Stdout)
 	if len(dec.Measured) > 0 {
 		fmt.Println()
 		mt := bench.NewTable("Measured SMO pair-unit times", "candidate", "time")

@@ -397,12 +397,7 @@ func (t Triplets) RowTo(dst Vector, i int) Vector {
 func (t Triplets) CSRRows(lo, hi int) *CSRMatrix {
 	klo, khi := t.Span(lo, hi)
 	ptr := make([]int64, hi-lo+1)
-	for _, r := range t.Row[klo:khi] {
-		ptr[int(r)-lo+1]++
-	}
-	for i := 1; i < len(ptr); i++ {
-		ptr[i] += ptr[i-1]
-	}
+	rowPointers(ptr, t.Row[klo:khi], int32(lo))
 	return &CSRMatrix{rows: hi - lo, cols: t.Cols, ptr: ptr, idx: t.Col[klo:khi:khi], val: t.Val[klo:khi:khi]}
 }
 

@@ -25,15 +25,21 @@ func newCSR(m *CSRMatrix, rows, cols int, base int32, r, c []int32, v []float64)
 		idx:  reuse(m.idx, len(v)),
 		val:  reuse(m.val, len(v)),
 	}
-	for _, row := range r {
-		m.ptr[row-base+1]++
-	}
-	for i := 0; i < rows; i++ {
-		m.ptr[i+1] += m.ptr[i]
-	}
+	rowPointers(m.ptr, r, base)
 	copy(m.idx, c)
 	copy(m.val, v)
 	return m
+}
+
+// rowPointers fills the zeroed ptr with the row starts of the row-major row
+// indices r, taken relative to base: CSR's row pointers, of len rows+1.
+func rowPointers(ptr []int64, r []int32, base int32) {
+	for _, row := range r {
+		ptr[row-base+1]++
+	}
+	for i := 1; i < len(ptr); i++ {
+		ptr[i] += ptr[i-1]
+	}
 }
 
 // rowBlock returns rows [lo, hi) as a matrix of its own that shares m's
