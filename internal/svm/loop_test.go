@@ -20,16 +20,21 @@ type trajectory struct {
 }
 
 func trajectoryOf(m *Model, st Stats) trajectory {
+	return trajectory{st.Iterations, coefHash(m.Coef), math.Float64bits(m.B), math.Float64bits(st.Objective)}
+}
+
+// coefHash is an FNV-1a hash of the bits of every coefficient, in order.
+func coefHash(coef []float64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for _, c := range m.Coef {
+	for _, c := range coef {
 		u := math.Float64bits(c)
 		for i := range buf {
 			buf[i] = byte(u >> (8 * i))
 		}
 		h.Write(buf[:])
 	}
-	return trajectory{st.Iterations, h.Sum64(), math.Float64bits(m.B), math.Float64bits(st.Objective)}
+	return h.Sum64()
 }
 
 // loopConfigs are the classification configurations the loop tests run: the
