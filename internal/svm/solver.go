@@ -115,7 +115,7 @@ func Train(x sparse.Matrix, y []float64, cfg Config) (*Model, Stats, error) {
 	if err := validate(x, y, cfg); err != nil {
 		return nil, Stats{}, err
 	}
-	s := newSolver(x, y, cfg)
+	s := newClassificationSolver(x, y, cfg)
 	stats := s.run()
 	stats.TotalTime = time.Since(start)
 	model := s.buildModel()
@@ -124,31 +124,43 @@ func Train(x sparse.Matrix, y []float64, cfg Config) (*Model, Stats, error) {
 	return model, stats, nil
 }
 
-// newSolver sets up Algorithm 1's state at α = 0 for a validated problem.
-func newSolver(x sparse.Matrix, y []float64, cfg Config) *solver {
-	rows, _ := x.Dims()
-	cfg = cfg.withDefaults(rows)
+// newClassificationSolver starts the solver on a validated classification
+// problem: one variable per row, labelled y, with f = −y.
+func newClassificationSolver(x sparse.Matrix, y []float64, cfg Config) *solver {
+	f := make([]float64, len(y))
+	for i, l := range y {
+		f[i] = -l // step 2 of Algorithm 1
+	}
+	return newSolver(x, cfg, y, f, nil)
+}
+
+// newSolver sets up Algorithm 1's state at α = 0 for a validated problem:
+// variable p has label y[p] ∈ {−1, +1} and initial gradient f[p], and reads
+// row index[p] of x, or row p when index is nil. Classification has one
+// variable per row and f = −y; ε-SVR's extended problem has two per row. The
+// solver keeps the three slices.
+func newSolver(x sparse.Matrix, cfg Config, y, f []float64, index []int) *solver {
+	vars := len(y)
+	cfg = cfg.withDefaults(vars)
 	s := &solver{
-		kernels: newKernels(x, cfg.rows, cfg.Kernel, cfg.Exec, cfg.chosen, cfg.CacheRows, cfg.SecondOrder),
+		kernels: newKernels(x, vars, cfg.rows, cfg.Kernel, cfg.Exec, cfg.chosen, cfg.CacheRows, cfg.SecondOrder),
 		cfg:     cfg,
 		eager:   !cfg.SecondOrder && !cfg.Shrinking,
 		scan:    sweep{ex: cfg.Exec},
 	}
-	s.problem = problem{y: y, alpha: make([]float64, rows), f: make([]float64, rows), norm: s.normSq}
+	s.problem = problem{y: y, alpha: make([]float64, vars), f: f, norm: s.normSq, index: index}
 	// The loop bodies are bound once: a method value or closure made per
 	// iteration is a heap object per iteration.
 	s.fusedFn, s.selectFn, s.pickFn, s.updateFn = s.fusedPart, s.selectPart, s.pickPart, s.updateRange
-	for i := range s.f {
-		s.f[i] = -y[i] // step 2 of Algorithm 1
-	}
 	if cfg.SecondOrder {
-		s.diag = make([]float64, rows)
-		for i := range s.diag {
-			s.diag[i] = cfg.Kernel.FromDot(s.normSq[i], s.normSq[i], s.normSq[i])
+		s.diag = make([]float64, vars)
+		for p := range s.diag {
+			sq := s.normSq[s.rowAt(p)]
+			s.diag[p] = cfg.Kernel.FromDot(sq, sq, sq)
 		}
 	}
 	if cfg.Shrinking {
-		s.index = make([]int, rows)
+		s.index = make([]int, vars)
 		for i := range s.index {
 			s.index[i] = i
 		}
@@ -157,13 +169,16 @@ func newSolver(x sparse.Matrix, y []float64, cfg Config) *solver {
 }
 
 // problem is what Algorithm 1 keeps per variable, over the variables the
-// loop works on: every row, or with Shrinking the active rows, in the order
-// of x, at consecutive positions.
+// loop works on: every variable, or with Shrinking the active ones, in
+// order, at consecutive positions.
 type problem struct {
 	y, alpha, f []float64
-	diag        []float64 // K(X_i, X_i), for second-order selection
-	norm        []float64 // ‖X_i‖², for the kernel rows; nil unless read
-	index       []int     // the row of x at each position; nil without Shrinking
+	diag        []float64 // K(X_i, X_i) of each variable's row, for second-order selection
+	norm        []float64 // ‖X_i‖² per row the products fill (n for ε-SVR's 2n variables); nil unless read
+	// index is the row of x at each position, nil when position p reads row
+	// p. With Shrinking, which only classification runs, a row of x is also
+	// its variable's position in the whole problem.
+	index []int
 }
 
 // rowAt returns the row of x at position p.
@@ -310,8 +325,10 @@ func (p pairKernel) run(m sparse.Matrix, dst1, dst2 []float64, x1, x2 sparse.Vec
 
 // kernels is the part of a solver that produces kernel rows K(X_r, ·) of the
 // data matrix: SMSV products, then the pointwise Table I transform, with an
-// optional LRU of finished rows in front. A row holds the entries of the
-// active rows, which are every row unless a shrinking solver restricts them.
+// optional LRU of finished rows in front. A row holds one entry per variable.
+// The products fill one per row of sub: the active rows, which are every row
+// unless a shrinking solver restricts them. ε-SVR's extended problem has
+// twice as many variables as rows, and its second n entries mirror the first.
 type kernels struct {
 	x     sparse.Matrix
 	src   rowSource     // where the rows X_r are read: x, or the triplets x was built from
@@ -334,11 +351,11 @@ type kernels struct {
 	xform    *rowTransform
 }
 
-// newKernels sizes the buffers for x, whose rows are read from src, or from
-// x when src is nil. The products run the chosen candidate on ex's workers,
-// or, when it is nil, x's fused pair kernel where it has one under ex as it
-// is.
-func newKernels(x sparse.Matrix, src rowSource, p KernelParams, ex *exec.Exec, chosen *sparse.Candidate, cacheRows int, norms bool) kernels {
+// newKernels sizes the buffers for vars variables over x, whose rows are read
+// from src, or from x when src is nil. The products run the chosen candidate
+// on ex's workers, or, when it is nil, x's fused pair kernel where it has one
+// under ex as it is.
+func newKernels(x sparse.Matrix, vars int, src rowSource, p KernelParams, ex *exec.Exec, chosen *sparse.Candidate, cacheRows int, norms bool) kernels {
 	rows, _ := x.Dims()
 	if src == nil {
 		src = x
@@ -353,8 +370,8 @@ func newKernels(x sparse.Matrix, src rowSource, p KernelParams, ex *exec.Exec, c
 		sub:   x,
 		ex:    ex,
 		pair:  pair,
-		kHigh: make([]float64, rows),
-		kLow:  make([]float64, rows),
+		kHigh: make([]float64, vars),
+		kLow:  make([]float64, vars),
 		cache: newRowCache(cacheRows),
 		xform: newRowTransform(p),
 	}
@@ -413,8 +430,19 @@ func (k *kernels) row(dst []float64, buf *sparse.Vector, r int) {
 		return
 	}
 	*buf = k.src.RowTo(*buf, r)
-	k.sub.MulVecSparse(dst, *buf, k.scratch, k.pair.ex)
-	k.xform.apply(k.ex, dst, k.subNorm, normAt(k.normSq, r))
+	n, _ := k.sub.Dims()
+	k.sub.MulVecSparse(dst[:n], *buf, k.scratch, k.pair.ex)
+	k.finish(dst, n, r)
+}
+
+// finish turns the dot products with X_r in dst[:n] into K(X_r, ·): the
+// Table I transform, then, for ε-SVR's extended problem, one copy onto the
+// second n entries. The row goes into the cache.
+func (k *kernels) finish(dst []float64, n, r int) {
+	k.xform.apply(k.ex, dst[:n], k.subNorm, normAt(k.normSq, r))
+	if len(dst) > n {
+		copy(dst[n:], dst[:n])
+	}
 	k.cache.put(r, dst)
 }
 
@@ -434,11 +462,10 @@ func (k *kernels) rows(high, low int) {
 	}
 	k.rowBufH = k.src.RowTo(k.rowBufH, high)
 	k.rowBufL = k.src.RowTo(k.rowBufL, low)
-	k.pair.run(k.sub, k.kHigh, k.kLow, k.rowBufH, k.rowBufL, k.scratch, k.scratch2)
-	k.xform.apply(k.ex, k.kHigh, k.subNorm, normAt(k.normSq, high))
-	k.xform.apply(k.ex, k.kLow, k.subNorm, normAt(k.normSq, low))
-	k.cache.put(high, k.kHigh)
-	k.cache.put(low, k.kLow)
+	n, _ := k.sub.Dims()
+	k.pair.run(k.sub, k.kHigh[:n], k.kLow[:n], k.rowBufH, k.rowBufL, k.scratch, k.scratch2)
+	k.finish(k.kHigh, n, high)
+	k.finish(k.kLow, n, low)
 }
 
 // selectWorkingSet finds high = argmin f over I_high and low = argmax f
@@ -540,12 +567,12 @@ func (s *solver) step() (dh, dl float64) {
 	return dh, dl
 }
 
-// run is the SMO loop of every classification configuration. An iteration
-// selects the working pair — high by the first-order rule, low by the first-
-// or second-order one — computes its two kernel rows, takes the step and
-// updates f; with Shrinking, every shrinkPeriod iterations it shrinks the
-// active set, and when the stopping rule holds it reconstructs the gradient
-// over every row and checks again.
+// run is the SMO loop of classification, in every configuration, and of
+// ε-SVR's extended problem. An iteration selects the working pair — high by
+// the first-order rule, low by the first- or second-order one — computes its
+// two kernel rows, takes the step and updates f; with Shrinking, every
+// shrinkPeriod iterations it shrinks the active set, and when the stopping
+// rule holds it reconstructs the gradient over every row and checks again.
 func (s *solver) run() Stats {
 	var st Stats
 	selected, reconstructed := false, false
@@ -689,7 +716,9 @@ func (s *solver) shrinkable(p int) bool {
 // reconstruct makes every row active and recomputes f from the support
 // vectors, f_i = Σ_j α_j·y_j·K(X_j, X_i) − y_i: one kernel row per support
 // vector, the price of shrinking, paid each time the active problem
-// converges. It returns the time it took.
+// converges. It returns the time it took. Starting from −y holds for
+// classification only, whose initial gradient that is: ε-SVR's is y_e·p_e,
+// and RegressionConfig cannot turn shrinking on.
 func (s *solver) reconstruct() time.Duration {
 	t0 := time.Now()
 	if s.whole != nil {

@@ -8,10 +8,10 @@ import (
 	"repro/internal/sparse"
 )
 
-// TestSVRMaintainedGradientExact verifies the ε-SVR solver's incrementally
-// maintained transformed gradient f against a from-scratch O(n²)
-// recomputation at the final iterate — the invariant whose violation
-// silently degrades solution quality.
+// TestSVRMaintainedGradientExact verifies ε-SVR's incrementally maintained
+// transformed gradient f against a from-scratch O(n²) recomputation at the
+// final iterate — the invariant whose violation silently degrades solution
+// quality.
 func TestSVRMaintainedGradientExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n = 50
@@ -30,7 +30,7 @@ func TestSVRMaintainedGradientExact(t *testing.T) {
 	}
 	rows, _ := m.Dims()
 	n2 := 2 * rows
-	s := newSVRSolver(m, y, cfg)
+	s := newRegressionSolver(m, y, cfg)
 	s.run()
 
 	var rowVecs []sparse.Vector
@@ -43,13 +43,13 @@ func TestSVRMaintainedGradientExact(t *testing.T) {
 			if s.alpha[g] == 0 {
 				continue
 			}
-			qb += s.yext[e] * s.yext[g] * cfg.Kernel.Eval(rowVecs[e%rows], rowVecs[g%rows]) * s.alpha[g]
+			qb += s.y[e] * s.y[g] * cfg.Kernel.Eval(rowVecs[e%rows], rowVecs[g%rows]) * s.alpha[g]
 		}
 		p := cfg.Epsilon - y[e%rows]
 		if e >= rows {
 			p = cfg.Epsilon + y[e-rows]
 		}
-		want := s.yext[e] * (qb + p)
+		want := s.y[e] * (qb + p)
 		if d := math.Abs(want - s.f[e]); d > 1e-9 {
 			t.Fatalf("f[%d] drifted by %v (maintained %v, recomputed %v)", e, d, s.f[e], want)
 		}
@@ -57,7 +57,7 @@ func TestSVRMaintainedGradientExact(t *testing.T) {
 	// Equality constraint and box must hold exactly.
 	var c float64
 	for e := 0; e < n2; e++ {
-		c += s.yext[e] * s.alpha[e]
+		c += s.y[e] * s.alpha[e]
 		if s.alpha[e] < -1e-12 || s.alpha[e] > cfg.C+1e-12 {
 			t.Fatalf("beta[%d] = %v outside box [0,%v]", e, s.alpha[e], cfg.C)
 		}
