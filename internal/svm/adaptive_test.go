@@ -118,7 +118,9 @@ func TestTrainAdaptiveRunsChosenCandidate(t *testing.T) {
 		}
 	}
 
-	// ε-SVR takes the same route.
+	// ε-SVR takes the same route. Its second-order selection computes the
+	// two rows one at a time, so every product is a single SMSV of the
+	// format's own kind, as in a classification SecondOrder run.
 	_, _, target := allocProblem(t)
 	for _, c := range []sparse.Candidate{
 		{Format: sparse.CSR, Chunk: sparse.ChunkGuided, Variant: sparse.VariantRowBlocked},
@@ -132,12 +134,9 @@ func TestTrainAdaptiveRunsChosenCandidate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kind := exec.KindCSR
-		if c.Variant == sparse.VariantFused {
-			kind = exec.KindPair
-		}
-		if snap := stats.Snapshot(); len(snap) != 1 || snap[0].Kind != kind {
-			t.Errorf("ε-SVR under %v: kernel counters %+v, want %v calls only", c, snap, kind)
+		kind := map[sparse.Format]exec.Kind{sparse.CSR: exec.KindCSR, sparse.CSC: exec.KindCSC}[c.Format]
+		if snap := stats.Snapshot(); len(snap) != 1 || snap[0].Kind != kind || snap[0].Calls != 2*iters {
+			t.Errorf("ε-SVR under %v: kernel counters %+v, want %d calls of %v only", c, snap, 2*iters, kind)
 		}
 		want, _, err := TrainRegression(b.MustBuild(sparse.CSR), target, rcfg)
 		if err != nil {
