@@ -261,19 +261,27 @@ func TestTrainOnTableVClone(t *testing.T) {
 	}
 }
 
-func TestPredictBatchMatchesScalar(t *testing.T) {
-	b, y := blobs(50, 4, 2.0, 10)
+// TestAccuracyMatchesScalar: Accuracy counts the rows whose Predict matches
+// the label, on a problem noisy enough that some do not.
+func TestAccuracyMatchesScalar(t *testing.T) {
+	b, y := blobs(50, 4, 0.3, 10)
 	m := b.MustBuild(sparse.CSR)
 	model, _, err := Train(m, y, Config{Kernel: KernelParams{Type: Linear}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := model.PredictBatch(m, texec(t, 4))
 	var v sparse.Vector
+	correct := 0
 	for i := 0; i < 50; i++ {
 		v = m.RowTo(v, i)
-		if got := model.Predict(v); got != batch[i] {
-			t.Fatalf("row %d: scalar %v != batch %v", i, got, batch[i])
+		if model.Predict(v) == y[i] {
+			correct++
 		}
+	}
+	if correct == 50 {
+		t.Fatal("every row classified right: the test needs a problem with errors")
+	}
+	if got, want := model.Accuracy(m, y, texec(t, 4)), float64(correct)/50; got != want {
+		t.Fatalf("Accuracy %v, the scalar rule %v", got, want)
 	}
 }
