@@ -117,16 +117,6 @@ func (v Vector) Norm2Sq() float64 {
 	return sum
 }
 
-// SquaredDistance returns ||v − w||², used by the Gaussian kernel.
-func (v Vector) SquaredDistance(w Vector) float64 {
-	d := v.Norm2Sq() + w.Norm2Sq() - 2*v.Dot(w)
-	if d < 0 {
-		// Guard against cancellation producing a tiny negative.
-		return 0
-	}
-	return d
-}
-
 // Clone returns a deep copy of the vector.
 func (v Vector) Clone() Vector {
 	out := Vector{

@@ -78,37 +78,10 @@ func TestVectorDotMatchesDense(t *testing.T) {
 	}
 }
 
-func TestVectorNormAndDistance(t *testing.T) {
+func TestVectorNorm2Sq(t *testing.T) {
 	v := NewVectorDense([]float64{3, 0, 4})
 	if got := v.Norm2Sq(); got != 25 {
 		t.Fatalf("Norm2Sq = %v, want 25", got)
-	}
-	w := NewVectorDense([]float64{0, 0, 4})
-	if got := v.SquaredDistance(w); got != 9 {
-		t.Fatalf("SquaredDistance = %v, want 9", got)
-	}
-	if got := v.SquaredDistance(v); got != 0 {
-		t.Fatalf("self distance = %v, want 0", got)
-	}
-}
-
-func TestVectorSquaredDistanceNeverNegative(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 200; trial++ {
-		dim := rng.Intn(20) + 1
-		a := make([]float64, dim)
-		for i := range a {
-			a[i] = rng.NormFloat64() * 1e3
-		}
-		v := NewVectorDense(a)
-		// Distance from a vector to a tiny perturbation of itself can
-		// cancel catastrophically; must be clamped at 0.
-		b := make([]float64, dim)
-		copy(b, a)
-		w := NewVectorDense(b)
-		if d := v.SquaredDistance(w); d < 0 {
-			t.Fatalf("negative squared distance %v", d)
-		}
 	}
 }
 

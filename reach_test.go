@@ -165,7 +165,6 @@ var reachAllow = map[string]string{
 	"internal/sparse.BCSRMatrix.FillRatio":     pendingNext,
 	"internal/sparse.DIAMatrix.NumDiagonals":   pendingNext,
 	"internal/sparse.ELLMatrix.Width":          pendingNext,
-	"internal/sparse.Vector.SquaredDistance":   pendingNext,
 	"internal/spgemm.EstimateNNZ":              pendingNext,
 	"internal/spgemm.Result.Dims":              pendingNext,
 	"internal/spgemm.Result.Row":               pendingNext,
