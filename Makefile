@@ -11,6 +11,7 @@
 #   make fuzz       native fuzz targets, $(FUZZTIME) each
 #   make flake      repeat the clock/cluster-sensitive suites 5x under -race
 #   make bench      run every benchmark once, human-readable
+#   make examples   run every examples/* program; any non-zero exit fails
 #   make metrics-lint  validate /metrics exposition well-formedness
 #   make loadgen-smoke  boot a 3-node ring and drive it with cmd/loadgen
 #   make run-layoutd  start the layout-scheduling daemon on $(LAYOUTD_ADDR)
@@ -22,7 +23,7 @@ CHAOS_PKGS := ./internal/parallel ./internal/core ./internal/serve ./internal/br
 FUZZTIME ?= 20s
 LAYOUTD_ADDR ?= :8723
 
-.PHONY: build vet test bench-module test-race chaos fuzz flake bench metrics-lint loadgen-smoke run-layoutd clean
+.PHONY: build vet test bench-module test-race chaos fuzz flake bench examples metrics-lint loadgen-smoke run-layoutd clean
 
 build:
 	$(GO) build ./...
@@ -83,6 +84,11 @@ flake:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Examples: each program under examples/ runs to completion. The tests reach
+# most of the library, but examples/svr is the one program that trains ε-SVR.
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 # Metrics lint: stand up an in-process layoutd server, run a schedule
 # decision through it, scrape /metrics, and fail on any exposition defect
