@@ -11,6 +11,7 @@
 #   make fuzz       native fuzz targets, $(FUZZTIME) each
 #   make flake      repeat the clock/cluster-sensitive suites 5x under -race
 #   make bench      run every benchmark once, human-readable
+#   make bench-smoke  run the dataset and serve benchmarks once each
 #   make examples   run every examples/* program; any non-zero exit fails
 #   make metrics-lint  validate /metrics exposition well-formedness
 #   make loadgen-smoke  boot a 3-node ring and drive it with cmd/loadgen
@@ -23,7 +24,7 @@ CHAOS_PKGS := ./internal/parallel ./internal/core ./internal/serve ./internal/br
 FUZZTIME ?= 20s
 LAYOUTD_ADDR ?= :8723
 
-.PHONY: build vet test bench-module test-race chaos fuzz flake bench examples metrics-lint loadgen-smoke run-layoutd clean
+.PHONY: build vet test bench-module test-race chaos fuzz flake bench bench-smoke examples metrics-lint loadgen-smoke run-layoutd clean
 
 build:
 	$(GO) build ./...
@@ -52,7 +53,9 @@ chaos:
 # fuzzes one target per invocation, hence one run each. FuzzParseLIBSVM,
 # FuzzScheduleEnvelope, FuzzEncodeDecision and FuzzEncodeForward are
 # differentials against the legacy parse route and encoding/json (decoding
-# and encoding); FuzzVerdictWire holds a cache entry's wire form to a round
+# and encoding); the legacy route reads every number with strconv, so
+# FuzzParseLIBSVM is also the strconv differential for the tokenizer's exact
+# decimal fast path. FuzzVerdictWire holds a cache entry's wire form to a round
 # trip;
 # FuzzBuilderRecycle holds a builder that recycles its matrices' storage to
 # a fresh builder's builds; FuzzColumnPair holds CSC's column pair to CSR's
@@ -84,6 +87,13 @@ flake:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Bench smoke: one iteration of each benchmark in the two packages whose
+# benchmarks EXPERIMENTS.md cites for the request front half
+# (BenchmarkScheduleFrontHalf, BenchmarkAccumulator and the serve hit
+# paths), so they keep running, not only compiling.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dataset ./internal/serve
 
 # Examples: each program under examples/ runs to completion. The tests reach
 # most of the library, but examples/svr is the one program that trains ε-SVR.

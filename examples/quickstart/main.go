@@ -29,7 +29,10 @@ func main() {
 	}
 	y := dataset.PlantedLabels(b.MustBuild(sparse.CSR), 0.03, rng)
 
-	// 2. Ask the scheduler which of DEN/CSR/COO/ELL/DIA fits this matrix.
+	// 2. Ask the scheduler how to lay this matrix out. The hybrid policy
+	//    ranks the paper's five formats (DEN/CSR/COO/ELL/DIA) together with
+	//    the column dataflow (CSC/static/fused: products by CSC's column
+	//    kernel), and on this matrix, as on most, it picks the column one.
 	sched := core.New(core.Config{Policy: core.Hybrid})
 	dec, err := sched.Choose(b)
 	if err != nil {

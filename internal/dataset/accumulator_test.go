@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -214,5 +215,39 @@ func TestAccumulatorSteadyStateAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("warm Accumulator.ParseLIBSVM allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// BenchmarkAccumulator is the tokenizer's throughput on its own: 256 rows of
+// six ascending features, values spelled at full precision ('g', -1, the
+// shortest exact spelling) and at 5 significant digits ('g', 5, as svm-scale
+// and the serving benchmark's deck write them).
+func BenchmarkAccumulator(b *testing.B) {
+	for _, digits := range []int{-1, 5} {
+		rng := rand.New(rand.NewSource(1))
+		var in []byte
+		for i := 0; i < 256; i++ {
+			in = append(in, "+1"...)
+			for col := 1 + rng.Intn(6); col <= 40; col += 1 + rng.Intn(6) {
+				in = fmt.Appendf(in, " %d:", col)
+				in = strconv.AppendFloat(in, 0.5+rng.Float64(), 'g', digits, 64)
+			}
+			in = append(in, '\n')
+		}
+		name := "full"
+		if digits > 0 {
+			name = fmt.Sprintf("g%d", digits)
+		}
+		b.Run(name, func(b *testing.B) {
+			var acc Accumulator
+			sb := sparse.NewBuilder(1, 1)
+			b.SetBytes(int64(len(in)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := acc.ParseLIBSVM(in, sb); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -52,6 +52,24 @@ func FuzzParseLIBSVM(f *testing.F) {
 	f.Add("\u3000# comment\n1\n")
 	f.Add("1 2:0 4:-0 6:1\n\n2\n3 1:1e-400\n")
 	f.Add("1 1:1\v2:2\f3:3\r4:4\n")
+
+	// Decimal corpus: the edges of the exact path that number tries before
+	// strconv — the mantissa at 2⁵² − 1 and 2⁵², runs of 19 and 20 digits, 22
+	// and 23 digits after the point, a signed zero, a bare point or sign,
+	// missing integer or fraction digits, zero-padded zero — and the same
+	// spellings as labels and in malformed fields.
+	f.Add("4503599627370495 1:4503599627370496 2:450359962737049.5 3:450359962737049.6\n")
+	f.Add("1 1:0000000000000000001 2:00000000000000000001 3:1234567890123456789 4:12345678901234567890\n")
+	f.Add("1 1:0.0000000123456789012345 2:0.00000000000000000000001 3:-0.0000000000000000000001\n")
+	f.Add("-0 1:-0 2:+.5 3:1. 4:00.0 5:-.25 6:0.1\n")
+	f.Add("+1 1:.\n")
+	f.Add("- 1:1\n")
+	f.Add("+.5 1:-\n")
+	f.Add("1 1:1..2\n")
+	f.Add("1 1:1.2:3\n")
+	f.Add("1 0:1.5:2\n")
+	f.Add("1 99999999999999999999:1\n")
+	f.Add("1 000000000000000000001:2\n")
 	var acc Accumulator
 	pooled := sparse.NewBuilder(1, 1)
 	f.Fuzz(func(t *testing.T, in string) {

@@ -3,9 +3,11 @@ package dataset
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -75,9 +77,11 @@ const maxLineBytes = 1 << 24
 // tokenizer is the one LIBSVM line tokenizer: ParseLIBSVM collects samples
 // from it and Accumulator collects features and triplets. It works on the
 // line's bytes in place — fields are split on Unicode white space exactly as
-// strings.TrimSpace and strings.Fields would split the line, and numbers go
-// through strconv on a no-copy view of their token — so neither consumer
-// allocates per line, and both accept, reject and report the same text.
+// strings.TrimSpace and strings.Fields would split the line, and numbers are
+// read by number: exactly, in one pass, when spelled [sign] digits [. digits]
+// with a short enough mantissa, and by strconv on a no-copy view of their
+// token otherwise — so neither consumer allocates per line, and both accept,
+// reject and report the same text, bit for bit what strconv would.
 // Usage: line for each input line, then feature until it reports no more.
 type tokenizer struct {
 	lineNo int    // lines seen so far, blank and comment lines included
@@ -95,7 +99,7 @@ func (t *tokenizer) line(b []byte) (label float64, ok bool, err error) {
 	if len(f) == 0 || f[0] == '#' {
 		return 0, false, nil
 	}
-	label, err = strconv.ParseFloat(view(f), 64)
+	label, err = number(f)
 	if err != nil {
 		return 0, false, fmt.Errorf("dataset: line %d: bad label %q: %v", t.lineNo, f, err)
 	}
@@ -114,15 +118,17 @@ func (t *tokenizer) feature() (idx int32, val float64, more bool, err error) {
 	if len(f) == 0 {
 		return 0, 0, false, nil
 	}
-	colon := bytes.IndexByte(f, ':')
+	i, colon := index(f)
 	if colon < 0 {
 		return 0, 0, false, fmt.Errorf("dataset: line %d: feature %q missing ':' (want index:value)", t.lineNo, f)
 	}
-	if bytes.IndexByte(f[colon+1:], ':') >= 0 {
+	val, err = number(f[colon+1:])
+	// A second ':' is reported before anything else wrong with the field.
+	// No number holds one, so only a field that fails a check below can.
+	if (i < 1 || i-1 > math.MaxInt32 || err != nil) && bytes.IndexByte(f[colon+1:], ':') >= 0 {
 		return 0, 0, false, fmt.Errorf("dataset: line %d: feature %q has more than one ':'", t.lineNo, f)
 	}
-	i, err := strconv.Atoi(view(f[:colon]))
-	if err != nil || i < 1 {
+	if i < 1 {
 		return 0, 0, false, fmt.Errorf("dataset: line %d: feature %q: index %q is not a positive integer", t.lineNo, f, f[:colon])
 	}
 	// Indices are stored as int32; without this check a 64-bit index like
@@ -131,7 +137,6 @@ func (t *tokenizer) feature() (idx int32, val float64, more bool, err error) {
 	if i-1 > math.MaxInt32 {
 		return 0, 0, false, fmt.Errorf("dataset: line %d: feature index %d exceeds the int32 index space", t.lineNo, i)
 	}
-	val, err = strconv.ParseFloat(view(f[colon+1:]), 64)
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("dataset: line %d: feature %q: bad value %q", t.lineNo, f, f[colon+1:])
 	}
@@ -152,9 +157,32 @@ func (t *tokenizer) feature() (idx int32, val float64, more bool, err error) {
 	return idx, val, true, nil
 }
 
+// index reads the feature index that starts field f and finds the ':' that
+// ends it. Plain digits running up to the colon are read here; any other
+// spelling — a sign, more than 18 digits, no digits — goes to IndexByte and
+// strconv.Atoi. i is 0 when the index is not an integer, and
+// colon is -1 when f holds no ':'.
+func index(f []byte) (i, colon int) {
+	for colon = 0; colon < len(f) && colon < 18 && f[colon]-'0' < 10; colon++ {
+		i = i*10 + int(f[colon]-'0')
+	}
+	if colon > 0 && colon < len(f) && f[colon] == ':' {
+		return i, colon
+	}
+	if colon = bytes.IndexByte(f, ':'); colon < 0 {
+		return 0, -1
+	}
+	if i, err := strconv.Atoi(view(f[:colon])); err == nil {
+		return i, colon
+	}
+	return 0, colon
+}
+
 // field returns the line's next white-space-delimited field, empty at the
-// end of the line. Non-space bytes are stepped one at a time: a byte inside
-// a multi-byte rune never decodes as white space, so the split falls where
+// end of the line. Printable ASCII — all a field holds in the numbers
+// LIBSVM files carry — is never white space and is stepped eight bytes at a
+// time. Any other byte is asked about on its own, and a byte inside a
+// multi-byte rune never decodes as white space, so the split falls where
 // rune-wise strings.Fields puts it, invalid UTF-8 included.
 func (t *tokenizer) field() []byte {
 	b := t.rest
@@ -167,7 +195,21 @@ func (t *tokenizer) field() []byte {
 		i += w
 	}
 	start := i
-	for i < len(b) && spaceWidth(b, i) == 0 {
+	for i < len(b) {
+		if len(b)-i >= 8 {
+			// The high bit of each byte below '!' or above DEL. The lowest
+			// is exact: a borrow only runs upwards from a marked byte.
+			x := binary.LittleEndian.Uint64(b[i:])
+			hit := (x - 0x2121212121212121 | x) & 0x8080808080808080
+			if hit == 0 {
+				i += 8
+				continue
+			}
+			i += bits.TrailingZeros64(hit) / 8
+		}
+		if c := b[i]; (c <= ' ' || c >= utf8.RuneSelf) && spaceWidth(b, i) != 0 {
+			break
+		}
 		i++
 	}
 	t.rest = b[i:]
@@ -192,6 +234,63 @@ func wideSpaceWidth(b []byte) int {
 		return w
 	}
 	return 0
+}
+
+// number reads a label or a feature value: by decimal when it can, and by
+// strconv.ParseFloat otherwise, which then decides what is accepted and
+// words every error.
+func number(b []byte) (float64, error) {
+	if v, ok := decimal(b); ok {
+		return v, nil
+	}
+	return strconv.ParseFloat(view(b), 64)
+}
+
+// decimal reads b when it is spelled [sign] digits [. digits], its digits
+// form a mantissa m below 2⁵² and at most 22 of them follow the point: then
+// m and 10^frac are exact float64s and their quotient, correctly rounded, is
+// the value (Clinger's fast path, strconv's atof64exact), so v is bit for
+// bit what strconv.ParseFloat returns, −0 included. ok is false for every
+// other spelling — exponents, inf and nan, hex, underscores, longer
+// mantissas, no digits at all — and for anything malformed.
+func decimal(b []byte) (v float64, ok bool) {
+	neg := false
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		neg, b = b[0] == '-', b[1:]
+	}
+	var m uint64
+	point := -1
+	for i, c := range b {
+		switch {
+		case c-'0' < 10:
+			// m is below 2⁵² before the step, so m*10+9 cannot overflow.
+			if m = m*10 + uint64(c-'0'); m >= 1<<52 {
+				return 0, false
+			}
+		case c == '.' && point < 0:
+			point = i
+		default:
+			return 0, false
+		}
+	}
+	digits, frac := len(b), 0
+	if point >= 0 {
+		digits, frac = len(b)-1, len(b)-point-1
+	}
+	if digits == 0 || frac >= len(pow10) {
+		return 0, false
+	}
+	v = float64(m) / pow10[frac]
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
 // view returns b as a string without copying it, for handing a token to

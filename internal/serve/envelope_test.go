@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -124,6 +127,49 @@ var envelopeCorpus = []struct {
 	{"\xef\xbb\xbf{}", false},
 	{`{"key":"v2|hybrid/0|25,22,47,21,13,13,13,0,217"}`, true},
 	{`{"key":"p1|predict/3|1,2\/3","KEY":"x"}`, false},
+}
+
+// TestUnordinaryMarksFirstByte: str's eight-byte step stops exactly at the
+// first byte plain does not class ordinary, wherever in the word it lies
+// and whatever follows it — the borrow of a byte below ' ' must not mark an
+// earlier byte.
+func TestUnordinaryMarksFirstByte(t *testing.T) {
+	first := func(w [8]byte) int {
+		for k, c := range w {
+			if plain[c] != 0 {
+				return k
+			}
+		}
+		return 8
+	}
+	check := func(w [8]byte) {
+		t.Helper()
+		got := 8
+		if m := unordinary(binary.LittleEndian.Uint64(w[:])); m != 0 {
+			got = bits.TrailingZeros64(m) / 8
+		}
+		if want := first(w); got != want {
+			t.Fatalf("%q: step stops at byte %d, want %d", w, got, want)
+		}
+	}
+	for k := 0; k < 8; k++ {
+		for c := 0; c < 256; c++ {
+			for _, tail := range []byte{'a', 0, '"', 0xff} {
+				w := [8]byte{'a', 'a', 'a', 'a', 'a', 'a', 'a', 'a'}
+				w[k] = byte(c)
+				for j := k + 1; j < 8; j++ {
+					w[j] = tail
+				}
+				check(w)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < 100000; n++ {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], rng.Uint64())
+		check(w)
+	}
 }
 
 func envelopeTestServer(tb testing.TB) *Server {
@@ -377,32 +423,45 @@ func TestScheduleHTTPHotPathAllocs(t *testing.T) {
 // BenchmarkScheduleFrontHalf is what a /v1/schedule request pays before its
 // cache probe — body read, envelope decode, LIBSVM parse, Table IV features
 // — by body size: the "selector overhead on the serving path" table in
-// EXPERIMENTS.md.
+// EXPERIMENTS.md. Each size runs twice: values at full precision (%g, the
+// row named by its size) and at 5 significant digits (the "-g5" row, the
+// same rows spelled as svm-scale and the benchmark deck write them, so
+// named by the full-precision body's size though the body is smaller).
 func BenchmarkScheduleFrontHalf(b *testing.B) {
 	s := NewServer(Config{})
-	for _, rows := range []int{8, 32, 256, 1024} {
-		body, err := json.Marshal(ScheduleRequest{Data: makeLIBSVM(rows, 40, 6, 1), Policy: "hybrid"})
+	body := func(rows, digits int) []byte {
+		body, err := json.Marshal(ScheduleRequest{Data: makeLIBSVMDigits(rows, 40, 6, 1, digits), Policy: "hybrid"})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("%dKB", (len(body)+512)>>10), func(b *testing.B) {
-			rd := bytes.NewReader(body)
-			r := httptest.NewRequest(http.MethodPost, "/v1/schedule", rd)
-			w := httptest.NewRecorder()
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rd.Reset(body)
-				sc := getScratch()
-				env, ok := decodeEnvelope[ScheduleRequest](s, sc, w, r, scheduleFields)
-				if !ok {
-					b.Fatal(w.Body)
-				}
-				if _, _, err := sc.parse(env.data); err != nil {
-					b.Fatal(err)
-				}
-				putScratch(sc)
-			}
-		})
+		return body
+	}
+	for _, rows := range []int{8, 32, 256, 1024} {
+		full := body(rows, -1)
+		size := fmt.Sprintf("%dKB", (len(full)+512)>>10)
+		b.Run(size, func(b *testing.B) { frontHalf(b, s, full) })
+		g5 := body(rows, 5)
+		b.Run(size+"-g5", func(b *testing.B) { frontHalf(b, s, g5) })
+	}
+}
+
+// frontHalf times BenchmarkScheduleFrontHalf's stages on one body.
+func frontHalf(b *testing.B, s *Server, body []byte) {
+	rd := bytes.NewReader(body)
+	r := httptest.NewRequest(http.MethodPost, "/v1/schedule", rd)
+	w := httptest.NewRecorder()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		sc := getScratch()
+		env, ok := decodeEnvelope[ScheduleRequest](s, sc, w, r, scheduleFields)
+		if !ok {
+			b.Fatal(w.Body)
+		}
+		if _, _, err := sc.parse(env.data); err != nil {
+			b.Fatal(err)
+		}
+		putScratch(sc)
 	}
 }

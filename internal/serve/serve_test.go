@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +24,13 @@ import (
 // same arguments always produce the same text, so identical requests map to
 // one cache key.
 func makeLIBSVM(rows, cols, nnzPerRow int, seed int64) string {
+	return makeLIBSVMDigits(rows, cols, nnzPerRow, seed, -1)
+}
+
+// makeLIBSVMDigits is makeLIBSVM with each value spelled to digits
+// significant digits ('g' format; -1 is the shortest exact spelling, %g).
+// The pattern of nonzeros does not depend on digits.
+func makeLIBSVMDigits(rows, cols, nnzPerRow int, seed int64, digits int) string {
 	rng := rand.New(rand.NewSource(seed))
 	var sb strings.Builder
 	for i := 0; i < rows; i++ {
@@ -33,7 +41,7 @@ func makeLIBSVM(rows, cols, nnzPerRow int, seed int64) string {
 		}
 		col := 1 + rng.Intn(step)
 		for k := 0; k < nnzPerRow && col <= cols; k++ {
-			fmt.Fprintf(&sb, " %d:%g", col, 0.5+rng.Float64())
+			fmt.Fprintf(&sb, " %d:%s", col, strconv.FormatFloat(0.5+rng.Float64(), 'g', digits, 64))
 			col += 1 + rng.Intn(step)
 		}
 		sb.WriteByte('\n')

@@ -75,6 +75,7 @@ func TrainRegression(x sparse.Matrix, y []float64, cfg RegressionConfig) (*Regre
 	s := newRegressionSolver(x, y, cfg)
 	stats := s.run()
 	stats.TotalTime = time.Since(start)
+	stats.Objective = regressionObjective(s, y, cfg.epsilon())
 	model := &RegressionModel{
 		Kernel: cfg.Kernel,
 		B:      -(s.bHigh + s.bLow) / 2,
@@ -93,9 +94,7 @@ func TrainRegression(x sparse.Matrix, y []float64, cfg RegressionConfig) (*Regre
 // products stay the same two base-kernel SMSVs.
 func newRegressionSolver(x sparse.Matrix, y []float64, cfg RegressionConfig) *solver {
 	rows, _ := x.Dims()
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 0.1
-	}
+	eps := cfg.epsilon()
 	if cfg.MaxIter <= 0 {
 		// ε-SVR needs far more SMO iterations than classification: with a
 		// tight tube most points sit near a boundary, so progress per
@@ -105,7 +104,7 @@ func newRegressionSolver(x sparse.Matrix, y []float64, cfg RegressionConfig) *so
 	yext, f, index := make([]float64, 2*rows), make([]float64, 2*rows), make([]int, 2*rows)
 	for i, t := range y {
 		yext[i], yext[rows+i] = 1, -1
-		f[i], f[rows+i] = cfg.Epsilon-t, -(cfg.Epsilon + t)
+		f[i], f[rows+i] = eps-t, -(eps + t)
 		index[i], index[rows+i] = i, i
 	}
 	// Second-order selection, as LIBSVM runs for ε-SVR. First-order
@@ -116,4 +115,26 @@ func newRegressionSolver(x sparse.Matrix, y []float64, cfg RegressionConfig) *so
 		C: cfg.C, Tol: cfg.Tol, MaxIter: cfg.MaxIter, Kernel: cfg.Kernel, Exec: cfg.Exec,
 		CacheRows: cfg.CacheRows, SecondOrder: true, chosen: cfg.chosen, rows: cfg.rows,
 	}, yext, f, index)
+}
+
+// epsilon is the tube half-width cfg runs with.
+func (cfg RegressionConfig) epsilon() float64 {
+	if cfg.Epsilon <= 0 {
+		return 0.1
+	}
+	return cfg.Epsilon
+}
+
+// regressionObjective is the dual objective of the extended problem at the
+// solver's β in the maximisation form Stats reports, −(½βᵀQ̄β + pᵀβ). With
+// f = y·(Q̄β + p) and f₀ = y·p, f's value at β = 0, that is
+// −½ Σ_e β_e·y_e·(f_e + f₀_e); f₀_e = y_e·ε − y_{e mod n} is rebuilt from the
+// targets, +(ε − yᵢ) on the α half and −(ε + yᵢ) on the α* half.
+// (Classification's f₀ is −y, where the same sum is solver.objective.)
+func regressionObjective(s *solver, y []float64, eps float64) float64 {
+	var sum float64
+	for e, b := range s.alpha {
+		sum += b * s.y[e] * (s.f[e] + s.y[e]*eps - y[e%len(y)])
+	}
+	return -0.5 * sum
 }

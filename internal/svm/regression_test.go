@@ -221,16 +221,68 @@ func TestRegressionAdaptive(t *testing.T) {
 	}
 }
 
-// regressionTrajectory is trajectory for ε-SVR, whose Stats carry no
-// objective: the iteration count, the coefficients' hash and B.
+// TestRegressionObjectiveBruteForce: an ε-SVR run's Stats.Objective is the
+// dual −(½βᵀQ̄β + pᵀβ) at the β the solver reached, recomputed from scratch
+// over the extended problem (Q̄[e][g] = y_e·y_g·K(X_{e mod n}, X_{g mod n}),
+// p_e = ε − y_e·t_{e mod n}), to 1e-9 relative — linear and Gaussian, at
+// several C and ε, converged and stopped by the iteration cap.
+func TestRegressionObjectiveBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for k := 0; k < 24; k++ {
+		n, cols := 8+rng.Intn(24), 1+rng.Intn(6)
+		b := sparse.NewBuilder(n, cols)
+		target := make([]float64, n)
+		for i := range target {
+			for j := 0; j < cols; j++ {
+				if rng.Float64() < 0.6 {
+					b.Add(i, j, rng.NormFloat64())
+				}
+			}
+			target[i] = rng.NormFloat64()
+		}
+		m := b.MustBuild(sparse.CSR)
+		cfg := RegressionConfig{C: []float64{0.1, 1, 10}[k%3], Epsilon: []float64{0, 0.05, 0.3, 1}[k%4]}
+		if k%2 == 1 {
+			cfg.Kernel = KernelParams{Type: Gaussian, Gamma: 0.5}
+		}
+		if k%6 >= 3 {
+			cfg.MaxIter = 1 + k // stopped short of convergence
+		}
+		s := newRegressionSolver(m, target, cfg)
+		s.run()
+		rows := make([]sparse.Vector, n)
+		for i := range rows {
+			rows[i] = m.RowTo(sparse.Vector{}, i).Clone()
+		}
+		var quad, lin float64
+		for e, be := range s.alpha {
+			lin += be * (cfg.epsilon() - s.y[e]*target[e%n])
+			for g, bg := range s.alpha {
+				quad += be * bg * s.y[e] * s.y[g] * cfg.Kernel.Eval(rows[e%n], rows[g%n])
+			}
+		}
+		want := -(0.5*quad + lin)
+		_, st, err := TrainRegression(m, target, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want <= 0 || math.Abs(st.Objective-want) > 1e-9*want {
+			t.Errorf("problem %d (%d rows, C %v, ε %v, %v, cap %d): Stats.Objective %v, brute force %v",
+				k, n, cfg.C, cfg.epsilon(), cfg.Kernel.Type, cfg.MaxIter, st.Objective, want)
+		}
+	}
+}
+
+// regressionTrajectory is trajectory for ε-SVR: the iteration count, the
+// coefficients' hash, B and the objective's bits.
 type regressionTrajectory struct {
-	iters   int
-	coef, b uint64
+	iters        int
+	coef, b, obj uint64
 }
 
 // TestRegressionTrajectoriesMatchParent pins ε-SVR's runs to the bit: the
-// iterations, coefficients and B that the solver reached when these
-// fingerprints were recorded, on allocProblem's targets at the default
+// iterations, coefficients, B and objective that the solver reached when
+// these fingerprints were recorded, on allocProblem's targets at the default
 // ε = 0.1. At C = 0.1 every kernel converges within 500 iterations; at C = 1
 // the linear run needs 7 282, so a cap of 1 000 stops it, and the Gaussian
 // one 249. Every basic format and the column candidate, at 1 and 2 workers,
@@ -242,7 +294,8 @@ type regressionTrajectory struct {
 // bit for bit while ε-SVR moved from a loop of its own onto solver.run.
 // Under first-order selection the linear C = 1 run converged in 7 465
 // iterations with B 0x3fa264265124525e, the Gaussian one in 290 with B
-// 0xbfcb56147f22a41a.
+// 0xbfcb56147f22a41a. The objective joined the fingerprint when
+// TrainRegression began to report it; the other three fields did not move.
 func TestRegressionTrajectoriesMatchParent(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("fingerprints are recorded on amd64; other architectures may fuse multiply-adds")
@@ -259,24 +312,24 @@ func TestRegressionTrajectoriesMatchParent(t *testing.T) {
 		maxIter int
 		regressionTrajectory
 	}{
-		{"linear", 0.1, 100, regressionTrajectory{100, 0x1187aa5c83d45b3b, 0x3f8728fc6593ca20}},
-		{"linear", 0.1, 1000, regressionTrajectory{457, 0x96f5cef832632654, 0x3f647094044af3a0}},
-		{"linear", 0.1, 0, regressionTrajectory{457, 0x96f5cef832632654, 0x3f647094044af3a0}},
-		{"linear", 1, 100, regressionTrajectory{100, 0xb2c6c7245145e416, 0x3fbf5d4336a5b990}},
-		{"linear", 1, 1000, regressionTrajectory{1000, 0xafc6cdd9f59138f6, 0x3fbd8c536eadf516}},
-		{"linear", 1, 0, regressionTrajectory{7282, 0x4b9ada81d43fa007, 0x3fa2418aac6c74e2}},
-		{"gaussian", 0.1, 100, regressionTrajectory{100, 0x33c6850837ddfcb5, 0xbfaa6cbffaa24f00}},
-		{"gaussian", 0.1, 1000, regressionTrajectory{145, 0x12ca56db501b677a, 0xbfba99cf7a0507e0}},
-		{"gaussian", 0.1, 0, regressionTrajectory{145, 0x12ca56db501b677a, 0xbfba99cf7a0507e0}},
-		{"gaussian", 1, 100, regressionTrajectory{100, 0x1cb8e491d5cc4d7d, 0xbfc907f530f11b37}},
-		{"gaussian", 1, 1000, regressionTrajectory{249, 0x1880042de093abc0, 0xbfcb48a40cfa1b2c}},
-		{"gaussian", 1, 0, regressionTrajectory{249, 0x1880042de093abc0, 0xbfcb48a40cfa1b2c}},
-		{"cacheRows", 0.1, 100, regressionTrajectory{100, 0x1187aa5c83d45b3b, 0x3f8728fc6593ca20}},
-		{"cacheRows", 0.1, 1000, regressionTrajectory{457, 0x96f5cef832632654, 0x3f647094044af3a0}},
-		{"cacheRows", 0.1, 0, regressionTrajectory{457, 0x96f5cef832632654, 0x3f647094044af3a0}},
-		{"cacheRows", 1, 100, regressionTrajectory{100, 0xb2c6c7245145e416, 0x3fbf5d4336a5b990}},
-		{"cacheRows", 1, 1000, regressionTrajectory{1000, 0xafc6cdd9f59138f6, 0x3fbd8c536eadf516}},
-		{"cacheRows", 1, 0, regressionTrajectory{7282, 0x4b9ada81d43fa007, 0x3fa2418aac6c74e2}},
+		{"linear", 0.1, 100, regressionTrajectory{100, 0x1187aa5c83d45b3b, 0x3f8728fc6593ca20, 0x4031fa051f014e88}},
+		{"linear", 0.1, 1000, regressionTrajectory{457, 0x96f5cef832632654, 0x3f647094044af3a0, 0x4033c39c0a1eabfb}},
+		{"linear", 0.1, 0, regressionTrajectory{457, 0x96f5cef832632654, 0x3f647094044af3a0, 0x4033c39c0a1eabfb}},
+		{"linear", 1, 100, regressionTrajectory{100, 0xb2c6c7245145e416, 0x3fbf5d4336a5b990, 0x4056231bb296d7c4}},
+		{"linear", 1, 1000, regressionTrajectory{1000, 0xafc6cdd9f59138f6, 0x3fbd8c536eadf516, 0x4068029376007141}},
+		{"linear", 1, 0, regressionTrajectory{7282, 0x4b9ada81d43fa007, 0x3fa2418aac6c74e2, 0x40682f39737e6e30}},
+		{"gaussian", 0.1, 100, regressionTrajectory{100, 0x33c6850837ddfcb5, 0xbfaa6cbffaa24f00, 0x4033d5a12c675fae}},
+		{"gaussian", 0.1, 1000, regressionTrajectory{145, 0x12ca56db501b677a, 0xbfba99cf7a0507e0, 0x4034f8ee20630ffd}},
+		{"gaussian", 0.1, 0, regressionTrajectory{145, 0x12ca56db501b677a, 0xbfba99cf7a0507e0, 0x4034f8ee20630ffd}},
+		{"gaussian", 1, 100, regressionTrajectory{100, 0x1cb8e491d5cc4d7d, 0xbfc907f530f11b37, 0x4065a1a1965e500f}},
+		{"gaussian", 1, 1000, regressionTrajectory{249, 0x1880042de093abc0, 0xbfcb48a40cfa1b2c, 0x406688e967ee6014}},
+		{"gaussian", 1, 0, regressionTrajectory{249, 0x1880042de093abc0, 0xbfcb48a40cfa1b2c, 0x406688e967ee6014}},
+		{"cacheRows", 0.1, 100, regressionTrajectory{100, 0x1187aa5c83d45b3b, 0x3f8728fc6593ca20, 0x4031fa051f014e88}},
+		{"cacheRows", 0.1, 1000, regressionTrajectory{457, 0x96f5cef832632654, 0x3f647094044af3a0, 0x4033c39c0a1eabfb}},
+		{"cacheRows", 0.1, 0, regressionTrajectory{457, 0x96f5cef832632654, 0x3f647094044af3a0, 0x4033c39c0a1eabfb}},
+		{"cacheRows", 1, 100, regressionTrajectory{100, 0xb2c6c7245145e416, 0x3fbf5d4336a5b990, 0x4056231bb296d7c4}},
+		{"cacheRows", 1, 1000, regressionTrajectory{1000, 0xafc6cdd9f59138f6, 0x3fbd8c536eadf516, 0x4068029376007141}},
+		{"cacheRows", 1, 0, regressionTrajectory{7282, 0x4b9ada81d43fa007, 0x3fa2418aac6c74e2, 0x40682f39737e6e30}},
 	}
 	execs := []*exec.Exec{texec(t, 1), texec(t, 2)}
 	layouts := trainLayouts(b)
@@ -292,7 +345,7 @@ func TestRegressionTrajectoriesMatchParent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := regressionTrajectory{st.Iterations, coefHash(model.Coef), math.Float64bits(model.B)}
+				got := regressionTrajectory{st.Iterations, coefHash(model.Coef), math.Float64bits(model.B), math.Float64bits(st.Objective)}
 				if got != w.regressionTrajectory {
 					t.Errorf("%s, %s, C %v, cap %d, %d workers: %#x, want %#x", l.name, w.config, w.c, w.maxIter, ex.Workers(), got, w.regressionTrajectory)
 				}
