@@ -62,20 +62,24 @@ func TimeFormats(b *sparse.Builder, reps, trialRows int, ex *exec.Exec, seed int
 		if err != nil {
 			continue // e.g. DIA above its memory cap: skip, like the paper's OOM cases
 		}
-		// Min of three trials: the steady-state estimator, robust to GC
-		// pauses and scheduler noise on shared hosts.
-		best := time.Duration(-1)
-		for trial := 0; trial < 3; trial++ {
-			if d := TimeSMSV(m, xs, reps, ex); best < 0 || d < best {
-				best = d
-			}
-		}
-		out[f] = best
+		out[f] = bestOfThree(m, xs, reps, ex)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("bench: no basic format could be built")
 	}
 	return out, nil
+}
+
+// bestOfThree is the least of three TimeSMSV trials: the steady-state
+// estimator, robust to GC pauses and scheduler noise on shared hosts.
+func bestOfThree(m sparse.Matrix, xs []sparse.Vector, reps int, ex *exec.Exec) time.Duration {
+	best := time.Duration(-1)
+	for trial := 0; trial < 3; trial++ {
+		if d := TimeSMSV(m, xs, reps, ex); best < 0 || d < best {
+			best = d
+		}
+	}
+	return best
 }
 
 // SpeedupsVsSlowest normalizes times the way the paper's Figure 1 and
@@ -134,15 +138,6 @@ func (t *Table) Add(cells ...string) {
 	row := make([]string, len(t.Header))
 	copy(row, cells)
 	t.Rows = append(t.Rows, row)
-}
-
-// Addf appends one row of formatted cells, each produced by fmt.Sprint.
-func (t *Table) Addf(cells ...any) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		row = append(row, fmt.Sprint(c))
-	}
-	t.Add(row...)
 }
 
 // Render writes the table with aligned columns.

@@ -91,7 +91,7 @@ func TestBestWorstDeterministicOnTies(t *testing.T) {
 func TestTableRender(t *testing.T) {
 	tb := NewTable("Demo", "name", "value")
 	tb.Add("alpha", "1")
-	tb.Addf("beta", 2.5)
+	tb.Add("beta", "2.5")
 	tb.Add("gamma") // short row
 	var sb strings.Builder
 	tb.Render(&sb)

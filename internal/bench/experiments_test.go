@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -91,11 +93,23 @@ func TestTableVIDriver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement-heavy")
 	}
-	tbl, err := TableVI(quickCfg(), core.RuleBased)
-	if err != nil {
-		t.Fatal(err)
+	for _, policy := range []core.Policy{core.RuleBased, core.Empirical, core.Hybrid} {
+		tbl, err := TableVI(quickCfg(), policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renderOK(t, tbl, 9)
+		// Every speed-up is a finite, positive ratio, whichever format the
+		// policy selected: the column dataflow's included.
+		for _, row := range tbl.Rows {
+			for _, cell := range row[3:5] {
+				x, err := strconv.ParseFloat(strings.TrimSuffix(cell, "x"), 64)
+				if err != nil || math.IsInf(x, 0) || math.IsNaN(x) || x <= 0 {
+					t.Errorf("%v policy, %s (selected %s): speed-up cell %q", policy, row[0], row[1], cell)
+				}
+			}
+		}
 	}
-	renderOK(t, tbl, 9)
 }
 
 func TestDNNDrivers(t *testing.T) {

@@ -146,7 +146,9 @@ type Decision struct {
 	Chosen          sparse.Format
 	ChosenCandidate sparse.Candidate
 	// Matrix is the whole data set materialized in the chosen format. It is
-	// the only full build a decision makes, however it was reached.
+	// the only full build a decision makes, however it was reached. A CSC one
+	// is a *sparse.ColumnMatrix, valid until the builder's next triplet,
+	// Shape, Reset or Recycle, since it reads its rows from the triplets.
 	Matrix sparse.Matrix
 	// Rung is how the candidate was reached: the cost model, a measurement,
 	// the incremental-tuning history, or the trained predictor (PolicyPredict
@@ -156,6 +158,7 @@ type Decision struct {
 	// whenever the predictor was consulted, including low-confidence
 	// decisions that fell back to measurement.
 	Confidence float64
+	column     sparse.ColumnMatrix // Matrix's storage when it is a column matrix
 }
 
 // Verdict returns the decision's answer and how it was reached. Its Measured
@@ -188,7 +191,7 @@ func (d *Decision) Release() {
 	if d == nil {
 		return
 	}
-	d.Matrix = nil
+	d.Matrix, d.column = nil, sparse.ColumnMatrix{}
 	decisionPool.Put(d)
 }
 
@@ -338,11 +341,15 @@ func (sc *chooseScratch) predict() (sparse.Candidate, float64, bool) {
 
 // usable materializes the decision's matrix, the whole data set, in c's
 // format (the Builder caches each one); DIA over its memory cap is the format
-// that can fail.
+// that can fail. A CSC build is paired with its triplets, to read its rows.
 func (sc *chooseScratch) usable(c sparse.Candidate) bool {
 	m, err := sc.b.Build(c.Format)
 	if err != nil {
 		return false
+	}
+	if c.Format == sparse.CSC {
+		sc.d.column = sparse.NewColumnMatrix(sc.b.Triplets(), m.(*sparse.CSCMatrix))
+		m = &sc.d.column
 	}
 	sc.d.Matrix = m
 	return true

@@ -44,17 +44,3 @@ func PlantedLabels(m sparse.Matrix, noise float64, rng *rand.Rand) []float64 {
 	}
 	return y
 }
-
-// BalancedLabels assigns alternating ±1 labels, useful when only the
-// kernel-arithmetic path is under test and class geometry is irrelevant.
-func BalancedLabels(rows int) []float64 {
-	y := make([]float64, rows)
-	for i := range y {
-		if i%2 == 0 {
-			y[i] = 1
-		} else {
-			y[i] = -1
-		}
-	}
-	return y
-}

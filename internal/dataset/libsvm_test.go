@@ -163,13 +163,3 @@ func TestPlantedLabelsBothClasses(t *testing.T) {
 		t.Fatalf("degenerate labels: %d pos, %d neg", pos, neg)
 	}
 }
-
-func TestBalancedLabels(t *testing.T) {
-	y := BalancedLabels(5)
-	want := []float64{1, -1, 1, -1, 1}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("labels %v", y)
-		}
-	}
-}

@@ -107,18 +107,6 @@ func (cm *ConfusionMatrix) F1(class float64) float64 {
 	return 2 * p * r / (p + r)
 }
 
-// MacroF1 averages F1 over all classes.
-func (cm *ConfusionMatrix) MacroF1() float64 {
-	if len(cm.Classes) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, c := range cm.Classes {
-		sum += cm.F1(c)
-	}
-	return sum / float64(len(cm.Classes))
-}
-
 // MSE returns the mean squared error (0 for empty input).
 func MSE(yTrue, yPred []float64) float64 {
 	if len(yTrue) == 0 || len(yTrue) != len(yPred) {

@@ -72,9 +72,8 @@ func (m *CSCMatrix) Col(j int) Vector {
 }
 
 // RowTo appends the nonzeros of row i to dst. CSC has no row index, so this
-// probes every column with a binary search — O(N log nnz). A solver whose
-// products run on CSC reads its rows from row-major storage beside it (the
-// builder's canonical triplets) instead.
+// probes every column with a binary search — O(N log nnz), for SpGEMM
+// operands and conversions; a solver's rows come from a ColumnMatrix.
 func (m *CSCMatrix) RowTo(dst Vector, i int) Vector {
 	dst = dst.Reset(m.cols)
 	for j := 0; j < m.cols; j++ {
@@ -151,3 +150,22 @@ func (m *CSCMatrix) StoredElements() int64 {
 func (m *CSCMatrix) StorageBytes() int64 {
 	return int64(len(m.ptr))*4 + int64(len(m.idx))*4 + int64(len(m.val))*8
 }
+
+// ColumnMatrix is the CSC matrix a decision for the column candidate
+// carries: its products, pair kernel and Format are the embedded CSC's, and
+// its rows are read from the canonical triplets it was built from, one
+// binary search per row instead of one per column. It views the triplets,
+// so it is valid until the builder's next triplet, Shape, Reset or Recycle.
+type ColumnMatrix struct {
+	*CSCMatrix
+	triplets Triplets
+}
+
+// NewColumnMatrix pairs m with the triplets t it was built from, by value,
+// so that a holder can keep it in its own storage.
+func NewColumnMatrix(t Triplets, m *CSCMatrix) ColumnMatrix {
+	return ColumnMatrix{CSCMatrix: m, triplets: t}
+}
+
+// RowTo appends the nonzeros of row i to dst, read from the triplets.
+func (m *ColumnMatrix) RowTo(dst Vector, i int) Vector { return m.triplets.RowTo(dst, i) }

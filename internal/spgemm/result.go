@@ -1,7 +1,5 @@
 package spgemm
 
-import "repro/internal/sparse"
-
 // Result holds the product C = A·B in CSR shape. It is an arena: Reset
 // keeps the backing arrays so a Result (and the Scratch that fills it) can
 // be reused across measurements without reallocating, mirroring the
@@ -33,21 +31,8 @@ func (r *Result) Reset(rows, cols int) {
 	r.val = r.val[:0]
 }
 
-// Dims returns the product dimensions.
-func (r *Result) Dims() (rows, cols int) { return r.rows, r.cols }
-
 // NNZ returns the number of stored entries (structural nonzeros).
 func (r *Result) NNZ() int { return len(r.idx) }
-
-// Row returns row i as a zero-copy sparse vector with ascending column
-// indices. The slices alias the result storage.
-func (r *Result) Row(i int) sparse.Vector {
-	lo, hi := r.ptr[i], r.ptr[i+1]
-	return sparse.Vector{Index: r.idx[lo:hi], Value: r.val[lo:hi], Dim: r.cols}
-}
-
-// RowNNZ returns the number of stored entries in row i.
-func (r *Result) RowNNZ(i int) int { return int(r.ptr[i+1] - r.ptr[i]) }
 
 // Dense expands the result to a row-major dense image, for tests and
 // differential checks.

@@ -2,6 +2,7 @@ package svm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -153,33 +154,130 @@ func TestTrainAdaptiveRunsChosenCandidate(t *testing.T) {
 	}
 }
 
-// TestColumnJobReadsRowsFromTriplets: a job on the column candidate reads
-// its rows — the working pair, the Gaussian norms, the support vectors, a
-// shrink's submatrix — from the builder's triplets, never through CSC's
-// RowTo, which probes every column; and its model is the CSR job's.
+// TestColumnJobReadsRowsFromTriplets: the matrix a decision for the column
+// candidate carries reads its rows — the working pair, the Gaussian norms,
+// the support vectors, a shrink's submatrix — from the builder's triplets,
+// never through CSC's RowTo, which probes every column; and a job on it
+// gives the CSR job's model. The second check doubles the triplets' values
+// under the decided matrix, which is exact: a job that reads every row from
+// them is then, bit for bit, the job whose products are X's and whose rows
+// are 2X's.
 func TestColumnJobReadsRowsFromTriplets(t *testing.T) {
-	b, y, _ := allocProblem(t)
 	gaussian := KernelParams{Type: Gaussian, Gamma: 0.05}
 	for _, cfg := range []Config{
 		{C: 1, MaxIter: 200, Kernel: gaussian},
 		{C: 0.1, MaxIter: 400, Shrinking: true, SecondOrder: true, CacheRows: 8},
 	} {
+		b, y, _ := allocProblem(t)
 		cfg.Exec = texec(t, 2)
-		want, _, err := Train(b.MustBuild(sparse.CSR), y, cfg)
+		sched := core.New(core.Config{Policy: core.PolicyPredict, Predictor: candidatePredictor{core.ColumnCandidate}, Exec: cfg.Exec})
+		dec, err := sched.Choose(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		csc := &rowCounter{Matrix: b.MustBuild(sparse.CSC)}
-		cfg.rows = b.Triplets()
-		got, _, err := Train(csc, y, cfg)
+		if _, ok := dec.Matrix.(*sparse.ColumnMatrix); !ok {
+			t.Fatalf("the column candidate's decision carries a %T", dec.Matrix)
+		}
+		csr := b.MustBuild(sparse.CSR)
+		check := func(what string, want sparse.Matrix) {
+			t.Helper()
+			w, _, err := Train(want, y, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := Train(dec.Matrix, y, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameModelBits(got, w) || !sameSupportVectors(got.SVs, w.SVs) {
+				t.Errorf("%+v: the job on the decided matrix differs from %s", cfg, what)
+			}
+		}
+		check("the CSR job", csr)
+
+		tr := b.Triplets()
+		for k := range tr.Val {
+			tr.Val[k] *= 2
+		}
+		doubled := sparse.NewBuilder(b.Dims())
+		var v sparse.Vector
+		for i := 0; i < tr.Rows; i++ {
+			v = tr.RowTo(v, i)
+			doubled.AddRow(i, v)
+		}
+		check("the job with X's products and 2X's rows", rowSwap{Matrix: csr, rows: doubled.MustBuild(sparse.CSR)})
+	}
+}
+
+// rowSwap is a matrix whose products are one matrix's and whose rows are
+// another's.
+type rowSwap struct {
+	sparse.Matrix
+	rows sparse.Matrix
+}
+
+func (m rowSwap) RowTo(dst sparse.Vector, i int) sparse.Vector { return m.rows.RowTo(dst, i) }
+
+func sameSupportVectors(a, b []sparse.Vector) bool {
+	return slices.EqualFunc(a, b, func(v, w sparse.Vector) bool {
+		return slices.Equal(v.Index, w.Index) && slices.Equal(v.Value, w.Value)
+	})
+}
+
+// TestTrainOnDecidedMatrixIsTrainAdaptive: a decision's matrix trains as it
+// stands. On every Table VI clone, under the hybrid policy that picks the
+// column candidate on most of them, Train on the decided matrix gives
+// TrainAdaptive's model bit for bit, and TrainRegression
+// TrainRegressionAdaptive's, at one and two workers.
+func TestTrainOnDecidedMatrixIsTrainAdaptive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("nine clones, each scheduled and trained four times")
+	}
+	const iters = 60
+	for _, name := range dataset.Table6Names {
+		d, err := dataset.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if csc.rowTo != 0 {
-			t.Errorf("%+v: %d rows read through CSC's RowTo", cfg, csc.rowTo)
+		b := d.MustGenerate(1)
+		rng := testRandSVM(5)
+		y := dataset.PlantedLabels(b.MustBuild(sparse.CSR), 0.02, rng)
+		target := make([]float64, len(y))
+		for i, l := range y {
+			target[i] = l + 0.3*rng.NormFloat64()
 		}
-		if !sameModelBits(got, want) {
-			t.Errorf("%+v: the column job's model differs from the CSR job's", cfg)
+		for _, workers := range []int{1, 2} {
+			ex := texec(t, workers)
+			sched := core.New(core.Config{Policy: core.Hybrid, Exec: ex, Seed: 1})
+
+			cfg := Config{C: 1, MaxIter: iters, Exec: ex}
+			res, err := TrainAdaptive(b, y, sched, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model, _, err := Train(res.Decision.Matrix, y, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameModelBits(model, res.Model) || !sameSupportVectors(model.SVs, res.Model.SVs) {
+				t.Errorf("%s, %d workers, %v: Train on the decided matrix differs from TrainAdaptive", name, workers, res.Decision.ChosenCandidate)
+			}
+
+			rcfg := RegressionConfig{C: 1, Epsilon: 0.1, MaxIter: iters, Exec: ex}
+			rres, err := TrainRegressionAdaptive(b, target, sched, rcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rmodel, _, err := TrainRegression(rres.Decision.Matrix, target, rcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := math.Float64bits(rmodel.B) == math.Float64bits(rres.Model.B) &&
+				slices.EqualFunc(rmodel.Coef, rres.Model.Coef, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) &&
+				sameSupportVectors(rmodel.SVs, rres.Model.SVs)
+			if !same {
+				t.Errorf("%s, %d workers, %v: TrainRegression on the decided matrix differs from TrainRegressionAdaptive", name, workers, rres.Decision.ChosenCandidate)
+			}
 		}
 	}
 }

@@ -71,7 +71,7 @@ func TestTrainSteadyStateAllocs(t *testing.T) {
 		{"shrinking/secondOrder", classify(Config{C: 1, Shrinking: true, SecondOrder: true})},
 		{"shrinking/cacheRows", classify(Config{C: 1, Shrinking: true, CacheRows: 4})},
 		{"svr", func(l trainLayout, maxIter int) (Stats, error) {
-			_, st, err := TrainRegression(l.m, target, RegressionConfig{C: 1, Epsilon: 0.01, MaxIter: maxIter, Exec: ex, rows: l.rows, chosen: l.chosen})
+			_, st, err := TrainRegression(l.m, target, RegressionConfig{C: 1, Epsilon: 0.01, MaxIter: maxIter, Exec: ex, chosen: l.chosen})
 			return st, err
 		}},
 	}
@@ -220,5 +220,27 @@ func TestModelVectorsStandAlone(t *testing.T) {
 	}
 	if k != len(model.SVs) {
 		t.Fatalf("model has %d support vectors, the solver %d positive alphas", len(model.SVs), k)
+	}
+}
+
+// TestSVRCachesHalfRows: a cached ε-SVR kernel row is the n entries of
+// K(X_r, ·), not the 2n of the extended problem, whose second half is
+// mirrored whenever a row is copied out: 8·n bytes of storage per cached
+// row.
+func TestSVRCachesHalfRows(t *testing.T) {
+	b, _, target := allocProblem(t)
+	rows, _ := b.Dims()
+	const capacity = 8
+	s := newRegressionSolver(b.MustBuild(sparse.CSR), target, RegressionConfig{C: 1, Epsilon: 0.01, MaxIter: 200, CacheRows: capacity, Exec: texec(t, 2)})
+	if st := s.run(); st.Iterations != 200 {
+		t.Fatalf("stopped after %d iterations: too few to fill the cache", st.Iterations)
+	}
+	if len(s.cache.rows) != capacity {
+		t.Fatalf("%d rows cached, want %d", len(s.cache.rows), capacity)
+	}
+	for r, row := range s.cache.rows {
+		if held := 8 * cap(row); held != 8*rows {
+			t.Errorf("cached row %d holds %d bytes for %d rows, want %d", r, held, rows, 8*rows)
+		}
 	}
 }

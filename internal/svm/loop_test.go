@@ -138,22 +138,21 @@ func TestLoopTrajectoriesMatchParent(t *testing.T) {
 }
 
 // trainLayout is one way a solver runs on a problem: a matrix, and for the
-// column candidate where the rows come from and which candidate runs.
+// column candidate which candidate runs.
 type trainLayout struct {
 	name   string
 	m      sparse.Matrix
-	rows   rowSource
 	chosen *sparse.Candidate
 }
 
 // config is cfg set up to run the layout as TrainAdaptive would.
 func (l trainLayout) config(cfg Config) Config {
-	cfg.rows, cfg.chosen = l.rows, l.chosen
+	cfg.chosen = l.chosen
 	return cfg
 }
 
 // trainLayouts are the layouts a scheduled job can run on b: each basic
-// format, reading its rows from the matrix, and the column candidate, whose
+// format, and the column candidate's matrix as a decision carries it, whose
 // products run on CSC and whose rows come from b's canonical triplets.
 func trainLayouts(b *sparse.Builder) []trainLayout {
 	var out []trainLayout
@@ -161,7 +160,8 @@ func trainLayouts(b *sparse.Builder) []trainLayout {
 		out = append(out, trainLayout{name: f.String(), m: b.MustBuild(f)})
 	}
 	column := core.ColumnCandidate
-	return append(out, trainLayout{name: "column", m: b.MustBuild(sparse.CSC), rows: b.Triplets(), chosen: &column})
+	m := sparse.NewColumnMatrix(b.Triplets(), b.MustBuild(sparse.CSC).(*sparse.CSCMatrix))
+	return append(out, trainLayout{name: "column", m: &m, chosen: &column})
 }
 
 // dualObjective recomputes F(α) = Σα − ½·ΣΣ αᵢαⱼyᵢyⱼK(Xᵢ, Xⱼ) from a model

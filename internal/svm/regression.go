@@ -36,7 +36,6 @@ type RegressionConfig struct {
 	CacheRows int
 
 	chosen *sparse.Candidate // TrainRegressionAdaptive's, see Config.chosen
-	rows   rowSource         // likewise, see Config.rows
 }
 
 // RegressionModel predicts real-valued targets:
@@ -81,7 +80,7 @@ func TrainRegression(x sparse.Matrix, y []float64, cfg RegressionConfig) (*Regre
 		B:      -(s.bHigh + s.bLow) / 2,
 	}
 	// αᵢ − αᵢ* per sample.
-	model.SVs, model.Coef = supportVectors(s.src, rows, func(i int) float64 { return s.alpha[i] - s.alpha[rows+i] })
+	model.SVs, model.Coef = supportVectors(s.x, func(i int) float64 { return s.alpha[i] - s.alpha[rows+i] })
 	stats.NumSV = len(model.SVs)
 	return model, stats, nil
 }
@@ -113,7 +112,7 @@ func newRegressionSolver(x sparse.Matrix, y []float64, cfg RegressionConfig) *so
 	// second-order converges in 7 725.
 	return newSolver(x, Config{
 		C: cfg.C, Tol: cfg.Tol, MaxIter: cfg.MaxIter, Kernel: cfg.Kernel, Exec: cfg.Exec,
-		CacheRows: cfg.CacheRows, SecondOrder: true, chosen: cfg.chosen, rows: cfg.rows,
+		CacheRows: cfg.CacheRows, SecondOrder: true, chosen: cfg.chosen,
 	}, yext, f, index)
 }
 

@@ -340,7 +340,7 @@ func TestRegressionTrajectoriesMatchParent(t *testing.T) {
 		for _, w := range want {
 			for _, ex := range execs {
 				cfg := configs[w.config]
-				cfg.C, cfg.MaxIter, cfg.Exec, cfg.rows, cfg.chosen = w.c, w.maxIter, ex, l.rows, l.chosen
+				cfg.C, cfg.MaxIter, cfg.Exec, cfg.chosen = w.c, w.maxIter, ex, l.chosen
 				model, st, err := TrainRegression(l.m, target, cfg)
 				if err != nil {
 					t.Fatal(err)

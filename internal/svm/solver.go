@@ -47,16 +47,6 @@ type Config struct {
 	// caller's Config — runs the matrix's fused pair kernel where it has one,
 	// under Exec's schedule.
 	chosen *sparse.Candidate
-	// rows is where the solver reads data rows, when not from the matrix:
-	// TrainAdaptive hands it the builder's canonical triplets when the
-	// decided matrix is CSC, whose RowTo probes every column.
-	rows rowSource
-}
-
-// rowSource is where a solver reads the data rows X_i: the matrix, or
-// row-major storage of the same elements beside it.
-type rowSource interface {
-	RowTo(dst sparse.Vector, i int) sparse.Vector
 }
 
 func (c Config) withDefaults(n int) Config {
@@ -143,7 +133,7 @@ func newSolver(x sparse.Matrix, cfg Config, y, f []float64, index []int) *solver
 	vars := len(y)
 	cfg = cfg.withDefaults(vars)
 	s := &solver{
-		kernels: newKernels(x, vars, cfg.rows, cfg.Kernel, cfg.Exec, cfg.chosen, cfg.CacheRows, cfg.SecondOrder),
+		kernels: newKernels(x, vars, cfg.Kernel, cfg.Exec, cfg.chosen, cfg.CacheRows, cfg.SecondOrder),
 		cfg:     cfg,
 		eager:   !cfg.SecondOrder && !cfg.Shrinking,
 		scan:    sweep{ex: cfg.Exec},
@@ -282,18 +272,6 @@ func normAt(normSq []float64, i int) float64 {
 	return normSq[i]
 }
 
-// rowNorms precomputes ‖X_i‖² of the rows rows of src, for the Gaussian
-// kernel.
-func rowNorms(src rowSource, rows int) []float64 {
-	out := make([]float64, rows)
-	var v sparse.Vector
-	for i := 0; i < rows; i++ {
-		v = src.RowTo(v, i)
-		out[i] = v.Norm2Sq()
-	}
-	return out
-}
-
 func (s *solver) inHigh(i int) bool {
 	a, yi, c := s.alpha[i], s.y[i], s.cfg.C
 	return (a > 0 && a < c) || (yi > 0 && a == 0) || (yi < 0 && a == c)
@@ -328,10 +306,10 @@ func (p pairKernel) run(m sparse.Matrix, dst1, dst2 []float64, x1, x2 sparse.Vec
 // optional LRU of finished rows in front. A row holds one entry per variable.
 // The products fill one per row of sub: the active rows, which are every row
 // unless a shrinking solver restricts them. ε-SVR's extended problem has
-// twice as many variables as rows, and its second n entries mirror the first.
+// twice as many variables as rows, and its second n entries mirror the
+// first; the cache holds the first n.
 type kernels struct {
 	x     sparse.Matrix
-	src   rowSource     // where the rows X_r are read: x, or the triplets x was built from
 	sub   sparse.Matrix // the active rows of x: x itself, or a CSR submatrix
 	ex    *exec.Exec    // the caller's context, which the transform runs under
 	pair  pairKernel
@@ -351,22 +329,16 @@ type kernels struct {
 	xform    *rowTransform
 }
 
-// newKernels sizes the buffers for vars variables over x, whose rows are read
-// from src, or from x when src is nil. The products run the chosen candidate
-// on ex's workers, or, when it is nil, x's fused pair kernel where it has one
-// under ex as it is.
-func newKernels(x sparse.Matrix, vars int, src rowSource, p KernelParams, ex *exec.Exec, chosen *sparse.Candidate, cacheRows int, norms bool) kernels {
-	rows, _ := x.Dims()
-	if src == nil {
-		src = x
-	}
+// newKernels sizes the buffers for vars variables over x. The products run
+// the chosen candidate on ex's workers, or, when it is nil, x's fused pair
+// kernel where it has one under ex as it is.
+func newKernels(x sparse.Matrix, vars int, p KernelParams, ex *exec.Exec, chosen *sparse.Candidate, cacheRows int, norms bool) kernels {
 	pair := pairKernel{cand: sparse.Candidate{Format: x.Format(), Variant: sparse.VariantFused}, ex: ex}
 	if chosen != nil {
 		pair = pairKernel{cand: *chosen, ex: ex.WithSched(chosen.Chunk.Sched())}
 	}
 	k := kernels{
 		x:     x,
-		src:   src,
 		sub:   x,
 		ex:    ex,
 		pair:  pair,
@@ -379,7 +351,13 @@ func newKernels(x sparse.Matrix, vars int, src rowSource, p KernelParams, ex *ex
 		k.workspaces()
 	}
 	if norms || needsNorms(p) {
-		k.normSq = rowNorms(src, rows)
+		rows, _ := x.Dims()
+		k.normSq = make([]float64, rows)
+		var v sparse.Vector
+		for i := range k.normSq {
+			v = x.RowTo(v, i)
+			k.normSq[i] = v.Norm2Sq()
+		}
 	}
 	k.subNorm = k.normSq
 	return k
@@ -411,7 +389,7 @@ func (k *kernels) restrict(index []int, norm []float64, keep []int) {
 	b := sparse.NewBuilder(max(len(index), 1), cols)
 	var v sparse.Vector
 	for p, i := range index {
-		v = k.src.RowTo(v, i)
+		v = k.x.RowTo(v, i)
 		b.AddRow(p, v)
 	}
 	k.sub = b.MustBuild(sparse.CSR)
@@ -426,24 +404,29 @@ func (k *kernels) restrict(index []int, norm []float64, keep []int) {
 // X_r.
 func (k *kernels) row(dst []float64, buf *sparse.Vector, r int) {
 	if cached := k.cache.get(r); cached != nil {
-		copy(dst, cached)
+		mirror(dst, copy(dst, cached))
 		return
 	}
-	*buf = k.src.RowTo(*buf, r)
+	*buf = k.x.RowTo(*buf, r)
 	n, _ := k.sub.Dims()
 	k.sub.MulVecSparse(dst[:n], *buf, k.scratch, k.pair.ex)
 	k.finish(dst, n, r)
 }
 
 // finish turns the dot products with X_r in dst[:n] into K(X_r, ·): the
-// Table I transform, then, for ε-SVR's extended problem, one copy onto the
-// second n entries. The row goes into the cache.
+// Table I transform, whose n entries go into the cache, then the mirror.
 func (k *kernels) finish(dst []float64, n, r int) {
 	k.xform.apply(k.ex, dst[:n], k.subNorm, normAt(k.normSq, r))
+	k.cache.put(r, dst[:n])
+	mirror(dst, n)
+}
+
+// mirror copies a kernel row's n entries onto the second n of ε-SVR's
+// extended problem, whose two variables per row read the same K(X_r, X_i).
+func mirror(dst []float64, n int) {
 	if len(dst) > n {
 		copy(dst[n:], dst[:n])
 	}
-	k.cache.put(r, dst)
 }
 
 // rows fills kHigh and kLow for the working-set pair. When neither row is
@@ -460,8 +443,8 @@ func (k *kernels) rows(high, low int) {
 		k.row(k.kLow, &k.rowBufL, low)
 		return
 	}
-	k.rowBufH = k.src.RowTo(k.rowBufH, high)
-	k.rowBufL = k.src.RowTo(k.rowBufL, low)
+	k.rowBufH = k.x.RowTo(k.rowBufH, high)
+	k.rowBufL = k.x.RowTo(k.rowBufL, low)
 	n, _ := k.sub.Dims()
 	k.pair.run(k.sub, k.kHigh[:n], k.kLow[:n], k.rowBufH, k.rowBufL, k.scratch, k.scratch2)
 	k.finish(k.kHigh, n, high)
@@ -782,7 +765,7 @@ func (s *solver) buildModel() *Model {
 		Kernel: s.cfg.Kernel,
 		B:      (s.bHigh + s.bLow) / 2,
 	}
-	m.SVs, m.Coef = supportVectors(s.src, len(s.alpha), func(i int) float64 { return s.alpha[i] * s.y[i] })
+	m.SVs, m.Coef = supportVectors(s.x, func(i int) float64 { return s.alpha[i] * s.y[i] })
 	return m
 }
 
@@ -790,7 +773,8 @@ func (s *solver) buildModel() *Model {
 // non-zero, with those coefficients. All the vectors share one index arena
 // and one value arena, sized by a first pass, so a model costs a fixed number
 // of allocations however many support vectors it has.
-func supportVectors(x rowSource, rows int, coef func(i int) float64) ([]sparse.Vector, []float64) {
+func supportVectors(x sparse.Matrix, coef func(i int) float64) ([]sparse.Vector, []float64) {
+	rows, _ := x.Dims()
 	var v sparse.Vector
 	count, nnz := 0, 0
 	for i := 0; i < rows; i++ {

@@ -149,26 +149,20 @@ var reachAllow = map[string]string{
 
 	"internal/sparse/hyb.go": pending6a,
 
-	"internal/dataset.RelErr":                  pendingNext,
-	"internal/dataset.BalancedLabels":          pendingNext,
-	"internal/bench.Table.Addf":                pendingNext,
-	"internal/dnn.FromMatrix":                  pendingNext,
-	"internal/dnn/checkpoint.go":               pendingNext,
-	"internal/dnn.Dataset.Batch":               pendingNext,
-	"internal/dnn.SoftmaxCrossEntropy.Probs":   pendingNext,
-	"internal/dnn.Network.ZeroGrads":           pendingNext,
-	"internal/dnn.Network.NumParams":           pendingNext,
-	"internal/dnn.MLP":                         pendingNext,
-	"internal/metrics.ConfusionMatrix.MacroF1": pendingNext,
-	"internal/sparse.NewBCSR":                  pendingNext,
-	"internal/sparse.BCSRMatrix.NumBlocks":     pendingNext,
-	"internal/sparse.BCSRMatrix.FillRatio":     pendingNext,
-	"internal/sparse.DIAMatrix.NumDiagonals":   pendingNext,
-	"internal/sparse.ELLMatrix.Width":          pendingNext,
-	"internal/spgemm.EstimateNNZ":              pendingNext,
-	"internal/spgemm.Result.Dims":              pendingNext,
-	"internal/spgemm.Result.Row":               pendingNext,
-	"internal/spgemm.Result.RowNNZ":            pendingNext,
+	"internal/dataset.RelErr":                pendingNext,
+	"internal/dnn.FromMatrix":                pendingNext,
+	"internal/dnn/checkpoint.go":             pendingNext,
+	"internal/dnn.Dataset.Batch":             pendingNext,
+	"internal/dnn.SoftmaxCrossEntropy.Probs": pendingNext,
+	"internal/dnn.Network.ZeroGrads":         pendingNext,
+	"internal/dnn.Network.NumParams":         pendingNext,
+	"internal/dnn.MLP":                       pendingNext,
+	"internal/sparse.NewBCSR":                pendingNext,
+	"internal/sparse.BCSRMatrix.NumBlocks":   pendingNext,
+	"internal/sparse.BCSRMatrix.FillRatio":   pendingNext,
+	"internal/sparse.DIAMatrix.NumDiagonals": pendingNext,
+	"internal/sparse.ELLMatrix.Width":        pendingNext,
+	"internal/spgemm.EstimateNNZ":            pendingNext,
 }
 
 type unreached struct {
