@@ -598,8 +598,9 @@ func freshBuilder(m sparse.Matrix) *sparse.Builder {
 
 // BenchmarkChoose prices one scheduling decision per Table V clone of the
 // gated svm_train workload and per rung of the ladder that can answer it: a
-// hybrid measurement, a history hit, a trusted predictor answer and the
-// rule-based model. Every iteration decides on a fresh builder under a fresh
+// hybrid measurement, an empirical one (the whole candidate space raced, the
+// policy of the gated serve_cold workload), a history hit, a trusted
+// predictor answer and the rule-based model. Every iteration decides on a fresh builder under a fresh
 // scheduler, as a training job does; filling the builder is not timed. It is
 // the source of EXPERIMENTS.md's "What a scheduling decision costs".
 func BenchmarkChoose(b *testing.B) {
@@ -627,6 +628,7 @@ func BenchmarkChoose(b *testing.B) {
 			cfg  core.Config
 		}{
 			{"hybrid", core.Config{Policy: core.Hybrid}},
+			{"empirical", core.Config{Policy: core.Empirical}},
 			{"history", core.Config{Policy: core.Hybrid, History: hist}},
 			{"predict", core.Config{Policy: core.PolicyPredict, Predictor: forest, MinConfidence: 1e-9}},
 			{"rule-based", core.Config{Policy: core.RuleBased}},

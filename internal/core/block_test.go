@@ -89,7 +89,7 @@ func TestMeasurementBlock(t *testing.T) {
 		if err := sc.build(sparse.Candidate{Format: sparse.ELL}); err != nil {
 			t.Fatal(err)
 		}
-		if w := sc.m.(*sparse.ELLMatrix).Width(); w != 1024 {
+		if w := sc.blocks[sparse.ELL].(*sparse.ELLMatrix).Width(); w != 1024 {
 			t.Errorf("longest row at %d: the block's ELL is %d wide, the matrix's 1024", at, w)
 		}
 	}
@@ -132,7 +132,8 @@ func TestMeasurementBlock(t *testing.T) {
 }
 
 // TestBlockBuilds pins what build materializes for a sampled matrix: a block
-// per format, shared by the candidates of that format; nothing in full; a CSR
+// per format, shared by the candidates of that format and kept beside the
+// other formats' for the whole decision; nothing in full; a CSR
 // block that views the triplets, so it costs its row pointers alone; and no
 // DIA block for a matrix whose full DIA is over the cap, however few
 // diagonals the block itself has.
@@ -155,15 +156,15 @@ func TestBlockBuilds(t *testing.T) {
 	if err := sc.build(csrFused); err != nil {
 		t.Fatal(err)
 	}
-	block := sc.m
+	block := sc.blocks[sparse.CSR]
 	if r, _ := block.Dims(); r != sc.hi-sc.lo || block.Format() != sparse.CSR {
 		t.Fatalf("built a %d-row %v, want rows [%d, %d) as CSR", r, block.Format(), sc.lo, sc.hi)
 	}
-	if err := sc.build(csrBlocked); err != nil || sc.m != block {
+	if err := sc.build(csrBlocked); err != nil || sc.blocks[sparse.CSR] != block {
 		t.Fatalf("a second CSR candidate rebuilt the block (err %v)", err)
 	}
-	if err := sc.build(ellFused); err != nil || sc.m.Format() != sparse.ELL {
-		t.Fatalf("ELL candidate is timed on %v (err %v)", sc.m.Format(), err)
+	if err := sc.build(ellFused); err != nil || sc.blocks[sparse.ELL].Format() != sparse.ELL || sc.blocks[sparse.CSR] != block {
+		t.Fatalf("ELL candidate is timed on %v beside CSR's %v (err %v)", sc.blocks[sparse.ELL], sc.blocks[sparse.CSR], err)
 	}
 	var full sparse.Matrix
 	if grew := allocatedBy(func() { full = b.MustBuild(sparse.CSR) }); grew < full.StorageBytes() {
@@ -176,8 +177,8 @@ func TestBlockBuilds(t *testing.T) {
 	if grew := allocatedBy(func() { err = sc.build(csrFused) }); err != nil || grew > pointers+1024 {
 		t.Fatalf("a CSR block cost %d bytes (err %v), its %d row pointers %d: it copied the triplets", grew, err, sc.hi-sc.lo+1, pointers)
 	}
-	if sc.m.StorageBytes() >= full.StorageBytes()/2 {
-		t.Fatalf("the block holds %d bytes of a %d-byte matrix", sc.m.StorageBytes(), full.StorageBytes())
+	if sc.blocks[sparse.CSR].StorageBytes() >= full.StorageBytes()/2 {
+		t.Fatalf("the block holds %d bytes of a %d-byte matrix", sc.blocks[sparse.CSR].StorageBytes(), full.StorageBytes())
 	}
 
 	// 40000² with 40000 scattered entries: some 25000 diagonals of stride
@@ -192,8 +193,8 @@ func TestBlockBuilds(t *testing.T) {
 	if sc.hi-sc.lo >= n/2 {
 		t.Fatalf("scattered matrix timed on rows [%d, %d): not sampled", sc.lo, sc.hi)
 	}
-	if err := sc.build(sparse.Candidate{Format: sparse.DIA}); err == nil || sc.m != nil {
-		t.Fatalf("built a DIA block (%v) of a matrix whose DIA is over the cap", sc.m)
+	if err := sc.build(sparse.Candidate{Format: sparse.DIA}); err == nil || sc.blocks[sparse.DIA] != nil {
+		t.Fatalf("built a DIA block (%v) of a matrix whose DIA is over the cap", sc.blocks[sparse.DIA])
 	}
 }
 

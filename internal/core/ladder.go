@@ -32,19 +32,21 @@ type workload[P embedded, C candidate] interface {
 	// measured or not; false means c cannot serve this input.
 	usable(c C) bool
 	// build readies the operands a measurement of c runs on, which may be a
-	// sample of the input.
+	// sample of the input. They are kept for the whole decision, beside every
+	// other candidate's, since the candidates are timed in interleaved rounds.
 	build(c C) error
 	// sample draws the measurement's trial inputs from rng, sizes the kernel
 	// buffers, and reports how many trial inputs each candidate runs on.
 	sample(rng *rand.Rand) int
-	// run executes one kernel repetition of c on the given trial input.
+	// run executes one kernel repetition of c, on c's own operands, on the
+	// given trial input.
 	run(c C, trial int) error
 	// kernelPanic converts a panic recovered around run into the error the
 	// candidate fails with, leaving the scratch fit for the next candidate.
 	kernelPanic(c C, p any) error
-	// measured notes c's total time in the decision; best marks the fastest
-	// candidate so far, whose by-products the decision reports.
-	measured(c C, t time.Duration, best bool)
+	// measured notes c's fastest timed sample in the decision; chosen marks
+	// the winner, whose by-products the decision reports.
+	measured(c C, t time.Duration, chosen bool)
 }
 
 // ladderScratch is the ladder's share of a workload's pooled scratch: the
@@ -90,8 +92,10 @@ type Verdict[C comparable] struct {
 	// Confidence is the predictor's vote share whenever it was consulted,
 	// including answers that fell back to measurement.
 	Confidence float64
-	// Measured holds the time of every candidate that was timed. A verdict
-	// read off a decision shares the decision's map: copy it before Release.
+	// Measured holds the fastest timed sample of every candidate that was
+	// timed, the ones the race dropped early included; the chosen candidate's
+	// is the smallest. A verdict read off a decision shares the decision's
+	// map: copy it before Release.
 	Measured map[C]time.Duration
 	// EstimatedNNZ and OutputNNZ are SpGEMM's output-size evidence: the
 	// feature-level estimate, and the product's true entry count when the
@@ -115,7 +119,7 @@ type verdict[C candidate] struct {
 type ladder[P embedded, C candidate] struct {
 	policy        Policy
 	topK          int           // hybrid: candidates to measure; 0 = 2
-	repeats       int           // timed repetitions per trial input; 0 = 2
+	repeats       int           // rounds per trial input, at most; 0 = 2
 	minConfidence float64       // predictor trust threshold; 0 = DefaultMinConfidence
 	retryBackoff  time.Duration // first retry's backoff; 0 = 250µs
 	seed          int64
@@ -145,7 +149,7 @@ func (l ladder[P, C]) withDefaults() ladder[P, C] {
 
 // choose runs the ladder for the input w holds, traced span by span when a
 // telemetry trace rides ctx. ctx is checked up front, before every candidate
-// build and between timed repetitions; a cancelled decision records nothing.
+// build and between timed samples; a cancelled decision records nothing.
 func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderScratch[C]) (v verdict[C], err error) {
 	traced := telemetry.ContextTrace(ctx) != nil
 	if traced {
@@ -242,54 +246,8 @@ func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderS
 	}
 	ls.rng.Seed(l.seed + 1)
 	trials := w.sample(ls.rng)
-	bestTime := time.Duration(-1)
-	var lastErr error
-	for _, c := range measure {
-		if err := ctx.Err(); err != nil {
-			return v, fmt.Errorf("%s: %w", l.op, err)
-		}
-		cctx := ctx
-		var candSp, bsp telemetry.Span
-		if traced {
-			cctx, candSp = telemetry.StartSpan(ctx, "candidate",
-				telemetry.String("candidate", c.String()))
-			bsp = telemetry.StartLeaf(cctx, "candidate.build")
-		}
-		err := fault.Inject("core.build")
-		if err == nil {
-			err = w.build(c)
-		}
-		bsp.EndErr(err)
-		if err != nil {
-			candSp.EndErr(err)
-			lastErr = err
-			continue
-		}
-		t, err := l.retryMeasure(cctx, w, c, trials, ls.rng, traced)
-		if err != nil {
-			candSp.EndErr(err)
-			// Context expiry bounds the whole decision; anything else —
-			// retries exhausted, a kernel panic on this candidate's data —
-			// disqualifies only this candidate, so one poisoned candidate
-			// cannot sink a decision the others can still win.
-			if ctx.Err() != nil {
-				return v, fmt.Errorf("%s: %w", l.op, ctx.Err())
-			}
-			lastErr = err
-			continue
-		}
-		if traced {
-			candSp.Annotate(telemetry.Dur("measured", t))
-			candSp.End()
-		}
-		best := bestTime < 0 || t < bestTime
-		if best {
-			bestTime, v.chosen = t, c
-		}
-		w.measured(c, t, best)
-	}
-	if bestTime < 0 {
-		return v, fmt.Errorf("core: no %s could be measured: %w", l.noun, lastErr)
+	if v.chosen, err = l.race(ctx, w, measure, trials, ls.rng, traced); err != nil {
+		return v, err
 	}
 	v.rung = RungMeasured
 	// What was timed may be a sample of the input; the decision carries the
@@ -307,53 +265,4 @@ func (l *ladder[P, C]) choose(ctx context.Context, w workload[P, C], ls *ladderS
 		l.history.record(p, v.chosen)
 	}
 	return v, nil
-}
-
-// measure times one candidate: a warm-up run, which faults pages in and
-// sizes the kernel's output so the timed runs see steady state, then repeats
-// runs on each trial input, returning their total. Cancellation is observed
-// between runs — one kernel run is the granularity of abort. A panic inside
-// a kernel (a poisoned dataset, or a worker fault re-raised by the pool) is
-// recovered into an error, so a measurement failure is never a crash.
-func (l *ladder[P, C]) measure(ctx context.Context, w workload[P, C], c C, trials int, traced bool) (total time.Duration, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			total, err = 0, w.kernelPanic(c, p)
-		}
-	}()
-	var wsp telemetry.Span
-	if traced {
-		wsp = telemetry.StartLeaf(ctx, "measure.warmup")
-	}
-	err = w.run(c, 0)
-	wsp.EndErr(err)
-	if err != nil {
-		return 0, err
-	}
-	for ti := 0; ti < trials; ti++ {
-		for r := 0; r < l.repeats; r++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			// Chaos hooks: injected measurement failure, then timer skew and
-			// result perturbation over the measured repetition.
-			if err := fault.Inject("core.measure"); err != nil {
-				return 0, err
-			}
-			var rsp telemetry.Span
-			if traced {
-				rsp = telemetry.StartLeaf(ctx, "measure.rep",
-					telemetry.Int("trial", ti), telemetry.Int("rep", r))
-			}
-			start := time.Now()
-			err := w.run(c, ti)
-			rsp.EndErr(err)
-			if err != nil {
-				return 0, err
-			}
-			elapsed := fault.Skew("core.measure", time.Since(start))
-			total += time.Duration(fault.Perturb("core.measure", float64(elapsed)))
-		}
-	}
-	return total, nil
 }

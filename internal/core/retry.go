@@ -11,8 +11,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultMeasureRetries is how many times a transient measurement failure is
-// retried (per candidate format) before the candidate is given up on.
+// DefaultMeasureRetries is how many times a candidate's transient measurement
+// failures are retried, over the whole decision, before it is given up on.
 const DefaultMeasureRetries = 2
 
 // defaultRetryBackoff is the first retry's backoff; each further retry
@@ -46,40 +46,24 @@ func IsTransient(err error) bool {
 	return false
 }
 
-// retryMeasure measures one candidate with bounded retries: transient
-// failures back off exponentially with seeded full jitter (so retry storms
-// against a struggling machine stay spread out and tests stay
-// reproducible), everything else — context expiry, kernel panics — returns
-// immediately.
-func (l *ladder[P, C]) retryMeasure(ctx context.Context, w workload[P, C], c C, trials int, rng *rand.Rand, traced bool) (time.Duration, error) {
-	for n := 0; ; n++ {
-		actx := ctx
-		var asp telemetry.Span
-		if traced {
-			actx, asp = telemetry.StartSpan(ctx, "measure.attempt", telemetry.Int("attempt", n))
-		}
-		t, err := l.measure(actx, w, c, trials, traced)
-		if err == nil {
-			asp.End()
-			return t, nil
-		}
-		asp.EndErr(err)
-		if !IsTransient(err) || n >= DefaultMeasureRetries {
-			return 0, err
-		}
-		delay := l.retryBackoff<<n + time.Duration(rng.Int63n(int64(l.retryBackoff)))
-		var rsp telemetry.Span
-		if traced {
-			rsp = telemetry.StartLeaf(ctx, "measure.retry-backoff", telemetry.Dur("delay", delay))
-		}
-		timer := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			rsp.EndErr(ctx.Err())
-			return 0, ctx.Err()
-		case <-timer.C:
-			rsp.End()
-		}
+// backoff waits before retry n+1 of a transient measurement failure: the
+// first waits retryBackoff, each further one twice as long, plus seeded full
+// jitter, so that retry storms against a struggling machine stay spread out
+// and tests stay reproducible. Context expiry ends the wait with its error.
+func (l *ladder[P, C]) backoff(ctx context.Context, n int, rng *rand.Rand, traced bool) error {
+	delay := l.retryBackoff<<n + time.Duration(rng.Int63n(int64(l.retryBackoff)))
+	var rsp telemetry.Span
+	if traced {
+		rsp = telemetry.StartLeaf(ctx, "measure.retry-backoff", telemetry.Dur("delay", delay))
+	}
+	timer := time.NewTimer(delay)
+	select {
+	case <-ctx.Done():
+		timer.Stop()
+		rsp.EndErr(ctx.Err())
+		return ctx.Err()
+	case <-timer.C:
+		rsp.End()
+		return nil
 	}
 }

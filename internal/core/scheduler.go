@@ -97,9 +97,12 @@ type Config struct {
 	Policy Policy
 	// Exec is the execution context measurement kernels run under; nil
 	// means exec.Default() (all cores, static schedule, pooled workers).
-	Exec      *exec.Exec
+	Exec *exec.Exec
+	// TrialRows and Repeats bound a measurement: candidates are timed in
+	// rounds of one pair unit each, Repeats rounds on each of TrialRows
+	// sampled rows, and the race stops early once one candidate is left.
 	TrialRows int   // rows sampled as x vectors per measurement; 0 = 3
-	Repeats   int   // timed pair-unit repetitions per trial row; 0 = 2
+	Repeats   int   // timed rounds per trial row, at most; 0 = 2
 	TopK      int   // hybrid: candidates to measure; 0 = 2
 	Seed      int64 // sampling seed; fixed default keeps runs reproducible
 	// History enables incremental auto-tuning: measured decisions are
@@ -134,12 +137,13 @@ type Decision struct {
 	// column dataflow (ColumnCandidate), ascending pair-unit cost. Estimates
 	// keeps the five Table II rows alone.
 	Candidates []CandidateEstimate
-	// Measured holds the measured pair-unit time for every candidate that
-	// was benchmarked (empty for RuleBased): the total over the decision's
-	// trial rows and repeats, with every candidate of one decision timed on
-	// the same rows of the matrix — all of them for a small matrix, one block
-	// of about measureBlock stored elements otherwise. The times of one
-	// decision compare with each other, not with another decision's.
+	// Measured holds the fastest timed pair unit of every candidate that was
+	// benchmarked (empty for RuleBased), the ones the measurement race dropped
+	// early included; ChosenCandidate's is the smallest. Every candidate of
+	// one decision is timed on the same rows of the matrix — all of them for
+	// a small matrix, one block of about measureBlock stored elements
+	// otherwise — and on the same trial rows, so the times of one decision
+	// compare with each other, not with another decision's.
 	Measured map[sparse.Candidate]time.Duration
 	// Chosen is the chosen candidate's storage format (the materialized
 	// layout); ChosenCandidate carries the full execution choice.
@@ -224,10 +228,11 @@ type chooseScratch struct {
 	extractor dataset.Extractor
 
 	b       *sparse.Builder
-	longest int           // the first longest row, which sets ELL's padding
-	lo, hi  int           // candidates are timed on rows [lo, hi)
-	m       sparse.Matrix // the candidate build being measured: those rows
-	d       *Decision
+	longest int // the first longest row, which sets ELL's padding
+	lo, hi  int // candidates are timed on rows [lo, hi)
+	// blocks holds those rows in each format a candidate is timed in.
+	blocks [len(sparse.AllFormats)]sparse.Matrix
+	d      *Decision
 }
 
 // Scheduler chooses storage formats and kernel execution parameters for
@@ -299,7 +304,8 @@ func (s *Scheduler) ChooseContext(ctx context.Context, b *sparse.Builder) (*Deci
 	v, err := s.ladder.choose(ctx, sc, &sc.ladderScratch)
 	d := sc.d
 	// A pooled scratch must not pin the caller's matrix or decision.
-	sc.b, sc.m, sc.d = nil, nil, nil
+	sc.b, sc.d = nil, nil
+	clear(sc.blocks[:])
 	s.scratch.Put(sc)
 	if err != nil {
 		d.Release()
@@ -357,27 +363,29 @@ func (sc *chooseScratch) usable(c sparse.Candidate) bool {
 
 // build readies rows [lo, hi) in c's format. When those are all the rows
 // the build is the builder's cached full one, which the winner's decision
-// then carries; a block is kept until a candidate of another format asks, so
-// candidates that differ only in chunk policy or variant share it. A CSR
-// block views the triplets, which hold CSR's arrays in CSR's order: it lives
-// only while this choose times it, so only its row pointers are new.
+// then carries. A block is kept for the whole decision, so candidates that
+// differ only in chunk policy or variant share it. A CSR block views the
+// triplets, which hold CSR's arrays in CSR's order: it lives only while this
+// choose times it, so only its row pointers are new.
 func (sc *chooseScratch) build(c sparse.Candidate) (err error) {
 	rows, cols := sc.b.Dims()
+	m := &sc.blocks[c.Format]
 	switch {
-	case sc.hi-sc.lo == rows:
-		sc.m, err = sc.b.Build(c.Format)
-		return err
-	case sc.m != nil && sc.m.Format() == c.Format:
+	case *m != nil:
 		return nil
+	case sc.hi-sc.lo == rows:
+		*m, err = sc.b.Build(c.Format)
 	case c.Format == sparse.DIA && !sparse.DIAFits(rows, cols, sc.d.Features.Ndig):
 		// A block's few rows can fit the cap the whole matrix exceeds.
-		sc.m = nil
 		return fmt.Errorf("core: DIA over its memory cap: %d diagonals of a %dx%d matrix", sc.d.Features.Ndig, rows, cols)
 	case c.Format == sparse.CSR:
-		sc.m = sc.b.Triplets().CSRRows(sc.lo, sc.hi)
-		return nil
+		*m = sc.b.Triplets().CSRRows(sc.lo, sc.hi)
+	default:
+		*m, err = sc.b.BuildRows(c.Format, sc.lo, sc.hi)
 	}
-	sc.m, err = sc.b.BuildRows(c.Format, sc.lo, sc.hi)
+	if err != nil {
+		*m = nil
+	}
 	return err
 }
 
@@ -428,7 +436,7 @@ func (sc *chooseScratch) sample(rng *rand.Rand) int {
 // SMO iteration does.
 func (sc *chooseScratch) run(c sparse.Candidate, trial int) error {
 	x, x2 := sc.trials[trial], sc.trials[(trial+1)%len(sc.trials)]
-	c.RunPair(sc.m, sc.pair.Dst1, sc.pair.Dst2, x, x2, sc.pair.Scratch1, sc.pair.Scratch2, sc.s.execByChunk[c.Chunk])
+	c.RunPair(sc.blocks[c.Format], sc.pair.Dst1, sc.pair.Dst2, x, x2, sc.pair.Scratch1, sc.pair.Scratch2, sc.s.execByChunk[c.Chunk])
 	return nil
 }
 

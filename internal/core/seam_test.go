@@ -98,13 +98,14 @@ func TestSeamLadderToyWorkload(t *testing.T) {
 
 	// An untrusted prediction falls back to measuring the two cheapest
 	// labels. Label 2 fails in its warm-up run and is skipped; label 0 runs
-	// a warm-up and 2 trial inputs × 2 repeats, wins, and is remembered.
+	// a warm-up and, alone in the race, one timed sample, wins, and is
+	// remembered.
 	v := choose()
 	if v.chosen != 0 || v.rung != RungMeasured || v.confidence != 0.2 {
 		t.Fatalf("fallback verdict %+v, want measured label 0 at confidence 0.2", v)
 	}
-	if _, ok := w.times[0]; !ok || len(w.times) != 1 || w.runs != 1+5 || l.history.Len() != 1 {
-		t.Fatalf("measured %v in %d runs with %d remembered, want only label 0, 6 runs, 1 remembered", w.times, w.runs, l.history.Len())
+	if _, ok := w.times[0]; !ok || len(w.times) != 1 || w.runs != 1+2 || l.history.Len() != 1 {
+		t.Fatalf("measured %v in %d runs with %d remembered, want only label 0, 3 runs, 1 remembered", w.times, w.runs, l.history.Len())
 	}
 	// The same shape class again is answered from the history, before the
 	// predictor is even asked.

@@ -91,13 +91,13 @@ func AppendPairEstimates(dst []PairEstimate, fa, fb dataset.Features) []PairEsti
 }
 
 // SpGEMMConfig parameterizes a SpGEMMScheduler. The zero value is usable:
-// hybrid policy, all cores, 2 timed products per candidate, top-2.
+// hybrid policy, all cores, at most 2 timed products per candidate, top-2.
 type SpGEMMConfig struct {
 	Policy Policy
 	// Exec is the execution context the product kernels run under; nil
 	// means exec.Default().
 	Exec    *exec.Exec
-	Repeats int   // timed products per candidate; 0 = 2
+	Repeats int   // timed products per candidate, at most; 0 = 2
 	TopK    int   // hybrid: candidates to measure; 0 = 2
 	Seed    int64 // retry-jitter seed; fixed default keeps runs reproducible
 	// History enables incremental tuning over pair shape classes, reusing
@@ -118,7 +118,9 @@ type SpGEMMDecision struct {
 	AFeatures, BFeatures dataset.Features
 	// Estimates ranks every supported candidate by modeled cost, ascending.
 	Estimates []PairEstimate
-	// Measured holds the product time for every candidate benchmarked.
+	// Measured holds the fastest timed product of every candidate benchmarked,
+	// the ones the measurement race dropped early included; Chosen's is the
+	// smallest.
 	Measured map[spgemm.Candidate]time.Duration
 	Chosen   spgemm.Candidate
 	// EstimatedNNZ is the feature-level output-size estimate; OutputNNZ is
@@ -161,7 +163,8 @@ func (d *SpGEMMDecision) Release() {
 // spgemmScratch is the pooled per-choose workspace and the SpGEMM workload
 // the ladder drives: the multiply arena, the result buffer measurements
 // write into, the shared feature extractor and, for one choose, the operands,
-// the builds under measurement and the decision being filled in.
+// their builds by format, each candidate's product size and the decision
+// being filled in.
 type spgemmScratch struct {
 	ladderScratch[spgemm.Candidate]
 	s         *SpGEMMScheduler
@@ -170,7 +173,8 @@ type spgemmScratch struct {
 	extractor dataset.Extractor
 
 	a, b   *sparse.Builder
-	am, bm sparse.Matrix // the candidate's operand builds being measured
+	am, bm [len(sparse.AllFormats)]sparse.Matrix // the builders' cached full builds
+	nnz    [spgemm.NumCandidates]int64           // each candidate's last product's entries
 	d      *SpGEMMDecision
 }
 
@@ -216,7 +220,9 @@ func (s *SpGEMMScheduler) ChooseContext(ctx context.Context, a, b *sparse.Builde
 	v, err := s.ladder.choose(ctx, sc, &sc.ladderScratch)
 	d := sc.d
 	// A pooled scratch must not pin the caller's operands or decision.
-	sc.a, sc.b, sc.am, sc.bm, sc.d = nil, nil, nil, nil, nil
+	sc.a, sc.b, sc.d = nil, nil, nil
+	clear(sc.am[:])
+	clear(sc.bm[:])
 	s.scratch.Put(sc)
 	if err != nil {
 		d.Release()
@@ -261,9 +267,14 @@ func (sc *spgemmScratch) predict() (spgemm.Candidate, float64, bool) {
 // operands, so an unmeasured candidate only needs a kernel that exists.
 func (sc *spgemmScratch) usable(c spgemm.Candidate) bool { return spgemm.Supported(c) }
 
+// build readies c's operands: A in its A-side format, B in its B-side one.
 func (sc *spgemmScratch) build(c spgemm.Candidate) (err error) {
-	if sc.am, err = sc.a.Build(c.AFormat); err == nil {
-		sc.bm, err = sc.b.Build(c.BFormat)
+	a, b := &sc.am[c.AFormat], &sc.bm[c.BFormat]
+	if *a == nil {
+		*a, err = sc.a.Build(c.AFormat)
+	}
+	if err == nil && *b == nil {
+		*b, err = sc.b.Build(c.BFormat)
 	}
 	return err
 }
@@ -272,9 +283,11 @@ func (sc *spgemmScratch) build(c spgemm.Candidate) (err error) {
 func (sc *spgemmScratch) sample(*rand.Rand) int { return 1 }
 
 // run is one full product under the candidate's dataflow. It lands in
-// sc.out, whose entry count measured reads for OutputNNZ.
+// sc.out, whose entry count is kept for measured to read for OutputNNZ.
 func (sc *spgemmScratch) run(c spgemm.Candidate, _ int) error {
-	return sc.mul.Multiply(c, sc.am, sc.bm, &sc.out, sc.s.cfg.Exec)
+	err := sc.mul.Multiply(c, sc.am[c.AFormat], sc.bm[c.BFormat], &sc.out, sc.s.cfg.Exec)
+	sc.nnz[c.Index()] = int64(sc.out.NNZ())
+	return err
 }
 
 // kernelPanic attributes the panic to the A-side format.
@@ -282,9 +295,9 @@ func (sc *spgemmScratch) kernelPanic(c spgemm.Candidate, p any) error {
 	return &KernelPanicError{Format: c.AFormat, Value: p}
 }
 
-func (sc *spgemmScratch) measured(c spgemm.Candidate, t time.Duration, best bool) {
+func (sc *spgemmScratch) measured(c spgemm.Candidate, t time.Duration, chosen bool) {
 	sc.d.Measured[c] = t
-	if best {
-		sc.d.OutputNNZ = int64(sc.out.NNZ())
+	if chosen {
+		sc.d.OutputNNZ = sc.nnz[c.Index()]
 	}
 }

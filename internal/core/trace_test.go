@@ -2,18 +2,20 @@ package core
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
 )
 
-// TestChooseContextTraced verifies the span contract the telemetry PR
-// promises, for both workloads: a traced hybrid decision carries one
-// candidate span per measured candidate, each with a build child and
-// measurement attempts holding the warm-up and the timed reps, one span for
-// readying the winner in full, plus a history lookup span when a history is
-// configured — all under one root span named after the workload.
+// TestChooseContextTraced verifies the span contract of a traced decision,
+// for both workloads: a traced hybrid decision carries one candidate span per
+// measured candidate, each with a build child and measurement attempts
+// holding the warm-up and one rep span per timed sample — as many as the
+// candidate span's samples attribute says, within the rounds' budget — one
+// span for readying the winner in full, plus a history lookup span when a
+// history is configured — all under one root span named after the workload.
 func TestChooseContextTraced(t *testing.T) {
 	b := buildRandom(t, 60, 40, 0.15, 1)
 	smsv := New(Config{Policy: Hybrid, History: &History{}, TopK: 2})
@@ -22,7 +24,7 @@ func TestChooseContextTraced(t *testing.T) {
 
 	for _, tc := range []struct {
 		name, root string
-		reps       int // timed reps per measured candidate: trial inputs × repeats
+		reps       int // timed samples per candidate, at most: trial inputs × repeats
 		choose     func(ctx context.Context) (chosen string, measured int, err error)
 	}{
 		{"smsv", "schedule.choose", 3 * 2, func(ctx context.Context) (string, int, error) {
@@ -58,10 +60,14 @@ func TestChooseContextTraced(t *testing.T) {
 			}
 			spans := tr.Snapshot().Spans
 			count := map[string]int{}
+			reps := map[int]int{} // measure.rep spans per candidate span
 			for _, s := range spans {
 				count[s.Name]++
 				if s.Parent < 0 {
 					continue
+				}
+				if s.Name == "measure.rep" {
+					reps[spans[spans[s.Parent].Parent].ID]++
 				}
 				want, known := parentOf[s.Name]
 				if got := spans[s.Parent].Name; !known || got != want {
@@ -70,11 +76,24 @@ func TestChooseContextTraced(t *testing.T) {
 			}
 			for name, want := range map[string]int{
 				tc.root: 1, "history.lookup": 1, "candidate": measured, "candidate.build": measured,
-				"measure.attempt": measured, "measure.warmup": measured, "measure.rep": tc.reps * measured,
-				"winner.build": 1,
+				"measure.attempt": measured, "measure.warmup": measured, "winner.build": 1,
 			} {
 				if count[name] != want || want == 0 {
 					t.Errorf("%d %s spans, want %d\n%s", count[name], name, want, tr.Tree())
+				}
+			}
+			for _, s := range spans {
+				if s.Name != "candidate" {
+					continue
+				}
+				samples := -1
+				for _, a := range s.AttrList {
+					if n, ok := strings.CutPrefix(a, "samples="); ok {
+						samples, _ = strconv.Atoi(n)
+					}
+				}
+				if samples < 1 || samples > tc.reps || reps[s.ID] != samples {
+					t.Errorf("candidate span %d: samples=%d with %d measure.rep spans, want 1 to %d and equal\n%s", s.ID, samples, reps[s.ID], tc.reps, tr.Tree())
 				}
 			}
 			if !strings.Contains(tr.Tree(), "chosen="+chosen) || !strings.Contains(tr.Tree(), "source=measured") {

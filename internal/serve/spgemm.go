@@ -43,7 +43,8 @@ type PairEstimateJSON struct {
 	Cost      float64 `json:"cost"`
 }
 
-// PairMeasurementJSON is one SpGEMM candidate's measured product time.
+// PairMeasurementJSON is one SpGEMM candidate's measured product time: its
+// fastest timed product in the decision, as MeasurementJSON's.
 type PairMeasurementJSON struct {
 	Candidate string  `json:"candidate"`
 	Nanos     int64   `json:"nanos"`

@@ -58,9 +58,11 @@ type EstimateJSON struct {
 	Cost      float64 `json:"cost"`
 }
 
-// MeasurementJSON is one joint candidate's measured SMO pair-unit time.
-// Chunk and Variant are additive (omitted by pre-joint encoders), so old
-// clients keep parsing the format-level fields unchanged.
+// MeasurementJSON is one joint candidate's measured SMO pair-unit time: its
+// fastest timed sample in the decision, also for a candidate the measurement
+// race dropped early, so the chosen candidate's is the smallest. Chunk and
+// Variant are additive (omitted by pre-joint encoders), so old clients keep
+// parsing the format-level fields unchanged.
 type MeasurementJSON struct {
 	Format  string  `json:"format"`
 	Chunk   string  `json:"chunk,omitempty"`

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // record files one finished trace of n leaf spans, every span tagged with
@@ -209,6 +210,57 @@ func TestTraceRecycle(t *testing.T) {
 		three, thirty := testing.AllocsPerRun(100, cycle(3)), testing.AllocsPerRun(100, cycle(30))
 		if three != 2 || thirty != 2 {
 			t.Fatalf("a recycled trace allocates %.0f with 3 spans and %.0f with 30, want 2 and 2", three, thirty)
+		}
+	})
+}
+
+// TestTraceAttributeSlab holds a trace's attributes to its slab: a fresh
+// 200-span trace allocates its attributes a chunk at a time, not a slice
+// per span, and reset leaves no span holding a run of a slab the next trace
+// will write into.
+func TestTraceAttributeSlab(t *testing.T) {
+	const spans = 200
+	record := func() *Trace {
+		ctx, tr, root := NewTrace(context.Background(), "schedule.choose", String("policy", "empirical"))
+		for i := 0; i < spans; i++ {
+			sp := StartLeaf(ctx, "measure.rep", Int("trial", i%3), Int("rep", i%2))
+			sp.Annotate(Dur("took", time.Duration(i)))
+			sp.End()
+		}
+		root.Annotate(String("chosen", "CSR/static/fused"))
+		root.End()
+		tr.Finish()
+		return tr
+	}
+	t.Run("allocations", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("make test-race pairs -short with the race detector, which allocates")
+		}
+		// The header and id, the first spanChunk spans grown by append (7),
+		// the other 136 in three chunks and the list of them (6), and 602
+		// attribute records in a slab and its chunks of 8, 16, 32 and then
+		// 64 records (1 + 12): 28. A slice per span was 2 allocations a span.
+		if got := testing.AllocsPerRun(20, func() { record() }); got > 28 {
+			t.Fatalf("a fresh %d-span trace allocates %.0f times, want at most 28", spans, got)
+		}
+	})
+	t.Run("reset", func(t *testing.T) {
+		tr := record()
+		snap := tr.Snapshot()
+		if got := snap.Spans[spans].AttrList; strings.Join(got, " ") != "trial=1 rep=1 took=199ns" {
+			t.Fatalf("last span's attributes %v", got)
+		}
+		if got := snap.Spans[0].AttrList; strings.Join(got, " ") != "policy=empirical chosen=CSR/static/fused" {
+			t.Fatalf("root's attributes %v", got)
+		}
+		st := tr.release()
+		for i, sp := range st.spans[:cap(st.spans)] {
+			if sp.attrs != nil || sp.name != "" {
+				t.Fatalf("span slot %d still holds %+v after reset", i, sp)
+			}
+		}
+		if s := st.slab; len(s.recs) != 0 || cap(s.recs) > keptSlab || s.spilt != 0 {
+			t.Fatalf("slab of %d records (cap %d, %d spilt) after reset", len(s.recs), cap(s.recs), s.spilt)
 		}
 	})
 }

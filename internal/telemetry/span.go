@@ -105,26 +105,49 @@ type spanRec struct {
 	errMsg string
 }
 
-// storage is what a trace records into: the spans, each with its attribute
-// slice, and the bytes of the values that were copied in. It is the part of
-// a trace that outlives it: when a TraceStore evicts a trace it takes the
-// storage back, emptied but with its capacity, for the next trace it
-// starts, so a store that is full records without allocating per span.
+// storage is what a trace records into: the spans, their attributes, and
+// the bytes of the values that were copied in. It is the part of a trace
+// that outlives it: when a TraceStore evicts a trace it takes the storage
+// back, emptied but with its capacity, for the next trace it starts, so a
+// store that is full records without allocating per span.
 //
 // The first spanChunk spans live in one slice, which is what is recycled;
-// a trace that records more (a cold measurement with its hundreds of reps)
-// puts the rest in chunks of its own, which go to the collector with it
-// instead of staying pinned under every later three-span hit. A 16-item
-// batch records 49 spans. Neither part is ever copied to grow, so a long
+// a trace that records more (a cold empirical measurement: a span per
+// candidate, build, attempt, warm-up and timed sample) puts the rest in
+// chunks of its own, which go to the collector with it instead of staying
+// pinned under every later three-span hit. A 16-item batch records 49
+// spans. Neither part is ever copied to grow, so a long
 // trace costs its spans and not twice that.
+//
+// A span's attributes are a run of the slab, the chunk of attribute records
+// the trace is filling, so a trace allocates its attributes a chunk at a
+// time and not a slice per span. The slab starts small and doubles up to
+// spanChunk records, so a three-span trace takes a few hundred bytes; when
+// it is full the next chunk starts and the full one stays with the spans
+// that point into it. The slab sits behind a pointer, which keeps the
+// header every trace allocates as small as it was with a slice per span.
 type storage struct {
 	spans []spanRec   // spans 0 .. spanChunk-1
 	more  [][]spanRec // then spanChunk at a time
 	n     int         // spans recorded
 	vals  []byte
+	slab  *slab // made with the first attribute, kept by reset
+}
+
+// slab is the chunk of attribute records a trace is filling, and how many
+// records the trace put in the chunks it filled before.
+type slab struct {
+	recs  []attrRec
+	spilt int
 }
 
 const spanChunk = 64
+
+// minSlab is the first slab's size; keptSlab bounds the slab reset keeps.
+const (
+	minSlab  = 8
+	keptSlab = 4 * spanChunk
+)
 
 // at returns span id's record.
 func (st *storage) at(id int) *spanRec {
@@ -136,18 +159,28 @@ func (st *storage) at(id int) *spanRec {
 }
 
 // reset empties the storage for its next trace, dropping every reference
-// the old spans held.
+// the old spans held. No span keeps an attribute run: the slab is rewound
+// for the next trace to cut its runs from. A trace that filled more than one
+// chunk leaves a slab as large as all of them, up to keptSlab records, so
+// the next trace of its shape fills one.
 func (st *storage) reset() {
-	for i := range st.spans {
-		sp := &st.spans[i]
-		clear(sp.attrs)
-		*sp = spanRec{attrs: sp.attrs[:0]}
+	clear(st.spans)
+	if s := st.slab; s != nil {
+		clear(s.recs)
+		switch total := s.spilt + len(s.recs); {
+		case total > keptSlab:
+			s.recs = nil
+		case s.spilt > 0:
+			s.recs = make([]attrRec, 0, total)
+		default:
+			s.recs = s.recs[:0]
+		}
+		s.spilt = 0
 	}
 	st.spans, st.more, st.n, st.vals = st.spans[:0], nil, 0, st.vals[:0]
 }
 
-// push appends a span and returns its index. Attribute slices of spans a
-// previous trace recorded are reused.
+// push appends a span and returns its index.
 func (st *storage) push(parent int32, name string, at time.Duration, attrs []Attr) int32 {
 	id := st.n
 	st.n++
@@ -169,12 +202,25 @@ func (st *storage) push(parent int32, name string, at time.Duration, attrs []Att
 	return int32(id)
 }
 
-// annotate stores attrs on sp, copying in the values given as bytes.
+// annotate stores attrs on sp, copying in the values given as bytes. A run
+// that ends the slab grows in place; any other moves to the slab's end
+// first, leaving a dead copy behind.
 func (st *storage) annotate(sp *spanRec, attrs []Attr) {
-	if sp.attrs == nil && len(attrs) > 0 {
-		// Fresh storage: most spans are annotated once, so fit the first lot
-		// exactly instead of letting append round it up.
-		sp.attrs = make([]attrRec, 0, len(attrs))
+	if len(attrs) == 0 {
+		return
+	}
+	if st.slab == nil {
+		st.slab = new(slab)
+	}
+	s := st.slab
+	n, room := len(sp.attrs), cap(s.recs)-len(s.recs)
+	ends := n > 0 && len(s.recs) > 0 && &sp.attrs[n-1] == &s.recs[len(s.recs)-1]
+	if n > 0 && !ends || room < len(attrs) {
+		if room < n+len(attrs) {
+			s.spilt += len(s.recs)
+			s.recs = make([]attrRec, 0, max(n+len(attrs), min(2*cap(s.recs), spanChunk), minSlab))
+		}
+		s.recs = append(s.recs, sp.attrs...)
 	}
 	for _, a := range attrs {
 		rec := attrRec{key: a.Key, str: a.str, num: a.num, kind: a.kind}
@@ -182,8 +228,10 @@ func (st *storage) annotate(sp *spanRec, attrs []Attr) {
 			rec.num = int64(len(st.vals))<<32 | int64(len(a.bytes))
 			st.vals = append(st.vals, a.bytes...)
 		}
-		sp.attrs = append(sp.attrs, rec)
+		s.recs = append(s.recs, rec)
 	}
+	end := len(s.recs)
+	sp.attrs = s.recs[end-n-len(attrs) : end : end] // capped: a run never grows into the next
 }
 
 // Trace is one decision's span tree. It is safe for concurrent use: spans
@@ -200,9 +248,9 @@ type Trace struct {
 
 	mu           sync.Mutex
 	st           storage
-	finished     bool // Finish ran: nothing records any more
-	released     bool // a store took the storage back: nothing to read either
-	dropped      int
+	finished     bool  // Finish ran: nothing records any more
+	released     bool  // a store took the storage back: nothing to read either
+	dropped      int32 // beside the flags: a trace header is allocated per request
 	start        time.Time
 	node         string // cluster node that recorded this fragment ("" = standalone)
 	remoteParent string // wire id of the remote span that caused this fragment
@@ -524,7 +572,7 @@ type TraceJSON struct {
 func (t *Trace) Snapshot() TraceJSON {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := TraceJSON{TraceID: t.ID, Start: t.start, Dropped: t.dropped, Node: t.node, RemoteParent: t.remoteParent}
+	out := TraceJSON{TraceID: t.ID, Start: t.start, Dropped: int(t.dropped), Node: t.node, RemoteParent: t.remoteParent}
 	if t.st.n == 0 {
 		return out
 	}

@@ -17,7 +17,7 @@ const DefaultTraceCapacity = 256
 // All methods are safe for concurrent use.
 //
 // Traces recycle through the ring: the storage of an evicted trace — its
-// span records, their attribute slices, the bytes of copied values — is
+// span records, their attribute slab, the bytes of copied values — is
 // what the store's next NewTrace records into, so once the ring is full a
 // trace costs its header and nothing per span. Two rules keep that safe.
 // The store owns a trace from Put on: the recorder has finished it, which
