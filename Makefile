@@ -11,8 +11,8 @@
 #   make fuzz       native fuzz targets, $(FUZZTIME) each
 #   make flake      repeat the clock/cluster-sensitive suites 5x under -race
 #   make bench      run every benchmark once, human-readable
-#   make bench-smoke  run the root, core, dataset, serve and telemetry
-#                   benchmarks once each
+#   make bench-smoke  run the root, core, dataset, serve, telemetry, sparse,
+#                   spgemm and fault benchmarks once each
 #   make examples   run every examples/* program; any non-zero exit fails
 #   make metrics-lint  validate /metrics exposition well-formedness
 #   make loadgen-smoke  boot a 3-node ring and drive it with cmd/loadgen
@@ -94,10 +94,12 @@ bench:
 # decision benchmarks (BenchmarkSMOIteration, BenchmarkChoose, the paper
 # experiments), the request front half's (BenchmarkScheduleFrontHalf,
 # BenchmarkAccumulator and the serve hit paths), the fault layer's overhead
-# guard (BenchmarkChooseFaultsOff) and tracing's own cost
-# (BenchmarkTraceRecord) — so they keep running, not only compiling.
+# guards (BenchmarkChooseFaultsOff, BenchmarkInjectFaultsOff), tracing's own
+# cost (BenchmarkTraceRecord), and the format kernels' and SpGEMM dataflows'
+# (internal/sparse, internal/spgemm) — so they keep running, not only
+# compiling.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/dataset ./internal/serve ./internal/telemetry
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/dataset ./internal/serve ./internal/telemetry ./internal/sparse ./internal/spgemm ./internal/fault
 
 # Examples: each program under examples/ runs to completion. The tests reach
 # most of the library, but examples/svr is the one program that trains ε-SVR.

@@ -267,7 +267,7 @@ func BenchmarkLiveDNNStep(b *testing.B) {
 	for i := range idx {
 		idx[i] = i
 	}
-	x, y := d.Batch(idx)
+	x, y := d.BatchInto(nil, nil, idx)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -89,7 +89,8 @@ func TestMeasurementBlock(t *testing.T) {
 		if err := sc.build(sparse.Candidate{Format: sparse.ELL}); err != nil {
 			t.Fatal(err)
 		}
-		if w := sc.blocks[sparse.ELL].(*sparse.ELLMatrix).Width(); w != 1024 {
+		// ELL stores an index and a value per slot, width slots per row.
+		if w := sc.blocks[sparse.ELL].StoredElements() / int64(2*(sc.hi-sc.lo)); w != 1024 {
 			t.Errorf("longest row at %d: the block's ELL is %d wide, the matrix's 1024", at, w)
 		}
 	}

@@ -50,7 +50,7 @@ func storedApprox(f dataset.Features, format sparse.Format) int64 {
 }
 
 // EstimatePairCandidates ranks every supported SpGEMM candidate by modeled
-// cost, ascending (ties break toward the lower frozen Index, keeping the
+// cost, ascending (ties break toward the lower Index, keeping the
 // ranking deterministic). The flop bound comes from the feature-level
 // uniform model nnzA·nnzB/K, so this works with only shape features in
 // hand — the serve layer's profile path and the rule-based policy share it.

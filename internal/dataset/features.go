@@ -7,7 +7,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/sparse"
 )
@@ -193,10 +192,4 @@ func (e *Extractor) growDims(n int) []int {
 func (f Features) String() string {
 	return fmt.Sprintf("M=%d N=%d nnz=%d ndig=%d dnnz=%.2f mdim=%d adim=%.2f vdim=%.3g density=%.3f",
 		f.M, f.N, f.NNZ, f.Ndig, f.Dnnz, f.Mdim, f.Adim, f.Vdim, f.Density)
-}
-
-// RelErr returns the relative error |got−want|/max(|want|,1) used when
-// comparing generated clones against the paper's Table V targets.
-func RelErr(got, want float64) float64 {
-	return math.Abs(got-want) / math.Max(math.Abs(want), 1)
 }

@@ -49,7 +49,7 @@ func TestClonesMatchPaperSignature(t *testing.T) {
 				t.Fatalf("dims %dx%d, want %dx%d", f.M, f.N, d.CloneM, d.CloneN)
 			}
 			// Density must always match (it is scale-invariant).
-			if RelErr(f.Density, d.Paper.Density) > 0.10 {
+			if relErr(f.Density, d.Paper.Density) > 0.10 {
 				t.Errorf("density %v, want %v", f.Density, d.Paper.Density)
 			}
 			// adim matches unless the dataset is dense-scaled (then it is
@@ -58,7 +58,7 @@ func TestClonesMatchPaperSignature(t *testing.T) {
 			if d.Scaled && d.Paper.Density == 1.0 {
 				wantAdim = float64(d.CloneN)
 			}
-			if RelErr(f.Adim, wantAdim) > 0.10 {
+			if relErr(f.Adim, wantAdim) > 0.10 {
 				t.Errorf("adim %v, want %v", f.Adim, wantAdim)
 			}
 			// mdim: exact for unscaled, CloneN for dense-scaled clones.
@@ -69,7 +69,7 @@ func TestClonesMatchPaperSignature(t *testing.T) {
 			if wantMdim > d.CloneN {
 				wantMdim = d.CloneN
 			}
-			if RelErr(float64(f.Mdim), float64(wantMdim)) > 0.05 {
+			if relErr(float64(f.Mdim), float64(wantMdim)) > 0.05 {
 				t.Errorf("mdim %v, want %v", f.Mdim, wantMdim)
 			}
 			// vdim zero stays zero; nonzero vdim within 2x (the dither

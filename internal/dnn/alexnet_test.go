@@ -29,7 +29,7 @@ func TestAlexNetCIFARTrainsScaled(t *testing.T) {
 			for i := range idx {
 				idx[i] = lo + i
 			}
-			x, y := d.Batch(idx)
+			x, y := d.BatchInto(nil, nil, idx)
 			net.ZeroGrads()
 			net.TrainStep(x, y)
 			opt.Step()

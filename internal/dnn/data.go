@@ -23,16 +23,10 @@ func (d *Dataset) NTrain() int { return len(d.TrainY) }
 // NTest returns the test-set size.
 func (d *Dataset) NTest() int { return len(d.TestY) }
 
-// Batch copies rows idx of the training set into a fresh batch tensor and
-// label slice.
-func (d *Dataset) Batch(idx []int) (*Tensor, []int) {
-	return d.BatchInto(nil, nil, idx)
-}
-
 // BatchInto copies rows idx of the training set into x and y, reusing their
 // storage when it fits, and returns the (possibly re-allocated) pair. Pass
 // the previous step's return values back in and a fixed-batch training loop
-// builds every batch into the same tensor; nil inputs behave like Batch.
+// builds every batch into the same tensor; nil inputs get fresh storage.
 func (d *Dataset) BatchInto(x *Tensor, y []int, idx []int) (*Tensor, []int) {
 	per := d.C * d.H * d.W
 	if x == nil || cap(x.Data) < len(idx)*per {

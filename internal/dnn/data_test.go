@@ -2,8 +2,8 @@ package dnn
 
 import "testing"
 
-// TestBatchIntoReusesStorage pins the BatchInto contract: identical bytes
-// to Batch, storage reuse when the shapes fit, and zero steady-state
+// TestBatchIntoReusesStorage pins the BatchInto contract: the training rows
+// idx names, storage reuse when the shapes fit, and zero steady-state
 // allocations for a fixed batch size.
 func TestBatchIntoReusesStorage(t *testing.T) {
 	d, err := SyntheticCIFAR(3, 1, 4, 4, 24, 6, 1.0, 5)
@@ -12,20 +12,20 @@ func TestBatchIntoReusesStorage(t *testing.T) {
 	}
 	idxA := []int{0, 3, 7, 11}
 	idxB := []int{2, 5, 9, 13}
+	per := d.C * d.H * d.W
 
-	wantX, wantY := d.Batch(idxA)
 	x, y := d.BatchInto(nil, nil, idxA)
-	if len(x.Data) != len(wantX.Data) || len(y) != len(wantY) {
-		t.Fatalf("BatchInto sizes %d/%d, Batch %d/%d", len(x.Data), len(y), len(wantX.Data), len(wantY))
+	if len(x.Data) != len(idxA)*per || len(y) != len(idxA) {
+		t.Fatalf("BatchInto sizes %d/%d, want %d/%d", len(x.Data), len(y), len(idxA)*per, len(idxA))
 	}
-	for i := range wantX.Data {
-		if x.Data[i] != wantX.Data[i] {
-			t.Fatalf("pixel %d differs from Batch", i)
+	for k, i := range idxA {
+		for p := 0; p < per; p++ {
+			if x.Data[k*per+p] != d.TrainX.Data[i*per+p] {
+				t.Fatalf("batch row %d pixel %d differs from training row %d", k, p, i)
+			}
 		}
-	}
-	for i := range wantY {
-		if y[i] != wantY[i] {
-			t.Fatalf("label %d differs from Batch", i)
+		if y[k] != d.TrainY[i] {
+			t.Fatalf("batch label %d differs from training row %d", k, i)
 		}
 	}
 
@@ -34,7 +34,7 @@ func TestBatchIntoReusesStorage(t *testing.T) {
 	if &x2.Data[0] != &x.Data[0] || &y2[0] != &y[0] {
 		t.Fatal("same-size BatchInto re-allocated")
 	}
-	wantB, _ := d.Batch(idxB)
+	wantB, _ := d.BatchInto(nil, nil, idxB)
 	for i := range wantB.Data {
 		if x2.Data[i] != wantB.Data[i] {
 			t.Fatalf("refilled pixel %d stale", i)

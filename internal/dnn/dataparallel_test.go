@@ -31,7 +31,7 @@ func TestDataParallelMatchesSerial(t *testing.T) {
 		for i := range idx {
 			idx[i] = i
 		}
-		x, y := d.Batch(idx)
+		x, y := d.BatchInto(nil, nil, idx)
 		for step := 0; step < 5; step++ {
 			serial.ZeroGrads()
 			sl := serial.TrainStep(x, y)
@@ -64,7 +64,7 @@ func TestDataParallelReplicasStayInSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
-	x, y := d.Batch(idx)
+	x, y := d.BatchInto(nil, nil, idx)
 	for step := 0; step < 4; step++ {
 		dp.TrainStep(x, y)
 	}
@@ -90,7 +90,7 @@ func TestDataParallelMoreWorkersThanSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, y := d.Batch([]int{0, 1, 2}) // 3 samples over 8 replicas
+	x, y := d.BatchInto(nil, nil, []int{0, 1, 2}) // 3 samples over 8 replicas
 	loss := dp.TrainStep(x, y)
 	if math.IsNaN(loss) || loss <= 0 {
 		t.Fatalf("loss %v", loss)
@@ -113,7 +113,7 @@ func TestDataParallelTrainsToTarget(t *testing.T) {
 			for i := range idx {
 				idx[i] = lo + i
 			}
-			x, y := d.Batch(idx)
+			x, y := d.BatchInto(nil, nil, idx)
 			dp.TrainStep(x, y)
 		}
 		if Evaluate(dp.Network(), d, 64) >= 0.8 {

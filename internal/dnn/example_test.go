@@ -52,7 +52,7 @@ func ExampleNewDataParallel() {
 		panic(err)
 	}
 	idx := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	x, y := d.Batch(idx)
+	x, y := d.BatchInto(nil, nil, idx)
 	loss := dp.TrainStep(x, y)
 	fmt.Println("replicas:", dp.Replicas(), "— first-step loss is finite:", loss > 0)
 	// Output:

@@ -13,7 +13,7 @@ type SoftmaxCrossEntropy struct {
 }
 
 // Forward returns the mean loss over the batch; probabilities are cached
-// for Backward and exposed through Probs.
+// for Backward.
 func (s *SoftmaxCrossEntropy) Forward(logits *Tensor, labels []int) float64 {
 	b, k := logits.Shape[0], logits.Shape[1]
 	if len(labels) != b {
@@ -48,9 +48,6 @@ func (s *SoftmaxCrossEntropy) Forward(logits *Tensor, labels []int) float64 {
 	}
 	return loss / float64(b)
 }
-
-// Probs returns the cached softmax probabilities from the last Forward.
-func (s *SoftmaxCrossEntropy) Probs() *Tensor { return s.probs }
 
 // Backward returns ∂L/∂logits = (probs − onehot)/B.
 func (s *SoftmaxCrossEntropy) Backward() *Tensor {

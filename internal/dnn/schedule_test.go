@@ -172,7 +172,7 @@ func TestStepDecayStabilizesTraining(t *testing.T) {
 				for i := range idx {
 					idx[i] = lo + i
 				}
-				x, y := d.Batch(idx)
+				x, y := d.BatchInto(nil, nil, idx)
 				net.ZeroGrads()
 				net.TrainStep(x, y)
 				opt.Step()

@@ -58,19 +58,6 @@ func SmallConvNet(classes, c, h, w int, ex *exec.Exec, seed int64) *Network {
 	)
 }
 
-// MLP builds a plain two-hidden-layer perceptron over flattened input.
-func MLP(classes, inFeatures, hidden int, ex *exec.Exec, seed int64) *Network {
-	rng := rand.New(rand.NewSource(seed))
-	return NewNetwork(
-		NewFlatten(),
-		NewDense(inFeatures, hidden, ex, rng),
-		NewReLU(),
-		NewDense(hidden, hidden/2, ex, rng),
-		NewReLU(),
-		NewDense(hidden/2, classes, ex, rng),
-	)
-}
-
 // Evaluate computes test accuracy in mini-batches; the network's own
 // execution context drives the layer kernels. Dropout layers are switched
 // to inference mode for the duration and restored afterwards.

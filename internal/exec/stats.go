@@ -22,7 +22,6 @@ const (
 	KindELL
 	KindDIA
 	KindCSC
-	KindBCSR
 	KindHYB
 	KindPair
 	KindMatMul
@@ -44,8 +43,6 @@ func (k Kind) String() string {
 		return "DIA"
 	case KindCSC:
 		return "CSC"
-	case KindBCSR:
-		return "BCSR"
 	case KindHYB:
 		return "HYB"
 	case KindPair:

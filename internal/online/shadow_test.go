@@ -53,7 +53,7 @@ func randomStream(rng *rand.Rand, n int, kind Kind) []Record {
 func randomModel(rng *rand.Rand, kind Kind) PredictFunc {
 	smsvCands := []string{
 		"CSR/static/base", "COO/static/base", "ELL/static/base",
-		"DIA/static/base", "CSR/guided/fused", "BCSR/static/base",
+		"DIA/static/base", "CSR/guided/fused", "CSC/static/fused",
 	}
 	pairCands := []string{"gustavson/CSR/CSR", "inner/CSR/CSC", "outer/CSC/CSR", "gustavson/ELL/CSR"}
 	cands := smsvCands

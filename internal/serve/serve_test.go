@@ -323,9 +323,10 @@ func TestPredict(t *testing.T) {
 	s := newTestServer(t, Config{Model: model})
 	h := s.Handler()
 	w := post(t, h, "/v1/predict", PredictRequest{Rows: []string{
-		"1:2 2:1",    // f = 1 → +1
-		"1:1 2:3",    // f = -2 → -1
-		"+1 1:5 2:1", // labeled row accepted too, f = 4 → +1
+		"1:2 2:1",     // f = 1 → +1
+		"1:1 2:3",     // f = -2 → -1
+		"+1 1:5 2:1",  // labeled row accepted too, f = 4 → +1
+		"+1\t1:5 2:1", // a tab may end the label, f = 4 → +1
 	}})
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
@@ -334,7 +335,7 @@ func TestPredict(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{1, -1, 1}
+	want := []float64{1, -1, 1, 1}
 	if len(resp.Predictions) != len(want) {
 		t.Fatalf("%d predictions", len(resp.Predictions))
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"repro/internal/breaker"
 	"repro/internal/cluster"
@@ -176,6 +177,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PairHistory == nil {
 		c.PairHistory = &core.PairHistory{}
+	}
+	if c.MinConfidence <= 0 {
+		c.MinConfidence = core.DefaultMinConfidence
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 4
@@ -910,7 +914,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Rows are LIBSVM feature lists; a leading "index:value" token means
-	// the label is absent and a dummy one is prepended for the parser.
+	// the label is absent and a dummy one is prepended for the parser. The
+	// token ends at any whitespace, as the parser's do.
 	var sb strings.Builder
 	for i, row := range req.Rows {
 		row = strings.TrimSpace(row)
@@ -918,7 +923,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("row %d is blank", i))
 			return
 		}
-		if first, _, _ := strings.Cut(row, " "); strings.Contains(first, ":") {
+		first := row
+		if k := strings.IndexFunc(row, unicode.IsSpace); k >= 0 {
+			first = row[:k]
+		}
+		if strings.Contains(first, ":") {
 			sb.WriteString("0 ")
 		}
 		sb.WriteString(row)
@@ -980,14 +989,10 @@ func (s *Server) handlePredictFormat(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "predictor has no answer (empty model)")
 		return
 	}
-	min := s.cfg.MinConfidence
-	if min <= 0 {
-		min = core.DefaultMinConfidence
-	}
 	writeJSON(w, http.StatusOK, PredictFormatResponse{
 		Format:     c.Format.String(),
 		Confidence: conf,
-		Confident:  conf >= min,
+		Confident:  conf >= s.cfg.MinConfidence,
 		Features:   NewFeaturesJSON(feats),
 	})
 }

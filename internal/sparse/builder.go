@@ -76,7 +76,7 @@ func reuse[T any](s []T, n int) []T {
 }
 
 // zeroed is reuse for an array whose format relies on zeros — DEN and DIA
-// data, BCSR blocks, pointer counts: a reused one is cleared.
+// data, pointer counts: a reused one is cleared.
 func zeroed[T any](s []T, n int) []T {
 	if s == nil || cap(s) < n {
 		return make([]T, n)
@@ -196,8 +196,6 @@ func heldBytes(m Matrix) int64 {
 		return 4*int64(cap(m.offsets)) + 8*int64(cap(m.data))
 	case *CSCMatrix:
 		return 4*int64(cap(m.ptr)) + 4*int64(cap(m.idx)) + 8*int64(cap(m.val))
-	case *BCSRMatrix:
-		return 8*int64(cap(m.ptr)) + 4*int64(cap(m.bidx)) + 8*int64(cap(m.val))
 	}
 	return 0
 }
@@ -475,9 +473,6 @@ func (b *Builder) BuildRows(f Format, lo, hi int) (Matrix, error) {
 		}
 		s, _ := spare.(*CSCMatrix)
 		m = newCSC(s, rows, b.cols, base, r, c, v)
-	case BCSR:
-		s, _ := spare.(*BCSRMatrix)
-		m = newBCSR(s, rows, b.cols, base, r, c, v, defaultBlock)
 	}
 	if k := b.kept[f]; heldBytes(m) > heldBytes(k) {
 		b.kept[f] = m

@@ -379,7 +379,7 @@ func TestBuildDIAOverCapReturnsNilMatrix(t *testing.T) {
 	}
 	m, err := b.Build(DIA)
 	if err == nil {
-		t.Fatalf("a %dx%d scattered fill built as DIA: %d diagonals", n, n, m.(*DIAMatrix).NumDiagonals())
+		t.Fatalf("a %dx%d scattered fill built as DIA: %d diagonals", n, n, len(m.(*DIAMatrix).offsets))
 	}
 	if m != nil {
 		t.Fatalf("Build(DIA) failed with %q and still returned a %T", err, m)

@@ -115,9 +115,9 @@ const NumCandidates = len(AllFormats) * numChunkPolicies * numKernelVariants
 // pre-joint behavior: base kernel, static chunks.
 func BaseCandidate(f Format) Candidate { return Candidate{Format: f} }
 
-// Index maps the candidate into [0, NumCandidates) densely and stably:
-// the encoding is frozen because trained models persist leaf labels by
-// candidate and histories persist candidate names.
+// Index maps the candidate into [0, NumCandidates) densely. It is an
+// in-memory index (vote tables, tie order), not a persisted form: histories,
+// model leaves and gossip carry candidate names, which ParseCandidate reads.
 func (c Candidate) Index() int {
 	return int(c.Format)*numChunkPolicies*numKernelVariants +
 		int(c.Chunk)*numKernelVariants + int(c.Variant)

@@ -93,9 +93,6 @@ func (m *DIAMatrix) NNZ() int { return m.nnz }
 // Format returns DIA.
 func (m *DIAMatrix) Format() Format { return DIA }
 
-// NumDiagonals returns ndig, the occupied diagonal count.
-func (m *DIAMatrix) NumDiagonals() int { return len(m.offsets) }
-
 // RowTo appends the nonzeros of row i to dst by probing every lane;
 // offsets ascend, so columns come out ascending.
 func (m *DIAMatrix) RowTo(dst Vector, i int) Vector {

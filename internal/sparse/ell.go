@@ -73,9 +73,6 @@ func (m *ELLMatrix) NNZ() int { return m.nnz }
 // Format returns ELL.
 func (m *ELLMatrix) Format() Format { return ELL }
 
-// Width returns the per-row slot count (the dataset's mdim).
-func (m *ELLMatrix) Width() int { return m.width }
-
 // RowTo appends the nonzeros of row i to dst, skipping padding.
 func (m *ELLMatrix) RowTo(dst Vector, i int) Vector {
 	dst = dst.Reset(m.cols)

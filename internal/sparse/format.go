@@ -1,9 +1,8 @@
 // Package sparse implements the five matrix storage formats the paper
-// schedules between — DEN (dense), CSR, COO, ELL and DIA — plus the CSC and
-// BCSR variants it mentions as derivable, with conversions between all of
-// them, storage accounting matching the paper's Table II, and the
-// sparse-matrix × sparse-vector (SMSV) kernels that dominate SMO-based SVM
-// training.
+// schedules between — DEN (dense), CSR, COO, ELL and DIA — plus CSC, a
+// format it mentions as derivable, with conversions between all of them,
+// storage accounting matching the paper's Table II, and the sparse-matrix ×
+// sparse-vector (SMSV) kernels that dominate SMO-based SVM training.
 //
 // Each of the five formats' multiply kernels intentionally performs work
 // proportional to its *stored* element count (padding included), because
@@ -37,16 +36,14 @@ const (
 	DIA
 	// CSC is compressed sparse column storage (derived format, §III-A).
 	CSC
-	// BCSR is block compressed sparse row storage (derived format, §III-A).
-	BCSR
 )
 
 // BasicFormats lists the five formats the paper's scheduler chooses among,
 // in the order used by its figures and tables.
 var BasicFormats = [5]Format{ELL, CSR, COO, DEN, DIA}
 
-// AllFormats lists every format this package implements.
-var AllFormats = [7]Format{DEN, CSR, COO, ELL, DIA, CSC, BCSR}
+// AllFormats lists every format some scheduler can choose.
+var AllFormats = [6]Format{DEN, CSR, COO, ELL, DIA, CSC}
 
 // String returns the conventional short name of the format.
 func (f Format) String() string {
@@ -63,8 +60,6 @@ func (f Format) String() string {
 		return "DIA"
 	case CSC:
 		return "CSC"
-	case BCSR:
-		return "BCSR"
 	default:
 		return fmt.Sprintf("Format(%d)", int(f))
 	}

@@ -10,9 +10,9 @@ import (
 // up to a width threshold, and the overflow of longer rows spills into a
 // row-sorted COO part. It is the classic cure for exactly the failure mode
 // the paper's Figure 3 shows — one long row forcing ELL to pad every other
-// row — and is provided as a derived-format extension alongside CSC and
-// BCSR (§III-A allows "most of the other storage formats" to be derived
-// from the basic five).
+// row — and is provided as a derived-format extension alongside CSC
+// (§III-A allows "most of the other storage formats" to be derived from the
+// basic five).
 type HYBMatrix struct {
 	rows, cols int
 	nnz        int
@@ -84,7 +84,7 @@ func (m *HYBMatrix) NNZ() int { return m.nnz }
 func (m *HYBMatrix) Format() Format { return ELL }
 
 // Width returns the ELL part's slot count per row.
-func (m *HYBMatrix) Width() int { return m.ell.Width() }
+func (m *HYBMatrix) Width() int { return m.ell.width }
 
 // SpillNNZ returns how many nonzeros live in the COO overflow part.
 func (m *HYBMatrix) SpillNNZ() int { return m.coo.NNZ() }
@@ -141,4 +141,19 @@ func (m *HYBMatrix) StoredElements() int64 {
 // StorageBytes returns the backing array footprint of both parts.
 func (m *HYBMatrix) StorageBytes() int64 {
 	return m.ell.StorageBytes() + m.coo.StorageBytes()
+}
+
+// sortEntries sorts the vector's entries by index (HYB's RowTo merges its
+// ELL and COO parts with it).
+func (v *Vector) sortEntries() {
+	sort.Sort(vecSorter{v})
+}
+
+type vecSorter struct{ v *Vector }
+
+func (s vecSorter) Len() int           { return len(s.v.Index) }
+func (s vecSorter) Less(i, j int) bool { return s.v.Index[i] < s.v.Index[j] }
+func (s vecSorter) Swap(i, j int) {
+	s.v.Index[i], s.v.Index[j] = s.v.Index[j], s.v.Index[i]
+	s.v.Value[i], s.v.Value[j] = s.v.Value[j], s.v.Value[i]
 }

@@ -42,8 +42,8 @@ func TestHYBSpillBehaviour(t *testing.T) {
 	}
 	// The same matrix in plain ELL pads every row to 10:
 	ell := b.MustBuild(ELL).(*ELLMatrix)
-	if ell.Width() != 10 {
-		t.Fatalf("plain ELL width = %d, want 10", ell.Width())
+	if ell.width != 10 {
+		t.Fatalf("plain ELL width = %d, want 10", ell.width)
 	}
 	if h.StoredElements() >= ell.StoredElements() {
 		t.Fatalf("HYB stored %d should beat padded ELL %d", h.StoredElements(), ell.StoredElements())

@@ -320,10 +320,10 @@ func TestStorageFormulasMatchMeasured(t *testing.T) {
 	if got, want := coo.StoredElements(), 3*nnz; got != want {
 		t.Errorf("COO stored = %d, want %d", got, want)
 	}
-	if got, want := ell.StoredElements(), 2*int64(rows)*int64(ell.Width()); got != want {
+	if got, want := ell.StoredElements(), 2*int64(rows)*int64(ell.width); got != want {
 		t.Errorf("ELL stored = %d, want %d", got, want)
 	}
-	if got, want := dia.StoredElements(), int64(dia.NumDiagonals())*int64(min(rows, cols)+1); got != want {
+	if got, want := dia.StoredElements(), int64(len(dia.offsets))*int64(min(rows, cols)+1); got != want {
 		t.Errorf("DIA stored = %d, want %d", got, want)
 	}
 }
@@ -371,7 +371,7 @@ func TestTableIIDenseExtremes(t *testing.T) {
 		}
 	}
 	dia := b.MustBuild(DIA).(*DIAMatrix)
-	if got, want := dia.NumDiagonals(), rows+cols-1; got != want {
+	if got, want := len(dia.offsets), rows+cols-1; got != want {
 		t.Errorf("dense DIA diagonals = %d, want %d", got, want)
 	}
 }
@@ -398,8 +398,8 @@ func TestDIADiagonalCount(t *testing.T) {
 		b.Add(i, i+1, 2.0)
 	}
 	dia := b.MustBuild(DIA).(*DIAMatrix)
-	if dia.NumDiagonals() != 2 {
-		t.Fatalf("diagonals = %d, want 2", dia.NumDiagonals())
+	if len(dia.offsets) != 2 {
+		t.Fatalf("diagonals = %d, want 2", len(dia.offsets))
 	}
 }
 
@@ -411,54 +411,8 @@ func TestELLWidthEqualsMaxRowNNZ(t *testing.T) {
 	b.Add(1, 9, 1)
 	b.Add(3, 2, 1)
 	ell := b.MustBuild(ELL).(*ELLMatrix)
-	if ell.Width() != 3 {
-		t.Fatalf("width = %d, want 3 (row 1 has 3 nnz)", ell.Width())
-	}
-}
-
-func TestBCSRFillRatio(t *testing.T) {
-	b := NewBuilder(8, 8)
-	// One fully dense 4x4 block: fill ratio exactly 1.
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			b.Add(i, j, 1.0)
-		}
-	}
-	m := NewBCSR(b, 4)
-	if m.NumBlocks() != 1 {
-		t.Fatalf("blocks = %d, want 1", m.NumBlocks())
-	}
-	if r := m.FillRatio(); r != 1.0 {
-		t.Fatalf("fill ratio = %v, want 1.0", r)
-	}
-	// A single scattered element per block: ratio 16.
-	b2 := NewBuilder(8, 8)
-	b2.Add(0, 0, 1)
-	b2.Add(4, 4, 1)
-	m2 := NewBCSR(b2, 4)
-	if r := m2.FillRatio(); r != 16.0 {
-		t.Fatalf("fill ratio = %v, want 16", r)
-	}
-}
-
-func TestBCSRNonMultipleDims(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	b := randomBuilder(rng, 13, 11, 0.3) // dims not multiples of 4
-	ref := b.MustBuild(DEN)
-	m := NewBCSR(b, 4)
-	if !Equal(ref, m) {
-		t.Fatal("BCSR with ragged edge blocks lost content")
-	}
-	x := Vector{Dim: 11}
-	for j := 0; j < 11; j += 3 {
-		x = x.Append(int32(j), 1.0+float64(j))
-	}
-	scratch := make([]float64, 11)
-	want := refMulVecSparse(ToDense(ref), 13, 11, x)
-	got := make([]float64, 13)
-	m.MulVecSparse(got, x, scratch, texec(t, 4, exec.Static))
-	if !almostEqual(got, want, 1e-12) {
-		t.Fatalf("BCSR ragged multiply mismatch: got %v want %v", got, want)
+	if ell.width != 3 {
+		t.Fatalf("width = %d, want 3 (row 1 has 3 nnz)", ell.width)
 	}
 }
 

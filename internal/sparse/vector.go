@@ -3,7 +3,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Vector is a sparse vector: parallel slices of ascending column indices
@@ -149,19 +148,4 @@ func (v Vector) Validate() error {
 		prev = i
 	}
 	return nil
-}
-
-// sortEntries sorts the vector's entries by index (used by builders that
-// receive unsorted input).
-func (v *Vector) sortEntries() {
-	sort.Sort(vecSorter{v})
-}
-
-type vecSorter struct{ v *Vector }
-
-func (s vecSorter) Len() int           { return len(s.v.Index) }
-func (s vecSorter) Less(i, j int) bool { return s.v.Index[i] < s.v.Index[j] }
-func (s vecSorter) Swap(i, j int) {
-	s.v.Index[i], s.v.Index[j] = s.v.Index[j], s.v.Index[i]
-	s.v.Value[i], s.v.Value[j] = s.v.Value[j], s.v.Value[i]
 }

@@ -63,9 +63,8 @@ func ParseDataflow(s string) (Dataflow, error) {
 }
 
 // Candidate is one point in the SpGEMM decision space: a dataflow plus the
-// storage formats of both operands. Like sparse.Candidate, its Index
-// encoding is frozen — it is persisted in histories and trained models, so
-// changing it is a format break requiring a version bump there.
+// storage formats of both operands. Like sparse.Candidate's, its Index is
+// an in-memory index; histories and trained models persist its name.
 type Candidate struct {
 	Dataflow Dataflow
 	AFormat  sparse.Format
@@ -76,7 +75,7 @@ type Candidate struct {
 // Supported; AppendCandidates enumerates the real ones).
 const NumCandidates = numDataflows * len(sparse.AllFormats) * len(sparse.AllFormats)
 
-// Index returns the frozen dense encoding of the candidate.
+// Index returns the dense encoding of the candidate.
 func (c Candidate) Index() int {
 	return int(c.Dataflow)*len(sparse.AllFormats)*len(sparse.AllFormats) +
 		int(c.AFormat)*len(sparse.AllFormats) + int(c.BFormat)

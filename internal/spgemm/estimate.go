@@ -52,29 +52,6 @@ func NNZUpperBound(a, b sparse.Matrix) int64 {
 	return dense
 }
 
-// EstimateNNZ predicts nnz(C) from shape statistics alone — no operand
-// walk — for use in cache keys and pairwise embeddings where only features
-// are available. Under independent uniform placement, a cell (i,j) stays
-// empty with probability (1−dA·dB)^K, so
-//
-//	E[nnz(C)] = M·N·(1 − (1 − dA·dB)^K)
-//
-// with dA, dB the operand densities and K the inner dimension.
-func EstimateNNZ(aRows, inner, bCols int, aDensity, bDensity float64) float64 {
-	if aRows <= 0 || inner <= 0 || bCols <= 0 {
-		return 0
-	}
-	p := aDensity * bDensity
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return float64(aRows) * float64(bCols)
-	}
-	empty := math.Pow(1-p, float64(inner))
-	return float64(aRows) * float64(bCols) * (1 - empty)
-}
-
 // EstimateCost scores a candidate from cheap statistics, for rule-based
 // selection and candidate ranking before measurement. aStored/bStored are
 // the operands' stored element counts (padding included — this is what

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/sparse"
 )
@@ -459,16 +460,20 @@ func TestEstimators(t *testing.T) {
 	if ub > 14*10 {
 		t.Fatalf("upper bound %d exceeds dense cell count", ub)
 	}
-	// The probabilistic estimate should land within a factor of the truth
-	// for a uniform random pair.
-	est := EstimateNNZ(14, 20, 10, 0.25, 0.25)
-	if est < float64(out.NNZ())/4 || est > float64(out.NNZ())*4 {
-		t.Fatalf("EstimateNNZ = %g vs true %d", est, out.NNZ())
+	// The feature-level estimate the pair embedding runs should land within
+	// a factor of the truth for a uniform random pair.
+	shape := func(m, n int, density float64) dataset.Features {
+		return dataset.Features{M: m, N: n, Density: density}
 	}
-	if EstimateNNZ(0, 20, 10, 0.5, 0.5) != 0 || EstimateNNZ(14, 20, 10, 0, 0.5) != 0 {
+	est := dataset.EstimateOutputNNZ(shape(14, 20, 0.25), shape(20, 10, 0.25))
+	if est < float64(out.NNZ())/4 || est > float64(out.NNZ())*4 {
+		t.Fatalf("EstimateOutputNNZ = %g vs true %d", est, out.NNZ())
+	}
+	if dataset.EstimateOutputNNZ(shape(0, 20, 0.5), shape(20, 10, 0.5)) != 0 ||
+		dataset.EstimateOutputNNZ(shape(14, 20, 0), shape(20, 10, 0.5)) != 0 {
 		t.Fatal("degenerate estimates should be zero")
 	}
-	if got := EstimateNNZ(3, 5, 4, 1, 1); got != 12 {
+	if got := dataset.EstimateOutputNNZ(shape(3, 5, 1), shape(5, 4, 1)); got != 12 {
 		t.Fatalf("fully dense estimate = %g, want 12", got)
 	}
 	// Cost model sanity: on a huge dense-cell grid the inner product must

@@ -120,9 +120,6 @@ const (
 	paperArtefact = "paper artefact"
 	// ROADMAP item 6(a) schedules HYB as a format.
 	pending6a = "pending ROADMAP item 6(a)"
-	// Small accessors and helpers only tests call; 6(a)'s next pass decides
-	// each by the same rule (scheduled, paper artefact, or it goes).
-	pendingNext = "pending ROADMAP item 6(a), next pass"
 )
 
 // reachAllow is keyed by a file (every unreached declaration in it) or by
@@ -141,28 +138,15 @@ var reachAllow = map[string]string{
 	"internal/telemetry/leak.go":      oracle,
 	"internal/exec.Serial":            oracle,
 
-	"internal/dnn/alexnet.go":      paperArtefact, // the introduction's AlexNet-on-CIFAR-10
-	"internal/dnn/cifar10full.go":  paperArtefact, // §IV's Caffe cifar10_full baseline
-	"internal/dnn/dataparallel.go": paperArtefact, // §IV-B
-	"internal/dnn/schedule.go":     paperArtefact, // Caffe's fixed / step / inv policies
-	"internal/dnn.NewDropout":      paperArtefact, // AlexNet's head
+	"internal/dnn/alexnet.go":        paperArtefact, // the introduction's AlexNet-on-CIFAR-10
+	"internal/dnn/cifar10full.go":    paperArtefact, // §IV's Caffe cifar10_full baseline
+	"internal/dnn/dataparallel.go":   paperArtefact, // §IV-B
+	"internal/dnn/schedule.go":       paperArtefact, // Caffe's fixed / step / inv policies
+	"internal/dnn.NewDropout":        paperArtefact, // AlexNet's head
+	"internal/dnn.Network.ZeroGrads": paperArtefact, // dataparallel.go's replicas
+	"internal/dnn.Network.NumParams": paperArtefact, // AlexNet's and cifar10_full's paper scale
 
 	"internal/sparse/hyb.go": pending6a,
-
-	"internal/dataset.RelErr":                pendingNext,
-	"internal/dnn.FromMatrix":                pendingNext,
-	"internal/dnn/checkpoint.go":             pendingNext,
-	"internal/dnn.Dataset.Batch":             pendingNext,
-	"internal/dnn.SoftmaxCrossEntropy.Probs": pendingNext,
-	"internal/dnn.Network.ZeroGrads":         pendingNext,
-	"internal/dnn.Network.NumParams":         pendingNext,
-	"internal/dnn.MLP":                       pendingNext,
-	"internal/sparse.NewBCSR":                pendingNext,
-	"internal/sparse.BCSRMatrix.NumBlocks":   pendingNext,
-	"internal/sparse.BCSRMatrix.FillRatio":   pendingNext,
-	"internal/sparse.DIAMatrix.NumDiagonals": pendingNext,
-	"internal/sparse.ELLMatrix.Width":        pendingNext,
-	"internal/spgemm.EstimateNNZ":            pendingNext,
 }
 
 type unreached struct {
